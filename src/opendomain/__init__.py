@@ -22,7 +22,7 @@ from .losses import (
 )
 from .matching import MatchedPairs, hungarian, match_domains, pairwise_l1, partition_folds
 from .model import Encoder, ModelState, encode, init_head_from_gcn, pretrain_source
-from .numkit import grad_check, leaky_relu, make_rng, matmul, softmax_rows
+from .numkit import leaky_relu, make_rng, softmax_rows
 from .synth import LabeledDataset, SynthConfig, UnlabeledDataset, generate
 from .trainer import (
     ExperimentConfig,

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import synth
 from .evaluate import accuracy_triple, predict
@@ -24,7 +23,7 @@ from .numkit import load_matrix, make_rng, save_matrix
 from .trainer import (
     ConfigError,
     NonFiniteLossError,
-    config_to_text,
+    apply_flags,
     experiment_hash,
     format_ablation_table,
     parse_config,
@@ -46,28 +45,12 @@ def _read_config(path):
 
 
 def _load_data_dir(directory):
-    source, n_src_classes = synth.load_dataset(
-        os.path.join(directory, _DATA_FILES["source"]))
+    source, _ = synth.load_dataset(os.path.join(directory, _DATA_FILES["source"]))
     target, _ = synth.load_dataset(os.path.join(directory, _DATA_FILES["target"]))
     graph_path = os.path.join(directory, _DATA_FILES["graph"])
     graph = load_graph(graph_path) if os.path.exists(graph_path) else None
     word_vectors = load_matrix(os.path.join(directory, _DATA_FILES["wordvec"]))
     return source, target, graph, word_vectors
-
-
-def _apply_flag_string(cfg, flags: str):
-    tokens = [] if flags == "none" else [t for t in flags.split(",") if t]
-    valid = {"lb", "sgmd", "gcn", "vanilla"}
-    unknown = set(tokens) - valid
-    if unknown:
-        raise ConfigError(f"unknown flag tokens: {sorted(unknown)}")
-    return replace(
-        cfg,
-        enable_lb="lb" in tokens,
-        enable_sgmd="sgmd" in tokens,
-        enable_gcn="gcn" in tokens,
-        vanilla_balance="vanilla" in tokens,
-    )
 
 
 def _write_json(path, payload) -> None:
@@ -102,7 +85,8 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _read_config(args.config)
     if args.flags is not None:
-        cfg = _apply_flag_string(cfg, args.flags)
+        tokens = [] if args.flags == "none" else [t for t in args.flags.split(",") if t]
+        cfg = apply_flags(cfg, tokens)
     data = _load_data_dir(args.data)
     state, history = run_pipeline(cfg, data=data)
     os.makedirs(args.out, exist_ok=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import KnowledgeGraph, normalized_adjacency
-from .numkit import DimensionError, leaky_relu, leaky_relu_grad
+from .numkit import DimensionError, MomentumSgd, leaky_relu, leaky_relu_grad
 
 __all__ = [
     "GcnParams",
@@ -142,13 +142,12 @@ def train_gcn_init(g: KnowledgeGraph, x, w, schedule: GcnSchedule,
     z_known = (p @ x)[list(known)]
     curvature = float(np.linalg.eigvalsh(z_known.T @ z_known)[-1]) / w.shape[1]
     step = schedule.learning_rate / max(curvature, 1e-12)
-    velocity = np.zeros_like(params.theta)
+    opt = MomentumSgd({"theta": params.theta}, step, schedule.momentum)
     history = []
     for _ in range(schedule.steps):
         loss, d_theta = init_loss(p, x, params, w, known)
         history.append(loss)
-        velocity = schedule.momentum * velocity + d_theta
-        params.theta -= step * velocity
+        opt.step({"theta": d_theta})
     o = gcn_forward(p, x, params)
     embeddings = o[list(g.class_to_node)].copy()
     return params, embeddings, history

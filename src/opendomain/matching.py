@@ -46,16 +46,20 @@ class CostMatrix:
 
 @dataclass(frozen=True)
 class MatchedPairs:
-    """(source, target) index pairs from a (possibly partial) matching."""
+    """(source, target) index pairs from a (possibly partial) matching, and
+    each pair's cost in the same order (None when the costs are unknown)."""
 
     pairs: tuple
     total_cost: float
+    costs: tuple | None = None
 
     def __post_init__(self):
         srcs = [s for s, _ in self.pairs]
         tgts = [t for _, t in self.pairs]
         if len(set(srcs)) != len(srcs) or len(set(tgts)) != len(tgts):
             raise ValueError("matched indices must be pairwise distinct")
+        if self.costs is not None and len(self.costs) != len(self.pairs):
+            raise ValueError("need one cost per matched pair")
 
     def source_indices(self) -> np.ndarray:
         return np.array([s for s, _ in self.pairs], dtype=int)
@@ -136,9 +140,10 @@ def hungarian(c: CostMatrix) -> MatchedPairs:
         row_for_col = _solve(cost.T)
         raw = [(int(i), j) for j, i in enumerate(row_for_col)]
         raw.sort()
-    total = float(sum(cost[i, j] for i, j in raw))
+    costs = [cost[i, j] for i, j in raw]
     pairs = tuple((c.row_ids[i], c.col_ids[j]) for i, j in raw)
-    return MatchedPairs(pairs=pairs, total_cost=total)
+    return MatchedPairs(pairs=pairs, total_cost=float(sum(costs)),
+                        costs=tuple(float(v) for v in costs))
 
 
 def partition_folds(n_s: int, n_t: int, k: int,
@@ -161,25 +166,27 @@ def match_domains(fs, ft, k: int, rng: np.random.Generator) -> MatchedPairs:
     fs = np.asarray(fs, float)
     ft = np.asarray(ft, float)
     plan = partition_folds(fs.shape[0], ft.shape[0], k, rng)
-    pairs = []
+    entries = []
     total = 0.0
     for s_fold, t_fold in zip(plan.source_folds, plan.target_folds):
         block = pairwise_l1(fs[list(s_fold)], ft[list(t_fold)])
         block = CostMatrix(block.costs, s_fold, t_fold)
         matched = hungarian(block)
-        pairs.extend(matched.pairs)
+        entries.extend(zip(matched.pairs, matched.costs))
         total += matched.total_cost
-    pairs.sort()
-    return MatchedPairs(pairs=tuple(pairs), total_cost=total)
+    # source ids are distinct, so the sort never compares costs
+    entries.sort()
+    return MatchedPairs(pairs=tuple(p for p, _ in entries), total_cost=total,
+                        costs=tuple(c for _, c in entries))
 
 
-def save_pairs(path, mp: MatchedPairs, costs=None) -> None:
+def save_pairs(path, mp: MatchedPairs) -> None:
     """`pairs <count> total <cost>` header then one `s t cost` line per
-    pair. Per-pair costs default to 0 when not supplied."""
+    pair; unknown per-pair costs are written as nan."""
+    costs = mp.costs if mp.costs is not None else (float("nan"),) * len(mp.pairs)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"pairs {len(mp.pairs)} total {mp.total_cost:.17g}\n")
-        for idx, (s, t) in enumerate(mp.pairs):
-            c = 0.0 if costs is None else float(costs[idx])
+        for (s, t), c in zip(mp.pairs, costs):
             fh.write(f"{s} {t} {c:.17g}\n")
 
 
@@ -190,7 +197,9 @@ def load_pairs(path) -> MatchedPairs:
             raise ValueError(f"{path}: malformed pairs header")
         count, total = int(header[1]), float(header[3])
         pairs = []
+        costs = []
         for _ in range(count):
-            s, t, _cost = fh.readline().split()
+            s, t, cost = fh.readline().split()
             pairs.append((int(s), int(t)))
-    return MatchedPairs(pairs=tuple(pairs), total_cost=total)
+            costs.append(float(cost))
+    return MatchedPairs(pairs=tuple(pairs), total_cost=total, costs=tuple(costs))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .gcn import GcnParams
 from .losses import ClassifierHead, cls_loss
-from .numkit import DimensionError, load_matrix, save_matrix
+from .numkit import DimensionError, MomentumSgd, load_matrix, save_matrix
 
 __all__ = [
     "Encoder",
@@ -97,11 +97,8 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
         / np.sqrt(feature_dim),
         known_count=num_classes,
     )
-    vel = {
-        "weight": np.zeros_like(enc.weight),
-        "bias": np.zeros_like(enc.bias),
-        "head": np.zeros_like(head.weights),
-    }
+    opt = MomentumSgd({"weight": enc.weight, "bias": enc.bias, "head": head.weights},
+                      schedule.learning_rate, schedule.momentum)
     history = []
     for _ in range(schedule.epochs):
         order = rng.permutation(n)
@@ -111,12 +108,7 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
             f = encode(features[idx], enc)
             loss, d_f, d_w = cls_loss(f, head, labels[idx])
             d_weight, d_bias, _ = encode_backward(features[idx], enc, d_f)
-            vel["weight"] = schedule.momentum * vel["weight"] + d_weight
-            vel["bias"] = schedule.momentum * vel["bias"] + d_bias
-            vel["head"] = schedule.momentum * vel["head"] + d_w
-            enc.weight -= schedule.learning_rate * vel["weight"]
-            enc.bias -= schedule.learning_rate * vel["bias"]
-            head.weights -= schedule.learning_rate * vel["head"]
+            opt.step({"weight": d_weight, "bias": d_bias, "head": d_w})
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return enc, head.weights, history

@@ -1,5 +1,5 @@
 """Numeric substrate: checked dense kernels, stable softmax, seeded RNG,
-matrix text serialization and a central-difference gradient checker.
+momentum SGD and matrix text serialization.
 
 Everything runs on 64-bit numpy arrays. The conventions fixed here
 (leaky-ReLU derivative at 0 equals the slope, softmax with max-subtraction,
@@ -13,12 +13,11 @@ import numpy as np
 __all__ = [
     "DimensionError",
     "as_matrix",
-    "matmul",
     "softmax_rows",
     "leaky_relu",
     "leaky_relu_grad",
     "make_rng",
-    "grad_check",
+    "MomentumSgd",
     "save_matrix",
     "load_matrix",
 ]
@@ -36,18 +35,6 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name}: contains non-finite entries")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError("matmul operands must be 2-D")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"matmul: inner dimensions disagree ({a.shape} x {b.shape})"
-        )
-    return a @ b
 
 
 def softmax_rows(m) -> np.ndarray:
@@ -79,32 +66,24 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def grad_check(f, x, analytic, eps: float = 1e-6) -> float:
-    """Max relative error between an analytic gradient and central
-    finite differences of the scalar function ``f`` at ``x``.
+class MomentumSgd:
+    """Heavy-ball SGD over named arrays, updated in place:
+    ``v = momentum * v + g`` then ``p -= lr * v``. A parameter with no
+    gradient in a step keeps its value and its velocity."""
 
-    Relative error per coordinate uses max(|analytic|, |numeric|, 1e-8)
-    as the denominator.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    if analytic.shape != x.shape:
-        raise DimensionError("analytic gradient shape must match x")
-    worst = 0.0
-    flat = x.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        xp = x.copy().ravel()
-        xm = x.copy().ravel()
-        xp[i] = orig + eps
-        xm[i] = orig - eps
-        num = (f(xp.reshape(x.shape)) - f(xm.reshape(x.shape))) / (2.0 * eps)
-        ana = analytic.ravel()[i]
-        denom = max(abs(ana), abs(num), 1e-8)
-        worst = max(worst, abs(ana - num) / denom)
-    return worst
+    def __init__(self, params: dict, lr: float, momentum: float):
+        self.params = params
+        self.lr = lr
+        self.momentum = momentum
+        self.velocity = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, grads: dict) -> None:
+        for name in self.params:
+            g = grads.get(name)
+            if g is None:
+                continue
+            self.velocity[name] = self.momentum * self.velocity[name] + g
+            self.params[name] -= self.lr * self.velocity[name]
 
 
 def save_matrix(path, m) -> None:

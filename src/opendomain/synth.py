@@ -11,7 +11,7 @@ what graph propagation exploits.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

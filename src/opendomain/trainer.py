@@ -10,9 +10,10 @@ evaluation goes through the separate evaluate module and feeds nothing back.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -30,9 +31,8 @@ from .losses import (
     sgmd_loss,
     total_loss,
 )
-from .matching import match_domains
+from .matching import MatchedPairs, match_domains
 from .model import (
-    Encoder,
     ModelState,
     PretrainSchedule,
     config_hash,
@@ -41,7 +41,7 @@ from .model import (
     init_head_from_gcn,
     pretrain_source,
 )
-from .numkit import make_rng
+from .numkit import MomentumSgd, make_rng
 
 __all__ = [
     "ConfigError",
@@ -50,6 +50,10 @@ __all__ = [
     "TrainHistory",
     "parse_config",
     "config_to_text",
+    "apply_flags",
+    "Prepared",
+    "prepare",
+    "train_joint",
     "run_pipeline",
     "run_ablation",
     "run_da_mode",
@@ -96,7 +100,7 @@ class ExperimentConfig:
         for name in ("feature_dim", "epochs", "batch_size", "folds"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.learning_rate <= 0 or not 0 <= self.momentum < 1:
+        if not (self.learning_rate > 0 and 0 <= self.momentum < 1):
             raise ConfigError("learning_rate must be > 0 and momentum in [0, 1)")
         if self.rematch_interval < 0:
             raise ConfigError("rematch_interval must be >= 0")
@@ -108,55 +112,53 @@ class ExperimentConfig:
                 )
 
 
-def _variant_flags(name: str) -> dict:
-    table = {
-        "baseline": dict(enable_lb=False, enable_sgmd=False, enable_gcn=False,
-                         vanilla_balance=False),
-        "lb": dict(enable_lb=True, enable_sgmd=False, enable_gcn=False,
-                   vanilla_balance=False),
-        "lb+sgmd": dict(enable_lb=True, enable_sgmd=True, enable_gcn=False,
-                        vanilla_balance=False),
-        "lb+sgmd+gcn": dict(enable_lb=True, enable_sgmd=True, enable_gcn=True,
-                            vanilla_balance=False),
-        "vanilla-balance": dict(enable_lb=False, enable_sgmd=False,
-                                enable_gcn=False, vanilla_balance=True),
-    }
-    if name not in table:
-        raise ConfigError(f"unknown variant '{name}'")
-    return table[name]
+# --flags token -> the config field it switches on
+_FLAG_FIELDS = {"lb": "enable_lb", "sgmd": "enable_sgmd", "gcn": "enable_gcn",
+                "vanilla": "vanilla_balance"}
+
+ABLATION_VARIANTS = {
+    "baseline": (),
+    "lb": ("lb",),
+    "lb+sgmd": ("lb", "sgmd"),
+    "lb+sgmd+gcn": ("lb", "sgmd", "gcn"),
+    "vanilla-balance": ("vanilla",),
+}
 
 
-ABLATION_VARIANTS = ("baseline", "lb", "lb+sgmd", "lb+sgmd+gcn", "vanilla-balance")
+def apply_flags(cfg: ExperimentConfig, tokens) -> ExperimentConfig:
+    """``cfg`` with exactly the terms named by ``tokens`` (lb, sgmd, gcn,
+    vanilla) switched on and the others off."""
+    unknown = set(tokens) - set(_FLAG_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown flag tokens: {sorted(unknown)}")
+    return replace(cfg, **{name: token in tokens
+                           for token, name in _FLAG_FIELDS.items()})
 
 
 # ------------------------------------------------------------------ config IO
 
-_SYNTH_KEYS = {
-    "known_classes": int, "total_classes": int, "input_dim": int,
-    "word_dim": int, "source_per_class": int, "target_per_class": int,
-    "branching": int, "step": float, "noise": float, "word_noise": float,
-    "rotation_angle": float, "translation_scale": float, "seed": int,
-}
-_LOSS_KEYS = {
-    "lambda_d": float, "lambda_b": float, "lambda_g": float,
-    "tau": float, "w": float, "epsilon": float,
-}
-_PRETRAIN_KEYS = {
-    "learning_rate": float, "momentum": float, "epochs": int, "batch_size": int,
-}
-_GCN_KEYS = {
-    "learning_rate": float, "momentum": float, "steps": int,
-    "init_scale": float, "slope": float,
-}
-_TRAIN_KEYS = {
-    "feature_dim": int, "learning_rate": float, "momentum": float,
-    "epochs": int, "batch_size": int, "folds": int,
-    "rematch_interval": int, "seed": int,
-}
-_FLAG_KEYS = {
-    "enable_lb": bool, "enable_sgmd": bool, "enable_gcn": bool,
-    "vanilla_balance": bool,
-}
+# text section -> nested config field; every other field is a train.* key,
+# except activation_slope (gcn.slope) and the flags (flags.*)
+_NESTED = {"synth": "synth", "loss": "loss_weights", "pretrain": "pretrain",
+           "gcn": "gcn_schedule"}
+
+
+def _sections(cfg: ExperimentConfig) -> dict:
+    """The config text layout, section -> {key: value}, read off the
+    dataclass fields of ``cfg``."""
+    out = {}
+    for section, attr in _NESTED.items():
+        part = getattr(cfg, attr)
+        out[section] = {f.name: getattr(part, f.name) for f in fields(part)}
+    out["gcn"]["slope"] = cfg.activation_slope
+    out["train"] = {}
+    out["flags"] = {}
+    for f in fields(cfg):
+        if f.name in _NESTED.values() or f.name == "activation_slope":
+            continue
+        section = "flags" if f.name in _FLAG_FIELDS.values() else "train"
+        out[section][f.name] = getattr(cfg, f.name)
+    return out
 
 
 def _parse_value(raw: str, kind, key: str):
@@ -180,10 +182,9 @@ def parse_config(text: str) -> ExperimentConfig:
     and ``synth.seed``, which pin the experiment. ``loss.w`` defaults to
     the proportion of unknown classes.
     """
-    sections = {"synth": _SYNTH_KEYS, "loss": _LOSS_KEYS,
-                "pretrain": _PRETRAIN_KEYS, "gcn": _GCN_KEYS,
-                "train": _TRAIN_KEYS, "flags": _FLAG_KEYS}
-    values: dict = {name: {} for name in sections}
+    # a key's type is the type of its default value
+    defaults = _sections(ExperimentConfig())
+    values: dict = {name: {} for name in defaults}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -196,34 +197,33 @@ def parse_config(text: str) -> ExperimentConfig:
         if "." not in key:
             raise ConfigError(f"line {lineno}: key {key!r} missing section")
         section, _, name = key.partition(".")
-        if section not in sections or name not in sections[section]:
+        if section not in defaults or name not in defaults[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if name in values[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[section][name] = _parse_value(val, sections[section][name], key)
+        kind = type(defaults[section][name])
+        values[section][name] = _parse_value(val, kind, key)
 
     for required in ("train.seed", "synth.seed"):
         section, _, name = required.partition(".")
         if name not in values[section]:
             raise ConfigError(f"missing required key: {required}")
 
+    top = {**values["train"], **values["flags"]}
+    if "slope" in values["gcn"]:
+        top["activation_slope"] = values["gcn"].pop("slope")
     synth_cfg = synth.SynthConfig(**values["synth"])
-    loss_vals = dict(values["loss"])
+    loss_vals = values["loss"]
     if "w" not in loss_vals:
         unknown = synth_cfg.total_classes - synth_cfg.known_classes
         loss_vals["w"] = unknown / synth_cfg.total_classes if unknown else 0.5
-    gcn_vals = dict(values["gcn"])
-    slope = gcn_vals.pop("slope", 0.2)
-    train_vals = dict(values["train"])
     try:
         return ExperimentConfig(
             synth=synth_cfg,
             loss_weights=LossWeights(**loss_vals),
             pretrain=PretrainSchedule(**values["pretrain"]),
-            gcn_schedule=GcnSchedule(**gcn_vals),
-            activation_slope=slope,
-            **train_vals,
-            **values["flags"],
+            gcn_schedule=GcnSchedule(**values["gcn"]),
+            **top,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -231,22 +231,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Canonical flat text form; parse_config round-trips it."""
-    lines = []
-    for name in sorted(_SYNTH_KEYS):
-        lines.append(f"synth.{name} = {getattr(cfg.synth, name)}")
-    for name in sorted(_LOSS_KEYS):
-        lines.append(f"loss.{name} = {getattr(cfg.loss_weights, name)}")
-    for name in sorted(_PRETRAIN_KEYS):
-        lines.append(f"pretrain.{name} = {getattr(cfg.pretrain, name)}")
-    for name in sorted(_GCN_KEYS):
-        if name == "slope":
-            lines.append(f"gcn.slope = {cfg.activation_slope}")
-        else:
-            lines.append(f"gcn.{name} = {getattr(cfg.gcn_schedule, name)}")
-    for name in sorted(_TRAIN_KEYS):
-        lines.append(f"train.{name} = {getattr(cfg, name)}")
-    for name in sorted(_FLAG_KEYS):
-        lines.append(f"flags.{name} = {getattr(cfg, name)}")
+    lines = [f"{section}.{name} = {value}"
+             for section, keys in _sections(cfg).items()
+             for name, value in sorted(keys.items())]
     return "\n".join(lines) + "\n"
 
 
@@ -268,22 +255,6 @@ class TrainHistory:
 
     def final(self) -> dict:
         return self.records[-1]
-
-
-class _MomentumSgd:
-    def __init__(self, params: dict, lr: float, momentum: float):
-        self.params = params
-        self.lr = lr
-        self.momentum = momentum
-        self.velocity = {k: np.zeros_like(v) for k, v in params.items()}
-
-    def step(self, grads: dict) -> None:
-        for name in self.params:
-            g = grads.get(name)
-            if g is None:
-                continue
-            self.velocity[name] = self.momentum * self.velocity[name] + g
-            self.params[name] -= self.lr * self.velocity[name]
 
 
 def _check_finite(name: str, value: float, grads: dict) -> None:
@@ -311,54 +282,68 @@ def _target_order(rng, n_target: int, needed: int) -> np.ndarray:
     return np.concatenate(chunks)[:needed]
 
 
-def run_pipeline(cfg: ExperimentConfig, data=None):
-    """Execute the staged pipeline and the joint loop.
+@dataclass
+class Prepared:
+    """What the stages before the joint loop leave behind: the model after
+    pretraining and GCN init, the initial matching, and the RNG streams the
+    joint loop draws from. No enable_* flag is read before this point, so
+    every variant of a seed can start from a deep copy of one Prepared."""
 
-    ``data`` is an optional (source, target, graph, word_vectors) tuple;
-    when omitted the synthetic benchmark from cfg.synth is generated.
-    Returns (ModelState, TrainHistory).
+    state: ModelState
+    pairs: MatchedPairs
+    rng_match: np.random.Generator
+    rng_joint: np.random.Generator
+
+
+def _match(enc, source, target, folds: int, rng) -> MatchedPairs:
+    return match_domains(encode(source.features, enc),
+                         encode(target.features, enc), folds, rng)
+
+
+def prepare(cfg: ExperimentConfig, data) -> Prepared:
+    """Source pretraining, GCN propagation of the classifiers to the
+    unknown classes, and the initial fold-wise matching.
+
+    ``data`` is a (source, target, graph, word_vectors) tuple.
     """
-    if data is None:
-        data = synth.generate(cfg.synth)
     source, target, graph, word_vectors = data
     l_s = cfg.synth.known_classes
-    l_t = cfg.synth.total_classes
-
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
-    rng_pre = make_rng(streams[0])
-    rng_gcn = make_rng(streams[1])
-    rng_match = make_rng(streams[2])
-    rng_joint = make_rng(streams[3])
+    rng_pre, rng_gcn, rng_match, rng_joint = (make_rng(s) for s in streams)
 
     enc, w_src, _ = pretrain_source(source.features, source.labels, l_s,
                                     cfg.feature_dim, cfg.pretrain, rng_pre)
     if graph is not None:
-        schedule = cfg.gcn_schedule
         gcn_params, embeddings, _ = train_gcn_init(
-            graph, word_vectors, w_src, schedule, rng_gcn)
+            graph, word_vectors, w_src, cfg.gcn_schedule, rng_gcn)
         gcn_params.activation_slope = cfg.activation_slope
         head = init_head_from_gcn(embeddings, l_s)
-        p_norm = normalized_adjacency(graph)
-        class_nodes = list(graph.class_to_node)
     else:
         # symmetric label space: no propagation target, head starts at the
         # pretrained classifier
-        if l_s != l_t:
+        if l_s != cfg.synth.total_classes:
             raise ConfigError("a taxonomy graph is required when unknown classes exist")
         gcn_params = GcnParams(theta=np.zeros((word_vectors.shape[1], cfg.feature_dim)),
                                activation_slope=cfg.activation_slope)
         head = ClassifierHead(weights=w_src.copy(), known_count=l_s)
-        p_norm = None
-        class_nodes = None
-    state = ModelState(encoder=enc, head=head, gcn=gcn_params)
+    pairs = _match(enc, source, target, cfg.folds, rng_match)
+    return Prepared(state=ModelState(encoder=enc, head=head, gcn=gcn_params),
+                    pairs=pairs, rng_match=rng_match, rng_joint=rng_joint)
 
-    def compute_matching():
-        fs = encode(source.features, enc)
-        ft = encode(target.features, enc)
-        return match_domains(fs, ft, cfg.folds, rng_match)
 
-    pairs = compute_matching()
-    pair_for_src = {s: t for s, t in pairs.pairs}
+def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
+    """The joint loop over the cls, SGMD, balance and graph terms, with
+    rematching every ``cfg.rematch_interval`` epochs.
+
+    Trains ``prepared`` in place (its model and RNG streams); deep-copy it
+    first to train several variants from one prefix. ``data`` must be the
+    tuple ``prepared`` was built from. Returns (ModelState, TrainHistory).
+    """
+    source, target, graph, word_vectors = data
+    state = prepared.state
+    enc, head, gcn_params = state.encoder, state.head, state.gcn
+    rng_joint = prepared.rng_joint
+    pair_for_src = dict(prepared.pairs.pairs)
 
     params = {
         "encoder.weight": enc.weight,
@@ -367,7 +352,9 @@ def run_pipeline(cfg: ExperimentConfig, data=None):
     }
     if cfg.enable_gcn:
         params["gcn.theta"] = gcn_params.theta
-    opt = _MomentumSgd(params, cfg.learning_rate, cfg.momentum)
+        p_norm = normalized_adjacency(graph)
+        class_nodes = list(graph.class_to_node)
+    opt = MomentumSgd(params, cfg.learning_rate, cfg.momentum)
 
     lw = cfg.loss_weights
     use_balance = cfg.enable_lb or cfg.vanilla_balance
@@ -376,8 +363,8 @@ def run_pipeline(cfg: ExperimentConfig, data=None):
 
     for epoch in range(cfg.epochs):
         if cfg.rematch_interval > 0 and epoch > 0 and epoch % cfg.rematch_interval == 0:
-            pairs = compute_matching()
-            pair_for_src = {s: t for s, t in pairs.pairs}
+            pair_for_src = dict(_match(enc, source, target, cfg.folds,
+                                       prepared.rng_match).pairs)
         order_src = rng_joint.permutation(n_src)
         order_tgt = _target_order(rng_joint, target.n, n_src)
         sums = {"cls": 0.0, "sgmd": 0.0, "balance": 0.0, "gcn": 0.0, "total": 0.0}
@@ -448,7 +435,7 @@ def run_pipeline(cfg: ExperimentConfig, data=None):
             steps += 1
 
         preds = predict(state, target.features)
-        triple = accuracy_triple(preds, target.eval_labels, l_s)
+        triple = accuracy_triple(preds, target.eval_labels, head.known_count)
         record = {
             "epoch": epoch,
             "loss_cls": sums["cls"] / steps,
@@ -463,7 +450,39 @@ def run_pipeline(cfg: ExperimentConfig, data=None):
     return state, history
 
 
+def run_pipeline(cfg: ExperimentConfig, data=None):
+    """Execute the staged pipeline and the joint loop.
+
+    ``data`` is an optional (source, target, graph, word_vectors) tuple;
+    when omitted the synthetic benchmark from cfg.synth is generated.
+    Returns (ModelState, TrainHistory).
+    """
+    if data is None:
+        data = synth.generate(cfg.synth)
+    return train_joint(prepare(cfg, data), cfg, data)
+
+
 # ----------------------------------------------------------------- runners
+
+def _final_by_variant(base: ExperimentConfig, variants: dict, seeds, data=None):
+    """{variant: [final history record per seed]}. Each seed's prefix is
+    prepared once and every variant trains from a deep copy of it. Without
+    ``data`` each seed also regenerates the synthetic benchmark."""
+    finals = {name: [] for name in variants}
+    for seed in seeds:
+        if data is None:
+            cfg = replace(base, seed=int(seed), synth=replace(base.synth, seed=int(seed)))
+            seed_data = synth.generate(cfg.synth)
+        else:
+            cfg = replace(base, seed=int(seed))
+            seed_data = data
+        prepared = prepare(cfg, seed_data)
+        for name, tokens in variants.items():
+            _, history = train_joint(copy.deepcopy(prepared),
+                                     apply_flags(cfg, tokens), seed_data)
+            finals[name].append(history.final())
+    return finals
+
 
 def run_ablation(base: ExperimentConfig, seeds, data=None):
     """Train the five canonical variants per seed and aggregate the final
@@ -473,18 +492,8 @@ def run_ablation(base: ExperimentConfig, seeds, data=None):
     seed varies; otherwise each seed regenerates the synthetic benchmark.
     """
     results = {}
-    for variant in ABLATION_VARIANTS:
-        flags = _variant_flags(variant)
-        runs = []
-        for seed in seeds:
-            if data is None:
-                cfg = replace(base, seed=int(seed),
-                              synth=replace(base.synth, seed=int(seed)), **flags)
-            else:
-                cfg = replace(base, seed=int(seed), **flags)
-            _, history = run_pipeline(cfg, data=data)
-            final = history.final()
-            runs.append({k: final[k] for k in ("known", "unknown", "all")})
+    for variant, finals in _final_by_variant(base, ABLATION_VARIANTS, seeds, data).items():
+        runs = [{k: final[k] for k in ("known", "unknown", "all")} for final in finals]
         entry = {"seeds": len(runs), "runs": runs}
         for key in ("known", "unknown", "all"):
             vals = np.array([r[key] for r in runs])
@@ -513,11 +522,6 @@ def run_da_mode(cfg: ExperimentConfig):
     graph terms stay off. Returns both target accuracies."""
     if cfg.synth.known_classes != cfg.synth.total_classes:
         raise ConfigError("run_da_mode requires known_classes == total_classes")
-    base = replace(cfg, enable_lb=False, enable_gcn=False, vanilla_balance=False)
-    data = synth.generate(cfg.synth)
-    out = {}
-    for name, flag in (("source_only", False), ("sgmd", True)):
-        variant = replace(base, enable_sgmd=flag)
-        _, history = run_pipeline(variant, data=data)
-        out[name] = history.final()["all"]
-    return out
+    finals = _final_by_variant(cfg, {"source_only": (), "sgmd": ("sgmd",)},
+                               [cfg.seed], synth.generate(cfg.synth))
+    return {name: records[0]["all"] for name, records in finals.items()}

@@ -39,7 +39,7 @@ from opendomain.model import (
     encode_backward,
     pretrain_source,
 )
-from opendomain.numkit import grad_check, make_rng, softmax_rows
+from opendomain.numkit import make_rng, softmax_rows
 from opendomain.synth import SynthConfig, generate
 from opendomain.trainer import (
     ExperimentConfig,
@@ -48,6 +48,8 @@ from opendomain.trainer import (
     run_pipeline,
     _restricted_cls,
 )
+
+from gradcheck import grad_check
 
 
 # ----------------------------------------------------- 1: matcher optimality

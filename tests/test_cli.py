@@ -153,13 +153,21 @@ def test_match_command(tmp_path):
     rng = make_rng(0)
     src = tmp_path / "fs.mat"
     tgt = tmp_path / "ft.mat"
-    save_matrix(src, rng.standard_normal((6, 3)))
-    save_matrix(tgt, rng.standard_normal((8, 3)))
+    fs = rng.standard_normal((6, 3))
+    ft = rng.standard_normal((8, 3))
+    save_matrix(src, fs)
+    save_matrix(tgt, ft)
     out = tmp_path / "pairs.txt"
     assert main(["match", "--source", str(src), "--target", str(tgt),
                  "--folds", "2", "--seed", "1", "--out", str(out)]) == 0
     pairs = load_pairs(out)
     assert len(pairs.pairs) == 6
+    # the third column is each pair's L1 cost
+    for line in out.read_text().splitlines()[1:]:
+        s, t, cost = line.split()
+        assert float(cost) == pytest.approx(
+            np.abs(fs[int(s)] - ft[int(t)]).sum(), rel=1e-12)
+    assert sum(pairs.costs) == pytest.approx(pairs.total_cost, rel=1e-12)
     out2 = tmp_path / "pairs2.txt"
     assert main(["match", "--source", str(src), "--target", str(tgt),
                  "--folds", "2", "--seed", "1", "--out", str(out2)]) == 0

@@ -10,7 +10,9 @@ from opendomain.gcn import (
     train_gcn_init,
 )
 from opendomain.graph import KnowledgeGraph, normalized_adjacency
-from opendomain.numkit import DimensionError, grad_check, leaky_relu, make_rng
+from opendomain.numkit import DimensionError, leaky_relu, make_rng
+
+from gradcheck import grad_check
 
 
 def test_forward_single_node_identity():

@@ -13,7 +13,9 @@ from opendomain.losses import (
     softmax_backward,
     total_loss,
 )
-from opendomain.numkit import grad_check, make_rng
+from opendomain.numkit import make_rng
+
+from gradcheck import grad_check
 
 
 def _random_head(rng, l_t=None, l_s=None, m=None):

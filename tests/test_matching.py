@@ -173,9 +173,24 @@ def test_fold_matching_disjoint_indices():
 
 
 def test_pairs_roundtrip(tmp_path):
-    mp = MatchedPairs(pairs=((0, 3), (1, 0), (4, 2)), total_cost=7.25)
+    mp = MatchedPairs(pairs=((0, 3), (1, 0), (4, 2)), total_cost=7.25,
+                      costs=(1.5, 0.1, 5.65))
     path = tmp_path / "pairs.txt"
     save_pairs(path, mp)
     loaded = load_pairs(path)
     assert loaded.pairs == mp.pairs
     assert loaded.total_cost == mp.total_cost
+    assert loaded.costs == mp.costs
+
+
+def test_match_carries_per_pair_costs():
+    # more sources than targets: hungarian solves the transpose and re-sorts
+    rng = make_rng(8)
+    fs = rng.standard_normal((9, 4))
+    ft = rng.standard_normal((7, 4))
+    mp = match_domains(fs, ft, 2, make_rng(0))
+    assert len(mp.costs) == len(mp.pairs)
+    for (s, t), cost in zip(mp.pairs, mp.costs):
+        assert cost == pytest.approx(np.abs(fs[s] - ft[t]).sum(), rel=1e-12)
+    with pytest.raises(ValueError):
+        MatchedPairs(pairs=((0, 1),), total_cost=1.0, costs=(1.0, 2.0))

@@ -15,7 +15,9 @@ from opendomain.model import (
     pretrain_source,
     save_checkpoint,
 )
-from opendomain.numkit import DimensionError, grad_check, make_rng
+from opendomain.numkit import DimensionError, make_rng
+
+from gradcheck import grad_check
 
 
 def test_encode_identity_zero_bias():

@@ -2,43 +2,16 @@ import numpy as np
 import pytest
 
 from opendomain.numkit import (
-    DimensionError,
-    grad_check,
+    MomentumSgd,
     leaky_relu,
     leaky_relu_grad,
     load_matrix,
     make_rng,
-    matmul,
     save_matrix,
     softmax_rows,
 )
 
-
-def test_matmul_identity():
-    m = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(matmul(np.eye(3), m), m)
-
-
-def test_matmul_hand_example():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.0], [1.0]])
-    assert np.array_equal(matmul(a, b), np.array([[2.0], [4.0]]))
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
-def test_matmul_associativity():
-    rng = make_rng(7)
-    for _ in range(20):
-        a = rng.standard_normal((4, 3))
-        b = rng.standard_normal((3, 5))
-        c = rng.standard_normal((5, 2))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert np.max(np.abs(left - right)) < 1e-9
+from gradcheck import grad_check
 
 
 def test_softmax_uniform():
@@ -82,6 +55,8 @@ def test_leaky_relu_grad_values():
     assert np.array_equal(g, np.array([[1.0, 0.2, 0.2]]))
 
 
+# the finite-difference checker the other suites rely on (tests/gradcheck.py)
+
 def test_grad_check_quadratic():
     x = make_rng(0).standard_normal((3, 3))
     err = grad_check(lambda m: 0.5 * float(np.sum(m * m)), x, x, eps=1e-6)
@@ -98,6 +73,19 @@ def test_grad_check_detects_wrong_gradient():
     x = make_rng(2).standard_normal((3, 2)) + 3.0
     err = grad_check(lambda m: 0.5 * float(np.sum(m * m)), x, 2.0 * x, eps=1e-6)
     assert abs(err - 0.5) < 1e-3
+
+
+def test_momentum_sgd_hand_example():
+    w = np.array([1.0, 2.0])
+    b = np.array([5.0])
+    opt = MomentumSgd({"w": w, "b": b}, lr=0.5, momentum=0.9)
+    opt.step({"w": np.array([1.0, -1.0])})
+    opt.step({"w": np.array([1.0, -1.0])})
+    # velocities g then 1.9 g: w moves by 0.5 * 2.9 g, in place
+    assert np.allclose(w, [-0.45, 3.45])
+    # no gradient: value and velocity untouched
+    assert b[0] == 5.0
+    assert np.array_equal(opt.velocity["b"], [0.0])
 
 
 def test_rng_stream_equality():

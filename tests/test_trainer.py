@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,14 @@ from opendomain.losses import (
 from opendomain.gcn import gcn_reg_loss
 from opendomain.graph import normalized_adjacency
 from opendomain.model import Encoder, PretrainSchedule, encode, encode_backward
-from opendomain.numkit import grad_check, make_rng
+from opendomain.numkit import make_rng
+from opendomain import trainer
 from opendomain.trainer import (
     ABLATION_VARIANTS,
     ConfigError,
     ExperimentConfig,
     NonFiniteLossError,
+    apply_flags,
     config_to_text,
     experiment_hash,
     format_ablation_table,
@@ -29,6 +33,8 @@ from opendomain.trainer import (
     run_pipeline,
 )
 from opendomain.trainer import _restricted_cls
+
+from gradcheck import grad_check
 
 
 def _small_cfg(**overrides):
@@ -93,15 +99,72 @@ flags.enable_sgmd = false
     MINIMAL + "train.epochs = banana\n",     # unparsable value
     MINIMAL + "loss.w = 1.5\n",              # out-of-range value
     MINIMAL + "flags.enable_lb = true\nflags.vanilla_balance = true\n",
+    MINIMAL + "train.learning_rate = nan\n",
+    MINIMAL + "train.momentum = nan\n",
 ])
 def test_parse_rejects_bad_configs(text):
     with pytest.raises(ConfigError):
         parse_config(text)
 
 
+# the config_hash in metrics.json and checkpoints is a hash of this text
+DEFAULT_CONFIG_TEXT = """\
+synth.branching = 3
+synth.input_dim = 16
+synth.known_classes = 8
+synth.noise = 0.5
+synth.rotation_angle = 0.25
+synth.seed = 0
+synth.source_per_class = 50
+synth.step = 0.65
+synth.target_per_class = 50
+synth.total_classes = 12
+synth.translation_scale = 3.5
+synth.word_dim = 32
+synth.word_noise = 0.3
+loss.epsilon = 0.05
+loss.lambda_b = 0.04
+loss.lambda_d = 0.5
+loss.lambda_g = 0.5
+loss.tau = 0.3
+loss.w = 0.3333333333333333
+pretrain.batch_size = 32
+pretrain.epochs = 12
+pretrain.learning_rate = 0.05
+pretrain.momentum = 0.9
+gcn.init_scale = 1.0
+gcn.learning_rate = 0.5
+gcn.momentum = 0.97
+gcn.slope = 0.2
+gcn.steps = 8000
+train.batch_size = 32
+train.epochs = 40
+train.feature_dim = 16
+train.folds = 5
+train.learning_rate = 0.05
+train.momentum = 0.9
+train.rematch_interval = 0
+train.seed = 0
+flags.enable_gcn = True
+flags.enable_lb = True
+flags.enable_sgmd = True
+flags.vanilla_balance = False
+"""
+
+
 def test_config_text_roundtrip():
     cfg = _small_cfg(enable_sgmd=False)
     assert parse_config(config_to_text(cfg)) == cfg
+    assert config_to_text(ExperimentConfig()) == DEFAULT_CONFIG_TEXT
+    assert parse_config(DEFAULT_CONFIG_TEXT) == ExperimentConfig()
+
+
+def test_apply_flags():
+    cfg = apply_flags(_small_cfg(), ("sgmd", "vanilla"))
+    assert (cfg.enable_lb, cfg.enable_sgmd, cfg.enable_gcn,
+            cfg.vanilla_balance) == (False, True, False, True)
+    with pytest.raises(ConfigError, match=r"unknown flag tokens: \['bogus'\]"):
+        apply_flags(cfg, ("lb", "bogus"))
 
 
 def test_experiment_hash_tracks_config():
@@ -284,12 +347,30 @@ def test_run_ablation_structure():
 
 
 def test_run_ablation_single_seed_matches_pipeline():
-    cfg = _small_cfg(epochs=2)
+    # rematching draws from the prepared rng_match, so each variant must
+    # start from its own copy of it
+    cfg = _small_cfg(epochs=2, rematch_interval=1)
     results = run_ablation(cfg, seeds=[cfg.seed])
-    _, history = run_pipeline(cfg)
-    full = results["lb+sgmd+gcn"]
-    assert full["all_mean"] == pytest.approx(history.final()["all"])
-    assert full["all_std"] == 0.0
+    for variant, tokens in ABLATION_VARIANTS.items():
+        _, history = run_pipeline(apply_flags(cfg, tokens))
+        final = history.final()
+        assert results[variant]["runs"] == [
+            {k: final[k] for k in ("known", "unknown", "all")}], variant
+        assert results[variant]["all_std"] == 0.0
+
+
+def test_run_ablation_prepares_once_per_seed(monkeypatch):
+    calls = {"pretrain_source": 0, "train_gcn_init": 0}
+    for name in calls:
+        original = getattr(trainer, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, name, counted)
+    run_ablation(_small_cfg(epochs=1), seeds=[0, 1])
+    assert calls == {"pretrain_source": 2, "train_gcn_init": 2}
 
 
 def test_format_ablation_table():
@@ -317,8 +398,14 @@ def test_da_mode_returns_both_accuracies():
         assert 0.0 <= v <= 1.0
 
 
+def test_da_mode_equals_two_pipeline_runs():
+    cfg = replace(_sym_cfg(), rematch_interval=1)
+    expected = {name: run_pipeline(apply_flags(cfg, tokens))[1].final()["all"]
+                for name, tokens in (("source_only", ()), ("sgmd", ("sgmd",)))}
+    assert run_da_mode(cfg) == expected
+
+
 def test_da_mode_closed_gate_matches_source_only():
-    from dataclasses import replace
     cfg = replace(_sym_cfg(), loss_weights=LossWeights(tau=1.0))
     out = run_da_mode(cfg)
     assert out["sgmd"] == out["source_only"]
