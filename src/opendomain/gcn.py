@@ -3,22 +3,26 @@
 The convolution O = sigma(P X Theta) with P the row-normalized adjacency
 regresses known-class classifier weights during initialization and keeps
 all-class classifier weights tied to the taxonomy during joint training.
-All gradients are computed by hand and verified by finite differences in
-the test suite.
+Only Theta is trained, so the propagated word vectors Z = (P X)[rows] of
+the rows a loss reads are computed once per graph by :func:`propagate`,
+and the losses take Z instead of P, X and the row list. All gradients are
+computed by hand and verified by finite differences in the test suite.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import KnowledgeGraph, normalized_adjacency
-from .numkit import DimensionError, MomentumSgd, leaky_relu, leaky_relu_grad
+from .numkit import DimensionError, MomentumSgd, check_sgd_settings, leaky_relu
 
 __all__ = [
     "GcnParams",
     "GcnSchedule",
     "gcn_forward",
+    "propagate",
     "init_loss",
     "gcn_reg_loss",
     "train_gcn_init",
@@ -42,77 +46,85 @@ class GcnSchedule:
     steps: int = 8000
     init_scale: float = 1.0
 
-
-def _forward_parts(p, x, params: GcnParams):
-    if p.shape[1] != x.shape[0] or x.shape[1] != params.theta.shape[0]:
-        raise DimensionError(
-            f"gcn_forward: shapes {p.shape}, {x.shape}, {params.theta.shape}"
-        )
-    z = p @ x
-    h = z @ params.theta
-    return z, h, leaky_relu(h, params.activation_slope)
+    def __post_init__(self):
+        check_sgd_settings(self.learning_rate, self.momentum)
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
+            raise ValueError("init_scale must be finite and > 0")
 
 
 def gcn_forward(p, x, params: GcnParams) -> np.ndarray:
     """O = leaky_relu(P X Theta)."""
-    return _forward_parts(np.asarray(p, float), np.asarray(x, float), params)[2]
+    p = np.asarray(p, float)
+    x = np.asarray(x, float)
+    if p.shape[1] != x.shape[0] or x.shape[1] != params.theta.shape[0]:
+        raise DimensionError(
+            f"gcn_forward: shapes {p.shape}, {x.shape}, {params.theta.shape}"
+        )
+    return leaky_relu(p @ x @ params.theta, params.activation_slope)
 
 
-def _check_rows(rows, n, m_expected, w):
-    if len(rows) != w.shape[0]:
-        raise DimensionError(f"expected {w.shape[0]} node rows, got {len(rows)}")
+def propagate(p, x, rows) -> np.ndarray:
+    """(P X)[rows]: the word vectors propagated over the graph, for the
+    node rows a loss reads. Fixed while Theta trains."""
+    p = np.asarray(p, float)
+    x = np.asarray(x, float)
+    if p.shape[1] != x.shape[0]:
+        raise DimensionError(f"propagate: shapes {p.shape}, {x.shape}")
+    rows = list(rows)
     for r in rows:
-        if not 0 <= r < n:
-            raise IndexError(f"node row {r} out of range for {n} nodes")
-    if m_expected != w.shape[1]:
+        if not 0 <= r < p.shape[0]:
+            raise IndexError(f"node row {r} out of range for {p.shape[0]} nodes")
+    return (p @ x)[rows]
+
+
+def _fit(z, params: GcnParams, target):
+    """Half mean-square of leaky_relu(Z Theta) against ``target``: sum of
+    squares divided by 2M. Returns (loss, d theta, d loss / d output)."""
+    theta = params.theta
+    target = np.asarray(target, float)
+    if z.shape[0] != target.shape[0]:
+        raise DimensionError(f"expected {target.shape[0]} node rows, got {z.shape[0]}")
+    if z.shape[1] != theta.shape[0]:
+        raise DimensionError(f"propagated rows {z.shape} do not fit theta {theta.shape}")
+    if theta.shape[1] != target.shape[1]:
         raise DimensionError("GCN output dim must equal classifier weight dim")
+    slope = params.activation_slope
+    if slope < 0:
+        raise ValueError("leaky_relu slope must be >= 0")
+    h = z @ theta
+    positive = h > 0
+    m = target.shape[1]
+    diff = np.where(positive, h, slope * h) - target
+    loss = 0.5 / m * float(np.sum(diff * diff))
+    d_o = diff / m
+    # leaky-ReLU derivative: 1 where h > 0, the slope elsewhere (also at 0)
+    d_theta = z.T @ np.where(positive, d_o, slope * d_o)
+    return loss, d_theta, d_o
 
 
-def init_loss(p, x, params: GcnParams, w, known_nodes):
+def init_loss(z, params: GcnParams, w):
     """Half mean-square regression of the known-class output rows onto the
-    pretrained classifier weights W: sum of squares over the selected rows
-    divided by 2M.
+    pretrained classifier weights W; ``z`` is ``propagate(p, x,
+    known_nodes)``.
 
     Returns (loss, gradient wrt theta).
     """
-    p = np.asarray(p, float)
-    x = np.asarray(x, float)
-    w = np.asarray(w, float)
-    z, h, o = _forward_parts(p, x, params)
-    rows = list(known_nodes)
-    _check_rows(rows, o.shape[0], o.shape[1], w)
-    m = w.shape[1]
-    diff = o[rows] - w
-    loss = 0.5 / m * float(np.sum(diff * diff))
-    d_o = np.zeros_like(o)
-    d_o[rows] = diff / m
-    d_h = d_o * leaky_relu_grad(h, params.activation_slope)
-    d_theta = z.T @ d_h
+    loss, d_theta, _ = _fit(z, params, w)
     return loss, d_theta
 
 
-def gcn_reg_loss(p, x, params: GcnParams, w_hat, class_nodes):
+def gcn_reg_loss(z, params: GcnParams, w_hat):
     """Same quadratic over ALL class rows against the live classifier
-    weights; gradients flow to both theta and the classifier (joint
-    training, unlike propagate-then-freeze schemes).
+    weights, ``z`` being ``propagate(p, x, class_nodes)``; gradients flow
+    to both theta and the classifier (joint training, unlike
+    propagate-then-freeze schemes).
 
     Returns (loss, grad wrt theta, grad wrt w_hat).
     """
-    p = np.asarray(p, float)
-    x = np.asarray(x, float)
-    w_hat = np.asarray(w_hat, float)
-    z, h, o = _forward_parts(p, x, params)
-    rows = list(class_nodes)
-    _check_rows(rows, o.shape[0], o.shape[1], w_hat)
-    m = w_hat.shape[1]
-    diff = o[rows] - w_hat
-    loss = 0.5 / m * float(np.sum(diff * diff))
-    d_w_hat = -diff / m
-    d_o = np.zeros_like(o)
-    d_o[rows] = diff / m
-    d_h = d_o * leaky_relu_grad(h, params.activation_slope)
-    d_theta = z.T @ d_h
-    return loss, d_theta, d_w_hat
+    loss, d_theta, d_o = _fit(z, params, w_hat)
+    return loss, d_theta, -d_o
 
 
 def init_theta(word_dim: int, out_dim: int, rng: np.random.Generator,
@@ -135,17 +147,16 @@ def train_gcn_init(g: KnowledgeGraph, x, w, schedule: GcnSchedule,
     p = normalized_adjacency(g)
     params = GcnParams(theta=init_theta(x.shape[1], w.shape[1], rng,
                                         schedule.init_scale))
-    known = g.known_nodes()
+    z_known = propagate(p, x, g.known_nodes())
     # learning_rate is relative to the curvature of the quadratic bound
     # Z_k^T Z_k / M (activation slope <= 1), so the schedule is stable
     # regardless of the scale of the word vectors
-    z_known = (p @ x)[list(known)]
     curvature = float(np.linalg.eigvalsh(z_known.T @ z_known)[-1]) / w.shape[1]
     step = schedule.learning_rate / max(curvature, 1e-12)
     opt = MomentumSgd({"theta": params.theta}, step, schedule.momentum)
     history = []
     for _ in range(schedule.steps):
-        loss, d_theta = init_loss(p, x, params, w, known)
+        loss, d_theta = init_loss(z_known, params, w)
         history.append(loss)
         opt.step({"theta": d_theta})
     o = gcn_forward(p, x, params)

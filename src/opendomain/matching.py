@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError
+from .numkit import DimensionError, reject_trailing_rows
 
 __all__ = [
     "CostMatrix",
@@ -202,4 +202,5 @@ def load_pairs(path) -> MatchedPairs:
             s, t, cost = fh.readline().split()
             pairs.append((int(s), int(t)))
             costs.append(float(cost))
+        reject_trailing_rows(fh, path, count)
     return MatchedPairs(pairs=tuple(pairs), total_cost=total, costs=tuple(costs))

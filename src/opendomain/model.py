@@ -15,7 +15,13 @@ import numpy as np
 
 from .gcn import GcnParams
 from .losses import ClassifierHead, cls_loss
-from .numkit import DimensionError, MomentumSgd, load_matrix, save_matrix
+from .numkit import (
+    DimensionError,
+    MomentumSgd,
+    check_sgd_settings,
+    load_matrix,
+    save_matrix,
+)
 
 __all__ = [
     "Encoder",
@@ -51,6 +57,11 @@ class PretrainSchedule:
     momentum: float = 0.9
     epochs: int = 12
     batch_size: int = 32
+
+    def __post_init__(self):
+        check_sgd_settings(self.learning_rate, self.momentum)
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("epochs and batch_size must be >= 1")
 
 
 def encode(raw, enc: Encoder) -> np.ndarray:

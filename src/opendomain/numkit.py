@@ -1,12 +1,13 @@
 """Numeric substrate: checked dense kernels, stable softmax, seeded RNG,
-momentum SGD and matrix text serialization.
+momentum SGD with its schedule checks, and matrix text serialization.
 
 Everything runs on 64-bit numpy arrays. The conventions fixed here
-(leaky-ReLU derivative at 0 equals the slope, softmax with max-subtraction,
-17-significant-digit text round-trips) are relied on by the rest of the
-package for bit-reproducibility.
+(softmax with max-subtraction, 17-significant-digit text round-trips) are
+relied on by the rest of the package for bit-reproducibility.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,11 +16,12 @@ __all__ = [
     "as_matrix",
     "softmax_rows",
     "leaky_relu",
-    "leaky_relu_grad",
     "make_rng",
     "MomentumSgd",
+    "check_sgd_settings",
     "save_matrix",
     "load_matrix",
+    "reject_trailing_rows",
 ]
 
 
@@ -52,14 +54,6 @@ def leaky_relu(m, slope: float) -> np.ndarray:
     return np.where(m > 0, m, slope * m)
 
 
-def leaky_relu_grad(m, slope: float) -> np.ndarray:
-    """Derivative mask; the value at exactly 0 is the slope."""
-    if slope < 0:
-        raise ValueError("leaky_relu slope must be >= 0")
-    m = np.asarray(m, dtype=np.float64)
-    return np.where(m > 0, 1.0, slope)
-
-
 def make_rng(seed) -> np.random.Generator:
     """Seeded PCG64 generator; identical seeds give identical streams on
     every platform."""
@@ -67,9 +61,9 @@ def make_rng(seed) -> np.random.Generator:
 
 
 class MomentumSgd:
-    """Heavy-ball SGD over named arrays, updated in place:
-    ``v = momentum * v + g`` then ``p -= lr * v``. A parameter with no
-    gradient in a step keeps its value and its velocity."""
+    """Heavy-ball SGD over named arrays; parameters and velocities are
+    updated in place: ``v = momentum * v + g`` then ``p -= lr * v``. A
+    parameter with no gradient in a step keeps its value and its velocity."""
 
     def __init__(self, params: dict, lr: float, momentum: float):
         self.params = params
@@ -82,8 +76,19 @@ class MomentumSgd:
             g = grads.get(name)
             if g is None:
                 continue
-            self.velocity[name] = self.momentum * self.velocity[name] + g
-            self.params[name] -= self.lr * self.velocity[name]
+            v = self.velocity[name]
+            v *= self.momentum
+            v += g
+            self.params[name] -= self.lr * v
+
+
+def check_sgd_settings(learning_rate: float, momentum: float) -> None:
+    """Reject a learning rate that is not finite and positive, or a
+    momentum outside [0, 1)."""
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+    if not 0 <= momentum < 1:
+        raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
 
 
 def save_matrix(path, m) -> None:
@@ -108,4 +113,13 @@ def load_matrix(path) -> np.ndarray:
             if len(parts) != cols:
                 raise ValueError(f"{path}: row {i} has {len(parts)} values, expected {cols}")
             out[i] = [float(p) for p in parts]
+        reject_trailing_rows(fh, path, rows)
     return as_matrix(out, name=str(path))
+
+
+def reject_trailing_rows(fh, path, declared: int) -> None:
+    """Raise if anything but blank lines follows the ``declared`` rows of
+    a text file whose header fixed the row count."""
+    for line in fh:
+        if line.strip():
+            raise ValueError(f"{path}: data after the {declared} declared rows")

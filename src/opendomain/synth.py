@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .numkit import make_rng
+from .numkit import make_rng, reject_trailing_rows
 
 __all__ = [
     "SynthConfig",
@@ -253,6 +253,7 @@ def load_dataset(path):
             elif parts[0] != "?":
                 raise ValueError(f"{path}: line {i + 2} expected '?' label")
             feats[i] = [float(v) for v in parts[1:]]
+        reject_trailing_rows(fh, path, n)
     if labeled:
         return LabeledDataset(features=feats, labels=labels), num_classes
     eval_path = str(path) + ".eval"

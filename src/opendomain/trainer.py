@@ -19,7 +19,7 @@ import numpy as np
 
 from . import synth
 from .evaluate import accuracy_triple, predict
-from .gcn import GcnParams, GcnSchedule, gcn_reg_loss, train_gcn_init
+from .gcn import GcnParams, GcnSchedule, gcn_reg_loss, propagate, train_gcn_init
 from .graph import normalized_adjacency
 from .losses import (
     ClassifierHead,
@@ -352,8 +352,8 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
     }
     if cfg.enable_gcn:
         params["gcn.theta"] = gcn_params.theta
-        p_norm = normalized_adjacency(graph)
-        class_nodes = list(graph.class_to_node)
+        z_class = propagate(normalized_adjacency(graph), word_vectors,
+                            graph.class_to_node)
     opt = MomentumSgd(params, cfg.learning_rate, cfg.momentum)
 
     lw = cfg.loss_weights
@@ -421,15 +421,20 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
                         })
 
             if cfg.enable_gcn:
-                val, d_theta, d_w_hat = gcn_reg_loss(
-                    p_norm, word_vectors, gcn_params, head.weights, class_nodes)
+                val, d_theta, d_w_hat = gcn_reg_loss(z_class, gcn_params,
+                                                     head.weights)
                 components["gcn"] = (val, {"gcn.theta": d_theta,
                                            "head.weights": d_w_hat})
 
-            for name, (val, grads) in components.items():
-                _check_finite(name, val, grads)
-                sums[name] += val
             total, merged = total_loss(components, lw)
+            # a non-finite term leaves the weighted sums non-finite, so the
+            # per-term scan, which names the term, runs only when they are
+            if not (math.isfinite(total)
+                    and all(np.isfinite(g).all() for g in merged.values())):
+                for name, (val, grads) in components.items():
+                    _check_finite(name, val, grads)
+            for name, (val, _) in components.items():
+                sums[name] += val
             sums["total"] += total
             opt.step(merged)
             steps += 1

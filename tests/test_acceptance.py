@@ -17,6 +17,7 @@ from opendomain.gcn import (
     GcnSchedule,
     gcn_reg_loss,
     init_loss,
+    propagate,
     train_gcn_init,
 )
 from opendomain.graph import KnowledgeGraph, normalized_adjacency
@@ -153,18 +154,19 @@ def test_criterion_2_gradient_suite():
         if float(np.min(np.abs(p @ x @ theta))) < 1e-4:
             continue
         w = rng.standard_normal((3, 3))
-        _, d_theta = init_loss(p, x, GcnParams(theta, 0.2), w, [0, 1, 2])
+        z_known = propagate(p, x, [0, 1, 2])
+        _, d_theta = init_loss(z_known, GcnParams(theta, 0.2), w)
         w_hat = rng.standard_normal((4, 3))
-        _, rd_theta, rd_w = gcn_reg_loss(p, x, GcnParams(theta, 0.2), w_hat,
-                                         [0, 1, 2, 4])
+        z_class = propagate(p, x, [0, 1, 2, 4])
+        _, rd_theta, rd_w = gcn_reg_loss(z_class, GcnParams(theta, 0.2), w_hat)
         if not _usable(d_theta, rd_theta, rd_w):
             continue
-        _check(lambda t: init_loss(p, x, GcnParams(t, 0.2), w, [0, 1, 2])[0],
+        _check(lambda t: init_loss(z_known, GcnParams(t, 0.2), w)[0],
                theta, d_theta)
-        _check(lambda t: gcn_reg_loss(p, x, GcnParams(t, 0.2), w_hat,
-                                      [0, 1, 2, 4])[0], theta, rd_theta)
-        _check(lambda a: gcn_reg_loss(p, x, GcnParams(theta, 0.2), a,
-                                      [0, 1, 2, 4])[0], w_hat, rd_w)
+        _check(lambda t: gcn_reg_loss(z_class, GcnParams(t, 0.2), w_hat)[0],
+               theta, rd_theta)
+        _check(lambda a: gcn_reg_loss(z_class, GcnParams(theta, 0.2), a)[0],
+               w_hat, rd_w)
         checked += 1
 
     checked = 0  # encoder backward
@@ -214,7 +216,7 @@ def test_criterion_2_gradient_suite():
             dw_t, db_t, _ = encode_backward(raw_mt, enc, d_ft)
             comp["sgmd"] = (val, {"ew": dw_s + dw_t, "eb": db_s + db_t})
             val, d_theta, d_w_hat = gcn_reg_loss(
-                p, words, GcnParams(theta, 0.2), head_w, [0, 1, 2, 4])
+                propagate(p, words, [0, 1, 2, 4]), GcnParams(theta, 0.2), head_w)
             comp["gcn"] = (val, {"theta": d_theta, "hw": d_w_hat})
             return total_loss(comp, lw)
 

@@ -67,6 +67,14 @@ def test_synth_bad_config_exits_one(tmp_path):
                  str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("line", ["gcn.momentum = -3.0", "pretrain.batch_size = 0"])
+def test_bad_schedule_key_exits_one(tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL_CONFIG + line + "\n")
+    assert main(["synth", "--config", str(path), "--out",
+                 str(tmp_path / "out")]) == 1
+
+
 def test_missing_config_file_exits_three(tmp_path):
     assert main(["synth", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path / "out")]) == 3

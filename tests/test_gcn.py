@@ -7,9 +7,12 @@ from opendomain.gcn import (
     gcn_forward,
     gcn_reg_loss,
     init_loss,
+    init_theta,
+    propagate,
     train_gcn_init,
 )
 from opendomain.graph import KnowledgeGraph, normalized_adjacency
+from opendomain import synth
 from opendomain.numkit import DimensionError, leaky_relu, make_rng
 
 from gradcheck import grad_check
@@ -68,7 +71,7 @@ def test_init_loss_zero_at_fit():
     x = np.abs(rng.standard_normal((3, 2))) + 0.1
     params = GcnParams(theta=np.eye(2), activation_slope=0.2)
     w = x[:2]  # positive, so sigma is identity on these rows
-    loss, d_theta = init_loss(p, x, params, w, [0, 1])
+    loss, d_theta = init_loss(propagate(p, x, [0, 1]), params, w)
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(d_theta, 0.0, atol=1e-15)
 
@@ -78,8 +81,18 @@ def test_init_loss_scalar_case():
     p = np.array([[1.0]])
     x = np.array([[2.0]])
     params = GcnParams(theta=np.array([[1.0]]), activation_slope=0.2)
-    loss, _ = init_loss(p, x, params, np.array([[1.0]]), [0])
+    loss, _ = init_loss(propagate(p, x, [0]), params, np.array([[1.0]]))
     assert loss == pytest.approx(0.5)
+
+
+def test_gradient_at_kink_uses_slope():
+    # pre-activations 2, -2 and exactly 0: the derivative at 0 is pinned to
+    # the slope for reproducibility
+    z = np.array([[2.0, 0.0], [-2.0, 0.0], [1.0, 1.0]])
+    params = GcnParams(theta=np.array([[1.0], [-1.0]]), activation_slope=0.2)
+    _, d_theta, d_w = gcn_reg_loss(z, params, np.full((3, 1), -1.0))
+    d_o = -d_w
+    assert np.array_equal(d_theta, z.T @ (d_o * np.array([[1.0], [0.2], [0.2]])))
 
 
 def _away_from_kink(p, x, theta, margin=1e-4):
@@ -104,12 +117,13 @@ def test_init_loss_gradient_many_instances():
             continue
         w = rng.standard_normal((ls, f))
         rows = list(rng.permutation(n)[:ls])
-        _, d_theta = init_loss(p, x, GcnParams(theta, 0.2), w, rows)
+        z = propagate(p, x, rows)
+        _, d_theta = init_loss(z, GcnParams(theta, 0.2), w)
         if float(np.min(np.abs(d_theta))) < 1e-5:
             # near-zero coordinates drown in finite-difference roundoff
             continue
         err = grad_check(
-            lambda t: init_loss(p, x, GcnParams(t, 0.2), w, rows)[0],
+            lambda t: init_loss(z, GcnParams(t, 0.2), w)[0],
             theta, d_theta, eps=1e-6)
         assert err <= 1e-5
         checked += 1
@@ -121,7 +135,7 @@ def test_reg_loss_zero_at_fit():
     x = np.abs(rng.standard_normal((4, 3))) + 0.1
     params = GcnParams(theta=np.eye(3), activation_slope=0.2)
     w_hat = x.copy()
-    loss, d_theta, d_w = gcn_reg_loss(p, x, params, w_hat, [0, 1, 2, 3])
+    loss, d_theta, d_w = gcn_reg_loss(propagate(p, x, [0, 1, 2, 3]), params, w_hat)
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(d_theta, 0.0, atol=1e-15)
     assert np.allclose(d_w, 0.0, atol=1e-15)
@@ -136,7 +150,7 @@ def test_reg_loss_whatgrad_closed_form():
     w_hat = rng.standard_normal((3, 2))
     rows = [0, 2, 3]
     o = gcn_forward(p, x, params)
-    _, _, d_w = gcn_reg_loss(p, x, params, w_hat, rows)
+    _, _, d_w = gcn_reg_loss(propagate(p, x, rows), params, w_hat)
     m = w_hat.shape[1]
     assert np.allclose(d_w, (w_hat - o[rows]) / m, atol=1e-12)
 
@@ -157,14 +171,15 @@ def test_reg_loss_gradients_many_instances():
             continue
         w_hat = rng.standard_normal((lt, f))
         rows = list(rng.permutation(n)[:lt])
-        _, d_theta, d_w = gcn_reg_loss(p, x, GcnParams(theta, 0.2), w_hat, rows)
+        z = propagate(p, x, rows)
+        _, d_theta, d_w = gcn_reg_loss(z, GcnParams(theta, 0.2), w_hat)
         if min(float(np.min(np.abs(d_theta))), float(np.min(np.abs(d_w)))) < 1e-5:
             continue
         err_t = grad_check(
-            lambda t: gcn_reg_loss(p, x, GcnParams(t, 0.2), w_hat, rows)[0],
+            lambda t: gcn_reg_loss(z, GcnParams(t, 0.2), w_hat)[0],
             theta, d_theta, eps=1e-6)
         err_w = grad_check(
-            lambda w: gcn_reg_loss(p, x, GcnParams(theta, 0.2), w, rows)[0],
+            lambda w: gcn_reg_loss(z, GcnParams(theta, 0.2), w)[0],
             w_hat, d_w, eps=1e-6)
         assert err_t <= 1e-5
         assert err_w <= 1e-5
@@ -176,6 +191,101 @@ def _toy_graph():
         node_names=tuple(f"n{i}" for i in range(6)),
         edges=((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)),
         class_to_node=(0, 1, 2, 3), known_class_count=3)
+
+
+def _reference_gcn_init(g, x, w, schedule, rng):
+    """GCN init in its first formulation: a full leaky_relu(P X theta)
+    forward over every node each step, the gradient taken through a
+    zero-padded d_o over all nodes, and the out-of-place momentum update
+    v = m*v + g."""
+    x = np.asarray(x, float)
+    w = np.asarray(w, float)
+    p = normalized_adjacency(g)
+    slope = 0.2  # the GcnParams default, which train_gcn_init trains with
+    theta = init_theta(x.shape[1], w.shape[1], rng, schedule.init_scale)
+    known = list(g.known_nodes())
+    z_known = (p @ x)[known]
+    curvature = float(np.linalg.eigvalsh(z_known.T @ z_known)[-1]) / w.shape[1]
+    step = schedule.learning_rate / max(curvature, 1e-12)
+    m = w.shape[1]
+    v = np.zeros_like(theta)
+    history = []
+    for _ in range(schedule.steps):
+        z = p @ x
+        h = z @ theta
+        o = leaky_relu(h, slope)
+        diff = o[known] - w
+        history.append(0.5 / m * float(np.sum(diff * diff)))
+        d_o = np.zeros_like(o)
+        d_o[known] = diff / m
+        d_theta = z.T @ (d_o * np.where(h > 0, 1.0, slope))
+        v = schedule.momentum * v + d_theta
+        theta -= step * v
+    embeddings = leaky_relu(p @ x @ theta, slope)[list(g.class_to_node)]
+    return theta, embeddings, history
+
+
+def _synth_graph():
+    _, _, g, words = synth.generate(synth.SynthConfig())
+    return g, words
+
+
+@pytest.mark.parametrize("graph", ["toy", "synth"])
+def test_train_init_bit_identical_to_full_forward(graph):
+    if graph == "toy":
+        g = _toy_graph()
+        x = make_rng(12).standard_normal((6, 8))
+    else:
+        g, x = _synth_graph()
+    w = make_rng(13).standard_normal((g.known_class_count, 16))
+    schedule = GcnSchedule()
+    theta, emb, history = _reference_gcn_init(g, x, w, schedule, make_rng(14))
+    params, emb_new, history_new = train_gcn_init(g, x, w, schedule, make_rng(14))
+    assert np.array_equal(params.theta, theta)
+    assert np.array_equal(emb_new, emb)
+    assert np.array_equal(np.array(history_new), np.array(history))
+
+
+def test_reg_loss_bit_identical_to_full_forward():
+    g, x = _synth_graph()
+    p = normalized_adjacency(g)
+    rows = list(g.class_to_node)
+    rng = make_rng(15)
+    params = GcnParams(rng.standard_normal((x.shape[1], 16)), 0.2)
+    w_hat = rng.standard_normal((len(rows), 16))
+    z = p @ x
+    h = z @ params.theta
+    diff = leaky_relu(h, 0.2)[rows] - w_hat
+    d_o = np.zeros_like(h)
+    d_o[rows] = diff / 16
+    loss, d_theta, d_w = gcn_reg_loss(propagate(p, x, rows), params, w_hat)
+    assert loss == 0.5 / 16 * float(np.sum(diff * diff))
+    assert np.array_equal(d_theta, z.T @ (d_o * np.where(h > 0, 1.0, 0.2)))
+    assert np.array_equal(d_w, -diff / 16)
+
+
+def test_propagate_selects_rows():
+    rng = make_rng(16)
+    p = rng.random((5, 5))
+    x = rng.standard_normal((5, 3))
+    assert np.array_equal(propagate(p, x, [4, 0, 2]), (p @ x)[[4, 0, 2]])
+    with pytest.raises(IndexError):
+        propagate(p, x, [0, 5])
+    with pytest.raises(IndexError):
+        propagate(p, x, [-1])
+    with pytest.raises(DimensionError):
+        propagate(p, x[:4], [0])
+
+
+def test_losses_reject_mismatched_shapes():
+    z = np.ones((3, 2))
+    params = GcnParams(theta=np.ones((2, 4)))
+    with pytest.raises(DimensionError):
+        init_loss(z, params, np.ones((2, 4)))  # 3 rows vs 2 targets
+    with pytest.raises(DimensionError):
+        gcn_reg_loss(z, params, np.ones((3, 5)))  # output dim 4 vs 5
+    with pytest.raises(DimensionError):
+        init_loss(np.ones((3, 7)), params, np.ones((3, 4)))
 
 
 def test_train_init_fits_known_rows():
@@ -220,3 +330,17 @@ def test_disconnected_zero_row_embedding_is_zero():
     w = rng.standard_normal((2, 3))
     _, emb, _ = train_gcn_init(g, x, w, GcnSchedule(steps=500), make_rng(0))
     assert np.allclose(emb[2], 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"learning_rate": float("nan")},
+    {"learning_rate": -0.5},
+    {"momentum": -3.0, "steps": 0},
+    {"momentum": 1.0},
+    {"steps": 0},
+    {"init_scale": 0.0},
+    {"init_scale": float("inf")},
+])
+def test_schedule_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        GcnSchedule(**kwargs)

@@ -183,6 +183,19 @@ def test_pairs_roundtrip(tmp_path):
     assert loaded.costs == mp.costs
 
 
+def test_load_pairs_rejects_trailing_rows(tmp_path):
+    mp = MatchedPairs(pairs=((0, 3), (1, 0)), total_cost=1.6, costs=(1.5, 0.1))
+    path = tmp_path / "pairs.txt"
+    save_pairs(path, mp)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    assert load_pairs(path).pairs == mp.pairs
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("5 5 1.0\n")
+    with pytest.raises(ValueError):
+        load_pairs(path)
+
+
 def test_match_carries_per_pair_costs():
     # more sources than targets: hungarian solves the transpose and re-sorts
     rng = make_rng(8)

@@ -134,6 +134,21 @@ def _random_state(rng):
     )
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"learning_rate": float("nan")},
+    {"learning_rate": float("inf")},
+    {"learning_rate": 0.0},
+    {"momentum": -0.1},
+    {"momentum": 1.0},
+    {"momentum": float("nan")},
+    {"epochs": 0},
+    {"batch_size": 0},
+])
+def test_pretrain_schedule_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        PretrainSchedule(**kwargs)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     state = _random_state(make_rng(5))
     save_checkpoint(tmp_path / "ckpt", state, config_hash="abc123")

@@ -4,7 +4,6 @@ import pytest
 from opendomain.numkit import (
     MomentumSgd,
     leaky_relu,
-    leaky_relu_grad,
     load_matrix,
     make_rng,
     save_matrix,
@@ -47,12 +46,6 @@ def test_leaky_relu_zero_slope():
 
 def test_leaky_relu_definition():
     assert leaky_relu(np.array([[-2.0]]), 0.2)[0, 0] == pytest.approx(-0.4)
-
-
-def test_leaky_relu_grad_values():
-    g = leaky_relu_grad(np.array([[2.0, -2.0, 0.0]]), 0.2)
-    # derivative at exactly zero is pinned to the slope for reproducibility
-    assert np.array_equal(g, np.array([[1.0, 0.2, 0.2]]))
 
 
 # the finite-difference checker the other suites rely on (tests/gradcheck.py)
@@ -99,3 +92,15 @@ def test_matrix_roundtrip(tmp_path):
     path = tmp_path / "m.mat"
     save_matrix(path, m)
     assert np.array_equal(load_matrix(path), m)
+
+
+def test_load_matrix_rejects_trailing_rows(tmp_path):
+    path = tmp_path / "m.mat"
+    save_matrix(path, np.eye(2))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n  \n")  # trailing blank lines are fine
+    assert np.array_equal(load_matrix(path), np.eye(2))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("9 9\n")
+    with pytest.raises(ValueError):
+        load_matrix(path)

@@ -207,3 +207,13 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("1 2 labeled 1 classes 3\n7 1.0 2.0\n")
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+def test_load_rejects_trailing_rows(tmp_path):
+    path = tmp_path / "source.ds"
+    path.write_text("1 2 labeled 1 classes 3\n0 1.0 2.0\n\n")
+    loaded, _ = load_dataset(path)
+    assert np.array_equal(loaded.features, [[1.0, 2.0]])
+    path.write_text("1 2 labeled 1 classes 3\n0 1.0 2.0\n1 3.0 4.0\n")
+    with pytest.raises(ValueError):
+        load_dataset(path)

@@ -13,7 +13,7 @@ from opendomain.losses import (
     sgmd_loss,
     total_loss,
 )
-from opendomain.gcn import gcn_reg_loss
+from opendomain.gcn import gcn_reg_loss, propagate
 from opendomain.graph import normalized_adjacency
 from opendomain.model import Encoder, PretrainSchedule, encode, encode_backward
 from opendomain.numkit import make_rng
@@ -101,6 +101,16 @@ flags.enable_sgmd = false
     MINIMAL + "flags.enable_lb = true\nflags.vanilla_balance = true\n",
     MINIMAL + "train.learning_rate = nan\n",
     MINIMAL + "train.momentum = nan\n",
+    MINIMAL + "pretrain.learning_rate = nan\n",
+    MINIMAL + "pretrain.learning_rate = 0\n",
+    MINIMAL + "pretrain.momentum = 1.0\n",
+    MINIMAL + "pretrain.epochs = 0\n",
+    MINIMAL + "pretrain.batch_size = 0\n",
+    MINIMAL + "gcn.learning_rate = inf\n",
+    MINIMAL + "gcn.momentum = -3.0\n",
+    MINIMAL + "gcn.steps = 0\n",
+    MINIMAL + "gcn.init_scale = 0\n",
+    MINIMAL + "gcn.init_scale = nan\n",
 ])
 def test_parse_rejects_bad_configs(text):
     with pytest.raises(ConfigError):
@@ -304,8 +314,8 @@ def test_end_to_end_objective_gradient():
         dw_s, db_s, _ = encode_backward(raw_s, enc, d_fs)
         dw_t, db_t, _ = encode_backward(raw_mt, enc, d_ft)
         components["sgmd"] = (val, {"ew": dw_s + dw_t, "eb": db_s + db_t})
-        val, d_theta, d_w_hat = gcn_reg_loss(p_norm, words, params, head_w,
-                                             class_nodes)
+        val, d_theta, d_w_hat = gcn_reg_loss(
+            propagate(p_norm, words, class_nodes), params, head_w)
         components["gcn"] = (val, {"theta": d_theta, "hw": d_w_hat})
         return total_loss(components, lw)
 
@@ -333,6 +343,29 @@ def test_non_finite_loss_raises():
     with pytest.raises(NonFiniteLossError) as exc:
         run_pipeline(cfg)
     assert exc.value.component in ("cls", "sgmd", "balance", "gcn")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("term, attr", [
+    ("cls", "cls_loss"),
+    ("balance", "limited_balance_loss"),
+    ("sgmd", "sgmd_loss"),
+    ("gcn", "gcn_reg_loss"),
+])
+def test_non_finite_gradient_names_its_term(monkeypatch, term, attr):
+    # a finite value with a NaN gradient: only the gradient check can catch it
+    real = getattr(trainer, attr)
+
+    def poisoned(*args):
+        out = real(*args)
+        return (out[0], np.full_like(out[1], np.nan)) + tuple(out[2:])
+
+    monkeypatch.setattr(trainer, attr, poisoned)
+    # tau 0 gates every matched pair, so the sgmd term is always present
+    cfg = _small_cfg(epochs=1, loss_weights=LossWeights(tau=0.0, w=0.4))
+    with pytest.raises(NonFiniteLossError) as exc:
+        run_pipeline(cfg)
+    assert exc.value.component == term
 
 
 def test_run_ablation_structure():
