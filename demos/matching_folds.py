@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from opendomain.matching import CostMatrix, hungarian, match_domains
+from opendomain.matching import hungarian, match_domains
 from opendomain.numkit import make_rng
 
 rng = make_rng(0)
@@ -20,7 +20,7 @@ rng = make_rng(0)
 costs = np.array([[4.0, 1.0, 3.0],
                   [2.0, 0.0, 5.0],
                   [3.0, 2.0, 2.0]])
-mp = hungarian(CostMatrix(costs, (0, 1, 2), (0, 1, 2)))
+mp = hungarian(costs)
 print("cost matrix:")
 print(costs)
 print(f"optimal pairs {mp.pairs} with total cost {mp.total_cost}")

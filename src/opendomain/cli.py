@@ -135,7 +135,11 @@ def cmd_match(args) -> int:
 
 def cmd_eval(args) -> int:
     state, _manifest = load_checkpoint(args.checkpoint)
-    target, _ = synth.load_dataset(os.path.join(args.data, _DATA_FILES["target"]))
+    target_path = os.path.join(args.data, _DATA_FILES["target"])
+    target, _ = synth.load_dataset(target_path)
+    # load_dataset marks a target without its .eval sidecar with label -1
+    if (target.eval_labels < 0).any():
+        raise ValueError(f"{target_path}.eval not found: no labels to score against")
     preds = predict(state, target.features)
     triple = accuracy_triple(preds, target.eval_labels, state.head.known_count)
     sys.stdout.write(json.dumps(triple.as_dict(), indent=2, sort_keys=True) + "\n")

@@ -75,9 +75,6 @@ class KnowledgeGraph:
     def known_nodes(self) -> tuple:
         return tuple(self.class_to_node[: self.known_class_count])
 
-    def unknown_nodes(self) -> tuple:
-        return tuple(self.class_to_node[self.known_class_count:])
-
 
 def _canon(i: int, j: int):
     return (i, j) if i < j else (j, i)

@@ -1,9 +1,10 @@
-"""Cross-domain instance matching.
+"""Cross-domain instance matching on plain index and cost arrays.
 
-Builds L1 cost matrices between source and target feature sets, solves the
+`pairwise_l1` gives the n x m L1 cost array, `hungarian` solves the
 minimum-weight assignment exactly with an O(n^3) shortest-augmenting-path
-(Jonker-Volgenant potentials) solver, and scales up by randomly splitting
-each domain into k folds and matching fold i against fold i.
+(Jonker-Volgenant potentials) solver, and `match_domains` splits each domain
+into k random folds and matches fold i against fold i, mapping local indices
+to global ids through the folds' index arrays.
 """
 from __future__ import annotations
 
@@ -14,9 +15,7 @@ import numpy as np
 from .numkit import DimensionError, reject_trailing_rows
 
 __all__ = [
-    "CostMatrix",
     "MatchedPairs",
-    "FoldPlan",
     "pairwise_l1",
     "hungarian",
     "partition_folds",
@@ -24,24 +23,6 @@ __all__ = [
     "save_pairs",
     "load_pairs",
 ]
-
-
-@dataclass(frozen=True)
-class CostMatrix:
-    """Dense cost block with the global instance ids of its rows/columns."""
-
-    costs: np.ndarray
-    row_ids: tuple
-    col_ids: tuple
-
-    def __post_init__(self):
-        c = self.costs
-        if c.ndim != 2:
-            raise DimensionError("costs must be 2-D")
-        if c.shape != (len(self.row_ids), len(self.col_ids)):
-            raise DimensionError("row/col id counts must match costs shape")
-        if not np.all(np.isfinite(c)) or np.any(c < 0):
-            raise ValueError("costs must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -61,27 +42,14 @@ class MatchedPairs:
         if self.costs is not None and len(self.costs) != len(self.pairs):
             raise ValueError("need one cost per matched pair")
 
-    def source_indices(self) -> np.ndarray:
-        return np.array([s for s, _ in self.pairs], dtype=int)
 
-    def target_indices(self) -> np.ndarray:
-        return np.array([t for _, t in self.pairs], dtype=int)
-
-
-@dataclass(frozen=True)
-class FoldPlan:
-    source_folds: tuple
-    target_folds: tuple
-
-
-def pairwise_l1(fs, ft) -> CostMatrix:
-    """costs[i, j] = sum_d |fs[i, d] - ft[j, d]|."""
+def pairwise_l1(fs, ft) -> np.ndarray:
+    """The n x m array costs[i, j] = sum_d |fs[i, d] - ft[j, d]|."""
     fs = np.asarray(fs, float)
     ft = np.asarray(ft, float)
     if fs.ndim != 2 or ft.ndim != 2 or fs.shape[1] != ft.shape[1]:
         raise DimensionError(f"pairwise_l1: shapes {fs.shape}, {ft.shape}")
-    costs = np.abs(fs[:, None, :] - ft[None, :, :]).sum(axis=2)
-    return CostMatrix(costs, tuple(range(fs.shape[0])), tuple(range(ft.shape[0])))
+    return np.abs(fs[:, None, :] - ft[None, :, :]).sum(axis=2)
 
 
 def _solve(cost: np.ndarray):
@@ -129,55 +97,56 @@ def _solve(cost: np.ndarray):
     return col_for_row
 
 
-def hungarian(c: CostMatrix) -> MatchedPairs:
-    """Minimum-cost matching of size min(n_s, n_t); the larger side is left
-    partially unmatched."""
-    cost = np.asarray(c.costs, float)
+def hungarian(cost) -> MatchedPairs:
+    """Minimum-cost matching of size min(n, m) between the rows and the
+    columns of the 2-D array ``cost``, pairs sorted by row; the larger side
+    is left partially unmatched."""
+    cost = np.asarray(cost, float)
+    if cost.ndim != 2:
+        raise DimensionError("costs must be 2-D")
+    if not np.all(np.isfinite(cost)) or np.any(cost < 0):
+        raise ValueError("costs must be finite and non-negative")
     if cost.shape[0] <= cost.shape[1]:
-        col_for_row = _solve(cost)
-        raw = [(i, int(j)) for i, j in enumerate(col_for_row)]
+        rows = np.arange(cost.shape[0])
+        cols = _solve(cost)
     else:
-        row_for_col = _solve(cost.T)
-        raw = [(int(i), j) for j, i in enumerate(row_for_col)]
-        raw.sort()
-    costs = [cost[i, j] for i, j in raw]
-    pairs = tuple((c.row_ids[i], c.col_ids[j]) for i, j in raw)
-    return MatchedPairs(pairs=pairs, total_cost=float(sum(costs)),
-                        costs=tuple(float(v) for v in costs))
+        rows = _solve(cost.T)
+        cols = np.argsort(rows)
+        rows = rows[cols]
+    costs = cost[rows, cols]
+    # float64 scalars, summed in row order (3.12+ compensates plain floats)
+    return MatchedPairs(pairs=tuple(zip(rows.tolist(), cols.tolist())),
+                        total_cost=float(sum(costs)), costs=tuple(costs.tolist()))
 
 
-def partition_folds(n_s: int, n_t: int, k: int,
-                    rng: np.random.Generator) -> FoldPlan:
-    """Seeded uniform permutation of each domain sliced into k near-equal
-    folds (sizes differ by at most 1)."""
+def partition_folds(n_s: int, n_t: int, k: int, rng: np.random.Generator):
+    """(source_folds, target_folds): a seeded uniform permutation of each
+    domain sliced into k index arrays whose sizes differ by at most 1."""
     if not 1 <= k <= min(n_s, n_t):
         raise ValueError(f"fold count {k} out of range for sizes {n_s}, {n_t}")
-    src = np.array_split(rng.permutation(n_s), k)
-    tgt = np.array_split(rng.permutation(n_t), k)
-    return FoldPlan(
-        source_folds=tuple(tuple(int(i) for i in f) for f in src),
-        target_folds=tuple(tuple(int(i) for i in f) for f in tgt),
-    )
+    return (np.array_split(rng.permutation(n_s), k),
+            np.array_split(rng.permutation(n_t), k))
 
 
 def match_domains(fs, ft, k: int, rng: np.random.Generator) -> MatchedPairs:
     """Partition both domains into k folds, match fold i against fold i,
-    and return the union of the per-fold matchings."""
+    and return the union of the per-fold matchings, sorted by source."""
     fs = np.asarray(fs, float)
     ft = np.asarray(ft, float)
-    plan = partition_folds(fs.shape[0], ft.shape[0], k, rng)
-    entries = []
+    source_folds, target_folds = partition_folds(fs.shape[0], ft.shape[0], k, rng)
+    src, tgt, costs = [], [], []
     total = 0.0
-    for s_fold, t_fold in zip(plan.source_folds, plan.target_folds):
-        block = pairwise_l1(fs[list(s_fold)], ft[list(t_fold)])
-        block = CostMatrix(block.costs, s_fold, t_fold)
-        matched = hungarian(block)
-        entries.extend(zip(matched.pairs, matched.costs))
+    for s_fold, t_fold in zip(source_folds, target_folds):
+        matched = hungarian(pairwise_l1(fs[s_fold], ft[t_fold]))
+        rows, cols = np.array(matched.pairs, dtype=int).reshape(-1, 2).T
+        src.append(s_fold[rows])
+        tgt.append(t_fold[cols])
+        costs.append(matched.costs)
         total += matched.total_cost
-    # source ids are distinct, so the sort never compares costs
-    entries.sort()
-    return MatchedPairs(pairs=tuple(p for p, _ in entries), total_cost=total,
-                        costs=tuple(c for _, c in entries))
+    src, tgt, costs = (np.concatenate(a) for a in (src, tgt, costs))
+    order = np.argsort(src)
+    return MatchedPairs(pairs=tuple(zip(src[order].tolist(), tgt[order].tolist())),
+                        total_cost=total, costs=tuple(costs[order].tolist()))
 
 
 def save_pairs(path, mp: MatchedPairs) -> None:

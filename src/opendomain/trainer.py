@@ -41,7 +41,7 @@ from .model import (
     init_head_from_gcn,
     pretrain_source,
 )
-from .numkit import MomentumSgd, make_rng
+from .numkit import MomentumSgd, check_sgd_settings, make_rng
 
 __all__ = [
     "ConfigError",
@@ -100,8 +100,10 @@ class ExperimentConfig:
         for name in ("feature_dim", "epochs", "batch_size", "folds"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if not (self.learning_rate > 0 and 0 <= self.momentum < 1):
-            raise ConfigError("learning_rate must be > 0 and momentum in [0, 1)")
+        try:
+            check_sgd_settings(self.learning_rate, self.momentum)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.rematch_interval < 0:
             raise ConfigError("rematch_interval must be >= 0")
         if self.synth.known_classes == self.synth.total_classes:
@@ -170,7 +172,10 @@ def _parse_value(raw: str, kind, key: str):
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        value = kind(raw)
+        if kind is float and not math.isfinite(value):
+            raise ValueError(raw)
+        return value
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
@@ -300,6 +305,27 @@ def _match(enc, source, target, folds: int, rng) -> MatchedPairs:
                          encode(target.features, enc), folds, rng)
 
 
+def _partner(pairs: MatchedPairs, n_src: int) -> np.ndarray:
+    """partner[s] is the target matched to source s, or -1."""
+    partner = np.full(n_src, -1)
+    matched = np.array(pairs.pairs, dtype=int).reshape(-1, 2)
+    partner[matched[:, 0]] = matched[:, 1]
+    return partner
+
+
+def _check_class_counts(cfg: ExperimentConfig, source, graph, word_vectors) -> None:
+    """Reject a config whose class counts are not the data's: the graph's,
+    or without a graph, the source label range and the word-vector rows."""
+    if graph is not None:
+        known, total = graph.known_class_count, graph.total_class_count
+    else:
+        known, total = int(source.labels.max(initial=-1)) + 1, word_vectors.shape[0]
+    if (cfg.synth.known_classes, cfg.synth.total_classes) != (known, total):
+        raise ConfigError(
+            f"config has {cfg.synth.known_classes} known / "
+            f"{cfg.synth.total_classes} total classes, the data {known} / {total}")
+
+
 def prepare(cfg: ExperimentConfig, data) -> Prepared:
     """Source pretraining, GCN propagation of the classifiers to the
     unknown classes, and the initial fold-wise matching.
@@ -308,6 +334,9 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     """
     source, target, graph, word_vectors = data
     l_s = cfg.synth.known_classes
+    if graph is None and l_s != cfg.synth.total_classes:
+        raise ConfigError("a taxonomy graph is required when unknown classes exist")
+    _check_class_counts(cfg, source, graph, word_vectors)
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     rng_pre, rng_gcn, rng_match, rng_joint = (make_rng(s) for s in streams)
 
@@ -321,8 +350,6 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     else:
         # symmetric label space: no propagation target, head starts at the
         # pretrained classifier
-        if l_s != cfg.synth.total_classes:
-            raise ConfigError("a taxonomy graph is required when unknown classes exist")
         gcn_params = GcnParams(theta=np.zeros((word_vectors.shape[1], cfg.feature_dim)),
                                activation_slope=cfg.activation_slope)
         head = ClassifierHead(weights=w_src.copy(), known_count=l_s)
@@ -343,7 +370,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
     state = prepared.state
     enc, head, gcn_params = state.encoder, state.head, state.gcn
     rng_joint = prepared.rng_joint
-    pair_for_src = dict(prepared.pairs.pairs)
+    partner = _partner(prepared.pairs, source.n)
 
     params = {
         "encoder.weight": enc.weight,
@@ -363,8 +390,8 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
 
     for epoch in range(cfg.epochs):
         if cfg.rematch_interval > 0 and epoch > 0 and epoch % cfg.rematch_interval == 0:
-            pair_for_src = dict(_match(enc, source, target, cfg.folds,
-                                       prepared.rng_match).pairs)
+            partner = _partner(_match(enc, source, target, cfg.folds,
+                                      prepared.rng_match), source.n)
         order_src = rng_joint.permutation(n_src)
         order_tgt = _target_order(rng_joint, target.n, n_src)
         sums = {"cls": 0.0, "sgmd": 0.0, "balance": 0.0, "gcn": 0.0, "total": 0.0}
@@ -397,11 +424,9 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
                                                "head.weights": d_w})
 
             if cfg.enable_sgmd:
-                batch_pairs = [(s, pair_for_src[s]) for s in src_idx.tolist()
-                               if s in pair_for_src]
-                if batch_pairs:
-                    s_ids = np.array([s for s, _ in batch_pairs])
-                    t_ids = np.array([t for _, t in batch_pairs])
+                s_ids = src_idx[partner[src_idx] >= 0]
+                t_ids = partner[s_ids]
+                if s_ids.size:
                     raw_ms = source.features[s_ids]
                     raw_mt = target.features[t_ids]
                     f_ms = encode(raw_ms, enc)
@@ -410,7 +435,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
                     p_ms = classifier_responses(f_ms, head)
                     p_mt = classifier_responses(f_mt, head)
                     val, d_fs, d_ft, gate = sgmd_loss(f_ms, f_mt, p_ms, p_mt, lw.tau)
-                    considered += len(batch_pairs)
+                    considered += s_ids.size
                     gated += int(gate.sum())
                     if gate.any():
                         dw_s, db_s, _ = encode_backward(raw_ms, enc, d_fs)

@@ -142,6 +142,24 @@ def test_train_numeric_failure_exits_two(tmp_path, config_path):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize("line, changed", [
+    ("synth.known_classes = 3", "synth.known_classes = 2"),
+    ("synth.total_classes = 5", "synth.total_classes = 6"),
+])
+def test_train_class_counts_other_than_the_data_exit_one(tmp_path, config_path,
+                                                          capsys, line, changed):
+    data = tmp_path / "data"
+    _synth(config_path, data)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL_CONFIG.replace(line, changed))
+    capsys.readouterr()
+    assert main(["train", "--config", str(bad), "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "run").exists()
+
+
 def test_ablate_writes_table_and_json(tmp_path, config_path, capsys):
     data = tmp_path / "data"
     out = tmp_path / "ablation"
@@ -194,3 +212,19 @@ def test_eval_corrupted_manifest_exits_one(tmp_path, config_path):
     manifest_path.write_text(json.dumps(manifest))
     assert main(["eval", "--checkpoint", str(run / "checkpoint"),
                  "--data", str(data)]) == 1
+
+
+def test_eval_without_eval_labels_exits_one(tmp_path, config_path, capsys):
+    data = tmp_path / "data"
+    run = tmp_path / "run"
+    _synth(config_path, data)
+    assert main(["train", "--config", config_path, "--data", str(data),
+                 "--out", str(run)]) == 0
+    os.remove(data / "target.ds.eval")
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                 "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "target.ds.eval" in captured.err

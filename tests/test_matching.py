@@ -1,10 +1,13 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.optimize import linear_sum_assignment
 
 from opendomain.matching import (
-    CostMatrix,
     MatchedPairs,
     hungarian,
     load_pairs,
@@ -14,12 +17,6 @@ from opendomain.matching import (
     save_pairs,
 )
 from opendomain.numkit import DimensionError, make_rng
-
-
-def _cm(costs):
-    costs = np.asarray(costs, float)
-    return CostMatrix(costs, tuple(range(costs.shape[0])),
-                      tuple(range(costs.shape[1])))
 
 
 def brute_force_cost(costs):
@@ -36,12 +33,12 @@ def brute_force_cost(costs):
 
 def test_pairwise_l1_same_row():
     f = np.array([[1.0, -2.0]])
-    assert pairwise_l1(f, f).costs[0, 0] == 0.0
+    assert pairwise_l1(f, f)[0, 0] == 0.0
 
 
 def test_pairwise_l1_hand_example():
     cm = pairwise_l1(np.array([[0.0, 0.0]]), np.array([[1.0, -2.0]]))
-    assert cm.costs[0, 0] == pytest.approx(3.0)
+    assert cm[0, 0] == pytest.approx(3.0)
 
 
 def test_pairwise_l1_matches_double_loop():
@@ -51,7 +48,7 @@ def test_pairwise_l1_matches_double_loop():
     cm = pairwise_l1(fs, ft)
     for i in range(5):
         for j in range(4):
-            assert cm.costs[i, j] == pytest.approx(
+            assert cm[i, j] == pytest.approx(
                 np.sum(np.abs(fs[i] - ft[j])))
 
 
@@ -61,19 +58,19 @@ def test_pairwise_l1_dimension_mismatch():
 
 
 def test_hungarian_diagonal():
-    mp = hungarian(_cm(np.ones((3, 3)) - np.eye(3)))
+    mp = hungarian(np.ones((3, 3)) - np.eye(3))
     assert mp.pairs == ((0, 0), (1, 1), (2, 2))
     assert mp.total_cost == 0.0
 
 
 def test_hungarian_spec_example():
-    mp = hungarian(_cm([[4, 1, 3], [2, 0, 5], [3, 2, 2]]))
+    mp = hungarian([[4, 1, 3], [2, 0, 5], [3, 2, 2]])
     assert mp.total_cost == pytest.approx(5.0)
     assert sorted(mp.pairs) == [(0, 1), (1, 0), (2, 2)]
 
 
 def test_hungarian_rectangular_single_row():
-    mp = hungarian(_cm([[5.0, 3.0]]))
+    mp = hungarian([[5.0, 3.0]])
     assert mp.pairs == ((0, 1),)
     assert mp.total_cost == pytest.approx(3.0)
 
@@ -83,7 +80,7 @@ def test_hungarian_against_brute_force():
     for _ in range(200):
         n = int(rng.integers(1, 8))
         costs = rng.random((n, n)) * 10
-        assert hungarian(_cm(costs)).total_cost == pytest.approx(
+        assert hungarian(costs).total_cost == pytest.approx(
             brute_force_cost(costs), abs=1e-9)
 
 
@@ -93,7 +90,7 @@ def test_hungarian_rectangular_against_brute_force():
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
         costs = rng.random((n, m)) * 10
-        mp = hungarian(_cm(costs))
+        mp = hungarian(costs)
         assert len(mp.pairs) == min(n, m)
         assert mp.total_cost == pytest.approx(brute_force_cost(costs), abs=1e-9)
 
@@ -101,39 +98,42 @@ def test_hungarian_rectangular_against_brute_force():
 def test_hungarian_row_shift_invariance():
     rng = make_rng(3)
     costs = rng.random((5, 5)) * 4
-    mp = hungarian(_cm(costs))
+    mp = hungarian(costs)
     shifted = costs.copy()
     shifted[2] += 3.7
     shifted[:, 4] += 1.3
-    mp_shifted = hungarian(_cm(shifted))
+    mp_shifted = hungarian(shifted)
     # the original matching stays optimal for the shifted matrix
     original_on_shifted = sum(shifted[i, j] for i, j in mp.pairs)
     assert mp_shifted.total_cost == pytest.approx(original_on_shifted, abs=1e-9)
 
 
 def test_partition_single_fold():
-    plan = partition_folds(4, 6, 1, make_rng(0))
-    assert sorted(plan.source_folds[0]) == [0, 1, 2, 3]
-    assert sorted(plan.target_folds[0]) == list(range(6))
+    source_folds, target_folds = partition_folds(4, 6, 1, make_rng(0))
+    assert sorted(source_folds[0]) == [0, 1, 2, 3]
+    assert sorted(target_folds[0]) == list(range(6))
 
 
 def test_partition_five_even_folds():
-    plan = partition_folds(10, 10, 5, make_rng(0))
-    assert all(len(f) == 2 for f in plan.source_folds)
-    assert all(len(f) == 2 for f in plan.target_folds)
-    assert sorted(i for f in plan.source_folds for i in f) == list(range(10))
+    source_folds, target_folds = partition_folds(10, 10, 5, make_rng(0))
+    assert all(len(f) == 2 for f in source_folds)
+    assert all(len(f) == 2 for f in target_folds)
+    assert sorted(i for f in source_folds for i in f) == list(range(10))
 
 
 def test_partition_sizes_within_one():
-    plan = partition_folds(11, 13, 4, make_rng(7))
-    sizes_s = [len(f) for f in plan.source_folds]
-    sizes_t = [len(f) for f in plan.target_folds]
+    source_folds, target_folds = partition_folds(11, 13, 4, make_rng(7))
+    sizes_s = [len(f) for f in source_folds]
+    sizes_t = [len(f) for f in target_folds]
     assert max(sizes_s) - min(sizes_s) <= 1
     assert max(sizes_t) - min(sizes_t) <= 1
 
 
 def test_partition_deterministic():
-    assert partition_folds(9, 9, 3, make_rng(5)) == partition_folds(9, 9, 3, make_rng(5))
+    a = partition_folds(9, 9, 3, make_rng(5))
+    b = partition_folds(9, 9, 3, make_rng(5))
+    for folds_a, folds_b in zip(a, b):
+        assert all(np.array_equal(x, y) for x, y in zip(folds_a, folds_b))
 
 
 def test_partition_k_out_of_range():
@@ -207,3 +207,48 @@ def test_match_carries_per_pair_costs():
         assert cost == pytest.approx(np.abs(fs[s] - ft[t]).sum(), rel=1e-12)
     with pytest.raises(ValueError):
         MatchedPairs(pairs=((0, 1),), total_cost=1.0, costs=(1.0, 2.0))
+
+
+@st.composite
+def _cost_arrays(draw):
+    shape = (draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+    # small integers force ties between optimal assignments
+    elements = draw(st.sampled_from([
+        st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False),
+        st.integers(0, 3).map(float),
+    ]))
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cost_arrays())
+def test_hungarian_equals_scipy_optimum(costs):
+    mp = hungarian(costs)
+    rows, cols = linear_sum_assignment(costs)
+    assert mp.total_cost == pytest.approx(costs[rows, cols].sum(), rel=0, abs=1e-9)
+    assert len(mp.pairs) == min(costs.shape)
+    assert len({s for s, _ in mp.pairs}) == len({t for _, t in mp.pairs}) == len(mp.pairs)
+    assert mp.total_cost == pytest.approx(sum(costs[s, t] for s, t in mp.pairs),
+                                          rel=0, abs=1e-9)
+
+
+# sha256 of the pairs file; the matching's ties, order and summation order
+# all show in these bytes
+_GOLDEN_PAIRS = {
+    (1, False): "12480e6407190f4ec613625337ec6e80b05745f7982a08380c53a3b544430c51",
+    (3, False): "fa4560a34529b75c50cd59773449cac8fb691fc313f295074870ba5d3b82649e",
+    (1, True): "4fb9bdee4681a4c5247d84de7a64cb283ab3f94cecc3f872bc7f2a4cc7392d4f",
+    (3, True): "0ff4dace59d755551ca04c4e852c25f2befc3bc783a06ce682714807bdeff612",
+}
+
+
+@pytest.mark.parametrize("k, swap", sorted(_GOLDEN_PAIRS))
+def test_match_pairs_file_golden(tmp_path, k, swap):
+    rng = make_rng(11)
+    fs = rng.standard_normal((40, 6))
+    ft = rng.standard_normal((55, 6))
+    if swap:  # more sources than targets
+        fs, ft = ft, fs
+    path = tmp_path / "pairs.txt"
+    save_pairs(path, match_domains(fs, ft, k, make_rng(2)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_PAIRS[k, swap]

@@ -111,10 +111,22 @@ flags.enable_sgmd = false
     MINIMAL + "gcn.steps = 0\n",
     MINIMAL + "gcn.init_scale = 0\n",
     MINIMAL + "gcn.init_scale = nan\n",
+    MINIMAL + "train.learning_rate = inf\n",
+    MINIMAL + "loss.tau = nan\n",
+    MINIMAL + "loss.epsilon = nan\n",
+    MINIMAL + "loss.epsilon = inf\n",
+    MINIMAL + "synth.noise = nan\n",
+    MINIMAL + "synth.rotation_angle = nan\n",
+    MINIMAL + "gcn.slope = nan\n",
 ])
 def test_parse_rejects_bad_configs(text):
     with pytest.raises(ConfigError):
         parse_config(text)
+
+
+def test_experiment_config_rejects_infinite_learning_rate():
+    with pytest.raises(ConfigError):
+        ExperimentConfig(learning_rate=float("inf"))
 
 
 # the config_hash in metrics.json and checkpoints is a hash of this text
@@ -273,6 +285,39 @@ def test_rematch_interval_runs_and_is_deterministic():
     _, h1 = run_pipeline(cfg)
     _, h2 = run_pipeline(cfg)
     assert h1.records == h2.records
+
+
+def test_prepare_rejects_class_counts_other_than_the_data():
+    cfg = _small_cfg()
+    data = synth.generate(cfg.synth)
+    for counts in ((2, 5), (3, 6)):
+        other = replace(cfg.synth, known_classes=counts[0], total_classes=counts[1])
+        with pytest.raises(ConfigError, match="classes"):
+            trainer.prepare(replace(cfg, synth=other), data)
+    # without a graph: the source labels and the word-vector rows
+    sym = replace(cfg.synth, known_classes=3, total_classes=3)
+    sym_cfg = replace(cfg, synth=sym, enable_lb=False, enable_gcn=False)
+    sym_data = synth.generate(sym)
+    trainer.prepare(sym_cfg, sym_data)
+    wider = replace(sym, known_classes=4, total_classes=4)
+    with pytest.raises(ConfigError, match="classes"):
+        trainer.prepare(replace(sym_cfg, synth=wider), sym_data)
+
+
+def test_sgmd_sees_only_matched_sources(monkeypatch):
+    # 45 sources against 30 targets: a third of the sources stay unmatched
+    sizes = replace(_small_cfg().synth, source_per_class=15, target_per_class=6)
+    cfg = _small_cfg(synth=sizes, epochs=2)
+    seen = []
+    original = trainer.sgmd_loss
+
+    def spy(f_ms, f_mt, *rest):
+        seen.append(len(f_ms))
+        return original(f_ms, f_mt, *rest)
+
+    monkeypatch.setattr(trainer, "sgmd_loss", spy)
+    run_pipeline(cfg)
+    assert sum(seen) == cfg.epochs * 30
 
 
 def test_end_to_end_objective_gradient():
