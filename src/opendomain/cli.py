@@ -53,6 +53,13 @@ def _load_data_dir(directory):
     return source, target, graph, word_vectors
 
 
+def _require_eval_labels(target, directory) -> None:
+    # load_dataset marks a target without its .eval sidecar with label -1
+    if (target.eval_labels < 0).any():
+        path = os.path.join(directory, _DATA_FILES["target"])
+        raise ValueError(f"{path}.eval not found: no labels to score against")
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -109,7 +116,10 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _read_config(args.config)
-    data = _load_data_dir(args.data) if args.data else None
+    data = None
+    if args.data:
+        data = _load_data_dir(args.data)
+        _require_eval_labels(data[1], args.data)
     seeds = [cfg.seed + i for i in range(args.seeds)]
     results = run_ablation(cfg, seeds, data=data)
     os.makedirs(args.out, exist_ok=True)
@@ -135,11 +145,8 @@ def cmd_match(args) -> int:
 
 def cmd_eval(args) -> int:
     state, _manifest = load_checkpoint(args.checkpoint)
-    target_path = os.path.join(args.data, _DATA_FILES["target"])
-    target, _ = synth.load_dataset(target_path)
-    # load_dataset marks a target without its .eval sidecar with label -1
-    if (target.eval_labels < 0).any():
-        raise ValueError(f"{target_path}.eval not found: no labels to score against")
+    target, _ = synth.load_dataset(os.path.join(args.data, _DATA_FILES["target"]))
+    _require_eval_labels(target, args.data)
     preds = predict(state, target.features)
     triple = accuracy_triple(preds, target.eval_labels, state.head.known_count)
     sys.stdout.write(json.dumps(triple.as_dict(), indent=2, sort_keys=True) + "\n")

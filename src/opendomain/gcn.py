@@ -45,6 +45,7 @@ class GcnSchedule:
     momentum: float = 0.97
     steps: int = 8000
     init_scale: float = 1.0
+    slope: float = 0.2  # leaky-ReLU slope, in GCN init and in the graph tie
 
     def __post_init__(self):
         check_sgd_settings(self.learning_rate, self.momentum)
@@ -52,6 +53,8 @@ class GcnSchedule:
             raise ValueError("steps must be >= 1")
         if not (math.isfinite(self.init_scale) and self.init_scale > 0):
             raise ValueError("init_scale must be finite and > 0")
+        if not (math.isfinite(self.slope) and self.slope >= 0):
+            raise ValueError("slope must be finite and >= 0")
 
 
 def gcn_forward(p, x, params: GcnParams) -> np.ndarray:
@@ -145,8 +148,8 @@ def train_gcn_init(g: KnowledgeGraph, x, w, schedule: GcnSchedule,
     x = np.asarray(x, float)
     w = np.asarray(w, float)
     p = normalized_adjacency(g)
-    params = GcnParams(theta=init_theta(x.shape[1], w.shape[1], rng,
-                                        schedule.init_scale))
+    params = GcnParams(init_theta(x.shape[1], w.shape[1], rng, schedule.init_scale),
+                       schedule.slope)
     z_known = propagate(p, x, g.known_nodes())
     # learning_rate is relative to the curvature of the quadratic bound
     # Z_k^T Z_k / M (activation slope <= 1), so the schedule is stable

@@ -66,8 +66,10 @@ class LossWeights:
                 raise ValueError(f"{name} must be finite and >= 0")
         if not 0.0 < self.w < 1.0:
             raise ValueError("w must lie strictly inside (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        if not np.isfinite(self.tau):
+            raise ValueError("tau must be finite")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError("epsilon must be finite and > 0")
 
 
 def classifier_responses(f, head: ClassifierHead) -> np.ndarray:

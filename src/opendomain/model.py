@@ -161,7 +161,8 @@ def save_checkpoint(directory, state: ModelState, config_hash: str = "") -> None
 
 def load_checkpoint(directory):
     """Read a checkpoint directory back into a ModelState; raises
-    ValueError when the manifest disagrees with the stored matrices."""
+    ValueError when the manifest disagrees with the stored matrices or
+    lacks a number it needs."""
     with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     enc_w = load_matrix(os.path.join(directory, _CHECKPOINT_FILES["encoder_weight"]))
@@ -180,6 +181,9 @@ def load_checkpoint(directory):
                 f"checkpoint manifest mismatch for {key}: "
                 f"{manifest.get(key)} != {value}"
             )
+    for key in ("known_classes", "activation_slope"):
+        if not isinstance(manifest.get(key), (int, float)):
+            raise ValueError(f"checkpoint manifest has no number for {key}")
     state = ModelState(
         encoder=Encoder(weight=enc_w, bias=enc_b.ravel()),
         head=ClassifierHead(weights=head_w,

@@ -53,6 +53,7 @@ __all__ = [
     "apply_flags",
     "Prepared",
     "prepare",
+    "joint_terms",
     "train_joint",
     "run_pipeline",
     "run_ablation",
@@ -80,7 +81,6 @@ class ExperimentConfig:
     loss_weights: LossWeights = field(default_factory=LossWeights)
     pretrain: PretrainSchedule = field(default_factory=PretrainSchedule)
     gcn_schedule: GcnSchedule = field(default_factory=GcnSchedule)
-    activation_slope: float = 0.2
     feature_dim: int = 16
     learning_rate: float = 0.05
     momentum: float = 0.9
@@ -140,7 +140,7 @@ def apply_flags(cfg: ExperimentConfig, tokens) -> ExperimentConfig:
 # ------------------------------------------------------------------ config IO
 
 # text section -> nested config field; every other field is a train.* key,
-# except activation_slope (gcn.slope) and the flags (flags.*)
+# except the flags (flags.*)
 _NESTED = {"synth": "synth", "loss": "loss_weights", "pretrain": "pretrain",
            "gcn": "gcn_schedule"}
 
@@ -152,11 +152,10 @@ def _sections(cfg: ExperimentConfig) -> dict:
     for section, attr in _NESTED.items():
         part = getattr(cfg, attr)
         out[section] = {f.name: getattr(part, f.name) for f in fields(part)}
-    out["gcn"]["slope"] = cfg.activation_slope
     out["train"] = {}
     out["flags"] = {}
     for f in fields(cfg):
-        if f.name in _NESTED.values() or f.name == "activation_slope":
+        if f.name in _NESTED.values():
             continue
         section = "flags" if f.name in _FLAG_FIELDS.values() else "train"
         out[section][f.name] = getattr(cfg, f.name)
@@ -215,8 +214,6 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing required key: {required}")
 
     top = {**values["train"], **values["flags"]}
-    if "slope" in values["gcn"]:
-        top["activation_slope"] = values["gcn"].pop("slope")
     synth_cfg = synth.SynthConfig(**values["synth"])
     loss_vals = values["loss"]
     if "w" not in loss_vals:
@@ -345,17 +342,64 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     if graph is not None:
         gcn_params, embeddings, _ = train_gcn_init(
             graph, word_vectors, w_src, cfg.gcn_schedule, rng_gcn)
-        gcn_params.activation_slope = cfg.activation_slope
         head = init_head_from_gcn(embeddings, l_s)
     else:
         # symmetric label space: no propagation target, head starts at the
         # pretrained classifier
         gcn_params = GcnParams(theta=np.zeros((word_vectors.shape[1], cfg.feature_dim)),
-                               activation_slope=cfg.activation_slope)
+                               activation_slope=cfg.gcn_schedule.slope)
         head = ClassifierHead(weights=w_src.copy(), known_count=l_s)
     pairs = _match(enc, source, target, cfg.folds, rng_match)
     return Prepared(state=ModelState(encoder=enc, head=head, gcn=gcn_params),
                     pairs=pairs, rng_match=rng_match, rng_joint=rng_joint)
+
+
+def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
+                raw_s, labels, raw_t, raw_ms, raw_mt):
+    """One joint-loop step's terms, each switched on by ``cfg``: cls on the
+    source batch, balance on the target batch, SGMD on the matched rows and
+    the graph tie on the propagated class rows ``z_class``. Returns
+    (components, gate): term -> (value, {parameter: gradient}) as
+    ``total_loss`` takes it, and the SGMD gate (empty if SGMD did not run).
+    """
+    enc, head = state.encoder, state.head
+    lw = cfg.loss_weights
+    components = {}
+
+    f_s = encode(raw_s, enc)
+    val, d_f, d_w = _restricted_cls(f_s, head, labels)
+    d_ew, d_eb, _ = encode_backward(raw_s, enc, d_f)
+    components["cls"] = (val, {"encoder.weight": d_ew, "encoder.bias": d_eb,
+                               "head.weights": d_w})
+
+    if cfg.enable_lb or cfg.vanilla_balance:
+        f_t = encode(raw_t, enc)
+        if cfg.vanilla_balance:
+            val, d_f, d_w = balance_loss_vanilla(f_t, head, lw.epsilon)
+        else:
+            val, d_f, d_w = limited_balance_loss(f_t, head, lw.w, lw.epsilon)
+        d_ew, d_eb, _ = encode_backward(raw_t, enc, d_f)
+        components["balance"] = (val, {"encoder.weight": d_ew, "encoder.bias": d_eb,
+                                       "head.weights": d_w})
+
+    gate = np.zeros(0, dtype=bool)
+    if cfg.enable_sgmd and len(raw_ms):
+        f_ms = encode(raw_ms, enc)
+        f_mt = encode(raw_mt, enc)
+        # responses only gate the pairs; no gradient flows here
+        p_ms = classifier_responses(f_ms, head)
+        p_mt = classifier_responses(f_mt, head)
+        val, d_fs, d_ft, gate = sgmd_loss(f_ms, f_mt, p_ms, p_mt, lw.tau)
+        if gate.any():
+            dw_s, db_s, _ = encode_backward(raw_ms, enc, d_fs)
+            dw_t, db_t, _ = encode_backward(raw_mt, enc, d_ft)
+            components["sgmd"] = (val, {"encoder.weight": dw_s + dw_t,
+                                        "encoder.bias": db_s + db_t})
+
+    if cfg.enable_gcn:
+        val, d_theta, d_w_hat = gcn_reg_loss(z_class, state.gcn, head.weights)
+        components["gcn"] = (val, {"gcn.theta": d_theta, "head.weights": d_w_hat})
+    return components, gate
 
 
 def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
@@ -365,26 +409,24 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
     Trains ``prepared`` in place (its model and RNG streams); deep-copy it
     first to train several variants from one prefix. ``data`` must be the
     tuple ``prepared`` was built from. Returns (ModelState, TrainHistory).
+    A target without eval labels (label -1) records its accuracies as None.
     """
     source, target, graph, word_vectors = data
     state = prepared.state
-    enc, head, gcn_params = state.encoder, state.head, state.gcn
+    enc, head = state.encoder, state.head
     rng_joint = prepared.rng_joint
     partner = _partner(prepared.pairs, source.n)
+    labeled = not (target.eval_labels < 0).any()
 
-    params = {
-        "encoder.weight": enc.weight,
-        "encoder.bias": enc.bias,
-        "head.weights": head.weights,
-    }
+    params = {"encoder.weight": enc.weight, "encoder.bias": enc.bias,
+              "head.weights": head.weights}
+    z_class = None
     if cfg.enable_gcn:
-        params["gcn.theta"] = gcn_params.theta
+        params["gcn.theta"] = state.gcn.theta
         z_class = propagate(normalized_adjacency(graph), word_vectors,
                             graph.class_to_node)
     opt = MomentumSgd(params, cfg.learning_rate, cfg.momentum)
 
-    lw = cfg.loss_weights
-    use_balance = cfg.enable_lb or cfg.vanilla_balance
     n_src = source.n
     history = TrainHistory()
 
@@ -401,57 +443,15 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
         for start in range(0, n_src, cfg.batch_size):
             src_idx = order_src[start:start + cfg.batch_size]
             tgt_idx = order_tgt[start:start + cfg.batch_size]
-            components = {}
+            s_ids = src_idx[partner[src_idx] >= 0]
+            components, gate = joint_terms(
+                state, z_class, cfg, source.features[src_idx],
+                source.labels[src_idx], target.features[tgt_idx],
+                source.features[s_ids], target.features[partner[s_ids]])
+            considered += gate.size
+            gated += int(gate.sum())
 
-            raw_s = source.features[src_idx]
-            f_s = encode(raw_s, enc)
-            val, d_f, d_w = _restricted_cls(f_s, head, source.labels[src_idx])
-            d_ew, d_eb, _ = encode_backward(raw_s, enc, d_f)
-            components["cls"] = (val, {"encoder.weight": d_ew,
-                                       "encoder.bias": d_eb,
-                                       "head.weights": d_w})
-
-            if use_balance:
-                raw_t = target.features[tgt_idx]
-                f_t = encode(raw_t, enc)
-                if cfg.vanilla_balance:
-                    val, d_f, d_w = balance_loss_vanilla(f_t, head, lw.epsilon)
-                else:
-                    val, d_f, d_w = limited_balance_loss(f_t, head, lw.w, lw.epsilon)
-                d_ew, d_eb, _ = encode_backward(raw_t, enc, d_f)
-                components["balance"] = (val, {"encoder.weight": d_ew,
-                                               "encoder.bias": d_eb,
-                                               "head.weights": d_w})
-
-            if cfg.enable_sgmd:
-                s_ids = src_idx[partner[src_idx] >= 0]
-                t_ids = partner[s_ids]
-                if s_ids.size:
-                    raw_ms = source.features[s_ids]
-                    raw_mt = target.features[t_ids]
-                    f_ms = encode(raw_ms, enc)
-                    f_mt = encode(raw_mt, enc)
-                    # responses only gate the pairs; no gradient flows here
-                    p_ms = classifier_responses(f_ms, head)
-                    p_mt = classifier_responses(f_mt, head)
-                    val, d_fs, d_ft, gate = sgmd_loss(f_ms, f_mt, p_ms, p_mt, lw.tau)
-                    considered += s_ids.size
-                    gated += int(gate.sum())
-                    if gate.any():
-                        dw_s, db_s, _ = encode_backward(raw_ms, enc, d_fs)
-                        dw_t, db_t, _ = encode_backward(raw_mt, enc, d_ft)
-                        components["sgmd"] = (val, {
-                            "encoder.weight": dw_s + dw_t,
-                            "encoder.bias": db_s + db_t,
-                        })
-
-            if cfg.enable_gcn:
-                val, d_theta, d_w_hat = gcn_reg_loss(z_class, gcn_params,
-                                                     head.weights)
-                components["gcn"] = (val, {"gcn.theta": d_theta,
-                                           "head.weights": d_w_hat})
-
-            total, merged = total_loss(components, lw)
+            total, merged = total_loss(components, cfg.loss_weights)
             # a non-finite term leaves the weighted sums non-finite, so the
             # per-term scan, which names the term, runs only when they are
             if not (math.isfinite(total)
@@ -464,8 +464,6 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
             opt.step(merged)
             steps += 1
 
-        preds = predict(state, target.features)
-        triple = accuracy_triple(preds, target.eval_labels, head.known_count)
         record = {
             "epoch": epoch,
             "loss_cls": sums["cls"] / steps,
@@ -475,7 +473,12 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
             "loss_total": sums["total"] / steps,
             "gated_fraction": gated / considered if considered else 0.0,
         }
-        record.update(triple.as_dict())
+        if labeled:
+            preds = predict(state, target.features)
+            record.update(accuracy_triple(preds, target.eval_labels,
+                                          head.known_count).as_dict())
+        else:
+            record.update(known=None, unknown=None, all=None, n_known=None, n_unknown=None)
         history.records.append(record)
     return state, history
 
@@ -521,6 +524,8 @@ def run_ablation(base: ExperimentConfig, seeds, data=None):
     With ``data`` given, the dataset is held fixed and only the training
     seed varies; otherwise each seed regenerates the synthetic benchmark.
     """
+    if not len(seeds):
+        raise ConfigError("run_ablation needs at least one seed")
     results = {}
     for variant, finals in _final_by_variant(base, ABLATION_VARIANTS, seeds, data).items():
         runs = [{k: final[k] for k in ("known", "unknown", "all")} for final in finals]

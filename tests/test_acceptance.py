@@ -4,7 +4,6 @@ These run the library end to end at its default configuration; the
 per-module suites cover the same ground in finer grain.
 """
 import itertools
-import json
 import time
 from dataclasses import replace
 
@@ -25,17 +24,16 @@ from opendomain.losses import (
     ClassifierHead,
     LossWeights,
     balance_loss_vanilla,
-    classifier_responses,
     cls_loss,
     limited_balance_loss,
     limited_balance_terms,
     sgmd_loss,
     total_loss,
 )
-from opendomain.matching import hungarian, pairwise_l1
+from opendomain.matching import hungarian
 from opendomain.model import (
     Encoder,
-    PretrainSchedule,
+    ModelState,
     encode,
     encode_backward,
     pretrain_source,
@@ -44,10 +42,10 @@ from opendomain.numkit import make_rng, softmax_rows
 from opendomain.synth import SynthConfig, generate
 from opendomain.trainer import (
     ExperimentConfig,
+    joint_terms,
     run_ablation,
     run_da_mode,
     run_pipeline,
-    _restricted_cls,
 )
 
 from gradcheck import grad_check
@@ -182,9 +180,9 @@ def test_criterion_2_gradient_suite():
                enc.bias.reshape(1, -1), d_b.reshape(1, -1))
         checked += 1
 
-    checked = 0  # composite objective: all four terms through the encoder
-    lw = LossWeights(lambda_d=0.7, lambda_b=0.3, lambda_g=0.9, tau=0.0,
-                     w=0.4, epsilon=1e-12)
+    checked = 0  # composite objective: one joint-loop step, all four terms
+    cfg = ExperimentConfig(loss_weights=LossWeights(
+        lambda_d=0.7, lambda_b=0.3, lambda_g=0.9, tau=0.0, w=0.4, epsilon=1e-12))
     while checked < 100:
         raw_s = rng.standard_normal((3, 3))
         raw_t = rng.standard_normal((3, 3))
@@ -193,30 +191,14 @@ def test_criterion_2_gradient_suite():
         p = rng.random((5, 5)) + 0.1
         p /= p.sum(axis=1, keepdims=True)
         words = rng.standard_normal((5, 4))
+        z_class = propagate(p, words, [0, 1, 2, 4])
 
         def objective(enc_w, enc_b, head_w, theta):
-            enc = Encoder(enc_w, enc_b.ravel())
-            head = ClassifierHead(head_w, 2)
-            comp = {}
-            f_s = encode(raw_s, enc)
-            val, d_f, d_w = _restricted_cls(f_s, head, labels)
-            d_ew, d_eb, _ = encode_backward(raw_s, enc, d_f)
-            comp["cls"] = (val, {"ew": d_ew, "eb": d_eb, "hw": d_w})
-            f_t = encode(raw_t, enc)
-            val, d_f, d_w = limited_balance_loss(f_t, head, lw.w, lw.epsilon)
-            d_ew, d_eb, _ = encode_backward(raw_t, enc, d_f)
-            comp["balance"] = (val, {"ew": d_ew, "eb": d_eb, "hw": d_w})
-            f_ms, f_mt = encode(raw_s, enc), encode(raw_mt, enc)
-            p_ms = classifier_responses(f_ms, head)
-            p_mt = classifier_responses(f_mt, head)
-            val, d_fs, d_ft, _ = sgmd_loss(f_ms, f_mt, p_ms, p_mt, lw.tau)
-            dw_s, db_s, _ = encode_backward(raw_s, enc, d_fs)
-            dw_t, db_t, _ = encode_backward(raw_mt, enc, d_ft)
-            comp["sgmd"] = (val, {"ew": dw_s + dw_t, "eb": db_s + db_t})
-            val, d_theta, d_w_hat = gcn_reg_loss(
-                propagate(p, words, [0, 1, 2, 4]), GcnParams(theta, 0.2), head_w)
-            comp["gcn"] = (val, {"theta": d_theta, "hw": d_w_hat})
-            return total_loss(comp, lw)
+            state = ModelState(Encoder(enc_w, enc_b.ravel()),
+                               ClassifierHead(head_w, 2), GcnParams(theta, 0.2))
+            comp, _ = joint_terms(state, z_class, cfg, raw_s, labels, raw_t,
+                                  raw_s, raw_mt)
+            return total_loss(comp, cfg.loss_weights)
 
         enc_w = rng.standard_normal((3, 3))
         enc_b = rng.standard_normal((1, 3))
@@ -225,16 +207,16 @@ def test_criterion_2_gradient_suite():
         if float(np.min(np.abs(p @ words @ theta))) < 1e-4:
             continue
         _, grads = objective(enc_w, enc_b, head_w, theta)
-        if not _usable(grads["ew"], grads["eb"], grads["hw"], grads["theta"]):
+        if not _usable(*grads.values()):
             continue
         _check(lambda v: objective(v, enc_b, head_w, theta)[0], enc_w,
-               grads["ew"])
+               grads["encoder.weight"])
         _check(lambda v: objective(enc_w, v, head_w, theta)[0], enc_b,
-               grads["eb"].reshape(1, -1))
+               grads["encoder.bias"].reshape(1, -1))
         _check(lambda v: objective(enc_w, enc_b, v, theta)[0], head_w,
-               grads["hw"])
+               grads["head.weights"])
         _check(lambda v: objective(enc_w, enc_b, head_w, v)[0], theta,
-               grads["theta"])
+               grads["gcn.theta"])
         checked += 1
 
     assert time.perf_counter() - start < 30.0

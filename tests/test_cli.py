@@ -200,18 +200,28 @@ def test_match_command(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_eval_corrupted_manifest_exits_one(tmp_path, config_path):
+def test_eval_corrupted_manifest_exits_one(tmp_path, config_path, capsys):
     data = tmp_path / "data"
     run = tmp_path / "run"
     _synth(config_path, data)
     assert main(["train", "--config", config_path, "--data", str(data),
                  "--out", str(run)]) == 0
     manifest_path = run / "checkpoint" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["feature_dim"] = 99
-    manifest_path.write_text(json.dumps(manifest))
-    assert main(["eval", "--checkpoint", str(run / "checkpoint"),
-                 "--data", str(data)]) == 1
+    original = json.loads(manifest_path.read_text())
+    corruptions = [
+        ("feature_dim", {**original, "feature_dim": 99}),
+        ("known_classes", {k: v for k, v in original.items() if k != "known_classes"}),
+        ("activation_slope",
+         {k: v for k, v in original.items() if k != "activation_slope"}),
+        ("known_classes", {**original, "known_classes": None}),
+    ]
+    for key, manifest in corruptions:
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                     "--data", str(data)]) == 1, key
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and key in err, err
 
 
 def test_eval_without_eval_labels_exits_one(tmp_path, config_path, capsys):
@@ -228,3 +238,45 @@ def test_eval_without_eval_labels_exits_one(tmp_path, config_path, capsys):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert "target.ds.eval" in captured.err
+
+
+def _drop_eval_labels(config_path, data):
+    _synth(config_path, data)
+    os.remove(data / "target.ds.eval")
+
+
+def test_train_without_eval_labels_writes_null_accuracies(tmp_path, config_path):
+    data = tmp_path / "data"
+    run = tmp_path / "run"
+    _drop_eval_labels(config_path, data)
+    assert main(["train", "--config", config_path, "--data", str(data),
+                 "--out", str(run)]) == 0
+    absent = ("known", "unknown", "all", "n_known", "n_unknown")
+    metrics = json.loads((run / "metrics.json").read_text())
+    assert all(metrics[key] is None for key in absent), metrics
+    epochs = json.loads((run / "history.json").read_text())["epochs"]
+    assert epochs and all(epoch[key] is None for epoch in epochs for key in absent)
+
+
+def test_ablate_without_eval_labels_exits_one(tmp_path, config_path, capsys):
+    data = tmp_path / "data"
+    _drop_eval_labels(config_path, data)
+    capsys.readouterr()
+    assert main(["ablate", "--config", config_path, "--data", str(data),
+                 "--seeds", "1", "--out", str(tmp_path / "ablation")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "target.ds.eval" in captured.err
+    assert not (tmp_path / "ablation").exists()
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_ablate_without_seeds_exits_one(tmp_path, config_path, capsys, seeds):
+    capsys.readouterr()
+    assert main(["ablate", "--config", config_path, "--seeds", seeds,
+                 "--out", str(tmp_path / "ablation")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "ablation").exists()

@@ -201,7 +201,7 @@ def _reference_gcn_init(g, x, w, schedule, rng):
     x = np.asarray(x, float)
     w = np.asarray(w, float)
     p = normalized_adjacency(g)
-    slope = 0.2  # the GcnParams default, which train_gcn_init trains with
+    slope = schedule.slope
     theta = init_theta(x.shape[1], w.shape[1], rng, schedule.init_scale)
     known = list(g.known_nodes())
     z_known = (p @ x)[known]
@@ -244,6 +244,20 @@ def test_train_init_bit_identical_to_full_forward(graph):
     assert np.array_equal(params.theta, theta)
     assert np.array_equal(emb_new, emb)
     assert np.array_equal(np.array(history_new), np.array(history))
+
+
+def test_train_init_trains_under_the_schedule_slope():
+    g = _toy_graph()
+    x = make_rng(12).standard_normal((6, 8))
+    w = make_rng(13).standard_normal((g.known_class_count, 4))
+    schedule = GcnSchedule(steps=300, slope=0.05)
+    theta, emb, _ = _reference_gcn_init(g, x, w, schedule, make_rng(14))
+    params, emb_new, _ = train_gcn_init(g, x, w, schedule, make_rng(14))
+    assert params.activation_slope == 0.05
+    assert np.array_equal(params.theta, theta)
+    assert np.array_equal(emb_new, emb)
+    default, _, _ = train_gcn_init(g, x, w, GcnSchedule(steps=300), make_rng(14))
+    assert not np.array_equal(default.theta, theta)
 
 
 def test_reg_loss_bit_identical_to_full_forward():
@@ -340,6 +354,9 @@ def test_disconnected_zero_row_embedding_is_zero():
     {"steps": 0},
     {"init_scale": 0.0},
     {"init_scale": float("inf")},
+    {"slope": -0.1},
+    {"slope": float("nan")},
+    {"slope": float("inf")},
 ])
 def test_schedule_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):

@@ -32,6 +32,12 @@ def test_loss_weights_validation():
         LossWeights(w=1.0)
     with pytest.raises(ValueError):
         LossWeights(epsilon=0.0)
+    # a NaN tau closes the SGMD gate for every pair without a word
+    for bad in ({"tau": float("nan")}, {"tau": float("inf")},
+                {"tau": -float("inf")}, {"epsilon": float("nan")},
+                {"epsilon": float("inf")}):
+        with pytest.raises(ValueError):
+            LossWeights(**bad)
 
 
 def test_responses_zero_weights_uniform():

@@ -3,19 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opendomain import synth
-from opendomain.gcn import GcnParams, GcnSchedule
-from opendomain.losses import (
-    ClassifierHead,
-    LossWeights,
-    classifier_responses,
-    limited_balance_loss,
-    sgmd_loss,
-    total_loss,
-)
-from opendomain.gcn import gcn_reg_loss, propagate
-from opendomain.graph import normalized_adjacency
-from opendomain.model import Encoder, PretrainSchedule, encode, encode_backward
+from opendomain import gcn, synth
+from opendomain.gcn import GcnParams, GcnSchedule, propagate
+from opendomain.losses import ClassifierHead, LossWeights, total_loss
+from opendomain.model import Encoder, ModelState, PretrainSchedule
 from opendomain.numkit import make_rng
 from opendomain import trainer
 from opendomain.trainer import (
@@ -27,12 +18,12 @@ from opendomain.trainer import (
     config_to_text,
     experiment_hash,
     format_ablation_table,
+    joint_terms,
     parse_config,
     run_ablation,
     run_da_mode,
     run_pipeline,
 )
-from opendomain.trainer import _restricted_cls
 
 from gradcheck import grad_check
 
@@ -84,7 +75,7 @@ flags.enable_sgmd = false
 """
     cfg = parse_config(text)
     assert cfg.loss_weights.tau == 0.7
-    assert cfg.activation_slope == 0.1
+    assert cfg.gcn_schedule.slope == 0.1
     assert cfg.pretrain.epochs == 4
     assert cfg.batch_size == 16
     assert not cfg.enable_sgmd
@@ -321,8 +312,8 @@ def test_sgmd_sees_only_matched_sources(monkeypatch):
 
 
 def test_end_to_end_objective_gradient():
-    # one joint-loop step rebuilt from the public pieces; every parameter
-    # gradient must agree with central differences on the summed objective
+    # one joint-loop step as the loop takes it; every parameter gradient
+    # must agree with central differences on the summed objective
     rng = make_rng(0)
     ls, lt, m_in, m, c = 2, 4, 3, 4, 6
     n_nodes = 5
@@ -333,36 +324,18 @@ def test_end_to_end_objective_gradient():
     p_norm = rng.random((n_nodes, n_nodes)) + 0.1
     p_norm /= p_norm.sum(axis=1, keepdims=True)
     words = rng.standard_normal((n_nodes, c))
-    class_nodes = [0, 1, 2, 4]
+    z_class = propagate(p_norm, words, [0, 1, 2, 4])
     # tau 0 keeps every pair gated, so the stop-gradient gate is constant
-    lw = LossWeights(lambda_d=0.7, lambda_b=0.3, lambda_g=0.9, tau=0.0,
-                     w=0.4, epsilon=1e-12)
+    cfg = ExperimentConfig(loss_weights=LossWeights(
+        lambda_d=0.7, lambda_b=0.3, lambda_g=0.9, tau=0.0, w=0.4, epsilon=1e-12))
 
     def objective(enc_w, enc_b, head_w, theta):
-        enc = Encoder(enc_w, enc_b.ravel())
-        head = ClassifierHead(head_w, ls)
-        params = GcnParams(theta, 0.2)
-        components = {}
-        f_s = encode(raw_s, enc)
-        val, d_f, d_w = _restricted_cls(f_s, head, labels)
-        d_ew, d_eb, _ = encode_backward(raw_s, enc, d_f)
-        components["cls"] = (val, {"ew": d_ew, "eb": d_eb, "hw": d_w})
-        f_t = encode(raw_t, enc)
-        val, d_f, d_w = limited_balance_loss(f_t, head, lw.w, lw.epsilon)
-        d_ew, d_eb, _ = encode_backward(raw_t, enc, d_f)
-        components["balance"] = (val, {"ew": d_ew, "eb": d_eb, "hw": d_w})
-        f_ms = encode(raw_s, enc)
-        f_mt = encode(raw_mt, enc)
-        p_ms = classifier_responses(f_ms, head)
-        p_mt = classifier_responses(f_mt, head)
-        val, d_fs, d_ft, _ = sgmd_loss(f_ms, f_mt, p_ms, p_mt, lw.tau)
-        dw_s, db_s, _ = encode_backward(raw_s, enc, d_fs)
-        dw_t, db_t, _ = encode_backward(raw_mt, enc, d_ft)
-        components["sgmd"] = (val, {"ew": dw_s + dw_t, "eb": db_s + db_t})
-        val, d_theta, d_w_hat = gcn_reg_loss(
-            propagate(p_norm, words, class_nodes), params, head_w)
-        components["gcn"] = (val, {"theta": d_theta, "hw": d_w_hat})
-        return total_loss(components, lw)
+        state = ModelState(Encoder(enc_w, enc_b.ravel()),
+                           ClassifierHead(head_w, ls), GcnParams(theta, 0.2))
+        components, _ = joint_terms(state, z_class, cfg, raw_s, labels, raw_t,
+                                    raw_s, raw_mt)
+        assert set(components) == {"cls", "balance", "sgmd", "gcn"}
+        return total_loss(components, cfg.loss_weights)
 
     enc_w = rng.standard_normal((m_in, m))
     enc_b = rng.standard_normal((1, m))
@@ -371,12 +344,14 @@ def test_end_to_end_objective_gradient():
     assert float(np.min(np.abs(p_norm @ words @ theta))) > 1e-3
     _, grads = objective(enc_w, enc_b, head_w, theta)
     checks = [
-        (lambda v: objective(v, enc_b, head_w, theta)[0], enc_w, grads["ew"]),
+        (lambda v: objective(v, enc_b, head_w, theta)[0], enc_w,
+         grads["encoder.weight"]),
         (lambda v: objective(enc_w, v, head_w, theta)[0], enc_b,
-         grads["eb"].reshape(1, -1)),
-        (lambda v: objective(enc_w, enc_b, v, theta)[0], head_w, grads["hw"]),
+         grads["encoder.bias"].reshape(1, -1)),
+        (lambda v: objective(enc_w, enc_b, v, theta)[0], head_w,
+         grads["head.weights"]),
         (lambda v: objective(enc_w, enc_b, head_w, v)[0], theta,
-         grads["theta"]),
+         grads["gcn.theta"]),
     ]
     for fn, x, analytic in checks:
         assert grad_check(fn, x, analytic, eps=1e-6) <= 1e-4
@@ -449,6 +424,40 @@ def test_run_ablation_prepares_once_per_seed(monkeypatch):
         monkeypatch.setattr(trainer, name, counted)
     run_ablation(_small_cfg(epochs=1), seeds=[0, 1])
     assert calls == {"pretrain_source": 2, "train_gcn_init": 2}
+
+
+def test_run_ablation_rejects_no_seeds():
+    with pytest.raises(ConfigError):
+        run_ablation(_small_cfg(epochs=1), seeds=[])
+
+
+def test_prepare_trains_gcn_init_under_the_configured_slope(monkeypatch):
+    seen = set()
+    real = gcn.init_loss
+
+    def spy(z, params, w):
+        seen.add(params.activation_slope)
+        return real(z, params, w)
+
+    monkeypatch.setattr(gcn, "init_loss", spy)
+    cfg = parse_config(MINIMAL + "gcn.slope = 0.05\ngcn.steps = 20\n"
+                       "synth.known_classes = 3\nsynth.total_classes = 5\n"
+                       "synth.source_per_class = 10\nsynth.target_per_class = 10\n"
+                       "pretrain.epochs = 2\n")
+    prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
+    assert seen == {0.05}
+    assert prepared.state.gcn.activation_slope == 0.05
+
+
+def test_unlabeled_target_records_absent_accuracies():
+    cfg = _small_cfg(epochs=2)
+    source, target, graph, words = synth.generate(cfg.synth)
+    unlabeled = replace(target, eval_labels=np.full(target.n, -1))
+    _, history = run_pipeline(cfg, data=(source, unlabeled, graph, words))
+    for record in history.records:
+        for key in ("known", "unknown", "all", "n_known", "n_unknown"):
+            assert record[key] is None, key
+        assert np.isfinite(record["loss_total"])
 
 
 def test_format_ablation_table():
