@@ -19,7 +19,7 @@ from .evaluate import accuracy_triple, predict
 from .graph import GraphError, load_graph, save_graph
 from .matching import match_domains, save_pairs
 from .model import load_checkpoint, save_checkpoint
-from .numkit import load_matrix, make_rng, save_matrix
+from .numkit import load_matrix, make_rng, save_matrix, write_json
 from .trainer import (
     ConfigError,
     NonFiniteLossError,
@@ -60,12 +60,6 @@ def _require_eval_labels(target, directory) -> None:
         raise ValueError(f"{path}.eval not found: no labels to score against")
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_synth(args) -> int:
     cfg = _read_config(args.config)
     source, target, graph, word_vectors = synth.generate(cfg.synth)
@@ -77,7 +71,7 @@ def cmd_synth(args) -> int:
     if graph is not None:
         save_graph(os.path.join(args.out, _DATA_FILES["graph"]), graph)
     save_matrix(os.path.join(args.out, _DATA_FILES["wordvec"]), word_vectors)
-    _write_json(os.path.join(args.out, "manifest.json"), {
+    write_json(os.path.join(args.out, "manifest.json"), {
         "config_hash": experiment_hash(cfg),
         "known_classes": cfg.synth.known_classes,
         "total_classes": cfg.synth.total_classes,
@@ -99,10 +93,9 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "checkpoint"), state,
                     config_hash=experiment_hash(cfg))
-    with open(os.path.join(args.out, "history.json"), "w", encoding="utf-8") as fh:
-        fh.write(history.to_json() + "\n")
+    write_json(os.path.join(args.out, "history.json"), {"epochs": history.records})
     final = history.final()
-    _write_json(os.path.join(args.out, "metrics.json"), {
+    write_json(os.path.join(args.out, "metrics.json"), {
         "known": final["known"],
         "unknown": final["unknown"],
         "all": final["all"],
@@ -123,7 +116,7 @@ def cmd_ablate(args) -> int:
     seeds = [cfg.seed + i for i in range(args.seeds)]
     results = run_ablation(cfg, seeds, data=data)
     os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "ablation.json"), {
+    write_json(os.path.join(args.out, "ablation.json"), {
         "config_hash": experiment_hash(cfg),
         "seeds": seeds,
         "variants": results,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, reject_trailing_rows
+from .numkit import DimensionError, read_rows
 
 __all__ = [
     "MatchedPairs",
@@ -165,11 +165,6 @@ def load_pairs(path) -> MatchedPairs:
         if len(header) != 4 or header[0] != "pairs" or header[2] != "total":
             raise ValueError(f"{path}: malformed pairs header")
         count, total = int(header[1]), float(header[3])
-        pairs = []
-        costs = []
-        for _ in range(count):
-            s, t, cost = fh.readline().split()
-            pairs.append((int(s), int(t)))
-            costs.append(float(cost))
-        reject_trailing_rows(fh, path, count)
-    return MatchedPairs(pairs=tuple(pairs), total_cost=total, costs=tuple(costs))
+        rows = read_rows(fh, path, count, 3)
+    return MatchedPairs(pairs=tuple((int(s), int(t)) for s, t, _ in rows), total_cost=total,
+                        costs=tuple(float(c) for _, _, c in rows))

@@ -21,6 +21,7 @@ from .numkit import (
     check_sgd_settings,
     load_matrix,
     save_matrix,
+    write_json,
 )
 
 __all__ = [
@@ -145,7 +146,7 @@ def save_checkpoint(directory, state: ModelState, config_hash: str = "") -> None
                 state.head.weights)
     save_matrix(os.path.join(directory, _CHECKPOINT_FILES["gcn_theta"]),
                 state.gcn.theta)
-    manifest = {
+    write_json(os.path.join(directory, "manifest.json"), {
         "input_dim": state.encoder.weight.shape[0],
         "feature_dim": state.encoder.weight.shape[1],
         "total_classes": state.head.num_classes,
@@ -153,10 +154,7 @@ def save_checkpoint(directory, state: ModelState, config_hash: str = "") -> None
         "word_dim": state.gcn.theta.shape[0],
         "activation_slope": state.gcn.activation_slope,
         "config_hash": config_hash,
-    }
-    with open(os.path.join(directory, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def load_checkpoint(directory):

@@ -1,5 +1,6 @@
 """Numeric substrate: checked dense kernels, stable softmax, seeded RNG,
-momentum SGD with its schedule checks, and matrix text serialization.
+momentum SGD with its schedule checks, the reader of the headed text
+tables, matrix text serialization and the JSON file form.
 
 Everything runs on 64-bit numpy arrays. The conventions fixed here
 (softmax with max-subtraction, 17-significant-digit text round-trips) are
@@ -7,6 +8,7 @@ relied on by the rest of the package for bit-reproducibility.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -21,7 +23,8 @@ __all__ = [
     "check_sgd_settings",
     "save_matrix",
     "load_matrix",
-    "reject_trailing_rows",
+    "read_rows",
+    "write_json",
 ]
 
 
@@ -107,19 +110,31 @@ def load_matrix(path) -> np.ndarray:
         if len(header) != 2:
             raise ValueError(f"{path}: malformed matrix header")
         rows, cols = int(header[0]), int(header[1])
-        out = np.empty((rows, cols), dtype=np.float64)
-        for i in range(rows):
-            parts = fh.readline().split()
-            if len(parts) != cols:
-                raise ValueError(f"{path}: row {i} has {len(parts)} values, expected {cols}")
-            out[i] = [float(p) for p in parts]
-        reject_trailing_rows(fh, path, rows)
-    return as_matrix(out, name=str(path))
+        values = read_rows(fh, path, rows, cols)
+    return as_matrix(np.array(values, dtype=np.float64).reshape(rows, cols),
+                     name=str(path))
 
 
-def reject_trailing_rows(fh, path, declared: int) -> None:
-    """Raise if anything but blank lines follows the ``declared`` rows of
-    a text file whose header fixed the row count."""
+def read_rows(fh, path, count: int, width: int) -> list:
+    """The ``count`` rows that follow a text table's header line, each split
+    into exactly ``width`` tokens. Raises ValueError on a row of any other
+    width, or on anything but blank lines after the last row."""
+    if count < 0 or width < 0:
+        raise ValueError(f"{path}: negative row count or width in the header")
+    rows = []
+    for i in range(count):
+        parts = fh.readline().split()
+        if len(parts) != width:
+            raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
+                             f"expected {width}")
+        rows.append(parts)
     for line in fh:
         if line.strip():
-            raise ValueError(f"{path}: data after the {declared} declared rows")
+            raise ValueError(f"{path}: data after the {count} declared rows")
+    return rows
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented, key-sorted JSON plus a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

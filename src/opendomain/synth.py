@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .numkit import make_rng, reject_trailing_rows
+from .numkit import as_matrix, make_rng, read_rows
 
 __all__ = [
     "SynthConfig",
@@ -231,31 +231,23 @@ def load_dataset(path):
     """Inverse of :func:`save_dataset`. Returns (dataset, num_classes)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if (len(header) != 6 or header[2] != "labeled" or header[4] != "classes"):
+        if (len(header) != 6 or header[2] != "labeled" or header[4] != "classes"
+                or int(header[1]) < 0):
             raise ValueError(f"{path}: malformed dataset header")
         n, m_in = int(header[0]), int(header[1])
         labeled = bool(int(header[3]))
         num_classes = int(header[5])
-        feats = np.empty((n, m_in))
-        labels = np.empty(n, dtype=int)
-        for i in range(n):
-            parts = fh.readline().split()
-            if len(parts) != m_in + 1:
-                raise ValueError(
-                    f"{path}: line {i + 2} has {len(parts) - 1} values, expected {m_in}"
-                )
-            if labeled:
-                labels[i] = int(parts[0])
-                if not 0 <= labels[i] < num_classes:
-                    raise ValueError(
-                        f"{path}: line {i + 2} label {labels[i]} >= {num_classes}"
-                    )
-            elif parts[0] != "?":
-                raise ValueError(f"{path}: line {i + 2} expected '?' label")
-            feats[i] = [float(v) for v in parts[1:]]
-        reject_trailing_rows(fh, path, n)
+        rows = read_rows(fh, path, n, m_in + 1)
+    feats = as_matrix(np.array([r[1:] for r in rows], dtype=np.float64).reshape(n, m_in),
+                      name=str(path))
+    tags = [r[0] for r in rows]
     if labeled:
+        labels = np.array([int(t) for t in tags], dtype=int)
+        if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
+            raise ValueError(f"{path}: label out of range for {num_classes} classes")
         return LabeledDataset(features=feats, labels=labels), num_classes
+    if any(t != "?" for t in tags):
+        raise ValueError(f"{path}: an unlabeled row does not start with '?'")
     eval_path = str(path) + ".eval"
     if os.path.exists(eval_path):
         with open(eval_path, "r", encoding="utf-8") as fh:

@@ -11,7 +11,6 @@ evaluation goes through the separate evaluate module and feeds nothing back.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -251,9 +250,6 @@ class TrainHistory:
     pairs passing the similarity gate, and the accuracy triple."""
 
     records: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps({"epochs": self.records}, indent=2, sort_keys=True)
 
     def final(self) -> dict:
         return self.records[-1]
