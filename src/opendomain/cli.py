@@ -44,9 +44,19 @@ def _read_config(path):
         return parse_config(fh.read())
 
 
-def _load_data_dir(directory):
-    source, _ = synth.load_dataset(os.path.join(directory, _DATA_FILES["source"]))
-    target, _ = synth.load_dataset(os.path.join(directory, _DATA_FILES["target"]))
+def _load_dataset(directory, name, classes):
+    """Load a data file, rejecting one that declares other than ``classes``
+    classes."""
+    path = os.path.join(directory, _DATA_FILES[name])
+    dataset, declared = synth.load_dataset(path)
+    if declared != classes:
+        raise ValueError(f"{path}: declares {declared} classes, expected {classes}")
+    return dataset
+
+
+def _load_data_dir(directory, cfg):
+    source = _load_dataset(directory, "source", cfg.synth.known_classes)
+    target = _load_dataset(directory, "target", cfg.synth.total_classes)
     graph_path = os.path.join(directory, _DATA_FILES["graph"])
     graph = load_graph(graph_path) if os.path.exists(graph_path) else None
     word_vectors = load_matrix(os.path.join(directory, _DATA_FILES["wordvec"]))
@@ -88,7 +98,7 @@ def cmd_train(args) -> int:
     if args.flags is not None:
         tokens = [] if args.flags == "none" else [t for t in args.flags.split(",") if t]
         cfg = apply_flags(cfg, tokens)
-    data = _load_data_dir(args.data)
+    data = _load_data_dir(args.data, cfg)
     state, history = run_pipeline(cfg, data=data)
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "checkpoint"), state,
@@ -111,7 +121,7 @@ def cmd_ablate(args) -> int:
     cfg = _read_config(args.config)
     data = None
     if args.data:
-        data = _load_data_dir(args.data)
+        data = _load_data_dir(args.data, cfg)
         _require_eval_labels(data[1], args.data)
     seeds = [cfg.seed + i for i in range(args.seeds)]
     results = run_ablation(cfg, seeds, data=data)
@@ -138,7 +148,7 @@ def cmd_match(args) -> int:
 
 def cmd_eval(args) -> int:
     state, _manifest = load_checkpoint(args.checkpoint)
-    target, _ = synth.load_dataset(os.path.join(args.data, _DATA_FILES["target"]))
+    target = _load_dataset(args.data, "target", state.head.num_classes)
     _require_eval_labels(target, args.data)
     preds = predict(state, target.features)
     triple = accuracy_triple(preds, target.eval_labels, state.head.known_count)

@@ -161,8 +161,11 @@ def load_checkpoint(directory):
     """Read a checkpoint directory back into a ModelState; raises
     ValueError when the manifest disagrees with the stored matrices or
     lacks a number it needs."""
-    with open(os.path.join(directory, "manifest.json"), "r", encoding="utf-8") as fh:
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: not a JSON object")
     enc_w = load_matrix(os.path.join(directory, _CHECKPOINT_FILES["encoder_weight"]))
     enc_b = load_matrix(os.path.join(directory, _CHECKPOINT_FILES["encoder_bias"]))
     head_w = load_matrix(os.path.join(directory, _CHECKPOINT_FILES["head_weights"]))

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -142,22 +143,48 @@ def test_train_numeric_failure_exits_two(tmp_path, config_path):
                  "--out", str(tmp_path / "run")]) == 2
 
 
-@pytest.mark.parametrize("line, changed", [
-    ("synth.known_classes = 3", "synth.known_classes = 2"),
-    ("synth.total_classes = 5", "synth.total_classes = 6"),
+@pytest.mark.parametrize("name, line, changed", [
+    pytest.param("exp.cfg", "synth.known_classes = 3", "synth.known_classes = 2",
+                 id="synth.known_classes = 3-synth.known_classes = 2"),
+    pytest.param("exp.cfg", "synth.total_classes = 5", "synth.total_classes = 6",
+                 id="synth.total_classes = 5-synth.total_classes = 6"),
+    # a source row labeled 9 under a declared 12 classes, but 3 known
+    pytest.param("data/source.ds", "labeled 1 classes 3\n0 ", "labeled 1 classes 12\n9 ",
+                 id="source.ds declares 12 classes"),
+    pytest.param("data/target.ds", "labeled 0 classes 5", "labeled 0 classes 8",
+                 id="target.ds declares 8 classes"),
 ])
 def test_train_class_counts_other_than_the_data_exit_one(tmp_path, config_path,
-                                                          capsys, line, changed):
+                                                          capsys, name, line, changed):
     data = tmp_path / "data"
     _synth(config_path, data)
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(SMALL_CONFIG.replace(line, changed))
+    edited = tmp_path / name
+    text = edited.read_text()
+    assert line in text
+    edited.write_text(text.replace(line, changed, 1))
     capsys.readouterr()
-    assert main(["train", "--config", str(bad), "--data", str(data),
+    assert main(["train", "--config", config_path, "--data", str(data),
                  "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not (tmp_path / "run").exists()
+
+
+def test_eval_target_class_count_other_than_the_head_exits_one(tmp_path, config_path,
+                                                                capsys):
+    data = tmp_path / "data"
+    run = tmp_path / "run"
+    _synth(config_path, data)
+    assert main(["train", "--config", config_path, "--data", str(data),
+                 "--out", str(run)]) == 0
+    target = data / "target.ds"
+    target.write_text(target.read_text().replace("classes 5", "classes 7", 1))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                 "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "target.ds" in captured.err
 
 
 def test_ablate_writes_table_and_json(tmp_path, config_path, capsys):
@@ -214,6 +241,7 @@ def test_eval_corrupted_manifest_exits_one(tmp_path, config_path, capsys):
         ("activation_slope",
          {k: v for k, v in original.items() if k != "activation_slope"}),
         ("known_classes", {**original, "known_classes": None}),
+        ("manifest.json", [1, 2]),
     ]
     for key, manifest in corruptions:
         manifest_path.write_text(json.dumps(manifest))
@@ -280,3 +308,143 @@ def test_ablate_without_seeds_exits_one(tmp_path, config_path, capsys, seeds):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert not (tmp_path / "ablation").exists()
+
+
+# ---------------------------------------------------------------- exit codes
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A config, a data directory, a checkpoint trained on it and two
+    feature matrices; each exit-code case edits its own copy."""
+    root = tmp_path_factory.mktemp("trained")
+    (root / "exp.cfg").write_text(SMALL_CONFIG)
+    _synth(str(root / "exp.cfg"), root / "data")
+    assert main(["train", "--config", str(root / "exp.cfg"), "--data",
+                 str(root / "data"), "--out", str(root / "run")]) == 0
+    rng = make_rng(0)
+    save_matrix(root / "fs.mat", rng.standard_normal((6, 3)))
+    save_matrix(root / "ft.mat", rng.standard_normal((8, 3)))
+    return root
+
+
+_COMMANDS = {
+    "synth": "synth --config {r}/exp.cfg --out {r}/out",
+    "train": "train --config {r}/exp.cfg --data {r}/data --out {r}/out",
+    "ablate": "ablate --config {r}/exp.cfg --data {r}/data --seeds 1 --out {r}/out",
+    "match": "match --source {r}/fs.mat --target {r}/ft.mat --out {r}/out",
+    "eval": "eval --checkpoint {r}/run/checkpoint --data {r}/data",
+}
+
+
+def _remove(name):
+    return lambda root: os.remove(root / name)
+
+
+def _append(name, text):
+    def edit(root):
+        with open(root / name, "a", encoding="utf-8") as fh:
+            fh.write(text)
+    return edit
+
+
+def _replace(name, old, new):
+    def edit(root):
+        text = (root / name).read_text()
+        assert old in text, (name, old)
+        (root / name).write_text(text.replace(old, new, 1))
+    return edit
+
+
+def _edit_row(name, change):
+    """Apply ``change`` to the tokens of the first row after the header."""
+    def edit(root):
+        lines = (root / name).read_text().splitlines(keepends=True)
+        lines[1] = " ".join(change(lines[1].split())) + "\n"
+        (root / name).write_text("".join(lines))
+    return edit
+
+
+def _short(tokens):
+    return tokens[:-1]
+
+
+def _non_finite(value):
+    return lambda tokens: tokens[:-1] + [value]
+
+
+# (subcommand, case, edit of the copy or extra flags, exit code, text the
+# one stderr line must contain)
+_EXIT_CASES = [
+    ("synth", "missing config", _remove("exp.cfg"), 3, "exp.cfg"),
+    ("synth", "malformed config line",
+     _replace("exp.cfg", "gcn.steps =", "gcn.steps"), 1, "line 15"),
+    ("synth", "non-finite config value",
+     _append("exp.cfg", "train.learning_rate = nan\n"), 1, "learning_rate"),
+    ("train", "missing source.ds", _remove("data/source.ds"), 3, "source.ds"),
+    ("train", "malformed target.ds header",
+     _replace("data/target.ds", "labeled 0 classes", "labeled 0 kinds"), 1, "target.ds"),
+    ("train", "malformed graph header",
+     _replace("data/graph.txt", "known", "knwon"), 1, "graph.txt"),
+    ("train", "short source.ds row", _edit_row("data/source.ds", _short), 1, "source.ds"),
+    ("train", "trailing wordvec.mat rows",
+     _append("data/wordvec.mat", "1 2\n"), 1, "wordvec.mat"),
+    ("train", "nan in target.ds",
+     _edit_row("data/target.ds", _non_finite("nan")), 1, "target.ds"),
+    ("train", "nan in wordvec.mat",
+     _edit_row("data/wordvec.mat", _non_finite("nan")), 1, "wordvec.mat"),
+    ("train", "source.ds class count",
+     _replace("data/source.ds", "classes 3", "classes 12"), 1, "source.ds"),
+    ("train", "bad flag token", "--flags lb,bogus", 1, "bogus"),
+    ("ablate", "missing wordvec.mat", _remove("data/wordvec.mat"), 3, "wordvec.mat"),
+    ("ablate", "inf in source.ds",
+     _edit_row("data/source.ds", _non_finite("inf")), 1, "source.ds"),
+    ("ablate", "trailing target.ds rows",
+     _append("data/target.ds", "? 1 2 3 4 5 6\n"), 1, "target.ds"),
+    ("ablate", "target.ds class count",
+     _replace("data/target.ds", "classes 5", "classes 20"), 1, "target.ds"),
+    ("match", "missing source matrix", _remove("fs.mat"), 3, "fs.mat"),
+    ("match", "malformed matrix header", _replace("ft.mat", "8 3\n", "8 3 1\n"), 1, "ft.mat"),
+    ("match", "short matrix row", _edit_row("fs.mat", _short), 1, "fs.mat"),
+    ("match", "trailing matrix rows", _append("ft.mat", "0 0 0\n"), 1, "ft.mat"),
+    ("match", "-inf in matrix", _edit_row("fs.mat", _non_finite("-inf")), 1, "fs.mat"),
+    ("eval", "missing manifest",
+     _remove("run/checkpoint/manifest.json"), 3, "manifest.json"),
+    ("eval", "non-object manifest",
+     lambda root: (root / "run/checkpoint/manifest.json").write_text("[1, 2]"), 1,
+     "manifest.json"),
+    ("eval", "malformed head.weights header",
+     _replace("run/checkpoint/head.weights", "5 5\n", "5\n"), 1, "head.weights"),
+    ("eval", "short head.weights row",
+     _edit_row("run/checkpoint/head.weights", _short), 1, "head.weights"),
+    ("eval", "nan in target.ds",
+     _edit_row("data/target.ds", _non_finite("nan")), 1, "target.ds"),
+    ("eval", "extra target.ds.eval label",
+     _append("data/target.ds.eval", "0\n"), 1, "target.ds.eval"),
+    ("eval", "target.ds class count",
+     _replace("data/target.ds", "classes 5", "classes 6"), 1, "target.ds"),
+    ("eval", "missing target.ds", _remove("data/target.ds"), 3, "target.ds"),
+]
+
+
+@pytest.mark.parametrize("command, case, edit, code, needle", _EXIT_CASES,
+                         ids=[f"{c[0]}: {c[1]}" for c in _EXIT_CASES])
+def test_bad_input_exit_code_table(tmp_path, trained, capsys, command, case, edit, code,
+                                   needle):
+    """Every subcommand answers each class of bad input with its documented
+    exit code (1 usage/config/data, 3 i/o), one stderr line and no output."""
+    root = tmp_path / "w"
+    shutil.copytree(trained, root)
+    argv = [token.format(r=root) for token in _COMMANDS[command].split()]
+    if isinstance(edit, str):
+        argv += edit.split()
+    else:
+        edit(root)
+    capsys.readouterr()
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: " if code == 1 else "i/o error: ")
+    assert needle in captured.err
+    assert not (root / "out").exists()

@@ -207,6 +207,10 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text("1 2 labeled 1 classes 3\n7 1.0 2.0\n")
     with pytest.raises(ValueError):
         load_dataset(path)
+    for value in ("nan", "inf", "-inf"):
+        path.write_text(f"2 2 labeled 0 classes 3\n? 1.0 2.0\n? {value} 2.0\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_dataset(path)
 
 
 def test_load_rejects_trailing_rows(tmp_path):

@@ -1,0 +1,163 @@
+"""Round-trip properties of the text formats: what a writer emits, its
+reader gives back exactly, float64 bit patterns included."""
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from opendomain.graph import KnowledgeGraph, load_graph, save_graph
+from opendomain.matching import MatchedPairs, load_pairs, save_pairs
+from opendomain.numkit import load_matrix, save_matrix
+from opendomain.synth import (
+    LabeledDataset,
+    UnlabeledDataset,
+    load_dataset,
+    save_dataset,
+)
+from opendomain.trainer import ExperimentConfig, config_to_text, parse_config
+
+# tmp_path is shared by the examples of one test; each example overwrites
+# the same file names
+PROPERTY = settings(max_examples=60, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+# every finite float64: -0.0, subnormals and the extremes included
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
+EDGE_VALUES = np.array([[-0.0, 5e-324, -2.2250738585072014e-308],
+                        [1.7976931348623157e308, -1.7976931348623157e308, 0.1]])
+
+
+def _features(n, width):
+    return arrays(np.float64, (n, width), elements=finite)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, np.float64), np.asarray(b, np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@PROPERTY
+@given(st.tuples(st.integers(0, 6), st.integers(0, 5)).flatmap(lambda s: _features(*s)))
+@example(EDGE_VALUES)
+def test_matrix_round_trip_is_bit_exact(tmp_path, m):
+    path = tmp_path / "m.mat"
+    save_matrix(path, m)
+    assert _same_bits(load_matrix(path), m)
+
+
+@st.composite
+def _labeled(draw):
+    n, width, classes = draw(st.integers(0, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, classes - 1)))
+    return LabeledDataset(features=draw(_features(n, width)), labels=labels), classes
+
+
+@PROPERTY
+@given(_labeled())
+def test_labeled_dataset_round_trip(tmp_path, drawn):
+    dataset, classes = drawn
+    path = tmp_path / "source.ds"
+    save_dataset(path, dataset, classes)
+    loaded, loaded_classes = load_dataset(path)
+    assert isinstance(loaded, LabeledDataset) and loaded_classes == classes
+    assert _same_bits(loaded.features, dataset.features)
+    assert np.array_equal(loaded.labels, dataset.labels)
+
+
+@PROPERTY
+@given(_labeled())
+def test_unlabeled_dataset_round_trip_with_sidecar(tmp_path, drawn):
+    labeled, classes = drawn
+    dataset = UnlabeledDataset(features=labeled.features, eval_labels=labeled.labels)
+    path = tmp_path / "target.ds"
+    save_dataset(path, dataset, classes)
+    loaded, loaded_classes = load_dataset(path)
+    assert isinstance(loaded, UnlabeledDataset) and loaded_classes == classes
+    assert _same_bits(loaded.features, dataset.features)
+    assert np.array_equal(loaded.eval_labels, dataset.eval_labels)
+
+
+@st.composite
+def _pairs(draw):
+    n = draw(st.integers(0, 8))
+    src = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    tgt = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    costs = draw(st.none() | st.lists(non_negative, min_size=n, max_size=n).map(tuple))
+    return MatchedPairs(pairs=tuple(zip(sorted(src), tgt)), total_cost=draw(finite),
+                        costs=costs)
+
+
+@PROPERTY
+@given(_pairs())
+def test_pairs_round_trip(tmp_path, mp):
+    path = tmp_path / "pairs.txt"
+    save_pairs(path, mp)
+    loaded = load_pairs(path)
+    assert loaded.pairs == mp.pairs
+    assert _same_bits(loaded.total_cost, mp.total_cost)
+    if mp.costs is None:  # unknown costs are written, and read back, as nan
+        assert np.isnan(loaded.costs).all() and len(loaded.costs) == len(mp.pairs)
+    else:
+        assert _same_bits(loaded.costs, mp.costs)
+
+
+@st.composite
+def _trees(draw):
+    """A random tree over 2..12 nodes, its node labels shuffled, with
+    2..n of its nodes carrying classes."""
+    n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(n)))
+    edges = sorted({tuple(sorted((order[i], order[draw(st.integers(0, i - 1))])))
+                    for i in range(1, n)})
+    total = draw(st.integers(2, n))
+    names = draw(st.lists(st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,8}", fullmatch=True),
+                          min_size=n, max_size=n))
+    return KnowledgeGraph(node_names=tuple(names), edges=tuple(edges),
+                          class_to_node=tuple(draw(st.permutations(range(n)))[:total]),
+                          known_class_count=draw(st.integers(0, total - 1)))
+
+
+@PROPERTY
+@given(_trees())
+def test_graph_round_trip_on_random_trees(tmp_path, graph):
+    path = tmp_path / "graph.txt"
+    save_graph(path, graph)
+    assert load_graph(path) == graph
+
+
+@st.composite
+def _configs(draw):
+    """Valid values for a few keys of every config section."""
+    known = draw(st.integers(1, 10))
+    cfg = ExperimentConfig()
+    balance = draw(st.sampled_from(["lb", "vanilla", "none"]))
+    return replace(
+        cfg,
+        synth=replace(cfg.synth, known_classes=known,
+                      total_classes=known + draw(st.integers(1, 5)),
+                      noise=draw(non_negative), seed=draw(st.integers(0, 2**32 - 1))),
+        loss_weights=replace(cfg.loss_weights, tau=draw(finite), epsilon=draw(positive),
+                             w=draw(st.floats(0.0, 1.0, exclude_min=True,
+                                              exclude_max=True))),
+        pretrain=replace(cfg.pretrain, epochs=draw(st.integers(1, 100)),
+                         learning_rate=draw(positive),
+                         momentum=draw(st.floats(0.0, 1.0, exclude_max=True))),
+        gcn_schedule=replace(cfg.gcn_schedule, steps=draw(st.integers(1, 10**4)),
+                             slope=draw(non_negative)),
+        feature_dim=draw(st.integers(1, 64)),
+        folds=draw(st.integers(1, 9)),
+        rematch_interval=draw(st.integers(0, 10)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        enable_lb=balance == "lb",
+        vanilla_balance=balance == "vanilla",
+        enable_sgmd=draw(st.booleans()),
+    )
+
+
+@PROPERTY
+@given(_configs())
+def test_config_round_trip(cfg):
+    assert parse_config(config_to_text(cfg)) == cfg
