@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from opendomain.numkit import (
     leaky_relu,
     load_matrix,
     make_rng,
+    read_rows,
     save_matrix,
     softmax_rows,
 )
@@ -92,6 +95,18 @@ def test_matrix_roundtrip(tmp_path):
     path = tmp_path / "m.mat"
     save_matrix(path, m)
     assert np.array_equal(load_matrix(path), m)
+
+
+def test_read_rows_takes_exactly_the_declared_table():
+    rows = read_rows(io.StringIO("1 2\n3 4\n\n  \n"), "t.txt", 2, 2)
+    assert rows == [["1", "2"], ["3", "4"]]
+    assert read_rows(io.StringIO(""), "t.txt", 0, 3) == []
+    bad = [("", -1, 2), ("", 0, -1),  # negative count or width in a header
+           ("1\n", 1, 2), ("1 2 3\n", 1, 2), ("1 2\n", 2, 2),  # wrong width
+           ("1 2\n3 4\n", 1, 2)]  # a row after the declared ones
+    for text, count, width in bad:
+        with pytest.raises(ValueError, match="t.txt: "):
+            read_rows(io.StringIO(text), "t.txt", count, width)
 
 
 def test_load_matrix_rejects_trailing_rows(tmp_path):
