@@ -39,7 +39,7 @@ variants = {
 print(f"{'variant':<18} {'known':>7} {'unknown':>8} {'all':>7}")
 for name, flags in variants.items():
     _, history = run_pipeline(replace(base, **flags))
-    final = history.final()
+    final = history[-1]
     print(f"{name:<18} {final['known']:7.3f} {final['unknown']:8.3f} "
           f"{final['all']:7.3f}")
 

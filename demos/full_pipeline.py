@@ -27,11 +27,11 @@ print(f"benchmark: {cfg.synth.known_classes} known / "
 
 print("single full run (lb + sgmd + gcn), epoch by epoch:")
 _, history = run_pipeline(cfg)
-for rec in history.records[:: max(1, len(history.records) // 8)]:
+for rec in history[:: max(1, len(history) // 8)]:
     print(f"  epoch {rec['epoch']:>2}  cls {rec['loss_cls']:.3f}  "
           f"sgmd {rec['loss_sgmd']:.3f}  balance {rec['loss_balance']:.3f}  "
           f"gated {rec['gated_fraction']:5.1%}  all-acc {rec['all']:.3f}")
-final = history.final()
+final = history[-1]
 print(f"final: known {final['known']:.3f}  unknown {final['unknown']:.3f}  "
       f"all {final['all']:.3f}\n")
 

@@ -103,8 +103,8 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_checkpoint(os.path.join(args.out, "checkpoint"), state,
                     config_hash=experiment_hash(cfg))
-    write_json(os.path.join(args.out, "history.json"), {"epochs": history.records})
-    final = history.final()
+    write_json(os.path.join(args.out, "history.json"), {"epochs": history})
+    final = history[-1]
     write_json(os.path.join(args.out, "metrics.json"), {
         "known": final["known"],
         "unknown": final["unknown"],

@@ -163,5 +163,5 @@ def train_gcn_init(g: KnowledgeGraph, x, w, schedule: GcnSchedule,
         history.append(loss)
         opt.step({"theta": d_theta})
     o = gcn_forward(p, x, params)
-    embeddings = o[list(g.class_to_node)].copy()
+    embeddings = o[list(g.class_to_node)]
     return params, embeddings, history

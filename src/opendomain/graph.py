@@ -6,7 +6,6 @@ not the input file listed them, so row normalization never divides by zero.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,6 @@ __all__ = [
     "load_graph",
     "save_graph",
     "normalized_adjacency",
-    "check_reachability",
 ]
 
 
@@ -164,29 +162,3 @@ def normalized_adjacency(g: KnowledgeGraph) -> np.ndarray:
     """Row-normalized adjacency D^-1 A; every row sums to 1."""
     a = adjacency(g)
     return a / a.sum(axis=1, keepdims=True)
-
-
-def check_reachability(g: KnowledgeGraph) -> tuple:
-    """Unknown classes whose node no known-class node can reach.
-
-    BFS from the set of known-class nodes over the undirected edges;
-    returns the (possibly empty) sorted tuple of unreachable unknown
-    class indices.
-    """
-    neighbors = [[] for _ in range(g.num_nodes)]
-    for i, j in g.edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    seen = set(g.known_nodes())
-    queue = deque(seen)
-    while queue:
-        node = queue.popleft()
-        for nxt in neighbors[node]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return tuple(
-        c
-        for c in range(g.known_class_count, g.total_class_count)
-        if g.class_to_node[c] not in seen
-    )

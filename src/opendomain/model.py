@@ -30,7 +30,6 @@ __all__ = [
     "PretrainSchedule",
     "encode",
     "encode_backward",
-    "init_head_from_gcn",
     "pretrain_source",
     "save_checkpoint",
     "load_checkpoint",
@@ -75,17 +74,11 @@ def encode(raw, enc: Encoder) -> np.ndarray:
 
 
 def encode_backward(raw, enc: Encoder, d_out):
-    """Gradients of the linear encoder: returns (d_weight, d_bias, d_raw)."""
+    """Gradients of the linear encoder: returns (d_weight, d_bias). The
+    encoder is the first layer, so no gradient flows back to ``raw``."""
     raw = np.asarray(raw, float)
     d_out = np.asarray(d_out, float)
-    return raw.T @ d_out, d_out.sum(axis=0), d_out @ enc.weight.T
-
-
-def init_head_from_gcn(embeddings, known_count: int) -> ClassifierHead:
-    """Copy the propagated class embeddings into a fresh classifier head;
-    later training mutates the head, never the embeddings."""
-    return ClassifierHead(weights=np.array(embeddings, dtype=float, copy=True),
-                          known_count=known_count)
+    return raw.T @ d_out, d_out.sum(axis=0)
 
 
 def pretrain_source(features, labels, num_classes: int, feature_dim: int,
@@ -119,7 +112,7 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
             idx = order[start:start + schedule.batch_size]
             f = encode(features[idx], enc)
             loss, d_f, d_w = cls_loss(f, head, labels[idx])
-            d_weight, d_bias, _ = encode_backward(features[idx], enc, d_f)
+            d_weight, d_bias = encode_backward(features[idx], enc, d_f)
             opt.step({"weight": d_weight, "bias": d_bias, "head": d_w})
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))

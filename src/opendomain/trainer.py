@@ -37,7 +37,6 @@ from .model import (
     config_hash,
     encode,
     encode_backward,
-    init_head_from_gcn,
     pretrain_source,
 )
 from .numkit import MomentumSgd, check_sgd_settings, make_rng
@@ -46,7 +45,6 @@ __all__ = [
     "ConfigError",
     "NonFiniteLossError",
     "ExperimentConfig",
-    "TrainHistory",
     "parse_config",
     "config_to_text",
     "apply_flags",
@@ -244,17 +242,6 @@ def experiment_hash(cfg: ExperimentConfig) -> str:
 
 # --------------------------------------------------------------- train loop
 
-@dataclass
-class TrainHistory:
-    """One record per epoch: loss component means, the fraction of matched
-    pairs passing the similarity gate, and the accuracy triple."""
-
-    records: list = field(default_factory=list)
-
-    def final(self) -> dict:
-        return self.records[-1]
-
-
 def _check_finite(name: str, value: float, grads: dict) -> None:
     if not math.isfinite(value):
         raise NonFiniteLossError(name, value)
@@ -338,7 +325,7 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     if graph is not None:
         gcn_params, embeddings, _ = train_gcn_init(
             graph, word_vectors, w_src, cfg.gcn_schedule, rng_gcn)
-        head = init_head_from_gcn(embeddings, l_s)
+        head = ClassifierHead(weights=embeddings, known_count=l_s)
     else:
         # symmetric label space: no propagation target, head starts at the
         # pretrained classifier
@@ -364,7 +351,7 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
 
     f_s = encode(raw_s, enc)
     val, d_f, d_w = _restricted_cls(f_s, head, labels)
-    d_ew, d_eb, _ = encode_backward(raw_s, enc, d_f)
+    d_ew, d_eb = encode_backward(raw_s, enc, d_f)
     components["cls"] = (val, {"encoder.weight": d_ew, "encoder.bias": d_eb,
                                "head.weights": d_w})
 
@@ -374,7 +361,7 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
             val, d_f, d_w = balance_loss_vanilla(f_t, head, lw.epsilon)
         else:
             val, d_f, d_w = limited_balance_loss(f_t, head, lw.w, lw.epsilon)
-        d_ew, d_eb, _ = encode_backward(raw_t, enc, d_f)
+        d_ew, d_eb = encode_backward(raw_t, enc, d_f)
         components["balance"] = (val, {"encoder.weight": d_ew, "encoder.bias": d_eb,
                                        "head.weights": d_w})
 
@@ -387,8 +374,8 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
         p_mt = classifier_responses(f_mt, head)
         val, d_fs, d_ft, gate = sgmd_loss(f_ms, f_mt, p_ms, p_mt, lw.tau)
         if gate.any():
-            dw_s, db_s, _ = encode_backward(raw_ms, enc, d_fs)
-            dw_t, db_t, _ = encode_backward(raw_mt, enc, d_ft)
+            dw_s, db_s = encode_backward(raw_ms, enc, d_fs)
+            dw_t, db_t = encode_backward(raw_mt, enc, d_ft)
             components["sgmd"] = (val, {"encoder.weight": dw_s + dw_t,
                                         "encoder.bias": db_s + db_t})
 
@@ -404,8 +391,10 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
 
     Trains ``prepared`` in place (its model and RNG streams); deep-copy it
     first to train several variants from one prefix. ``data`` must be the
-    tuple ``prepared`` was built from. Returns (ModelState, TrainHistory).
-    A target without eval labels (label -1) records its accuracies as None.
+    tuple ``prepared`` was built from. Returns (ModelState, history), the
+    history one record per epoch: the loss term means, the fraction of
+    matched pairs passing the similarity gate and the accuracy triple. A
+    target without eval labels (label -1) records its accuracies as None.
     """
     source, target, graph, word_vectors = data
     state = prepared.state
@@ -424,7 +413,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
     opt = MomentumSgd(params, cfg.learning_rate, cfg.momentum)
 
     n_src = source.n
-    history = TrainHistory()
+    history = []
 
     for epoch in range(cfg.epochs):
         if cfg.rematch_interval > 0 and epoch > 0 and epoch % cfg.rematch_interval == 0:
@@ -475,7 +464,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
                                           head.known_count).as_dict())
         else:
             record.update(known=None, unknown=None, all=None, n_known=None, n_unknown=None)
-        history.records.append(record)
+        history.append(record)
     return state, history
 
 
@@ -484,7 +473,7 @@ def run_pipeline(cfg: ExperimentConfig, data=None):
 
     ``data`` is an optional (source, target, graph, word_vectors) tuple;
     when omitted the synthetic benchmark from cfg.synth is generated.
-    Returns (ModelState, TrainHistory).
+    Returns (ModelState, history) as :func:`train_joint` does.
     """
     if data is None:
         data = synth.generate(cfg.synth)
@@ -509,7 +498,7 @@ def _final_by_variant(base: ExperimentConfig, variants: dict, seeds, data=None):
         for name, tokens in variants.items():
             _, history = train_joint(copy.deepcopy(prepared),
                                      apply_flags(cfg, tokens), seed_data)
-            finals[name].append(history.final())
+            finals[name].append(history[-1])
     return finals
 
 

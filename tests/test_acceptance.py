@@ -171,8 +171,8 @@ def test_criterion_2_gradient_suite():
         enc = Encoder(rng.standard_normal((3, 2)), rng.standard_normal(2))
         target = rng.standard_normal((4, 2))
         d_out = encode(raw, enc) - target
-        d_w, d_b, d_raw = encode_backward(raw, enc, d_out)
-        if not _usable(d_w, d_b, d_raw):
+        d_w, d_b = encode_backward(raw, enc, d_out)
+        if not _usable(d_w, d_b):
             continue
         obj = lambda e: 0.5 * float(np.sum((encode(raw, e) - target) ** 2))
         _check(lambda a: obj(Encoder(a, enc.bias)), enc.weight, d_w)
@@ -329,7 +329,7 @@ def test_criterion_8_closed_gate_reduces_to_no_sgmd():
     assert np.array_equal(with_sgmd_state.head.weights,
                           without_state.head.weights)
     assert np.array_equal(with_sgmd_state.gcn.theta, without_state.gcn.theta)
-    for a, b in zip(with_hist.records, without_hist.records):
+    for a, b in zip(with_hist, without_hist):
         assert a["loss_sgmd"] == 0.0
         assert a["loss_total"] == b["loss_total"]
 

@@ -5,11 +5,11 @@ from opendomain.graph import (
     GraphError,
     KnowledgeGraph,
     adjacency,
-    check_reachability,
     load_graph,
     normalized_adjacency,
     save_graph,
 )
+from reachability import check_reachability
 from opendomain.numkit import make_rng
 
 

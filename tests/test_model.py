@@ -10,7 +10,6 @@ from opendomain.model import (
     config_hash,
     encode,
     encode_backward,
-    init_head_from_gcn,
     load_checkpoint,
     pretrain_source,
     save_checkpoint,
@@ -58,29 +57,18 @@ def test_encode_backward_gradients():
                       bias=rng.standard_normal(2))
         target = rng.standard_normal((4, 2))
 
-        def loss_of(weight=None, bias=None, r=None):
+        def loss_of(weight=None, bias=None):
             e = Encoder(weight if weight is not None else enc.weight,
                         bias.ravel() if bias is not None else enc.bias)
-            return 0.5 * float(np.sum(
-                (encode(r if r is not None else raw, e) - target) ** 2))
+            return 0.5 * float(np.sum((encode(raw, e) - target) ** 2))
 
         d_out = encode(raw, enc) - target
-        d_w, d_b, d_raw = encode_backward(raw, enc, d_out)
+        d_w, d_b = encode_backward(raw, enc, d_out)
         assert grad_check(lambda w: loss_of(weight=w), enc.weight, d_w,
                           eps=1e-6) <= 1e-6
         assert grad_check(lambda b: loss_of(bias=b),
                           enc.bias.reshape(1, -1), d_b.reshape(1, -1),
                           eps=1e-6) <= 1e-6
-        assert grad_check(lambda r: loss_of(r=r), raw, d_raw,
-                          eps=1e-6) <= 1e-6
-
-
-def test_init_head_copies():
-    emb = np.ones((4, 3))
-    head = init_head_from_gcn(emb, known_count=2)
-    head.weights[0, 0] = 99.0
-    assert emb[0, 0] == 1.0
-    assert head.known_count == 2
 
 
 def _separable_problem(rng, n_per=40, num_classes=3, m_in=6):

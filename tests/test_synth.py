@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from opendomain.graph import check_reachability, normalized_adjacency
+from opendomain.graph import normalized_adjacency
 from opendomain.synth import (
     LabeledDataset,
     SynthConfig,
@@ -11,6 +11,7 @@ from opendomain.synth import (
     load_dataset,
     save_dataset,
 )
+from reachability import check_reachability
 
 
 def test_config_validation():

@@ -203,13 +203,13 @@ def test_pipeline_deterministic():
     assert np.array_equal(s1.encoder.weight, s2.encoder.weight)
     assert np.array_equal(s1.head.weights, s2.head.weights)
     assert np.array_equal(s1.gcn.theta, s2.gcn.theta)
-    assert h1.records == h2.records
+    assert h1 == h2
 
 
 def test_pipeline_baseline_disables_terms():
     cfg = _small_cfg(enable_lb=False, enable_sgmd=False, enable_gcn=False)
     _, history = run_pipeline(cfg)
-    for rec in history.records:
+    for rec in history:
         assert rec["loss_sgmd"] == 0.0
         assert rec["loss_balance"] == 0.0
         assert rec["loss_gcn"] == 0.0
@@ -219,12 +219,12 @@ def test_pipeline_baseline_disables_terms():
 
 def test_history_record_keys():
     _, history = run_pipeline(_small_cfg(epochs=2))
-    assert len(history.records) == 2
+    assert len(history) == 2
     expected = {"epoch", "loss_cls", "loss_sgmd", "loss_balance", "loss_gcn",
                 "loss_total", "gated_fraction", "known", "unknown", "all",
                 "n_known", "n_unknown"}
-    assert set(history.final()) == expected
-    assert history.final()["epoch"] == 1
+    assert set(history[-1]) == expected
+    assert history[-1]["epoch"] == 1
 
 
 def test_theta_frozen_without_graph_term():
@@ -268,14 +268,14 @@ def test_training_never_reads_eval_labels():
     assert np.array_equal(s1.encoder.weight, s2.encoder.weight)
     assert np.array_equal(s1.gcn.theta, s2.gcn.theta)
     # only the reported accuracies may differ
-    assert h1.final()["loss_total"] == h2.final()["loss_total"]
+    assert h1[-1]["loss_total"] == h2[-1]["loss_total"]
 
 
 def test_rematch_interval_runs_and_is_deterministic():
     cfg = _small_cfg(rematch_interval=2, epochs=4)
     _, h1 = run_pipeline(cfg)
     _, h2 = run_pipeline(cfg)
-    assert h1.records == h2.records
+    assert h1 == h2
 
 
 def test_prepare_rejects_class_counts_other_than_the_data():
@@ -406,7 +406,7 @@ def test_run_ablation_single_seed_matches_pipeline():
     results = run_ablation(cfg, seeds=[cfg.seed])
     for variant, tokens in ABLATION_VARIANTS.items():
         _, history = run_pipeline(apply_flags(cfg, tokens))
-        final = history.final()
+        final = history[-1]
         assert results[variant]["runs"] == [
             {k: final[k] for k in ("known", "unknown", "all")}], variant
         assert results[variant]["all_std"] == 0.0
@@ -454,7 +454,7 @@ def test_unlabeled_target_records_absent_accuracies():
     source, target, graph, words = synth.generate(cfg.synth)
     unlabeled = replace(target, eval_labels=np.full(target.n, -1))
     _, history = run_pipeline(cfg, data=(source, unlabeled, graph, words))
-    for record in history.records:
+    for record in history:
         for key in ("known", "unknown", "all", "n_known", "n_unknown"):
             assert record[key] is None, key
         assert np.isfinite(record["loss_total"])
@@ -487,7 +487,7 @@ def test_da_mode_returns_both_accuracies():
 
 def test_da_mode_equals_two_pipeline_runs():
     cfg = replace(_sym_cfg(), rematch_interval=1)
-    expected = {name: run_pipeline(apply_flags(cfg, tokens))[1].final()["all"]
+    expected = {name: run_pipeline(apply_flags(cfg, tokens))[1][-1]["all"]
                 for name, tokens in (("source_only", ()), ("sgmd", ("sgmd",)))}
     assert run_da_mode(cfg) == expected
 
