@@ -156,9 +156,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error (a bad or missing flag) as a ValueError, which
+    ``main`` reports in one line with exit 1, in place of argparse's usage
+    message and exit 2. The subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="opendomain",
-                                     description=__doc__.splitlines()[0])
+    parser = _Parser(prog="opendomain", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a benchmark into a directory")
@@ -197,9 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ConfigError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)

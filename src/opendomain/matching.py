@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, read_rows
+from .numkit import DimensionError, parse_tokens, read_rows, size
 
 __all__ = [
     "MatchedPairs",
@@ -164,7 +164,7 @@ def load_pairs(path) -> MatchedPairs:
         header = fh.readline().split()
         if len(header) != 4 or header[0] != "pairs" or header[2] != "total":
             raise ValueError(f"{path}: malformed pairs header")
-        count, total = int(header[1]), float(header[3])
-        rows = read_rows(fh, path, count, 3)
-    return MatchedPairs(pairs=tuple((int(s), int(t)) for s, t, _ in rows), total_cost=total,
-                        costs=tuple(float(c) for _, _, c in rows))
+        count, total = parse_tokens(path, 1, (size, float), header[1::2])
+        rows = read_rows(fh, path, count, (int, int, float))
+    return MatchedPairs(pairs=tuple(map(tuple, rows[:, :2].astype(int).tolist())),
+                        total_cost=total, costs=tuple(rows[:, 2].tolist()))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -175,15 +176,17 @@ def load_checkpoint(directory):
                 f"checkpoint manifest mismatch for {key}: "
                 f"{manifest.get(key)} != {value}"
             )
-    for key in ("known_classes", "activation_slope"):
-        if not isinstance(manifest.get(key), (int, float)):
-            raise ValueError(f"checkpoint manifest has no number for {key}")
+    known, slope = manifest.get("known_classes"), manifest.get("activation_slope")
+    # bool is an int subclass; neither true nor 7.9 is a class count
+    if type(known) is not int:
+        raise ValueError(f"checkpoint manifest has no integer known_classes: {known!r}")
+    if type(slope) not in (int, float) or not 0 <= slope < math.inf:
+        raise ValueError("checkpoint manifest has no finite activation_slope >= 0: "
+                         f"{slope!r}")
     state = ModelState(
         encoder=Encoder(weight=enc_w, bias=enc_b.ravel()),
-        head=ClassifierHead(weights=head_w,
-                            known_count=int(manifest["known_classes"])),
-        gcn=GcnParams(theta=theta,
-                      activation_slope=float(manifest["activation_slope"])),
+        head=ClassifierHead(weights=head_w, known_count=known),
+        gcn=GcnParams(theta=theta, activation_slope=float(slope)),
     )
     return state, manifest
 

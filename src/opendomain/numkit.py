@@ -24,6 +24,8 @@ __all__ = [
     "save_matrix",
     "load_matrix",
     "read_rows",
+    "parse_tokens",
+    "size",
     "write_json",
 ]
 
@@ -109,25 +111,43 @@ def load_matrix(path) -> np.ndarray:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: malformed matrix header")
-        rows, cols = int(header[0]), int(header[1])
-        values = read_rows(fh, path, rows, cols)
-    return as_matrix(np.array(values, dtype=np.float64).reshape(rows, cols),
-                     name=str(path))
+        rows, cols = parse_tokens(path, 1, (size, size), header)
+        values = read_rows(fh, path, rows, (float,) * cols)
+    return as_matrix(values, name=str(path))
 
 
-def read_rows(fh, path, count: int, width: int) -> list:
-    """The ``count`` rows that follow a text table's header line, each split
-    into exactly ``width`` tokens. Raises ValueError on a row of any other
-    width, or on anything but blank lines after the last row."""
-    if count < 0 or width < 0:
-        raise ValueError(f"{path}: negative row count or width in the header")
-    rows = []
+def parse_tokens(path, lineno: int, kinds, tokens) -> list:
+    """Each token converted by its kind (``int``, ``float`` or any callable
+    that raises ValueError on a bad token); a token that does not convert
+    raises ValueError naming the file and the line."""
+    try:
+        return [kind(token) for kind, token in zip(kinds, tokens)]
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+
+def size(token) -> int:
+    """A row or column count in a table header: a non-negative integer."""
+    value = int(token)
+    if value < 0:
+        raise ValueError(f"negative size {value}")
+    return value
+
+
+def read_rows(fh, path, count: int, kinds) -> np.ndarray:
+    """The ``count`` rows that follow a text table's header line as a
+    (count, len(kinds)) float64 array; each row has exactly one token per
+    kind and is converted by ``parse_tokens`` as it is read. Raises
+    ValueError on a row of any other width, a token that does not convert,
+    or anything but blank lines after the last row."""
+    width = len(kinds)
+    rows = np.empty((count, width))
     for i in range(count):
         parts = fh.readline().split()
         if len(parts) != width:
             raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
                              f"expected {width}")
-        rows.append(parts)
+        rows[i] = parse_tokens(path, i + 2, kinds, parts)
     for line in fh:
         if line.strip():
             raise ValueError(f"{path}: data after the {count} declared rows")

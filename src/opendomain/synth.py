@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .numkit import as_matrix, make_rng, read_rows
+from .numkit import as_matrix, make_rng, parse_tokens, read_rows, size
 
 __all__ = [
     "SynthConfig",
@@ -227,32 +227,33 @@ def save_dataset(path, dataset, num_classes: int) -> None:
                 fh.write(f"{int(y)}\n")
 
 
+def _unlabeled(tag: str) -> int:
+    if tag != "?":
+        raise ValueError("an unlabeled row does not start with '?'")
+    return -1
+
+
 def load_dataset(path):
     """Inverse of :func:`save_dataset`. Returns (dataset, num_classes)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if (len(header) != 6 or header[2] != "labeled" or header[4] != "classes"
-                or int(header[1]) < 0):
+        if len(header) != 6 or header[2] != "labeled" or header[4] != "classes":
             raise ValueError(f"{path}: malformed dataset header")
-        n, m_in = int(header[0]), int(header[1])
-        labeled = bool(int(header[3]))
-        num_classes = int(header[5])
-        rows = read_rows(fh, path, n, m_in + 1)
-    feats = as_matrix(np.array([r[1:] for r in rows], dtype=np.float64).reshape(n, m_in),
-                      name=str(path))
-    tags = [r[0] for r in rows]
+        n, m_in, labeled, num_classes = parse_tokens(
+            path, 1, (size, size, int, int), header[:2] + header[3::2])
+        rows = read_rows(fh, path, n, (int if labeled else _unlabeled,) + (float,) * m_in)
+    feats = as_matrix(np.ascontiguousarray(rows[:, 1:]), name=str(path))
     if labeled:
-        labels = np.array([int(t) for t in tags], dtype=int)
+        labels = rows[:, 0].astype(int)
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
             raise ValueError(f"{path}: label out of range for {num_classes} classes")
         return LabeledDataset(features=feats, labels=labels), num_classes
-    if any(t != "?" for t in tags):
-        raise ValueError(f"{path}: an unlabeled row does not start with '?'")
     eval_path = str(path) + ".eval"
     if os.path.exists(eval_path):
         with open(eval_path, "r", encoding="utf-8") as fh:
-            eval_labels = np.array([int(line) for line in fh if line.strip()],
-                                   dtype=int)
+            eval_labels = np.array(
+                [parse_tokens(eval_path, lineno, (int,), [line.strip()])[0]
+                 for lineno, line in enumerate(fh, start=1) if line.strip()], dtype=int)
         if len(eval_labels) != n:
             raise ValueError(f"{eval_path}: expected {n} labels")
         if eval_labels.min(initial=0) < 0 or eval_labels.max(initial=0) >= num_classes:

@@ -241,6 +241,11 @@ def test_eval_corrupted_manifest_exits_one(tmp_path, config_path, capsys):
         ("activation_slope",
          {k: v for k, v in original.items() if k != "activation_slope"}),
         ("known_classes", {**original, "known_classes": None}),
+        ("known_classes", {**original, "known_classes": 3.9}),
+        ("known_classes", {**original, "known_classes": True}),
+        ("activation_slope", {**original, "activation_slope": -5}),
+        ("activation_slope", {**original, "activation_slope": float("nan")}),
+        ("activation_slope", {**original, "activation_slope": False}),
         ("manifest.json", [1, 2]),
     ]
     for key, manifest in corruptions:
@@ -355,11 +360,12 @@ def _replace(name, old, new):
     return edit
 
 
-def _edit_row(name, change):
-    """Apply ``change`` to the tokens of the first row after the header."""
+def _edit_row(name, change, index=1):
+    """Apply ``change`` to the tokens of line ``index`` (0-based; the
+    default is the first row after the header)."""
     def edit(root):
         lines = (root / name).read_text().splitlines(keepends=True)
-        lines[1] = " ".join(change(lines[1].split())) + "\n"
+        lines[index] = " ".join(change(lines[index].split())) + "\n"
         (root / name).write_text("".join(lines))
     return edit
 
@@ -368,12 +374,16 @@ def _short(tokens):
     return tokens[:-1]
 
 
-def _non_finite(value):
+def _last(value):
     return lambda tokens: tokens[:-1] + [value]
 
 
-# (subcommand, case, edit of the copy or extra flags, exit code, text the
-# one stderr line must contain)
+def _first(value):
+    return lambda tokens: [value] + tokens[1:]
+
+
+# (subcommand, case, edit of the copy, extra flags or the whole argument
+# list, exit code, text the one stderr line must contain)
 _EXIT_CASES = [
     ("synth", "missing config", _remove("exp.cfg"), 3, "exp.cfg"),
     ("synth", "malformed config line",
@@ -389,15 +399,24 @@ _EXIT_CASES = [
     ("train", "trailing wordvec.mat rows",
      _append("data/wordvec.mat", "1 2\n"), 1, "wordvec.mat"),
     ("train", "nan in target.ds",
-     _edit_row("data/target.ds", _non_finite("nan")), 1, "target.ds"),
+     _edit_row("data/target.ds", _last("nan")), 1, "target.ds"),
     ("train", "nan in wordvec.mat",
-     _edit_row("data/wordvec.mat", _non_finite("nan")), 1, "wordvec.mat"),
+     _edit_row("data/wordvec.mat", _last("nan")), 1, "wordvec.mat"),
+    ("train", "non-integer wordvec.mat header",
+     _edit_row("data/wordvec.mat", _first("x"), 0), 1, "wordvec.mat: line 1"),
+    ("train", "non-integer source.ds label",
+     _edit_row("data/source.ds", _first("x"), 3), 1, "source.ds: line 4"),
+    ("train", "missing --data flag",
+     ["train", "--config", "{r}/exp.cfg", "--out", "{r}/out"], 1, "--data"),
     ("train", "source.ds class count",
      _replace("data/source.ds", "classes 3", "classes 12"), 1, "source.ds"),
     ("train", "bad flag token", "--flags lb,bogus", 1, "bogus"),
     ("ablate", "missing wordvec.mat", _remove("data/wordvec.mat"), 3, "wordvec.mat"),
     ("ablate", "inf in source.ds",
-     _edit_row("data/source.ds", _non_finite("inf")), 1, "source.ds"),
+     _edit_row("data/source.ds", _last("inf")), 1, "source.ds"),
+    ("ablate", "non-integer target.ds header",
+     _edit_row("data/target.ds", _first("x"), 0), 1, "target.ds: line 1"),
+    ("ablate", "non-integer --seeds", "--seeds abc", 1, "--seeds"),
     ("ablate", "trailing target.ds rows",
      _append("data/target.ds", "? 1 2 3 4 5 6\n"), 1, "target.ds"),
     ("ablate", "target.ds class count",
@@ -406,7 +425,10 @@ _EXIT_CASES = [
     ("match", "malformed matrix header", _replace("ft.mat", "8 3\n", "8 3 1\n"), 1, "ft.mat"),
     ("match", "short matrix row", _edit_row("fs.mat", _short), 1, "fs.mat"),
     ("match", "trailing matrix rows", _append("ft.mat", "0 0 0\n"), 1, "ft.mat"),
-    ("match", "-inf in matrix", _edit_row("fs.mat", _non_finite("-inf")), 1, "fs.mat"),
+    ("match", "-inf in matrix", _edit_row("fs.mat", _last("-inf")), 1, "fs.mat"),
+    ("match", "non-numeric matrix entry",
+     _edit_row("ft.mat", _last("abc"), 2), 1, "ft.mat: line 3"),
+    ("match", "non-integer --folds", "--folds x", 1, "--folds"),
     ("eval", "missing manifest",
      _remove("run/checkpoint/manifest.json"), 3, "manifest.json"),
     ("eval", "non-object manifest",
@@ -417,7 +439,11 @@ _EXIT_CASES = [
     ("eval", "short head.weights row",
      _edit_row("run/checkpoint/head.weights", _short), 1, "head.weights"),
     ("eval", "nan in target.ds",
-     _edit_row("data/target.ds", _non_finite("nan")), 1, "target.ds"),
+     _edit_row("data/target.ds", _last("nan")), 1, "target.ds"),
+    ("eval", "non-numeric target.ds feature",
+     _edit_row("data/target.ds", _last("abc"), 5), 1, "target.ds: line 6"),
+    ("eval", "non-integer target.ds.eval label",
+     _edit_row("data/target.ds.eval", _first("2.5"), 1), 1, "target.ds.eval: line 2"),
     ("eval", "extra target.ds.eval label",
      _append("data/target.ds.eval", "0\n"), 1, "target.ds.eval"),
     ("eval", "target.ds class count",
@@ -435,7 +461,9 @@ def test_bad_input_exit_code_table(tmp_path, trained, capsys, command, case, edi
     root = tmp_path / "w"
     shutil.copytree(trained, root)
     argv = [token.format(r=root) for token in _COMMANDS[command].split()]
-    if isinstance(edit, str):
+    if isinstance(edit, list):
+        argv = [token.format(r=root) for token in edit]
+    elif isinstance(edit, str):
         argv += edit.split()
     else:
         edit(root)
@@ -448,3 +476,11 @@ def test_bad_input_exit_code_table(tmp_path, trained, capsys, command, case, edi
     assert captured.err.startswith("error: " if code == 1 else "i/o error: ")
     assert needle in captured.err
     assert not (root / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ablate", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: opendomain" in capsys.readouterr().out

@@ -196,6 +196,19 @@ def test_load_pairs_rejects_trailing_rows(tmp_path):
         load_pairs(path)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("pairs 1 total x\n0 3 1.5\n", 1),
+    ("pairs x total 1.5\n0 3 1.5\n", 1),
+    ("pairs 2 total 1.5\n0 3 1.5\n1 y 0.0\n", 3),
+    ("pairs 1 total 1.5\n0.5 3 1.5\n", 2),
+])
+def test_load_pairs_names_the_file_and_line_of_a_bad_token(tmp_path, text, line):
+    path = tmp_path / "pairs.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"pairs.txt: line {line}: "):
+        load_pairs(path)
+
+
 def test_match_carries_per_pair_costs():
     # more sources than targets: hungarian solves the transpose and re-sorts
     rng = make_rng(8)

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -98,15 +99,31 @@ def test_matrix_roundtrip(tmp_path):
 
 
 def test_read_rows_takes_exactly_the_declared_table():
-    rows = read_rows(io.StringIO("1 2\n3 4\n\n  \n"), "t.txt", 2, 2)
-    assert rows == [["1", "2"], ["3", "4"]]
-    assert read_rows(io.StringIO(""), "t.txt", 0, 3) == []
-    bad = [("", -1, 2), ("", 0, -1),  # negative count or width in a header
-           ("1\n", 1, 2), ("1 2 3\n", 1, 2), ("1 2\n", 2, 2),  # wrong width
+    rows = read_rows(io.StringIO("1 2.5\n3 4\n\n  \n"), "t.txt", 2, (int, float))
+    assert rows.dtype == np.float64 and rows.tolist() == [[1.0, 2.5], [3.0, 4.0]]
+    assert read_rows(io.StringIO(""), "t.txt", 0, (float,) * 3).shape == (0, 3)
+    bad = [("1\n", 1, 2), ("1 2 3\n", 1, 2), ("1 2\n", 2, 2),  # wrong width
            ("1 2\n3 4\n", 1, 2)]  # a row after the declared ones
     for text, count, width in bad:
         with pytest.raises(ValueError, match="t.txt: "):
-            read_rows(io.StringIO(text), "t.txt", count, width)
+            read_rows(io.StringIO(text), "t.txt", count, (float,) * width)
+    # a token that does not convert is named with its line
+    for text, kinds, where in [
+            ("1 2\n3 abc\n", (float, float), "line 3: could not convert string to float"),
+            ("1.5 2\n", (int, float), "line 2: invalid literal for int()")]:
+        with pytest.raises(ValueError, match=re.escape(f"t.txt: {where}")):
+            read_rows(io.StringIO(text), "t.txt", text.count("\n"), kinds)
+
+
+@pytest.mark.parametrize("header, error", [
+    ("x 2", "invalid literal"), ("2 2.0", "invalid literal"),
+    ("-1 2", "negative size -1"), ("0 -2", "negative size -2"),
+])
+def test_load_matrix_names_the_file_of_a_bad_header(tmp_path, header, error):
+    path = tmp_path / "m.mat"
+    path.write_text(header + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 1: {error}")):
+        load_matrix(path)
 
 
 def test_load_matrix_rejects_trailing_rows(tmp_path):
