@@ -178,8 +178,9 @@ def load_checkpoint(directory):
             )
     known, slope = manifest.get("known_classes"), manifest.get("activation_slope")
     # bool is an int subclass; neither true nor 7.9 is a class count
-    if type(known) is not int:
-        raise ValueError(f"checkpoint manifest has no integer known_classes: {known!r}")
+    if type(known) is not int or not 0 < known <= head_w.shape[0]:
+        raise ValueError("checkpoint manifest has no known_classes in "
+                         f"1..{head_w.shape[0]}: {known!r}")
     if type(slope) not in (int, float) or not 0 <= slope < math.inf:
         raise ValueError("checkpoint manifest has no finite activation_slope >= 0: "
                          f"{slope!r}")

@@ -241,23 +241,25 @@ def load_dataset(path):
             raise ValueError(f"{path}: malformed dataset header")
         n, m_in, labeled, num_classes = parse_tokens(
             path, 1, (size, size, int, int), header[:2] + header[3::2])
-        rows = read_rows(fh, path, n, (int if labeled else _unlabeled,) + (float,) * m_in)
+
+        def label(token: str) -> int:
+            value = int(token)
+            if not 0 <= value < num_classes:
+                raise ValueError(f"label {value} out of range for {num_classes} classes")
+            return value
+
+        rows = read_rows(fh, path, n, (label if labeled else _unlabeled,) + (float,) * m_in)
     feats = as_matrix(np.ascontiguousarray(rows[:, 1:]), name=str(path))
     if labeled:
-        labels = rows[:, 0].astype(int)
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
-            raise ValueError(f"{path}: label out of range for {num_classes} classes")
-        return LabeledDataset(features=feats, labels=labels), num_classes
+        return LabeledDataset(features=feats, labels=rows[:, 0].astype(int)), num_classes
     eval_path = str(path) + ".eval"
     if os.path.exists(eval_path):
         with open(eval_path, "r", encoding="utf-8") as fh:
             eval_labels = np.array(
-                [parse_tokens(eval_path, lineno, (int,), [line.strip()])[0]
+                [parse_tokens(eval_path, lineno, (label,), [line.strip()])[0]
                  for lineno, line in enumerate(fh, start=1) if line.strip()], dtype=int)
         if len(eval_labels) != n:
             raise ValueError(f"{eval_path}: expected {n} labels")
-        if eval_labels.min(initial=0) < 0 or eval_labels.max(initial=0) >= num_classes:
-            raise ValueError(f"{eval_path}: eval label out of range")
     else:
         eval_labels = np.full(n, -1, dtype=int)
     return UnlabeledDataset(features=feats, eval_labels=eval_labels), num_classes

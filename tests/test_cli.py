@@ -243,6 +243,7 @@ def test_eval_corrupted_manifest_exits_one(tmp_path, config_path, capsys):
         ("known_classes", {**original, "known_classes": None}),
         ("known_classes", {**original, "known_classes": 3.9}),
         ("known_classes", {**original, "known_classes": True}),
+        ("known_classes", {**original, "known_classes": 0}),
         ("activation_slope", {**original, "activation_slope": -5}),
         ("activation_slope", {**original, "activation_slope": float("nan")}),
         ("activation_slope", {**original, "activation_slope": False}),
@@ -406,6 +407,8 @@ _EXIT_CASES = [
      _edit_row("data/wordvec.mat", _first("x"), 0), 1, "wordvec.mat: line 1"),
     ("train", "non-integer source.ds label",
      _edit_row("data/source.ds", _first("x"), 3), 1, "source.ds: line 4"),
+    ("train", "source.ds label past int64",
+     _edit_row("data/source.ds", _first("9" * 20), 3), 1, "source.ds: line 4"),
     ("train", "missing --data flag",
      ["train", "--config", "{r}/exp.cfg", "--out", "{r}/out"], 1, "--data"),
     ("train", "source.ds class count",
@@ -444,6 +447,8 @@ _EXIT_CASES = [
      _edit_row("data/target.ds", _last("abc"), 5), 1, "target.ds: line 6"),
     ("eval", "non-integer target.ds.eval label",
      _edit_row("data/target.ds.eval", _first("2.5"), 1), 1, "target.ds.eval: line 2"),
+    ("eval", "target.ds.eval label past int64",
+     _edit_row("data/target.ds.eval", _first("9" * 20), 1), 1, "target.ds.eval: line 2"),
     ("eval", "extra target.ds.eval label",
      _append("data/target.ds.eval", "0\n"), 1, "target.ds.eval"),
     ("eval", "target.ds class count",

@@ -9,8 +9,9 @@ from opendomain.graph import (
     normalized_adjacency,
     save_graph,
 )
-from reachability import check_reachability
 from opendomain.numkit import make_rng
+
+from reachability import check_reachability
 
 
 def _write(tmp_path, text):

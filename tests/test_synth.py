@@ -11,6 +11,7 @@ from opendomain.synth import (
     load_dataset,
     save_dataset,
 )
+
 from reachability import check_reachability
 
 
