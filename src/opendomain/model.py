@@ -74,9 +74,10 @@ def encode(raw, enc: Encoder) -> np.ndarray:
     return raw @ enc.weight + enc.bias
 
 
-def encode_backward(raw, enc: Encoder, d_out):
-    """Gradients of the linear encoder: returns (d_weight, d_bias). The
-    encoder is the first layer, so no gradient flows back to ``raw``."""
+def encode_backward(raw, d_out):
+    """Gradients of the linear encoder ``raw @ weight + bias`` given the
+    output gradient ``d_out``: returns (d_weight, d_bias). The encoder is the
+    first layer, so no gradient flows back to ``raw``."""
     raw = np.asarray(raw, float)
     d_out = np.asarray(d_out, float)
     return raw.T @ d_out, d_out.sum(axis=0)
@@ -113,7 +114,7 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
             idx = order[start:start + schedule.batch_size]
             f = encode(features[idx], enc)
             loss, d_f, d_w = cls_loss(f, head, labels[idx])
-            d_weight, d_bias = encode_backward(features[idx], enc, d_f)
+            d_weight, d_bias = encode_backward(features[idx], d_f)
             opt.step({"weight": d_weight, "bias": d_bias, "head": d_w})
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))

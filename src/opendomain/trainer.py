@@ -351,7 +351,7 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
 
     f_s = encode(raw_s, enc)
     val, d_f, d_w = _restricted_cls(f_s, head, labels)
-    d_ew, d_eb = encode_backward(raw_s, enc, d_f)
+    d_ew, d_eb = encode_backward(raw_s, d_f)
     components["cls"] = (val, {"encoder.weight": d_ew, "encoder.bias": d_eb,
                                "head.weights": d_w})
 
@@ -361,7 +361,7 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
             val, d_f, d_w = balance_loss_vanilla(f_t, head, lw.epsilon)
         else:
             val, d_f, d_w = limited_balance_loss(f_t, head, lw.w, lw.epsilon)
-        d_ew, d_eb = encode_backward(raw_t, enc, d_f)
+        d_ew, d_eb = encode_backward(raw_t, d_f)
         components["balance"] = (val, {"encoder.weight": d_ew, "encoder.bias": d_eb,
                                        "head.weights": d_w})
 
@@ -374,8 +374,8 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
         p_mt = classifier_responses(f_mt, head)
         val, d_fs, d_ft, gate = sgmd_loss(f_ms, f_mt, p_ms, p_mt, lw.tau)
         if gate.any():
-            dw_s, db_s = encode_backward(raw_ms, enc, d_fs)
-            dw_t, db_t = encode_backward(raw_mt, enc, d_ft)
+            dw_s, db_s = encode_backward(raw_ms, d_fs)
+            dw_t, db_t = encode_backward(raw_mt, d_ft)
             components["sgmd"] = (val, {"encoder.weight": dw_s + dw_t,
                                         "encoder.bias": db_s + db_t})
 

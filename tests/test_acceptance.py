@@ -171,7 +171,7 @@ def test_criterion_2_gradient_suite():
         enc = Encoder(rng.standard_normal((3, 2)), rng.standard_normal(2))
         target = rng.standard_normal((4, 2))
         d_out = encode(raw, enc) - target
-        d_w, d_b = encode_backward(raw, enc, d_out)
+        d_w, d_b = encode_backward(raw, d_out)
         if not _usable(d_w, d_b):
             continue
         obj = lambda e: 0.5 * float(np.sum((encode(raw, e) - target) ** 2))

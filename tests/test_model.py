@@ -63,7 +63,7 @@ def test_encode_backward_gradients():
             return 0.5 * float(np.sum((encode(raw, e) - target) ** 2))
 
         d_out = encode(raw, enc) - target
-        d_w, d_b = encode_backward(raw, enc, d_out)
+        d_w, d_b = encode_backward(raw, d_out)
         assert grad_check(lambda w: loss_of(weight=w), enc.weight, d_w,
                           eps=1e-6) <= 1e-6
         assert grad_check(lambda b: loss_of(bias=b),
