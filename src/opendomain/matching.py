@@ -165,6 +165,6 @@ def load_pairs(path) -> MatchedPairs:
         if len(header) != 4 or header[0] != "pairs" or header[2] != "total":
             raise ValueError(f"{path}: malformed pairs header")
         count, total = parse_tokens(path, 1, (size, float), header[1::2])
-        rows = read_rows(fh, path, count, (int, int, float))
+        rows = read_rows(fh, path, count, (size, size, float))
     return MatchedPairs(pairs=tuple(map(tuple, rows[:, :2].astype(int).tolist())),
                         total_cost=total, costs=tuple(rows[:, 2].tolist()))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 
 import numpy as np
 
@@ -127,10 +128,11 @@ def parse_tokens(path, lineno: int, kinds, tokens) -> list:
 
 
 def size(token) -> int:
-    """A row or column count in a table header: a non-negative integer."""
+    """A count or an index in a text table: an integer in [0, 2**53), where
+    the float64 rows of ``read_rows`` hold every integer exactly."""
     value = int(token)
-    if value < 0:
-        raise ValueError(f"negative size {value}")
+    if not 0 <= value < 2**53:
+        raise ValueError(f"{value} is not a count or index in [0, 2**53)")
     return value
 
 
@@ -141,17 +143,18 @@ def read_rows(fh, path, count: int, kinds) -> np.ndarray:
     ValueError on a row of any other width, a token that does not convert,
     or anything but blank lines after the last row."""
     width = len(kinds)
-    rows = np.empty((count, width))
+    # grown row by row: a header may declare more rows than the file holds
+    values = array("d")
     for i in range(count):
         parts = fh.readline().split()
         if len(parts) != width:
             raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
                              f"expected {width}")
-        rows[i] = parse_tokens(path, i + 2, kinds, parts)
+        values.extend(parse_tokens(path, i + 2, kinds, parts))
     for line in fh:
         if line.strip():
             raise ValueError(f"{path}: data after the {count} declared rows")
-    return rows
+    return np.array(values, dtype=np.float64).reshape(count, width)
 
 
 def write_json(path, payload) -> None:

@@ -240,7 +240,7 @@ def load_dataset(path):
         if len(header) != 6 or header[2] != "labeled" or header[4] != "classes":
             raise ValueError(f"{path}: malformed dataset header")
         n, m_in, labeled, num_classes = parse_tokens(
-            path, 1, (size, size, int, int), header[:2] + header[3::2])
+            path, 1, (size, size, int, size), header[:2] + header[3::2])
 
         def label(token: str) -> int:
             value = int(token)

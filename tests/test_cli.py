@@ -427,6 +427,8 @@ _EXIT_CASES = [
     ("match", "missing source matrix", _remove("fs.mat"), 3, "fs.mat"),
     ("match", "malformed matrix header", _replace("ft.mat", "8 3\n", "8 3 1\n"), 1, "ft.mat"),
     ("match", "short matrix row", _edit_row("fs.mat", _short), 1, "fs.mat"),
+    ("match", "header declaring 10**12 rows",
+     _replace("ft.mat", "8 3\n", f"{10**12} 3\n"), 1, "ft.mat: line 10"),
     ("match", "trailing matrix rows", _append("ft.mat", "0 0 0\n"), 1, "ft.mat"),
     ("match", "-inf in matrix", _edit_row("fs.mat", _last("-inf")), 1, "fs.mat"),
     ("match", "non-numeric matrix entry",

@@ -117,7 +117,8 @@ def test_read_rows_takes_exactly_the_declared_table():
 
 @pytest.mark.parametrize("header, error", [
     ("x 2", "invalid literal"), ("2 2.0", "invalid literal"),
-    ("-1 2", "negative size -1"), ("0 -2", "negative size -2"),
+    ("-1 2", "-1 is not a count"), ("0 -2", "-2 is not a count"),
+    (f"{2**53} 1", f"{2**53} is not a count"),
 ])
 def test_load_matrix_names_the_file_of_a_bad_header(tmp_path, header, error):
     path = tmp_path / "m.mat"
