@@ -203,7 +203,7 @@ def test_load_pairs_rejects_trailing_rows(tmp_path):
     ("pairs 1 total 1.5\n0.5 3 1.5\n", 2),
     ("pairs 1 total 1.5\n-1 3 1.5\n", 2),
     (f"pairs 1 total 1.5\n{2**64} 3 1.5\n", 2),
-])
+], ids=["total", "count", "target id", "fractional id", "negative id", "id past int64"])
 def test_load_pairs_names_the_file_and_line_of_a_bad_token(tmp_path, text, line):
     path = tmp_path / "pairs.txt"
     path.write_text(text)
