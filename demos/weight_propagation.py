@@ -11,7 +11,7 @@ Run:  python3 demos/weight_propagation.py
 """
 import numpy as np
 
-from opendomain.gcn import GcnSchedule, gcn_forward, train_gcn_init
+from opendomain.gcn import GcnSchedule, propagate, train_gcn_init
 from opendomain.graph import KnowledgeGraph, normalized_adjacency
 from opendomain.numkit import make_rng
 
@@ -46,7 +46,7 @@ for child, parent in ((5, 7), (6, 7), (0, 5), (1, 5), (2, 5), (3, 6), (4, 6)):
 w_known = rng.standard_normal((3, 4))
 
 params, embeddings, history = train_gcn_init(
-    g, words, w_known, GcnSchedule(steps=4000), make_rng(1))
+    propagate(p, words, g.class_to_node), w_known, GcnSchedule(steps=4000), make_rng(1))
 
 print(f"\nfit loss: {history[0]:.4f} -> {history[-1]:.2e} "
       f"({len(history)} steps)")
@@ -55,7 +55,6 @@ print(f"known-row reconstruction MSE: {mse:.2e}")
 
 # the propagated rows for the unknown classes are not arbitrary: each one
 # is closest to its taxonomy siblings, not to the unrelated group
-out = gcn_forward(p, words, params)
 names = [g.node_names[n] for n in g.class_to_node]
 print("\ncosine similarity of each propagated class row to the known rows:")
 print(f"{'':>8}" + "".join(f"{names[k]:>9}" for k in range(3)))

@@ -4,8 +4,8 @@ The convolution O = sigma(P X Theta) with P the row-normalized adjacency
 regresses known-class classifier weights during initialization and keeps
 all-class classifier weights tied to the taxonomy during joint training.
 Only Theta is trained, so the propagated word vectors Z = (P X)[rows] of
-the rows a loss reads are computed once per graph by :func:`propagate`,
-and the losses take Z instead of P, X and the row list. All gradients are
+the class rows are computed once per graph by :func:`propagate`, and every
+function here takes Z instead of P, X and the row list. All gradients are
 computed by hand and verified by finite differences in the test suite.
 """
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KnowledgeGraph, normalized_adjacency
 from .numkit import DimensionError, MomentumSgd, check_sgd_settings, leaky_relu
 
 __all__ = [
@@ -57,15 +56,12 @@ class GcnSchedule:
             raise ValueError("slope must be finite and >= 0")
 
 
-def gcn_forward(p, x, params: GcnParams) -> np.ndarray:
-    """O = leaky_relu(P X Theta)."""
-    p = np.asarray(p, float)
-    x = np.asarray(x, float)
-    if p.shape[1] != x.shape[0] or x.shape[1] != params.theta.shape[0]:
-        raise DimensionError(
-            f"gcn_forward: shapes {p.shape}, {x.shape}, {params.theta.shape}"
-        )
-    return leaky_relu(p @ x @ params.theta, params.activation_slope)
+def gcn_forward(z, params: GcnParams) -> np.ndarray:
+    """O = leaky_relu(Z Theta), the output rows of the propagated rows Z."""
+    z = np.asarray(z, float)
+    if z.shape[1] != params.theta.shape[0]:
+        raise DimensionError(f"gcn_forward: shapes {z.shape}, {params.theta.shape}")
+    return leaky_relu(z @ params.theta, params.activation_slope)
 
 
 def propagate(p, x, rows) -> np.ndarray:
@@ -109,8 +105,8 @@ def _fit(z, params: GcnParams, target):
 
 def init_loss(z, params: GcnParams, w):
     """Half mean-square regression of the known-class output rows onto the
-    pretrained classifier weights W; ``z`` is ``propagate(p, x,
-    known_nodes)``.
+    pretrained classifier weights W; ``z`` holds the known class rows of
+    ``propagate(p, x, class_to_node)``.
 
     Returns (loss, gradient wrt theta).
     """
@@ -136,21 +132,20 @@ def init_theta(word_dim: int, out_dim: int, rng: np.random.Generator,
     return scale / np.sqrt(word_dim) * rng.uniform(-1.0, 1.0, (word_dim, out_dim))
 
 
-def train_gcn_init(g: KnowledgeGraph, x, w, schedule: GcnSchedule,
-                   rng: np.random.Generator):
+def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     """Gradient descent (with momentum) on the known-row regression from a
-    small random theta.
+    small random theta. ``z_class`` is ``propagate(p, x, class_to_node)``,
+    whose first ``len(w)`` rows are the known classes.
 
     Returns (params, embeddings, history) where ``embeddings`` are the
     class rows of O (known rows approximate W, unknown rows are the
     propagated classifier weights) and ``history`` is the per-step loss.
     """
-    x = np.asarray(x, float)
+    z_class = np.asarray(z_class, float)
     w = np.asarray(w, float)
-    p = normalized_adjacency(g)
-    params = GcnParams(init_theta(x.shape[1], w.shape[1], rng, schedule.init_scale),
+    params = GcnParams(init_theta(z_class.shape[1], w.shape[1], rng, schedule.init_scale),
                        schedule.slope)
-    z_known = propagate(p, x, g.known_nodes())
+    z_known = z_class[: len(w)]
     # learning_rate is relative to the curvature of the quadratic bound
     # Z_k^T Z_k / M (activation slope <= 1), so the schedule is stable
     # regardless of the scale of the word vectors
@@ -162,6 +157,4 @@ def train_gcn_init(g: KnowledgeGraph, x, w, schedule: GcnSchedule,
         loss, d_theta = init_loss(z_known, params, w)
         history.append(loss)
         opt.step({"theta": d_theta})
-    o = gcn_forward(p, x, params)
-    embeddings = o[list(g.class_to_node)]
-    return params, embeddings, history
+    return params, gcn_forward(z_class, params), history

@@ -70,9 +70,6 @@ class KnowledgeGraph:
     def total_class_count(self) -> int:
         return len(self.class_to_node)
 
-    def known_nodes(self) -> tuple:
-        return tuple(self.class_to_node[: self.known_class_count])
-
 
 def _canon(i: int, j: int):
     return (i, j) if i < j else (j, i)

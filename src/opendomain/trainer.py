@@ -30,7 +30,7 @@ from .losses import (
     sgmd_loss,
     total_loss,
 )
-from .matching import MatchedPairs, match_domains
+from .matching import match_domains
 from .model import (
     ModelState,
     PretrainSchedule,
@@ -269,25 +269,26 @@ def _target_order(rng, n_target: int, needed: int) -> np.ndarray:
 
 @dataclass
 class Prepared:
-    """What the stages before the joint loop leave behind: the model after
-    pretraining and GCN init, the initial matching, and the RNG streams the
-    joint loop draws from. No enable_* flag is read before this point, so
-    every variant of a seed can start from a deep copy of one Prepared."""
+    """All the joint loop reads: the model after pretraining and GCN init,
+    the datasets, the propagated class rows (None without a graph), the
+    initial partners and the RNG streams. No enable_* flag is read before
+    this point, so every variant of a seed can start from a deep copy."""
 
     state: ModelState
-    pairs: MatchedPairs
+    source: synth.LabeledDataset
+    target: synth.UnlabeledDataset
+    z_class: np.ndarray | None
+    partner: np.ndarray
     rng_match: np.random.Generator
     rng_joint: np.random.Generator
 
 
-def _match(enc, source, target, folds: int, rng) -> MatchedPairs:
-    return match_domains(encode(source.features, enc),
-                         encode(target.features, enc), folds, rng)
-
-
-def _partner(pairs: MatchedPairs, n_src: int) -> np.ndarray:
-    """partner[s] is the target matched to source s, or -1."""
-    partner = np.full(n_src, -1)
+def _partner(enc, source, target, folds: int, rng) -> np.ndarray:
+    """Fold-wise matching of the encoded domains as partner[s], the target
+    matched to source s, or -1."""
+    pairs = match_domains(encode(source.features, enc),
+                          encode(target.features, enc), folds, rng)
+    partner = np.full(source.n, -1)
     matched = np.array(pairs.pairs, dtype=int).reshape(-1, 2)
     partner[matched[:, 0]] = matched[:, 1]
     return partner
@@ -322,9 +323,12 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
 
     enc, w_src, _ = pretrain_source(source.features, source.labels, l_s,
                                     cfg.feature_dim, cfg.pretrain, rng_pre)
+    z_class = None
     if graph is not None:
-        gcn_params, embeddings, _ = train_gcn_init(
-            graph, word_vectors, w_src, cfg.gcn_schedule, rng_gcn)
+        z_class = propagate(normalized_adjacency(graph), word_vectors,
+                            graph.class_to_node)
+        gcn_params, embeddings, _ = train_gcn_init(z_class, w_src, cfg.gcn_schedule,
+                                                   rng_gcn)
         head = ClassifierHead(weights=embeddings, known_count=l_s)
     else:
         # symmetric label space: no propagation target, head starts at the
@@ -332,9 +336,10 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
         gcn_params = GcnParams(theta=np.zeros((word_vectors.shape[1], cfg.feature_dim)),
                                activation_slope=cfg.gcn_schedule.slope)
         head = ClassifierHead(weights=w_src.copy(), known_count=l_s)
-    pairs = _match(enc, source, target, cfg.folds, rng_match)
+    partner = _partner(enc, source, target, cfg.folds, rng_match)
     return Prepared(state=ModelState(encoder=enc, head=head, gcn=gcn_params),
-                    pairs=pairs, rng_match=rng_match, rng_joint=rng_joint)
+                    source=source, target=target, z_class=z_class, partner=partner,
+                    rng_match=rng_match, rng_joint=rng_joint)
 
 
 def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
@@ -385,31 +390,26 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     return components, gate
 
 
-def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
+def train_joint(prepared: Prepared, cfg: ExperimentConfig):
     """The joint loop over the cls, SGMD, balance and graph terms, with
     rematching every ``cfg.rematch_interval`` epochs.
 
     Trains ``prepared`` in place (its model and RNG streams); deep-copy it
-    first to train several variants from one prefix. ``data`` must be the
-    tuple ``prepared`` was built from. Returns (ModelState, history), the
-    history one record per epoch: the loss term means, the fraction of
-    matched pairs passing the similarity gate and the accuracy triple. A
-    target without eval labels (label -1) records its accuracies as None.
+    first to train several variants from one prefix. Returns (ModelState,
+    history), the history one record per epoch: the loss term means, the
+    fraction of matched pairs passing the similarity gate and the accuracy
+    triple. A target without eval labels (label -1) records its accuracies
+    as None.
     """
-    source, target, graph, word_vectors = data
-    state = prepared.state
+    state, source, target = prepared.state, prepared.source, prepared.target
     enc, head = state.encoder, state.head
-    rng_joint = prepared.rng_joint
-    partner = _partner(prepared.pairs, source.n)
+    rng_joint, partner = prepared.rng_joint, prepared.partner
     labeled = not (target.eval_labels < 0).any()
 
     params = {"encoder.weight": enc.weight, "encoder.bias": enc.bias,
               "head.weights": head.weights}
-    z_class = None
     if cfg.enable_gcn:
         params["gcn.theta"] = state.gcn.theta
-        z_class = propagate(normalized_adjacency(graph), word_vectors,
-                            graph.class_to_node)
     opt = MomentumSgd(params, cfg.learning_rate, cfg.momentum)
 
     n_src = source.n
@@ -417,8 +417,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
 
     for epoch in range(cfg.epochs):
         if cfg.rematch_interval > 0 and epoch > 0 and epoch % cfg.rematch_interval == 0:
-            partner = _partner(_match(enc, source, target, cfg.folds,
-                                      prepared.rng_match), source.n)
+            partner = _partner(enc, source, target, cfg.folds, prepared.rng_match)
         order_src = rng_joint.permutation(n_src)
         order_tgt = _target_order(rng_joint, target.n, n_src)
         sums = {"cls": 0.0, "sgmd": 0.0, "balance": 0.0, "gcn": 0.0, "total": 0.0}
@@ -430,7 +429,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, data):
             tgt_idx = order_tgt[start:start + cfg.batch_size]
             s_ids = src_idx[partner[src_idx] >= 0]
             components, gate = joint_terms(
-                state, z_class, cfg, source.features[src_idx],
+                state, prepared.z_class, cfg, source.features[src_idx],
                 source.labels[src_idx], target.features[tgt_idx],
                 source.features[s_ids], target.features[partner[s_ids]])
             considered += gate.size
@@ -477,7 +476,7 @@ def run_pipeline(cfg: ExperimentConfig, data=None):
     """
     if data is None:
         data = synth.generate(cfg.synth)
-    return train_joint(prepare(cfg, data), cfg, data)
+    return train_joint(prepare(cfg, data), cfg)
 
 
 # ----------------------------------------------------------------- runners
@@ -496,8 +495,7 @@ def _final_by_variant(base: ExperimentConfig, variants: dict, seeds, data=None):
             seed_data = data
         prepared = prepare(cfg, seed_data)
         for name, tokens in variants.items():
-            _, history = train_joint(copy.deepcopy(prepared),
-                                     apply_flags(cfg, tokens), seed_data)
+            _, history = train_joint(copy.deepcopy(prepared), apply_flags(cfg, tokens))
             finals[name].append(history[-1])
     return finals
 

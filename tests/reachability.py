@@ -15,7 +15,7 @@ def check_reachability(g: KnowledgeGraph) -> tuple:
     for i, j in g.edges:
         neighbors[i].append(j)
         neighbors[j].append(i)
-    seen = set(g.known_nodes())
+    seen = set(g.class_to_node[: g.known_class_count])
     queue = deque(seen)
     while queue:
         node = queue.popleft()

@@ -21,7 +21,7 @@ from gradcheck import grad_check
 def test_forward_single_node_identity():
     x = np.array([[0.5, 2.0]])
     params = GcnParams(theta=np.eye(2), activation_slope=0.2)
-    assert np.array_equal(gcn_forward(np.array([[1.0]]), x, params), x)
+    assert np.array_equal(gcn_forward(np.array([[1.0]]) @ x, params), x)
 
 
 def test_forward_constant_rows():
@@ -31,7 +31,7 @@ def test_forward_constant_rows():
     p = rng.random((4, 4))
     p /= p.sum(axis=1, keepdims=True)
     params = GcnParams(theta=rng.standard_normal((3, 2)), activation_slope=0.2)
-    out = gcn_forward(p, x, params)
+    out = gcn_forward(p @ x, params)
     expected = leaky_relu(x_row @ params.theta, 0.2)
     assert np.allclose(out, expected, atol=1e-12)
 
@@ -44,13 +44,13 @@ def test_forward_path_fixture():
     params = GcnParams(theta=np.array([[1.0], [-1.0]]), activation_slope=0.2)
     pre_activation = p @ x @ params.theta
     expected = np.where(pre_activation > 0, pre_activation, 0.2 * pre_activation)
-    assert np.allclose(gcn_forward(p, x, params), expected, atol=1e-15)
+    assert np.allclose(gcn_forward(p @ x, params), expected, atol=1e-15)
 
 
 def test_forward_dimension_mismatch():
     params = GcnParams(theta=np.eye(2))
     with pytest.raises(DimensionError):
-        gcn_forward(np.eye(3), np.zeros((4, 2)), params)
+        gcn_forward(np.zeros((4, 3)), params)
 
 
 def test_forward_linear_in_x_with_unit_slope():
@@ -60,8 +60,8 @@ def test_forward_linear_in_x_with_unit_slope():
     params = GcnParams(theta=rng.standard_normal((3, 2)), activation_slope=1.0)
     x1 = rng.standard_normal((5, 3))
     x2 = rng.standard_normal((5, 3))
-    combined = gcn_forward(p, 2.0 * x1 - 0.5 * x2, params)
-    parts = 2.0 * gcn_forward(p, x1, params) - 0.5 * gcn_forward(p, x2, params)
+    combined = gcn_forward(p @ (2.0 * x1 - 0.5 * x2), params)
+    parts = 2.0 * gcn_forward(p @ x1, params) - 0.5 * gcn_forward(p @ x2, params)
     assert np.max(np.abs(combined - parts)) < 1e-9
 
 
@@ -149,7 +149,7 @@ def test_reg_loss_whatgrad_closed_form():
     params = GcnParams(theta=rng.standard_normal((3, 2)), activation_slope=0.2)
     w_hat = rng.standard_normal((3, 2))
     rows = [0, 2, 3]
-    o = gcn_forward(p, x, params)
+    o = gcn_forward(p @ x, params)
     _, _, d_w = gcn_reg_loss(propagate(p, x, rows), params, w_hat)
     m = w_hat.shape[1]
     assert np.allclose(d_w, (w_hat - o[rows]) / m, atol=1e-12)
@@ -203,7 +203,7 @@ def _reference_gcn_init(g, x, w, schedule, rng):
     p = normalized_adjacency(g)
     slope = schedule.slope
     theta = init_theta(x.shape[1], w.shape[1], rng, schedule.init_scale)
-    known = list(g.known_nodes())
+    known = list(g.class_to_node[: g.known_class_count])
     z_known = (p @ x)[known]
     curvature = float(np.linalg.eigvalsh(z_known.T @ z_known)[-1]) / w.shape[1]
     step = schedule.learning_rate / max(curvature, 1e-12)
@@ -225,6 +225,10 @@ def _reference_gcn_init(g, x, w, schedule, rng):
     return theta, embeddings, history
 
 
+def _z_class(g, x):
+    return propagate(normalized_adjacency(g), x, g.class_to_node)
+
+
 def _synth_graph():
     _, _, g, words = synth.generate(synth.SynthConfig())
     return g, words
@@ -240,7 +244,7 @@ def test_train_init_bit_identical_to_full_forward(graph):
     w = make_rng(13).standard_normal((g.known_class_count, 16))
     schedule = GcnSchedule()
     theta, emb, history = _reference_gcn_init(g, x, w, schedule, make_rng(14))
-    params, emb_new, history_new = train_gcn_init(g, x, w, schedule, make_rng(14))
+    params, emb_new, history_new = train_gcn_init(_z_class(g, x), w, schedule, make_rng(14))
     assert np.array_equal(params.theta, theta)
     assert np.array_equal(emb_new, emb)
     assert np.array_equal(np.array(history_new), np.array(history))
@@ -252,11 +256,11 @@ def test_train_init_trains_under_the_schedule_slope():
     w = make_rng(13).standard_normal((g.known_class_count, 4))
     schedule = GcnSchedule(steps=300, slope=0.05)
     theta, emb, _ = _reference_gcn_init(g, x, w, schedule, make_rng(14))
-    params, emb_new, _ = train_gcn_init(g, x, w, schedule, make_rng(14))
+    params, emb_new, _ = train_gcn_init(_z_class(g, x), w, schedule, make_rng(14))
     assert params.activation_slope == 0.05
     assert np.array_equal(params.theta, theta)
     assert np.array_equal(emb_new, emb)
-    default, _, _ = train_gcn_init(g, x, w, GcnSchedule(steps=300), make_rng(14))
+    default, _, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=300), make_rng(14))
     assert not np.array_equal(default.theta, theta)
 
 
@@ -307,7 +311,7 @@ def test_train_init_fits_known_rows():
     g = _toy_graph()
     x = rng.standard_normal((6, 8))
     w = rng.standard_normal((3, 4))
-    _, emb, history = train_gcn_init(g, x, w, GcnSchedule(), make_rng(0))
+    _, emb, history = train_gcn_init(_z_class(g, x), w, GcnSchedule(), make_rng(0))
     assert emb.shape == (4, 4)
     mse = float(np.mean((emb[:3] - w) ** 2))
     assert mse <= 1e-3
@@ -318,7 +322,7 @@ def test_train_init_zero_word_vectors():
     g = _toy_graph()
     x = np.zeros((6, 8))
     w = make_rng(8).standard_normal((3, 4))
-    _, emb, history = train_gcn_init(g, x, w, GcnSchedule(steps=50), make_rng(0))
+    _, emb, history = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=50), make_rng(0))
     assert np.allclose(emb, 0.0)
     stuck = 0.5 * float(np.sum(w * w)) / w.shape[1]
     assert history[-1] == pytest.approx(stuck)
@@ -329,8 +333,8 @@ def test_train_init_deterministic():
     g = _toy_graph()
     x = rng.standard_normal((6, 8))
     w = rng.standard_normal((3, 4))
-    p1, _, _ = train_gcn_init(g, x, w, GcnSchedule(steps=200), make_rng(11))
-    p2, _, _ = train_gcn_init(g, x, w, GcnSchedule(steps=200), make_rng(11))
+    p1, _, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=200), make_rng(11))
+    p2, _, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=200), make_rng(11))
     assert np.array_equal(p1.theta, p2.theta)
 
 
@@ -342,7 +346,7 @@ def test_disconnected_zero_row_embedding_is_zero():
     x = rng.standard_normal((3, 4))
     x[2] = 0.0
     w = rng.standard_normal((2, 3))
-    _, emb, _ = train_gcn_init(g, x, w, GcnSchedule(steps=500), make_rng(0))
+    _, emb, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=500), make_rng(0))
     assert np.allclose(emb[2], 0.0, atol=1e-15)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opendomain import gcn, synth
-from opendomain.gcn import GcnParams, GcnSchedule, propagate
+from opendomain.gcn import GcnParams, GcnSchedule, gcn_forward, propagate
 from opendomain.losses import ClassifierHead, LossWeights, total_loss
 from opendomain.model import Encoder, ModelState, PretrainSchedule
 from opendomain.numkit import make_rng
@@ -447,6 +447,8 @@ def test_prepare_trains_gcn_init_under_the_configured_slope(monkeypatch):
     prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
     assert seen == {0.05}
     assert prepared.state.gcn.activation_slope == 0.05
+    assert np.array_equal(prepared.state.head.weights,
+                          gcn_forward(prepared.z_class, prepared.state.gcn))
 
 
 def test_unlabeled_target_records_absent_accuracies():
