@@ -16,12 +16,11 @@ import sys
 
 from . import synth
 from .evaluate import accuracy_triple, predict
-from .graph import GraphError, load_graph, save_graph
+from .graph import load_graph, save_graph
 from .matching import match_domains, save_pairs
 from .model import load_checkpoint, save_checkpoint
 from .numkit import load_matrix, make_rng, save_matrix, write_json
 from .trainer import (
-    ConfigError,
     NonFiniteLossError,
     apply_flags,
     experiment_hash,
@@ -41,7 +40,10 @@ _DATA_FILES = {
 
 def _read_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            return parse_config(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_dataset(directory, name, classes):
@@ -208,9 +210,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ConfigError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NonFiniteLossError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,7 @@
 """Prediction and the three-way accuracy metric (known / unknown / all)."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
@@ -11,7 +11,7 @@ from .model import ModelState, encode
 __all__ = ["AccuracyTriple", "predict", "accuracy_triple"]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class AccuracyTriple:
     """Per-instance top-1 accuracies over known-class instances, unknown-class
     instances and everything, with the group sample counts.
@@ -28,13 +28,7 @@ class AccuracyTriple:
     n_unknown: int
 
     def as_dict(self) -> dict:
-        return {
-            "known": self.known,
-            "unknown": self.unknown,
-            "all": self.all,
-            "n_known": self.n_known,
-            "n_unknown": self.n_unknown,
-        }
+        return dataclasses.asdict(self)
 
 
 def predict(state: ModelState, features) -> np.ndarray:

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numkit import size
+
 __all__ = [
     "GraphError",
     "KnowledgeGraph",
@@ -71,6 +73,10 @@ class KnowledgeGraph:
         return len(self.class_to_node)
 
 
+# fields of each record, its keyword included
+_FIELDS = {"nodes": 6, "node": 3, "class": 3, "edge": 3}
+
+
 def _canon(i: int, j: int):
     return (i, j) if i < j else (j, i)
 
@@ -78,9 +84,10 @@ def _canon(i: int, j: int):
 def load_graph(path) -> "KnowledgeGraph":
     """Parse the edge-list text format.
 
-    Header ``nodes N known L_S classes L_T``, then ``node <i> <name>``,
+    One header ``nodes N known L_S classes L_T``, then ``node <i> <name>``,
     ``class <ci> <ni>`` and ``edge <i> <j>`` lines. ``#`` starts a comment.
     Explicit self-loop lines are accepted and dropped (loops are implicit).
+    Every error names the file, and the line where it has one.
     """
     n = ls = lt = None
     names = {}
@@ -88,48 +95,52 @@ def load_graph(path) -> "KnowledgeGraph":
     edges = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
             try:
+                if parts[0] not in _FIELDS:
+                    raise ValueError(f"unknown record {parts[0]!r}")
+                if len(parts) != _FIELDS[parts[0]]:
+                    raise ValueError(f"{parts[0]} record has {len(parts)} fields, "
+                                     f"expected {_FIELDS[parts[0]]}")
                 if parts[0] == "nodes":
-                    if len(parts) == 6 and parts[2] == "known" and parts[4] == "classes":
-                        n, ls, lt = int(parts[1]), int(parts[3]), int(parts[5])
-                    else:
+                    if n is not None:
+                        raise ValueError("duplicate header")
+                    if parts[2] != "known" or parts[4] != "classes":
                         raise ValueError("bad header")
+                    n, ls, lt = size(parts[1]), size(parts[3]), size(parts[5])
                 elif parts[0] == "node":
-                    idx = int(parts[1])
+                    idx = size(parts[1])
                     if idx in names:
                         raise ValueError(f"duplicate node {idx}")
                     names[idx] = parts[2]
                 elif parts[0] == "class":
-                    ci, ni = int(parts[1]), int(parts[2])
+                    ci, ni = size(parts[1]), size(parts[2])
                     if ci in class_map:
                         raise ValueError(f"duplicate class mapping for {ci}")
                     class_map[ci] = ni
-                elif parts[0] == "edge":
-                    i, j = int(parts[1]), int(parts[2])
+                else:
+                    i, j = size(parts[1]), size(parts[2])
                     if i != j:
                         edges.append(_canon(i, j))
-                else:
-                    raise ValueError(f"unknown record {parts[0]!r}")
-            except (IndexError, ValueError) as exc:
-                raise GraphError(f"{path}:{lineno}: {exc}") from exc
+            except ValueError as exc:
+                raise GraphError(f"{path}: line {lineno}: {exc}") from None
     if n is None:
         raise GraphError(f"{path}: missing header line")
     if sorted(names) != list(range(n)):
         raise GraphError(f"{path}: node indices must cover 0..{n - 1}")
     if sorted(class_map) != list(range(lt)):
         raise GraphError(f"{path}: class indices must cover 0..{lt - 1}")
-    if len(set(edges)) != len(edges):
-        raise GraphError(f"{path}: duplicate edges")
-    return KnowledgeGraph(
-        node_names=tuple(names[i] for i in range(n)),
-        edges=tuple(sorted(set(edges))),
-        class_to_node=tuple(class_map[c] for c in range(lt)),
-        known_class_count=ls,
-    )
+    try:
+        return KnowledgeGraph(
+            node_names=tuple(names[i] for i in range(n)),
+            edges=tuple(sorted(edges)),
+            class_to_node=tuple(class_map[c] for c in range(lt)),
+            known_class_count=ls,
+        )
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def save_graph(path, g: KnowledgeGraph) -> None:

@@ -103,6 +103,28 @@ def test_train_and_eval_agree(tmp_path, config_path, capsys):
         assert scored[key] == metrics[key]
 
 
+def test_train_and_eval_without_a_graph(tmp_path, capsys):
+    """With known == total (lb and gcn off) synth writes no graph, and
+    train and eval run on the data directory without one."""
+    config = tmp_path / "sym.cfg"
+    config.write_text(SMALL_CONFIG.replace("total_classes = 5", "total_classes = 3")
+                      + "flags.enable_lb = false\nflags.enable_gcn = false\n")
+    data = tmp_path / "data"
+    run = tmp_path / "run"
+    _synth(str(config), data)
+    assert not (data / "graph.txt").exists()
+    assert main(["train", "--config", str(config), "--data", str(data),
+                 "--out", str(run)]) == 0
+    metrics = json.loads((run / "metrics.json").read_text())
+    assert metrics["n_unknown"] == 0
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(run / "checkpoint"),
+                 "--data", str(data)]) == 0
+    scored = json.loads(capsys.readouterr().out)
+    for key in ("known", "unknown", "all", "n_known", "n_unknown"):
+        assert scored[key] == metrics[key]
+
+
 def test_train_flags_select_variant(tmp_path, config_path):
     data = tmp_path / "data"
     _synth(config_path, data)
@@ -391,11 +413,23 @@ _EXIT_CASES = [
      _replace("exp.cfg", "gcn.steps =", "gcn.steps"), 1, "line 15"),
     ("synth", "non-finite config value",
      _append("exp.cfg", "train.learning_rate = nan\n"), 1, "learning_rate"),
+    ("synth", "unknown config key",
+     _append("exp.cfg", "train.bogus = 1\n"), 1, "exp.cfg: line 16"),
+    ("train", "config value out of range",
+     _append("exp.cfg", "gcn.momentum = 1.5\n"), 1, "exp.cfg: momentum"),
     ("train", "missing source.ds", _remove("data/source.ds"), 3, "source.ds"),
     ("train", "malformed target.ds header",
      _replace("data/target.ds", "labeled 0 classes", "labeled 0 kinds"), 1, "target.ds"),
     ("train", "malformed graph header",
      _replace("data/graph.txt", "known", "knwon"), 1, "graph.txt"),
+    ("train", "extra token in a graph edge",
+     _replace("data/graph.txt", "edge 0 6\n", "edge 0 6 99\n"), 1, "graph.txt: line 15"),
+    ("train", "second graph header",
+     _append("data/graph.txt", "nodes 8 known 0 classes 5\n"), 1, "graph.txt: line 22"),
+    ("train", "negative graph node index",
+     _replace("data/graph.txt", "node 0 ", "node -1 "), 1, "graph.txt: line 2"),
+    ("train", "graph edge out of range",
+     _replace("data/graph.txt", "edge 6 7", "edge 6 70"), 1, "graph.txt: edge (6, 70)"),
     ("train", "short source.ds row", _edit_row("data/source.ds", _short), 1, "source.ds"),
     ("train", "trailing wordvec.mat rows",
      _append("data/wordvec.mat", "1 2\n"), 1, "wordvec.mat"),
