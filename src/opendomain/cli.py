@@ -48,11 +48,13 @@ def _read_config(path):
 
 def _load_dataset(directory, name, classes):
     """Load a data file, rejecting one that declares other than ``classes``
-    classes."""
+    classes or has no rows."""
     path = os.path.join(directory, _DATA_FILES[name])
     dataset, declared = synth.load_dataset(path)
     if declared != classes:
         raise ValueError(f"{path}: declares {declared} classes, expected {classes}")
+    if not dataset.n:
+        raise ValueError(f"{path}: no rows")
     return dataset
 
 

@@ -86,13 +86,14 @@ def load_graph(path) -> "KnowledgeGraph":
 
     One header ``nodes N known L_S classes L_T``, then ``node <i> <name>``,
     ``class <ci> <ni>`` and ``edge <i> <j>`` lines. ``#`` starts a comment.
-    Explicit self-loop lines are accepted and dropped (loops are implicit).
-    Every error names the file, and the line where it has one.
+    Explicit self-loop lines are range-checked and dropped (loops are
+    implicit). Every error names the file, and the line where it has one.
     """
     n = ls = lt = None
     names = {}
     class_map = {}
     edges = []
+    loops = []  # (line, node) of each explicit self-loop
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
@@ -124,10 +125,16 @@ def load_graph(path) -> "KnowledgeGraph":
                     i, j = size(parts[1]), size(parts[2])
                     if i != j:
                         edges.append(_canon(i, j))
+                    else:
+                        loops.append((lineno, i))
             except ValueError as exc:
                 raise GraphError(f"{path}: line {lineno}: {exc}") from None
     if n is None:
         raise GraphError(f"{path}: missing header line")
+    for lineno, i in loops:
+        if i >= n:
+            raise GraphError(f"{path}: line {lineno}: edge ({i}, {i}) "
+                             f"out of range for {n} nodes")
     if sorted(names) != list(range(n)):
         raise GraphError(f"{path}: node indices must cover 0..{n - 1}")
     if sorted(class_map) != list(range(lt)):

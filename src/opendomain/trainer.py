@@ -1,6 +1,6 @@
 """End-to-end training: source pretrain, graph-propagated classifier init,
 cross-domain matching, then the joint loop that mixes the four loss terms,
-plus the ablation and symmetric-adaptation runners.
+plus the variant runner.
 
 Source cross-entropy is computed over the known-class rows only, so the
 unknown-class classifiers move exclusively under the balance constraint and
@@ -54,8 +54,8 @@ __all__ = [
     "train_joint",
     "run_pipeline",
     "run_ablation",
-    "run_da_mode",
     "ABLATION_VARIANTS",
+    "DA_VARIANTS",
     "format_ablation_table",
 ]
 
@@ -122,6 +122,9 @@ ABLATION_VARIANTS = {
     "lb+sgmd+gcn": ("lb", "sgmd", "gcn"),
     "vanilla-balance": ("vanilla",),
 }
+
+# known == total: no class lacks source labels, so only cls and SGMD apply
+DA_VARIANTS = {"source_only": (), "sgmd": ("sgmd",)}
 
 
 def apply_flags(cfg: ExperimentConfig, tokens) -> ExperimentConfig:
@@ -481,40 +484,34 @@ def run_pipeline(cfg: ExperimentConfig, data=None):
 
 # ----------------------------------------------------------------- runners
 
-def _final_by_variant(base: ExperimentConfig, variants: dict, seeds, data=None):
-    """{variant: [final history record per seed]}. Each seed's prefix is
-    prepared once and every variant trains from a deep copy of it. Without
-    ``data`` each seed also regenerates the synthetic benchmark."""
-    finals = {name: [] for name in variants}
-    for seed in seeds:
-        if data is None:
-            cfg = replace(base, seed=int(seed), synth=replace(base.synth, seed=int(seed)))
-            seed_data = synth.generate(cfg.synth)
-        else:
-            cfg = replace(base, seed=int(seed))
-            seed_data = data
-        prepared = prepare(cfg, seed_data)
-        for name, tokens in variants.items():
-            _, history = train_joint(copy.deepcopy(prepared), apply_flags(cfg, tokens))
-            finals[name].append(history[-1])
-    return finals
-
-
 def run_ablation(base: ExperimentConfig, seeds, data=None):
-    """Train the five canonical variants per seed and aggregate the final
-    accuracy triples into means and standard deviations.
+    """Train each variant per seed and aggregate the final accuracy triples
+    into means and standard deviations. The variants follow the label
+    space: the five ``ABLATION_VARIANTS`` with unknown classes, else
+    ``DA_VARIANTS``, whose unknown column reads 0 (no unknown instances).
 
-    With ``data`` given, the dataset is held fixed and only the training
-    seed varies; otherwise each seed regenerates the synthetic benchmark.
+    Each seed's prefix is prepared once and every variant trains from a
+    deep copy of it. With ``data`` the dataset is held fixed and only the
+    training seed varies; otherwise each seed regenerates the benchmark.
     """
     if not len(seeds):
         raise ConfigError("run_ablation needs at least one seed")
+    open_set = base.synth.known_classes < base.synth.total_classes
+    variants = ABLATION_VARIANTS if open_set else DA_VARIANTS
+    runs = {name: [] for name in variants}
+    for seed in seeds:
+        cfg = replace(base, seed=int(seed))
+        if data is None:
+            cfg = replace(cfg, synth=replace(base.synth, seed=int(seed)))
+        prepared = prepare(cfg, synth.generate(cfg.synth) if data is None else data)
+        for name, tokens in variants.items():
+            _, history = train_joint(copy.deepcopy(prepared), apply_flags(cfg, tokens))
+            runs[name].append({k: history[-1][k] for k in ("known", "unknown", "all")})
     results = {}
-    for variant, finals in _final_by_variant(base, ABLATION_VARIANTS, seeds, data).items():
-        runs = [{k: final[k] for k in ("known", "unknown", "all")} for final in finals]
-        entry = {"seeds": len(runs), "runs": runs}
+    for variant, variant_runs in runs.items():
+        entry = {"seeds": len(variant_runs), "runs": variant_runs}
         for key in ("known", "unknown", "all"):
-            vals = np.array([r[key] for r in runs])
+            vals = np.array([r[key] for r in variant_runs])
             entry[f"{key}_mean"] = float(vals.mean())
             entry[f"{key}_std"] = float(vals.std())
         results[variant] = entry
@@ -523,8 +520,7 @@ def run_ablation(base: ExperimentConfig, seeds, data=None):
 
 def format_ablation_table(results: dict) -> str:
     lines = [f"{'variant':<16} {'known':>14} {'unknown':>14} {'all':>14} {'seeds':>6}"]
-    for variant in ABLATION_VARIANTS:
-        e = results[variant]
+    for variant, e in results.items():
         cells = [
             f"{e[k + '_mean']:.3f}±{e[k + '_std']:.3f}"
             for k in ("known", "unknown", "all")
@@ -533,13 +529,3 @@ def format_ablation_table(results: dict) -> str:
                      f"{e['seeds']:>6}")
     return "\n".join(lines) + "\n"
 
-
-def run_da_mode(cfg: ExperimentConfig):
-    """Symmetric-label-space comparison: source-only training versus
-    training with the matched-pair discrepancy term added. Balance and
-    graph terms stay off. Returns both target accuracies."""
-    if cfg.synth.known_classes != cfg.synth.total_classes:
-        raise ConfigError("run_da_mode requires known_classes == total_classes")
-    finals = _final_by_variant(cfg, {"source_only": (), "sgmd": ("sgmd",)},
-                               [cfg.seed], synth.generate(cfg.synth))
-    return {name: records[0]["all"] for name, records in finals.items()}

@@ -8,6 +8,7 @@ import pytest
 from opendomain.cli import main
 from opendomain.matching import load_pairs
 from opendomain.numkit import make_rng, save_matrix
+from opendomain.trainer import DA_VARIANTS, apply_flags, parse_config, run_pipeline
 
 SMALL_CONFIG = """
 train.seed = 0
@@ -25,6 +26,11 @@ train.folds = 2
 pretrain.epochs = 3
 gcn.steps = 300
 """
+
+
+# known == total: synth writes no graph, and lb and gcn must be off
+SYM_CONFIG = (SMALL_CONFIG.replace("total_classes = 5", "total_classes = 3")
+              + "flags.enable_lb = false\nflags.enable_gcn = false\n")
 
 
 @pytest.fixture()
@@ -107,8 +113,7 @@ def test_train_and_eval_without_a_graph(tmp_path, capsys):
     """With known == total (lb and gcn off) synth writes no graph, and
     train and eval run on the data directory without one."""
     config = tmp_path / "sym.cfg"
-    config.write_text(SMALL_CONFIG.replace("total_classes = 5", "total_classes = 3")
-                      + "flags.enable_lb = false\nflags.enable_gcn = false\n")
+    config.write_text(SYM_CONFIG)
     data = tmp_path / "data"
     run = tmp_path / "run"
     _synth(str(config), data)
@@ -222,6 +227,29 @@ def test_ablate_writes_table_and_json(tmp_path, config_path, capsys):
     assert payload["seeds"] == [0]
     assert set(payload["variants"]) == {
         "baseline", "lb", "lb+sgmd", "lb+sgmd+gcn", "vanilla-balance"}
+
+
+def test_ablate_on_a_symmetric_config_compares_source_only_with_sgmd(tmp_path, capsys):
+    """With known == total, ablate runs the DA variants, each the run that
+    train gives for its flags."""
+    config = tmp_path / "sym.cfg"
+    config.write_text(SYM_CONFIG)
+    data = tmp_path / "data"
+    out = tmp_path / "ablation"
+    _synth(str(config), data)
+    capsys.readouterr()
+    assert main(["ablate", "--config", str(config), "--data", str(data),
+                 "--seeds", "1", "--out", str(out)]) == 0
+    variants = json.loads((out / "ablation.json").read_text())["variants"]
+    assert set(variants) == set(DA_VARIANTS)
+    table = (out / "table.txt").read_text()
+    assert len(table.splitlines()) == 3
+    assert capsys.readouterr().out == table
+    cfg = parse_config(SYM_CONFIG)
+    for name, tokens in DA_VARIANTS.items():
+        final = run_pipeline(apply_flags(cfg, tokens))[1][-1]
+        assert variants[name]["runs"] == [
+            {k: final[k] for k in ("known", "unknown", "all")}], name
 
 
 def test_match_command(tmp_path):
@@ -393,6 +421,17 @@ def _edit_row(name, change, index=1):
     return edit
 
 
+def _no_rows(name):
+    """Rewrite a dataset as its header declaring 0 rows, and empty its
+    .eval sidecar if it has one."""
+    def edit(root):
+        header = (root / name).read_text().split("\n", 1)[0].split()
+        (root / name).write_text(" ".join(["0"] + header[1:]) + "\n")
+        if (root / f"{name}.eval").exists():
+            (root / f"{name}.eval").write_text("")
+    return edit
+
+
 def _short(tokens):
     return tokens[:-1]
 
@@ -430,6 +469,12 @@ _EXIT_CASES = [
      _replace("data/graph.txt", "node 0 ", "node -1 "), 1, "graph.txt: line 2"),
     ("train", "graph edge out of range",
      _replace("data/graph.txt", "edge 6 7", "edge 6 70"), 1, "graph.txt: edge (6, 70)"),
+    ("train", "graph self-loop out of range",
+     _append("data/graph.txt", "edge 99 99\n"), 1, "graph.txt: line 22"),
+    ("train", "source.ds with no rows", _no_rows("data/source.ds"), 1,
+     "source.ds: no rows"),
+    ("train", "target.ds with no rows", _no_rows("data/target.ds"), 1,
+     "target.ds: no rows"),
     ("train", "short source.ds row", _edit_row("data/source.ds", _short), 1, "source.ds"),
     ("train", "trailing wordvec.mat rows",
      _append("data/wordvec.mat", "1 2\n"), 1, "wordvec.mat"),
@@ -489,6 +534,8 @@ _EXIT_CASES = [
      _append("data/target.ds.eval", "0\n"), 1, "target.ds.eval"),
     ("eval", "target.ds class count",
      _replace("data/target.ds", "classes 5", "classes 6"), 1, "target.ds"),
+    ("eval", "target.ds with no rows", _no_rows("data/target.ds"), 1,
+     "target.ds: no rows"),
     ("eval", "missing target.ds", _remove("data/target.ds"), 3, "target.ds"),
 ]
 

@@ -11,6 +11,7 @@ from opendomain.numkit import make_rng
 from opendomain import trainer
 from opendomain.trainer import (
     ABLATION_VARIANTS,
+    DA_VARIANTS,
     ConfigError,
     ExperimentConfig,
     NonFiniteLossError,
@@ -21,7 +22,6 @@ from opendomain.trainer import (
     joint_terms,
     parse_config,
     run_ablation,
-    run_da_mode,
     run_pipeline,
 )
 
@@ -480,8 +480,13 @@ def _sym_cfg(**synth_overrides):
                             seed=0, enable_lb=False, enable_gcn=False)
 
 
+def _da(cfg):
+    return {name: entry["runs"][0]["all"]
+            for name, entry in run_ablation(cfg, seeds=[cfg.seed]).items()}
+
+
 def test_da_mode_returns_both_accuracies():
-    out = run_da_mode(_sym_cfg())
+    out = _da(_sym_cfg())
     assert set(out) == {"source_only", "sgmd"}
     for v in out.values():
         assert 0.0 <= v <= 1.0
@@ -491,15 +496,18 @@ def test_da_mode_equals_two_pipeline_runs():
     cfg = replace(_sym_cfg(), rematch_interval=1)
     expected = {name: run_pipeline(apply_flags(cfg, tokens))[1][-1]["all"]
                 for name, tokens in (("source_only", ()), ("sgmd", ("sgmd",)))}
-    assert run_da_mode(cfg) == expected
+    assert _da(cfg) == expected
 
 
 def test_da_mode_closed_gate_matches_source_only():
     cfg = replace(_sym_cfg(), loss_weights=LossWeights(tau=1.0))
-    out = run_da_mode(cfg)
+    out = _da(cfg)
     assert out["sgmd"] == out["source_only"]
 
 
-def test_da_mode_rejects_open_set_config():
-    with pytest.raises(ConfigError):
-        run_da_mode(_small_cfg(enable_lb=False, enable_gcn=False))
+def test_format_ablation_table_prints_the_da_variants():
+    results = run_ablation(replace(_sym_cfg(), epochs=1), seeds=[0])
+    lines = format_ablation_table(results).strip().splitlines()
+    assert [line.split()[0] for line in lines[1:]] == list(DA_VARIANTS)
+    # no unknown instances: the unknown column reads 0
+    assert all(line.split()[2] == "0.000±0.000" for line in lines[1:])
