@@ -1,10 +1,13 @@
 """Cross-domain instance matching on plain index and cost arrays.
 
-`pairwise_l1` gives the n x m L1 cost array, `hungarian` solves the
-minimum-weight assignment exactly with an O(n^3) shortest-augmenting-path
-(Jonker-Volgenant potentials) solver, and `match_domains` splits each domain
-into k random folds and matches fold i against fold i, mapping local indices
-to global ids through the folds' index arrays.
+`pairwise_l1` gives the n x m L1 cost array, filled 16 rows at a time so
+that its temporaries hold 16·m·d floats (3 MB at m=1500, d=16) whatever n
+is. `hungarian` solves the minimum-weight assignment exactly with
+shortest augmenting paths and lazy dual updates (Crouse 2016, after
+Jonker-Volgenant), in which ties resolve to the lowest column index.
+`match_domains` splits each domain into k random folds and matches fold i
+against fold i, mapping local indices to global ids through the folds'
+index arrays.
 """
 from __future__ import annotations
 
@@ -23,6 +26,8 @@ __all__ = [
     "save_pairs",
     "load_pairs",
 ]
+
+_L1_BLOCK = 16  # rows per block of pairwise_l1's temporary; fastest measured
 
 
 @dataclass(frozen=True)
@@ -44,56 +49,70 @@ class MatchedPairs:
 
 
 def pairwise_l1(fs, ft) -> np.ndarray:
-    """The n x m array costs[i, j] = sum_d |fs[i, d] - ft[j, d]|."""
+    """The n x m array costs[i, j] = sum_d |fs[i, d] - ft[j, d]|, computed
+    _L1_BLOCK rows at a time into the one output array."""
     fs = np.asarray(fs, float)
     ft = np.asarray(ft, float)
     if fs.ndim != 2 or ft.ndim != 2 or fs.shape[1] != ft.shape[1]:
         raise DimensionError(f"pairwise_l1: shapes {fs.shape}, {ft.shape}")
-    return np.abs(fs[:, None, :] - ft[None, :, :]).sum(axis=2)
+    out = np.empty((fs.shape[0], ft.shape[0]))
+    for a in range(0, fs.shape[0], _L1_BLOCK):
+        b = a + _L1_BLOCK
+        np.abs(fs[a:b, None, :] - ft[None]).sum(axis=2, out=out[a:b])
+    return out
 
 
 def _solve(cost: np.ndarray):
-    """Shortest augmenting path assignment for cost with rows <= cols.
+    """Shortest augmenting path assignment for cost with rows <= cols, with
+    lazy dual updates (Crouse 2016): one Dijkstra search per new row over
+    full-length column arrays, and the potentials updated once per row from
+    the distances at which the search visited each column.
 
-    Returns col_for_row, an int array of length n_rows. Ties during
-    augmentation resolve to the lowest column index (ascending scan with
-    strict improvement), which pins the returned matching across runs.
+    Returns col_for_row, an int array of length n_rows. A column's path is
+    rewritten only on strict improvement and the dense argmin takes the
+    lowest column, so ties resolve to the lowest column index, which pins
+    the returned matching across runs. Ties are between float64 reduced
+    costs: exact on whole-number costs, up to rounding on others.
     """
     n, m = cost.shape
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    p = np.zeros(m + 1, dtype=int)  # p[j] = row assigned to column j (1-based), 0 free
-    way = np.zeros(m + 1, dtype=int)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(m + 1, np.inf)
-        used = np.zeros(m + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = np.where(~used[1:])[0] + 1
-            cur = cost[i0 - 1, free - 1] - u[i0] - v[free]
-            better = cur < minv[free]
-            minv[free[better]] = cur[better]
-            way[free[better]] = j0
-            j1 = free[int(np.argmin(minv[free]))]
-            delta = minv[j1]
-            used_idx = np.where(used)[0]
-            u[p[used_idx]] += delta
-            v[used_idx] -= delta
-            minv[~used] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
+    u = np.zeros(n)
+    v = np.zeros(m)
     col_for_row = np.full(n, -1, dtype=int)
-    for j in range(1, m + 1):
-        if p[j] > 0:
-            col_for_row[p[j] - 1] = j - 1
+    row_for_col = np.full(m, -1, dtype=int)
+    path = np.zeros(m, dtype=int)  # path[j]: the row the search reached j from
+    shortest, reduced = np.empty(m), np.empty(m)  # shortest is inf once visited
+    open_cols, better = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    for cur in range(n):
+        shortest.fill(np.inf)
+        open_cols.fill(True)
+        seen, dist = [], []
+        i, min_val = cur, 0.0
+        while True:
+            np.add(cost[i], min_val - u[i], out=reduced)
+            reduced -= v
+            np.less(reduced, shortest, out=better)
+            better &= open_cols
+            np.copyto(shortest, reduced, where=better)
+            np.copyto(path, i, where=better)
+            j = int(shortest.argmin())
+            min_val = float(shortest[j])
+            shortest[j] = np.inf
+            open_cols[j] = False
+            seen.append(j)
+            dist.append(min_val)
+            i = int(row_for_col[j])
+            if i < 0:
+                break
+        seen, dist = np.array(seen), np.array(dist)
+        u[cur] += min_val
+        u[row_for_col[seen[:-1]]] += min_val - dist[:-1]
+        v[seen] -= min_val - dist
+        while True:
+            i = int(path[j])
+            row_for_col[j] = i
+            col_for_row[i], j = j, col_for_row[i]
+            if i == cur:
+                break
     return col_for_row
 
 
@@ -110,7 +129,7 @@ def hungarian(cost) -> MatchedPairs:
         rows = np.arange(cost.shape[0])
         cols = _solve(cost)
     else:
-        rows = _solve(cost.T)
+        rows = _solve(np.ascontiguousarray(cost.T))
         cols = np.argsort(rows)
         rows = rows[cols]
     costs = cost[rows, cols]
