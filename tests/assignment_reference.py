@@ -1,6 +1,7 @@
 """The assignment solver the package shipped before its lazy-dual rewrite,
-kept as the tests' reference for the tie rule: on every cost array the
-package's solver must return the same column for every row."""
+kept as the tests' reference for the tie rule: on whole-number and on
+continuous random costs the package's solver must return the same column
+for every row."""
 import numpy as np
 
 
