@@ -45,13 +45,14 @@ for child, parent in ((5, 7), (6, 7), (0, 5), (1, 5), (2, 5), (3, 6), (4, 6)):
 # pretend these came out of source-domain training
 w_known = rng.standard_normal((3, 4))
 
+# 3 known rows of 12-dim word vectors have full row rank, so the fit is
+# solved in closed form rather than by gradient steps
 params, embeddings, history = train_gcn_init(
-    propagate(p, words, g.class_to_node), w_known, GcnSchedule(steps=4000), make_rng(1))
+    propagate(p, words, g.class_to_node), w_known, GcnSchedule(), make_rng(1))
 
-print(f"\nfit loss: {history[0]:.4f} -> {history[-1]:.2e} "
-      f"({len(history)} steps)")
-mse = float(np.mean((embeddings[:3] - w_known) ** 2))
-print(f"known-row reconstruction MSE: {mse:.2e}")
+print(f"\nfit loss: {history[0]:.4f} -> {history[-1]:.2e} (solved in closed form)")
+residual = float(np.max(np.abs(embeddings[:3] - w_known)))
+print(f"known-row residual (largest |O - W| entry): {residual:.1e}")
 
 # the propagated rows for the unknown classes are not arbitrary: each one
 # is closest to its taxonomy siblings, not to the unrelated group

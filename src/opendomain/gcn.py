@@ -7,6 +7,11 @@ Only Theta is trained, so the propagated word vectors Z = (P X)[rows] of
 the class rows are computed once per graph by :func:`propagate`, and every
 function here takes Z instead of P, X and the row list. All gradients are
 computed by hand and verified by finite differences in the test suite.
+
+GCN init fits Theta so the known output rows reproduce the pretrained
+weights W. Each gradient step adds Z_k^T(.) to Theta (Z_k: the known class
+rows), so the fit's limit lies in Theta0 + rowspace(Z_k); where it is unique
+there, :func:`train_gcn_init` solves it in closed form instead of iterating.
 """
 from __future__ import annotations
 
@@ -133,19 +138,34 @@ def init_theta(word_dim: int, out_dim: int, rng: np.random.Generator,
 
 
 def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
-    """Gradient descent (with momentum) on the known-row regression from a
-    small random theta. ``z_class`` is ``propagate(p, x, class_to_node)``,
-    whose first ``len(w)`` rows are the known classes.
+    """Fit the known-row regression from a small random theta0. ``z_class``
+    is ``propagate(p, x, class_to_node)``, whose first ``len(w)`` rows Z_k
+    are the known classes.
+
+    With ``schedule.slope > 0`` and Z_k of full row rank the fit is solved
+    in closed form, as the limit of gradient descent from theta0:
+    ``theta = theta0 + Z_k^T (Z_k Z_k^T)^-1 (leaky_relu^-1(W) - Z_k theta0)``
+    with ``leaky_relu^-1(W) = where(W > 0, W, W / slope)``, and ``history``
+    is [initial loss, final loss]. Otherwise (slope 0, or a rank-deficient
+    Z_k: more known rows than word dims, zero word vectors) it runs
+    ``schedule.steps`` momentum steps and ``history`` is the per-step loss.
 
     Returns (params, embeddings, history) where ``embeddings`` are the
     class rows of O (known rows approximate W, unknown rows are the
-    propagated classifier weights) and ``history`` is the per-step loss.
+    propagated classifier weights).
     """
     z_class = np.asarray(z_class, float)
     w = np.asarray(w, float)
     params = GcnParams(init_theta(z_class.shape[1], w.shape[1], rng, schedule.init_scale),
                        schedule.slope)
     z_known = z_class[: len(w)]
+    if schedule.slope > 0 and np.linalg.matrix_rank(z_known) == len(w):
+        history = [init_loss(z_known, params, w)[0]]
+        target = np.where(w > 0, w, w / schedule.slope)
+        params.theta += z_known.T @ np.linalg.solve(z_known @ z_known.T,
+                                                    target - z_known @ params.theta)
+        history.append(init_loss(z_known, params, w)[0])
+        return params, gcn_forward(z_class, params), history
     # learning_rate is relative to the curvature of the quadratic bound
     # Z_k^T Z_k / M (activation slope <= 1), so the schedule is stable
     # regardless of the scale of the word vectors

@@ -234,25 +234,32 @@ def _synth_graph():
     return g, words
 
 
+def _graph_and_words(graph):
+    if graph == "toy":
+        return _toy_graph(), make_rng(12).standard_normal((6, 8))
+    return _synth_graph()
+
+
 @pytest.mark.parametrize("graph", ["toy", "synth"])
 def test_train_init_bit_identical_to_full_forward(graph):
-    if graph == "toy":
-        g = _toy_graph()
-        x = make_rng(12).standard_normal((6, 8))
-    else:
-        g, x = _synth_graph()
+    # the loop runs where the closed form does not apply: slope 0, and
+    # fewer word dims than known rows (Z_k rank-deficient)
+    g, x = _graph_and_words(graph)
     w = make_rng(13).standard_normal((g.known_class_count, 16))
-    schedule = GcnSchedule()
-    theta, emb, history = _reference_gcn_init(g, x, w, schedule, make_rng(14))
-    params, emb_new, history_new = train_gcn_init(_z_class(g, x), w, schedule, make_rng(14))
-    assert np.array_equal(params.theta, theta)
-    assert np.array_equal(emb_new, emb)
-    assert np.array_equal(np.array(history_new), np.array(history))
+    narrow = x[:, : g.known_class_count - 1]
+    for words, schedule in ((x, GcnSchedule(slope=0.0)), (narrow, GcnSchedule())):
+        theta, emb, history = _reference_gcn_init(g, words, w, schedule, make_rng(14))
+        params, emb_new, history_new = train_gcn_init(_z_class(g, words), w, schedule,
+                                                      make_rng(14))
+        assert len(history_new) == schedule.steps
+        assert np.array_equal(params.theta, theta)
+        assert np.array_equal(emb_new, emb)
+        assert np.array_equal(np.array(history_new), np.array(history))
 
 
 def test_train_init_trains_under_the_schedule_slope():
     g = _toy_graph()
-    x = make_rng(12).standard_normal((6, 8))
+    x = make_rng(12).standard_normal((6, 2))  # 3 known rows, rank 2: the loop
     w = make_rng(13).standard_normal((g.known_class_count, 4))
     schedule = GcnSchedule(steps=300, slope=0.05)
     theta, emb, _ = _reference_gcn_init(g, x, w, schedule, make_rng(14))
@@ -262,6 +269,39 @@ def test_train_init_trains_under_the_schedule_slope():
     assert np.array_equal(emb_new, emb)
     default, _, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=300), make_rng(14))
     assert not np.array_equal(default.theta, theta)
+
+
+@pytest.mark.parametrize("graph", ["toy", "synth"])
+def test_closed_form_is_the_converged_loop(graph):
+    g, x = _graph_and_words(graph)
+    w = make_rng(13).standard_normal((g.known_class_count, 16))
+    schedule = GcnSchedule()
+    theta, emb, history = _reference_gcn_init(g, x, w, schedule, make_rng(14))
+    assert history[-1] < 1e-25  # the 8000 reference steps have converged
+    params, emb_new, history_new = train_gcn_init(_z_class(g, x), w, schedule, make_rng(14))
+    # two routes to one fixed point: entries are O(10) and cond(Z_k Z_k^T)
+    # is below 100 on both graphs, so rounding alone allows about 2e-13
+    assert np.allclose(params.theta, theta, rtol=0, atol=1e-12)
+    assert np.allclose(emb_new, emb, rtol=0, atol=1e-12)
+    assert history_new[0] == history[0]
+
+
+@pytest.mark.parametrize("graph", ["toy", "synth"])
+@pytest.mark.parametrize("slope", [0.05, 0.2, 1.0])
+def test_closed_form_fits_known_rows_to_rounding(graph, slope):
+    g, x = _graph_and_words(graph)
+    k = g.known_class_count
+    w = make_rng(13).standard_normal((k, 16))
+    z = _z_class(g, x)
+    params, emb, history = train_gcn_init(z, w, GcnSchedule(slope=slope), make_rng(14))
+    assert np.max(np.abs(emb[:k] - w)) <= 1e-12
+    assert len(history) == 2 and history[1] < history[0]
+    assert history[1] <= 1e-25
+    # theta moved from theta0 only within the row space of Z_k, so the
+    # unknown rows keep theta0's component outside it
+    theta0 = init_theta(x.shape[1], 16, make_rng(14))
+    step = params.theta - theta0
+    assert np.allclose(step, np.linalg.pinv(z[:k]) @ (z[:k] @ step), rtol=0, atol=1e-12)
 
 
 def test_reg_loss_bit_identical_to_full_forward():
@@ -323,6 +363,7 @@ def test_train_init_zero_word_vectors():
     x = np.zeros((6, 8))
     w = make_rng(8).standard_normal((3, 4))
     _, emb, history = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=50), make_rng(0))
+    assert len(history) == 50  # Z_k has rank 0: the loop runs
     assert np.allclose(emb, 0.0)
     stuck = 0.5 * float(np.sum(w * w)) / w.shape[1]
     assert history[-1] == pytest.approx(stuck)
