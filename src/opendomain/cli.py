@@ -17,7 +17,7 @@ import sys
 from . import synth
 from .evaluate import accuracy_triple, predict
 from .graph import load_graph, save_graph
-from .matching import match_domains, save_pairs
+from .matching import MatchedPairs, match_domains, save_pairs
 from .model import load_checkpoint, save_checkpoint
 from .numkit import load_matrix, make_rng, save_matrix, write_json
 from .trainer import (
@@ -145,8 +145,9 @@ def cmd_ablate(args) -> int:
 def cmd_match(args) -> int:
     fs = load_matrix(args.source)
     ft = load_matrix(args.target)
-    pairs = match_domains(fs, ft, args.folds, make_rng(args.seed))
-    save_pairs(args.out, pairs)
+    src, tgt, costs, total = match_domains(fs, ft, args.folds, make_rng(args.seed))
+    save_pairs(args.out, MatchedPairs(pairs=tuple(zip(src.tolist(), tgt.tolist())),
+                                      total_cost=total, costs=tuple(costs.tolist())))
     return 0
 
 

@@ -4,10 +4,14 @@
 that its temporaries hold 16·m·d floats (3 MB at m=1500, d=16) whatever n
 is. `hungarian` solves the minimum-weight assignment exactly with
 shortest augmenting paths and lazy dual updates (Crouse 2016, after
-Jonker-Volgenant), in which ties resolve to the lowest column index.
-`match_domains` splits each domain into k random folds and matches fold i
-against fold i, mapping local indices to global ids through the folds'
-index arrays.
+Jonker-Volgenant), in which ties resolve to the lowest column index. It
+returns ``(rows, cols)`` int arrays with rows ascending, as scipy's
+``linear_sum_assignment`` does, so ``cost[hungarian(cost)]`` is each pair's
+cost. `match_domains` splits each domain into k random folds, matches fold
+i against fold i, maps local indices to global ids through the folds' index
+arrays and returns ``(src, tgt, costs, total_cost)``, the arrays sorted by
+source. `MatchedPairs` is the record of a pairs file, which `save_pairs`
+writes.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, parse_tokens, read_rows, size
+from .numkit import DimensionError
 
 __all__ = [
     "MatchedPairs",
@@ -24,7 +28,6 @@ __all__ = [
     "partition_folds",
     "match_domains",
     "save_pairs",
-    "load_pairs",
 ]
 
 _L1_BLOCK = 16  # rows per block of pairwise_l1's temporary; fastest measured
@@ -32,18 +35,14 @@ _L1_BLOCK = 16  # rows per block of pairwise_l1's temporary; fastest measured
 
 @dataclass(frozen=True)
 class MatchedPairs:
-    """(source, target) index pairs from a (possibly partial) matching, and
-    each pair's cost in the same order (None when the costs are unknown)."""
+    """The record of a pairs file: (source, target) index pairs, their total
+    cost, and each pair's cost in the same order (None when unknown)."""
 
     pairs: tuple
     total_cost: float
     costs: tuple | None = None
 
     def __post_init__(self):
-        srcs = [s for s, _ in self.pairs]
-        tgts = [t for _, t in self.pairs]
-        if len(set(srcs)) != len(srcs) or len(set(tgts)) != len(tgts):
-            raise ValueError("matched indices must be pairwise distinct")
         if self.costs is not None and len(self.costs) != len(self.pairs):
             raise ValueError("need one cost per matched pair")
 
@@ -116,26 +115,20 @@ def _solve(cost: np.ndarray):
     return col_for_row
 
 
-def hungarian(cost) -> MatchedPairs:
+def hungarian(cost):
     """Minimum-cost matching of size min(n, m) between the rows and the
-    columns of the 2-D array ``cost``, pairs sorted by row; the larger side
-    is left partially unmatched."""
+    columns of the 2-D array ``cost``, as ``(rows, cols)`` int arrays with
+    rows ascending; the larger side is left partially unmatched."""
     cost = np.asarray(cost, float)
     if cost.ndim != 2:
         raise DimensionError("costs must be 2-D")
     if not np.all(np.isfinite(cost)) or np.any(cost < 0):
         raise ValueError("costs must be finite and non-negative")
     if cost.shape[0] <= cost.shape[1]:
-        rows = np.arange(cost.shape[0])
-        cols = _solve(cost)
-    else:
-        rows = _solve(np.ascontiguousarray(cost.T))
-        cols = np.argsort(rows)
-        rows = rows[cols]
-    costs = cost[rows, cols]
-    # float64 scalars, summed in row order (3.12+ compensates plain floats)
-    return MatchedPairs(pairs=tuple(zip(rows.tolist(), cols.tolist())),
-                        total_cost=float(sum(costs)), costs=tuple(costs.tolist()))
+        return np.arange(cost.shape[0]), _solve(cost)
+    rows = _solve(np.ascontiguousarray(cost.T))
+    cols = np.argsort(rows)
+    return rows[cols], cols
 
 
 def partition_folds(n_s: int, n_t: int, k: int, rng: np.random.Generator):
@@ -147,25 +140,27 @@ def partition_folds(n_s: int, n_t: int, k: int, rng: np.random.Generator):
             np.array_split(rng.permutation(n_t), k))
 
 
-def match_domains(fs, ft, k: int, rng: np.random.Generator) -> MatchedPairs:
+def match_domains(fs, ft, k: int, rng: np.random.Generator):
     """Partition both domains into k folds, match fold i against fold i,
-    and return the union of the per-fold matchings, sorted by source."""
+    and return the union of the per-fold matchings as (src, tgt, costs,
+    total_cost): index and cost arrays sorted by source, and the sum of
+    the per-fold totals."""
     fs = np.asarray(fs, float)
     ft = np.asarray(ft, float)
     source_folds, target_folds = partition_folds(fs.shape[0], ft.shape[0], k, rng)
     src, tgt, costs = [], [], []
     total = 0.0
     for s_fold, t_fold in zip(source_folds, target_folds):
-        matched = hungarian(pairwise_l1(fs[s_fold], ft[t_fold]))
-        rows, cols = np.array(matched.pairs, dtype=int).reshape(-1, 2).T
+        cost = pairwise_l1(fs[s_fold], ft[t_fold])
+        rows, cols = hungarian(cost)
         src.append(s_fold[rows])
         tgt.append(t_fold[cols])
-        costs.append(matched.costs)
-        total += matched.total_cost
+        costs.append(cost[rows, cols])
+        # float64 scalars, summed in row order (3.12+ compensates plain floats)
+        total += float(sum(costs[-1]))
     src, tgt, costs = (np.concatenate(a) for a in (src, tgt, costs))
     order = np.argsort(src)
-    return MatchedPairs(pairs=tuple(zip(src[order].tolist(), tgt[order].tolist())),
-                        total_cost=total, costs=tuple(costs[order].tolist()))
+    return src[order], tgt[order], costs[order], total
 
 
 def save_pairs(path, mp: MatchedPairs) -> None:
@@ -176,14 +171,3 @@ def save_pairs(path, mp: MatchedPairs) -> None:
         fh.write(f"pairs {len(mp.pairs)} total {mp.total_cost:.17g}\n")
         for (s, t), c in zip(mp.pairs, costs):
             fh.write(f"{s} {t} {c:.17g}\n")
-
-
-def load_pairs(path) -> MatchedPairs:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "pairs" or header[2] != "total":
-            raise ValueError(f"{path}: malformed pairs header")
-        count, total = parse_tokens(path, 1, (size, float), header[1::2])
-        rows = read_rows(fh, path, count, (size, size, float))
-    return MatchedPairs(pairs=tuple(map(tuple, rows[:, :2].astype(int).tolist())),
-                        total_cost=total, costs=tuple(rows[:, 2].tolist()))

@@ -289,11 +289,10 @@ class Prepared:
 def _partner(enc, source, target, folds: int, rng) -> np.ndarray:
     """Fold-wise matching of the encoded domains as partner[s], the target
     matched to source s, or -1."""
-    pairs = match_domains(encode(source.features, enc),
-                          encode(target.features, enc), folds, rng)
+    src, tgt, _, _ = match_domains(encode(source.features, enc),
+                                   encode(target.features, enc), folds, rng)
     partner = np.full(source.n, -1)
-    matched = np.array(pairs.pairs, dtype=int).reshape(-1, 2)
-    partner[matched[:, 0]] = matched[:, 1]
+    partner[src] = tgt
     return partner
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from opendomain.cli import main
-from opendomain.matching import load_pairs
 from opendomain.numkit import make_rng, save_matrix
 from opendomain.trainer import DA_VARIANTS, apply_flags, parse_config, run_pipeline
+from pairs_file import load_pairs
 
 SMALL_CONFIG = """
 train.seed = 0

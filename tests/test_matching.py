@@ -14,13 +14,13 @@ from opendomain.matching import (
     MatchedPairs,
     _solve,
     hungarian,
-    load_pairs,
     match_domains,
     pairwise_l1,
     partition_folds,
     save_pairs,
 )
 from opendomain.numkit import DimensionError, make_rng
+from pairs_file import load_pairs
 
 
 def brute_force_cost(costs):
@@ -87,22 +87,29 @@ def test_pairwise_l1_dimension_mismatch():
         pairwise_l1(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
+def _pairs(rows, cols):
+    return tuple(zip(rows.tolist(), cols.tolist()))
+
+
 def test_hungarian_diagonal():
-    mp = hungarian(np.ones((3, 3)) - np.eye(3))
-    assert mp.pairs == ((0, 0), (1, 1), (2, 2))
-    assert mp.total_cost == 0.0
+    costs = np.ones((3, 3)) - np.eye(3)
+    rows, cols = hungarian(costs)
+    assert _pairs(rows, cols) == ((0, 0), (1, 1), (2, 2))
+    assert costs[rows, cols].sum() == 0.0
 
 
 def test_hungarian_spec_example():
-    mp = hungarian([[4, 1, 3], [2, 0, 5], [3, 2, 2]])
-    assert mp.total_cost == pytest.approx(5.0)
-    assert sorted(mp.pairs) == [(0, 1), (1, 0), (2, 2)]
+    costs = [[4, 1, 3], [2, 0, 5], [3, 2, 2]]
+    rows, cols = hungarian(costs)
+    assert np.asarray(costs, float)[rows, cols].sum() == pytest.approx(5.0)
+    assert sorted(_pairs(rows, cols)) == [(0, 1), (1, 0), (2, 2)]
 
 
 def test_hungarian_rectangular_single_row():
-    mp = hungarian([[5.0, 3.0]])
-    assert mp.pairs == ((0, 1),)
-    assert mp.total_cost == pytest.approx(3.0)
+    costs = np.array([[5.0, 3.0]])
+    rows, cols = hungarian(costs)
+    assert _pairs(rows, cols) == ((0, 1),)
+    assert costs[rows, cols].sum() == pytest.approx(3.0)
 
 
 def test_hungarian_against_brute_force():
@@ -110,7 +117,7 @@ def test_hungarian_against_brute_force():
     for _ in range(200):
         n = int(rng.integers(1, 8))
         costs = rng.random((n, n)) * 10
-        assert hungarian(costs).total_cost == pytest.approx(
+        assert costs[hungarian(costs)].sum() == pytest.approx(
             brute_force_cost(costs), abs=1e-9)
 
 
@@ -120,22 +127,22 @@ def test_hungarian_rectangular_against_brute_force():
         n = int(rng.integers(1, 6))
         m = int(rng.integers(1, 6))
         costs = rng.random((n, m)) * 10
-        mp = hungarian(costs)
-        assert len(mp.pairs) == min(n, m)
-        assert mp.total_cost == pytest.approx(brute_force_cost(costs), abs=1e-9)
+        rows, cols = hungarian(costs)
+        assert len(rows) == min(n, m)
+        assert costs[rows, cols].sum() == pytest.approx(brute_force_cost(costs), abs=1e-9)
 
 
 def test_hungarian_row_shift_invariance():
     rng = make_rng(3)
     costs = rng.random((5, 5)) * 4
-    mp = hungarian(costs)
+    rows, cols = hungarian(costs)
     shifted = costs.copy()
     shifted[2] += 3.7
     shifted[:, 4] += 1.3
-    mp_shifted = hungarian(shifted)
+    shifted_total = shifted[hungarian(shifted)].sum()
     # the original matching stays optimal for the shifted matrix
-    original_on_shifted = sum(shifted[i, j] for i, j in mp.pairs)
-    assert mp_shifted.total_cost == pytest.approx(original_on_shifted, abs=1e-9)
+    original_on_shifted = sum(shifted[i, j] for i, j in zip(rows, cols))
+    assert shifted_total == pytest.approx(original_on_shifted, abs=1e-9)
 
 
 def test_partition_single_fold():
@@ -175,10 +182,11 @@ def test_match_single_fold_equals_global_hungarian():
     rng = make_rng(4)
     fs = rng.standard_normal((6, 3))
     ft = rng.standard_normal((8, 3))
-    mp = match_domains(fs, ft, 1, make_rng(0))
-    direct = hungarian(pairwise_l1(fs, ft))
-    assert mp.total_cost == pytest.approx(direct.total_cost)
-    assert sorted(mp.pairs) == sorted(direct.pairs)
+    src, tgt, _, total = match_domains(fs, ft, 1, make_rng(0))
+    costs = pairwise_l1(fs, ft)
+    rows, cols = hungarian(costs)
+    assert total == pytest.approx(costs[rows, cols].sum())
+    assert sorted(_pairs(src, tgt)) == sorted(_pairs(rows, cols))
 
 
 def test_fold_union_cost_at_least_global():
@@ -186,8 +194,8 @@ def test_fold_union_cost_at_least_global():
     for trial in range(10):
         fs = rng.standard_normal((10, 4))
         ft = rng.standard_normal((10, 4))
-        global_cost = match_domains(fs, ft, 1, make_rng(trial)).total_cost
-        fold_cost = match_domains(fs, ft, 2, make_rng(trial)).total_cost
+        global_cost = match_domains(fs, ft, 1, make_rng(trial))[3]
+        fold_cost = match_domains(fs, ft, 2, make_rng(trial))[3]
         assert fold_cost >= global_cost - 1e-9
 
 
@@ -195,9 +203,9 @@ def test_fold_matching_disjoint_indices():
     rng = make_rng(6)
     fs = rng.standard_normal((12, 3))
     ft = rng.standard_normal((15, 3))
-    mp = match_domains(fs, ft, 3, make_rng(0))
-    srcs = [s for s, _ in mp.pairs]
-    tgts = [t for _, t in mp.pairs]
+    src, tgt, _, _ = match_domains(fs, ft, 3, make_rng(0))
+    srcs = src.tolist()
+    tgts = tgt.tolist()
     assert len(set(srcs)) == len(srcs)
     assert len(set(tgts)) == len(tgts)
 
@@ -246,9 +254,9 @@ def test_match_carries_per_pair_costs():
     rng = make_rng(8)
     fs = rng.standard_normal((9, 4))
     ft = rng.standard_normal((7, 4))
-    mp = match_domains(fs, ft, 2, make_rng(0))
-    assert len(mp.costs) == len(mp.pairs)
-    for (s, t), cost in zip(mp.pairs, mp.costs):
+    src, tgt, costs, _ = match_domains(fs, ft, 2, make_rng(0))
+    assert len(costs) == len(src)
+    for s, t, cost in zip(src, tgt, costs):
         assert cost == pytest.approx(np.abs(fs[s] - ft[t]).sum(), rel=1e-12)
     with pytest.raises(ValueError):
         MatchedPairs(pairs=((0, 1),), total_cost=1.0, costs=(1.0, 2.0))
@@ -282,13 +290,12 @@ def _seeded_cost_arrays(draw):
 @settings(max_examples=10, deadline=None)
 @given(_cost_arrays())
 def test_hungarian_equals_scipy_optimum(costs):
-    mp = hungarian(costs)
+    found = hungarian(costs)
+    pairs = _pairs(*found)
     rows, cols = linear_sum_assignment(costs)
-    assert mp.total_cost == pytest.approx(costs[rows, cols].sum(), rel=0, abs=1e-9)
-    assert len(mp.pairs) == min(costs.shape)
-    assert len({s for s, _ in mp.pairs}) == len({t for _, t in mp.pairs}) == len(mp.pairs)
-    assert mp.total_cost == pytest.approx(sum(costs[s, t] for s, t in mp.pairs),
-                                          rel=0, abs=1e-9)
+    assert costs[found].sum() == pytest.approx(costs[rows, cols].sum(), rel=0, abs=1e-9)
+    assert len(pairs) == min(costs.shape)
+    assert len({s for s, _ in pairs}) == len({t for _, t in pairs}) == len(pairs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,5 +324,7 @@ def test_match_pairs_file_golden(tmp_path, k, swap):
     if swap:  # more sources than targets
         fs, ft = ft, fs
     path = tmp_path / "pairs.txt"
-    save_pairs(path, match_domains(fs, ft, k, make_rng(2)))
+    src, tgt, costs, total = match_domains(fs, ft, k, make_rng(2))
+    save_pairs(path, MatchedPairs(pairs=_pairs(src, tgt), total_cost=total,
+                                  costs=tuple(costs.tolist())))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_PAIRS[k, swap]

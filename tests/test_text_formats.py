@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from opendomain.graph import KnowledgeGraph, load_graph, save_graph
-from opendomain.matching import MatchedPairs, load_pairs, save_pairs
+from opendomain.matching import MatchedPairs, save_pairs
 from opendomain.numkit import load_matrix, save_matrix
 from opendomain.synth import (
     LabeledDataset,
@@ -16,6 +16,7 @@ from opendomain.synth import (
     save_dataset,
 )
 from opendomain.trainer import ExperimentConfig, config_to_text, parse_config
+from pairs_file import load_pairs
 
 # tmp_path is shared by the examples of one test; each example overwrites
 # the same file names
