@@ -19,7 +19,7 @@ from .evaluate import accuracy_triple, predict
 from .graph import load_graph, save_graph
 from .matching import MatchedPairs, match_domains, save_pairs
 from .model import load_checkpoint, save_checkpoint
-from .numkit import load_matrix, make_rng, save_matrix, write_json
+from .numkit import load_matrix, make_rng, save_matrix, size, write_json
 from .trainer import (
     NonFiniteLossError,
     apply_flags,
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--folds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=size, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_match)
 

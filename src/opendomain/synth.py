@@ -85,6 +85,8 @@ class SynthConfig:
         for name in ("step", "noise", "word_noise", "translation_scale"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        if self.seed < 0:
+            raise ValueError("synth.seed must be >= 0")
 
 
 def _build_tree(cfg: SynthConfig, rng):

@@ -103,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if self.rematch_interval < 0:
             raise ConfigError("rematch_interval must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("train.seed must be >= 0")
         if self.synth.known_classes == self.synth.total_classes:
             if self.enable_lb or self.vanilla_balance or self.enable_gcn:
                 raise ConfigError(

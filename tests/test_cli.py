@@ -454,8 +454,12 @@ _EXIT_CASES = [
      _append("exp.cfg", "train.learning_rate = nan\n"), 1, "learning_rate"),
     ("synth", "unknown config key",
      _append("exp.cfg", "train.bogus = 1\n"), 1, "exp.cfg: line 16"),
+    ("synth", "negative synth.seed",
+     _replace("exp.cfg", "synth.seed = 0", "synth.seed = -1"), 1, "exp.cfg: synth.seed"),
     ("train", "config value out of range",
      _append("exp.cfg", "gcn.momentum = 1.5\n"), 1, "exp.cfg: momentum"),
+    ("train", "negative train.seed",
+     _replace("exp.cfg", "train.seed = 0", "train.seed = -1"), 1, "exp.cfg: train.seed"),
     ("train", "missing source.ds", _remove("data/source.ds"), 3, "source.ds"),
     ("train", "malformed target.ds header",
      _replace("data/target.ds", "labeled 0 classes", "labeled 0 kinds"), 1, "target.ds"),
@@ -513,6 +517,7 @@ _EXIT_CASES = [
     ("match", "non-numeric matrix entry",
      _edit_row("ft.mat", _last("abc"), 2), 1, "ft.mat: line 3"),
     ("match", "non-integer --folds", "--folds x", 1, "--folds"),
+    ("match", "negative --seed", "--seed -1", 1, "--seed"),
     ("eval", "missing manifest",
      _remove("run/checkpoint/manifest.json"), 3, "manifest.json"),
     ("eval", "non-object manifest",

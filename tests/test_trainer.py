@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from opendomain import gcn, synth
 from opendomain.gcn import GcnParams, GcnSchedule, gcn_forward, propagate
 from opendomain.losses import ClassifierHead, LossWeights, total_loss
+from opendomain.matching import partition_folds
 from opendomain.model import Encoder, ModelState, PretrainSchedule
 from opendomain.numkit import make_rng
 from opendomain import trainer
@@ -293,6 +295,28 @@ def test_prepare_rejects_class_counts_other_than_the_data():
     wider = replace(sym, known_classes=4, total_classes=4)
     with pytest.raises(ConfigError, match="classes"):
         trainer.prepare(replace(sym_cfg, synth=wider), sym_data)
+
+
+def test_prepared_partner_leaves_the_surplus_sources_unmatched():
+    # 30 sources against 20 targets in 4 folds of 8, 8, 7, 7 and 5 each
+    sizes = replace(_small_cfg().synth, target_per_class=4)
+    cfg = _small_cfg(synth=sizes, folds=4)
+    prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
+    partner, n_s, n_t = prepared.partner, prepared.source.n, prepared.target.n
+    assert partner.shape == (n_s,)
+    assert np.all((partner == -1) | ((partner >= 0) & (partner < n_t)))
+    matched = partner[partner >= 0]
+    assert len(np.unique(matched)) == len(matched)
+    # fold sizes do not depend on the rng
+    s_folds, t_folds = partition_folds(n_s, n_t, cfg.folds, make_rng(0))
+    assert np.sum(partner == -1) == n_s - sum(
+        min(len(s), len(t)) for s, t in zip(s_folds, t_folds))
+    # rematching every epoch still trains
+    _, history = run_pipeline(replace(cfg, rematch_interval=1))
+    assert len(history) == cfg.epochs
+    assert all(math.isfinite(rec["loss_total"]) for rec in history)
+    assert history[-1]["loss_total"] < history[0]["loss_total"]
+    assert history[-1]["loss_sgmd"] > 0  # the rematched partners reach SGMD
 
 
 def test_sgmd_sees_only_matched_sources(monkeypatch):
