@@ -161,6 +161,14 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def count(token) -> int:
+    """The value of a count flag (--seeds, --folds): an integer >= 1."""
+    value = int(token)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error (a bad or missing flag) as a ValueError, which
     ``main`` reports in one line with exit 1, in place of argparse's usage
@@ -190,14 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run the variant comparison")
     p.add_argument("--config", required=True)
     p.add_argument("--data", default=None)
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=count, default=5)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("match", help="match two feature matrices")
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--folds", type=int, default=1)
+    p.add_argument("--folds", type=count, default=1)
     p.add_argument("--seed", type=size, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_match)

@@ -7,6 +7,16 @@ R + w^2/R), and the quadratic tie between graph-convolution outputs and the
 live classifier weights (in :mod:`opendomain.gcn`). Classifier responses are
 softmax probabilities throughout; the discrepancy gate is evaluated on the
 current responses and treated as a constant.
+
+The terms take what a joint step has already computed for its stacked rows,
+not features and a head: cls and the balance forms take the responses of
+their own rows and return the gradient wrt those rows' logits, and SGMD
+takes the matched features and responses and returns the gradient wrt the
+features. The caller maps the rows back once: with ``F`` the features, ``W``
+the head and ``G`` the weighted logit gradients, the features get ``G W``
+plus the weighted SGMD rows and the head gets ``G^T F``. ``total_loss``
+weights the values and hands back each term's weight for that mapping.
+Source pretraining maps ``cls_loss`` back the same way, one batch per step.
 """
 from __future__ import annotations
 
@@ -88,28 +98,22 @@ def softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
     return probs * (d_probs - inner)
 
 
-def _feature_and_weight_grads(f, head, d_logits):
-    return d_logits @ head.weights, d_logits.T @ f
+def cls_loss(probs, labels, eps: float = 1e-12):
+    """Mean cross-entropy of the true class under ``probs``, the softmax
+    responses over exactly the classes that ``labels`` index.
 
-
-def cls_loss(f, head: ClassifierHead, labels, eps: float = 1e-12):
-    """Mean cross-entropy of the true class under the head's softmax.
-
-    Returns (loss, grad wrt features, grad wrt head weights).
+    Returns (loss, grad wrt the logits of ``probs``).
     """
-    f = np.asarray(f, float)
     labels = np.asarray(labels, dtype=int)
-    if np.any(labels < 0) or np.any(labels >= head.known_count):
-        raise IndexError("labels must be valid known-class indices")
-    probs = classifier_responses(f, head)
+    if np.any(labels < 0) or np.any(labels >= probs.shape[1]):
+        raise IndexError("labels must index the classes of the responses")
     n = len(labels)
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.mean(np.log(np.maximum(picked, eps))))
+    rows = np.arange(n)
+    loss = float(-np.mean(np.log(np.maximum(probs[rows, labels], eps))))
     d_logits = probs.copy()
-    d_logits[np.arange(n), labels] -= 1.0
+    d_logits[rows, labels] -= 1.0
     d_logits /= n
-    d_f, d_w = _feature_and_weight_grads(f, head, d_logits)
-    return loss, d_f, d_w
+    return loss, d_logits
 
 
 def sgmd_loss(fs_matched, ft_matched, ps, pt, tau: float):
@@ -138,29 +142,27 @@ def _unknown_mass(probs, known_count):
     return probs[:, known_count:].sum(axis=1)
 
 
-def _balance_grads(f, head, probs, d_mass):
+def _balance_logit_grads(probs, known_count, d_mass):
     d_probs = np.zeros_like(probs)
-    d_probs[:, head.known_count:] = d_mass[:, None]
-    d_logits = softmax_backward(probs, d_probs)
-    return _feature_and_weight_grads(f, head, d_logits)
+    d_probs[:, known_count:] = d_mass[:, None]
+    return softmax_backward(probs, d_probs)
 
 
-def balance_loss_vanilla(f, head: ClassifierHead, eps: float = 1e-12):
-    """Mean of -log(unknown-class probability mass), clamped below at eps.
+def balance_loss_vanilla(probs, known_count: int, eps: float = 1e-12):
+    """Mean of -log(unknown-class probability mass), clamped below at eps;
+    ``probs`` are responses over all classes, the first ``known_count``
+    of them known.
 
     Unbounded as the mass shrinks (up to -log eps): pushing it down ever
     harder is exactly the runaway the limited form prevents. Returns
-    (loss, grad wrt features, grad wrt head weights).
+    (loss, grad wrt the logits of ``probs``).
     """
-    f = np.asarray(f, float)
-    probs = classifier_responses(f, head)
-    mass = _unknown_mass(probs, head.known_count)
+    mass = _unknown_mass(probs, known_count)
     clamped = np.maximum(mass, eps)
     n = len(mass)
     loss = float(-np.mean(np.log(clamped)))
     d_mass = np.where(mass > eps, -1.0 / (n * clamped), 0.0)
-    d_f, d_w = _balance_grads(f, head, probs, d_mass)
-    return loss, d_f, d_w
+    return loss, _balance_logit_grads(probs, known_count, d_mass)
 
 
 def limited_balance_terms(mass, w: float):
@@ -172,33 +174,31 @@ def limited_balance_terms(mass, w: float):
     return mass + w * w / mass, 1.0 - w * w / (mass * mass)
 
 
-def limited_balance_loss(f, head: ClassifierHead, w: float,
+def limited_balance_loss(probs, known_count: int, w: float,
                          eps: float = 1e-12):
-    """Mean of R + w^2/R over the batch, R the clamped unknown-class mass.
+    """Mean of R + w^2/R over the batch, R the clamped unknown-class mass of
+    ``probs`` as in :func:`balance_loss_vanilla`.
 
-    Returns (loss, grad wrt features, grad wrt head weights).
+    Returns (loss, grad wrt the logits of ``probs``).
     """
     if not 0.0 < w < 1.0:
         raise ValueError("w must lie strictly inside (0, 1)")
-    f = np.asarray(f, float)
-    probs = classifier_responses(f, head)
-    mass = _unknown_mass(probs, head.known_count)
+    mass = _unknown_mass(probs, known_count)
     clamped = np.maximum(mass, eps)
     values, derivs = limited_balance_terms(clamped, w)
     n = len(mass)
     loss = float(np.mean(values))
     d_mass = np.where(mass > eps, derivs / n, 0.0)
-    d_f, d_w = _balance_grads(f, head, probs, d_mass)
-    return loss, d_f, d_w
+    return loss, _balance_logit_grads(probs, known_count, d_mass)
 
 
-def total_loss(components: dict, lw: LossWeights):
-    """Weighted sum of the four loss terms and their gradients.
+def total_loss(values: dict, lw: LossWeights):
+    """Weighted sum of the term values, and the weight of each term given.
 
-    ``components`` maps a term name ("cls", "sgmd", "balance", "gcn") to a
-    (value, grads) tuple, grads being a dict keyed by parameter name.
-    Missing terms contribute nothing; "cls" has implicit weight 1.
-    Returns (total value, merged grads dict).
+    ``values`` maps a term name ("cls", "sgmd", "balance", "gcn") to its
+    value. Missing terms contribute nothing; "cls" has implicit weight 1.
+    Returns (total value, {term: weight}); the weights scale each term's
+    gradient before the step maps the gradients back.
     """
     weights = {
         "cls": 1.0,
@@ -207,16 +207,7 @@ def total_loss(components: dict, lw: LossWeights):
         "gcn": lw.lambda_g,
     }
     total = 0.0
-    merged: dict = {}
     for name, weight in weights.items():
-        entry = components.get(name)
-        if entry is None:
-            continue
-        value, grads = entry
-        total += weight * value
-        for key, grad in grads.items():
-            if key in merged:
-                merged[key] = merged[key] + weight * grad
-            else:
-                merged[key] = weight * grad
-    return total, merged
+        if name in values:
+            total += weight * values[name]
+    return total, {name: weights[name] for name in values}

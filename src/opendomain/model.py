@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcn import GcnParams
-from .losses import ClassifierHead, cls_loss
+from .losses import ClassifierHead, classifier_responses, cls_loss
 from .numkit import (
     DimensionError,
     MomentumSgd,
@@ -113,9 +113,9 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
         for start in range(0, n, schedule.batch_size):
             idx = order[start:start + schedule.batch_size]
             f = encode(features[idx], enc)
-            loss, d_f, d_w = cls_loss(f, head, labels[idx])
-            d_weight, d_bias = encode_backward(features[idx], d_f)
-            opt.step({"weight": d_weight, "bias": d_bias, "head": d_w})
+            loss, d_logits = cls_loss(classifier_responses(f, head), labels[idx])
+            d_weight, d_bias = encode_backward(features[idx], d_logits @ head.weights)
+            opt.step({"weight": d_weight, "bias": d_bias, "head": d_logits.T @ f})
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return enc, head.weights, history

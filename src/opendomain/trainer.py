@@ -39,7 +39,7 @@ from .model import (
     encode_backward,
     pretrain_source,
 )
-from .numkit import MomentumSgd, check_sgd_settings, make_rng
+from .numkit import MomentumSgd, check_sgd_settings, make_rng, softmax_rows
 
 __all__ = [
     "ConfigError",
@@ -247,23 +247,12 @@ def experiment_hash(cfg: ExperimentConfig) -> str:
 
 # --------------------------------------------------------------- train loop
 
-def _check_finite(name: str, value: float, grads: dict) -> None:
+def _check_finite(name: str, value: float, grads) -> None:
     if not math.isfinite(value):
         raise NonFiniteLossError(name, value)
-    for g in grads.values():
+    for g in grads:
         if not np.all(np.isfinite(g)):
             raise NonFiniteLossError(name, float("nan"))
-
-
-def _restricted_cls(f_src, head: ClassifierHead, labels):
-    """Source cross-entropy over the known-class rows only; the returned
-    head-weight gradient is zero on the unknown rows."""
-    known = ClassifierHead(weights=head.weights[: head.known_count],
-                           known_count=head.known_count)
-    loss, d_f, d_w_known = cls_loss(f_src, known, labels)
-    d_w = np.zeros_like(head.weights)
-    d_w[: head.known_count] = d_w_known
-    return loss, d_f, d_w
 
 
 def _target_order(rng, n_target: int, needed: int) -> np.ndarray:
@@ -348,50 +337,77 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
 
 def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
                 raw_s, labels, raw_t, raw_ms, raw_mt):
-    """One joint-loop step's terms, each switched on by ``cfg``: cls on the
+    """One joint-loop step over the terms switched on by ``cfg``: cls on the
     source batch, balance on the target batch, SGMD on the matched rows and
-    the graph tie on the propagated class rows ``z_class``. Returns
-    (components, gate): term -> (value, {parameter: gradient}) as
-    ``total_loss`` takes it, and the SGMD gate (empty if SGMD did not run).
+    the graph tie on the propagated class rows ``z_class``.
+
+    The rows of every term are stacked (source batch, target batch, matched
+    sources, matched targets) and encoded once. cls takes the softmax of its
+    rows over the known classes; balance and SGMD share one softmax of the
+    remaining rows over all classes. The logit gradients of cls and balance
+    and the feature gradients of SGMD go, weighted, into stacked arrays that
+    are mapped back once: through the head, then one ``encode_backward``.
+    Matched rows join the backward only when some pair passes the gate.
+
+    Returns (values, total, grads, gate): term -> value, the weighted total,
+    parameter -> gradient of the total, and the SGMD gate (empty if SGMD
+    did not run). Raises NonFiniteLossError naming the first term whose
+    value or gradient is not finite.
     """
     enc, head = state.encoder, state.head
     lw = cfg.loss_weights
-    components = {}
+    known = head.known_count
+    balance = cfg.enable_lb or cfg.vanilla_balance
+    sgmd = cfg.enable_sgmd and len(raw_ms) > 0
+    blocks = [raw_s] + ([raw_t] if balance else []) + ([raw_ms, raw_mt] if sgmd else [])
+    raw = np.concatenate(blocks)
+    f = encode(raw, enc)
+    n_s = len(raw_s)
+    n_t = len(raw_t) if balance else 0
+    n_m = len(raw_ms) if sgmd else 0
+    n_l = n_s + n_t  # rows with a logit gradient; the matched rows follow
 
-    f_s = encode(raw_s, enc)
-    val, d_f, d_w = _restricted_cls(f_s, head, labels)
-    d_ew, d_eb = encode_backward(raw_s, d_f)
-    components["cls"] = (val, {"encoder.weight": d_ew, "encoder.bias": d_eb,
-                               "head.weights": d_w})
-
-    if cfg.enable_lb or cfg.vanilla_balance:
-        f_t = encode(raw_t, enc)
-        if cfg.vanilla_balance:
-            val, d_f, d_w = balance_loss_vanilla(f_t, head, lw.epsilon)
-        else:
-            val, d_f, d_w = limited_balance_loss(f_t, head, lw.w, lw.epsilon)
-        d_ew, d_eb = encode_backward(raw_t, d_f)
-        components["balance"] = (val, {"encoder.weight": d_ew, "encoder.bias": d_eb,
-                                       "head.weights": d_w})
-
+    # each term's outputs: value, its gradient(s), and for SGMD the gate
+    outputs = {"cls": cls_loss(softmax_rows(f[:n_s] @ head.weights[:known].T), labels)}
+    if balance or sgmd:
+        probs = classifier_responses(f[n_s:], head)
+    if balance:
+        outputs["balance"] = (
+            balance_loss_vanilla(probs[:n_t], known, lw.epsilon) if cfg.vanilla_balance
+            else limited_balance_loss(probs[:n_t], known, lw.w, lw.epsilon))
     gate = np.zeros(0, dtype=bool)
-    if cfg.enable_sgmd and len(raw_ms):
-        f_ms = encode(raw_ms, enc)
-        f_mt = encode(raw_mt, enc)
-        # responses only gate the pairs; no gradient flows here
-        p_ms = classifier_responses(f_ms, head)
-        p_mt = classifier_responses(f_mt, head)
-        val, d_fs, d_ft, gate = sgmd_loss(f_ms, f_mt, p_ms, p_mt, lw.tau)
-        if gate.any():
-            dw_s, db_s = encode_backward(raw_ms, d_fs)
-            dw_t, db_t = encode_backward(raw_mt, d_ft)
-            components["sgmd"] = (val, {"encoder.weight": dw_s + dw_t,
-                                        "encoder.bias": db_s + db_t})
-
+    if sgmd:
+        # the responses only gate the pairs; no gradient flows through them
+        outputs["sgmd"] = sgmd_loss(f[n_l:n_l + n_m], f[n_l + n_m:],
+                                    probs[n_t:n_t + n_m], probs[n_t + n_m:], lw.tau)
+        gate = outputs["sgmd"][3]
     if cfg.enable_gcn:
-        val, d_theta, d_w_hat = gcn_reg_loss(z_class, state.gcn, head.weights)
-        components["gcn"] = (val, {"gcn.theta": d_theta, "head.weights": d_w_hat})
-    return components, gate
+        outputs["gcn"] = gcn_reg_loss(z_class, state.gcn, head.weights)
+
+    values = {name: out[0] for name, out in outputs.items()}
+    total, weight = total_loss(values, lw)
+    d_logits = np.zeros((n_l, head.num_classes))
+    d_logits[:n_s, :known] = outputs["cls"][1]
+    if balance:
+        d_logits[n_s:] = weight["balance"] * outputs["balance"][1]
+    d_f = d_logits @ head.weights
+    if gate.any():
+        _, d_fs, d_ft, _ = outputs["sgmd"]
+        d_f = np.concatenate([d_f, weight["sgmd"] * d_fs, weight["sgmd"] * d_ft])
+    d_ew, d_eb = encode_backward(raw[:len(d_f)], d_f)
+    grads = {"encoder.weight": d_ew, "encoder.bias": d_eb,
+             "head.weights": d_logits.T @ f[:n_l]}
+    if cfg.enable_gcn:
+        _, d_theta, d_w_hat = outputs["gcn"]
+        grads["head.weights"] += weight["gcn"] * d_w_hat
+        grads["gcn.theta"] = weight["gcn"] * d_theta
+
+    # a non-finite term leaves the total or the gradients non-finite, so the
+    # per-term scan, which names the term, runs only when they are
+    if not (math.isfinite(total) and all(np.isfinite(g).all() for g in grads.values())):
+        for name, out in outputs.items():
+            _check_finite(name, out[0], out[1:3])  # sgmd's gate is out[3]
+    return values, total, grads, gate
 
 
 def train_joint(prepared: Prepared, cfg: ExperimentConfig):
@@ -432,24 +448,16 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
             src_idx = order_src[start:start + cfg.batch_size]
             tgt_idx = order_tgt[start:start + cfg.batch_size]
             s_ids = src_idx[partner[src_idx] >= 0]
-            components, gate = joint_terms(
+            values, total, grads, gate = joint_terms(
                 state, prepared.z_class, cfg, source.features[src_idx],
                 source.labels[src_idx], target.features[tgt_idx],
                 source.features[s_ids], target.features[partner[s_ids]])
             considered += gate.size
             gated += int(gate.sum())
-
-            total, merged = total_loss(components, cfg.loss_weights)
-            # a non-finite term leaves the weighted sums non-finite, so the
-            # per-term scan, which names the term, runs only when they are
-            if not (math.isfinite(total)
-                    and all(np.isfinite(g).all() for g in merged.values())):
-                for name, (val, grads) in components.items():
-                    _check_finite(name, val, grads)
-            for name, (val, _) in components.items():
+            for name, val in values.items():
                 sums[name] += val
             sums["total"] += total
-            opt.step(merged)
+            opt.step(grads)
             steps += 1
 
         record = {

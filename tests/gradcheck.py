@@ -1,5 +1,8 @@
-"""Central-difference gradient checker shared by the test suites."""
+"""Central-difference gradient checker shared by the test suites, and the
+mapping of a softmax term's logit gradient back through the head."""
 import numpy as np
+
+from opendomain.losses import classifier_responses
 
 
 def grad_check(f, x, analytic, eps: float = 1e-6) -> float:
@@ -28,3 +31,11 @@ def grad_check(f, x, analytic, eps: float = 1e-6) -> float:
         denom = max(abs(ana), abs(num), 1e-8)
         worst = max(worst, abs(ana - num) / denom)
     return worst
+
+
+def through_head(term, f, head):
+    """(loss, grad wrt ``f``, grad wrt ``head.weights``) of a softmax term
+    that takes the head's responses to the features ``f`` and returns
+    (loss, grad wrt the logits ``f @ head.weights.T``)."""
+    loss, d_logits = term(classifier_responses(f, head))
+    return loss, d_logits @ head.weights, d_logits.T @ f

@@ -28,7 +28,6 @@ from opendomain.losses import (
     limited_balance_loss,
     limited_balance_terms,
     sgmd_loss,
-    total_loss,
 )
 from opendomain.matching import hungarian
 from opendomain.model import (
@@ -47,7 +46,7 @@ from opendomain.trainer import (
     run_pipeline,
 )
 
-from gradcheck import grad_check
+from gradcheck import grad_check, through_head
 
 
 # ----------------------------------------------------- 1: matcher optimality
@@ -103,11 +102,12 @@ def test_criterion_2_gradient_suite():
         head = ClassifierHead(rng.standard_normal((4, 3)), 3)
         f = rng.standard_normal((5, 3))
         labels = rng.integers(0, 3, 5)
-        _, d_f, d_w = cls_loss(f, head, labels)
+        term = lambda p: cls_loss(p, labels)
+        _, d_f, d_w = through_head(term, f, head)
         if not _usable(d_f, d_w):
             continue
-        _check(lambda a: cls_loss(a, head, labels)[0], f, d_f)
-        _check(lambda a: cls_loss(f, ClassifierHead(a, 3), labels)[0],
+        _check(lambda a: through_head(term, a, head)[0], f, d_f)
+        _check(lambda a: through_head(term, f, ClassifierHead(a, 3))[0],
                head.weights, d_w)
         checked += 1
 
@@ -129,16 +129,18 @@ def test_criterion_2_gradient_suite():
         head = ClassifierHead(rng.standard_normal((5, 3)), 3)
         f = rng.standard_normal((4, 3))
         w = float(rng.uniform(0.1, 0.9))
-        _, vd_f, vd_w = balance_loss_vanilla(f, head, 1e-12)
-        _, ld_f, ld_w = limited_balance_loss(f, head, w, 1e-12)
+        vanilla = lambda p: balance_loss_vanilla(p, 3, 1e-12)
+        limited = lambda p: limited_balance_loss(p, 3, w, 1e-12)
+        _, vd_f, vd_w = through_head(vanilla, f, head)
+        _, ld_f, ld_w = through_head(limited, f, head)
         if not _usable(vd_f, vd_w, ld_f, ld_w):
             continue
-        _check(lambda a: balance_loss_vanilla(a, head, 1e-12)[0], f, vd_f)
-        _check(lambda a: balance_loss_vanilla(
-            f, ClassifierHead(a, 3), 1e-12)[0], head.weights, vd_w)
-        _check(lambda a: limited_balance_loss(a, head, w, 1e-12)[0], f, ld_f)
-        _check(lambda a: limited_balance_loss(
-            f, ClassifierHead(a, 3), w, 1e-12)[0], head.weights, ld_w)
+        _check(lambda a: through_head(vanilla, a, head)[0], f, vd_f)
+        _check(lambda a: through_head(vanilla, f, ClassifierHead(a, 3))[0],
+               head.weights, vd_w)
+        _check(lambda a: through_head(limited, a, head)[0], f, ld_f)
+        _check(lambda a: through_head(limited, f, ClassifierHead(a, 3))[0],
+               head.weights, ld_w)
         checked += 1
 
     checked = 0  # graph-convolution fit and regularizer
@@ -197,9 +199,9 @@ def test_criterion_2_gradient_suite():
         def objective(enc_w, enc_b, head_w, theta):
             state = ModelState(Encoder(enc_w, enc_b.ravel()),
                                ClassifierHead(head_w, 2), GcnParams(theta, 0.2))
-            comp, _ = joint_terms(state, z_class, cfg, raw_s, labels, raw_t,
-                                  raw_s, raw_mt)
-            return total_loss(comp, cfg.loss_weights)
+            _, total, grads, _ = joint_terms(state, z_class, cfg, raw_s, labels,
+                                             raw_t, raw_s, raw_mt)
+            return total, grads
 
         enc_w = rng.standard_normal((3, 3))
         enc_b = rng.standard_normal((1, 3))

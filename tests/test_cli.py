@@ -363,6 +363,7 @@ def test_ablate_without_seeds_exits_one(tmp_path, config_path, capsys, seeds):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+    assert "--seeds" in captured.err
     assert not (tmp_path / "ablation").exists()
 
 
@@ -517,6 +518,7 @@ _EXIT_CASES = [
     ("match", "non-numeric matrix entry",
      _edit_row("ft.mat", _last("abc"), 2), 1, "ft.mat: line 3"),
     ("match", "non-integer --folds", "--folds x", 1, "--folds"),
+    ("match", "zero --folds", "--folds 0", 1, "--folds"),
     ("match", "negative --seed", "--seed -1", 1, "--seed"),
     ("eval", "missing manifest",
      _remove("run/checkpoint/manifest.json"), 3, "manifest.json"),

@@ -13,9 +13,9 @@ from opendomain.losses import (
     softmax_backward,
     total_loss,
 )
-from opendomain.numkit import make_rng
+from opendomain.numkit import make_rng, softmax_rows
 
-from gradcheck import grad_check
+from gradcheck import grad_check, through_head
 
 
 def _random_head(rng, l_t=None, l_s=None, m=None):
@@ -126,7 +126,7 @@ def test_sgmd_gradients():
 
 
 def _mass_head_features(mass, l_t=4, l_s=2):
-    """A one-instance setup whose unknown probability mass equals `mass`."""
+    """One instance's logits whose unknown probability mass equals `mass`."""
     known = np.log((1.0 - mass) / l_s) if mass < 1 else -np.inf
     unknown = np.log(mass / (l_t - l_s)) if mass > 0 else -np.inf
     logits = np.array([[known] * l_s + [unknown] * (l_t - l_s)])
@@ -136,24 +136,23 @@ def _mass_head_features(mass, l_t=4, l_s=2):
 def test_vanilla_balance_values():
     # unknown mass 0.25 -> loss = -log 0.25 = ln 4
     f = _mass_head_features(0.25)
-    loss, _, _ = balance_loss_vanilla(f, ClassifierHead(np.eye(4), 2))
+    loss, _ = balance_loss_vanilla(softmax_rows(f), 2)
     assert loss == pytest.approx(np.log(4.0), abs=1e-9)
 
 
 def test_vanilla_balance_full_mass_zero_loss():
     f = np.array([[-50.0, -50.0, 10.0, 10.0]])
-    loss, _, _ = balance_loss_vanilla(f, ClassifierHead(np.eye(4), 2))
+    loss, _ = balance_loss_vanilla(softmax_rows(f), 2)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vanilla_balance_clamp():
     # unknown mass numerically zero: clamped to -log(eps), finite
     f = np.array([[60.0, 60.0, -60.0, -60.0]])
-    loss, d_f, _ = balance_loss_vanilla(f, ClassifierHead(np.eye(4), 2),
-                                        eps=1e-12)
+    loss, d_logits = balance_loss_vanilla(softmax_rows(f), 2, eps=1e-12)
     assert loss == pytest.approx(-np.log(1e-12))
     assert np.isfinite(loss)
-    assert np.allclose(d_f, 0.0)
+    assert np.allclose(d_logits, 0.0)
 
 
 def test_vanilla_balance_unbounded_growth():
@@ -162,8 +161,7 @@ def test_vanilla_balance_unbounded_growth():
     losses = []
     for scale in (1.0, 4.0, 8.0, 12.0):
         f = np.array([[scale, scale, -scale, -scale]])
-        loss, _, _ = balance_loss_vanilla(f, ClassifierHead(np.eye(4), 2),
-                                          eps=1e-12)
+        loss, _ = balance_loss_vanilla(softmax_rows(f), 2, eps=1e-12)
         losses.append(loss)
     assert all(b > a for a, b in zip(losses, losses[1:]))
     assert losses[-1] <= -np.log(1e-12) + 1e-9
@@ -194,7 +192,8 @@ def test_limited_balance_loss_at_least_2w():
         head = _random_head(rng)
         f = rng.standard_normal((5, head.weights.shape[1]))
         w = float(rng.uniform(0.05, 0.95))
-        loss, _, _ = limited_balance_loss(f, head, w, eps=1e-12)
+        loss, _ = limited_balance_loss(classifier_responses(f, head),
+                                       head.known_count, w, eps=1e-12)
         assert loss >= 2 * w - 1e-12
 
 
@@ -206,16 +205,18 @@ def test_balance_gradients():
         n = int(rng.integers(1, 8))
         f = rng.standard_normal((n, head.weights.shape[1]))
         w = float(rng.uniform(0.1, 0.9))
-        loss, d_f, d_w = limited_balance_loss(f, head, w, eps=1e-12)
-        vloss, vd_f, vd_w = balance_loss_vanilla(f, head, eps=1e-12)
+        limited = lambda p: limited_balance_loss(p, head.known_count, w, 1e-12)
+        vanilla = lambda p: balance_loss_vanilla(p, head.known_count, 1e-12)
+        loss, d_f, d_w = through_head(limited, f, head)
+        vloss, vd_f, vd_w = through_head(vanilla, f, head)
         grads = [
-            (lambda a: limited_balance_loss(a, head, w, 1e-12)[0], f, d_f),
-            (lambda a: limited_balance_loss(
-                f, ClassifierHead(a, head.known_count), w, 1e-12)[0],
+            (lambda a: through_head(limited, a, head)[0], f, d_f),
+            (lambda a: through_head(
+                limited, f, ClassifierHead(a, head.known_count))[0],
              head.weights, d_w),
-            (lambda a: balance_loss_vanilla(a, head, 1e-12)[0], f, vd_f),
-            (lambda a: balance_loss_vanilla(
-                f, ClassifierHead(a, head.known_count), 1e-12)[0],
+            (lambda a: through_head(vanilla, a, head)[0], f, vd_f),
+            (lambda a: through_head(
+                vanilla, f, ClassifierHead(a, head.known_count))[0],
              head.weights, vd_w),
         ]
         if min(float(np.min(np.abs(g))) for _, _, g in grads) < 1e-5:
@@ -228,7 +229,7 @@ def test_balance_gradients():
 def test_cls_loss_perfect_predictions():
     f = np.array([[30.0, 0.0], [0.0, 30.0]])
     head = ClassifierHead(np.eye(2), known_count=2)
-    loss, _, _ = cls_loss(f, head, [0, 1])
+    loss, _ = cls_loss(classifier_responses(f, head), [0, 1])
     assert loss == pytest.approx(0.0, abs=1e-9)
 
 
@@ -236,14 +237,15 @@ def test_cls_loss_uniform_predictions():
     l_t = 5
     head = ClassifierHead(np.zeros((l_t, 3)), known_count=2)
     f = make_rng(8).standard_normal((4, 3))
-    loss, _, _ = cls_loss(f, head, [0, 1, 0, 1])
+    loss, _ = cls_loss(classifier_responses(f, head), [0, 1, 0, 1])
     assert loss == pytest.approx(np.log(l_t))
 
 
 def test_cls_loss_label_out_of_range():
-    head = ClassifierHead(np.zeros((4, 2)), known_count=2)
-    with pytest.raises(IndexError):
-        cls_loss(np.zeros((1, 2)), head, [3])
+    # responses over 2 classes: a label names one of their columns
+    for label in (2, -1):
+        with pytest.raises(IndexError):
+            cls_loss(np.full((1, 2), 0.5), [label])
 
 
 def test_cls_loss_gradients():
@@ -254,15 +256,16 @@ def test_cls_loss_gradients():
         n = int(rng.integers(1, 8))
         f = rng.standard_normal((n, head.weights.shape[1]))
         labels = rng.integers(0, head.known_count, n)
-        _, d_f, d_w = cls_loss(f, head, labels)
+        term = lambda p: cls_loss(p, labels)
+        _, d_f, d_w = through_head(term, f, head)
         if min(float(np.min(np.abs(d_f))), float(np.min(np.abs(d_w)))) < 1e-5:
             # near-zero coordinates drown in finite-difference roundoff
             continue
-        err = grad_check(lambda a: cls_loss(a, head, labels)[0], f, d_f,
+        err = grad_check(lambda a: through_head(term, a, head)[0], f, d_f,
                          eps=1e-6)
         assert err <= 1e-5
         err = grad_check(
-            lambda a: cls_loss(f, ClassifierHead(a, head.known_count), labels)[0],
+            lambda a: through_head(term, f, ClassifierHead(a, head.known_count))[0],
             head.weights, d_w, eps=1e-6)
         assert err <= 1e-5
         checked += 1
@@ -284,15 +287,15 @@ def test_softmax_backward_matches_finite_difference():
 
 def test_total_loss_cls_only():
     lw = LossWeights(lambda_d=0.0, lambda_b=0.0, lambda_g=0.0)
-    total, grads = total_loss({"cls": (1.5, {"w": np.ones(2)})}, lw)
+    total, weights = total_loss({"cls": 1.5}, lw)
     assert total == 1.5
-    assert np.array_equal(grads["w"], np.ones(2))
+    assert weights == {"cls": 1.0}
 
 
 def test_total_loss_linearity():
     lw = LossWeights(lambda_d=2.0, lambda_b=3.0, lambda_g=4.0)
-    comps = {name: (1.0, {}) for name in ("cls", "sgmd", "balance", "gcn")}
-    total, _ = total_loss(comps, lw)
+    values = {name: 1.0 for name in ("cls", "sgmd", "balance", "gcn")}
+    total, _ = total_loss(values, lw)
     assert total == pytest.approx(10.0)
 
 
@@ -301,9 +304,9 @@ def test_total_loss_merged_gradient():
     lw = LossWeights(lambda_d=0.7, lambda_b=1.3, lambda_g=0.2)
     g1 = rng.standard_normal((2, 2))
     g2 = rng.standard_normal((2, 2))
-    comps = {
-        "cls": (1.0, {"p": g1}),
-        "balance": (2.0, {"p": g2}),
-    }
-    _, merged = total_loss(comps, lw)
-    assert np.allclose(merged["p"], g1 + 1.3 * g2)
+    total, weights = total_loss({"cls": 1.0, "balance": 2.0}, lw)
+    # only the terms given get a weight, which scales their gradients
+    assert total == pytest.approx(3.6)
+    assert weights == {"cls": 1.0, "balance": 1.3}
+    merged = weights["cls"] * g1 + weights["balance"] * g2
+    assert np.allclose(merged, g1 + 1.3 * g2)

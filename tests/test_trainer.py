@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 
 from opendomain import gcn, synth
 from opendomain.gcn import GcnParams, GcnSchedule, gcn_forward, propagate
-from opendomain.losses import ClassifierHead, LossWeights, total_loss
+from opendomain.losses import ClassifierHead, LossWeights
 from opendomain.matching import partition_folds
 from opendomain.model import Encoder, ModelState, PretrainSchedule
 from opendomain.numkit import make_rng
@@ -28,6 +29,7 @@ from opendomain.trainer import (
 )
 
 from gradcheck import grad_check
+from joint_reference import reference_terms, reference_total
 
 
 def _small_cfg(**overrides):
@@ -356,10 +358,10 @@ def test_end_to_end_objective_gradient():
     def objective(enc_w, enc_b, head_w, theta):
         state = ModelState(Encoder(enc_w, enc_b.ravel()),
                            ClassifierHead(head_w, ls), GcnParams(theta, 0.2))
-        components, _ = joint_terms(state, z_class, cfg, raw_s, labels, raw_t,
-                                    raw_s, raw_mt)
-        assert set(components) == {"cls", "balance", "sgmd", "gcn"}
-        return total_loss(components, cfg.loss_weights)
+        values, total, grads, _ = joint_terms(state, z_class, cfg, raw_s, labels,
+                                              raw_t, raw_s, raw_mt)
+        assert set(values) == {"cls", "balance", "sgmd", "gcn"}
+        return total, grads
 
     enc_w = rng.standard_normal((m_in, m))
     enc_b = rng.standard_normal((1, m))
@@ -379,6 +381,69 @@ def test_end_to_end_objective_gradient():
     ]
     for fn, x, analytic in checks:
         assert grad_check(fn, x, analytic, eps=1e-6) <= 1e-4
+
+
+def _close(actual, expected):
+    """Entrywise within rtol 1e-12; entries that cancel to near zero are
+    held to 1e-12 of the array's largest entry."""
+    expected = np.asarray(expected, float)
+    np.testing.assert_allclose(actual, expected, rtol=1e-12,
+                               atol=1e-12 * float(np.max(np.abs(expected))))
+
+
+_ALL_VARIANTS = {**ABLATION_VARIANTS, **DA_VARIANTS}
+
+
+@pytest.mark.parametrize("variant", list(_ALL_VARIANTS))
+def test_stacked_step_matches_the_per_term_reference(variant):
+    # the one-pass step against the per-term step it replaced, on batches
+    # with no, some and all rows matched, and gates closed, mixed and open
+    open_set = variant in ABLATION_VARIANTS
+    known, total = (4, 6) if open_set else (4, 4)
+    rng = make_rng(len(variant))
+    m_in, m, words, n = 6, 5, 7, 8
+    z_class = None
+    if open_set:
+        p_norm = rng.random((total + 2, total + 2)) + 0.1
+        p_norm /= p_norm.sum(axis=1, keepdims=True)
+        z_class = propagate(p_norm, rng.standard_normal((total + 2, words)),
+                            list(range(total)))
+    for tau in (1.0, 0.1, 0.0):
+        lw = LossWeights(lambda_d=0.7, lambda_b=0.3, lambda_g=0.9, tau=tau,
+                         w=0.4, epsilon=1e-12)
+        # the step reads only the flags and the loss weights of a config
+        cfg = apply_flags(ExperimentConfig(loss_weights=lw), _ALL_VARIANTS[variant])
+        for matched in (0, 3, n):
+            for _ in range(3):
+                state = ModelState(
+                    Encoder(rng.standard_normal((m_in, m)), rng.standard_normal(m)),
+                    ClassifierHead(rng.standard_normal((total, m)), known),
+                    GcnParams(rng.standard_normal((words, m)), 0.2))
+                raw_s = rng.standard_normal((n, m_in))
+                labels = rng.integers(0, known, n)
+                raw_t = rng.standard_normal((n, m_in))
+                raw_ms = raw_s[np.sort(rng.permutation(n)[:matched])]
+                raw_mt = rng.standard_normal((matched, m_in))
+                batch = (raw_s, labels, raw_t, raw_ms, raw_mt)
+                ref_terms, ref_gate = reference_terms(state, z_class, cfg, *batch)
+                ref_total, ref_grads = reference_total(ref_terms, lw)
+                values, total_value, grads, gate = joint_terms(
+                    copy.deepcopy(state), z_class, cfg, *batch)
+
+                assert np.array_equal(gate, ref_gate)
+                if cfg.enable_sgmd and matched:
+                    # responses are positive and their inner product at most 1
+                    if tau == 0.0:
+                        assert gate.all()
+                    if tau == 1.0:
+                        assert not gate.any()
+                assert set(values) - {"sgmd"} == set(ref_terms) - {"sgmd"}
+                for name, value in values.items():
+                    _close(value, ref_terms[name][0] if name in ref_terms else 0.0)
+                _close(total_value, ref_total)
+                assert set(grads) == set(ref_grads)
+                for key, grad in grads.items():
+                    _close(grad, ref_grads[key])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
