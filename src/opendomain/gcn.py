@@ -171,10 +171,10 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     # regardless of the scale of the word vectors
     curvature = float(np.linalg.eigvalsh(z_known.T @ z_known)[-1]) / w.shape[1]
     step = schedule.learning_rate / max(curvature, 1e-12)
-    opt = MomentumSgd({"theta": params.theta}, step, schedule.momentum)
+    opt = MomentumSgd(params.theta, step, schedule.momentum)
     history = []
     for _ in range(schedule.steps):
         loss, d_theta = init_loss(z_known, params, w)
         history.append(loss)
-        opt.step({"theta": d_theta})
+        opt.step(d_theta)
     return params, gcn_forward(z_class, params), history

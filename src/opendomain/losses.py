@@ -30,7 +30,6 @@ __all__ = [
     "ClassifierHead",
     "LossWeights",
     "classifier_responses",
-    "softmax_backward",
     "cls_loss",
     "sgmd_loss",
     "balance_loss_vanilla",
@@ -92,12 +91,6 @@ def classifier_responses(f, head: ClassifierHead) -> np.ndarray:
     return softmax_rows(f @ head.weights.T)
 
 
-def softmax_backward(probs: np.ndarray, d_probs: np.ndarray) -> np.ndarray:
-    """Pull a gradient wrt softmax outputs back to the logits."""
-    inner = np.sum(d_probs * probs, axis=1, keepdims=True)
-    return probs * (d_probs - inner)
-
-
 def cls_loss(probs, labels, eps: float = 1e-12):
     """Mean cross-entropy of the true class under ``probs``, the softmax
     responses over exactly the classes that ``labels`` index.
@@ -105,11 +98,11 @@ def cls_loss(probs, labels, eps: float = 1e-12):
     Returns (loss, grad wrt the logits of ``probs``).
     """
     labels = np.asarray(labels, dtype=int)
-    if np.any(labels < 0) or np.any(labels >= probs.shape[1]):
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= probs.shape[1]:
         raise IndexError("labels must index the classes of the responses")
     n = len(labels)
     rows = np.arange(n)
-    loss = float(-np.mean(np.log(np.maximum(probs[rows, labels], eps))))
+    loss = float(-(np.log(np.maximum(probs[rows, labels], eps)).sum() / n))
     d_logits = probs.copy()
     d_logits[rows, labels] -= 1.0
     d_logits /= n
@@ -131,10 +124,9 @@ def sgmd_loss(fs_matched, ft_matched, ps, pt, tau: float):
     if n == 0:
         return 0.0, np.zeros_like(fs), np.zeros_like(ft), np.zeros(0, dtype=bool)
     gate = np.sum(np.asarray(ps, float) * np.asarray(pt, float), axis=1) > tau
-    diff = fs - ft
-    loss = 0.5 / n * float(np.sum(diff[gate] * diff[gate]))
-    d_fs = np.zeros_like(fs)
-    d_fs[gate] = diff[gate] / n
+    diff = (fs - ft) * gate[:, None]  # a closed pair's row is 0
+    loss = 0.5 / n * float(np.sum(diff * diff))
+    d_fs = diff / n
     return loss, d_fs, -d_fs, gate
 
 
@@ -142,10 +134,15 @@ def _unknown_mass(probs, known_count):
     return probs[:, known_count:].sum(axis=1)
 
 
-def _balance_logit_grads(probs, known_count, d_mass):
-    d_probs = np.zeros_like(probs)
-    d_probs[:, known_count:] = d_mass[:, None]
-    return softmax_backward(probs, d_probs)
+def _balance_logit_grads(probs, known_count, mass, d_mass):
+    """The logit gradient of a loss with gradient ``d_mass`` wrt each row's
+    unknown-class mass R = ``mass``: the softmax backward of d = ``d_mass``
+    on the unknown classes and 0 on the known ones, in closed form
+    p·(d − d_mass·R)."""
+    inner = (d_mass * mass)[:, None]
+    d_logits = probs * -inner
+    d_logits[:, known_count:] = probs[:, known_count:] * (d_mass[:, None] - inner)
+    return d_logits
 
 
 def balance_loss_vanilla(probs, known_count: int, eps: float = 1e-12):
@@ -160,9 +157,9 @@ def balance_loss_vanilla(probs, known_count: int, eps: float = 1e-12):
     mass = _unknown_mass(probs, known_count)
     clamped = np.maximum(mass, eps)
     n = len(mass)
-    loss = float(-np.mean(np.log(clamped)))
+    loss = float(-(np.log(clamped).sum() / n))
     d_mass = np.where(mass > eps, -1.0 / (n * clamped), 0.0)
-    return loss, _balance_logit_grads(probs, known_count, d_mass)
+    return loss, _balance_logit_grads(probs, known_count, mass, d_mass)
 
 
 def limited_balance_terms(mass, w: float):
@@ -187,9 +184,9 @@ def limited_balance_loss(probs, known_count: int, w: float,
     clamped = np.maximum(mass, eps)
     values, derivs = limited_balance_terms(clamped, w)
     n = len(mass)
-    loss = float(np.mean(values))
+    loss = float(values.sum() / n)
     d_mass = np.where(mass > eps, derivs / n, 0.0)
-    return loss, _balance_logit_grads(probs, known_count, d_mass)
+    return loss, _balance_logit_grads(probs, known_count, mass, d_mass)
 
 
 def total_loss(values: dict, lw: LossWeights):

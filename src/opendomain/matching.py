@@ -65,7 +65,9 @@ def _solve(cost: np.ndarray):
     """Shortest augmenting path assignment for cost with rows <= cols, with
     lazy dual updates (Crouse 2016): one Dijkstra search per new row over
     full-length column arrays, and the potentials updated once per row from
-    the distances at which the search visited each column.
+    the distances at which the search visited each column. A search reads
+    the column potentials from a per-row copy in which a visited column is
+    -inf, so its reduced cost is +inf and never lowers ``shortest``.
 
     Returns col_for_row, an int array of length n_rows. A column's path is
     rewritten only on strict improvement and the dense argmin takes the
@@ -80,23 +82,22 @@ def _solve(cost: np.ndarray):
     row_for_col = np.full(m, -1, dtype=int)
     path = np.zeros(m, dtype=int)  # path[j]: the row the search reached j from
     shortest, reduced = np.empty(m), np.empty(m)  # shortest is inf once visited
-    open_cols, better = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    v_open, better = np.empty(m), np.empty(m, dtype=bool)  # v_open: -inf once visited
     for cur in range(n):
         shortest.fill(np.inf)
-        open_cols.fill(True)
+        np.copyto(v_open, v)
         seen, dist = [], []
         i, min_val = cur, 0.0
         while True:
             np.add(cost[i], min_val - u[i], out=reduced)
-            reduced -= v
+            reduced -= v_open
             np.less(reduced, shortest, out=better)
-            better &= open_cols
-            np.copyto(shortest, reduced, where=better)
             np.copyto(path, i, where=better)
+            np.minimum(shortest, reduced, out=shortest)
             j = int(shortest.argmin())
             min_val = float(shortest[j])
             shortest[j] = np.inf
-            open_cols[j] = False
+            v_open[j] = -np.inf
             seen.append(j)
             dist.append(min_val)
             i = int(row_for_col[j])

@@ -20,6 +20,7 @@ from .numkit import (
     DimensionError,
     MomentumSgd,
     check_sgd_settings,
+    flat_views,
     load_matrix,
     save_matrix,
     write_json,
@@ -104,8 +105,10 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
         / np.sqrt(feature_dim),
         known_count=num_classes,
     )
-    opt = MomentumSgd({"weight": enc.weight, "bias": enc.bias, "head": head.weights},
-                      schedule.learning_rate, schedule.momentum)
+    flat, (enc.weight, enc.bias, head.weights) = flat_views(
+        [enc.weight, enc.bias, head.weights])
+    opt = MomentumSgd(flat, schedule.learning_rate, schedule.momentum)
+    grad = np.empty_like(flat)
     history = []
     for _ in range(schedule.epochs):
         order = rng.permutation(n)
@@ -115,7 +118,8 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
             f = encode(features[idx], enc)
             loss, d_logits = cls_loss(classifier_responses(f, head), labels[idx])
             d_weight, d_bias = encode_backward(features[idx], d_logits @ head.weights)
-            opt.step({"weight": d_weight, "bias": d_bias, "head": d_logits.T @ f})
+            np.concatenate((d_weight, d_bias, d_logits.T @ f), axis=None, out=grad)
+            opt.step(grad)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return enc, head.weights, history

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 
 import numpy as np
 
@@ -20,6 +19,7 @@ __all__ = [
     "softmax_rows",
     "leaky_relu",
     "make_rng",
+    "flat_views",
     "MomentumSgd",
     "check_sgd_settings",
     "save_matrix",
@@ -48,9 +48,9 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 def softmax_rows(m) -> np.ndarray:
     """Row-wise softmax with max-subtraction; rows sum to 1."""
     m = np.asarray(m, dtype=np.float64)
-    z = m - m.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def leaky_relu(m, slope: float) -> np.ndarray:
@@ -66,26 +66,34 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-class MomentumSgd:
-    """Heavy-ball SGD over named arrays; parameters and velocities are
-    updated in place: ``v = momentum * v + g`` then ``p -= lr * v``. A
-    parameter with no gradient in a step keeps its value and its velocity."""
+def flat_views(arrays):
+    """Copies of ``arrays`` laid end to end in one new float64 buffer:
+    returns (buffer, views), each view shaped like its array. An update of
+    the buffer is then one pass over every array."""
+    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+    views, start = [], 0
+    for a in arrays:
+        views.append(flat[start:start + np.size(a)].reshape(np.shape(a)))
+        start += np.size(a)
+    return flat, views
 
-    def __init__(self, params: dict, lr: float, momentum: float):
+
+class MomentumSgd:
+    """Heavy-ball SGD on one float64 array, updated in place with a
+    gradient of its shape: ``v = momentum * v + g`` then ``p -= lr * v``.
+    Several parameters train as one array through ``flat_views``."""
+
+    def __init__(self, params: np.ndarray, lr: float, momentum: float):
         self.params = params
         self.lr = lr
         self.momentum = momentum
-        self.velocity = {k: np.zeros_like(v) for k, v in params.items()}
+        self.velocity = np.zeros_like(params)
 
-    def step(self, grads: dict) -> None:
-        for name in self.params:
-            g = grads.get(name)
-            if g is None:
-                continue
-            v = self.velocity[name]
-            v *= self.momentum
-            v += g
-            self.params[name] -= self.lr * v
+    def step(self, grad: np.ndarray) -> None:
+        v = self.velocity
+        v *= self.momentum
+        v += grad
+        self.params -= self.lr * v
 
 
 def check_sgd_settings(learning_rate: float, momentum: float) -> None:
@@ -136,25 +144,57 @@ def size(token) -> int:
     return value
 
 
+_CHUNK_ROWS = 256  # rows per bulk conversion; bounds the token strings held at once
+
+
 def read_rows(fh, path, count: int, kinds) -> np.ndarray:
     """The ``count`` rows that follow a text table's header line as a
     (count, len(kinds)) float64 array; each row has exactly one token per
-    kind and is converted by ``parse_tokens`` as it is read. Raises
-    ValueError on a row of any other width, a token that does not convert,
-    or anything but blank lines after the last row."""
+    kind. Tokens of a ``float`` kind are converted in bulk, one numpy call
+    per chunk of rows; the other kinds by ``parse_tokens`` as each row is
+    read. Raises ValueError on a row of any other width, a token that does
+    not convert (naming its file and line, the earliest line first), or
+    anything but blank lines after the last row."""
     width = len(kinds)
-    # grown row by row: a header may declare more rows than the file holds
-    values = array("d")
+    others = [c for c, kind in enumerate(kinds) if kind is not float]
+    # grown chunk by chunk: a header may declare more rows than the file holds
+    chunks, rows = [], []
     for i in range(count):
         parts = fh.readline().split()
-        if len(parts) != width:
-            raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
-                             f"expected {width}")
-        values.extend(parse_tokens(path, i + 2, kinds, parts))
+        try:
+            if len(parts) != width:
+                raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
+                                 f"expected {width}")
+            if others:
+                values = parse_tokens(path, i + 2, [kinds[c] for c in others],
+                                      [parts[c] for c in others])
+                for c, value in zip(others, values):
+                    parts[c] = value
+        except ValueError:
+            # a bad float on an earlier line is reported first
+            _float_rows(path, i + 2 - len(rows), rows, width)
+            raise
+        rows.append(parts)
+        if len(rows) == _CHUNK_ROWS:
+            chunks.append(_float_rows(path, i + 3 - len(rows), rows, width))
+            rows = []
+    chunks.append(_float_rows(path, count + 2 - len(rows), rows, width))
     for line in fh:
         if line.strip():
             raise ValueError(f"{path}: data after the {count} declared rows")
-    return np.array(values, dtype=np.float64).reshape(count, width)
+    return np.concatenate(chunks)
+
+
+def _float_rows(path, first_line: int, rows, width: int) -> np.ndarray:
+    """``rows`` (tokens and numbers; the first is on line ``first_line``)
+    as a float64 array; where numpy refuses a token, ``parse_tokens``
+    converts them again and names the file and line of the first bad one."""
+    try:
+        out = np.array(rows, dtype=np.float64)
+    except ValueError:
+        out = np.array([parse_tokens(path, first_line + k, (float,) * width, row)
+                        for k, row in enumerate(rows)], dtype=np.float64)
+    return out.reshape(len(rows), width)
 
 
 def write_json(path, payload) -> None:

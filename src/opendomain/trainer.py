@@ -24,7 +24,6 @@ from .losses import (
     ClassifierHead,
     LossWeights,
     balance_loss_vanilla,
-    classifier_responses,
     cls_loss,
     limited_balance_loss,
     sgmd_loss,
@@ -39,7 +38,7 @@ from .model import (
     encode_backward,
     pretrain_source,
 )
-from .numkit import MomentumSgd, check_sgd_settings, make_rng, softmax_rows
+from .numkit import MomentumSgd, check_sgd_settings, flat_views, make_rng, softmax_rows
 
 __all__ = [
     "ConfigError",
@@ -336,18 +335,25 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
 
 
 def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
-                raw_s, labels, raw_t, raw_ms, raw_mt):
+                raw_s, labels, raw_t, raw_ms, raw_mt, out=None):
     """One joint-loop step over the terms switched on by ``cfg``: cls on the
     source batch, balance on the target batch, SGMD on the matched rows and
     the graph tie on the propagated class rows ``z_class``.
 
     The rows of every term are stacked (source batch, target batch, matched
-    sources, matched targets) and encoded once. cls takes the softmax of its
-    rows over the known classes; balance and SGMD share one softmax of the
-    remaining rows over all classes. The logit gradients of cls and balance
-    and the feature gradients of SGMD go, weighted, into stacked arrays that
-    are mapped back once: through the head, then one ``encode_backward``.
-    Matched rows join the backward only when some pair passes the gate.
+    sources, matched targets), encoded once and scored by one logits
+    product against the whole head. The source rows' unknown-class logits
+    are set to -inf, so one softmax gives cls its responses over the known
+    classes and balance and SGMD theirs over all classes. The logit
+    gradients of cls and balance and the feature gradients of SGMD go,
+    weighted, into stacked arrays that are mapped back once: through the
+    head, then one ``encode_backward``. Matched rows join the backward only
+    when some pair passes the gate.
+
+    The gradient of the total is written into ``out``, a flat float64
+    buffer (a new one when None) holding the parameters' gradients end to
+    end in the order of ``grads``: encoder.weight, encoder.bias,
+    head.weights and, with the graph term, gcn.theta.
 
     Returns (values, total, grads, gate): term -> value, the weighted total,
     parameter -> gradient of the total, and the SGMD gate (empty if SGMD
@@ -367,33 +373,34 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     n_m = len(raw_ms) if sgmd else 0
     n_l = n_s + n_t  # rows with a logit gradient; the matched rows follow
 
+    logits = f @ head.weights.T
+    logits[:n_s, known:] = -np.inf
+    probs = softmax_rows(logits)
     # each term's outputs: value, its gradient(s), and for SGMD the gate
-    outputs = {"cls": cls_loss(softmax_rows(f[:n_s] @ head.weights[:known].T), labels)}
-    if balance or sgmd:
-        probs = classifier_responses(f[n_s:], head)
+    outputs = {"cls": cls_loss(probs[:n_s, :known], labels)}
     if balance:
         outputs["balance"] = (
-            balance_loss_vanilla(probs[:n_t], known, lw.epsilon) if cfg.vanilla_balance
-            else limited_balance_loss(probs[:n_t], known, lw.w, lw.epsilon))
+            balance_loss_vanilla(probs[n_s:n_l], known, lw.epsilon) if cfg.vanilla_balance
+            else limited_balance_loss(probs[n_s:n_l], known, lw.w, lw.epsilon))
     gate = np.zeros(0, dtype=bool)
     if sgmd:
         # the responses only gate the pairs; no gradient flows through them
         outputs["sgmd"] = sgmd_loss(f[n_l:n_l + n_m], f[n_l + n_m:],
-                                    probs[n_t:n_t + n_m], probs[n_t + n_m:], lw.tau)
+                                    probs[n_l:n_l + n_m], probs[n_l + n_m:], lw.tau)
         gate = outputs["sgmd"][3]
     if cfg.enable_gcn:
         outputs["gcn"] = gcn_reg_loss(z_class, state.gcn, head.weights)
 
-    values = {name: out[0] for name, out in outputs.items()}
+    values = {name: result[0] for name, result in outputs.items()}
     total, weight = total_loss(values, lw)
     d_logits = np.zeros((n_l, head.num_classes))
     d_logits[:n_s, :known] = outputs["cls"][1]
     if balance:
-        d_logits[n_s:] = weight["balance"] * outputs["balance"][1]
+        np.multiply(outputs["balance"][1], weight["balance"], out=d_logits[n_s:])
     d_f = d_logits @ head.weights
     if gate.any():
-        _, d_fs, d_ft, _ = outputs["sgmd"]
-        d_f = np.concatenate([d_f, weight["sgmd"] * d_fs, weight["sgmd"] * d_ft])
+        d_fs = weight["sgmd"] * outputs["sgmd"][1]
+        d_f = np.concatenate([d_f, d_fs, -d_fs])
     d_ew, d_eb = encode_backward(raw[:len(d_f)], d_f)
     grads = {"encoder.weight": d_ew, "encoder.bias": d_eb,
              "head.weights": d_logits.T @ f[:n_l]}
@@ -401,12 +408,13 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
         _, d_theta, d_w_hat = outputs["gcn"]
         grads["head.weights"] += weight["gcn"] * d_w_hat
         grads["gcn.theta"] = weight["gcn"] * d_theta
+    out = np.concatenate(list(grads.values()), axis=None, out=out)
 
     # a non-finite term leaves the total or the gradients non-finite, so the
     # per-term scan, which names the term, runs only when they are
-    if not (math.isfinite(total) and all(np.isfinite(g).all() for g in grads.values())):
-        for name, out in outputs.items():
-            _check_finite(name, out[0], out[1:3])  # sgmd's gate is out[3]
+    if not (math.isfinite(total) and np.isfinite(out).all()):
+        for name, result in outputs.items():
+            _check_finite(name, result[0], result[1:3])  # sgmd's gate is result[3]
     return values, total, grads, gate
 
 
@@ -415,24 +423,31 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
     rematching every ``cfg.rematch_interval`` epochs.
 
     Trains ``prepared`` in place (its model and RNG streams); deep-copy it
-    first to train several variants from one prefix. Returns (ModelState,
-    history), the history one record per epoch: the loss term means, the
-    fraction of matched pairs passing the similarity gate and the accuracy
-    triple. A target without eval labels (label -1) records its accuracies
-    as None.
+    first to train several variants from one prefix. The trained arrays
+    (the encoder, the head and, with the graph term, theta) are rebound to
+    views of one flat buffer, which each step updates in one pass. Returns
+    (ModelState, history), the history one record per epoch: the loss term
+    means, the fraction of matched pairs passing the similarity gate and
+    the accuracy triple. A target without eval labels (label -1) records
+    its accuracies as None.
     """
     state, source, target = prepared.state, prepared.source, prepared.target
     enc, head = state.encoder, state.head
     rng_joint, partner = prepared.rng_joint, prepared.partner
     labeled = not (target.eval_labels < 0).any()
 
-    params = {"encoder.weight": enc.weight, "encoder.bias": enc.bias,
-              "head.weights": head.weights}
+    trained = [enc.weight, enc.bias, head.weights]
     if cfg.enable_gcn:
-        params["gcn.theta"] = state.gcn.theta
-    opt = MomentumSgd(params, cfg.learning_rate, cfg.momentum)
+        trained.append(state.gcn.theta)
+    flat, views = flat_views(trained)
+    enc.weight, enc.bias, head.weights = views[:3]
+    if cfg.enable_gcn:
+        state.gcn.theta = views[3]
+    opt = MomentumSgd(flat, cfg.learning_rate, cfg.momentum)
+    grad = np.empty_like(flat)
 
-    n_src = source.n
+    n_src, batch = source.n, cfg.batch_size
+    starts = range(0, n_src, batch)
     history = []
 
     for epoch in range(cfg.epochs):
@@ -440,26 +455,31 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
             partner = _partner(enc, source, target, cfg.folds, prepared.rng_match)
         order_src = rng_joint.permutation(n_src)
         order_tgt = _target_order(rng_joint, target.n, n_src)
+        # the epoch's rows in batch order, so that every batch is a slice;
+        # the matched sources and their targets keep that order, and
+        # cuts[b]:cuts[b + 1] are the ones of batch b
+        xs, ys = source.features[order_src], source.labels[order_src]
+        xt = target.features[order_tgt]
+        at = np.flatnonzero(partner[order_src] >= 0)
+        xms, xmt = xs[at], target.features[partner[order_src[at]]]
+        cuts = np.searchsorted(at, range(0, n_src + batch, batch)).tolist()
         sums = {"cls": 0.0, "sgmd": 0.0, "balance": 0.0, "gcn": 0.0, "total": 0.0}
         gated = 0
         considered = 0
-        steps = 0
-        for start in range(0, n_src, cfg.batch_size):
-            src_idx = order_src[start:start + cfg.batch_size]
-            tgt_idx = order_tgt[start:start + cfg.batch_size]
-            s_ids = src_idx[partner[src_idx] >= 0]
-            values, total, grads, gate = joint_terms(
-                state, prepared.z_class, cfg, source.features[src_idx],
-                source.labels[src_idx], target.features[tgt_idx],
-                source.features[s_ids], target.features[partner[s_ids]])
+        for b, start in enumerate(starts):
+            rows = slice(start, start + batch)
+            matched = slice(cuts[b], cuts[b + 1])
+            values, total, _, gate = joint_terms(
+                state, prepared.z_class, cfg, xs[rows], ys[rows], xt[rows],
+                xms[matched], xmt[matched], out=grad)
             considered += gate.size
             gated += int(gate.sum())
             for name, val in values.items():
                 sums[name] += val
             sums["total"] += total
-            opt.step(grads)
-            steps += 1
+            opt.step(grad)
 
+        steps = len(starts)
         record = {
             "epoch": epoch,
             "loss_cls": sums["cls"] / steps,

@@ -10,12 +10,12 @@ from opendomain.losses import (
     limited_balance_loss,
     limited_balance_terms,
     sgmd_loss,
-    softmax_backward,
     total_loss,
 )
 from opendomain.numkit import make_rng, softmax_rows
 
 from gradcheck import grad_check, through_head
+from joint_reference import softmax_backward
 
 
 def _random_head(rng, l_t=None, l_s=None, m=None):

@@ -6,11 +6,13 @@ import pytest
 
 from opendomain.numkit import (
     MomentumSgd,
+    flat_views,
     leaky_relu,
     load_matrix,
     make_rng,
     read_rows,
     save_matrix,
+    size,
     softmax_rows,
 )
 
@@ -73,16 +75,24 @@ def test_grad_check_detects_wrong_gradient():
 
 
 def test_momentum_sgd_hand_example():
-    w = np.array([1.0, 2.0])
-    b = np.array([5.0])
-    opt = MomentumSgd({"w": w, "b": b}, lr=0.5, momentum=0.9)
-    opt.step({"w": np.array([1.0, -1.0])})
-    opt.step({"w": np.array([1.0, -1.0])})
+    flat, (w, b) = flat_views([np.array([1.0, 2.0]), np.array([5.0])])
+    opt = MomentumSgd(flat, lr=0.5, momentum=0.9)
+    opt.step(np.array([1.0, -1.0, 0.0]))
+    opt.step(np.array([1.0, -1.0, 0.0]))
     # velocities g then 1.9 g: w moves by 0.5 * 2.9 g, in place
     assert np.allclose(w, [-0.45, 3.45])
-    # no gradient: value and velocity untouched
+    # a zero gradient: value and velocity untouched
     assert b[0] == 5.0
-    assert np.array_equal(opt.velocity["b"], [0.0])
+    assert opt.velocity[2] == 0.0
+
+
+def test_flat_views_copy_into_one_buffer():
+    a, b = np.arange(6.0).reshape(2, 3), np.array([7.0])
+    flat, (va, vb) = flat_views([a, b])
+    assert flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+    assert va.shape == (2, 3) and vb.shape == (1,)
+    flat += 1.0  # the views see the buffer, the inputs do not
+    assert va[1, 2] == 6.0 and vb[0] == 8.0 and a[1, 2] == 5.0
 
 
 def test_rng_stream_equality():
@@ -113,6 +123,21 @@ def test_read_rows_takes_exactly_the_declared_table():
             ("1.5 2\n", (int, float), "line 2: invalid literal for int()")]:
         with pytest.raises(ValueError, match=re.escape(f"t.txt: {where}")):
             read_rows(io.StringIO(text), "t.txt", text.count("\n"), kinds)
+
+
+def test_read_rows_names_the_earliest_bad_line_across_chunks():
+    # floats convert 256 rows at a time, yet the first bad line is named:
+    # a bad float before a short row, and a bad float past the first chunk
+    good = [f"{i} {i}.5" for i in range(300)]
+    rows = read_rows(io.StringIO("\n".join(good) + "\n"), "t.txt", 300, (int, float))
+    assert rows[299].tolist() == [299.0, 299.5]
+    for lines, kinds, where in [
+            (good[:2] + ["1 x"] + good[3:5] + ["7"], (float, float), "line 4: could not"),
+            (good[:2] + ["1 x"] + good[3:5] + ["7"], (int, float), "line 4: could not"),
+            (good[:280] + ["1 2e"] + good[281:], (int, float), "line 282: could not"),
+            (good[:2] + ["-1 2"], (size, float), "line 4: -1 is not a count")]:
+        with pytest.raises(ValueError, match=re.escape(f"t.txt: {where}")):
+            read_rows(io.StringIO("\n".join(lines) + "\n"), "t.txt", len(lines), kinds)
 
 
 @pytest.mark.parametrize("header, error", [

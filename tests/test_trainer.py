@@ -7,10 +7,11 @@ import pytest
 
 from opendomain import gcn, synth
 from opendomain.gcn import GcnParams, GcnSchedule, gcn_forward, propagate
-from opendomain.losses import ClassifierHead, LossWeights
+from opendomain.losses import ClassifierHead, LossWeights, cls_loss
 from opendomain.matching import partition_folds
-from opendomain.model import Encoder, ModelState, PretrainSchedule
-from opendomain.numkit import make_rng
+from opendomain.model import (Encoder, ModelState, PretrainSchedule, encode,
+                              encode_backward)
+from opendomain.numkit import make_rng, softmax_rows
 from opendomain import trainer
 from opendomain.trainer import (
     ABLATION_VARIANTS,
@@ -444,6 +445,83 @@ def test_stacked_step_matches_the_per_term_reference(variant):
                 assert set(grads) == set(ref_grads)
                 for key, grad in grads.items():
                     _close(grad, ref_grads[key])
+
+
+def test_train_joint_replays_joint_terms_and_momentum():
+    # 45 sources against 30 targets, rematched every epoch: the loop must
+    # take exactly the tested step on the old per-batch index gathers, then
+    # v = m v + g and p -= lr v on each parameter
+    sizes = replace(_small_cfg().synth, source_per_class=15, target_per_class=6)
+    cfg = _small_cfg(synth=sizes, epochs=2, rematch_interval=1)
+    prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
+    assert (prepared.partner < 0).any() and (prepared.partner >= 0).any()
+    replay = copy.deepcopy(prepared)
+    trained, _ = trainer.train_joint(prepared, cfg)
+
+    state, source, target = replay.state, replay.source, replay.target
+    params = {"encoder.weight": state.encoder.weight,
+              "encoder.bias": state.encoder.bias,
+              "head.weights": state.head.weights, "gcn.theta": state.gcn.theta}
+    velocity = {name: np.zeros_like(p) for name, p in params.items()}
+    partner = replay.partner
+    for epoch in range(cfg.epochs):
+        if epoch > 0:
+            partner = trainer._partner(state.encoder, source, target, cfg.folds,
+                                       replay.rng_match)
+        order_src = replay.rng_joint.permutation(source.n)
+        order_tgt = trainer._target_order(replay.rng_joint, target.n, source.n)
+        for start in range(0, source.n, cfg.batch_size):
+            src_idx = order_src[start:start + cfg.batch_size]
+            tgt_idx = order_tgt[start:start + cfg.batch_size]
+            s_ids = src_idx[partner[src_idx] >= 0]
+            _, _, grads, _ = joint_terms(
+                state, replay.z_class, cfg, source.features[src_idx],
+                source.labels[src_idx], target.features[tgt_idx],
+                source.features[s_ids], target.features[partner[s_ids]])
+            for name, p in params.items():
+                velocity[name] = cfg.momentum * velocity[name] + grads[name]
+                p -= cfg.learning_rate * velocity[name]
+    assert np.array_equal(trained.encoder.weight, state.encoder.weight)
+    assert np.array_equal(trained.encoder.bias, state.encoder.bias)
+    assert np.array_equal(trained.head.weights, state.head.weights)
+    assert np.array_equal(trained.gcn.theta, state.gcn.theta)
+
+
+@pytest.mark.parametrize("known, total", [(3, 5), (8, 12)])
+def test_cls_rows_ignore_the_unknown_logits(known, total):
+    # unknown-class logits 50 above every known one: the one softmax of the
+    # stacked rows must give cls exactly its softmax over the known classes.
+    # numpy's pairwise row sum adds the masked zeros after the known terms
+    # when known >= 8 or total < 8; other head shapes round in the last bit
+    rng = make_rng(known)
+    m_in, m, n = 6, 5, 9
+    weight = rng.standard_normal((m_in, m))
+    weight[:, 0] = 0.0
+    bias = np.zeros(m)
+    bias[0] = 1.0  # feature 0 is 1 on every row
+    raw_s = rng.standard_normal((n, m_in))
+    labels = rng.integers(0, known, n)
+    head = rng.standard_normal((total, m))
+    head[known:] = 0.0
+    f = encode(raw_s, Encoder(weight, bias))
+    head[known:, 0] = float(np.max(f @ head[:known].T)) + 50.0
+    state = ModelState(Encoder(weight, bias), ClassifierHead(head, known),
+                       GcnParams(np.zeros((4, m)), 0.2))
+    cfg = apply_flags(ExperimentConfig(), ())
+    raw_none = np.zeros((0, m_in))
+    with np.errstate(all="raise"):  # no NaN, overflow or underflow on the way
+        values, total_value, grads, _ = joint_terms(
+            state, None, cfg, raw_s, labels, raw_s, raw_none, raw_none)
+
+    value, d_logits = cls_loss(softmax_rows(f @ head[:known].T), labels)
+    d_head = np.zeros_like(head)
+    d_head[:known] = d_logits.T @ f
+    d_weight, d_bias = encode_backward(raw_s, d_logits @ head[:known])
+    assert values == {"cls": value} and total_value == value
+    assert np.isfinite(value)
+    assert np.array_equal(grads["head.weights"], d_head)
+    assert np.array_equal(grads["encoder.weight"], d_weight)
+    assert np.array_equal(grads["encoder.bias"], d_bias)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
