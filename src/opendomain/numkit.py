@@ -144,7 +144,7 @@ def size(token) -> int:
     return value
 
 
-_CHUNK_ROWS = 256  # rows per bulk conversion; bounds the token strings held at once
+_CHUNK_ROWS = 64  # rows per bulk conversion; bounds the token strings held at once
 
 
 def read_rows(fh, path, count: int, kinds) -> np.ndarray:

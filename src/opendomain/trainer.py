@@ -478,6 +478,9 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
                 sums[name] += val
             sums["total"] += total
             opt.step(grad)
+        # freed before the evaluation and the next gather, whose arrays
+        # would otherwise stack on them at the run's memory peak
+        del xs, ys, xt, xms, xmt
 
         steps = len(starts)
         record = {
