@@ -448,6 +448,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
 
     n_src, batch = source.n, cfg.batch_size
     starts = range(0, n_src, batch)
+    steps = len(starts)
     history = []
 
     for epoch in range(cfg.epochs):
@@ -482,7 +483,6 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
         # would otherwise stack on them at the run's memory peak
         del xs, ys, xt, xms, xmt
 
-        steps = len(starts)
         record = {
             "epoch": epoch,
             "loss_cls": sums["cls"] / steps,
