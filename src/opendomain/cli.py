@@ -48,9 +48,13 @@ def _read_config(path):
 
 def _load_dataset(directory, name, classes):
     """Load a data file, rejecting one that declares other than ``classes``
-    classes or has no rows."""
+    classes, has no rows, or is unlabeled as the source (labeled as the
+    target)."""
     path = os.path.join(directory, _DATA_FILES[name])
     dataset, declared = synth.load_dataset(path)
+    if isinstance(dataset, synth.LabeledDataset) != (name == "source"):
+        raise ValueError(f"{path}: the {name} data must be "
+                         f"{'labeled' if name == 'source' else 'unlabeled'}")
     if declared != classes:
         raise ValueError(f"{path}: declares {declared} classes, expected {classes}")
     if not dataset.n:

@@ -40,7 +40,7 @@ class GcnParams:
     weight dimension: output rows ARE classifier weight vectors."""
 
     theta: np.ndarray
-    activation_slope: float = 0.2
+    activation_slope: float
 
 
 @dataclass

@@ -125,11 +125,13 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
     return enc, head.weights, history
 
 
-_CHECKPOINT_FILES = {
-    "encoder_weight": "encoder.weight",
-    "encoder_bias": "encoder.bias",
-    "head_weights": "head.weights",
-    "gcn_theta": "gcn.theta",
+# each file of a checkpoint with the manifest keys of its row and column
+# counts; the bias is stored as one row
+_CHECKPOINT_SHAPES = {
+    "encoder.weight": ("input_dim", "feature_dim"),
+    "encoder.bias": (1, "feature_dim"),
+    "head.weights": ("total_classes", "feature_dim"),
+    "gcn.theta": ("word_dim", "feature_dim"),
 }
 
 
@@ -137,14 +139,10 @@ def save_checkpoint(directory, state: ModelState, config_hash: str = "") -> None
     """Write the parameter matrices as text files plus a manifest with the
     dimensions and the originating config hash."""
     os.makedirs(directory, exist_ok=True)
-    save_matrix(os.path.join(directory, _CHECKPOINT_FILES["encoder_weight"]),
-                state.encoder.weight)
-    save_matrix(os.path.join(directory, _CHECKPOINT_FILES["encoder_bias"]),
-                state.encoder.bias.reshape(1, -1))
-    save_matrix(os.path.join(directory, _CHECKPOINT_FILES["head_weights"]),
-                state.head.weights)
-    save_matrix(os.path.join(directory, _CHECKPOINT_FILES["gcn_theta"]),
-                state.gcn.theta)
+    matrices = (state.encoder.weight, state.encoder.bias.reshape(1, -1),
+                state.head.weights, state.gcn.theta)
+    for name, m in zip(_CHECKPOINT_SHAPES, matrices):
+        save_matrix(os.path.join(directory, name), m)
     write_json(os.path.join(directory, "manifest.json"), {
         "input_dim": state.encoder.weight.shape[0],
         "feature_dim": state.encoder.weight.shape[1],
@@ -165,22 +163,16 @@ def load_checkpoint(directory):
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: not a JSON object")
-    enc_w = load_matrix(os.path.join(directory, _CHECKPOINT_FILES["encoder_weight"]))
-    enc_b = load_matrix(os.path.join(directory, _CHECKPOINT_FILES["encoder_bias"]))
-    head_w = load_matrix(os.path.join(directory, _CHECKPOINT_FILES["head_weights"]))
-    theta = load_matrix(os.path.join(directory, _CHECKPOINT_FILES["gcn_theta"]))
-    expected = {
-        "input_dim": enc_w.shape[0],
-        "feature_dim": enc_w.shape[1],
-        "total_classes": head_w.shape[0],
-        "word_dim": theta.shape[0],
-    }
-    for key, value in expected.items():
-        if manifest.get(key) != value:
-            raise ValueError(
-                f"checkpoint manifest mismatch for {key}: "
-                f"{manifest.get(key)} != {value}"
-            )
+    matrices = []
+    for name, keys in _CHECKPOINT_SHAPES.items():
+        path = os.path.join(directory, name)
+        matrices.append(load_matrix(path))
+        for key, value in zip(keys, matrices[-1].shape):
+            declared, key = (manifest.get(key), key) if type(key) is str else (key, "rows")
+            if declared != value:
+                raise ValueError(f"{path}: checkpoint manifest mismatch for {key}: "
+                                 f"{declared} != {value}")
+    enc_w, enc_b, head_w, theta = matrices
     known, slope = manifest.get("known_classes"), manifest.get("activation_slope")
     # bool is an int subclass; neither true nor 7.9 is a class count
     if type(known) is not int or not 0 < known <= head_w.shape[0]:

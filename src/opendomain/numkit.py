@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 
 import numpy as np
 
@@ -144,57 +145,25 @@ def size(token) -> int:
     return value
 
 
-_CHUNK_ROWS = 64  # rows per bulk conversion; bounds the token strings held at once
-
-
 def read_rows(fh, path, count: int, kinds) -> np.ndarray:
     """The ``count`` rows that follow a text table's header line as a
     (count, len(kinds)) float64 array; each row has exactly one token per
-    kind. Tokens of a ``float`` kind are converted in bulk, one numpy call
-    per chunk of rows; the other kinds by ``parse_tokens`` as each row is
-    read. Raises ValueError on a row of any other width, a token that does
-    not convert (naming its file and line, the earliest line first), or
-    anything but blank lines after the last row."""
+    kind and is converted by ``parse_tokens`` as it is read. Raises
+    ValueError on a row of any other width, a token that does not convert,
+    or anything but blank lines after the last row."""
     width = len(kinds)
-    others = [c for c, kind in enumerate(kinds) if kind is not float]
-    # grown chunk by chunk: a header may declare more rows than the file holds
-    chunks, rows = [], []
+    # grown row by row: a header may declare more rows than the file holds
+    values = array("d")
     for i in range(count):
         parts = fh.readline().split()
-        try:
-            if len(parts) != width:
-                raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
-                                 f"expected {width}")
-            if others:
-                values = parse_tokens(path, i + 2, [kinds[c] for c in others],
-                                      [parts[c] for c in others])
-                for c, value in zip(others, values):
-                    parts[c] = value
-        except ValueError:
-            # a bad float on an earlier line is reported first
-            _float_rows(path, i + 2 - len(rows), rows, width)
-            raise
-        rows.append(parts)
-        if len(rows) == _CHUNK_ROWS:
-            chunks.append(_float_rows(path, i + 3 - len(rows), rows, width))
-            rows = []
-    chunks.append(_float_rows(path, count + 2 - len(rows), rows, width))
+        if len(parts) != width:
+            raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
+                             f"expected {width}")
+        values.extend(parse_tokens(path, i + 2, kinds, parts))
     for line in fh:
         if line.strip():
             raise ValueError(f"{path}: data after the {count} declared rows")
-    return np.concatenate(chunks)
-
-
-def _float_rows(path, first_line: int, rows, width: int) -> np.ndarray:
-    """``rows`` (tokens and numbers; the first is on line ``first_line``)
-    as a float64 array; where numpy refuses a token, ``parse_tokens``
-    converts them again and names the file and line of the first bad one."""
-    try:
-        out = np.array(rows, dtype=np.float64)
-    except ValueError:
-        out = np.array([parse_tokens(path, first_line + k, (float,) * width, row)
-                        for k, row in enumerate(rows)], dtype=np.float64)
-    return out.reshape(len(rows), width)
+    return np.array(values, dtype=np.float64).reshape(count, width)
 
 
 def write_json(path, payload) -> None:

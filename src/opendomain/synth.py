@@ -243,6 +243,8 @@ def load_dataset(path):
             raise ValueError(f"{path}: malformed dataset header")
         n, m_in, labeled, num_classes = parse_tokens(
             path, 1, (size, size, int, size), header[:2] + header[3::2])
+        if labeled not in (0, 1):
+            raise ValueError(f"{path}: line 1: labeled must be 0 or 1, got {labeled}")
 
         def label(token: str) -> int:
             value = int(token)

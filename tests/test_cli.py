@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opendomain.cli import main
-from opendomain.numkit import make_rng, save_matrix
+from opendomain.numkit import load_matrix, make_rng, save_matrix
 from opendomain.trainer import DA_VARIANTS, apply_flags, parse_config, run_pipeline
 from pairs_file import load_pairs
 
@@ -433,6 +433,22 @@ def _no_rows(name):
     return edit
 
 
+def _drop_column(name):
+    """Rewrite a matrix file without its last column."""
+    return lambda root: save_matrix(root / name, load_matrix(root / name)[:, :-1])
+
+
+def _swap_role(name, labeled, tag):
+    """Rewrite a dataset as ``labeled 0`` or ``labeled 1`` with ``tag`` as
+    every row's first token."""
+    def edit(root):
+        header, *rows = (root / name).read_text().splitlines()
+        header = header.replace(f"labeled {1 - labeled}", f"labeled {labeled}")
+        rows = [" ".join([tag] + row.split()[1:]) for row in rows]
+        (root / name).write_text("\n".join([header] + rows) + "\n")
+    return edit
+
+
 def _short(tokens):
     return tokens[:-1]
 
@@ -498,12 +514,20 @@ _EXIT_CASES = [
     ("train", "source.ds class count",
      _replace("data/source.ds", "classes 3", "classes 12"), 1, "source.ds"),
     ("train", "bad flag token", "--flags lb,bogus", 1, "bogus"),
+    ("train", "unlabeled source.ds", _swap_role("data/source.ds", 0, "?"), 1,
+     "source.ds: the source data must be labeled"),
+    ("train", "labeled target.ds", _swap_role("data/target.ds", 1, "0"), 1,
+     "target.ds: the target data must be unlabeled"),
+    ("train", "source.ds labeled field of 7",
+     _replace("data/source.ds", "labeled 1", "labeled 7"), 1, "source.ds: line 1"),
     ("ablate", "missing wordvec.mat", _remove("data/wordvec.mat"), 3, "wordvec.mat"),
     ("ablate", "inf in source.ds",
      _edit_row("data/source.ds", _last("inf")), 1, "source.ds"),
     ("ablate", "non-integer target.ds header",
      _edit_row("data/target.ds", _first("x"), 0), 1, "target.ds: line 1"),
     ("ablate", "non-integer --seeds", "--seeds abc", 1, "--seeds"),
+    ("ablate", "unlabeled source.ds", _swap_role("data/source.ds", 0, "?"), 1,
+     "source.ds: the source data must be labeled"),
     ("ablate", "trailing target.ds rows",
      _append("data/target.ds", "? 1 2 3 4 5 6\n"), 1, "target.ds"),
     ("ablate", "target.ds class count",
@@ -529,6 +553,15 @@ _EXIT_CASES = [
      _replace("run/checkpoint/head.weights", "5 5\n", "5\n"), 1, "head.weights"),
     ("eval", "short head.weights row",
      _edit_row("run/checkpoint/head.weights", _short), 1, "head.weights"),
+    ("eval", "1x1 encoder.bias",
+     lambda root: save_matrix(root / "run/checkpoint/encoder.bias", np.ones((1, 1))), 1,
+     "encoder.bias: checkpoint manifest mismatch for feature_dim"),
+    ("eval", "head.weights a column short", _drop_column("run/checkpoint/head.weights"), 1,
+     "head.weights: checkpoint manifest mismatch for feature_dim"),
+    ("eval", "gcn.theta a column short", _drop_column("run/checkpoint/gcn.theta"), 1,
+     "gcn.theta: checkpoint manifest mismatch for feature_dim"),
+    ("eval", "labeled target.ds", _swap_role("data/target.ds", 1, "0"), 1,
+     "target.ds: the target data must be unlabeled"),
     ("eval", "nan in target.ds",
      _edit_row("data/target.ds", _last("nan")), 1, "target.ds"),
     ("eval", "non-numeric target.ds feature",

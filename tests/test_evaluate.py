@@ -14,7 +14,7 @@ def _state(head_weights, known_count):
     return ModelState(
         encoder=Encoder(weight=np.eye(dim), bias=np.zeros(dim)),
         head=ClassifierHead(weights=head_weights, known_count=known_count),
-        gcn=GcnParams(theta=np.eye(dim)),
+        gcn=GcnParams(theta=np.eye(dim), activation_slope=0.2),
     )
 
 

@@ -48,7 +48,7 @@ def test_forward_path_fixture():
 
 
 def test_forward_dimension_mismatch():
-    params = GcnParams(theta=np.eye(2))
+    params = GcnParams(theta=np.eye(2), activation_slope=0.2)
     with pytest.raises(DimensionError):
         gcn_forward(np.zeros((4, 3)), params)
 
@@ -337,7 +337,7 @@ def test_propagate_selects_rows():
 
 def test_losses_reject_mismatched_shapes():
     z = np.ones((3, 2))
-    params = GcnParams(theta=np.ones((2, 4)))
+    params = GcnParams(theta=np.ones((2, 4)), activation_slope=0.2)
     with pytest.raises(DimensionError):
         init_loss(z, params, np.ones((2, 4)))  # 3 rows vs 2 targets
     with pytest.raises(DimensionError):

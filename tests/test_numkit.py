@@ -126,8 +126,8 @@ def test_read_rows_takes_exactly_the_declared_table():
 
 
 def test_read_rows_names_the_earliest_bad_line_across_chunks():
-    # floats convert a chunk of rows at a time, yet the first bad line is named:
-    # a bad float before a short row, and a bad float past the first chunk
+    # each row converts as it is read, so the first bad line is the one named:
+    # a bad float before a short row, and a bad float far into a long table
     good = [f"{i} {i}.5" for i in range(300)]
     rows = read_rows(io.StringIO("\n".join(good) + "\n"), "t.txt", 300, (int, float))
     assert rows[299].tolist() == [299.0, 299.5]
