@@ -5,7 +5,6 @@ import dataclasses
 
 import numpy as np
 
-from .losses import classifier_responses
 from .model import ModelState, encode
 
 __all__ = ["AccuracyTriple", "predict", "accuracy_triple"]
@@ -32,10 +31,8 @@ class AccuracyTriple:
 
 
 def predict(state: ModelState, features) -> np.ndarray:
-    """Argmax class index per instance; ties break to the lowest index."""
-    f = encode(np.asarray(features, float), state.encoder)
-    probs = classifier_responses(f, state.head)
-    return np.argmax(probs, axis=1)
+    """Argmax of the logits per instance; ties break to the lowest index."""
+    return np.argmax(encode(features, state.encoder) @ state.head.weights.T, axis=1)
 
 
 def accuracy_triple(preds, labels, known_count: int) -> AccuracyTriple:

@@ -83,51 +83,40 @@ def propagate(p, x, rows) -> np.ndarray:
     return (p @ x)[rows]
 
 
-def _fit(z, params: GcnParams, target):
-    """Half mean-square of leaky_relu(Z Theta) against ``target``: sum of
-    squares divided by 2M. Returns (loss, d theta, d loss / d output)."""
+def init_loss(z, params: GcnParams, w):
+    """:func:`gcn_reg_loss` of the known class rows ``z`` against the
+    pretrained classifier weights W: returns (loss, gradient wrt theta)."""
+    return gcn_reg_loss(z, params, w)[:2]
+
+
+def gcn_reg_loss(z, params: GcnParams, w_hat):
+    """Half mean-square of leaky_relu(Z Theta) against the live classifier
+    weights ``w_hat`` (sum of squares divided by 2M) over ALL class rows,
+    ``z`` being ``propagate(p, x, class_nodes)``; gradients flow to both
+    theta and the classifier (joint training, unlike propagate-then-freeze
+    schemes).
+
+    Returns (loss, grad wrt theta, grad wrt w_hat).
+    """
     theta = params.theta
-    target = np.asarray(target, float)
-    if z.shape[0] != target.shape[0]:
-        raise DimensionError(f"expected {target.shape[0]} node rows, got {z.shape[0]}")
+    w_hat = np.asarray(w_hat, float)
+    if z.shape[0] != w_hat.shape[0]:
+        raise DimensionError(f"expected {w_hat.shape[0]} node rows, got {z.shape[0]}")
     if z.shape[1] != theta.shape[0]:
         raise DimensionError(f"propagated rows {z.shape} do not fit theta {theta.shape}")
-    if theta.shape[1] != target.shape[1]:
+    if theta.shape[1] != w_hat.shape[1]:
         raise DimensionError("GCN output dim must equal classifier weight dim")
     slope = params.activation_slope
     if slope < 0:
         raise ValueError("leaky_relu slope must be >= 0")
     h = z @ theta
     positive = h > 0
-    m = target.shape[1]
-    diff = np.where(positive, h, slope * h) - target
+    m = w_hat.shape[1]
+    diff = np.where(positive, h, slope * h) - w_hat
     loss = 0.5 / m * float(np.sum(diff * diff))
     d_o = diff / m
     # leaky-ReLU derivative: 1 where h > 0, the slope elsewhere (also at 0)
     d_theta = z.T @ np.where(positive, d_o, slope * d_o)
-    return loss, d_theta, d_o
-
-
-def init_loss(z, params: GcnParams, w):
-    """Half mean-square regression of the known-class output rows onto the
-    pretrained classifier weights W; ``z`` holds the known class rows of
-    ``propagate(p, x, class_to_node)``.
-
-    Returns (loss, gradient wrt theta).
-    """
-    loss, d_theta, _ = _fit(z, params, w)
-    return loss, d_theta
-
-
-def gcn_reg_loss(z, params: GcnParams, w_hat):
-    """Same quadratic over ALL class rows against the live classifier
-    weights, ``z`` being ``propagate(p, x, class_nodes)``; gradients flow
-    to both theta and the classifier (joint training, unlike
-    propagate-then-freeze schemes).
-
-    Returns (loss, grad wrt theta, grad wrt w_hat).
-    """
-    loss, d_theta, d_o = _fit(z, params, w_hat)
     return loss, d_theta, -d_o
 
 

@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, softmax_rows
+from .numkit import DimensionError
 
 __all__ = [
     "ClassifierHead",
     "LossWeights",
-    "classifier_responses",
     "cls_loss",
     "sgmd_loss",
     "balance_loss_vanilla",
@@ -79,16 +78,6 @@ class LossWeights:
             raise ValueError("tau must be finite")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be finite and > 0")
-
-
-def classifier_responses(f, head: ClassifierHead) -> np.ndarray:
-    """softmax(F W^T): one probability vector over classes per instance."""
-    f = np.asarray(f, float)
-    if f.shape[1] != head.weights.shape[1]:
-        raise DimensionError(
-            f"feature dim {f.shape[1]} != classifier dim {head.weights.shape[1]}"
-        )
-    return softmax_rows(f @ head.weights.T)
 
 
 def cls_loss(probs, labels, eps: float = 1e-12):

@@ -6,7 +6,6 @@ batches in the same step go through the identical encoder.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gcn import GcnParams
-from .losses import ClassifierHead, classifier_responses, cls_loss
+from .losses import ClassifierHead, cls_loss
 from .numkit import (
     DimensionError,
     MomentumSgd,
@@ -23,6 +22,7 @@ from .numkit import (
     flat_views,
     load_matrix,
     save_matrix,
+    softmax_rows,
     write_json,
 )
 
@@ -93,8 +93,6 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
     """
     features = np.asarray(features, float)
     labels = np.asarray(labels, dtype=int)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
-        raise IndexError("source labels out of range")
     n, m_in = features.shape
     enc = Encoder(
         weight=rng.uniform(-1.0, 1.0, (m_in, feature_dim)) / np.sqrt(m_in),
@@ -116,7 +114,7 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
         for start in range(0, n, schedule.batch_size):
             idx = order[start:start + schedule.batch_size]
             f = encode(features[idx], enc)
-            loss, d_logits = cls_loss(classifier_responses(f, head), labels[idx])
+            loss, d_logits = cls_loss(softmax_rows(f @ head.weights.T), labels[idx])
             d_weight, d_bias = encode_backward(features[idx], d_logits @ head.weights)
             np.concatenate((d_weight, d_bias, d_logits.T @ f), axis=None, out=grad)
             opt.step(grad)
@@ -187,7 +185,3 @@ def load_checkpoint(directory):
         gcn=GcnParams(theta=theta, activation_slope=float(slope)),
     )
     return state, manifest
-
-
-def config_hash(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

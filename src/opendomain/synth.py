@@ -79,9 +79,11 @@ class SynthConfig:
         if not 1 <= self.known_classes <= self.total_classes:
             raise ValueError("need 1 <= known classes <= total classes")
         for name in ("input_dim", "word_dim", "source_per_class",
-                     "target_per_class", "branching"):
+                     "target_per_class"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.branching < 2:
+            raise ValueError("branching must be >= 2; >= total_classes builds a star")
         for name in ("step", "noise", "word_noise", "translation_scale"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -91,7 +93,7 @@ class SynthConfig:
 
 def _build_tree(cfg: SynthConfig, rng):
     """Group leaf classes under random internal nodes until one root
-    remains. Returns (names, edges, parents) with leaves 0..L_T-1."""
+    remains. Returns (names, edges, parents, root) with leaves 0..L_T-1."""
     names = [f"class_{i:02d}" for i in range(cfg.total_classes)]
     roots = list(range(cfg.total_classes))
     edges = []
@@ -110,16 +112,8 @@ def _build_tree(cfg: SynthConfig, rng):
                 edges.append((min(child, parent), max(child, parent)))
                 parents[child] = parent
             new_roots.append(parent)
-        if len(new_roots) == len(roots):
-            # all singleton chunks; force a merge
-            parent = len(names)
-            names.append(f"group_{parent - cfg.total_classes:02d}")
-            for child in new_roots:
-                edges.append((min(child, parent), max(child, parent)))
-                parents[child] = parent
-            new_roots = [parent]
         roots = new_roots
-    return names, edges, parents, roots[0] if roots else 0
+    return names, edges, parents, roots[0]
 
 
 def _node_vectors(num_nodes, parents, root, cfg: SynthConfig, rng):

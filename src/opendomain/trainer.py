@@ -11,6 +11,7 @@ evaluation goes through the separate evaluate module and feeds nothing back.
 from __future__ import annotations
 
 import copy
+import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -33,7 +34,6 @@ from .matching import match_domains
 from .model import (
     ModelState,
     PretrainSchedule,
-    config_hash,
     encode,
     encode_backward,
     pretrain_source,
@@ -241,7 +241,8 @@ def config_to_text(cfg: ExperimentConfig) -> str:
 
 
 def experiment_hash(cfg: ExperimentConfig) -> str:
-    return config_hash(config_to_text(cfg))
+    """The first 16 hex digits of the SHA-256 of ``config_to_text(cfg)``."""
+    return hashlib.sha256(config_to_text(cfg).encode("utf-8")).hexdigest()[:16]
 
 
 # --------------------------------------------------------------- train loop

@@ -2,7 +2,7 @@
 mapping of a softmax term's logit gradient back through the head."""
 import numpy as np
 
-from opendomain.losses import classifier_responses
+from joint_reference import classifier_responses
 
 
 def grad_check(f, x, analytic, eps: float = 1e-6) -> float:

@@ -24,6 +24,13 @@ def test_predict_zero_head_ties_to_class_zero():
     assert np.array_equal(preds, np.zeros(5, dtype=int))
 
 
+def test_predict_is_the_argmax_of_the_logits():
+    # the softmax rounds logits [0, 1e-17] to probabilities [0.5, 0.5]; the
+    # logits, which the benchmark's check of a checkpoint reads, name class 1
+    state = _state([[0.0], [1.0]], 1)
+    assert predict(state, [[1e-17]])[0] == 1
+
+
 def test_predict_separable_prototypes():
     protos = np.array([[4.0, 0.0], [0.0, 4.0], [-4.0, -4.0]])
     state = _state(protos, 2)

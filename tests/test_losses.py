@@ -5,7 +5,6 @@ from opendomain.losses import (
     ClassifierHead,
     LossWeights,
     balance_loss_vanilla,
-    classifier_responses,
     cls_loss,
     limited_balance_loss,
     limited_balance_terms,
@@ -15,7 +14,7 @@ from opendomain.losses import (
 from opendomain.numkit import make_rng, softmax_rows
 
 from gradcheck import grad_check, through_head
-from joint_reference import softmax_backward
+from joint_reference import classifier_responses, softmax_backward
 
 
 def _random_head(rng, l_t=None, l_s=None, m=None):

@@ -7,7 +7,6 @@ from opendomain.model import (
     Encoder,
     ModelState,
     PretrainSchedule,
-    config_hash,
     encode,
     encode_backward,
     load_checkpoint,
@@ -15,6 +14,7 @@ from opendomain.model import (
     save_checkpoint,
 )
 from opendomain.numkit import DimensionError, make_rng
+from opendomain.trainer import ExperimentConfig, experiment_hash
 
 from gradcheck import grad_check
 
@@ -163,6 +163,8 @@ def test_checkpoint_manifest_mismatch(tmp_path):
 
 
 def test_config_hash_stable_and_distinct():
-    assert config_hash("a=1\n") == config_hash("a=1\n")
-    assert config_hash("a=1\n") != config_hash("a=2\n")
-    assert len(config_hash("x")) == 16
+    # the config_hash that manifests and metrics.json carry
+    cfg = ExperimentConfig()
+    assert experiment_hash(cfg) == experiment_hash(ExperimentConfig())
+    assert experiment_hash(cfg) != experiment_hash(ExperimentConfig(seed=1))
+    assert experiment_hash(cfg) == "15b6fc75f67a5d4f"

@@ -24,6 +24,14 @@ def test_config_validation():
         SynthConfig(source_per_class=0)
 
 
+def test_branching_below_two_is_refused():
+    with pytest.raises(ValueError, match=">= total_classes builds a star"):
+        SynthConfig(branching=1)
+    # a star: one root over all the class nodes
+    _, _, graph, _ = generate(SynthConfig(branching=12))
+    assert len(graph.node_names) == 13 and len(graph.edges) == 12
+
+
 def test_shapes_and_counts():
     cfg = SynthConfig(seed=1)
     source, target, graph, words = generate(cfg)
