@@ -62,12 +62,23 @@ def _load_dataset(directory, name, classes):
     return dataset
 
 
+def _same(what, path_a, a, path_b, b) -> None:
+    """Refuse two files that disagree on a size they must share."""
+    if a != b:
+        raise ValueError(f"{path_a} and {path_b} disagree on the {what}: {a} != {b}")
+
+
 def _load_data_dir(directory, cfg):
+    path = {name: os.path.join(directory, file) for name, file in _DATA_FILES.items()}
     source = _load_dataset(directory, "source", cfg.synth.known_classes)
     target = _load_dataset(directory, "target", cfg.synth.total_classes)
-    graph_path = os.path.join(directory, _DATA_FILES["graph"])
-    graph = load_graph(graph_path) if os.path.exists(graph_path) else None
-    word_vectors = load_matrix(os.path.join(directory, _DATA_FILES["wordvec"]))
+    _same("input dim", path["target"], target.features.shape[1],
+          path["source"], source.features.shape[1])
+    graph = load_graph(path["graph"]) if os.path.exists(path["graph"]) else None
+    word_vectors = load_matrix(path["wordvec"])
+    if graph is not None:
+        _same("node count", path["wordvec"], word_vectors.shape[0],
+              path["graph"], graph.num_nodes)
     return source, target, graph, word_vectors
 
 
@@ -86,8 +97,10 @@ def cmd_synth(args) -> int:
                        cfg.synth.known_classes)
     synth.save_dataset(os.path.join(args.out, _DATA_FILES["target"]), target,
                        cfg.synth.total_classes)
+    written = [_DATA_FILES[name] for name in ("source", "target", "wordvec")]
     if graph is not None:
         save_graph(os.path.join(args.out, _DATA_FILES["graph"]), graph)
+        written.append(_DATA_FILES["graph"])
     save_matrix(os.path.join(args.out, _DATA_FILES["wordvec"]), word_vectors)
     write_json(os.path.join(args.out, "manifest.json"), {
         "config_hash": experiment_hash(cfg),
@@ -96,7 +109,7 @@ def cmd_synth(args) -> int:
         "input_dim": cfg.synth.input_dim,
         "word_dim": cfg.synth.word_dim,
         "seed": cfg.synth.seed,
-        "files": sorted(_DATA_FILES.values()) + [_DATA_FILES["target"] + ".eval"],
+        "files": sorted(written) + [_DATA_FILES["target"] + ".eval"],
     })
     return 0
 
@@ -149,6 +162,7 @@ def cmd_ablate(args) -> int:
 def cmd_match(args) -> int:
     fs = load_matrix(args.source)
     ft = load_matrix(args.target)
+    _same("column count", args.source, fs.shape[1], args.target, ft.shape[1])
     src, tgt, costs, total = match_domains(fs, ft, args.folds, make_rng(args.seed))
     save_pairs(args.out, MatchedPairs(pairs=tuple(zip(src.tolist(), tgt.tolist())),
                                       total_cost=total, costs=tuple(costs.tolist())))
@@ -156,8 +170,11 @@ def cmd_match(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    state, _manifest = load_checkpoint(args.checkpoint)
+    state, manifest = load_checkpoint(args.checkpoint)
     target = _load_dataset(args.data, "target", state.head.num_classes)
+    _same("input dim", os.path.join(args.data, _DATA_FILES["target"]),
+          target.features.shape[1], os.path.join(args.checkpoint, "manifest.json"),
+          manifest["input_dim"])
     _require_eval_labels(target, args.data)
     preds = predict(state, target.features)
     triple = accuracy_triple(preds, target.eval_labels, state.head.known_count)

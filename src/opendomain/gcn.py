@@ -11,7 +11,8 @@ computed by hand and verified by finite differences in the test suite.
 GCN init fits Theta so the known output rows reproduce the pretrained
 weights W. Each gradient step adds Z_k^T(.) to Theta (Z_k: the known class
 rows), so the fit's limit lies in Theta0 + rowspace(Z_k); where it is unique
-there, :func:`train_gcn_init` solves it in closed form instead of iterating.
+there and the loop would reach it, :func:`train_gcn_init` solves it in
+closed form instead of iterating.
 """
 from __future__ import annotations
 
@@ -131,11 +132,15 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     is ``propagate(p, x, class_to_node)``, whose first ``len(w)`` rows Z_k
     are the known classes.
 
-    With ``schedule.slope > 0`` and Z_k of full row rank the fit is solved
-    in closed form, as the limit of gradient descent from theta0:
+    When the eigenvalues of Z_k Z_k^T lie in (0, limit * smallest], with
+    ``limit = slope^2 * learning_rate * steps / (1 - momentum)`` about the
+    condition number the loop resolves in its steps (a negative target
+    converges slope^2 times slower), the fit is solved in closed form, as
+    the limit of gradient descent from theta0:
     ``theta = theta0 + Z_k^T (Z_k Z_k^T)^-1 (leaky_relu^-1(W) - Z_k theta0)``
     with ``leaky_relu^-1(W) = where(W > 0, W, W / slope)``, and ``history``
-    is [initial loss, final loss]. Otherwise (slope 0, or a rank-deficient
+    is [initial loss, final loss]. Otherwise (an ill-conditioned Z_k, whose
+    exact solve would blow up the unknown rows; slope 0; a rank-deficient
     Z_k: more known rows than word dims, zero word vectors) it runs
     ``schedule.steps`` momentum steps and ``history`` is the per-step loss.
 
@@ -148,11 +153,14 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     params = GcnParams(init_theta(z_class.shape[1], w.shape[1], rng, schedule.init_scale),
                        schedule.slope)
     z_known = z_class[: len(w)]
-    if schedule.slope > 0 and np.linalg.matrix_rank(z_known) == len(w):
+    gram = z_known @ z_known.T
+    eig = np.linalg.eigvalsh(gram)
+    limit = (schedule.slope ** 2 * schedule.learning_rate * schedule.steps
+             / (1 - schedule.momentum))
+    if eig[0] > 0 and eig[-1] <= limit * eig[0]:
         history = [init_loss(z_known, params, w)[0]]
         target = np.where(w > 0, w, w / schedule.slope)
-        params.theta += z_known.T @ np.linalg.solve(z_known @ z_known.T,
-                                                    target - z_known @ params.theta)
+        params.theta += z_known.T @ np.linalg.solve(gram, target - z_known @ params.theta)
         history.append(init_loss(z_known, params, w)[0])
         return params, gcn_forward(z_class, params), history
     # learning_rate is relative to the curvature of the quadratic bound

@@ -58,13 +58,15 @@ class ClassifierHead:
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Scalar weights and thresholds of the total objective."""
+    """Scalar weights and thresholds of the total objective. ``w`` None
+    stands for the default that :class:`ExperimentConfig` derives from its
+    class counts."""
 
     lambda_d: float = 0.5
     lambda_b: float = 0.04
     lambda_g: float = 0.5
     tau: float = 0.3
-    w: float = 1.0 / 3.0
+    w: float | None = None
     epsilon: float = 0.05
 
     def __post_init__(self):
@@ -72,7 +74,7 @@ class LossWeights:
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0:
                 raise ValueError(f"{name} must be finite and >= 0")
-        if not 0.0 < self.w < 1.0:
+        if self.w is not None and not 0.0 < self.w < 1.0:
             raise ValueError("w must lie strictly inside (0, 1)")
         if not np.isfinite(self.tau):
             raise ValueError("tau must be finite")

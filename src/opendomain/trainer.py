@@ -91,6 +91,11 @@ class ExperimentConfig:
     vanilla_balance: bool = False
 
     def __post_init__(self):
+        if self.loss_weights.w is None:
+            # loss.w defaults to the proportion of unknown classes
+            unknown = self.synth.total_classes - self.synth.known_classes
+            w = unknown / self.synth.total_classes if unknown else 0.5
+            object.__setattr__(self, "loss_weights", replace(self.loss_weights, w=w))
         if self.enable_lb and self.vanilla_balance:
             raise ConfigError("enable_lb and vanilla_balance are mutually exclusive")
         for name in ("feature_dim", "epochs", "batch_size", "folds"):
@@ -215,15 +220,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing required key: {required}")
 
     top = {**values["train"], **values["flags"]}
-    synth_cfg = synth.SynthConfig(**values["synth"])
-    loss_vals = values["loss"]
-    if "w" not in loss_vals:
-        unknown = synth_cfg.total_classes - synth_cfg.known_classes
-        loss_vals["w"] = unknown / synth_cfg.total_classes if unknown else 0.5
     try:
         return ExperimentConfig(
-            synth=synth_cfg,
-            loss_weights=LossWeights(**loss_vals),
+            synth=synth.SynthConfig(**values["synth"]),
+            loss_weights=LossWeights(**values["loss"]),
             pretrain=PretrainSchedule(**values["pretrain"]),
             gcn_schedule=GcnSchedule(**values["gcn"]),
             **top,
@@ -287,13 +287,14 @@ def _partner(enc, source, target, folds: int, rng) -> np.ndarray:
     return partner
 
 
-def _check_class_counts(cfg: ExperimentConfig, source, graph, word_vectors) -> None:
+def _check_class_counts(cfg: ExperimentConfig, graph, word_vectors) -> None:
     """Reject a config whose class counts are not the data's: the graph's,
-    or without a graph, the source label range and the word-vector rows."""
+    or without a graph (known == total), the word-vector rows. A source
+    label past the known classes is refused by ``cls_loss``."""
     if graph is not None:
         known, total = graph.known_class_count, graph.total_class_count
     else:
-        known, total = int(source.labels.max(initial=-1)) + 1, word_vectors.shape[0]
+        known, total = cfg.synth.known_classes, word_vectors.shape[0]
     if (cfg.synth.known_classes, cfg.synth.total_classes) != (known, total):
         raise ConfigError(
             f"config has {cfg.synth.known_classes} known / "
@@ -310,7 +311,7 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     l_s = cfg.synth.known_classes
     if graph is None and l_s != cfg.synth.total_classes:
         raise ConfigError("a taxonomy graph is required when unknown classes exist")
-    _check_class_counts(cfg, source, graph, word_vectors)
+    _check_class_counts(cfg, graph, word_vectors)
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     rng_pre, rng_gcn, rng_match, rng_joint = (make_rng(s) for s in streams)
 

@@ -51,6 +51,8 @@ def test_synth_writes_expected_files(tmp_path, config_path):
                  "wordvec.mat", "manifest.json"):
         assert (out / name).exists(), name
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == ["graph.txt", "source.ds", "target.ds", "wordvec.mat",
+                                 "target.ds.eval"]
     assert manifest["known_classes"] == 3
     assert manifest["total_classes"] == 5
     assert manifest["seed"] == 0
@@ -118,6 +120,9 @@ def test_train_and_eval_without_a_graph(tmp_path, capsys):
     run = tmp_path / "run"
     _synth(str(config), data)
     assert not (data / "graph.txt").exists()
+    # the manifest lists the files synth wrote, and only those
+    assert json.loads((data / "manifest.json").read_text())["files"] == [
+        "source.ds", "target.ds", "wordvec.mat", "target.ds.eval"]
     assert main(["train", "--config", str(config), "--data", str(data),
                  "--out", str(run)]) == 0
     metrics = json.loads((run / "metrics.json").read_text())
@@ -438,6 +443,22 @@ def _drop_column(name):
     return lambda root: save_matrix(root / name, load_matrix(root / name)[:, :-1])
 
 
+def _drop_last_row(name):
+    """Rewrite a matrix file without its last row."""
+    return lambda root: save_matrix(root / name, load_matrix(root / name)[:-1])
+
+
+def _narrow(name):
+    """Rewrite a dataset without its last feature column."""
+    def edit(root):
+        header, *rows = (root / name).read_text().splitlines()
+        n, width, *rest = header.split()
+        lines = [" ".join([n, str(int(width) - 1), *rest])]
+        (root / name).write_text("\n".join(lines + [row.rsplit(" ", 1)[0] for row in rows])
+                                 + "\n")
+    return edit
+
+
 def _swap_role(name, labeled, tag):
     """Rewrite a dataset as ``labeled 0`` or ``labeled 1`` with ``tag`` as
     every row's first token."""
@@ -462,7 +483,7 @@ def _first(value):
 
 
 # (subcommand, case, edit of the copy, extra flags or the whole argument
-# list, exit code, text the one stderr line must contain)
+# list, exit code, text the one stderr line must contain, or a tuple of them)
 _EXIT_CASES = [
     ("synth", "missing config", _remove("exp.cfg"), 3, "exp.cfg"),
     ("synth", "malformed config line",
@@ -520,6 +541,10 @@ _EXIT_CASES = [
      "target.ds: the target data must be unlabeled"),
     ("train", "source.ds labeled field of 7",
      _replace("data/source.ds", "labeled 1", "labeled 7"), 1, "source.ds: line 1"),
+    ("train", "target.ds a column narrower than source.ds", _narrow("data/target.ds"), 1,
+     ("target.ds and /", "source.ds disagree on the input dim: 5 != 6")),
+    ("train", "wordvec.mat a row short of the graph", _drop_last_row("data/wordvec.mat"), 1,
+     ("wordvec.mat and /", "graph.txt disagree on the node count: 7 != 8")),
     ("ablate", "missing wordvec.mat", _remove("data/wordvec.mat"), 3, "wordvec.mat"),
     ("ablate", "inf in source.ds",
      _edit_row("data/source.ds", _last("inf")), 1, "source.ds"),
@@ -532,6 +557,8 @@ _EXIT_CASES = [
      _append("data/target.ds", "? 1 2 3 4 5 6\n"), 1, "target.ds"),
     ("ablate", "target.ds class count",
      _replace("data/target.ds", "classes 5", "classes 20"), 1, "target.ds"),
+    ("ablate", "target.ds a column narrower than source.ds", _narrow("data/target.ds"), 1,
+     ("target.ds and /", "source.ds disagree on the input dim: 5 != 6")),
     ("match", "missing source matrix", _remove("fs.mat"), 3, "fs.mat"),
     ("match", "malformed matrix header", _replace("ft.mat", "8 3\n", "8 3 1\n"), 1, "ft.mat"),
     ("match", "short matrix row", _edit_row("fs.mat", _short), 1, "fs.mat"),
@@ -544,6 +571,8 @@ _EXIT_CASES = [
     ("match", "non-integer --folds", "--folds x", 1, "--folds"),
     ("match", "zero --folds", "--folds 0", 1, "--folds"),
     ("match", "negative --seed", "--seed -1", 1, "--seed"),
+    ("match", "matrices of different widths", _drop_column("ft.mat"), 1,
+     ("fs.mat and /", "ft.mat disagree on the column count: 3 != 2")),
     ("eval", "missing manifest",
      _remove("run/checkpoint/manifest.json"), 3, "manifest.json"),
     ("eval", "non-object manifest",
@@ -577,6 +606,8 @@ _EXIT_CASES = [
     ("eval", "target.ds with no rows", _no_rows("data/target.ds"), 1,
      "target.ds: no rows"),
     ("eval", "missing target.ds", _remove("data/target.ds"), 3, "target.ds"),
+    ("eval", "target.ds a column narrower than the checkpoint", _narrow("data/target.ds"),
+     1, ("target.ds and /", "manifest.json disagree on the input dim: 5 != 6")),
 ]
 
 
@@ -602,7 +633,8 @@ def test_bad_input_exit_code_table(tmp_path, trained, capsys, command, case, edi
     assert len(captured.err.splitlines()) == 1, captured.err
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: " if code == 1 else "i/o error: ")
-    assert needle in captured.err
+    for text in needle if isinstance(needle, tuple) else (needle,):
+        assert text in captured.err
     assert not (root / "out").exists()
 
 

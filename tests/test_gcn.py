@@ -304,6 +304,20 @@ def test_closed_form_fits_known_rows_to_rounding(graph, slope):
     assert np.allclose(step, np.linalg.pinv(z[:k]) @ (z[:k] @ step), rtol=0, atol=1e-12)
 
 
+def test_ill_conditioned_known_rows_run_the_loop():
+    # Z_k has full row rank, but cond(Z_k Z_k^T) is 4e6, past the
+    # 0.2^2 * 0.5 * 500 / 0.03 = 333 that 500 loop steps resolve; the exact
+    # solve would put rows of about 1e4 on the unknown classes
+    rng = make_rng(15)
+    z_known = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 1.0, 1e-3, 0]])
+    z_class = np.vstack([z_known, rng.standard_normal((2, 4))])
+    w = rng.standard_normal((3, 5))
+    schedule = GcnSchedule(steps=500)
+    _, emb, history = train_gcn_init(z_class, w, schedule, make_rng(16))
+    assert len(history) == schedule.steps
+    assert np.abs(emb[3:]).max() < 10 * np.abs(w).max()
+
+
 def test_reg_loss_bit_identical_to_full_forward():
     g, x = _synth_graph()
     p = normalized_adjacency(g)

@@ -69,6 +69,16 @@ def test_parse_default_w_is_unknown_fraction():
     assert cfg.loss_weights.w == 0.25
 
 
+def test_default_w_is_the_same_in_python_and_in_a_config_file():
+    for known, total, w in ((8, 10, 0.2), (8, 8, 0.5)):
+        flags = {} if known < total else {"enable_lb": False, "enable_gcn": False}
+        built = ExperimentConfig(
+            synth=synth.SynthConfig(known_classes=known, total_classes=total), **flags)
+        text = config_to_text(built).replace(f"loss.w = {w}\n", "")
+        assert text != config_to_text(built)
+        assert parse_config(text).loss_weights.w == built.loss_weights.w == w
+
+
 def test_parse_sections_and_comments():
     text = MINIMAL + """
 # a comment line
@@ -290,7 +300,7 @@ def test_prepare_rejects_class_counts_other_than_the_data():
         other = replace(cfg.synth, known_classes=counts[0], total_classes=counts[1])
         with pytest.raises(ConfigError, match="classes"):
             trainer.prepare(replace(cfg, synth=other), data)
-    # without a graph: the source labels and the word-vector rows
+    # without a graph: the word-vector rows
     sym = replace(cfg.synth, known_classes=3, total_classes=3)
     sym_cfg = replace(cfg, synth=sym, enable_lb=False, enable_gcn=False)
     sym_data = synth.generate(sym)
@@ -298,6 +308,16 @@ def test_prepare_rejects_class_counts_other_than_the_data():
     wider = replace(sym, known_classes=4, total_classes=4)
     with pytest.raises(ConfigError, match="classes"):
         trainer.prepare(replace(sym_cfg, synth=wider), sym_data)
+
+
+def test_prepare_takes_a_symmetric_source_missing_its_top_class():
+    # known == total without a graph: the class count is the config's and
+    # the word vectors', not one more than the largest source label
+    cfg = _sym_cfg()
+    source, target, graph, words = synth.generate(cfg.synth)
+    keep = source.labels < cfg.synth.known_classes - 1
+    short = synth.LabeledDataset(features=source.features[keep], labels=source.labels[keep])
+    trainer.prepare(cfg, (short, target, graph, words))
 
 
 def test_prepared_partner_leaves_the_surplus_sources_unmatched():
