@@ -47,7 +47,7 @@ w_known = rng.standard_normal((3, 4))
 
 # 3 known rows of 12-dim word vectors have full row rank, so the fit is
 # solved in closed form rather than by gradient steps
-params, embeddings, history = train_gcn_init(
+theta, embeddings, history = train_gcn_init(
     propagate(p, words, g.class_to_node), w_known, GcnSchedule(), make_rng(1))
 
 print(f"\nfit loss: {history[0]:.4f} -> {history[-1]:.2e} (solved in closed form)")

@@ -24,7 +24,6 @@ import numpy as np
 from .numkit import DimensionError, MomentumSgd, check_sgd_settings, leaky_relu
 
 __all__ = [
-    "GcnParams",
     "GcnSchedule",
     "gcn_forward",
     "propagate",
@@ -32,16 +31,6 @@ __all__ = [
     "gcn_reg_loss",
     "train_gcn_init",
 ]
-
-
-@dataclass
-class GcnParams:
-    """Trainable convolution weights (word_dim x out_dim) plus the
-    leaky-ReLU slope. The output dimension must equal the classifier
-    weight dimension: output rows ARE classifier weight vectors."""
-
-    theta: np.ndarray
-    activation_slope: float
 
 
 @dataclass
@@ -62,12 +51,12 @@ class GcnSchedule:
             raise ValueError("slope must be finite and >= 0")
 
 
-def gcn_forward(z, params: GcnParams) -> np.ndarray:
+def gcn_forward(z, theta, slope: float) -> np.ndarray:
     """O = leaky_relu(Z Theta), the output rows of the propagated rows Z."""
     z = np.asarray(z, float)
-    if z.shape[1] != params.theta.shape[0]:
-        raise DimensionError(f"gcn_forward: shapes {z.shape}, {params.theta.shape}")
-    return leaky_relu(z @ params.theta, params.activation_slope)
+    if z.shape[1] != theta.shape[0]:
+        raise DimensionError(f"gcn_forward: shapes {z.shape}, {theta.shape}")
+    return leaky_relu(z @ theta, slope)
 
 
 def propagate(p, x, rows) -> np.ndarray:
@@ -84,13 +73,13 @@ def propagate(p, x, rows) -> np.ndarray:
     return (p @ x)[rows]
 
 
-def init_loss(z, params: GcnParams, w):
+def init_loss(z, theta, slope: float, w):
     """:func:`gcn_reg_loss` of the known class rows ``z`` against the
     pretrained classifier weights W: returns (loss, gradient wrt theta)."""
-    return gcn_reg_loss(z, params, w)[:2]
+    return gcn_reg_loss(z, theta, slope, w)[:2]
 
 
-def gcn_reg_loss(z, params: GcnParams, w_hat):
+def gcn_reg_loss(z, theta, slope: float, w_hat):
     """Half mean-square of leaky_relu(Z Theta) against the live classifier
     weights ``w_hat`` (sum of squares divided by 2M) over ALL class rows,
     ``z`` being ``propagate(p, x, class_nodes)``; gradients flow to both
@@ -99,7 +88,6 @@ def gcn_reg_loss(z, params: GcnParams, w_hat):
 
     Returns (loss, grad wrt theta, grad wrt w_hat).
     """
-    theta = params.theta
     w_hat = np.asarray(w_hat, float)
     if z.shape[0] != w_hat.shape[0]:
         raise DimensionError(f"expected {w_hat.shape[0]} node rows, got {z.shape[0]}")
@@ -107,7 +95,6 @@ def gcn_reg_loss(z, params: GcnParams, w_hat):
         raise DimensionError(f"propagated rows {z.shape} do not fit theta {theta.shape}")
     if theta.shape[1] != w_hat.shape[1]:
         raise DimensionError("GCN output dim must equal classifier weight dim")
-    slope = params.activation_slope
     if slope < 0:
         raise ValueError("leaky_relu slope must be >= 0")
     h = z @ theta
@@ -144,34 +131,33 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     Z_k: more known rows than word dims, zero word vectors) it runs
     ``schedule.steps`` momentum steps and ``history`` is the per-step loss.
 
-    Returns (params, embeddings, history) where ``embeddings`` are the
+    Returns (theta, embeddings, history) where ``embeddings`` are the
     class rows of O (known rows approximate W, unknown rows are the
     propagated classifier weights).
     """
     z_class = np.asarray(z_class, float)
     w = np.asarray(w, float)
-    params = GcnParams(init_theta(z_class.shape[1], w.shape[1], rng, schedule.init_scale),
-                       schedule.slope)
+    slope = schedule.slope
+    theta = init_theta(z_class.shape[1], w.shape[1], rng, schedule.init_scale)
     z_known = z_class[: len(w)]
     gram = z_known @ z_known.T
     eig = np.linalg.eigvalsh(gram)
-    limit = (schedule.slope ** 2 * schedule.learning_rate * schedule.steps
-             / (1 - schedule.momentum))
+    limit = slope ** 2 * schedule.learning_rate * schedule.steps / (1 - schedule.momentum)
     if eig[0] > 0 and eig[-1] <= limit * eig[0]:
-        history = [init_loss(z_known, params, w)[0]]
-        target = np.where(w > 0, w, w / schedule.slope)
-        params.theta += z_known.T @ np.linalg.solve(gram, target - z_known @ params.theta)
-        history.append(init_loss(z_known, params, w)[0])
-        return params, gcn_forward(z_class, params), history
+        history = [init_loss(z_known, theta, slope, w)[0]]
+        target = np.where(w > 0, w, w / slope)
+        theta += z_known.T @ np.linalg.solve(gram, target - z_known @ theta)
+        history.append(init_loss(z_known, theta, slope, w)[0])
+        return theta, gcn_forward(z_class, theta, slope), history
     # learning_rate is relative to the curvature of the quadratic bound
     # Z_k^T Z_k / M (activation slope <= 1), so the schedule is stable
     # regardless of the scale of the word vectors
     curvature = float(np.linalg.eigvalsh(z_known.T @ z_known)[-1]) / w.shape[1]
     step = schedule.learning_rate / max(curvature, 1e-12)
-    opt = MomentumSgd(params.theta, step, schedule.momentum)
+    opt = MomentumSgd(theta, step, schedule.momentum)
     history = []
     for _ in range(schedule.steps):
-        loss, d_theta = init_loss(z_known, params, w)
+        loss, d_theta = init_loss(z_known, theta, slope, w)
         history.append(loss)
         opt.step(d_theta)
-    return params, gcn_forward(z_class, params), history
+    return theta, gcn_forward(z_class, theta, slope), history

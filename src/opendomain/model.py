@@ -7,13 +7,11 @@ batches in the same step go through the identical encoder.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gcn import GcnParams
 from .losses import ClassifierHead, cls_loss
 from .numkit import (
     DimensionError,
@@ -50,7 +48,7 @@ class Encoder:
 class ModelState:
     encoder: Encoder
     head: ClassifierHead
-    gcn: GcnParams
+    theta: np.ndarray  # GCN weights, word_dim x feature_dim
 
 
 @dataclass
@@ -138,7 +136,7 @@ def save_checkpoint(directory, state: ModelState, config_hash: str = "") -> None
     dimensions and the originating config hash."""
     os.makedirs(directory, exist_ok=True)
     matrices = (state.encoder.weight, state.encoder.bias.reshape(1, -1),
-                state.head.weights, state.gcn.theta)
+                state.head.weights, state.theta)
     for name, m in zip(_CHECKPOINT_SHAPES, matrices):
         save_matrix(os.path.join(directory, name), m)
     write_json(os.path.join(directory, "manifest.json"), {
@@ -146,16 +144,15 @@ def save_checkpoint(directory, state: ModelState, config_hash: str = "") -> None
         "feature_dim": state.encoder.weight.shape[1],
         "total_classes": state.head.num_classes,
         "known_classes": state.head.known_count,
-        "word_dim": state.gcn.theta.shape[0],
-        "activation_slope": state.gcn.activation_slope,
+        "word_dim": state.theta.shape[0],
         "config_hash": config_hash,
     })
 
 
 def load_checkpoint(directory):
-    """Read a checkpoint directory back into a ModelState; raises
-    ValueError when the manifest disagrees with the stored matrices or
-    lacks a number it needs."""
+    """Read a checkpoint directory back into a ModelState, ignoring keys it
+    does not read (an older manifest's slope); raises ValueError when the
+    manifest disagrees with the stored matrices or lacks a number it needs."""
     manifest_path = os.path.join(directory, "manifest.json")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -171,17 +168,14 @@ def load_checkpoint(directory):
                 raise ValueError(f"{path}: checkpoint manifest mismatch for {key}: "
                                  f"{declared} != {value}")
     enc_w, enc_b, head_w, theta = matrices
-    known, slope = manifest.get("known_classes"), manifest.get("activation_slope")
+    known = manifest.get("known_classes")
     # bool is an int subclass; neither true nor 7.9 is a class count
     if type(known) is not int or not 0 < known <= head_w.shape[0]:
         raise ValueError("checkpoint manifest has no known_classes in "
                          f"1..{head_w.shape[0]}: {known!r}")
-    if type(slope) not in (int, float) or not 0 <= slope < math.inf:
-        raise ValueError("checkpoint manifest has no finite activation_slope >= 0: "
-                         f"{slope!r}")
     state = ModelState(
         encoder=Encoder(weight=enc_w, bias=enc_b.ravel()),
         head=ClassifierHead(weights=head_w, known_count=known),
-        gcn=GcnParams(theta=theta, activation_slope=float(slope)),
+        theta=theta,
     )
     return state, manifest

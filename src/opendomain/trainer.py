@@ -19,7 +19,7 @@ import numpy as np
 
 from . import synth
 from .evaluate import accuracy_triple, predict
-from .gcn import GcnParams, GcnSchedule, gcn_reg_loss, propagate, train_gcn_init
+from .gcn import GcnSchedule, gcn_reg_loss, propagate, train_gcn_init
 from .graph import normalized_adjacency
 from .losses import (
     ClassifierHead,
@@ -321,17 +321,15 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     if graph is not None:
         z_class = propagate(normalized_adjacency(graph), word_vectors,
                             graph.class_to_node)
-        gcn_params, embeddings, _ = train_gcn_init(z_class, w_src, cfg.gcn_schedule,
-                                                   rng_gcn)
+        theta, embeddings, _ = train_gcn_init(z_class, w_src, cfg.gcn_schedule, rng_gcn)
         head = ClassifierHead(weights=embeddings, known_count=l_s)
     else:
         # symmetric label space: no propagation target, head starts at the
         # pretrained classifier
-        gcn_params = GcnParams(theta=np.zeros((word_vectors.shape[1], cfg.feature_dim)),
-                               activation_slope=cfg.gcn_schedule.slope)
+        theta = np.zeros((word_vectors.shape[1], cfg.feature_dim))
         head = ClassifierHead(weights=w_src.copy(), known_count=l_s)
     partner = _partner(enc, source, target, cfg.folds, rng_match)
-    return Prepared(state=ModelState(encoder=enc, head=head, gcn=gcn_params),
+    return Prepared(state=ModelState(encoder=enc, head=head, theta=theta),
                     source=source, target=target, z_class=z_class, partner=partner,
                     rng_match=rng_match, rng_joint=rng_joint)
 
@@ -391,7 +389,8 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
                                     probs[n_l:n_l + n_m], probs[n_l + n_m:], lw.tau)
         gate = outputs["sgmd"][3]
     if cfg.enable_gcn:
-        outputs["gcn"] = gcn_reg_loss(z_class, state.gcn, head.weights)
+        outputs["gcn"] = gcn_reg_loss(z_class, state.theta, cfg.gcn_schedule.slope,
+                                      head.weights)
 
     values = {name: result[0] for name, result in outputs.items()}
     total, weight = total_loss(values, lw)
@@ -440,11 +439,11 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
 
     trained = [enc.weight, enc.bias, head.weights]
     if cfg.enable_gcn:
-        trained.append(state.gcn.theta)
+        trained.append(state.theta)
     flat, views = flat_views(trained)
     enc.weight, enc.bias, head.weights = views[:3]
     if cfg.enable_gcn:
-        state.gcn.theta = views[3]
+        state.theta = views[3]
     opt = MomentumSgd(flat, cfg.learning_rate, cfg.momentum)
     grad = np.empty_like(flat)
 

@@ -131,7 +131,8 @@ def reference_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt):
                                         "encoder.bias": db_s + db_t})
 
     if cfg.enable_gcn:
-        val, d_theta, d_w_hat = gcn_reg_loss(z_class, state.gcn, head.weights)
+        val, d_theta, d_w_hat = gcn_reg_loss(z_class, state.theta,
+                                             cfg.gcn_schedule.slope, head.weights)
         components["gcn"] = (val, {"gcn.theta": d_theta, "head.weights": d_w_hat})
     return components, gate
 

@@ -12,7 +12,6 @@ import pytest
 
 from opendomain.cli import main
 from opendomain.gcn import (
-    GcnParams,
     GcnSchedule,
     gcn_reg_loss,
     init_loss,
@@ -154,17 +153,17 @@ def test_criterion_2_gradient_suite():
             continue
         w = rng.standard_normal((3, 3))
         z_known = propagate(p, x, [0, 1, 2])
-        _, d_theta = init_loss(z_known, GcnParams(theta, 0.2), w)
+        _, d_theta = init_loss(z_known, theta, 0.2, w)
         w_hat = rng.standard_normal((4, 3))
         z_class = propagate(p, x, [0, 1, 2, 4])
-        _, rd_theta, rd_w = gcn_reg_loss(z_class, GcnParams(theta, 0.2), w_hat)
+        _, rd_theta, rd_w = gcn_reg_loss(z_class, theta, 0.2, w_hat)
         if not _usable(d_theta, rd_theta, rd_w):
             continue
-        _check(lambda t: init_loss(z_known, GcnParams(t, 0.2), w)[0],
+        _check(lambda t: init_loss(z_known, t, 0.2, w)[0],
                theta, d_theta)
-        _check(lambda t: gcn_reg_loss(z_class, GcnParams(t, 0.2), w_hat)[0],
+        _check(lambda t: gcn_reg_loss(z_class, t, 0.2, w_hat)[0],
                theta, rd_theta)
-        _check(lambda a: gcn_reg_loss(z_class, GcnParams(theta, 0.2), a)[0],
+        _check(lambda a: gcn_reg_loss(z_class, theta, 0.2, a)[0],
                w_hat, rd_w)
         checked += 1
 
@@ -198,7 +197,7 @@ def test_criterion_2_gradient_suite():
 
         def objective(enc_w, enc_b, head_w, theta):
             state = ModelState(Encoder(enc_w, enc_b.ravel()),
-                               ClassifierHead(head_w, 2), GcnParams(theta, 0.2))
+                               ClassifierHead(head_w, 2), theta)
             _, total, grads, _ = joint_terms(state, z_class, cfg, raw_s, labels,
                                              raw_t, raw_s, raw_mt)
             return total, grads
@@ -328,7 +327,7 @@ def test_criterion_8_closed_gate_reduces_to_no_sgmd():
                           without_state.encoder.bias)
     assert np.array_equal(with_sgmd_state.head.weights,
                           without_state.head.weights)
-    assert np.array_equal(with_sgmd_state.gcn.theta, without_state.gcn.theta)
+    assert np.array_equal(with_sgmd_state.theta, without_state.theta)
     for a, b in zip(with_hist, without_hist):
         assert a["loss_sgmd"] == 0.0
         assert a["loss_total"] == b["loss_total"]

@@ -293,15 +293,10 @@ def test_eval_corrupted_manifest_exits_one(tmp_path, config_path, capsys):
     corruptions = [
         ("feature_dim", {**original, "feature_dim": 99}),
         ("known_classes", {k: v for k, v in original.items() if k != "known_classes"}),
-        ("activation_slope",
-         {k: v for k, v in original.items() if k != "activation_slope"}),
         ("known_classes", {**original, "known_classes": None}),
         ("known_classes", {**original, "known_classes": 3.9}),
         ("known_classes", {**original, "known_classes": True}),
         ("known_classes", {**original, "known_classes": 0}),
-        ("activation_slope", {**original, "activation_slope": -5}),
-        ("activation_slope", {**original, "activation_slope": float("nan")}),
-        ("activation_slope", {**original, "activation_slope": False}),
         ("manifest.json", [1, 2]),
     ]
     for key, manifest in corruptions:
@@ -311,6 +306,26 @@ def test_eval_corrupted_manifest_exits_one(tmp_path, config_path, capsys):
                      "--data", str(data)]) == 1, key
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and key in err, err
+
+
+def test_eval_reads_a_manifest_with_the_slope_key(tmp_path, config_path, capsys):
+    # checkpoints once wrote the GCN's leaky-ReLU slope into the manifest;
+    # eval ignores the key and prints the triple it prints without it
+    data = tmp_path / "data"
+    run = tmp_path / "run"
+    _synth(config_path, data)
+    assert main(["train", "--config", config_path, "--data", str(data),
+                 "--out", str(run)]) == 0
+    argv = ["eval", "--checkpoint", str(run / "checkpoint"), "--data", str(data)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    manifest_path = run / "checkpoint" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps({**manifest, "activation_slope": 0.2}))
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh
+    assert json.loads(fresh)["all"] is not None
 
 
 def test_eval_without_eval_labels_exits_one(tmp_path, config_path, capsys):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from opendomain.evaluate import AccuracyTriple, accuracy_triple, predict
-from opendomain.gcn import GcnParams
 from opendomain.losses import ClassifierHead
 from opendomain.model import Encoder, ModelState
 from opendomain.numkit import make_rng
@@ -14,7 +13,7 @@ def _state(head_weights, known_count):
     return ModelState(
         encoder=Encoder(weight=np.eye(dim), bias=np.zeros(dim)),
         head=ClassifierHead(weights=head_weights, known_count=known_count),
-        gcn=GcnParams(theta=np.eye(dim), activation_slope=0.2),
+        theta=np.eye(dim),
     )
 
 
@@ -47,7 +46,7 @@ def test_predict_uses_encoder():
     swapped = ModelState(
         encoder=Encoder(weight=np.array([[0.0, 1.0], [1.0, 0.0]]),
                         bias=np.zeros(2)),
-        head=state.head, gcn=state.gcn)
+        head=state.head, theta=state.theta)
     feats = np.array([[3.0, 0.0]])
     assert predict(state, feats)[0] == 0
     assert predict(swapped, feats)[0] == 1

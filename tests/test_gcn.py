@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from opendomain.gcn import (
-    GcnParams,
     GcnSchedule,
     gcn_forward,
     gcn_reg_loss,
@@ -20,8 +19,7 @@ from gradcheck import grad_check
 
 def test_forward_single_node_identity():
     x = np.array([[0.5, 2.0]])
-    params = GcnParams(theta=np.eye(2), activation_slope=0.2)
-    assert np.array_equal(gcn_forward(np.array([[1.0]]) @ x, params), x)
+    assert np.array_equal(gcn_forward(np.array([[1.0]]) @ x, np.eye(2), 0.2), x)
 
 
 def test_forward_constant_rows():
@@ -30,9 +28,9 @@ def test_forward_constant_rows():
     x = np.tile(x_row, (4, 1))
     p = rng.random((4, 4))
     p /= p.sum(axis=1, keepdims=True)
-    params = GcnParams(theta=rng.standard_normal((3, 2)), activation_slope=0.2)
-    out = gcn_forward(p @ x, params)
-    expected = leaky_relu(x_row @ params.theta, 0.2)
+    theta = rng.standard_normal((3, 2))
+    out = gcn_forward(p @ x, theta, 0.2)
+    expected = leaky_relu(x_row @ theta, 0.2)
     assert np.allclose(out, expected, atol=1e-12)
 
 
@@ -41,27 +39,26 @@ def test_forward_path_fixture():
                        class_to_node=(0, 1, 2), known_class_count=1)
     p = normalized_adjacency(g)
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    params = GcnParams(theta=np.array([[1.0], [-1.0]]), activation_slope=0.2)
-    pre_activation = p @ x @ params.theta
+    theta = np.array([[1.0], [-1.0]])
+    pre_activation = p @ x @ theta
     expected = np.where(pre_activation > 0, pre_activation, 0.2 * pre_activation)
-    assert np.allclose(gcn_forward(p @ x, params), expected, atol=1e-15)
+    assert np.allclose(gcn_forward(p @ x, theta, 0.2), expected, atol=1e-15)
 
 
 def test_forward_dimension_mismatch():
-    params = GcnParams(theta=np.eye(2), activation_slope=0.2)
     with pytest.raises(DimensionError):
-        gcn_forward(np.zeros((4, 3)), params)
+        gcn_forward(np.zeros((4, 3)), np.eye(2), 0.2)
 
 
 def test_forward_linear_in_x_with_unit_slope():
     rng = make_rng(1)
     p = rng.random((5, 5))
     p /= p.sum(axis=1, keepdims=True)
-    params = GcnParams(theta=rng.standard_normal((3, 2)), activation_slope=1.0)
+    theta = rng.standard_normal((3, 2))
     x1 = rng.standard_normal((5, 3))
     x2 = rng.standard_normal((5, 3))
-    combined = gcn_forward(p @ (2.0 * x1 - 0.5 * x2), params)
-    parts = 2.0 * gcn_forward(p @ x1, params) - 0.5 * gcn_forward(p @ x2, params)
+    combined = gcn_forward(p @ (2.0 * x1 - 0.5 * x2), theta, 1.0)
+    parts = 2.0 * gcn_forward(p @ x1, theta, 1.0) - 0.5 * gcn_forward(p @ x2, theta, 1.0)
     assert np.max(np.abs(combined - parts)) < 1e-9
 
 
@@ -69,9 +66,8 @@ def test_init_loss_zero_at_fit():
     rng = make_rng(2)
     p = np.eye(3)
     x = np.abs(rng.standard_normal((3, 2))) + 0.1
-    params = GcnParams(theta=np.eye(2), activation_slope=0.2)
     w = x[:2]  # positive, so sigma is identity on these rows
-    loss, d_theta = init_loss(propagate(p, x, [0, 1]), params, w)
+    loss, d_theta = init_loss(propagate(p, x, [0, 1]), np.eye(2), 0.2, w)
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(d_theta, 0.0, atol=1e-15)
 
@@ -80,8 +76,7 @@ def test_init_loss_scalar_case():
     # one known node, one output dim: O=2, W=1 -> (2-1)^2 / 2 = 0.5
     p = np.array([[1.0]])
     x = np.array([[2.0]])
-    params = GcnParams(theta=np.array([[1.0]]), activation_slope=0.2)
-    loss, _ = init_loss(propagate(p, x, [0]), params, np.array([[1.0]]))
+    loss, _ = init_loss(propagate(p, x, [0]), np.array([[1.0]]), 0.2, np.array([[1.0]]))
     assert loss == pytest.approx(0.5)
 
 
@@ -89,8 +84,8 @@ def test_gradient_at_kink_uses_slope():
     # pre-activations 2, -2 and exactly 0: the derivative at 0 is pinned to
     # the slope for reproducibility
     z = np.array([[2.0, 0.0], [-2.0, 0.0], [1.0, 1.0]])
-    params = GcnParams(theta=np.array([[1.0], [-1.0]]), activation_slope=0.2)
-    _, d_theta, d_w = gcn_reg_loss(z, params, np.full((3, 1), -1.0))
+    theta = np.array([[1.0], [-1.0]])
+    _, d_theta, d_w = gcn_reg_loss(z, theta, 0.2, np.full((3, 1), -1.0))
     d_o = -d_w
     assert np.array_equal(d_theta, z.T @ (d_o * np.array([[1.0], [0.2], [0.2]])))
 
@@ -118,12 +113,12 @@ def test_init_loss_gradient_many_instances():
         w = rng.standard_normal((ls, f))
         rows = list(rng.permutation(n)[:ls])
         z = propagate(p, x, rows)
-        _, d_theta = init_loss(z, GcnParams(theta, 0.2), w)
+        _, d_theta = init_loss(z, theta, 0.2, w)
         if float(np.min(np.abs(d_theta))) < 1e-5:
             # near-zero coordinates drown in finite-difference roundoff
             continue
         err = grad_check(
-            lambda t: init_loss(z, GcnParams(t, 0.2), w)[0],
+            lambda t: init_loss(z, t, 0.2, w)[0],
             theta, d_theta, eps=1e-6)
         assert err <= 1e-5
         checked += 1
@@ -133,9 +128,8 @@ def test_reg_loss_zero_at_fit():
     rng = make_rng(4)
     p = np.eye(4)
     x = np.abs(rng.standard_normal((4, 3))) + 0.1
-    params = GcnParams(theta=np.eye(3), activation_slope=0.2)
     w_hat = x.copy()
-    loss, d_theta, d_w = gcn_reg_loss(propagate(p, x, [0, 1, 2, 3]), params, w_hat)
+    loss, d_theta, d_w = gcn_reg_loss(propagate(p, x, [0, 1, 2, 3]), np.eye(3), 0.2, w_hat)
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(d_theta, 0.0, atol=1e-15)
     assert np.allclose(d_w, 0.0, atol=1e-15)
@@ -146,11 +140,11 @@ def test_reg_loss_whatgrad_closed_form():
     p = rng.random((4, 4))
     p /= p.sum(axis=1, keepdims=True)
     x = rng.standard_normal((4, 3))
-    params = GcnParams(theta=rng.standard_normal((3, 2)), activation_slope=0.2)
+    theta = rng.standard_normal((3, 2))
     w_hat = rng.standard_normal((3, 2))
     rows = [0, 2, 3]
-    o = gcn_forward(p @ x, params)
-    _, _, d_w = gcn_reg_loss(propagate(p, x, rows), params, w_hat)
+    o = gcn_forward(p @ x, theta, 0.2)
+    _, _, d_w = gcn_reg_loss(propagate(p, x, rows), theta, 0.2, w_hat)
     m = w_hat.shape[1]
     assert np.allclose(d_w, (w_hat - o[rows]) / m, atol=1e-12)
 
@@ -172,14 +166,14 @@ def test_reg_loss_gradients_many_instances():
         w_hat = rng.standard_normal((lt, f))
         rows = list(rng.permutation(n)[:lt])
         z = propagate(p, x, rows)
-        _, d_theta, d_w = gcn_reg_loss(z, GcnParams(theta, 0.2), w_hat)
+        _, d_theta, d_w = gcn_reg_loss(z, theta, 0.2, w_hat)
         if min(float(np.min(np.abs(d_theta))), float(np.min(np.abs(d_w)))) < 1e-5:
             continue
         err_t = grad_check(
-            lambda t: gcn_reg_loss(z, GcnParams(t, 0.2), w_hat)[0],
+            lambda t: gcn_reg_loss(z, t, 0.2, w_hat)[0],
             theta, d_theta, eps=1e-6)
         err_w = grad_check(
-            lambda w: gcn_reg_loss(z, GcnParams(theta, 0.2), w)[0],
+            lambda w: gcn_reg_loss(z, theta, 0.2, w)[0],
             w_hat, d_w, eps=1e-6)
         assert err_t <= 1e-5
         assert err_w <= 1e-5
@@ -249,10 +243,10 @@ def test_train_init_bit_identical_to_full_forward(graph):
     narrow = x[:, : g.known_class_count - 1]
     for words, schedule in ((x, GcnSchedule(slope=0.0)), (narrow, GcnSchedule())):
         theta, emb, history = _reference_gcn_init(g, words, w, schedule, make_rng(14))
-        params, emb_new, history_new = train_gcn_init(_z_class(g, words), w, schedule,
-                                                      make_rng(14))
+        theta_new, emb_new, history_new = train_gcn_init(_z_class(g, words), w, schedule,
+                                                         make_rng(14))
         assert len(history_new) == schedule.steps
-        assert np.array_equal(params.theta, theta)
+        assert np.array_equal(theta_new, theta)
         assert np.array_equal(emb_new, emb)
         assert np.array_equal(np.array(history_new), np.array(history))
 
@@ -263,12 +257,11 @@ def test_train_init_trains_under_the_schedule_slope():
     w = make_rng(13).standard_normal((g.known_class_count, 4))
     schedule = GcnSchedule(steps=300, slope=0.05)
     theta, emb, _ = _reference_gcn_init(g, x, w, schedule, make_rng(14))
-    params, emb_new, _ = train_gcn_init(_z_class(g, x), w, schedule, make_rng(14))
-    assert params.activation_slope == 0.05
-    assert np.array_equal(params.theta, theta)
+    theta_new, emb_new, _ = train_gcn_init(_z_class(g, x), w, schedule, make_rng(14))
+    assert np.array_equal(theta_new, theta)
     assert np.array_equal(emb_new, emb)
     default, _, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=300), make_rng(14))
-    assert not np.array_equal(default.theta, theta)
+    assert not np.array_equal(default, theta)
 
 
 @pytest.mark.parametrize("graph", ["toy", "synth"])
@@ -278,10 +271,11 @@ def test_closed_form_is_the_converged_loop(graph):
     schedule = GcnSchedule()
     theta, emb, history = _reference_gcn_init(g, x, w, schedule, make_rng(14))
     assert history[-1] < 1e-25  # the 8000 reference steps have converged
-    params, emb_new, history_new = train_gcn_init(_z_class(g, x), w, schedule, make_rng(14))
+    theta_new, emb_new, history_new = train_gcn_init(_z_class(g, x), w, schedule,
+                                                     make_rng(14))
     # two routes to one fixed point: entries are O(10) and cond(Z_k Z_k^T)
     # is below 100 on both graphs, so rounding alone allows about 2e-13
-    assert np.allclose(params.theta, theta, rtol=0, atol=1e-12)
+    assert np.allclose(theta_new, theta, rtol=0, atol=1e-12)
     assert np.allclose(emb_new, emb, rtol=0, atol=1e-12)
     assert history_new[0] == history[0]
 
@@ -293,14 +287,14 @@ def test_closed_form_fits_known_rows_to_rounding(graph, slope):
     k = g.known_class_count
     w = make_rng(13).standard_normal((k, 16))
     z = _z_class(g, x)
-    params, emb, history = train_gcn_init(z, w, GcnSchedule(slope=slope), make_rng(14))
+    theta, emb, history = train_gcn_init(z, w, GcnSchedule(slope=slope), make_rng(14))
     assert np.max(np.abs(emb[:k] - w)) <= 1e-12
     assert len(history) == 2 and history[1] < history[0]
     assert history[1] <= 1e-25
     # theta moved from theta0 only within the row space of Z_k, so the
     # unknown rows keep theta0's component outside it
     theta0 = init_theta(x.shape[1], 16, make_rng(14))
-    step = params.theta - theta0
+    step = theta - theta0
     assert np.allclose(step, np.linalg.pinv(z[:k]) @ (z[:k] @ step), rtol=0, atol=1e-12)
 
 
@@ -323,14 +317,14 @@ def test_reg_loss_bit_identical_to_full_forward():
     p = normalized_adjacency(g)
     rows = list(g.class_to_node)
     rng = make_rng(15)
-    params = GcnParams(rng.standard_normal((x.shape[1], 16)), 0.2)
+    theta = rng.standard_normal((x.shape[1], 16))
     w_hat = rng.standard_normal((len(rows), 16))
     z = p @ x
-    h = z @ params.theta
+    h = z @ theta
     diff = leaky_relu(h, 0.2)[rows] - w_hat
     d_o = np.zeros_like(h)
     d_o[rows] = diff / 16
-    loss, d_theta, d_w = gcn_reg_loss(propagate(p, x, rows), params, w_hat)
+    loss, d_theta, d_w = gcn_reg_loss(propagate(p, x, rows), theta, 0.2, w_hat)
     assert loss == 0.5 / 16 * float(np.sum(diff * diff))
     assert np.array_equal(d_theta, z.T @ (d_o * np.where(h > 0, 1.0, 0.2)))
     assert np.array_equal(d_w, -diff / 16)
@@ -351,13 +345,13 @@ def test_propagate_selects_rows():
 
 def test_losses_reject_mismatched_shapes():
     z = np.ones((3, 2))
-    params = GcnParams(theta=np.ones((2, 4)), activation_slope=0.2)
+    theta = np.ones((2, 4))
     with pytest.raises(DimensionError):
-        init_loss(z, params, np.ones((2, 4)))  # 3 rows vs 2 targets
+        init_loss(z, theta, 0.2, np.ones((2, 4)))  # 3 rows vs 2 targets
     with pytest.raises(DimensionError):
-        gcn_reg_loss(z, params, np.ones((3, 5)))  # output dim 4 vs 5
+        gcn_reg_loss(z, theta, 0.2, np.ones((3, 5)))  # output dim 4 vs 5
     with pytest.raises(DimensionError):
-        init_loss(np.ones((3, 7)), params, np.ones((3, 4)))
+        init_loss(np.ones((3, 7)), theta, 0.2, np.ones((3, 4)))
 
 
 def test_train_init_fits_known_rows():
@@ -388,9 +382,9 @@ def test_train_init_deterministic():
     g = _toy_graph()
     x = rng.standard_normal((6, 8))
     w = rng.standard_normal((3, 4))
-    p1, _, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=200), make_rng(11))
-    p2, _, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=200), make_rng(11))
-    assert np.array_equal(p1.theta, p2.theta)
+    t1, _, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=200), make_rng(11))
+    t2, _, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=200), make_rng(11))
+    assert np.array_equal(t1, t2)
 
 
 def test_disconnected_zero_row_embedding_is_zero():

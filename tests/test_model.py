@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from opendomain.gcn import GcnParams
 from opendomain.losses import ClassifierHead
 from opendomain.model import (
     Encoder,
@@ -117,8 +116,7 @@ def _random_state(rng):
                         bias=rng.standard_normal(4)),
         head=ClassifierHead(weights=rng.standard_normal((6, 4)),
                             known_count=4),
-        gcn=GcnParams(theta=rng.standard_normal((8, 4)),
-                      activation_slope=0.2),
+        theta=rng.standard_normal((8, 4)),
     )
 
 
@@ -144,10 +142,10 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(loaded.encoder.weight, state.encoder.weight)
     assert np.array_equal(loaded.encoder.bias, state.encoder.bias)
     assert np.array_equal(loaded.head.weights, state.head.weights)
-    assert np.array_equal(loaded.gcn.theta, state.gcn.theta)
+    assert np.array_equal(loaded.theta, state.theta)
     assert loaded.head.known_count == 4
-    assert loaded.gcn.activation_slope == 0.2
-    assert manifest["config_hash"] == "abc123"
+    assert manifest == {"input_dim": 5, "feature_dim": 4, "total_classes": 6,
+                        "known_classes": 4, "word_dim": 8, "config_hash": "abc123"}
 
 
 def test_checkpoint_manifest_mismatch(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opendomain import gcn, synth
-from opendomain.gcn import GcnParams, GcnSchedule, gcn_forward, propagate
+from opendomain.gcn import GcnSchedule, gcn_forward, propagate
 from opendomain.losses import ClassifierHead, LossWeights, cls_loss
 from opendomain.matching import partition_folds
 from opendomain.model import (Encoder, ModelState, PretrainSchedule, encode,
@@ -217,7 +217,7 @@ def test_pipeline_deterministic():
     s2, h2 = run_pipeline(cfg)
     assert np.array_equal(s1.encoder.weight, s2.encoder.weight)
     assert np.array_equal(s1.head.weights, s2.head.weights)
-    assert np.array_equal(s1.gcn.theta, s2.gcn.theta)
+    assert np.array_equal(s1.theta, s2.theta)
     assert h1 == h2
 
 
@@ -245,10 +245,10 @@ def test_history_record_keys():
 def test_theta_frozen_without_graph_term():
     short, _ = run_pipeline(_small_cfg(epochs=1, enable_gcn=False))
     long, _ = run_pipeline(_small_cfg(epochs=3, enable_gcn=False))
-    assert np.array_equal(short.gcn.theta, long.gcn.theta)
+    assert np.array_equal(short.theta, long.theta)
     short_g, _ = run_pipeline(_small_cfg(epochs=1))
     long_g, _ = run_pipeline(_small_cfg(epochs=3))
-    assert not np.array_equal(short_g.gcn.theta, long_g.gcn.theta)
+    assert not np.array_equal(short_g.theta, long_g.theta)
 
 
 def test_unknown_rows_move_only_under_balance_or_graph():
@@ -281,7 +281,7 @@ def test_training_never_reads_eval_labels():
     s2, h2 = run_pipeline(cfg, data=(source, corrupted, graph, words))
     assert np.array_equal(s1.head.weights, s2.head.weights)
     assert np.array_equal(s1.encoder.weight, s2.encoder.weight)
-    assert np.array_equal(s1.gcn.theta, s2.gcn.theta)
+    assert np.array_equal(s1.theta, s2.theta)
     # only the reported accuracies may differ
     assert h1[-1]["loss_total"] == h2[-1]["loss_total"]
 
@@ -378,7 +378,7 @@ def test_end_to_end_objective_gradient():
 
     def objective(enc_w, enc_b, head_w, theta):
         state = ModelState(Encoder(enc_w, enc_b.ravel()),
-                           ClassifierHead(head_w, ls), GcnParams(theta, 0.2))
+                           ClassifierHead(head_w, ls), theta)
         values, total, grads, _ = joint_terms(state, z_class, cfg, raw_s, labels,
                                               raw_t, raw_s, raw_mt)
         assert set(values) == {"cls", "balance", "sgmd", "gcn"}
@@ -439,7 +439,7 @@ def test_stacked_step_matches_the_per_term_reference(variant):
                 state = ModelState(
                     Encoder(rng.standard_normal((m_in, m)), rng.standard_normal(m)),
                     ClassifierHead(rng.standard_normal((total, m)), known),
-                    GcnParams(rng.standard_normal((words, m)), 0.2))
+                    rng.standard_normal((words, m)))
                 raw_s = rng.standard_normal((n, m_in))
                 labels = rng.integers(0, known, n)
                 raw_t = rng.standard_normal((n, m_in))
@@ -481,7 +481,7 @@ def test_train_joint_replays_joint_terms_and_momentum():
     state, source, target = replay.state, replay.source, replay.target
     params = {"encoder.weight": state.encoder.weight,
               "encoder.bias": state.encoder.bias,
-              "head.weights": state.head.weights, "gcn.theta": state.gcn.theta}
+              "head.weights": state.head.weights, "gcn.theta": state.theta}
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     partner = replay.partner
     for epoch in range(cfg.epochs):
@@ -504,7 +504,7 @@ def test_train_joint_replays_joint_terms_and_momentum():
     assert np.array_equal(trained.encoder.weight, state.encoder.weight)
     assert np.array_equal(trained.encoder.bias, state.encoder.bias)
     assert np.array_equal(trained.head.weights, state.head.weights)
-    assert np.array_equal(trained.gcn.theta, state.gcn.theta)
+    assert np.array_equal(trained.theta, state.theta)
 
 
 @pytest.mark.parametrize("known, total", [(3, 5), (8, 12)])
@@ -526,7 +526,7 @@ def test_cls_rows_ignore_the_unknown_logits(known, total):
     f = encode(raw_s, Encoder(weight, bias))
     head[known:, 0] = float(np.max(f @ head[:known].T)) + 50.0
     state = ModelState(Encoder(weight, bias), ClassifierHead(head, known),
-                       GcnParams(np.zeros((4, m)), 0.2))
+                       np.zeros((4, m)))
     cfg = apply_flags(ExperimentConfig(), ())
     raw_none = np.zeros((0, m_in))
     with np.errstate(all="raise"):  # no NaN, overflow or underflow on the way
@@ -622,9 +622,9 @@ def test_prepare_trains_gcn_init_under_the_configured_slope(monkeypatch):
     seen = set()
     real = gcn.init_loss
 
-    def spy(z, params, w):
-        seen.add(params.activation_slope)
-        return real(z, params, w)
+    def spy(z, theta, slope, w):
+        seen.add(slope)
+        return real(z, theta, slope, w)
 
     monkeypatch.setattr(gcn, "init_loss", spy)
     cfg = parse_config(MINIMAL + "gcn.slope = 0.05\ngcn.steps = 20\n"
@@ -633,9 +633,8 @@ def test_prepare_trains_gcn_init_under_the_configured_slope(monkeypatch):
                        "pretrain.epochs = 2\n")
     prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
     assert seen == {0.05}
-    assert prepared.state.gcn.activation_slope == 0.05
     assert np.array_equal(prepared.state.head.weights,
-                          gcn_forward(prepared.z_class, prepared.state.gcn))
+                          gcn_forward(prepared.z_class, prepared.state.theta, 0.05))
 
 
 def test_unlabeled_target_records_absent_accuracies():
