@@ -77,8 +77,17 @@ def _load_data_dir(directory, cfg):
     graph = load_graph(path["graph"]) if os.path.exists(path["graph"]) else None
     word_vectors = load_matrix(path["wordvec"])
     if graph is not None:
+        _same("known class count", path["graph"], graph.known_class_count,
+              path["source"], cfg.synth.known_classes)
+        _same("class count", path["graph"], graph.total_class_count,
+              path["target"], cfg.synth.total_classes)
         _same("node count", path["wordvec"], word_vectors.shape[0],
               path["graph"], graph.num_nodes)
+    elif cfg.synth.known_classes < cfg.synth.total_classes:
+        raise ValueError(f"{path['graph']} not found: unknown classes need a taxonomy graph")
+    else:
+        _same("class count", path["wordvec"], word_vectors.shape[0],
+              path["target"], cfg.synth.total_classes)
     return source, target, graph, word_vectors
 
 
@@ -163,6 +172,9 @@ def cmd_match(args) -> int:
     fs = load_matrix(args.source)
     ft = load_matrix(args.target)
     _same("column count", args.source, fs.shape[1], args.target, ft.shape[1])
+    rows, path = min((fs.shape[0], args.source), (ft.shape[0], args.target))
+    if args.folds > rows:
+        raise ValueError(f"--folds {args.folds} exceeds the {rows} rows of {path}")
     src, tgt, costs, total = match_domains(fs, ft, args.folds, make_rng(args.seed))
     save_pairs(args.out, MatchedPairs(pairs=tuple(zip(src.tolist(), tgt.tolist())),
                                       total_cost=total, costs=tuple(costs.tolist())))

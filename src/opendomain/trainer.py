@@ -312,6 +312,9 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     if graph is None and l_s != cfg.synth.total_classes:
         raise ConfigError("a taxonomy graph is required when unknown classes exist")
     _check_class_counts(cfg, graph, word_vectors)
+    if cfg.folds > min(source.n, target.n):
+        raise ConfigError(f"train.folds = {cfg.folds} exceeds the rows of the source "
+                          f"({source.n}) or the target ({target.n}) data")
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     rng_pre, rng_gcn, rng_match, rng_joint = (make_rng(s) for s in streams)
 

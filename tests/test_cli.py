@@ -485,6 +485,17 @@ def _swap_role(name, labeled, tag):
     return edit
 
 
+def _symmetric(edit):
+    """Rewrite the config and the data directory as known == total, which
+    has no graph.txt, then apply ``edit``."""
+    def apply(root):
+        (root / "exp.cfg").write_text(SYM_CONFIG)
+        shutil.rmtree(root / "data")
+        _synth(str(root / "exp.cfg"), root / "data")
+        edit(root)
+    return apply
+
+
 def _short(tokens):
     return tokens[:-1]
 
@@ -560,6 +571,20 @@ _EXIT_CASES = [
      ("target.ds and /", "source.ds disagree on the input dim: 5 != 6")),
     ("train", "wordvec.mat a row short of the graph", _drop_last_row("data/wordvec.mat"), 1,
      ("wordvec.mat and /", "graph.txt disagree on the node count: 7 != 8")),
+    ("train", "graph.txt known count below source.ds",
+     _replace("data/graph.txt", "known 3", "known 2"), 1,
+     ("graph.txt and /", "source.ds disagree on the known class count: 2 != 3")),
+    ("train", "graph.txt class count above target.ds",
+     _replace("data/graph.txt", "classes 5\n", "classes 6\nclass 5 5\n"), 1,
+     ("graph.txt and /", "target.ds disagree on the class count: 6 != 5")),
+    ("train", "known == total, wordvec.mat a row short",
+     _symmetric(_drop_last_row("data/wordvec.mat")), 1,
+     ("wordvec.mat and /", "target.ds disagree on the class count: 2 != 3")),
+    ("train", "missing graph.txt with unknown classes", _remove("data/graph.txt"), 1,
+     "graph.txt not found"),
+    ("train", "train.folds past the source rows",
+     _replace("exp.cfg", "train.folds = 2", "train.folds = 500"), 1,
+     "train.folds = 500 exceeds the rows of the source (30) or the target (50) data"),
     ("ablate", "missing wordvec.mat", _remove("data/wordvec.mat"), 3, "wordvec.mat"),
     ("ablate", "inf in source.ds",
      _edit_row("data/source.ds", _last("inf")), 1, "source.ds"),
@@ -585,6 +610,8 @@ _EXIT_CASES = [
      _edit_row("ft.mat", _last("abc"), 2), 1, "ft.mat: line 3"),
     ("match", "non-integer --folds", "--folds x", 1, "--folds"),
     ("match", "zero --folds", "--folds 0", 1, "--folds"),
+    ("match", "--folds past the source rows", "--folds 7", 1,
+     ("--folds 7 exceeds the 6 rows of /", "fs.mat")),
     ("match", "negative --seed", "--seed -1", 1, "--seed"),
     ("match", "matrices of different widths", _drop_column("ft.mat"), 1,
      ("fs.mat and /", "ft.mat disagree on the column count: 3 != 2")),

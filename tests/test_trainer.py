@@ -310,6 +310,20 @@ def test_prepare_rejects_class_counts_other_than_the_data():
         trainer.prepare(replace(sym_cfg, synth=wider), sym_data)
 
 
+def test_prepare_refuses_more_folds_than_rows_before_pretraining(monkeypatch):
+    cfg = _small_cfg(folds=31)  # 30 source rows, 50 target rows
+    data = synth.generate(cfg.synth)
+
+    def pretrain(*args):
+        raise AssertionError("pretraining ran")
+
+    monkeypatch.setattr(trainer, "pretrain_source", pretrain)
+    with pytest.raises(ConfigError, match=r"train\.folds = 31 .* source \(30\)"):
+        trainer.prepare(cfg, data)
+    with pytest.raises(AssertionError, match="pretraining ran"):
+        trainer.prepare(replace(cfg, folds=30), data)
+
+
 def test_prepare_takes_a_symmetric_source_missing_its_top_class():
     # known == total without a graph: the class count is the config's and
     # the word vectors', not one more than the largest source label
