@@ -74,20 +74,22 @@ def _load_data_dir(directory, cfg):
     target = _load_dataset(directory, "target", cfg.synth.total_classes)
     _same("input dim", path["target"], target.features.shape[1],
           path["source"], source.features.shape[1])
-    graph = load_graph(path["graph"]) if os.path.exists(path["graph"]) else None
-    word_vectors = load_matrix(path["wordvec"])
-    if graph is not None:
-        _same("known class count", path["graph"], graph.known_class_count,
-              path["source"], cfg.synth.known_classes)
-        _same("class count", path["graph"], graph.total_class_count,
-              path["target"], cfg.synth.total_classes)
-        _same("node count", path["wordvec"], word_vectors.shape[0],
-              path["graph"], graph.num_nodes)
-    elif cfg.synth.known_classes < cfg.synth.total_classes:
-        raise ValueError(f"{path['graph']} not found: unknown classes need a taxonomy graph")
-    else:
+    if cfg.synth.known_classes == cfg.synth.total_classes:
+        # nothing to propagate to, so a graph.txt is never read
+        word_vectors = load_matrix(path["wordvec"])
         _same("class count", path["wordvec"], word_vectors.shape[0],
               path["target"], cfg.synth.total_classes)
+        return source, target, None, word_vectors
+    if not os.path.exists(path["graph"]):
+        raise ValueError(f"{path['graph']} not found: unknown classes need a taxonomy graph")
+    graph = load_graph(path["graph"])
+    word_vectors = load_matrix(path["wordvec"])
+    _same("known class count", path["graph"], graph.known_class_count,
+          path["source"], cfg.synth.known_classes)
+    _same("class count", path["graph"], graph.total_class_count,
+          path["target"], cfg.synth.total_classes)
+    _same("node count", path["wordvec"], word_vectors.shape[0],
+          path["graph"], graph.num_nodes)
     return source, target, graph, word_vectors
 
 

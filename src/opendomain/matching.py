@@ -4,7 +4,8 @@
 that its temporaries hold 16·m·d floats (3 MB at m=1500, d=16) whatever n
 is. `hungarian` solves the minimum-weight assignment exactly with
 shortest augmenting paths and lazy dual updates (Crouse 2016, after
-Jonker-Volgenant), in which ties resolve to the lowest column index. It
+Jonker-Volgenant), in which ties resolve to the lowest column index; each
+augmenting path is recovered from a log of the search's scans. It
 returns ``(rows, cols)`` int arrays with rows ascending, as scipy's
 ``linear_sum_assignment`` does, so ``cost[hungarian(cost)]`` is each pair's
 cost. `match_domains` splits each domain into k random folds, matches fold
@@ -67,32 +68,35 @@ def _solve(cost: np.ndarray):
     full-length column arrays, and the potentials updated once per row from
     the distances at which the search visited each column. A search reads
     the column potentials from a per-row copy in which a visited column is
-    -inf, so its reduced cost is +inf and never lowers ``shortest``.
+    -inf, so its reduced cost is +inf and never lowers ``shortest``. A scan
+    records no predecessors, only its row and offset ``min_val - u[row]``;
+    the augmenting path is walked back from the free column, the column
+    visited after scan k taking the row of the first of scans 0..k to give
+    it its least reduced cost, recomputed with the scan's float operations.
 
-    Returns col_for_row, an int array of length n_rows. A column's path is
-    rewritten only on strict improvement and the dense argmin takes the
-    lowest column, so ties resolve to the lowest column index, which pins
-    the returned matching across runs. Ties are between float64 reduced
-    costs: exact on whole-number costs, up to rounding on others.
+    Returns col_for_row, an int array of length n_rows. The first tying scan
+    is a column's predecessor and the dense argmin takes the lowest column,
+    so ties resolve to the lowest column index, which pins the returned
+    matching across runs. Ties are between float64 reduced costs: exact on
+    whole-number costs, up to rounding on others.
     """
     n, m = cost.shape
     u = np.zeros(n)
     v = np.zeros(m)
     col_for_row = np.full(n, -1, dtype=int)
     row_for_col = np.full(m, -1, dtype=int)
-    path = np.zeros(m, dtype=int)  # path[j]: the row the search reached j from
     shortest, reduced = np.empty(m), np.empty(m)  # shortest is inf once visited
-    v_open, better = np.empty(m), np.empty(m, dtype=bool)  # v_open: -inf once visited
+    v_open = np.empty(m)  # -inf once visited
     for cur in range(n):
         shortest.fill(np.inf)
         np.copyto(v_open, v)
-        seen, dist = [], []
+        scans, offs, seen, dist = [], [], [], []
         i, min_val = cur, 0.0
         while True:
-            np.add(cost[i], min_val - u[i], out=reduced)
+            scans.append(i)
+            offs.append(min_val - u[i])
+            np.add(cost[i], offs[-1], out=reduced)
             reduced -= v_open
-            np.less(reduced, shortest, out=better)
-            np.copyto(path, i, where=better)
             np.minimum(shortest, reduced, out=shortest)
             j = int(shortest.argmin())
             min_val = float(shortest[j])
@@ -103,16 +107,19 @@ def _solve(cost: np.ndarray):
             i = int(row_for_col[j])
             if i < 0:
                 break
-        seen, dist = np.array(seen), np.array(dist)
+        scans, offs, seen, dist = (np.array(a) for a in (scans, offs, seen, dist))
         u[cur] += min_val
-        u[row_for_col[seen[:-1]]] += min_val - dist[:-1]
-        v[seen] -= min_val - dist
+        u[scans[1:]] += min_val - dist[:-1]
+        k = len(seen) - 1  # seen[k] was visited after scan k
         while True:
-            i = int(path[j])
-            row_for_col[j] = i
-            col_for_row[i], j = j, col_for_row[i]
-            if i == cur:
+            j = seen[k]
+            s = int(((cost[scans[:k + 1], j] + offs[:k + 1]) - v[j]).argmin())
+            i = row_for_col[j] = scans[s]
+            col_for_row[i] = j
+            if s == 0:
                 break
+            k = s - 1  # the row of scan s held seen[s - 1]
+        v[seen] -= min_val - dist
     return col_for_row
 
 

@@ -135,6 +135,31 @@ def test_train_and_eval_without_a_graph(tmp_path, capsys):
         assert scored[key] == metrics[key]
 
 
+@pytest.mark.parametrize("header", ["known 3 classes 5", "known 5 classes 5"])
+def test_train_without_unknown_classes_never_reads_a_graph(tmp_path, config_path,
+                                                           header):
+    """A known == total data directory that carries a graph.txt, taken from
+    an open-set synth output with its header as given, trains exactly as
+    without the file: with no unknown classes the graph is never read."""
+    config = tmp_path / "sym.cfg"
+    config.write_text(SYM_CONFIG)
+    data = tmp_path / "data"
+    _synth(str(config), data)
+    _synth(config_path, tmp_path / "open")
+
+    def train(out):
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(out)]) == 0
+        return {str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*")) if p.is_file()}
+
+    without = train(tmp_path / "without")
+    text = (tmp_path / "open" / "graph.txt").read_text()
+    (data / "graph.txt").write_text(text.replace("known 3 classes 5", header))
+    assert "metrics.json" in without
+    assert train(tmp_path / "with") == without
+
+
 def test_train_flags_select_variant(tmp_path, config_path):
     data = tmp_path / "data"
     _synth(config_path, data)

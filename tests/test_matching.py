@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
@@ -20,6 +20,7 @@ from opendomain.matching import (
     save_pairs,
 )
 from opendomain.numkit import DimensionError, make_rng
+from opendomain.synth import SynthConfig, generate
 from pairs_file import load_pairs
 
 
@@ -298,8 +299,26 @@ def test_hungarian_equals_scipy_optimum(costs):
     assert len({s for s, _ in pairs}) == len({t for _, t in pairs}) == len(pairs)
 
 
+# Row 1's search scans row 1, visits column 0 (row 0's), scans row 0, and
+# both scans give column 1 the distance 1: its predecessor must be the
+# earlier scan, row 1, so row 0 keeps column 0 and row 1 takes column 1
+_TIED_SCANS = np.array([[0.0, 1.0, 5.0],
+                        [0.0, 1.0, 5.0]])
+
+
+def _clustered_cost():
+    """L1 costs between a small synth source and target (64 x 96). Their
+    clusters give searches of up to 45 scans and an augmenting path of 13
+    columns; uniform costs of the same shape gave paths of at most 7 columns
+    in 20 draws."""
+    source, target, _, _ = generate(SynthConfig(source_per_class=8, target_per_class=8))
+    return pairwise_l1(source.features, target.features)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_seeded_cost_arrays())
+@example(_TIED_SCANS)
+@example(_clustered_cost())
 def test_solver_keeps_the_reference_tie_rule(costs):
     if costs.shape[0] > costs.shape[1]:
         costs = np.ascontiguousarray(costs.T)
