@@ -16,12 +16,11 @@ closed form instead of iterating.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, MomentumSgd, check_sgd_settings, leaky_relu
+from .numkit import DimensionError, MomentumSgd, check_fields, leaky_relu
 
 __all__ = [
     "GcnSchedule",
@@ -42,13 +41,10 @@ class GcnSchedule:
     slope: float = 0.2  # leaky-ReLU slope, in GCN init and in the graph tie
 
     def __post_init__(self):
-        check_sgd_settings(self.learning_rate, self.momentum)
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
-            raise ValueError("init_scale must be finite and > 0")
-        if not (math.isfinite(self.slope) and self.slope >= 0):
-            raise ValueError("slope must be finite and >= 0")
+        check_fields(self, "gcn", "learning_rate init_scale", lambda v: v > 0, "> 0")
+        check_fields(self, "gcn", "momentum", lambda v: 0 <= v < 1, "in [0, 1)")
+        check_fields(self, "gcn", "steps", lambda v: v >= 1, ">= 1")
+        check_fields(self, "gcn", "slope", lambda v: v >= 0, ">= 0")
 
 
 def gcn_forward(z, theta, slope: float) -> np.ndarray:

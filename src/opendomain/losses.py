@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError
+from .numkit import DimensionError, check_fields
 
 __all__ = [
     "ClassifierHead",
@@ -70,16 +70,11 @@ class LossWeights:
     epsilon: float = 0.05
 
     def __post_init__(self):
-        for name in ("lambda_d", "lambda_b", "lambda_g"):
-            val = getattr(self, name)
-            if not np.isfinite(val) or val < 0:
-                raise ValueError(f"{name} must be finite and >= 0")
-        if self.w is not None and not 0.0 < self.w < 1.0:
-            raise ValueError("w must lie strictly inside (0, 1)")
-        if not np.isfinite(self.tau):
-            raise ValueError("tau must be finite")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError("epsilon must be finite and > 0")
+        check_fields(self, "loss", "lambda_d lambda_b lambda_g", lambda v: v >= 0, ">= 0")
+        if self.w is not None:
+            check_fields(self, "loss", "w", lambda v: 0 < v < 1, "in (0, 1)")
+        check_fields(self, "loss", "tau", lambda v: True, "finite")
+        check_fields(self, "loss", "epsilon", lambda v: v > 0, "> 0")
 
 
 def cls_loss(probs, labels, eps: float = 1e-12):

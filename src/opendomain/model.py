@@ -16,7 +16,7 @@ from .losses import ClassifierHead, cls_loss
 from .numkit import (
     DimensionError,
     MomentumSgd,
-    check_sgd_settings,
+    check_fields,
     flat_views,
     load_matrix,
     save_matrix,
@@ -59,9 +59,9 @@ class PretrainSchedule:
     batch_size: int = 32
 
     def __post_init__(self):
-        check_sgd_settings(self.learning_rate, self.momentum)
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        check_fields(self, "pretrain", "learning_rate", lambda v: v > 0, "> 0")
+        check_fields(self, "pretrain", "momentum", lambda v: 0 <= v < 1, "in [0, 1)")
+        check_fields(self, "pretrain", "epochs batch_size", lambda v: v >= 1, ">= 1")
 
 
 def encode(raw, enc: Encoder) -> np.ndarray:

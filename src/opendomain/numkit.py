@@ -1,6 +1,6 @@
 """Numeric substrate: checked dense kernels, stable softmax, seeded RNG,
-momentum SGD with its schedule checks, the reader of the headed text
-tables, matrix text serialization and the JSON file form.
+momentum SGD, the one checker of config fields, the reader of the headed
+text tables, matrix text serialization and the JSON file form.
 
 Everything runs on 64-bit numpy arrays. The conventions fixed here
 (softmax with max-subtraction, 17-significant-digit text round-trips) are
@@ -22,7 +22,7 @@ __all__ = [
     "make_rng",
     "flat_views",
     "MomentumSgd",
-    "check_sgd_settings",
+    "check_fields",
     "save_matrix",
     "load_matrix",
     "read_rows",
@@ -97,13 +97,15 @@ class MomentumSgd:
         self.params -= self.lr * v
 
 
-def check_sgd_settings(learning_rate: float, momentum: float) -> None:
-    """Reject a learning rate that is not finite and positive, or a
-    momentum outside [0, 1)."""
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
-    if not 0 <= momentum < 1:
-        raise ValueError(f"momentum must lie in [0, 1), got {momentum}")
+def check_fields(obj, section: str, names: str, ok, rule: str) -> None:
+    """Refuse each field of ``obj`` named in the space-separated ``names``
+    whose value is not finite or fails ``ok``, with the ValueError
+    ``<section>.<name> must be <rule>, got <value>``."""
+    for name in names.split():
+        value = getattr(obj, name)
+        # an int is finite however large; math.isfinite overflows on a huge one
+        if not ((isinstance(value, int) or math.isfinite(value)) and ok(value)):
+            raise ValueError(f"{section}.{name} must be {rule}, got {value}")
 
 
 def save_matrix(path, m) -> None:

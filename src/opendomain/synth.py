@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .numkit import as_matrix, make_rng, parse_tokens, read_rows, size
+from .numkit import as_matrix, check_fields, make_rng, parse_tokens, read_rows, size
 
 __all__ = [
     "SynthConfig",
@@ -76,19 +76,16 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.known_classes <= self.total_classes:
-            raise ValueError("need 1 <= known classes <= total classes")
-        for name in ("input_dim", "word_dim", "source_per_class",
-                     "target_per_class"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.branching < 2:
-            raise ValueError("branching must be >= 2; >= total_classes builds a star")
-        for name in ("step", "noise", "word_noise", "translation_scale"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.seed < 0:
-            raise ValueError("synth.seed must be >= 0")
+        check_fields(self, "synth", "known_classes input_dim word_dim source_per_class "
+                     "target_per_class", lambda v: v >= 1, ">= 1")
+        if self.known_classes > self.total_classes:
+            raise ValueError(f"synth.known_classes must be <= synth.total_classes, got "
+                             f"{self.known_classes} > {self.total_classes}")
+        check_fields(self, "synth", "branching", lambda v: v >= 2,
+                     ">= 2 (>= total_classes builds a star)")
+        check_fields(self, "synth", "step noise word_noise translation_scale seed",
+                     lambda v: v >= 0, ">= 0")
+        check_fields(self, "synth", "rotation_angle", lambda v: True, "finite")
 
 
 def _build_tree(cfg: SynthConfig, rng):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .model import (
     encode_backward,
     pretrain_source,
 )
-from .numkit import MomentumSgd, check_sgd_settings, flat_views, make_rng, softmax_rows
+from .numkit import MomentumSgd, check_fields, flat_views, make_rng, softmax_rows
 
 __all__ = [
     "ConfigError",
@@ -73,10 +73,13 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The experiment: each dataclass field is a config section of its own
+    name, every other field a ``train.*`` key, or a ``flags.*`` key."""
+
     synth: synth.SynthConfig = field(default_factory=synth.SynthConfig)
-    loss_weights: LossWeights = field(default_factory=LossWeights)
+    loss: LossWeights = field(default_factory=LossWeights)
     pretrain: PretrainSchedule = field(default_factory=PretrainSchedule)
-    gcn_schedule: GcnSchedule = field(default_factory=GcnSchedule)
+    gcn: GcnSchedule = field(default_factory=GcnSchedule)
     feature_dim: int = 16
     learning_rate: float = 0.05
     momentum: float = 0.9
@@ -91,30 +94,27 @@ class ExperimentConfig:
     vanilla_balance: bool = False
 
     def __post_init__(self):
-        if self.loss_weights.w is None:
+        known, total = self.synth.known_classes, self.synth.total_classes
+        if self.loss.w is None:
             # loss.w defaults to the proportion of unknown classes
-            unknown = self.synth.total_classes - self.synth.known_classes
-            w = unknown / self.synth.total_classes if unknown else 0.5
-            object.__setattr__(self, "loss_weights", replace(self.loss_weights, w=w))
-        if self.enable_lb and self.vanilla_balance:
-            raise ConfigError("enable_lb and vanilla_balance are mutually exclusive")
-        for name in ("feature_dim", "epochs", "batch_size", "folds"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+            w = (total - known) / total if known < total else 0.5
+            object.__setattr__(self, "loss", replace(self.loss, w=w))
         try:
-            check_sgd_settings(self.learning_rate, self.momentum)
+            check_fields(self, "train", "feature_dim epochs batch_size folds",
+                         lambda v: v >= 1, ">= 1")
+            check_fields(self, "train", "learning_rate", lambda v: v > 0, "> 0")
+            check_fields(self, "train", "momentum", lambda v: 0 <= v < 1, "in [0, 1)")
+            check_fields(self, "train", "rematch_interval seed", lambda v: v >= 0, ">= 0")
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.rematch_interval < 0:
-            raise ConfigError("rematch_interval must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("train.seed must be >= 0")
-        if self.synth.known_classes == self.synth.total_classes:
-            if self.enable_lb or self.vanilla_balance or self.enable_gcn:
-                raise ConfigError(
-                    "balance and graph terms require unknown classes; "
-                    "disable them when known == total"
-                )
+            raise ConfigError(str(exc)) from None
+        if self.enable_lb and self.vanilla_balance:
+            raise ConfigError("flags.enable_lb and flags.vanilla_balance are "
+                              "mutually exclusive")
+        on = [f"flags.{name}" for name in ("enable_lb", "vanilla_balance", "enable_gcn")
+              if getattr(self, name)]
+        if known == total and on:
+            raise ConfigError(f"{' and '.join(on)} need unknown classes; disable them "
+                              "when synth.known_classes == synth.total_classes")
 
 
 # --flags token -> the config field it switches on
@@ -145,26 +145,17 @@ def apply_flags(cfg: ExperimentConfig, tokens) -> ExperimentConfig:
 
 # ------------------------------------------------------------------ config IO
 
-# text section -> nested config field; every other field is a train.* key,
-# except the flags (flags.*)
-_NESTED = {"synth": "synth", "loss": "loss_weights", "pretrain": "pretrain",
-           "gcn": "gcn_schedule"}
-
-
 def _sections(cfg: ExperimentConfig) -> dict:
     """The config text layout, section -> {key: value}, read off the
-    dataclass fields of ``cfg``."""
+    dataclass fields of ``cfg`` in their order."""
     out = {}
-    for section, attr in _NESTED.items():
-        part = getattr(cfg, attr)
-        out[section] = {f.name: getattr(part, f.name) for f in fields(part)}
-    out["train"] = {}
-    out["flags"] = {}
     for f in fields(cfg):
-        if f.name in _NESTED.values():
-            continue
-        section = "flags" if f.name in _FLAG_FIELDS.values() else "train"
-        out[section][f.name] = getattr(cfg, f.name)
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            out[f.name] = {g.name: getattr(value, g.name) for g in fields(value)}
+        else:
+            section = "flags" if f.name in _FLAG_FIELDS.values() else "train"
+            out.setdefault(section, {})[f.name] = value
     return out
 
 
@@ -177,10 +168,8 @@ def _parse_value(raw: str, kind, key: str):
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        value = kind(raw)
-        if kind is float and not math.isfinite(value):
-            raise ValueError(raw)
-        return value
+        # a non-finite float is refused by its section's field checks
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
@@ -193,7 +182,8 @@ def parse_config(text: str) -> ExperimentConfig:
     the proportion of unknown classes.
     """
     # a key's type is the type of its default value
-    defaults = _sections(ExperimentConfig())
+    base = ExperimentConfig()
+    defaults = _sections(base)
     values: dict = {name: {} for name in defaults}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -219,15 +209,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if name not in values[section]:
             raise ConfigError(f"missing required key: {required}")
 
-    top = {**values["train"], **values["flags"]}
+    top = {**values.pop("train"), **values.pop("flags")}
     try:
-        return ExperimentConfig(
-            synth=synth.SynthConfig(**values["synth"]),
-            loss_weights=LossWeights(**values["loss"]),
-            pretrain=PretrainSchedule(**values["pretrain"]),
-            gcn_schedule=GcnSchedule(**values["gcn"]),
-            **top,
-        )
+        parts = {name: type(getattr(base, name))(**keys) for name, keys in values.items()}
+        return ExperimentConfig(**parts, **top)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -295,10 +280,10 @@ def _check_class_counts(cfg: ExperimentConfig, graph, word_vectors) -> None:
         known, total = graph.known_class_count, graph.total_class_count
     else:
         known, total = cfg.synth.known_classes, word_vectors.shape[0]
-    if (cfg.synth.known_classes, cfg.synth.total_classes) != (known, total):
-        raise ConfigError(
-            f"config has {cfg.synth.known_classes} known / "
-            f"{cfg.synth.total_classes} total classes, the data {known} / {total}")
+    for key, data in (("known_classes", known), ("total_classes", total)):
+        if getattr(cfg.synth, key) != data:
+            raise ConfigError(f"synth.{key} = {getattr(cfg.synth, key)} does not "
+                              f"match the data's {data}")
 
 
 def prepare(cfg: ExperimentConfig, data) -> Prepared:
@@ -310,7 +295,8 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     source, target, graph, word_vectors = data
     l_s = cfg.synth.known_classes
     if graph is None and l_s != cfg.synth.total_classes:
-        raise ConfigError("a taxonomy graph is required when unknown classes exist")
+        raise ConfigError("a taxonomy graph is required when "
+                          "synth.known_classes < synth.total_classes")
     _check_class_counts(cfg, graph, word_vectors)
     if cfg.folds > min(source.n, target.n):
         raise ConfigError(f"train.folds = {cfg.folds} exceeds the rows of the source "
@@ -324,7 +310,7 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     if graph is not None:
         z_class = propagate(normalized_adjacency(graph), word_vectors,
                             graph.class_to_node)
-        theta, embeddings, _ = train_gcn_init(z_class, w_src, cfg.gcn_schedule, rng_gcn)
+        theta, embeddings, _ = train_gcn_init(z_class, w_src, cfg.gcn, rng_gcn)
         head = ClassifierHead(weights=embeddings, known_count=l_s)
     else:
         # symmetric label space: no propagation target, head starts at the
@@ -364,7 +350,7 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     value or gradient is not finite.
     """
     enc, head = state.encoder, state.head
-    lw = cfg.loss_weights
+    lw = cfg.loss
     known = head.known_count
     balance = cfg.enable_lb or cfg.vanilla_balance
     sgmd = cfg.enable_sgmd and len(raw_ms) > 0
@@ -392,7 +378,7 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
                                     probs[n_l:n_l + n_m], probs[n_l + n_m:], lw.tau)
         gate = outputs["sgmd"][3]
     if cfg.enable_gcn:
-        outputs["gcn"] = gcn_reg_loss(z_class, state.theta, cfg.gcn_schedule.slope,
+        outputs["gcn"] = gcn_reg_loss(z_class, state.theta, cfg.gcn.slope,
                                       head.weights)
 
     values = {name: result[0] for name, result in outputs.items()}

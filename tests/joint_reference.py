@@ -98,7 +98,7 @@ def _restricted_cls(f_src, head, labels):
 def reference_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt):
     """(components, gate): term -> (value, {parameter: gradient})."""
     enc, head = state.encoder, state.head
-    lw = cfg.loss_weights
+    lw = cfg.loss
     components = {}
 
     f_s = encode(raw_s, enc)
@@ -132,7 +132,7 @@ def reference_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt):
 
     if cfg.enable_gcn:
         val, d_theta, d_w_hat = gcn_reg_loss(z_class, state.theta,
-                                             cfg.gcn_schedule.slope, head.weights)
+                                             cfg.gcn.slope, head.weights)
         components["gcn"] = (val, {"gcn.theta": d_theta, "head.weights": d_w_hat})
     return components, gate
 

@@ -183,7 +183,7 @@ def test_criterion_2_gradient_suite():
         checked += 1
 
     checked = 0  # composite objective: one joint-loop step, all four terms
-    cfg = ExperimentConfig(loss_weights=LossWeights(
+    cfg = ExperimentConfig(loss=LossWeights(
         lambda_d=0.7, lambda_b=0.3, lambda_g=0.9, tau=0.0, w=0.4, epsilon=1e-12))
     while checked < 100:
         raw_s = rng.standard_normal((3, 3))
@@ -318,7 +318,7 @@ def test_criterion_7_da_mode_trend():
 # -------------------------------------------------------- 8: gate behavior
 
 def test_criterion_8_closed_gate_reduces_to_no_sgmd():
-    cfg = ExperimentConfig(loss_weights=LossWeights(tau=1.0), epochs=10)
+    cfg = ExperimentConfig(loss=LossWeights(tau=1.0), epochs=10)
     with_sgmd_state, with_hist = run_pipeline(cfg)
     without_state, without_hist = run_pipeline(replace(cfg, enable_sgmd=False))
     assert np.array_equal(with_sgmd_state.encoder.weight,

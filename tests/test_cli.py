@@ -543,10 +543,16 @@ _EXIT_CASES = [
      _append("exp.cfg", "train.learning_rate = nan\n"), 1, "learning_rate"),
     ("synth", "unknown config key",
      _append("exp.cfg", "train.bogus = 1\n"), 1, "exp.cfg: line 16"),
+    ("synth", "zero pretrain.learning_rate",
+     _append("exp.cfg", "pretrain.learning_rate = 0\n"), 1,
+     "exp.cfg: pretrain.learning_rate must be > 0, got 0.0"),
+    ("synth", "zero pretrain.epochs",
+     _replace("exp.cfg", "pretrain.epochs = 3", "pretrain.epochs = 0"), 1,
+     "exp.cfg: pretrain.epochs must be >= 1, got 0"),
     ("synth", "negative synth.seed",
      _replace("exp.cfg", "synth.seed = 0", "synth.seed = -1"), 1, "exp.cfg: synth.seed"),
     ("train", "config value out of range",
-     _append("exp.cfg", "gcn.momentum = 1.5\n"), 1, "exp.cfg: momentum"),
+     _append("exp.cfg", "gcn.momentum = 1.5\n"), 1, "exp.cfg: gcn.momentum"),
     ("train", "negative train.seed",
      _replace("exp.cfg", "train.seed = 0", "train.seed = -1"), 1, "exp.cfg: train.seed"),
     ("train", "missing source.ds", _remove("data/source.ds"), 3, "source.ds"),

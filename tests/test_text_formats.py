@@ -140,14 +140,12 @@ def _configs(draw):
         synth=replace(cfg.synth, known_classes=known,
                       total_classes=known + draw(st.integers(1, 5)),
                       noise=draw(non_negative), seed=draw(st.integers(0, 2**32 - 1))),
-        loss_weights=replace(cfg.loss_weights, tau=draw(finite), epsilon=draw(positive),
-                             w=draw(st.floats(0.0, 1.0, exclude_min=True,
-                                              exclude_max=True))),
+        loss=replace(cfg.loss, tau=draw(finite), epsilon=draw(positive),
+                     w=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
         pretrain=replace(cfg.pretrain, epochs=draw(st.integers(1, 100)),
                          learning_rate=draw(positive),
                          momentum=draw(st.floats(0.0, 1.0, exclude_max=True))),
-        gcn_schedule=replace(cfg.gcn_schedule, steps=draw(st.integers(1, 10**4)),
-                             slope=draw(non_negative)),
+        gcn=replace(cfg.gcn, steps=draw(st.integers(1, 10**4)), slope=draw(non_negative)),
         feature_dim=draw(st.integers(1, 64)),
         folds=draw(st.integers(1, 9)),
         rematch_interval=draw(st.integers(0, 10)),

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +41,7 @@ def _small_cfg(**overrides):
                                 source_per_class=10, target_per_class=10,
                                 seed=0),
         pretrain=PretrainSchedule(epochs=3),
-        gcn_schedule=GcnSchedule(steps=300),
+        gcn=GcnSchedule(steps=300),
         feature_dim=5,
         epochs=3,
         batch_size=8,
@@ -64,9 +65,9 @@ def test_parse_minimal_config():
 def test_parse_default_w_is_unknown_fraction():
     cfg = parse_config(MINIMAL + "synth.known_classes = 6\n"
                        "synth.total_classes = 10\n")
-    assert cfg.loss_weights.w == pytest.approx(0.4)
+    assert cfg.loss.w == pytest.approx(0.4)
     cfg = parse_config(MINIMAL + "loss.w = 0.25\n")
-    assert cfg.loss_weights.w == 0.25
+    assert cfg.loss.w == 0.25
 
 
 def test_default_w_is_the_same_in_python_and_in_a_config_file():
@@ -76,7 +77,7 @@ def test_default_w_is_the_same_in_python_and_in_a_config_file():
             synth=synth.SynthConfig(known_classes=known, total_classes=total), **flags)
         text = config_to_text(built).replace(f"loss.w = {w}\n", "")
         assert text != config_to_text(built)
-        assert parse_config(text).loss_weights.w == built.loss_weights.w == w
+        assert parse_config(text).loss.w == built.loss.w == w
 
 
 def test_parse_sections_and_comments():
@@ -89,8 +90,8 @@ train.batch_size = 16
 flags.enable_sgmd = false
 """
     cfg = parse_config(text)
-    assert cfg.loss_weights.tau == 0.7
-    assert cfg.gcn_schedule.slope == 0.1
+    assert cfg.loss.tau == 0.7
+    assert cfg.gcn.slope == 0.1
     assert cfg.pretrain.epochs == 4
     assert cfg.batch_size == 16
     assert not cfg.enable_sgmd
@@ -133,6 +134,71 @@ def test_parse_rejects_bad_configs(text):
 def test_experiment_config_rejects_infinite_learning_rate():
     with pytest.raises(ConfigError):
         ExperimentConfig(learning_rate=float("inf"))
+
+
+# every bounded key of the five sections with a value out of its range;
+# the non-finite ones are refused from Python as they are from text
+_OUT_OF_RANGE = [
+    ("synth.known_classes", 0), ("synth.total_classes", 7), ("synth.input_dim", 0),
+    ("synth.word_dim", 0), ("synth.source_per_class", 0), ("synth.target_per_class", 0),
+    ("synth.branching", 1), ("synth.step", -0.1), ("synth.noise", -0.1),
+    ("synth.noise", math.nan), ("synth.word_noise", math.inf),
+    ("synth.rotation_angle", math.inf), ("synth.translation_scale", -0.1),
+    ("synth.seed", -1),
+    ("loss.lambda_d", -0.1), ("loss.lambda_b", -1.0), ("loss.lambda_g", math.nan),
+    ("loss.tau", math.inf), ("loss.w", 0.0), ("loss.w", 1.0), ("loss.epsilon", 0.0),
+    ("pretrain.learning_rate", 0.0), ("pretrain.momentum", 1.0),
+    ("pretrain.momentum", -0.1), ("pretrain.epochs", 0), ("pretrain.batch_size", 0),
+    ("gcn.learning_rate", 0.0), ("gcn.learning_rate", math.inf), ("gcn.momentum", 1.5),
+    ("gcn.steps", 0), ("gcn.init_scale", 0.0), ("gcn.slope", -0.1),
+    ("train.feature_dim", 0), ("train.learning_rate", 0.0), ("train.momentum", 1.0),
+    ("train.epochs", 0), ("train.epochs", math.nan), ("train.batch_size", 0),
+    ("train.folds", 0), ("train.rematch_interval", -1), ("train.seed", -1),
+]
+# the boundary values that stay accepted
+_ON_THE_BOUND = [
+    ("pretrain.momentum", 0.0), ("gcn.momentum", 0.0), ("train.momentum", 0.0),
+    ("synth.branching", 2), ("train.rematch_interval", 0), ("gcn.slope", 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, refused",
+    [(k, v, True) for k, v in _OUT_OF_RANGE] + [(k, v, False) for k, v in _ON_THE_BOUND],
+    ids=[f"{k} = {v}" for k, v in _OUT_OF_RANGE + _ON_THE_BOUND])
+def test_config_key_bounds(key, value, refused):
+    """A value out of a key's range is refused as config text (ConfigError)
+    and from Python (ValueError), each time naming ``section.key``."""
+    section, _, name = key.partition(".")
+    keys = {"train.seed": 0, "synth.seed": 0, key: value}
+    text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+    kind = (ExperimentConfig if section == "train"
+            else type(getattr(ExperimentConfig(), section)))
+    if not refused:
+        cfg = parse_config(text)
+        part = cfg if section == "train" else getattr(cfg, section)
+        assert getattr(part, name) == value == getattr(kind(**{name: value}), name)
+        return
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(text)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        kind(**{name: value})
+
+
+@pytest.mark.parametrize("lines, keys", [
+    ("flags.enable_lb = true\nflags.vanilla_balance = true\n",
+     ("flags.enable_lb", "flags.vanilla_balance")),
+    ("synth.total_classes = 8\n",
+     ("flags.enable_lb and flags.enable_gcn", "synth.known_classes", "synth.total_classes")),
+    ("synth.total_classes = 8\nflags.enable_lb = false\nflags.vanilla_balance = true\n"
+     "flags.enable_gcn = false\n", ("flags.vanilla_balance need", "synth.total_classes")),
+    ("synth.known_classes = 13\n", ("synth.known_classes", "synth.total_classes")),
+])
+def test_cross_key_refusals_name_their_keys(lines, keys):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(MINIMAL + lines)
+    for key in keys:
+        assert key in str(exc.value)
 
 
 # the config_hash in metrics.json and checkpoints is a hash of this text
@@ -296,9 +362,10 @@ def test_rematch_interval_runs_and_is_deterministic():
 def test_prepare_rejects_class_counts_other_than_the_data():
     cfg = _small_cfg()
     data = synth.generate(cfg.synth)
-    for counts in ((2, 5), (3, 6)):
+    for counts, refusal in (((2, 5), "synth.known_classes = 2 does not match the data's 3"),
+                            ((3, 6), "synth.total_classes = 6 does not match the data's 5")):
         other = replace(cfg.synth, known_classes=counts[0], total_classes=counts[1])
-        with pytest.raises(ConfigError, match="classes"):
+        with pytest.raises(ConfigError, match=re.escape(refusal)):
             trainer.prepare(replace(cfg, synth=other), data)
     # without a graph: the word-vector rows
     sym = replace(cfg.synth, known_classes=3, total_classes=3)
@@ -306,7 +373,8 @@ def test_prepare_rejects_class_counts_other_than_the_data():
     sym_data = synth.generate(sym)
     trainer.prepare(sym_cfg, sym_data)
     wider = replace(sym, known_classes=4, total_classes=4)
-    with pytest.raises(ConfigError, match="classes"):
+    with pytest.raises(ConfigError,
+                       match="synth.total_classes = 4 does not match the data's 3"):
         trainer.prepare(replace(sym_cfg, synth=wider), sym_data)
 
 
@@ -387,7 +455,7 @@ def test_end_to_end_objective_gradient():
     words = rng.standard_normal((n_nodes, c))
     z_class = propagate(p_norm, words, [0, 1, 2, 4])
     # tau 0 keeps every pair gated, so the stop-gradient gate is constant
-    cfg = ExperimentConfig(loss_weights=LossWeights(
+    cfg = ExperimentConfig(loss=LossWeights(
         lambda_d=0.7, lambda_b=0.3, lambda_g=0.9, tau=0.0, w=0.4, epsilon=1e-12))
 
     def objective(enc_w, enc_b, head_w, theta):
@@ -447,7 +515,7 @@ def test_stacked_step_matches_the_per_term_reference(variant):
         lw = LossWeights(lambda_d=0.7, lambda_b=0.3, lambda_g=0.9, tau=tau,
                          w=0.4, epsilon=1e-12)
         # the step reads only the flags and the loss weights of a config
-        cfg = apply_flags(ExperimentConfig(loss_weights=lw), _ALL_VARIANTS[variant])
+        cfg = apply_flags(ExperimentConfig(loss=lw), _ALL_VARIANTS[variant])
         for matched in (0, 3, n):
             for _ in range(3):
                 state = ModelState(
@@ -583,7 +651,7 @@ def test_non_finite_gradient_names_its_term(monkeypatch, term, attr):
 
     monkeypatch.setattr(trainer, attr, poisoned)
     # tau 0 gates every matched pair, so the sgmd term is always present
-    cfg = _small_cfg(epochs=1, loss_weights=LossWeights(tau=0.0, w=0.4))
+    cfg = _small_cfg(epochs=1, loss=LossWeights(tau=0.0, w=0.4))
     with pytest.raises(NonFiniteLossError) as exc:
         run_pipeline(cfg)
     assert exc.value.component == term
@@ -700,7 +768,7 @@ def test_da_mode_equals_two_pipeline_runs():
 
 
 def test_da_mode_closed_gate_matches_source_only():
-    cfg = replace(_sym_cfg(), loss_weights=LossWeights(tau=1.0))
+    cfg = replace(_sym_cfg(), loss=LossWeights(tau=1.0))
     out = _da(cfg)
     assert out["sgmd"] == out["source_only"]
 
