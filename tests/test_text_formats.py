@@ -3,6 +3,7 @@ reader gives back exactly, float64 bit patterns included."""
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -160,3 +161,46 @@ def _configs(draw):
 @given(_configs())
 def test_config_round_trip(cfg):
     assert parse_config(config_to_text(cfg)) == cfg
+
+
+# ------------------------------------------------------------ exact bytes
+# The round trips above pin values; these pin the text the writers emit.
+
+@pytest.mark.parametrize("m, text", [
+    ([[-0.0, 5e-324, 1.7976931348623157e308],
+      [-1.7976931348623157e308, 0.1, 1e22]],
+     "2 3\n-0 4.9406564584124654e-324 1.7976931348623157e+308\n"
+     "-1.7976931348623157e+308 0.10000000000000001 1e+22\n"),
+    (np.zeros((0, 3)), "0 3\n"),
+    (np.zeros((2, 0)), "2 0\n\n\n"),
+    ([[0.25]], "1 1\n0.25\n"),
+])
+def test_matrix_text_is_exact(tmp_path, m, text):
+    path = tmp_path / "m.mat"
+    save_matrix(path, m)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+_FEATURES = np.array([[0.5, -0.0], [0.1, 1e22]])
+
+
+@pytest.mark.parametrize("features, labels, table, sidecar", [
+    (_FEATURES, [3, 0], "2 2 labeled {} classes 4\n{} 0.5 -0\n{} 0.10000000000000001 1e+22\n",
+     "3\n0\n"),
+    (np.zeros((0, 2)), [], "0 2 labeled {} classes 4\n", ""),
+    # no feature columns: the label (or `?`) keeps its trailing space
+    (np.zeros((2, 0)), [3, 1], "2 0 labeled {} classes 4\n{} \n{} \n", "3\n1\n"),
+    (np.array([[5e-324], [-2.5]]), [2, 3],
+     "2 1 labeled {} classes 4\n{} 4.9406564584124654e-324\n{} -2.5\n", "2\n3\n"),
+])
+def test_dataset_text_is_exact(tmp_path, features, labels, table, sidecar):
+    labels = np.array(labels, dtype=int)
+    path = tmp_path / "source.ds"
+    save_dataset(path, LabeledDataset(features=features, labels=labels), 4)
+    assert path.read_bytes() == table.format(1, *labels).encode("utf-8")
+    assert not (tmp_path / "source.ds.eval").exists()
+
+    path = tmp_path / "target.ds"
+    save_dataset(path, UnlabeledDataset(features=features, eval_labels=labels), 4)
+    assert path.read_bytes() == table.format(0, *["?"] * len(labels)).encode("utf-8")
+    assert (tmp_path / "target.ds.eval").read_bytes() == sidecar.encode("utf-8")
