@@ -112,10 +112,8 @@ def save_matrix(path, m) -> None:
     """Write the text form: a `rows cols` header then one row per line,
     17 significant digits (lossless for float64)."""
     m = as_matrix(m)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, m, fmt="%.17g", header=f"{m.shape[0]} {m.shape[1]}", comments="",
+               encoding="utf-8")
 
 
 def load_matrix(path) -> np.ndarray:

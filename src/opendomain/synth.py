@@ -207,17 +207,14 @@ def save_dataset(path, dataset, num_classes: int) -> None:
     line. Unlabeled rows start with `?`; their eval labels go to a
     sidecar file `<path>.eval`."""
     labeled = isinstance(dataset, LabeledDataset)
-    feats = dataset.features
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{feats.shape[0]} {feats.shape[1]} labeled {int(labeled)} "
-                 f"classes {num_classes}\n")
-        for i in range(feats.shape[0]):
-            tag = str(int(dataset.labels[i])) if labeled else "?"
-            fh.write(tag + " " + " ".join(f"{v:.17g}" for v in feats[i]) + "\n")
+    n, m_in = dataset.features.shape
+    # labels go through float64 exactly: the loader keeps them below 2**53
+    rows = np.column_stack([dataset.labels, dataset.features]) if labeled else dataset.features
+    np.savetxt(path, rows, fmt=("%d " if labeled else "? ") + " ".join(["%.17g"] * m_in),
+               header=f"{n} {m_in} labeled {int(labeled)} classes {num_classes}",
+               comments="", encoding="utf-8")
     if not labeled:
-        with open(str(path) + ".eval", "w", encoding="utf-8") as fh:
-            for y in dataset.eval_labels:
-                fh.write(f"{int(y)}\n")
+        np.savetxt(str(path) + ".eval", dataset.eval_labels, fmt="%d", encoding="utf-8")
 
 
 def _unlabeled(tag: str) -> int:
