@@ -48,8 +48,8 @@ def _read_config(path):
 
 def _load_dataset(directory, name, classes):
     """Load a data file, rejecting one that declares other than ``classes``
-    classes, has no rows, or is unlabeled as the source (labeled as the
-    target)."""
+    classes, has no rows or no feature columns, or is unlabeled as the
+    source (labeled as the target)."""
     path = os.path.join(directory, _DATA_FILES[name])
     dataset, declared = synth.load_dataset(path)
     if isinstance(dataset, synth.LabeledDataset) != (name == "source"):
@@ -59,6 +59,8 @@ def _load_dataset(directory, name, classes):
         raise ValueError(f"{path}: declares {declared} classes, expected {classes}")
     if not dataset.n:
         raise ValueError(f"{path}: no rows")
+    if not dataset.features.shape[1]:
+        raise ValueError(f"{path}: no feature columns")
     return dataset
 
 
@@ -74,16 +76,17 @@ def _load_data_dir(directory, cfg):
     target = _load_dataset(directory, "target", cfg.synth.total_classes)
     _same("input dim", path["target"], target.features.shape[1],
           path["source"], source.features.shape[1])
+    word_vectors = load_matrix(path["wordvec"])
+    if not word_vectors.shape[1]:
+        raise ValueError(f"{path['wordvec']}: no columns")
     if cfg.synth.known_classes == cfg.synth.total_classes:
         # nothing to propagate to, so a graph.txt is never read
-        word_vectors = load_matrix(path["wordvec"])
         _same("class count", path["wordvec"], word_vectors.shape[0],
               path["target"], cfg.synth.total_classes)
         return source, target, None, word_vectors
     if not os.path.exists(path["graph"]):
         raise ValueError(f"{path['graph']} not found: unknown classes need a taxonomy graph")
     graph = load_graph(path["graph"])
-    word_vectors = load_matrix(path["wordvec"])
     _same("known class count", path["graph"], graph.known_class_count,
           path["source"], cfg.synth.known_classes)
     _same("class count", path["graph"], graph.total_class_count,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, MomentumSgd, check_fields, leaky_relu
+from .numkit import DimensionError, MomentumSgd, check_fields, check_types, leaky_relu
 
 __all__ = [
     "GcnSchedule",
@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GcnSchedule:
     learning_rate: float = 0.5
     momentum: float = 0.97
@@ -41,6 +41,7 @@ class GcnSchedule:
     slope: float = 0.2  # leaky-ReLU slope, in GCN init and in the graph tie
 
     def __post_init__(self):
+        check_types(self, "gcn")
         check_fields(self, "gcn", "learning_rate init_scale", lambda v: v > 0, "> 0")
         check_fields(self, "gcn", "momentum", lambda v: 0 <= v < 1, "in [0, 1)")
         check_fields(self, "gcn", "steps", lambda v: v >= 1, ">= 1")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, check_fields
+from .numkit import DimensionError, check_fields, check_types
 
 __all__ = [
     "ClassifierHead",
@@ -70,6 +70,7 @@ class LossWeights:
     epsilon: float = 0.05
 
     def __post_init__(self):
+        check_types(self, "loss")
         check_fields(self, "loss", "lambda_d lambda_b lambda_g", lambda v: v >= 0, ">= 0")
         if self.w is not None:
             check_fields(self, "loss", "w", lambda v: 0 < v < 1, "in (0, 1)")

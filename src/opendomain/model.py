@@ -17,6 +17,7 @@ from .numkit import (
     DimensionError,
     MomentumSgd,
     check_fields,
+    check_types,
     flat_views,
     load_matrix,
     save_matrix,
@@ -51,7 +52,7 @@ class ModelState:
     theta: np.ndarray  # GCN weights, word_dim x feature_dim
 
 
-@dataclass
+@dataclass(frozen=True)
 class PretrainSchedule:
     learning_rate: float = 0.05
     momentum: float = 0.9
@@ -59,6 +60,7 @@ class PretrainSchedule:
     batch_size: int = 32
 
     def __post_init__(self):
+        check_types(self, "pretrain")
         check_fields(self, "pretrain", "learning_rate", lambda v: v > 0, "> 0")
         check_fields(self, "pretrain", "momentum", lambda v: 0 <= v < 1, "in [0, 1)")
         check_fields(self, "pretrain", "epochs batch_size", lambda v: v >= 1, ">= 1")

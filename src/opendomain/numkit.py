@@ -1,5 +1,5 @@
 """Numeric substrate: checked dense kernels, stable softmax, seeded RNG,
-momentum SGD, the one checker of config fields, the reader of the headed
+momentum SGD, the checkers of config fields, the reader of the headed
 text tables, matrix text serialization and the JSON file form.
 
 Everything runs on 64-bit numpy arrays. The conventions fixed here
@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from array import array
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,6 +24,7 @@ __all__ = [
     "make_rng",
     "flat_views",
     "MomentumSgd",
+    "check_types",
     "check_fields",
     "save_matrix",
     "load_matrix",
@@ -95,6 +98,34 @@ class MomentumSgd:
         v *= self.momentum
         v += grad
         self.params -= self.lr * v
+
+
+# a config key's kind is the type of its default: the values it takes, its name
+_KINDS = {bool: ((bool, np.bool_), "a bool"), int: (numbers.Integral, "an int"),
+          float: (numbers.Real, "a float")}
+
+
+def check_types(obj, section) -> None:
+    """Refuse each bool, int or float field of the dataclass ``obj`` whose
+    value is not of its default's kind (a bool is no number, a float no
+    int) with the ValueError ``<section>.<name> must be <a kind>, got
+    <value>``; store an accepted value as the kind itself, so an int given
+    to a float key writes the text of a float. ``section`` is the section
+    name or a function from a field name to it."""
+    for f in fields(obj):
+        kind = type(f.default)
+        if kind not in _KINDS:
+            continue
+        value = getattr(obj, f.name)
+        types, noun = _KINDS[kind]
+        if isinstance(value, types) and (kind is bool or not isinstance(value, bool)):
+            try:
+                object.__setattr__(obj, f.name, kind(value))
+                continue
+            except OverflowError:  # an int past the float64 range
+                pass
+        where = section(f.name) if callable(section) else section
+        raise ValueError(f"{where}.{f.name} must be {noun}, got {value!r}")
 
 
 def check_fields(obj, section: str, names: str, ok, rule: str) -> None:

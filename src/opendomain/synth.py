@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .numkit import as_matrix, check_fields, make_rng, parse_tokens, read_rows, size
+from .numkit import (as_matrix, check_fields, check_types, make_rng, parse_tokens, read_rows,
+                     size)
 
 __all__ = [
     "SynthConfig",
@@ -76,6 +77,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self, "synth")
         check_fields(self, "synth", "known_classes input_dim word_dim source_per_class "
                      "target_per_class", lambda v: v >= 1, ">= 1")
         if self.known_classes > self.total_classes:

@@ -38,7 +38,7 @@ from .model import (
     encode_backward,
     pretrain_source,
 )
-from .numkit import MomentumSgd, check_fields, flat_views, make_rng, softmax_rows
+from .numkit import MomentumSgd, check_fields, check_types, flat_views, make_rng, softmax_rows
 
 __all__ = [
     "ConfigError",
@@ -100,6 +100,7 @@ class ExperimentConfig:
             w = (total - known) / total if known < total else 0.5
             object.__setattr__(self, "loss", replace(self.loss, w=w))
         try:
+            check_types(self, _section)
             check_fields(self, "train", "feature_dim epochs batch_size folds",
                          lambda v: v >= 1, ">= 1")
             check_fields(self, "train", "learning_rate", lambda v: v > 0, "> 0")
@@ -120,6 +121,12 @@ class ExperimentConfig:
 # --flags token -> the config field it switches on
 _FLAG_FIELDS = {"lb": "enable_lb", "sgmd": "enable_sgmd", "gcn": "enable_gcn",
                 "vanilla": "vanilla_balance"}
+
+
+def _section(name: str) -> str:
+    """The config section of a field of ExperimentConfig that is no section
+    of its own."""
+    return "flags" if name in _FLAG_FIELDS.values() else "train"
 
 ABLATION_VARIANTS = {
     "baseline": (),
@@ -154,8 +161,7 @@ def _sections(cfg: ExperimentConfig) -> dict:
         if is_dataclass(value):
             out[f.name] = {g.name: getattr(value, g.name) for g in fields(value)}
         else:
-            section = "flags" if f.name in _FLAG_FIELDS.values() else "train"
-            out.setdefault(section, {})[f.name] = value
+            out.setdefault(_section(f.name), {})[f.name] = value
     return out
 
 

@@ -1,12 +1,14 @@
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from opendomain.cli import main
 from opendomain.numkit import load_matrix, make_rng, save_matrix
+from opendomain.synth import load_dataset, save_dataset
 from opendomain.trainer import DA_VARIANTS, apply_flags, parse_config, run_pipeline
 from pairs_file import load_pairs
 
@@ -488,6 +490,21 @@ def _drop_last_row(name):
     return lambda root: save_matrix(root / name, load_matrix(root / name)[:-1])
 
 
+def _no_columns(name):
+    """Rewrite a matrix file as its rows with no columns."""
+    return lambda root: save_matrix(root / name, load_matrix(root / name)[:, :0])
+
+
+def _no_features(*names):
+    """Rewrite datasets as their rows with no feature columns."""
+    def edit(root):
+        for name in names:
+            dataset, classes = load_dataset(root / name)
+            save_dataset(root / name, replace(dataset, features=dataset.features[:, :0]),
+                         classes)
+    return edit
+
+
 def _narrow(name):
     """Rewrite a dataset without its last feature column."""
     def edit(root):
@@ -611,6 +628,12 @@ _EXIT_CASES = [
     ("train", "known == total, wordvec.mat a row short",
      _symmetric(_drop_last_row("data/wordvec.mat")), 1,
      ("wordvec.mat and /", "target.ds disagree on the class count: 2 != 3")),
+    ("train", "wordvec.mat with no columns", _no_columns("data/wordvec.mat"), 1,
+     "wordvec.mat: no columns"),
+    ("train", "known == total, wordvec.mat with no columns",
+     _symmetric(_no_columns("data/wordvec.mat")), 1, "wordvec.mat: no columns"),
+    ("train", "source.ds and target.ds with no feature columns",
+     _no_features("data/source.ds", "data/target.ds"), 1, "source.ds: no feature columns"),
     ("train", "missing graph.txt with unknown classes", _remove("data/graph.txt"), 1,
      "graph.txt not found"),
     ("train", "train.folds past the source rows",
@@ -678,6 +701,8 @@ _EXIT_CASES = [
      _replace("data/target.ds", "classes 5", "classes 6"), 1, "target.ds"),
     ("eval", "target.ds with no rows", _no_rows("data/target.ds"), 1,
      "target.ds: no rows"),
+    ("eval", "target.ds with no feature columns", _no_features("data/target.ds"), 1,
+     "target.ds: no feature columns"),
     ("eval", "missing target.ds", _remove("data/target.ds"), 3, "target.ds"),
     ("eval", "target.ds a column narrower than the checkpoint", _narrow("data/target.ds"),
      1, ("target.ds and /", "manifest.json disagree on the input dim: 5 != 6")),

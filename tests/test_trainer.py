@@ -1,7 +1,7 @@
 import copy
 import math
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -251,6 +251,55 @@ def test_config_text_roundtrip():
     assert parse_config(config_to_text(cfg)) == cfg
     assert config_to_text(ExperimentConfig()) == DEFAULT_CONFIG_TEXT
     assert parse_config(DEFAULT_CONFIG_TEXT) == ExperimentConfig()
+
+
+# values of another type than the key's, which config text cannot spell
+_WRONG_TYPE = [
+    ("train.epochs", 2.5), ("train.seed", True), ("train.batch_size", "32"),
+    ("train.learning_rate", True), ("train.learning_rate", 10**400),
+    ("flags.enable_lb", "no"), ("flags.enable_sgmd", 1),
+    ("synth.known_classes", 8.0), ("synth.total_classes", np.float64(12)),
+    ("synth.noise", "0.5"), ("loss.tau", False), ("pretrain.epochs", True),
+    ("gcn.steps", 100.0),
+]
+
+
+@pytest.mark.parametrize("key, value", _WRONG_TYPE,
+                         ids=[f"{k}: {type(v).__name__}" for k, v in _WRONG_TYPE])
+def test_python_config_refuses_other_types(key, value):
+    """An int key takes no float or bool, a float key no bool, a flag
+    nothing but a bool: ExperimentConfig refuses with ConfigError and a
+    section with ValueError, each naming ``section.key``."""
+    section, _, name = key.partition(".")
+    kind = (ExperimentConfig if section in ("train", "flags")
+            else type(getattr(ExperimentConfig(), section)))
+    error = ConfigError if kind is ExperimentConfig else ValueError
+    with pytest.raises(error, match=re.escape(key)) as exc:
+        kind(**{name: value})
+    assert type(exc.value) is error
+
+
+def test_float_keys_store_an_int_as_a_float():
+    """An int given to a float key writes the text, and so the hash, of the
+    config parsed back from it."""
+    cfg = ExperimentConfig(learning_rate=1, gcn=GcnSchedule(slope=0),
+                           synth=synth.SynthConfig(noise=np.int64(1)))
+    text = config_to_text(cfg)
+    for line in ("train.learning_rate = 1.0", "gcn.slope = 0.0", "synth.noise = 1.0"):
+        assert line + "\n" in text
+    assert experiment_hash(cfg) == experiment_hash(parse_config(text))
+    assert type(cfg.learning_rate) is type(cfg.synth.noise) is float
+
+
+@pytest.mark.parametrize("section", ["pretrain", "gcn"])
+def test_schedules_are_frozen(section):
+    """A schedule cannot change after its checks ran, nor move the text of
+    another config that shares it."""
+    cfg = ExperimentConfig()
+    other = replace(cfg, seed=1)
+    with pytest.raises(FrozenInstanceError):
+        getattr(other, section).momentum = -1.0
+    assert config_to_text(cfg) == DEFAULT_CONFIG_TEXT
 
 
 def test_apply_flags():
