@@ -139,16 +139,9 @@ def cmd_train(args) -> int:
     save_checkpoint(os.path.join(args.out, "checkpoint"), state,
                     config_hash=experiment_hash(cfg))
     write_json(os.path.join(args.out, "history.json"), {"epochs": history})
-    final = history[-1]
-    write_json(os.path.join(args.out, "metrics.json"), {
-        "known": final["known"],
-        "unknown": final["unknown"],
-        "all": final["all"],
-        "n_known": final["n_known"],
-        "n_unknown": final["n_unknown"],
-        "config_hash": experiment_hash(cfg),
-        "seed": cfg.seed,
-    })
+    keys = ("known", "unknown", "all", "n_known", "n_unknown")
+    write_json(os.path.join(args.out, "metrics.json"), {**{k: history[-1][k] for k in keys},
+               "config_hash": experiment_hash(cfg), "seed": cfg.seed})
     return 0
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "propagate",
     "init_loss",
     "gcn_reg_loss",
+    "gcn_reg_core",
     "train_gcn_init",
 ]
 
@@ -94,15 +95,23 @@ def gcn_reg_loss(z, theta, slope: float, w_hat):
         raise DimensionError("GCN output dim must equal classifier weight dim")
     if slope < 0:
         raise ValueError("leaky_relu slope must be >= 0")
+    d_theta = np.empty(theta.shape)
+    loss, d_o = gcn_reg_core(z, theta, slope, w_hat, d_theta)
+    return loss, d_theta, -d_o
+
+
+def gcn_reg_core(z, theta, slope: float, w_hat, d_theta):
+    """:func:`gcn_reg_loss` on float64 arrays, unchecked: returns (loss, d_o),
+    minus the gradient wrt ``w_hat``, and writes the one wrt theta into ``d_theta``."""
     h = z @ theta
     positive = h > 0
     m = w_hat.shape[1]
     diff = np.where(positive, h, slope * h) - w_hat
-    loss = 0.5 / m * float(np.sum(diff * diff))
+    loss = 0.5 / m * float((diff * diff).sum())
     d_o = diff / m
     # leaky-ReLU derivative: 1 where h > 0, the slope elsewhere (also at 0)
-    d_theta = z.T @ np.where(positive, d_o, slope * d_o)
-    return loss, d_theta, -d_o
+    np.matmul(z.T, np.where(positive, d_o, slope * d_o), out=d_theta)
+    return loss, d_o
 
 
 def init_theta(word_dim: int, out_dim: int, rng: np.random.Generator,

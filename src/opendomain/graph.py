@@ -77,10 +77,6 @@ class KnowledgeGraph:
 _FIELDS = {"nodes": 6, "node": 3, "class": 3, "edge": 3}
 
 
-def _canon(i: int, j: int):
-    return (i, j) if i < j else (j, i)
-
-
 def load_graph(path) -> "KnowledgeGraph":
     """Parse the edge-list text format.
 
@@ -124,7 +120,7 @@ def load_graph(path) -> "KnowledgeGraph":
                 else:
                     i, j = size(parts[1]), size(parts[2])
                     if i != j:
-                        edges.append(_canon(i, j))
+                        edges.append((min(i, j), max(i, j)))
                     else:
                         loops.append((lineno, i))
             except ValueError as exc:

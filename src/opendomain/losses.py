@@ -16,7 +16,8 @@ features. The caller maps the rows back once: with ``F`` the features, ``W``
 the head and ``G`` the weighted logit gradients, the features get ``G W``
 plus the weighted SGMD rows and the head gets ``G^T F``. ``total_loss``
 weights the values and hands back each term's weight for that mapping.
-Source pretraining maps ``cls_loss`` back the same way, one batch per step.
+Each term's maths is an unchecked core that writes its gradient into an
+array its caller passes; the public term is its checks, then the core.
 """
 from __future__ import annotations
 
@@ -29,8 +30,12 @@ from .numkit import DimensionError, check_fields, check_types
 __all__ = [
     "ClassifierHead",
     "LossWeights",
+    "check_labels",
+    "cls_core",
     "cls_loss",
+    "sgmd_core",
     "sgmd_loss",
+    "balance_core",
     "balance_loss_vanilla",
     "limited_balance_loss",
     "limited_balance_terms",
@@ -78,22 +83,45 @@ class LossWeights:
         check_fields(self, "loss", "epsilon", lambda v: v > 0, "> 0")
 
 
+def check_labels(labels, classes: int) -> np.ndarray:
+    """``labels`` as ints; IndexError unless each indexes one of ``classes``."""
+    labels = np.asarray(labels, dtype=int)
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= classes:
+        raise IndexError(f"labels must index the {classes} classes of the responses")
+    return labels
+
+
+def cls_core(d, labels, eps: float = 1e-12) -> float:
+    """:func:`cls_loss` without its check: returns the loss and overwrites
+    the responses ``d`` with its gradient wrt their logits."""
+    n = len(labels)
+    rows = np.arange(n)
+    loss = float(-(np.log(np.maximum(d[rows, labels], eps)).sum() / n))
+    d[rows, labels] -= 1.0
+    d /= n
+    return loss
+
+
 def cls_loss(probs, labels, eps: float = 1e-12):
     """Mean cross-entropy of the true class under ``probs``, the softmax
     responses over exactly the classes that ``labels`` index.
 
     Returns (loss, grad wrt the logits of ``probs``).
     """
-    labels = np.asarray(labels, dtype=int)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= probs.shape[1]:
-        raise IndexError("labels must index the classes of the responses")
-    n = len(labels)
-    rows = np.arange(n)
-    loss = float(-(np.log(np.maximum(probs[rows, labels], eps)).sum() / n))
+    labels = check_labels(labels, probs.shape[1])
     d_logits = probs.copy()
-    d_logits[rows, labels] -= 1.0
-    d_logits /= n
-    return loss, d_logits
+    return cls_core(d_logits, labels, eps), d_logits
+
+
+def sgmd_core(fs, ft, ps, pt, tau: float, out):
+    """:func:`sgmd_loss` of n >= 1 pairs, unchecked: returns (loss, gate) and
+    writes the gradient wrt ``fs`` (minus the one wrt ``ft``) into ``out``."""
+    gate = (ps * pt).sum(axis=1) > tau
+    np.subtract(fs, ft, out=out)
+    out *= gate[:, None]  # a closed pair's row is 0
+    loss = 0.5 / len(fs) * float((out * out).sum())
+    out /= len(fs)
+    return loss, gate
 
 
 def sgmd_loss(fs_matched, ft_matched, ps, pt, tau: float):
@@ -107,29 +135,32 @@ def sgmd_loss(fs_matched, ft_matched, ps, pt, tau: float):
     ft = np.asarray(ft_matched, float)
     if fs.shape != ft.shape:
         raise DimensionError(f"matched feature shapes differ: {fs.shape} vs {ft.shape}")
-    n = fs.shape[0]
-    if n == 0:
+    if fs.shape[0] == 0:
         return 0.0, np.zeros_like(fs), np.zeros_like(ft), np.zeros(0, dtype=bool)
-    gate = np.sum(np.asarray(ps, float) * np.asarray(pt, float), axis=1) > tau
-    diff = (fs - ft) * gate[:, None]  # a closed pair's row is 0
-    loss = 0.5 / n * float(np.sum(diff * diff))
-    d_fs = diff / n
+    d_fs = np.empty_like(fs)
+    loss, gate = sgmd_core(fs, ft, np.asarray(ps, float), np.asarray(pt, float), tau, d_fs)
     return loss, d_fs, -d_fs, gate
 
 
-def _unknown_mass(probs, known_count):
-    return probs[:, known_count:].sum(axis=1)
-
-
-def _balance_logit_grads(probs, known_count, mass, d_mass):
-    """The logit gradient of a loss with gradient ``d_mass`` wrt each row's
-    unknown-class mass R = ``mass``: the softmax backward of d = ``d_mass``
-    on the unknown classes and 0 on the known ones, in closed form
-    p·(d − d_mass·R)."""
+def balance_core(d, known_count: int, w: float | None, eps: float = 1e-12) -> float:
+    """The limited balance loss of the responses ``d`` (``w`` None: the
+    vanilla one), unchecked. Overwrites ``d`` with its logit gradient, in
+    closed form p·(d − d_mass·R): d = d_mass, the gradient wrt each row's
+    unknown-class mass R, on the unknown classes and 0 on the known ones."""
+    mass = d[:, known_count:].sum(axis=1)
+    clamped = np.maximum(mass, eps)
+    n = len(mass)
+    if w is None:
+        loss = float(-(np.log(clamped).sum() / n))
+        d_mass = np.where(mass > eps, -1.0 / (n * clamped), 0.0)
+    else:
+        values, derivs = limited_balance_terms(clamped, w)
+        loss = float(values.sum() / n)
+        d_mass = np.where(mass > eps, derivs / n, 0.0)
     inner = (d_mass * mass)[:, None]
-    d_logits = probs * -inner
-    d_logits[:, known_count:] = probs[:, known_count:] * (d_mass[:, None] - inner)
-    return d_logits
+    d[:, :known_count] *= -inner
+    d[:, known_count:] *= d_mass[:, None] - inner
+    return loss
 
 
 def balance_loss_vanilla(probs, known_count: int, eps: float = 1e-12):
@@ -141,12 +172,8 @@ def balance_loss_vanilla(probs, known_count: int, eps: float = 1e-12):
     harder is exactly the runaway the limited form prevents. Returns
     (loss, grad wrt the logits of ``probs``).
     """
-    mass = _unknown_mass(probs, known_count)
-    clamped = np.maximum(mass, eps)
-    n = len(mass)
-    loss = float(-(np.log(clamped).sum() / n))
-    d_mass = np.where(mass > eps, -1.0 / (n * clamped), 0.0)
-    return loss, _balance_logit_grads(probs, known_count, mass, d_mass)
+    d_logits = probs.copy()
+    return balance_core(d_logits, known_count, None, eps), d_logits
 
 
 def limited_balance_terms(mass, w: float):
@@ -167,13 +194,8 @@ def limited_balance_loss(probs, known_count: int, w: float,
     """
     if not 0.0 < w < 1.0:
         raise ValueError("w must lie strictly inside (0, 1)")
-    mass = _unknown_mass(probs, known_count)
-    clamped = np.maximum(mass, eps)
-    values, derivs = limited_balance_terms(clamped, w)
-    n = len(mass)
-    loss = float(values.sum() / n)
-    d_mass = np.where(mass > eps, derivs / n, 0.0)
-    return loss, _balance_logit_grads(probs, known_count, mass, d_mass)
+    d_logits = probs.copy()
+    return balance_core(d_logits, known_count, w, eps), d_logits
 
 
 def total_loss(values: dict, lw: LossWeights):

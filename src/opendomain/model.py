@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import ClassifierHead, cls_loss
+from .losses import ClassifierHead, check_labels, cls_core, cls_loss  # noqa: F401
 from .numkit import (
     DimensionError,
     MomentumSgd,
@@ -92,7 +92,7 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
     Returns (encoder, classifier weight matrix, per-epoch mean loss).
     """
     features = np.asarray(features, float)
-    labels = np.asarray(labels, dtype=int)
+    labels = check_labels(labels, num_classes)
     n, m_in = features.shape
     enc = Encoder(
         weight=rng.uniform(-1.0, 1.0, (m_in, feature_dim)) / np.sqrt(m_in),
@@ -114,7 +114,8 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
         for start in range(0, n, schedule.batch_size):
             idx = order[start:start + schedule.batch_size]
             f = encode(features[idx], enc)
-            loss, d_logits = cls_loss(softmax_rows(f @ head.weights.T), labels[idx])
+            d_logits = softmax_rows(f @ head.weights.T)
+            loss = cls_core(d_logits, labels[idx])
             d_weight, d_bias = encode_backward(features[idx], d_logits @ head.weights)
             np.concatenate((d_weight, d_bias, d_logits.T @ f), axis=None, out=grad)
             opt.step(grad)

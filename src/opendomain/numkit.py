@@ -49,11 +49,14 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax with max-subtraction; rows sum to 1."""
+def softmax_rows(m, out=None) -> np.ndarray:
+    """Softmax of each row of the 2-D ``m`` with max-subtraction, into
+    ``out`` (``m`` itself for one in place) or a new array; rows sum to 1."""
     m = np.asarray(m, dtype=np.float64)
-    e = np.exp(m - m.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
+    # a max is exact in any order; one pass per column beats one call per row
+    e = np.subtract(m, np.ascontiguousarray(m.T).max(axis=0)[:, None], out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
     return e
 
 
@@ -70,15 +73,17 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def flat_views(arrays):
-    """Copies of ``arrays`` laid end to end in one new float64 buffer:
-    returns (buffer, views), each view shaped like its array. An update of
-    the buffer is then one pass over every array."""
-    flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+def flat_views(arrays, flat=None):
+    """Copies of ``arrays`` laid end to end in one new float64 buffer (or,
+    uncopied, the slices of ``flat`` in that layout): returns (buffer,
+    views), each view shaped like its array. An update of the buffer is
+    then one pass over every array."""
+    if flat is None:
+        flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
     views, start = [], 0
     for a in arrays:
-        views.append(flat[start:start + np.size(a)].reshape(np.shape(a)))
-        start += np.size(a)
+        views.append(flat[start:start + a.size].reshape(a.shape))
+        start += a.size
     return flat, views
 
 

@@ -174,33 +174,22 @@ def generate(cfg: SynthConfig):
         (vectors.shape[0], cfg.word_dim)
     )
 
-    src_feats = []
-    src_labels = []
-    for c in range(cfg.known_classes):
-        pts = prototypes[c] + cfg.noise * rng.standard_normal(
-            (cfg.source_per_class, cfg.input_dim)
-        )
-        src_feats.append(pts)
-        src_labels.extend([c] * cfg.source_per_class)
-    source = LabeledDataset(
-        features=np.vstack(src_feats), labels=np.array(src_labels, dtype=int)
-    )
+    # each domain's points class by class: its prototype plus gaussian noise
+    src_labels = np.repeat(np.arange(cfg.known_classes), cfg.source_per_class)
+    source = LabeledDataset(features=prototypes[src_labels] + cfg.noise * rng.standard_normal(
+        (len(src_labels), cfg.input_dim)), labels=src_labels)
 
     rotation = _rotation(cfg.input_dim, cfg.rotation_angle, rng)
     direction = rng.standard_normal(cfg.input_dim)
     direction /= np.linalg.norm(direction)
     translation = cfg.translation_scale * direction
-    tgt_feats = []
-    tgt_labels = []
-    for c in range(cfg.total_classes):
-        pts = prototypes[c] + cfg.noise * rng.standard_normal(
-            (cfg.target_per_class, cfg.input_dim)
-        )
-        tgt_feats.append(pts @ rotation.T + translation)
-        tgt_labels.extend([c] * cfg.target_per_class)
-    target = UnlabeledDataset(
-        features=np.vstack(tgt_feats), eval_labels=np.array(tgt_labels, dtype=int)
-    )
+    tgt_labels = np.repeat(np.arange(cfg.total_classes), cfg.target_per_class)
+    points = prototypes[tgt_labels] + cfg.noise * rng.standard_normal(
+        (len(tgt_labels), cfg.input_dim))
+    # rotated one class at a time, so each product has the rows it always had
+    shifted = [block @ rotation.T + translation
+               for block in np.split(points, cfg.total_classes)]
+    target = UnlabeledDataset(features=np.vstack(shifted), eval_labels=tgt_labels)
     return source, target, graph, word_vectors
 
 

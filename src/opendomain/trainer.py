@@ -19,25 +19,16 @@ import numpy as np
 
 from . import synth
 from .evaluate import accuracy_triple, predict
-from .gcn import GcnSchedule, gcn_reg_loss, propagate, train_gcn_init
+# bench/tracing.py patches the uncalled checked terms here (ROADMAP item 8)
+from .gcn import (  # noqa: F401
+    GcnSchedule, gcn_reg_core, gcn_reg_loss, propagate, train_gcn_init)
 from .graph import normalized_adjacency
-from .losses import (
-    ClassifierHead,
-    LossWeights,
-    balance_loss_vanilla,
-    cls_loss,
-    limited_balance_loss,
-    sgmd_loss,
-    total_loss,
-)
+from .losses import (  # noqa: F401
+    ClassifierHead, LossWeights, balance_core, balance_loss_vanilla, check_labels,
+    cls_core, cls_loss, limited_balance_loss, sgmd_core, sgmd_loss, total_loss)
 from .matching import match_domains
-from .model import (
-    ModelState,
-    PretrainSchedule,
-    encode,
-    encode_backward,
-    pretrain_source,
-)
+from .model import (  # noqa: F401
+    ModelState, PretrainSchedule, encode, encode_backward, pretrain_source)
 from .numkit import MomentumSgd, check_fields, check_types, flat_views, make_rng, softmax_rows
 
 __all__ = [
@@ -281,7 +272,7 @@ def _partner(enc, source, target, folds: int, rng) -> np.ndarray:
 def _check_class_counts(cfg: ExperimentConfig, graph, word_vectors) -> None:
     """Reject a config whose class counts are not the data's: the graph's,
     or without a graph (known == total), the word-vector rows. A source
-    label past the known classes is refused by ``cls_loss``."""
+    label past the known classes is refused by ``pretrain_source``."""
     if graph is not None:
         known, total = graph.known_class_count, graph.total_class_count
     else:
@@ -338,17 +329,19 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     The rows of every term are stacked (source batch, target batch, matched
     sources, matched targets), encoded once and scored by one logits
     product against the whole head. The source rows' unknown-class logits
-    are set to -inf, so one softmax gives cls its responses over the known
-    classes and balance and SGMD theirs over all classes. The logit
-    gradients of cls and balance and the feature gradients of SGMD go,
-    weighted, into stacked arrays that are mapped back once: through the
-    head, then one ``encode_backward``. Matched rows join the backward only
-    when some pair passes the gate.
+    are -inf, so one softmax, in place, gives cls its responses over the
+    known classes and balance and SGMD theirs over all classes. The cores
+    turn the cls and balance rows into logit gradients and write SGMD's
+    feature gradients below them; weighted by ``total_loss``, all are
+    mapped back once, through the head and then the encoder. Matched rows
+    join only when some pair passes the gate.
 
-    The gradient of the total is written into ``out``, a flat float64
-    buffer (a new one when None) holding the parameters' gradients end to
-    end in the order of ``grads``: encoder.weight, encoder.bias,
-    head.weights and, with the graph term, gcn.theta.
+    Each parameter's gradient of the total is written straight into its
+    view of ``out``, a flat float64 buffer (a new one when None) holding
+    encoder.weight, encoder.bias, head.weights and, with the graph term,
+    gcn.theta end to end; ``grads`` holds those views. What holds for a
+    whole run is not checked here: the labels' range (``train_joint``
+    checks it), ``w`` (:class:`LossWeights`) and the shapes (``prepare``).
 
     Returns (values, total, grads, gate): term -> value, the weighted total,
     parameter -> gradient of the total, and the SGMD gate (empty if SGMD
@@ -357,60 +350,60 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     """
     enc, head = state.encoder, state.head
     lw = cfg.loss
-    known = head.known_count
+    known, w_head = head.known_count, head.weights
     balance = cfg.enable_lb or cfg.vanilla_balance
-    sgmd = cfg.enable_sgmd and len(raw_ms) > 0
-    blocks = [raw_s] + ([raw_t] if balance else []) + ([raw_ms, raw_mt] if sgmd else [])
-    raw = np.concatenate(blocks)
-    f = encode(raw, enc)
     n_s = len(raw_s)
-    n_t = len(raw_t) if balance else 0
-    n_m = len(raw_ms) if sgmd else 0
-    n_l = n_s + n_t  # rows with a logit gradient; the matched rows follow
-
-    logits = f @ head.weights.T
-    logits[:n_s, known:] = -np.inf
-    probs = softmax_rows(logits)
-    # each term's outputs: value, its gradient(s), and for SGMD the gate
-    outputs = {"cls": cls_loss(probs[:n_s, :known], labels)}
+    n_l = n_s + (len(raw_t) if balance else 0)  # rows with a logit gradient
+    n_m = len(raw_ms) if cfg.enable_sgmd else 0  # matched pairs, after them
+    raw = np.concatenate([raw_s] + ([raw_t] if balance else [])
+                         + ([raw_ms, raw_mt] if n_m else []))
+    f = raw @ enc.weight + enc.bias
+    # the responses; rows :n_l become their terms' logit gradients
+    probs = f @ w_head.T
+    probs[:n_s, known:] = -np.inf
+    softmax_rows(probs, out=probs)
+    params = [enc.weight, enc.bias, w_head] + ([state.theta] if cfg.enable_gcn else [])
+    out, views = flat_views(params, out)  # with out None, a new buffer, overwritten below
+    grads = dict(zip(("encoder.weight", "encoder.bias", "head.weights", "gcn.theta"), views))
+    d_f = np.empty((n_l + 2 * n_m, f.shape[1]))  # the feature gradients
+    d_ms = d_f[n_l:n_l + n_m]
+    # the source rows' unknown-class responses are 0, and stay 0 under cls
+    values = {"cls": cls_core(probs[:n_s], labels)}
     if balance:
-        outputs["balance"] = (
-            balance_loss_vanilla(probs[n_s:n_l], known, lw.epsilon) if cfg.vanilla_balance
-            else limited_balance_loss(probs[n_s:n_l], known, lw.w, lw.epsilon))
+        values["balance"] = balance_core(probs[n_s:n_l], known,
+                                         None if cfg.vanilla_balance else lw.w, lw.epsilon)
     gate = np.zeros(0, dtype=bool)
-    if sgmd:
+    if n_m:
         # the responses only gate the pairs; no gradient flows through them
-        outputs["sgmd"] = sgmd_loss(f[n_l:n_l + n_m], f[n_l + n_m:],
-                                    probs[n_l:n_l + n_m], probs[n_l + n_m:], lw.tau)
-        gate = outputs["sgmd"][3]
+        values["sgmd"], gate = sgmd_core(f[n_l:n_l + n_m], f[n_l + n_m:],
+                                         probs[n_l:n_l + n_m], probs[n_l + n_m:],
+                                         lw.tau, d_ms)
     if cfg.enable_gcn:
-        outputs["gcn"] = gcn_reg_loss(z_class, state.theta, cfg.gcn.slope,
-                                      head.weights)
-
-    values = {name: result[0] for name, result in outputs.items()}
+        values["gcn"], d_o = gcn_reg_core(z_class, state.theta, cfg.gcn.slope, w_head,
+                                          grads["gcn.theta"])
     total, weight = total_loss(values, lw)
-    d_logits = np.zeros((n_l, head.num_classes))
-    d_logits[:n_s, :known] = outputs["cls"][1]
     if balance:
-        np.multiply(outputs["balance"][1], weight["balance"], out=d_logits[n_s:])
-    d_f = d_logits @ head.weights
+        probs[n_s:n_l] *= weight["balance"]
+    used = n_l  # the rows of d_f that the backward reads
     if gate.any():
-        d_fs = weight["sgmd"] * outputs["sgmd"][1]
-        d_f = np.concatenate([d_f, d_fs, -d_fs])
-    d_ew, d_eb = encode_backward(raw[:len(d_f)], d_f)
-    grads = {"encoder.weight": d_ew, "encoder.bias": d_eb,
-             "head.weights": d_logits.T @ f[:n_l]}
+        d_ms *= weight["sgmd"]
+        np.negative(d_ms, out=d_f[n_l + n_m:])
+        used += 2 * n_m
+    np.matmul(probs[:n_l], w_head, out=d_f[:n_l])
+    np.matmul(raw[:used].T, d_f[:used], out=grads["encoder.weight"])
+    d_f[:used].sum(axis=0, out=grads["encoder.bias"])
+    np.matmul(probs[:n_l].T, f[:n_l], out=grads["head.weights"])
     if cfg.enable_gcn:
-        _, d_theta, d_w_hat = outputs["gcn"]
-        grads["head.weights"] += weight["gcn"] * d_w_hat
-        grads["gcn.theta"] = weight["gcn"] * d_theta
-    out = np.concatenate(list(grads.values()), axis=None, out=out)
-
+        grads["head.weights"] -= weight["gcn"] * d_o
+        grads["gcn.theta"] *= weight["gcn"]
     # a non-finite term leaves the total or the gradients non-finite, so the
     # per-term scan, which names the term, runs only when they are
     if not (math.isfinite(total) and np.isfinite(out).all()):
-        for name, result in outputs.items():
-            _check_finite(name, result[0], result[1:3])  # sgmd's gate is result[3]
+        term_grads = {"cls": (probs[:n_s],), "balance": (probs[n_s:n_l],), "sgmd": (d_ms,)}
+        if cfg.enable_gcn:
+            term_grads["gcn"] = (grads["gcn.theta"], d_o)
+        for name, value in values.items():
+            _check_finite(name, value, term_grads[name])
     return values, total, grads, gate
 
 
@@ -429,12 +422,11 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
     """
     state, source, target = prepared.state, prepared.source, prepared.target
     enc, head = state.encoder, state.head
+    check_labels(source.labels, head.known_count)
     rng_joint, partner = prepared.rng_joint, prepared.partner
     labeled = not (target.eval_labels < 0).any()
 
-    trained = [enc.weight, enc.bias, head.weights]
-    if cfg.enable_gcn:
-        trained.append(state.theta)
+    trained = [enc.weight, enc.bias, head.weights] + ([state.theta] if cfg.enable_gcn else [])
     flat, views = flat_views(trained)
     enc.weight, enc.bias, head.weights = views[:3]
     if cfg.enable_gcn:
@@ -479,15 +471,8 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
         # would otherwise stack on them at the run's memory peak
         del xs, ys, xt, xms, xmt
 
-        record = {
-            "epoch": epoch,
-            "loss_cls": sums["cls"] / steps,
-            "loss_sgmd": sums["sgmd"] / steps,
-            "loss_balance": sums["balance"] / steps,
-            "loss_gcn": sums["gcn"] / steps,
-            "loss_total": sums["total"] / steps,
-            "gated_fraction": gated / considered if considered else 0.0,
-        }
+        record = {"epoch": epoch, **{f"loss_{name}": sums[name] / steps for name in sums},
+                  "gated_fraction": gated / considered if considered else 0.0}
         if labeled:
             preds = predict(state, target.features)
             record.update(accuracy_triple(preds, target.eval_labels,

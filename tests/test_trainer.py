@@ -478,13 +478,13 @@ def test_sgmd_sees_only_matched_sources(monkeypatch):
     sizes = replace(_small_cfg().synth, source_per_class=15, target_per_class=6)
     cfg = _small_cfg(synth=sizes, epochs=2)
     seen = []
-    original = trainer.sgmd_loss
+    original = trainer.sgmd_core
 
     def spy(f_ms, f_mt, *rest):
         seen.append(len(f_ms))
         return original(f_ms, f_mt, *rest)
 
-    monkeypatch.setattr(trainer, "sgmd_loss", spy)
+    monkeypatch.setattr(trainer, "sgmd_core", spy)
     run_pipeline(cfg)
     assert sum(seen) == cfg.epochs * 30
 
@@ -684,19 +684,21 @@ def test_non_finite_loss_raises():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("term, attr", [
-    ("cls", "cls_loss"),
-    ("balance", "limited_balance_loss"),
-    ("sgmd", "sgmd_loss"),
-    ("gcn", "gcn_reg_loss"),
+@pytest.mark.parametrize("term, attr, grad_arg", [
+    ("cls", "cls_core", 0),
+    ("balance", "balance_core", 0),
+    ("sgmd", "sgmd_core", -1),
+    ("gcn", "gcn_reg_core", -1),
 ])
-def test_non_finite_gradient_names_its_term(monkeypatch, term, attr):
-    # a finite value with a NaN gradient: only the gradient check can catch it
+def test_non_finite_gradient_names_its_term(monkeypatch, term, attr, grad_arg):
+    # a finite value with a NaN gradient: only the gradient check can catch it.
+    # Each core writes its gradient into one of its arguments
     real = getattr(trainer, attr)
 
     def poisoned(*args):
         out = real(*args)
-        return (out[0], np.full_like(out[1], np.nan)) + tuple(out[2:])
+        args[grad_arg][...] = np.nan
+        return out
 
     monkeypatch.setattr(trainer, attr, poisoned)
     # tau 0 gates every matched pair, so the sgmd term is always present
