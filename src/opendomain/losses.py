@@ -21,6 +21,7 @@ array its caller passes; the public term is its checks, then the core.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ from .numkit import DimensionError, check_fields, check_types
 __all__ = [
     "ClassifierHead",
     "LossWeights",
+    "NonFiniteLossError",
+    "check_finite",
     "check_labels",
     "cls_core",
     "cls_loss",
@@ -75,12 +78,30 @@ class LossWeights:
     epsilon: float = 0.05
 
     def __post_init__(self):
-        check_types(self, "loss")
+        check_types(self, "loss", optional=("w",))
         check_fields(self, "loss", "lambda_d lambda_b lambda_g", lambda v: v >= 0, ">= 0")
         if self.w is not None:
             check_fields(self, "loss", "w", lambda v: 0 < v < 1, "in (0, 1)")
         check_fields(self, "loss", "tau", lambda v: True, "finite")
         check_fields(self, "loss", "epsilon", lambda v: v > 0, "> 0")
+
+
+class NonFiniteLossError(RuntimeError):
+    """A loss term went NaN/Inf; carries the offending component name."""
+
+    def __init__(self, component: str, value: float):
+        super().__init__(f"non-finite loss in component '{component}' ({value})")
+        self.component = component
+
+
+def check_finite(name: str, value: float, grads) -> None:
+    """NonFiniteLossError naming ``name`` unless its value and each of its
+    gradients are finite."""
+    if not math.isfinite(value):
+        raise NonFiniteLossError(name, value)
+    for g in grads:
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteLossError(name, float("nan"))
 
 
 def check_labels(labels, classes: int) -> np.ndarray:

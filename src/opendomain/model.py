@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import ClassifierHead, check_labels, cls_core, cls_loss  # noqa: F401
+# bench/tracing.py patches the uncalled cls_loss here (ROADMAP item 8)
+from .losses import (  # noqa: F401
+    ClassifierHead, check_finite, check_labels, cls_core, cls_loss)
 from .numkit import (
     DimensionError,
     MomentumSgd,
@@ -89,7 +91,10 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
     """Fit the encoder and a known-class-only classifier on labeled source
     data by mini-batch cross-entropy with momentum SGD.
 
-    Returns (encoder, classifier weight matrix, per-epoch mean loss).
+    Raises IndexError for a label outside ``num_classes`` and
+    NonFiniteLossError ("pretrain") for a step whose loss or gradient is
+    not finite. Returns (encoder, classifier weight matrix, per-epoch mean
+    loss).
     """
     features = np.asarray(features, float)
     labels = check_labels(labels, num_classes)
@@ -118,6 +123,7 @@ def pretrain_source(features, labels, num_classes: int, feature_dim: int,
             loss = cls_core(d_logits, labels[idx])
             d_weight, d_bias = encode_backward(features[idx], d_logits @ head.weights)
             np.concatenate((d_weight, d_bias, d_logits.T @ f), axis=None, out=grad)
+            check_finite("pretrain", loss, (grad,))
             opt.step(grad)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))

@@ -110,18 +110,19 @@ _KINDS = {bool: ((bool, np.bool_), "a bool"), int: (numbers.Integral, "an int"),
           float: (numbers.Real, "a float")}
 
 
-def check_types(obj, section) -> None:
+def check_types(obj, section, optional=()) -> None:
     """Refuse each bool, int or float field of the dataclass ``obj`` whose
     value is not of its default's kind (a bool is no number, a float no
     int) with the ValueError ``<section>.<name> must be <a kind>, got
     <value>``; store an accepted value as the kind itself, so an int given
     to a float key writes the text of a float. ``section`` is the section
-    name or a function from a field name to it."""
+    name or a function from a field name to it. The fields named in
+    ``optional`` are float keys whose default None they may keep."""
     for f in fields(obj):
-        kind = type(f.default)
-        if kind not in _KINDS:
-            continue
         value = getattr(obj, f.name)
+        kind = float if f.name in optional else type(f.default)
+        if kind not in _KINDS or (value is None and f.name in optional):
+            continue
         types, noun = _KINDS[kind]
         if isinstance(value, types) and (kind is bool or not isinstance(value, bool)):
             try:

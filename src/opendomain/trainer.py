@@ -24,8 +24,9 @@ from .gcn import (  # noqa: F401
     GcnSchedule, gcn_reg_core, gcn_reg_loss, propagate, train_gcn_init)
 from .graph import normalized_adjacency
 from .losses import (  # noqa: F401
-    ClassifierHead, LossWeights, balance_core, balance_loss_vanilla, check_labels,
-    cls_core, cls_loss, limited_balance_loss, sgmd_core, sgmd_loss, total_loss)
+    ClassifierHead, LossWeights, NonFiniteLossError, balance_core, balance_loss_vanilla,
+    check_finite, check_labels, cls_core, cls_loss, limited_balance_loss, sgmd_core,
+    sgmd_loss, total_loss)
 from .matching import match_domains
 from .model import (  # noqa: F401
     ModelState, PretrainSchedule, encode, encode_backward, pretrain_source)
@@ -52,14 +53,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, missing key, bad value)."""
-
-
-class NonFiniteLossError(RuntimeError):
-    """A loss term went NaN/Inf; carries the offending component name."""
-
-    def __init__(self, component: str, value: float):
-        super().__init__(f"non-finite loss in component '{component}' ({value})")
-        self.component = component
 
 
 @dataclass(frozen=True)
@@ -229,14 +222,6 @@ def experiment_hash(cfg: ExperimentConfig) -> str:
 
 # --------------------------------------------------------------- train loop
 
-def _check_finite(name: str, value: float, grads) -> None:
-    if not math.isfinite(value):
-        raise NonFiniteLossError(name, value)
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteLossError(name, float("nan"))
-
-
 def _target_order(rng, n_target: int, needed: int) -> np.ndarray:
     reps = max(1, math.ceil(needed / n_target))
     chunks = [rng.permutation(n_target) for _ in range(reps)]
@@ -403,7 +388,7 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
         if cfg.enable_gcn:
             term_grads["gcn"] = (grads["gcn.theta"], d_o)
         for name, value in values.items():
-            _check_finite(name, value, term_grads[name])
+            check_finite(name, value, term_grads[name])
     return values, total, grads, gate
 
 

@@ -202,6 +202,24 @@ def test_train_numeric_failure_exits_two(tmp_path, config_path):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_blames_pretraining_for_a_huge_source_value(tmp_path, config_path, capsys):
+    # one finite but huge token overflows the first pretraining step: the
+    # step's own check names pretraining, before matching meets NaN costs
+    data = tmp_path / "data"
+    _synth(config_path, data)
+    lines = (data / "source.ds").read_text().splitlines(keepends=True)
+    lines[1] = " ".join(lines[1].split()[:-1] + ["1e300"]) + "\n"
+    (data / "source.ds").write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["train", "--config", config_path, "--data", str(data),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: non-finite loss in component 'pretrain'")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("name, line, changed", [
     pytest.param("exp.cfg", "synth.known_classes = 3", "synth.known_classes = 2",
                  id="synth.known_classes = 3-synth.known_classes = 2"),

@@ -31,6 +31,8 @@ def test_loss_weights_validation():
         LossWeights(w=1.0)
     with pytest.raises(ValueError):
         LossWeights(epsilon=0.0)
+    with pytest.raises(ValueError, match=r"^loss\.w must be a float, got '0\.5'$"):
+        LossWeights(w="0.5")
     # a NaN tau closes the SGMD gate for every pair without a word
     for bad in ({"tau": float("nan")}, {"tau": float("inf")},
                 {"tau": -float("inf")}, {"epsilon": float("nan")},
