@@ -1,16 +1,28 @@
-"""The joint-loop step the package shipped before it stacked every term's
-rows into one encode and one backward pass, kept as the tests' reference:
-each term encodes, softmaxes and backpropagates its own rows, and
-``reference_total`` merges the per-term gradient dicts with the loss
-weights. The loss maths is copied too, so a slip in the package's terms
-cannot cancel out of the comparison. Only the encoder and the graph tie,
-which the stacking leaves as they were, come from the package."""
+"""Two earlier forms of the joint-loop step, kept as the tests' references.
+
+``reference_terms`` is the step the package shipped before it stacked every
+term's rows into one encode and one backward pass: each term encodes,
+softmaxes and backpropagates its own rows, and ``reference_total`` merges
+the per-term gradient dicts with the loss weights. The loss maths is copied
+too, so a slip in the package's terms cannot cancel out of the comparison.
+Only the encoder and the graph tie, which the stacking leaves as they were,
+come from the package.
+
+``checked_joint_terms`` and ``checked_pretrain_source`` are the stacked
+step and the pretraining loop as they were before the steps called the
+unchecked term cores: verbatim copies that call the public checked terms,
+``encode`` and ``encode_backward``, with the softmax of that time. The
+package's steps must give their bits exactly.
+"""
+import math
+
 import numpy as np
 
+from opendomain import losses
 from opendomain.gcn import gcn_reg_loss
-from opendomain.losses import ClassifierHead
-from opendomain.model import encode, encode_backward
-from opendomain.numkit import softmax_rows
+from opendomain.losses import ClassifierHead, NonFiniteLossError, total_loss
+from opendomain.model import Encoder, encode, encode_backward
+from opendomain.numkit import MomentumSgd, flat_views, softmax_rows
 
 
 def classifier_responses(f, head):
@@ -159,3 +171,125 @@ def reference_total(components, lw):
             else:
                 merged[key] = weight * grad
     return total, merged
+
+
+# ------------------------------------------------------ the checked stacked step
+
+def checked_softmax_rows(m):
+    m = np.asarray(m, dtype=np.float64)
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _check_finite(name, value, grads):
+    if not math.isfinite(value):
+        raise NonFiniteLossError(name, value)
+    for g in grads:
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteLossError(name, float("nan"))
+
+
+def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt,
+                        out=None):
+    """(values, total, grads, gate) as the checked stacked step gave them;
+    the gradient of the total also goes into ``out``."""
+    # the package's checked terms under the names the step called them by;
+    # this module's own copies of the per-term maths take other arguments
+    cls_loss, sgmd_loss = losses.cls_loss, losses.sgmd_loss
+    balance_loss_vanilla = losses.balance_loss_vanilla
+    limited_balance_loss = losses.limited_balance_loss
+    softmax_rows = checked_softmax_rows
+    enc, head = state.encoder, state.head
+    lw = cfg.loss
+    known = head.known_count
+    balance = cfg.enable_lb or cfg.vanilla_balance
+    sgmd = cfg.enable_sgmd and len(raw_ms) > 0
+    blocks = [raw_s] + ([raw_t] if balance else []) + ([raw_ms, raw_mt] if sgmd else [])
+    raw = np.concatenate(blocks)
+    f = encode(raw, enc)
+    n_s = len(raw_s)
+    n_t = len(raw_t) if balance else 0
+    n_m = len(raw_ms) if sgmd else 0
+    n_l = n_s + n_t  # rows with a logit gradient; the matched rows follow
+
+    logits = f @ head.weights.T
+    logits[:n_s, known:] = -np.inf
+    probs = softmax_rows(logits)
+    # each term's outputs: value, its gradient(s), and for SGMD the gate
+    outputs = {"cls": cls_loss(probs[:n_s, :known], labels)}
+    if balance:
+        outputs["balance"] = (
+            balance_loss_vanilla(probs[n_s:n_l], known, lw.epsilon) if cfg.vanilla_balance
+            else limited_balance_loss(probs[n_s:n_l], known, lw.w, lw.epsilon))
+    gate = np.zeros(0, dtype=bool)
+    if sgmd:
+        # the responses only gate the pairs; no gradient flows through them
+        outputs["sgmd"] = sgmd_loss(f[n_l:n_l + n_m], f[n_l + n_m:],
+                                    probs[n_l:n_l + n_m], probs[n_l + n_m:], lw.tau)
+        gate = outputs["sgmd"][3]
+    if cfg.enable_gcn:
+        outputs["gcn"] = gcn_reg_loss(z_class, state.theta, cfg.gcn.slope,
+                                      head.weights)
+
+    values = {name: result[0] for name, result in outputs.items()}
+    total, weight = total_loss(values, lw)
+    d_logits = np.zeros((n_l, head.num_classes))
+    d_logits[:n_s, :known] = outputs["cls"][1]
+    if balance:
+        np.multiply(outputs["balance"][1], weight["balance"], out=d_logits[n_s:])
+    d_f = d_logits @ head.weights
+    if gate.any():
+        d_fs = weight["sgmd"] * outputs["sgmd"][1]
+        d_f = np.concatenate([d_f, d_fs, -d_fs])
+    d_ew, d_eb = encode_backward(raw[:len(d_f)], d_f)
+    grads = {"encoder.weight": d_ew, "encoder.bias": d_eb,
+             "head.weights": d_logits.T @ f[:n_l]}
+    if cfg.enable_gcn:
+        _, d_theta, d_w_hat = outputs["gcn"]
+        grads["head.weights"] += weight["gcn"] * d_w_hat
+        grads["gcn.theta"] = weight["gcn"] * d_theta
+    out = np.concatenate(list(grads.values()), axis=None, out=out)
+
+    # a non-finite term leaves the total or the gradients non-finite, so the
+    # per-term scan, which names the term, runs only when they are
+    if not (math.isfinite(total) and np.isfinite(out).all()):
+        for name, result in outputs.items():
+            _check_finite(name, result[0], result[1:3])  # sgmd's gate is result[3]
+    return values, total, grads, gate
+
+
+def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule, rng):
+    """(encoder, classifier weights, per-epoch mean loss) as the pretraining
+    loop on the checked ``cls_loss`` gave them."""
+    cls_loss, softmax_rows = losses.cls_loss, checked_softmax_rows
+    features = np.asarray(features, float)
+    labels = np.asarray(labels, dtype=int)
+    n, m_in = features.shape
+    enc = Encoder(
+        weight=rng.uniform(-1.0, 1.0, (m_in, feature_dim)) / np.sqrt(m_in),
+        bias=np.zeros(feature_dim),
+    )
+    head = ClassifierHead(
+        weights=rng.uniform(-1.0, 1.0, (num_classes, feature_dim))
+        / np.sqrt(feature_dim),
+        known_count=num_classes,
+    )
+    flat, (enc.weight, enc.bias, head.weights) = flat_views(
+        [enc.weight, enc.bias, head.weights])
+    opt = MomentumSgd(flat, schedule.learning_rate, schedule.momentum)
+    grad = np.empty_like(flat)
+    history = []
+    for _ in range(schedule.epochs):
+        order = rng.permutation(n)
+        epoch_losses = []
+        for start in range(0, n, schedule.batch_size):
+            idx = order[start:start + schedule.batch_size]
+            f = encode(features[idx], enc)
+            loss, d_logits = cls_loss(softmax_rows(f @ head.weights.T), labels[idx])
+            d_weight, d_bias = encode_backward(features[idx], d_logits @ head.weights)
+            np.concatenate((d_weight, d_bias, d_logits.T @ f), axis=None, out=grad)
+            opt.step(grad)
+            epoch_losses.append(loss)
+        history.append(float(np.mean(epoch_losses)))
+    return enc, head.weights, history

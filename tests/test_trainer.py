@@ -31,7 +31,8 @@ from opendomain.trainer import (
 )
 
 from gradcheck import grad_check
-from joint_reference import reference_terms, reference_total
+from joint_reference import (checked_joint_terms, checked_pretrain_source, reference_terms,
+                             reference_total)
 
 
 def _small_cfg(**overrides):
@@ -598,6 +599,80 @@ def test_stacked_step_matches_the_per_term_reference(variant):
                     _close(grad, ref_grads[key])
 
 
+# flag sets of the bit-identity test; each runs on batches with some matched
+# rows under a mixed gate, with no matched rows, and under a closed gate
+_LEAN_FLAGS = {"none": (), "lb": ("lb",), "sgmd": ("sgmd",), "gcn": ("gcn",),
+               "lb+sgmd+gcn": ("lb", "sgmd", "gcn"), "vanilla": ("vanilla",),
+               "sgmd+vanilla": ("sgmd", "vanilla")}
+_LEAN_CASES = ([(flags, case) for flags in _LEAN_FLAGS
+                for case in ("mixed gate", "no matched rows", "closed gate")]
+               + [(flags, "known == total") for flags in ("none", "sgmd")])
+
+
+@pytest.mark.parametrize("flags, case", _LEAN_CASES, ids=[" ".join(c) for c in _LEAN_CASES])
+def test_lean_step_gives_the_bits_of_the_checked_step(flags, case):
+    # the step on the unchecked cores against a verbatim copy of the step on
+    # the public checked terms: the same values, total, gradients and gate
+    known, total = (4, 4) if case == "known == total" else (4, 6)
+    rng = make_rng(len(flags) + 10 * len(case))
+    m_in, m, words, n = 6, 5, 7, 8
+    p_norm = rng.random((total + 2, total + 2)) + 0.1
+    p_norm /= p_norm.sum(axis=1, keepdims=True)
+    z_class = propagate(p_norm, rng.standard_normal((total + 2, words)), list(range(total)))
+    lw = LossWeights(lambda_d=0.7, lambda_b=0.3, lambda_g=0.9,
+                     tau=2.0 if case == "closed gate" else 0.15, w=0.4, epsilon=1e-12)
+    cfg = apply_flags(ExperimentConfig(loss=lw), _LEAN_FLAGS[flags])
+    matched = 0 if case == "no matched rows" else 5
+    gates = []
+    for _ in range(4):
+        state = ModelState(
+            Encoder(rng.standard_normal((m_in, m)), rng.standard_normal(m)),
+            ClassifierHead(rng.standard_normal((total, m)), known),
+            rng.standard_normal((words, m)))
+        raw_s = rng.standard_normal((n, m_in))
+        batch = (raw_s, rng.integers(0, known, n), rng.standard_normal((n, m_in)),
+                 raw_s[:matched], rng.standard_normal((matched, m_in)))
+        params = [state.encoder.weight, state.encoder.bias, state.head.weights, state.theta]
+        size = sum(p.size for p in params[:4 if cfg.enable_gcn else 3])
+        out, ref_out = np.full(size, np.nan), np.full(size, np.nan)
+        values, total_value, grads, gate = joint_terms(state, z_class, cfg, *batch, out=out)
+        ref_values, ref_total, ref_grads, ref_gate = checked_joint_terms(
+            copy.deepcopy(state), z_class, cfg, *batch, out=ref_out)
+
+        assert values == ref_values and total_value == ref_total
+        assert list(grads) == list(ref_grads)
+        for key, grad in grads.items():
+            assert np.array_equal(grad, ref_grads[key]), key
+        assert np.array_equal(out, ref_out)
+        assert gate.dtype == ref_gate.dtype and np.array_equal(gate, ref_gate)
+        gates.append(gate)
+    seen = np.concatenate(gates)
+    if cfg.enable_sgmd and matched and case != "closed gate":
+        assert seen.any() and not seen.all()  # the gate was mixed
+    if case == "closed gate" and cfg.enable_sgmd:
+        assert seen.size and not seen.any()
+
+
+def test_pretraining_gives_the_bits_of_the_checked_loop():
+    cfg = _small_cfg(pretrain=PretrainSchedule(epochs=1, batch_size=7))
+    source = synth.generate(cfg.synth)[0]
+    args = (source.features, source.labels, cfg.synth.known_classes, cfg.feature_dim,
+            cfg.pretrain)
+    enc, head, history = trainer.pretrain_source(*args, make_rng(3))
+    ref_enc, ref_head, ref_history = checked_pretrain_source(*args, make_rng(3))
+    assert history == ref_history
+    assert np.array_equal(enc.weight, ref_enc.weight)
+    assert np.array_equal(enc.bias, ref_enc.bias)
+    assert np.array_equal(head, ref_head)
+
+
+def test_train_joint_refuses_a_source_label_past_the_known_classes():
+    prepared = trainer.prepare(_small_cfg(), synth.generate(_small_cfg().synth))
+    prepared.source.labels[0] = prepared.state.head.known_count
+    with pytest.raises(IndexError):
+        trainer.train_joint(prepared, _small_cfg())
+
+
 def test_train_joint_replays_joint_terms_and_momentum():
     # 45 sources against 30 targets, rematched every epoch: the loop must
     # take exactly the tested step on the old per-batch index gathers, then
@@ -685,10 +760,10 @@ def test_non_finite_loss_raises():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("term, attr, grad_arg", [
-    ("cls", "cls_core", 0),
-    ("balance", "balance_core", 0),
-    ("sgmd", "sgmd_core", -1),
-    ("gcn", "gcn_reg_core", -1),
+    pytest.param("cls", "cls_core", 0, id="cls-cls_core"),
+    pytest.param("balance", "balance_core", 0, id="balance-balance_core"),
+    pytest.param("sgmd", "sgmd_core", -1, id="sgmd-sgmd_core"),
+    pytest.param("gcn", "gcn_reg_core", -1, id="gcn-gcn_reg_core"),
 ])
 def test_non_finite_gradient_names_its_term(monkeypatch, term, attr, grad_arg):
     # a finite value with a NaN gradient: only the gradient check can catch it.
