@@ -87,11 +87,13 @@ class LossWeights:
 
 
 class NonFiniteLossError(RuntimeError):
-    """A loss term went NaN/Inf; carries the offending component name."""
+    """A loss term went NaN/Inf; carries the offending component name and
+    its value (NaN when only a gradient was not finite)."""
 
     def __init__(self, component: str, value: float):
         super().__init__(f"non-finite loss in component '{component}' ({value})")
         self.component = component
+        self.value = value
 
 
 def check_finite(name: str, value: float, grads) -> None:

@@ -1,5 +1,7 @@
 """Trainable model: a linear encoder over precomputed feature vectors plus
-the full classifier head, initialized from graph-propagated embeddings.
+the full classifier head, initialized from graph-propagated embeddings, and
+its checkpoint files. The model is trained in :mod:`opendomain.trainer`,
+pretraining included.
 
 One parameter set serves both domains (weight sharing): source and target
 batches in the same step go through the identical encoder.
@@ -12,28 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# bench/tracing.py patches the uncalled cls_loss here (ROADMAP item 8)
-from .losses import (  # noqa: F401
-    ClassifierHead, check_finite, check_labels, cls_core, cls_loss)
+from .losses import ClassifierHead
 from .numkit import (
-    DimensionError,
-    MomentumSgd,
-    check_fields,
-    check_types,
-    flat_views,
-    load_matrix,
-    save_matrix,
-    softmax_rows,
-    write_json,
-)
+    DimensionError, check_fields, check_types, load_matrix, save_matrix, write_json)
 
 __all__ = [
     "Encoder",
     "ModelState",
     "PretrainSchedule",
     "encode",
-    "encode_backward",
-    "pretrain_source",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -75,59 +64,6 @@ def encode(raw, enc: Encoder) -> np.ndarray:
             f"encode: input dim {raw.shape[1]} != weight rows {enc.weight.shape[0]}"
         )
     return raw @ enc.weight + enc.bias
-
-
-def encode_backward(raw, d_out):
-    """Gradients of the linear encoder ``raw @ weight + bias`` given the
-    output gradient ``d_out``: returns (d_weight, d_bias). The encoder is the
-    first layer, so no gradient flows back to ``raw``."""
-    raw = np.asarray(raw, float)
-    d_out = np.asarray(d_out, float)
-    return raw.T @ d_out, d_out.sum(axis=0)
-
-
-def pretrain_source(features, labels, num_classes: int, feature_dim: int,
-                    schedule: PretrainSchedule, rng: np.random.Generator):
-    """Fit the encoder and a known-class-only classifier on labeled source
-    data by mini-batch cross-entropy with momentum SGD.
-
-    Raises IndexError for a label outside ``num_classes`` and
-    NonFiniteLossError ("pretrain") for a step whose loss or gradient is
-    not finite. Returns (encoder, classifier weight matrix, per-epoch mean
-    loss).
-    """
-    features = np.asarray(features, float)
-    labels = check_labels(labels, num_classes)
-    n, m_in = features.shape
-    enc = Encoder(
-        weight=rng.uniform(-1.0, 1.0, (m_in, feature_dim)) / np.sqrt(m_in),
-        bias=np.zeros(feature_dim),
-    )
-    head = ClassifierHead(
-        weights=rng.uniform(-1.0, 1.0, (num_classes, feature_dim))
-        / np.sqrt(feature_dim),
-        known_count=num_classes,
-    )
-    flat, (enc.weight, enc.bias, head.weights) = flat_views(
-        [enc.weight, enc.bias, head.weights])
-    opt = MomentumSgd(flat, schedule.learning_rate, schedule.momentum)
-    grad = np.empty_like(flat)
-    history = []
-    for _ in range(schedule.epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, schedule.batch_size):
-            idx = order[start:start + schedule.batch_size]
-            f = encode(features[idx], enc)
-            d_logits = softmax_rows(f @ head.weights.T)
-            loss = cls_core(d_logits, labels[idx])
-            d_weight, d_bias = encode_backward(features[idx], d_logits @ head.weights)
-            np.concatenate((d_weight, d_bias, d_logits.T @ f), axis=None, out=grad)
-            check_finite("pretrain", loss, (grad,))
-            opt.step(grad)
-            epoch_losses.append(loss)
-        history.append(float(np.mean(epoch_losses)))
-    return enc, head.weights, history
 
 
 # each file of a checkpoint with the manifest keys of its row and column

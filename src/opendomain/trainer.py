@@ -1,6 +1,8 @@
 """End-to-end training: source pretrain, graph-propagated classifier init,
 cross-domain matching, then the joint loop that mixes the four loss terms,
-plus the variant runner.
+plus the variant runner. Both training loops take the one step
+:func:`joint_terms`; pretraining runs it with cls alone on a head of the
+known classes.
 
 Source cross-entropy is computed over the known-class rows only, so the
 unknown-class classifiers move exclusively under the balance constraint and
@@ -19,17 +21,13 @@ import numpy as np
 
 from . import synth
 from .evaluate import accuracy_triple, predict
-# bench/tracing.py patches the uncalled checked terms here (ROADMAP item 8)
-from .gcn import (  # noqa: F401
-    GcnSchedule, gcn_reg_core, gcn_reg_loss, propagate, train_gcn_init)
+from .gcn import GcnSchedule, gcn_reg_core, propagate, train_gcn_init
 from .graph import normalized_adjacency
-from .losses import (  # noqa: F401
-    ClassifierHead, LossWeights, NonFiniteLossError, balance_core, balance_loss_vanilla,
-    check_finite, check_labels, cls_core, cls_loss, limited_balance_loss, sgmd_core,
-    sgmd_loss, total_loss)
+from .losses import (
+    ClassifierHead, LossWeights, NonFiniteLossError, balance_core, check_finite,
+    check_labels, cls_core, sgmd_core, total_loss)
 from .matching import match_domains
-from .model import (  # noqa: F401
-    ModelState, PretrainSchedule, encode, encode_backward, pretrain_source)
+from .model import Encoder, ModelState, PretrainSchedule, encode
 from .numkit import MomentumSgd, check_fields, check_types, flat_views, make_rng, softmax_rows
 
 __all__ = [
@@ -39,6 +37,7 @@ __all__ = [
     "parse_config",
     "config_to_text",
     "apply_flags",
+    "pretrain_source",
     "Prepared",
     "prepare",
     "joint_terms",
@@ -268,6 +267,45 @@ def _check_class_counts(cfg: ExperimentConfig, graph, word_vectors) -> None:
                               f"match the data's {data}")
 
 
+def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Generator):
+    """Fit the encoder and a known-class-only classifier on labeled source
+    data: ``cfg.pretrain`` mini-batch momentum-SGD epochs of the joint step
+    with cls alone, on a model of ``cfg.feature_dim`` features whose head
+    holds the ``cfg.synth.known_classes`` known classes.
+
+    Raises IndexError for a label outside the known classes and
+    NonFiniteLossError ("pretrain") for a step whose loss or gradient is
+    not finite. Returns (encoder, classifier weight matrix, per-epoch mean
+    loss).
+    """
+    schedule, known, m = cfg.pretrain, cfg.synth.known_classes, cfg.feature_dim
+    features = np.asarray(features, float)
+    labels = check_labels(labels, known)
+    n, m_in = features.shape
+    weight = rng.uniform(-1.0, 1.0, (m_in, m)) / np.sqrt(m_in)
+    head = rng.uniform(-1.0, 1.0, (known, m)) / np.sqrt(m)
+    flat, (weight, bias, head) = flat_views([weight, np.zeros(m), head])
+    state = ModelState(Encoder(weight, bias), ClassifierHead(head, known), theta=None)
+    opt = MomentumSgd(flat, schedule.learning_rate, schedule.momentum)
+    grad = np.empty_like(flat)
+    cls_only, empty = apply_flags(cfg, ()), features[:0]
+    history = []
+    for _ in range(schedule.epochs):
+        order = rng.permutation(n)
+        epoch_losses = []
+        for start in range(0, n, schedule.batch_size):
+            idx = order[start:start + schedule.batch_size]
+            try:
+                _, loss, _, _ = joint_terms(state, None, cls_only, features[idx], labels[idx],
+                                            empty, empty, empty, out=grad)
+            except NonFiniteLossError as exc:
+                raise NonFiniteLossError("pretrain", exc.value) from None
+            opt.step(grad)
+            epoch_losses.append(loss)
+        history.append(float(np.mean(epoch_losses)))
+    return state.encoder, head, history
+
+
 def prepare(cfg: ExperimentConfig, data) -> Prepared:
     """Source pretraining, GCN propagation of the classifiers to the
     unknown classes, and the initial fold-wise matching.
@@ -286,8 +324,7 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     rng_pre, rng_gcn, rng_match, rng_joint = (make_rng(s) for s in streams)
 
-    enc, w_src, _ = pretrain_source(source.features, source.labels, l_s,
-                                    cfg.feature_dim, cfg.pretrain, rng_pre)
+    enc, w_src, _ = pretrain_source(source.features, source.labels, cfg, rng_pre)
     z_class = None
     if graph is not None:
         z_class = propagate(normalized_adjacency(graph), word_vectors,
@@ -307,9 +344,11 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
 
 def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
                 raw_s, labels, raw_t, raw_ms, raw_mt, out=None):
-    """One joint-loop step over the terms switched on by ``cfg``: cls on the
+    """One training step over the terms switched on by ``cfg``: cls on the
     source batch, balance on the target batch, SGMD on the matched rows and
-    the graph tie on the propagated class rows ``z_class``.
+    the graph tie on the propagated class rows ``z_class``. It is the only
+    training step: :func:`train_joint` takes it, and :func:`pretrain_source`
+    takes it with every term but cls switched off.
 
     The rows of every term are stacked (source batch, target batch, matched
     sources, matched targets), encoded once and scored by one logits
@@ -325,7 +364,7 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     view of ``out``, a flat float64 buffer (a new one when None) holding
     encoder.weight, encoder.bias, head.weights and, with the graph term,
     gcn.theta end to end; ``grads`` holds those views. What holds for a
-    whole run is not checked here: the labels' range (``train_joint``
+    whole run is not checked here: the labels' range (each loop
     checks it), ``w`` (:class:`LossWeights`) and the shapes (``prepare``).
 
     Returns (values, total, grads, gate): term -> value, the weighted total,

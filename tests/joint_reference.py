@@ -12,7 +12,9 @@ come from the package.
 step and the pretraining loop as they were before the steps called the
 unchecked term cores: verbatim copies that call the public checked terms,
 ``encode`` and ``encode_backward``, with the softmax of that time. The
-package's steps must give their bits exactly.
+package's steps must give their bits exactly. ``encode_backward`` is the
+encoder's backward pass as the package shipped it before its steps mapped
+the gradients back themselves.
 """
 import math
 
@@ -21,8 +23,17 @@ import numpy as np
 from opendomain import losses
 from opendomain.gcn import gcn_reg_loss
 from opendomain.losses import ClassifierHead, NonFiniteLossError, total_loss
-from opendomain.model import Encoder, encode, encode_backward
+from opendomain.model import Encoder, encode
 from opendomain.numkit import MomentumSgd, flat_views, softmax_rows
+
+
+def encode_backward(raw, d_out):
+    """Gradients of the linear encoder ``raw @ weight + bias`` given the
+    output gradient ``d_out``: returns (d_weight, d_bias). The encoder is the
+    first layer, so no gradient flows back to ``raw``."""
+    raw = np.asarray(raw, float)
+    d_out = np.asarray(d_out, float)
+    return raw.T @ d_out, d_out.sum(axis=0)
 
 
 def classifier_responses(f, head):

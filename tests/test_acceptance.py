@@ -29,23 +29,19 @@ from opendomain.losses import (
     sgmd_loss,
 )
 from opendomain.matching import hungarian
-from opendomain.model import (
-    Encoder,
-    ModelState,
-    encode,
-    encode_backward,
-    pretrain_source,
-)
+from opendomain.model import Encoder, ModelState, encode
 from opendomain.numkit import make_rng, softmax_rows
 from opendomain.synth import SynthConfig, generate
 from opendomain.trainer import (
     ExperimentConfig,
     joint_terms,
+    pretrain_source,
     run_ablation,
     run_pipeline,
 )
 
 from gradcheck import grad_check, through_head
+from joint_reference import encode_backward
 
 
 # ----------------------------------------------------- 1: matcher optimality
@@ -267,9 +263,7 @@ def test_criterion_5_gcn_initialization_fidelity():
     cfg = ExperimentConfig()
     source, _, graph, words = generate(cfg.synth)
     rng_pre = make_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0])
-    _, w_src, _ = pretrain_source(source.features, source.labels,
-                                  cfg.synth.known_classes, cfg.feature_dim,
-                                  cfg.pretrain, rng_pre)
+    _, w_src, _ = pretrain_source(source.features, source.labels, cfg, rng_pre)
     z_class = propagate(normalized_adjacency(graph), words, graph.class_to_node)
     _, emb, _ = train_gcn_init(z_class, w_src, GcnSchedule(), make_rng(0))
     mse = float(np.mean((emb[: cfg.synth.known_classes] - w_src) ** 2))

@@ -7,15 +7,15 @@ from opendomain.model import (
     ModelState,
     PretrainSchedule,
     encode,
-    encode_backward,
     load_checkpoint,
-    pretrain_source,
     save_checkpoint,
 )
 from opendomain.numkit import DimensionError, make_rng
-from opendomain.trainer import ExperimentConfig, experiment_hash
+from opendomain.synth import SynthConfig
+from opendomain.trainer import ExperimentConfig, experiment_hash, pretrain_source
 
 from gradcheck import grad_check
+from joint_reference import encode_backward
 
 
 def test_encode_identity_zero_bias():
@@ -80,11 +80,15 @@ def _separable_problem(rng, n_per=40, num_classes=3, m_in=6):
     return feats, labels
 
 
+def _pretrain_cfg(classes, feature_dim, schedule=PretrainSchedule()):
+    synth = SynthConfig(known_classes=classes, total_classes=classes + 1)
+    return ExperimentConfig(synth=synth, feature_dim=feature_dim, pretrain=schedule)
+
+
 def test_pretrain_separable_accuracy():
     rng = make_rng(3)
     feats, labels = _separable_problem(rng)
-    enc, w, history = pretrain_source(feats, labels, 3, 5,
-                                      PretrainSchedule(), make_rng(0))
+    enc, w, history = pretrain_source(feats, labels, _pretrain_cfg(3, 5), make_rng(0))
     logits = encode(feats, enc) @ w.T
     acc = float(np.mean(np.argmax(logits, axis=1) == labels))
     assert acc >= 0.99
@@ -94,10 +98,9 @@ def test_pretrain_separable_accuracy():
 def test_pretrain_deterministic():
     rng = make_rng(4)
     feats, labels = _separable_problem(rng)
-    enc1, w1, h1 = pretrain_source(feats, labels, 3, 5,
-                                   PretrainSchedule(), make_rng(7))
-    enc2, w2, h2 = pretrain_source(feats, labels, 3, 5,
-                                   PretrainSchedule(), make_rng(7))
+    cfg = _pretrain_cfg(3, 5)
+    enc1, w1, h1 = pretrain_source(feats, labels, cfg, make_rng(7))
+    enc2, w2, h2 = pretrain_source(feats, labels, cfg, make_rng(7))
     assert np.array_equal(enc1.weight, enc2.weight)
     assert np.array_equal(enc1.bias, enc2.bias)
     assert np.array_equal(w1, w2)
@@ -106,8 +109,8 @@ def test_pretrain_deterministic():
 
 def test_pretrain_label_out_of_range():
     with pytest.raises(IndexError):
-        pretrain_source(np.zeros((2, 3)), [0, 5], 3, 4,
-                        PretrainSchedule(epochs=1), make_rng(0))
+        pretrain_source(np.zeros((2, 3)), [0, 5],
+                        _pretrain_cfg(3, 4, PretrainSchedule(epochs=1)), make_rng(0))
 
 
 def _random_state(rng):

@@ -10,8 +10,7 @@ from opendomain import gcn, synth
 from opendomain.gcn import GcnSchedule, gcn_forward, propagate
 from opendomain.losses import ClassifierHead, LossWeights, cls_loss
 from opendomain.matching import partition_folds
-from opendomain.model import (Encoder, ModelState, PretrainSchedule, encode,
-                              encode_backward)
+from opendomain.model import Encoder, ModelState, PretrainSchedule, encode
 from opendomain.numkit import make_rng, softmax_rows
 from opendomain import trainer
 from opendomain.trainer import (
@@ -31,8 +30,8 @@ from opendomain.trainer import (
 )
 
 from gradcheck import grad_check
-from joint_reference import (checked_joint_terms, checked_pretrain_source, reference_terms,
-                             reference_total)
+from joint_reference import (checked_joint_terms, checked_pretrain_source, encode_backward,
+                             reference_terms, reference_total)
 
 
 def _small_cfg(**overrides):
@@ -658,7 +657,8 @@ def test_pretraining_gives_the_bits_of_the_checked_loop():
     source = synth.generate(cfg.synth)[0]
     args = (source.features, source.labels, cfg.synth.known_classes, cfg.feature_dim,
             cfg.pretrain)
-    enc, head, history = trainer.pretrain_source(*args, make_rng(3))
+    enc, head, history = trainer.pretrain_source(source.features, source.labels, cfg,
+                                                 make_rng(3))
     ref_enc, ref_head, ref_history = checked_pretrain_source(*args, make_rng(3))
     assert history == ref_history
     assert np.array_equal(enc.weight, ref_enc.weight)
@@ -760,6 +760,7 @@ def test_non_finite_loss_raises():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("term, attr, grad_arg", [
+    pytest.param("pretrain", "cls_core", 0, id="pretrain-cls_core"),
     pytest.param("cls", "cls_core", 0, id="cls-cls_core"),
     pytest.param("balance", "balance_core", 0, id="balance-balance_core"),
     pytest.param("sgmd", "sgmd_core", -1, id="sgmd-sgmd_core"),
@@ -767,7 +768,9 @@ def test_non_finite_loss_raises():
 ])
 def test_non_finite_gradient_names_its_term(monkeypatch, term, attr, grad_arg):
     # a finite value with a NaN gradient: only the gradient check can catch it.
-    # Each core writes its gradient into one of its arguments
+    # Each core writes its gradient into one of its arguments. Pretraining
+    # steps on the cls core too, so a core poisoned before prepare names
+    # pretraining, and one poisoned after it names its joint-loop term
     real = getattr(trainer, attr)
 
     def poisoned(*args):
@@ -775,12 +778,19 @@ def test_non_finite_gradient_names_its_term(monkeypatch, term, attr, grad_arg):
         args[grad_arg][...] = np.nan
         return out
 
-    monkeypatch.setattr(trainer, attr, poisoned)
     # tau 0 gates every matched pair, so the sgmd term is always present
     cfg = _small_cfg(epochs=1, loss=LossWeights(tau=0.0, w=0.4))
+    data = synth.generate(cfg.synth)
     with pytest.raises(NonFiniteLossError) as exc:
-        run_pipeline(cfg)
+        if term == "pretrain":
+            monkeypatch.setattr(trainer, attr, poisoned)
+            trainer.prepare(cfg, data)
+        else:
+            prepared = trainer.prepare(cfg, data)
+            monkeypatch.setattr(trainer, attr, poisoned)
+            trainer.train_joint(prepared, cfg)
     assert exc.value.component == term
+    assert math.isnan(exc.value.value)  # the value was finite, a gradient not
 
 
 def test_run_ablation_structure():
