@@ -144,6 +144,8 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     z_class = np.asarray(z_class, float)
     w = np.asarray(w, float)
     slope = schedule.slope
+    if len(z_class) < len(w):
+        raise DimensionError(f"expected at least {len(w)} class rows, got {len(z_class)}")
     theta = init_theta(z_class.shape[1], w.shape[1], rng, schedule.init_scale)
     z_known = z_class[: len(w)]
     gram = z_known @ z_known.T
@@ -161,9 +163,10 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     curvature = float(np.linalg.eigvalsh(z_known.T @ z_known)[-1]) / w.shape[1]
     step = schedule.learning_rate / max(curvature, 1e-12)
     opt = MomentumSgd(theta, step, schedule.momentum)
+    d_theta = np.empty(theta.shape)
     history = []
     for _ in range(schedule.steps):
-        loss, d_theta = init_loss(z_known, theta, slope, w)
-        history.append(loss)
+        # the core: the shapes and the slope (GcnSchedule) are checked above
+        history.append(gcn_reg_core(z_known, theta, slope, w, d_theta)[0])
         opt.step(d_theta)
     return theta, gcn_forward(z_class, theta, slope), history

@@ -354,6 +354,13 @@ def test_losses_reject_mismatched_shapes():
         init_loss(np.ones((3, 7)), theta, 0.2, np.ones((3, 4)))
 
 
+@pytest.mark.parametrize("slope", [0.2, 0.0])  # the closed form, then the loop
+def test_train_init_rejects_fewer_class_rows_than_classifiers(slope):
+    z_class = make_rng(5).standard_normal((2, 3))
+    with pytest.raises(DimensionError, match="expected at least 3 class rows, got 2"):
+        train_gcn_init(z_class, np.ones((3, 4)), GcnSchedule(slope=slope), make_rng(0))
+
+
 def test_train_init_fits_known_rows():
     rng = make_rng(7)
     g = _toy_graph()

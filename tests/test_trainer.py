@@ -838,13 +838,13 @@ def test_run_ablation_rejects_no_seeds():
 
 def test_prepare_trains_gcn_init_under_the_configured_slope(monkeypatch):
     seen = set()
-    real = gcn.init_loss
+    real = gcn.gcn_reg_core
 
-    def spy(z, theta, slope, w):
+    def spy(z, theta, slope, w, d_theta):
         seen.add(slope)
-        return real(z, theta, slope, w)
+        return real(z, theta, slope, w, d_theta)
 
-    monkeypatch.setattr(gcn, "init_loss", spy)
+    monkeypatch.setattr(gcn, "gcn_reg_core", spy)
     cfg = parse_config(MINIMAL + "gcn.slope = 0.05\ngcn.steps = 20\n"
                        "synth.known_classes = 3\nsynth.total_classes = 5\n"
                        "synth.source_per_class = 10\nsynth.target_per_class = 10\n"
