@@ -87,8 +87,7 @@ class LossWeights:
 
 
 class NonFiniteLossError(RuntimeError):
-    """A loss term went NaN/Inf; carries the offending component name and
-    its value (NaN when only a gradient was not finite)."""
+    """A loss term went NaN/Inf; carries the offending component and value."""
 
     def __init__(self, component: str, value: float):
         super().__init__(f"non-finite loss in component '{component}' ({value})")

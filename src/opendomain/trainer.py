@@ -369,8 +369,8 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
 
     Returns (values, total, grads, gate): term -> value, the weighted total,
     parameter -> gradient of the total, and the SGMD gate (empty if SGMD
-    did not run). Raises NonFiniteLossError naming the first term whose
-    value or gradient is not finite.
+    did not run). Raises NonFiniteLossError naming the first non-finite term
+    (value or gradient), or "total" if only their sum or mapping back is not.
     """
     enc, head = state.encoder, state.head
     lw = cfg.loss
@@ -420,14 +420,15 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     if cfg.enable_gcn:
         grads["head.weights"] -= weight["gcn"] * d_o
         grads["gcn.theta"] *= weight["gcn"]
-    # a non-finite term leaves the total or the gradients non-finite, so the
-    # per-term scan, which names the term, runs only when they are
+    # a non-finite term leaves the total or the gradients non-finite, so the scan
+    # that names it runs only then; else the sum or the mapping back overflowed
     if not (math.isfinite(total) and np.isfinite(out).all()):
         term_grads = {"cls": (probs[:n_s],), "balance": (probs[n_s:n_l],), "sgmd": (d_ms,)}
         if cfg.enable_gcn:
             term_grads["gcn"] = (grads["gcn.theta"], d_o)
         for name, value in values.items():
             check_finite(name, value, term_grads[name])
+        check_finite("total", total, (out,))
     return values, total, grads, gate
 
 

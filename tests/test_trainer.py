@@ -793,6 +793,19 @@ def test_non_finite_gradient_names_its_term(monkeypatch, term, attr, grad_arg):
     assert math.isnan(exc.value.value)  # the value was finite, a gradient not
 
 
+def test_an_overflow_on_the_way_back_names_the_total():
+    # cls is finite, but its feature gradient d_logits @ head overflows: the
+    # step must not hand back an infinite gradient without naming it
+    enc = Encoder(np.full((2, 2), 1e-3), np.zeros(2))
+    head = ClassifierHead(np.array([[1.5e308, 0.0], [-1.5e308, 0.0]]), 2)
+    raw = np.array([[1e-300, 0.0]])
+    cfg = apply_flags(ExperimentConfig(), ())
+    with pytest.raises(NonFiniteLossError) as exc, np.errstate(all="ignore"):
+        joint_terms(ModelState(enc, head, None), None, cfg, raw, np.array([1]),
+                    raw[:0], raw[:0], raw[:0])
+    assert exc.value.component == "total" and math.isnan(exc.value.value)
+
+
 def test_run_ablation_structure():
     results = run_ablation(_small_cfg(epochs=2), seeds=[0, 1])
     assert set(results) == set(ABLATION_VARIANTS)
