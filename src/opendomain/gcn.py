@@ -166,7 +166,7 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     d_theta = np.empty(theta.shape)
     history = []
     for _ in range(schedule.steps):
-        # the core: the shapes and the slope (GcnSchedule) are checked above
+        # the core: the shapes are built or checked above, the slope by GcnSchedule
         history.append(gcn_reg_core(z_known, theta, slope, w, d_theta)[0])
         opt.step(d_theta)
     return theta, gcn_forward(z_class, theta, slope), history
