@@ -131,7 +131,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = _read_config(args.config)
     if args.flags is not None:
-        tokens = [] if args.flags == "none" else [t for t in args.flags.split(",") if t]
+        tokens = [] if args.flags == "none" else args.flags.split(",")
         cfg = apply_flags(cfg, tokens)
     data = _load_data_dir(args.data, cfg)
     state, history = run_pipeline(cfg, data=data)

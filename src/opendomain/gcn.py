@@ -27,7 +27,6 @@ __all__ = [
     "gcn_forward",
     "propagate",
     "init_loss",
-    "gcn_reg_loss",
     "gcn_reg_core",
     "train_gcn_init",
 ]
@@ -72,37 +71,29 @@ def propagate(p, x, rows) -> np.ndarray:
 
 
 def init_loss(z, theta, slope: float, w):
-    """:func:`gcn_reg_loss` of the known class rows ``z`` against the
-    pretrained classifier weights W: returns (loss, gradient wrt theta)."""
-    return gcn_reg_loss(z, theta, slope, w)[:2]
-
-
-def gcn_reg_loss(z, theta, slope: float, w_hat):
-    """Half mean-square of leaky_relu(Z Theta) against the live classifier
-    weights ``w_hat`` (sum of squares divided by 2M) over ALL class rows,
-    ``z`` being ``propagate(p, x, class_nodes)``; gradients flow to both
-    theta and the classifier (joint training, unlike propagate-then-freeze
-    schemes).
-
-    Returns (loss, grad wrt theta, grad wrt w_hat).
-    """
-    w_hat = np.asarray(w_hat, float)
-    if z.shape[0] != w_hat.shape[0]:
-        raise DimensionError(f"expected {w_hat.shape[0]} node rows, got {z.shape[0]}")
+    """The graph tie of the known class rows ``z`` against the pretrained
+    classifier weights W: returns (loss, gradient wrt theta)."""
+    w = np.asarray(w, float)
+    if z.shape[0] != w.shape[0]:
+        raise DimensionError(f"expected {w.shape[0]} node rows, got {z.shape[0]}")
     if z.shape[1] != theta.shape[0]:
         raise DimensionError(f"propagated rows {z.shape} do not fit theta {theta.shape}")
-    if theta.shape[1] != w_hat.shape[1]:
+    if theta.shape[1] != w.shape[1]:
         raise DimensionError("GCN output dim must equal classifier weight dim")
     if slope < 0:
         raise ValueError("leaky_relu slope must be >= 0")
     d_theta = np.empty(theta.shape)
-    loss, d_o = gcn_reg_core(z, theta, slope, w_hat, d_theta)
-    return loss, d_theta, -d_o
+    return gcn_reg_core(z, theta, slope, w, d_theta)[0], d_theta
 
 
 def gcn_reg_core(z, theta, slope: float, w_hat, d_theta):
-    """:func:`gcn_reg_loss` on float64 arrays, unchecked: returns (loss, d_o),
-    minus the gradient wrt ``w_hat``, and writes the one wrt theta into ``d_theta``."""
+    """Half mean-square of leaky_relu(Z Theta) against the classifier
+    weights ``w_hat`` (sum of squares divided by 2M), ``z`` being the
+    propagated rows of their classes: in the joint step ALL class rows
+    against the live head, so gradients flow to both theta and the
+    classifier (unlike propagate-then-freeze schemes). Takes float64 arrays
+    of fitting shapes: returns (loss, d_o), minus the gradient wrt
+    ``w_hat``, and writes the one wrt theta into ``d_theta``."""
     h = z @ theta
     positive = h > 0
     m = w_hat.shape[1]

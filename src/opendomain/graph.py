@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import size
+from .numkit import size, text_file
 
 __all__ = [
     "GraphError",
@@ -90,7 +90,7 @@ def load_graph(path) -> "KnowledgeGraph":
     class_map = {}
     edges = []
     loops = []  # (line, node) of each explicit self-loop
-    with open(path, "r", encoding="utf-8") as fh:
+    with text_file(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
             if not parts or parts[0].startswith("#"):

@@ -16,8 +16,9 @@ features. The caller maps the rows back once: with ``F`` the features, ``W``
 the head and ``G`` the weighted logit gradients, the features get ``G W``
 plus the weighted SGMD rows and the head gets ``G^T F``. ``total_loss``
 weights the values and hands back each term's weight for that mapping.
-Each term's maths is an unchecked core that writes its gradient into an
-array its caller passes; the public term is its checks, then the core.
+Each term is one function, a core that checks nothing and writes its
+gradient into an array its caller passes; what holds for a whole run (the
+label range, ``w``, the shapes) is checked once at the run's entry.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, check_fields, check_types
+from .numkit import check_fields, check_types
 
 __all__ = [
     "ClassifierHead",
@@ -35,12 +36,8 @@ __all__ = [
     "check_finite",
     "check_labels",
     "cls_core",
-    "cls_loss",
     "sgmd_core",
-    "sgmd_loss",
     "balance_core",
-    "balance_loss_vanilla",
-    "limited_balance_loss",
     "limited_balance_terms",
     "total_loss",
 ]
@@ -114,8 +111,9 @@ def check_labels(labels, classes: int) -> np.ndarray:
 
 
 def cls_core(d, labels, eps: float = 1e-12) -> float:
-    """:func:`cls_loss` without its check: returns the loss and overwrites
-    the responses ``d`` with its gradient wrt their logits."""
+    """Mean cross-entropy of the true class under the responses ``d``, the
+    softmax over exactly the classes that ``labels`` index: returns the loss
+    and overwrites ``d`` with its gradient wrt their logits."""
     n = len(labels)
     rows = np.arange(n)
     loss = float(-(np.log(np.maximum(d[rows, labels], eps)).sum() / n))
@@ -124,20 +122,12 @@ def cls_core(d, labels, eps: float = 1e-12) -> float:
     return loss
 
 
-def cls_loss(probs, labels, eps: float = 1e-12):
-    """Mean cross-entropy of the true class under ``probs``, the softmax
-    responses over exactly the classes that ``labels`` index.
-
-    Returns (loss, grad wrt the logits of ``probs``).
-    """
-    labels = check_labels(labels, probs.shape[1])
-    d_logits = probs.copy()
-    return cls_core(d_logits, labels, eps), d_logits
-
-
 def sgmd_core(fs, ft, ps, pt, tau: float, out):
-    """:func:`sgmd_loss` of n >= 1 pairs, unchecked: returns (loss, gate) and
-    writes the gradient wrt ``fs`` (minus the one wrt ``ft``) into ``out``."""
+    """Matched-pair discrepancy of n >= 1 pairs: the mean over pairs of
+    1/2 ||f_s - f_t||^2, counted only for pairs whose response inner product
+    exceeds tau. The gate is a constant (no gradient through the responses).
+    Returns (loss, gate) and writes the gradient wrt ``fs`` (minus the one
+    wrt ``ft``) into ``out``."""
     gate = (ps * pt).sum(axis=1) > tau
     np.subtract(fs, ft, out=out)
     out *= gate[:, None]  # a closed pair's row is 0
@@ -146,29 +136,14 @@ def sgmd_core(fs, ft, ps, pt, tau: float, out):
     return loss, gate
 
 
-def sgmd_loss(fs_matched, ft_matched, ps, pt, tau: float):
-    """Matched-pair discrepancy: mean over pairs of 1/2 ||f_s - f_t||^2,
-    counted only for pairs whose response inner product exceeds tau.
-
-    The gate is a constant (no gradient through the responses). Returns
-    (loss, grad wrt source features, grad wrt target features, gate mask).
-    """
-    fs = np.asarray(fs_matched, float)
-    ft = np.asarray(ft_matched, float)
-    if fs.shape != ft.shape:
-        raise DimensionError(f"matched feature shapes differ: {fs.shape} vs {ft.shape}")
-    if fs.shape[0] == 0:
-        return 0.0, np.zeros_like(fs), np.zeros_like(ft), np.zeros(0, dtype=bool)
-    d_fs = np.empty_like(fs)
-    loss, gate = sgmd_core(fs, ft, np.asarray(ps, float), np.asarray(pt, float), tau, d_fs)
-    return loss, d_fs, -d_fs, gate
-
-
 def balance_core(d, known_count: int, w: float | None, eps: float = 1e-12) -> float:
-    """The limited balance loss of the responses ``d`` (``w`` None: the
-    vanilla one), unchecked. Overwrites ``d`` with its logit gradient, in
-    closed form p·(d − d_mass·R): d = d_mass, the gradient wrt each row's
-    unknown-class mass R, on the unknown classes and 0 on the known ones."""
+    """Mean of R + w^2/R over the rows of the responses ``d``, R a row's
+    unknown-class mass clamped below at eps; with ``w`` None the vanilla
+    mean of -log R, unbounded as the mass shrinks (up to -log eps): pushing
+    it down ever harder is exactly the runaway the limited form prevents.
+    Overwrites ``d`` with its logit gradient, in closed form p·(d − d_mass·R):
+    d = d_mass, the gradient wrt R, on the unknown classes and 0 on the
+    known ones."""
     mass = d[:, known_count:].sum(axis=1)
     clamped = np.maximum(mass, eps)
     n = len(mass)
@@ -185,19 +160,6 @@ def balance_core(d, known_count: int, w: float | None, eps: float = 1e-12) -> fl
     return loss
 
 
-def balance_loss_vanilla(probs, known_count: int, eps: float = 1e-12):
-    """Mean of -log(unknown-class probability mass), clamped below at eps;
-    ``probs`` are responses over all classes, the first ``known_count``
-    of them known.
-
-    Unbounded as the mass shrinks (up to -log eps): pushing it down ever
-    harder is exactly the runaway the limited form prevents. Returns
-    (loss, grad wrt the logits of ``probs``).
-    """
-    d_logits = probs.copy()
-    return balance_core(d_logits, known_count, None, eps), d_logits
-
-
 def limited_balance_terms(mass, w: float):
     """Per-instance penalty R + w^2/R and its derivative 1 - w^2/R^2.
 
@@ -205,19 +167,6 @@ def limited_balance_terms(mass, w: float):
     """
     mass = np.asarray(mass, float)
     return mass + w * w / mass, 1.0 - w * w / (mass * mass)
-
-
-def limited_balance_loss(probs, known_count: int, w: float,
-                         eps: float = 1e-12):
-    """Mean of R + w^2/R over the batch, R the clamped unknown-class mass of
-    ``probs`` as in :func:`balance_loss_vanilla`.
-
-    Returns (loss, grad wrt the logits of ``probs``).
-    """
-    if not 0.0 < w < 1.0:
-        raise ValueError("w must lie strictly inside (0, 1)")
-    d_logits = probs.copy()
-    return balance_core(d_logits, known_count, w, eps), d_logits
 
 
 def total_loss(values: dict, lw: LossWeights):

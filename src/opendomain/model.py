@@ -16,7 +16,7 @@ import numpy as np
 
 from .losses import ClassifierHead
 from .numkit import (
-    DimensionError, check_fields, check_types, load_matrix, save_matrix, write_json)
+    DimensionError, check_fields, check_types, load_matrix, save_matrix, text_file, write_json)
 
 __all__ = [
     "Encoder",
@@ -99,7 +99,7 @@ def load_checkpoint(directory):
     does not read (an older manifest's slope); raises ValueError when the
     manifest disagrees with the stored matrices or lacks a number it needs."""
     manifest_path = os.path.join(directory, "manifest.json")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
+    with text_file(manifest_path) as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: not a JSON object")

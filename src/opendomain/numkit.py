@@ -12,6 +12,7 @@ import json
 import math
 import numbers
 from array import array
+from contextlib import contextmanager
 from dataclasses import fields
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "check_fields",
     "save_matrix",
     "load_matrix",
+    "text_file",
     "read_rows",
     "parse_tokens",
     "size",
@@ -153,8 +155,19 @@ def save_matrix(path, m) -> None:
                encoding="utf-8")
 
 
-def load_matrix(path) -> np.ndarray:
+@contextmanager
+def text_file(path):
+    """``path`` open for reading as UTF-8; a byte that does not decode, or
+    JSON that does not parse, raises ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_matrix(path) -> np.ndarray:
+    with text_file(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError(f"{path}: malformed matrix header")

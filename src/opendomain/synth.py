@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import KnowledgeGraph
 from .numkit import (as_matrix, check_fields, check_types, make_rng, parse_tokens, read_rows,
-                     size)
+                     size, text_file)
 
 __all__ = [
     "SynthConfig",
@@ -216,7 +216,7 @@ def _unlabeled(tag: str) -> int:
 
 def load_dataset(path):
     """Inverse of :func:`save_dataset`. Returns (dataset, num_classes)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with text_file(path) as fh:
         header = fh.readline().split()
         if len(header) != 6 or header[2] != "labeled" or header[4] != "classes":
             raise ValueError(f"{path}: malformed dataset header")
@@ -237,7 +237,7 @@ def load_dataset(path):
         return LabeledDataset(features=feats, labels=rows[:, 0].astype(int)), num_classes
     eval_path = str(path) + ".eval"
     if os.path.exists(eval_path):
-        with open(eval_path, "r", encoding="utf-8") as fh:
+        with text_file(eval_path) as fh:
             eval_labels = np.array(
                 [parse_tokens(eval_path, lineno, (label,), [line.strip()])[0]
                  for lineno, line in enumerate(fh, start=1) if line.strip()], dtype=int)

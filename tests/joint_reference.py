@@ -9,22 +9,30 @@ Only the encoder and the graph tie, which the stacking leaves as they were,
 come from the package.
 
 ``checked_joint_terms`` and ``checked_pretrain_source`` are the stacked
-step and the pretraining loop as they were before the steps called the
-unchecked term cores: verbatim copies that call the public checked terms,
-``encode`` and ``encode_backward``, with the softmax of that time. The
-package's steps must give their bits exactly. ``encode_backward`` is the
-encoder's backward pass as the package shipped it before its steps mapped
-the gradients back themselves.
+step and the pretraining loop as they were before the steps called the term
+cores on their own arrays: copies that call each core as the checked term of
+that time did, a softmax core on a copy of its responses (``on_copy``) and
+the others into fresh gradient arrays, with ``encode``, ``encode_backward``
+and the softmax of that time. The package's steps must give their bits
+exactly. ``encode_backward`` is the encoder's backward pass as the package
+shipped it before its steps mapped the gradients back themselves.
 """
 import math
 
 import numpy as np
 
-from opendomain import losses
-from opendomain.gcn import gcn_reg_loss
-from opendomain.losses import ClassifierHead, NonFiniteLossError, total_loss
+from opendomain.gcn import gcn_reg_core
+from opendomain.losses import (
+    ClassifierHead, NonFiniteLossError, balance_core, cls_core, sgmd_core, total_loss)
 from opendomain.model import Encoder, encode
 from opendomain.numkit import MomentumSgd, flat_views, softmax_rows
+
+
+def on_copy(core, d, *args):
+    """``core(d, *args)`` on a copy of ``d``, which a softmax term's core
+    overwrites with its logit gradient: returns (its result, the copy)."""
+    d = d.copy()
+    return core(d, *args), d
 
 
 def encode_backward(raw, d_out):
@@ -49,7 +57,7 @@ def _feature_and_weight_grads(f, head, d_logits):
     return d_logits @ head.weights, d_logits.T @ f
 
 
-def cls_loss(f, head, labels, eps=1e-12):
+def cross_entropy(f, head, labels, eps=1e-12):
     f = np.asarray(f, float)
     labels = np.asarray(labels, dtype=int)
     probs = classifier_responses(f, head)
@@ -63,7 +71,7 @@ def cls_loss(f, head, labels, eps=1e-12):
     return loss, d_f, d_w
 
 
-def sgmd_loss(fs, ft, ps, pt, tau):
+def matched_discrepancy(fs, ft, ps, pt, tau):
     n = fs.shape[0]
     if n == 0:
         return 0.0, np.zeros_like(fs), np.zeros_like(ft), np.zeros(0, dtype=bool)
@@ -86,7 +94,7 @@ def _balance_grads(f, head, probs, d_mass):
     return _feature_and_weight_grads(f, head, d_logits)
 
 
-def balance_loss_vanilla(f, head, eps=1e-12):
+def vanilla_balance(f, head, eps=1e-12):
     probs = classifier_responses(f, head)
     mass = _unknown_mass(probs, head.known_count)
     clamped = np.maximum(mass, eps)
@@ -97,7 +105,7 @@ def balance_loss_vanilla(f, head, eps=1e-12):
     return loss, d_f, d_w
 
 
-def limited_balance_loss(f, head, w, eps=1e-12):
+def limited_balance(f, head, w, eps=1e-12):
     probs = classifier_responses(f, head)
     mass = _unknown_mass(probs, head.known_count)
     clamped = np.maximum(mass, eps)
@@ -112,7 +120,7 @@ def limited_balance_loss(f, head, w, eps=1e-12):
 def _restricted_cls(f_src, head, labels):
     known = ClassifierHead(weights=head.weights[: head.known_count],
                            known_count=head.known_count)
-    loss, d_f, d_w_known = cls_loss(f_src, known, labels)
+    loss, d_f, d_w_known = cross_entropy(f_src, known, labels)
     d_w = np.zeros_like(head.weights)
     d_w[: head.known_count] = d_w_known
     return loss, d_f, d_w
@@ -133,9 +141,9 @@ def reference_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt):
     if cfg.enable_lb or cfg.vanilla_balance:
         f_t = encode(raw_t, enc)
         if cfg.vanilla_balance:
-            val, d_f, d_w = balance_loss_vanilla(f_t, head, lw.epsilon)
+            val, d_f, d_w = vanilla_balance(f_t, head, lw.epsilon)
         else:
-            val, d_f, d_w = limited_balance_loss(f_t, head, lw.w, lw.epsilon)
+            val, d_f, d_w = limited_balance(f_t, head, lw.w, lw.epsilon)
         d_ew, d_eb = encode_backward(raw_t, d_f)
         components["balance"] = (val, {"encoder.weight": d_ew, "encoder.bias": d_eb,
                                        "head.weights": d_w})
@@ -146,7 +154,7 @@ def reference_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt):
         f_mt = encode(raw_mt, enc)
         p_ms = classifier_responses(f_ms, head)
         p_mt = classifier_responses(f_mt, head)
-        val, d_fs, d_ft, gate = sgmd_loss(f_ms, f_mt, p_ms, p_mt, lw.tau)
+        val, d_fs, d_ft, gate = matched_discrepancy(f_ms, f_mt, p_ms, p_mt, lw.tau)
         if gate.any():
             dw_s, db_s = encode_backward(raw_ms, d_fs)
             dw_t, db_t = encode_backward(raw_mt, d_ft)
@@ -154,9 +162,9 @@ def reference_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt):
                                         "encoder.bias": db_s + db_t})
 
     if cfg.enable_gcn:
-        val, d_theta, d_w_hat = gcn_reg_loss(z_class, state.theta,
-                                             cfg.gcn.slope, head.weights)
-        components["gcn"] = (val, {"gcn.theta": d_theta, "head.weights": d_w_hat})
+        d_theta = np.empty(state.theta.shape)
+        val, d_o = gcn_reg_core(z_class, state.theta, cfg.gcn.slope, head.weights, d_theta)
+        components["gcn"] = (val, {"gcn.theta": d_theta, "head.weights": -d_o})
     return components, gate
 
 
@@ -205,11 +213,6 @@ def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_m
                         out=None):
     """(values, total, grads, gate) as the checked stacked step gave them;
     the gradient of the total also goes into ``out``."""
-    # the package's checked terms under the names the step called them by;
-    # this module's own copies of the per-term maths take other arguments
-    cls_loss, sgmd_loss = losses.cls_loss, losses.sgmd_loss
-    balance_loss_vanilla = losses.balance_loss_vanilla
-    limited_balance_loss = losses.limited_balance_loss
     softmax_rows = checked_softmax_rows
     enc, head = state.encoder, state.head
     lw = cfg.loss
@@ -227,21 +230,23 @@ def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_m
     logits = f @ head.weights.T
     logits[:n_s, known:] = -np.inf
     probs = softmax_rows(logits)
-    # each term's outputs: value, its gradient(s), and for SGMD the gate
-    outputs = {"cls": cls_loss(probs[:n_s, :known], labels)}
+    # each term's outputs: value and its gradient(s)
+    outputs = {"cls": on_copy(cls_core, probs[:n_s, :known], labels)}
     if balance:
-        outputs["balance"] = (
-            balance_loss_vanilla(probs[n_s:n_l], known, lw.epsilon) if cfg.vanilla_balance
-            else limited_balance_loss(probs[n_s:n_l], known, lw.w, lw.epsilon))
+        outputs["balance"] = on_copy(balance_core, probs[n_s:n_l], known,
+                                     None if cfg.vanilla_balance else lw.w, lw.epsilon)
     gate = np.zeros(0, dtype=bool)
     if sgmd:
         # the responses only gate the pairs; no gradient flows through them
-        outputs["sgmd"] = sgmd_loss(f[n_l:n_l + n_m], f[n_l + n_m:],
-                                    probs[n_l:n_l + n_m], probs[n_l + n_m:], lw.tau)
-        gate = outputs["sgmd"][3]
+        d_fs = np.empty((n_m, f.shape[1]))
+        value, gate = sgmd_core(f[n_l:n_l + n_m], f[n_l + n_m:],
+                                probs[n_l:n_l + n_m], probs[n_l + n_m:], lw.tau, d_fs)
+        outputs["sgmd"] = (value, d_fs, -d_fs)
     if cfg.enable_gcn:
-        outputs["gcn"] = gcn_reg_loss(z_class, state.theta, cfg.gcn.slope,
-                                      head.weights)
+        d_theta = np.empty(state.theta.shape)
+        value, d_o = gcn_reg_core(z_class, state.theta, cfg.gcn.slope, head.weights,
+                                  d_theta)
+        outputs["gcn"] = (value, d_theta, -d_o)
 
     values = {name: result[0] for name, result in outputs.items()}
     total, weight = total_loss(values, lw)
@@ -266,14 +271,14 @@ def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_m
     # per-term scan, which names the term, runs only when they are
     if not (math.isfinite(total) and np.isfinite(out).all()):
         for name, result in outputs.items():
-            _check_finite(name, result[0], result[1:3])  # sgmd's gate is result[3]
+            _check_finite(name, result[0], result[1:])
     return values, total, grads, gate
 
 
 def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule, rng):
     """(encoder, classifier weights, per-epoch mean loss) as the pretraining
-    loop on the checked ``cls_loss`` gave them."""
-    cls_loss, softmax_rows = losses.cls_loss, checked_softmax_rows
+    loop on the checked cross-entropy gave them."""
+    softmax_rows = checked_softmax_rows
     features = np.asarray(features, float)
     labels = np.asarray(labels, dtype=int)
     n, m_in = features.shape
@@ -297,7 +302,7 @@ def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule
         for start in range(0, n, schedule.batch_size):
             idx = order[start:start + schedule.batch_size]
             f = encode(features[idx], enc)
-            loss, d_logits = cls_loss(softmax_rows(f @ head.weights.T), labels[idx])
+            loss, d_logits = on_copy(cls_core, softmax_rows(f @ head.weights.T), labels[idx])
             d_weight, d_bias = encode_backward(features[idx], d_logits @ head.weights)
             np.concatenate((d_weight, d_bias, d_logits.T @ f), axis=None, out=grad)
             opt.step(grad)

@@ -13,7 +13,7 @@ import pytest
 from opendomain.cli import main
 from opendomain.gcn import (
     GcnSchedule,
-    gcn_reg_loss,
+    gcn_reg_core,
     init_loss,
     propagate,
     train_gcn_init,
@@ -22,11 +22,10 @@ from opendomain.graph import KnowledgeGraph, normalized_adjacency
 from opendomain.losses import (
     ClassifierHead,
     LossWeights,
-    balance_loss_vanilla,
-    cls_loss,
-    limited_balance_loss,
+    balance_core,
+    cls_core,
     limited_balance_terms,
-    sgmd_loss,
+    sgmd_core,
 )
 from opendomain.matching import hungarian
 from opendomain.model import Encoder, ModelState, encode
@@ -41,7 +40,7 @@ from opendomain.trainer import (
 )
 
 from gradcheck import grad_check, through_head
-from joint_reference import encode_backward
+from joint_reference import encode_backward, on_copy
 
 
 # ----------------------------------------------------- 1: matcher optimality
@@ -97,7 +96,7 @@ def test_criterion_2_gradient_suite():
         head = ClassifierHead(rng.standard_normal((4, 3)), 3)
         f = rng.standard_normal((5, 3))
         labels = rng.integers(0, 3, 5)
-        term = lambda p: cls_loss(p, labels)
+        term = lambda p: on_copy(cls_core, p, labels)
         _, d_f, d_w = through_head(term, f, head)
         if not _usable(d_f, d_w):
             continue
@@ -112,11 +111,13 @@ def test_criterion_2_gradient_suite():
         ft = rng.standard_normal((4, 3))
         ps = softmax_rows(rng.standard_normal((4, 5)))
         pt = softmax_rows(rng.standard_normal((4, 5)))
-        _, d_fs, d_ft, gate = sgmd_loss(fs, ft, ps, pt, 0.2)
+        d_fs = np.empty_like(fs)
+        _, gate = sgmd_core(fs, ft, ps, pt, 0.2, d_fs)
+        d_ft = -d_fs
         if not gate.any() or not _usable(d_fs[gate], d_ft[gate]):
             continue
-        _check(lambda a: sgmd_loss(a, ft, ps, pt, 0.2)[0], fs, d_fs)
-        _check(lambda a: sgmd_loss(fs, a, ps, pt, 0.2)[0], ft, d_ft)
+        _check(lambda a: sgmd_core(a, ft, ps, pt, 0.2, np.empty_like(a))[0], fs, d_fs)
+        _check(lambda a: sgmd_core(fs, a, ps, pt, 0.2, np.empty_like(a))[0], ft, d_ft)
         checked += 1
 
     checked = 0  # balance constraints, vanilla and limited
@@ -124,8 +125,8 @@ def test_criterion_2_gradient_suite():
         head = ClassifierHead(rng.standard_normal((5, 3)), 3)
         f = rng.standard_normal((4, 3))
         w = float(rng.uniform(0.1, 0.9))
-        vanilla = lambda p: balance_loss_vanilla(p, 3, 1e-12)
-        limited = lambda p: limited_balance_loss(p, 3, w, 1e-12)
+        vanilla = lambda p: on_copy(balance_core, p, 3, None, 1e-12)
+        limited = lambda p: on_copy(balance_core, p, 3, w, 1e-12)
         _, vd_f, vd_w = through_head(vanilla, f, head)
         _, ld_f, ld_w = through_head(limited, f, head)
         if not _usable(vd_f, vd_w, ld_f, ld_w):
@@ -152,14 +153,16 @@ def test_criterion_2_gradient_suite():
         _, d_theta = init_loss(z_known, theta, 0.2, w)
         w_hat = rng.standard_normal((4, 3))
         z_class = propagate(p, x, [0, 1, 2, 4])
-        _, rd_theta, rd_w = gcn_reg_loss(z_class, theta, 0.2, w_hat)
+        rd_theta = np.empty(theta.shape)
+        _, d_o = gcn_reg_core(z_class, theta, 0.2, w_hat, rd_theta)
+        rd_w = -d_o
         if not _usable(d_theta, rd_theta, rd_w):
             continue
         _check(lambda t: init_loss(z_known, t, 0.2, w)[0],
                theta, d_theta)
-        _check(lambda t: gcn_reg_loss(z_class, t, 0.2, w_hat)[0],
+        _check(lambda t: gcn_reg_core(z_class, t, 0.2, w_hat, np.empty(t.shape))[0],
                theta, rd_theta)
-        _check(lambda a: gcn_reg_loss(z_class, theta, 0.2, a)[0],
+        _check(lambda a: gcn_reg_core(z_class, theta, 0.2, a, np.empty(theta.shape))[0],
                w_hat, rd_w)
         checked += 1
 

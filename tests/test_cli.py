@@ -556,6 +556,11 @@ def _symmetric(edit):
     return apply
 
 
+def _garble(name):
+    """Put a byte that no UTF-8 text holds before the file's first line."""
+    return lambda root: (root / name).write_bytes(b"\xff" + (root / name).read_bytes())
+
+
 def _short(tokens):
     return tokens[:-1]
 
@@ -627,6 +632,19 @@ _EXIT_CASES = [
     ("train", "source.ds class count",
      _replace("data/source.ds", "classes 3", "classes 12"), 1, "source.ds"),
     ("train", "bad flag token", "--flags lb,bogus", 1, "bogus"),
+    ("train", "empty --flags",
+     ["train", "--config", "{r}/exp.cfg", "--data", "{r}/data", "--out", "{r}/out",
+      "--flags", ""], 1, "unknown flag tokens: ['']"),
+    ("train", "--flags of one comma", "--flags ,", 1, "unknown flag tokens: ['']"),
+    ("train", "empty token in --flags", "--flags lb,,sgmd", 1, "unknown flag tokens: ['']"),
+    ("train", "source.ds not UTF-8", _garble("data/source.ds"), 1,
+     "source.ds: 'utf-8' codec can't decode byte 0xff"),
+    ("train", "target.ds not UTF-8", _garble("data/target.ds"), 1,
+     "target.ds: 'utf-8' codec can't decode byte 0xff"),
+    ("train", "wordvec.mat not UTF-8", _garble("data/wordvec.mat"), 1,
+     "wordvec.mat: 'utf-8' codec can't decode byte 0xff"),
+    ("train", "graph.txt not UTF-8", _garble("data/graph.txt"), 1,
+     "graph.txt: 'utf-8' codec can't decode byte 0xff"),
     ("train", "unlabeled source.ds", _swap_role("data/source.ds", 0, "?"), 1,
      "source.ds: the source data must be labeled"),
     ("train", "labeled target.ds", _swap_role("data/target.ds", 1, "0"), 1,
@@ -681,6 +699,8 @@ _EXIT_CASES = [
     ("match", "non-numeric matrix entry",
      _edit_row("ft.mat", _last("abc"), 2), 1, "ft.mat: line 3"),
     ("match", "non-integer --folds", "--folds x", 1, "--folds"),
+    ("match", "matrix not UTF-8", _garble("ft.mat"), 1,
+     "ft.mat: 'utf-8' codec can't decode byte 0xff"),
     ("match", "zero --folds", "--folds 0", 1, "--folds"),
     ("match", "--folds past the source rows", "--folds 7", 1,
      ("--folds 7 exceeds the 6 rows of /", "fs.mat")),
@@ -692,6 +712,15 @@ _EXIT_CASES = [
     ("eval", "non-object manifest",
      lambda root: (root / "run/checkpoint/manifest.json").write_text("[1, 2]"), 1,
      "manifest.json"),
+    ("eval", "truncated manifest",
+     lambda root: (root / "run/checkpoint/manifest.json").write_text('{\n  "config_hash'), 1,
+     "manifest.json: Unterminated string starting at: line 2 column 3"),
+    ("eval", "manifest not UTF-8", _garble("run/checkpoint/manifest.json"), 1,
+     "manifest.json: 'utf-8' codec can't decode byte 0xff"),
+    ("eval", "head.weights not UTF-8", _garble("run/checkpoint/head.weights"), 1,
+     "head.weights: 'utf-8' codec can't decode byte 0xff"),
+    ("eval", "target.ds.eval not UTF-8", _garble("data/target.ds.eval"), 1,
+     "target.ds.eval: 'utf-8' codec can't decode byte 0xff"),
     ("eval", "malformed head.weights header",
      _replace("run/checkpoint/head.weights", "5 5\n", "5\n"), 1, "head.weights"),
     ("eval", "short head.weights row",

@@ -4,7 +4,7 @@ import pytest
 from opendomain.gcn import (
     GcnSchedule,
     gcn_forward,
-    gcn_reg_loss,
+    gcn_reg_core,
     init_loss,
     init_theta,
     propagate,
@@ -85,8 +85,8 @@ def test_gradient_at_kink_uses_slope():
     # the slope for reproducibility
     z = np.array([[2.0, 0.0], [-2.0, 0.0], [1.0, 1.0]])
     theta = np.array([[1.0], [-1.0]])
-    _, d_theta, d_w = gcn_reg_loss(z, theta, 0.2, np.full((3, 1), -1.0))
-    d_o = -d_w
+    d_theta = np.empty(theta.shape)
+    _, d_o = gcn_reg_core(z, theta, 0.2, np.full((3, 1), -1.0), d_theta)
     assert np.array_equal(d_theta, z.T @ (d_o * np.array([[1.0], [0.2], [0.2]])))
 
 
@@ -129,10 +129,11 @@ def test_reg_loss_zero_at_fit():
     p = np.eye(4)
     x = np.abs(rng.standard_normal((4, 3))) + 0.1
     w_hat = x.copy()
-    loss, d_theta, d_w = gcn_reg_loss(propagate(p, x, [0, 1, 2, 3]), np.eye(3), 0.2, w_hat)
+    d_theta = np.empty((3, 3))
+    loss, d_o = gcn_reg_core(propagate(p, x, [0, 1, 2, 3]), np.eye(3), 0.2, w_hat, d_theta)
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(d_theta, 0.0, atol=1e-15)
-    assert np.allclose(d_w, 0.0, atol=1e-15)
+    assert np.allclose(d_o, 0.0, atol=1e-15)
 
 
 def test_reg_loss_whatgrad_closed_form():
@@ -144,9 +145,9 @@ def test_reg_loss_whatgrad_closed_form():
     w_hat = rng.standard_normal((3, 2))
     rows = [0, 2, 3]
     o = gcn_forward(p @ x, theta, 0.2)
-    _, _, d_w = gcn_reg_loss(propagate(p, x, rows), theta, 0.2, w_hat)
+    _, d_o = gcn_reg_core(propagate(p, x, rows), theta, 0.2, w_hat, np.empty(theta.shape))
     m = w_hat.shape[1]
-    assert np.allclose(d_w, (w_hat - o[rows]) / m, atol=1e-12)
+    assert np.allclose(-d_o, (w_hat - o[rows]) / m, atol=1e-12)
 
 
 def test_reg_loss_gradients_many_instances():
@@ -166,14 +167,16 @@ def test_reg_loss_gradients_many_instances():
         w_hat = rng.standard_normal((lt, f))
         rows = list(rng.permutation(n)[:lt])
         z = propagate(p, x, rows)
-        _, d_theta, d_w = gcn_reg_loss(z, theta, 0.2, w_hat)
+        d_theta = np.empty(theta.shape)
+        _, d_o = gcn_reg_core(z, theta, 0.2, w_hat, d_theta)
+        d_w = -d_o
         if min(float(np.min(np.abs(d_theta))), float(np.min(np.abs(d_w)))) < 1e-5:
             continue
         err_t = grad_check(
-            lambda t: gcn_reg_loss(z, t, 0.2, w_hat)[0],
+            lambda t: gcn_reg_core(z, t, 0.2, w_hat, np.empty(t.shape))[0],
             theta, d_theta, eps=1e-6)
         err_w = grad_check(
-            lambda w: gcn_reg_loss(z, theta, 0.2, w)[0],
+            lambda w: gcn_reg_core(z, theta, 0.2, w, np.empty(theta.shape))[0],
             w_hat, d_w, eps=1e-6)
         assert err_t <= 1e-5
         assert err_w <= 1e-5
@@ -324,10 +327,11 @@ def test_reg_loss_bit_identical_to_full_forward():
     diff = leaky_relu(h, 0.2)[rows] - w_hat
     d_o = np.zeros_like(h)
     d_o[rows] = diff / 16
-    loss, d_theta, d_w = gcn_reg_loss(propagate(p, x, rows), theta, 0.2, w_hat)
+    d_theta = np.empty(theta.shape)
+    loss, d_rows = gcn_reg_core(propagate(p, x, rows), theta, 0.2, w_hat, d_theta)
     assert loss == 0.5 / 16 * float(np.sum(diff * diff))
     assert np.array_equal(d_theta, z.T @ (d_o * np.where(h > 0, 1.0, 0.2)))
-    assert np.array_equal(d_w, -diff / 16)
+    assert np.array_equal(d_rows, diff / 16)  # minus the gradient wrt w_hat
 
 
 def test_propagate_selects_rows():
@@ -349,9 +353,11 @@ def test_losses_reject_mismatched_shapes():
     with pytest.raises(DimensionError):
         init_loss(z, theta, 0.2, np.ones((2, 4)))  # 3 rows vs 2 targets
     with pytest.raises(DimensionError):
-        gcn_reg_loss(z, theta, 0.2, np.ones((3, 5)))  # output dim 4 vs 5
+        init_loss(z, theta, 0.2, np.ones((3, 5)))  # output dim 4 vs 5
     with pytest.raises(DimensionError):
         init_loss(np.ones((3, 7)), theta, 0.2, np.ones((3, 4)))
+    with pytest.raises(ValueError, match="slope"):  # nor a negative slope
+        init_loss(z, theta, -0.1, np.ones((3, 4)))
 
 
 @pytest.mark.parametrize("slope", [0.2, 0.0])  # the closed form, then the loop

@@ -1,6 +1,8 @@
 """Every name a package module imports is used in that module or listed in
 its ``__all__``: an import kept only so that something outside the package
-can patch it is dead code in the module that holds it."""
+can patch it is dead code in the module that holds it. Likewise every
+top-level function and class is called or named by package code: one that
+only the tests reach is a second entry point the package does not need."""
 import ast
 from pathlib import Path
 
@@ -31,3 +33,21 @@ def test_every_import_is_used_or_exported():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def test_every_definition_is_used():
+    # a reference is an ast.Name or the attribute of an ast.Attribute; the
+    # strings of __all__ and of docstrings are no use, nor a definition's
+    # references to itself
+    defined, used = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(stmt.name)
+                names.discard(stmt.name)
+            used |= names
+    unused = sorted(defined - used)
+    assert not unused, f"no package code references {unused}"

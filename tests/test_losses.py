@@ -4,17 +4,17 @@ import pytest
 from opendomain.losses import (
     ClassifierHead,
     LossWeights,
-    balance_loss_vanilla,
-    cls_loss,
-    limited_balance_loss,
+    balance_core,
+    check_labels,
+    cls_core,
     limited_balance_terms,
-    sgmd_loss,
+    sgmd_core,
     total_loss,
 )
 from opendomain.numkit import make_rng, softmax_rows
 
 from gradcheck import grad_check, through_head
-from joint_reference import classifier_responses, softmax_backward
+from joint_reference import classifier_responses, on_copy, softmax_backward
 
 
 def _random_head(rng, l_t=None, l_s=None, m=None):
@@ -65,7 +65,8 @@ def test_sgmd_gate_closed_above_one():
     fs = rng.standard_normal((4, 3))
     ft = rng.standard_normal((4, 3))
     ps = np.full((4, 5), 0.2)
-    loss, d_fs, d_ft, gate = sgmd_loss(fs, ft, ps, ps, tau=1.0)
+    d_fs = np.empty_like(fs)
+    loss, gate = sgmd_core(fs, ft, ps, ps, 1.0, d_fs)
     assert loss == 0.0
     assert not gate.any()
     assert np.allclose(d_fs, 0.0)
@@ -75,7 +76,7 @@ def test_sgmd_equal_features_zero():
     rng = make_rng(3)
     f = rng.standard_normal((3, 2))
     ps = np.full((3, 4), 0.25)
-    loss, _, _, _ = sgmd_loss(f, f.copy(), ps, ps, tau=0.0)
+    loss, _ = sgmd_core(f, f.copy(), ps, ps, 0.0, np.empty_like(f))
     assert loss == 0.0
 
 
@@ -86,11 +87,11 @@ def test_sgmd_single_pair_example():
     ps = np.array([[0.8944271909999159, 0.4472135954999579]])
     assert np.dot(ps[0], ps[0]) == pytest.approx(1.0)
     pt = 0.8 * ps
-    loss, d_fs, d_ft, gate = sgmd_loss(fs, ft, ps, pt, tau=0.5)
+    d_fs = np.empty_like(fs)
+    loss, gate = sgmd_core(fs, ft, ps, pt, 0.5, d_fs)
     assert gate.all()
     assert loss == pytest.approx(12.5)
-    assert np.allclose(d_fs, [[-3.0, -4.0]])
-    assert np.allclose(d_ft, [[3.0, 4.0]])
+    assert np.allclose(d_fs, [[-3.0, -4.0]])  # the gradient wrt ft is its negation
 
 
 def test_sgmd_monotone_in_tau():
@@ -100,7 +101,7 @@ def test_sgmd_monotone_in_tau():
     from opendomain.numkit import softmax_rows
     ps = softmax_rows(rng.standard_normal((6, 4)))
     pt = softmax_rows(rng.standard_normal((6, 4)))
-    values = [sgmd_loss(fs, ft, ps, pt, tau)[0]
+    values = [sgmd_core(fs, ft, ps, pt, tau, np.empty_like(fs))[0]
               for tau in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
@@ -115,14 +116,15 @@ def test_sgmd_gradients():
         ft = rng.standard_normal((n, m))
         ps = softmax_rows(rng.standard_normal((n, 4)))
         pt = softmax_rows(rng.standard_normal((n, 4)))
-        _, d_fs, d_ft, gate = sgmd_loss(fs, ft, ps, pt, tau=0.2)
+        d_fs = np.empty_like(fs)
+        _, gate = sgmd_core(fs, ft, ps, pt, 0.2, d_fs)
         if not gate.any():
             continue
-        err = grad_check(lambda f: sgmd_loss(f, ft, ps, pt, 0.2)[0], fs, d_fs,
-                         eps=1e-6)
+        err = grad_check(lambda f: sgmd_core(f, ft, ps, pt, 0.2, np.empty_like(f))[0],
+                         fs, d_fs, eps=1e-6)
         assert err <= 1e-5
-        err = grad_check(lambda f: sgmd_loss(fs, f, ps, pt, 0.2)[0], ft, d_ft,
-                         eps=1e-6)
+        err = grad_check(lambda f: sgmd_core(fs, f, ps, pt, 0.2, np.empty_like(f))[0],
+                         ft, -d_fs, eps=1e-6)
         assert err <= 1e-5
 
 
@@ -137,20 +139,21 @@ def _mass_head_features(mass, l_t=4, l_s=2):
 def test_vanilla_balance_values():
     # unknown mass 0.25 -> loss = -log 0.25 = ln 4
     f = _mass_head_features(0.25)
-    loss, _ = balance_loss_vanilla(softmax_rows(f), 2)
+    loss = balance_core(softmax_rows(f), 2, None)
     assert loss == pytest.approx(np.log(4.0), abs=1e-9)
 
 
 def test_vanilla_balance_full_mass_zero_loss():
     f = np.array([[-50.0, -50.0, 10.0, 10.0]])
-    loss, _ = balance_loss_vanilla(softmax_rows(f), 2)
+    loss = balance_core(softmax_rows(f), 2, None)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_vanilla_balance_clamp():
     # unknown mass numerically zero: clamped to -log(eps), finite
     f = np.array([[60.0, 60.0, -60.0, -60.0]])
-    loss, d_logits = balance_loss_vanilla(softmax_rows(f), 2, eps=1e-12)
+    d_logits = softmax_rows(f)
+    loss = balance_core(d_logits, 2, None, eps=1e-12)
     assert loss == pytest.approx(-np.log(1e-12))
     assert np.isfinite(loss)
     assert np.allclose(d_logits, 0.0)
@@ -162,7 +165,7 @@ def test_vanilla_balance_unbounded_growth():
     losses = []
     for scale in (1.0, 4.0, 8.0, 12.0):
         f = np.array([[scale, scale, -scale, -scale]])
-        loss, _ = balance_loss_vanilla(softmax_rows(f), 2, eps=1e-12)
+        loss = balance_core(softmax_rows(f), 2, None, eps=1e-12)
         losses.append(loss)
     assert all(b > a for a, b in zip(losses, losses[1:]))
     assert losses[-1] <= -np.log(1e-12) + 1e-9
@@ -193,8 +196,8 @@ def test_limited_balance_loss_at_least_2w():
         head = _random_head(rng)
         f = rng.standard_normal((5, head.weights.shape[1]))
         w = float(rng.uniform(0.05, 0.95))
-        loss, _ = limited_balance_loss(classifier_responses(f, head),
-                                       head.known_count, w, eps=1e-12)
+        loss = balance_core(classifier_responses(f, head), head.known_count, w,
+                            eps=1e-12)
         assert loss >= 2 * w - 1e-12
 
 
@@ -206,8 +209,8 @@ def test_balance_gradients():
         n = int(rng.integers(1, 8))
         f = rng.standard_normal((n, head.weights.shape[1]))
         w = float(rng.uniform(0.1, 0.9))
-        limited = lambda p: limited_balance_loss(p, head.known_count, w, 1e-12)
-        vanilla = lambda p: balance_loss_vanilla(p, head.known_count, 1e-12)
+        limited = lambda p: on_copy(balance_core, p, head.known_count, w, 1e-12)
+        vanilla = lambda p: on_copy(balance_core, p, head.known_count, None, 1e-12)
         loss, d_f, d_w = through_head(limited, f, head)
         vloss, vd_f, vd_w = through_head(vanilla, f, head)
         grads = [
@@ -230,7 +233,7 @@ def test_balance_gradients():
 def test_cls_loss_perfect_predictions():
     f = np.array([[30.0, 0.0], [0.0, 30.0]])
     head = ClassifierHead(np.eye(2), known_count=2)
-    loss, _ = cls_loss(classifier_responses(f, head), [0, 1])
+    loss = cls_core(classifier_responses(f, head), np.array([0, 1]))
     assert loss == pytest.approx(0.0, abs=1e-9)
 
 
@@ -238,15 +241,16 @@ def test_cls_loss_uniform_predictions():
     l_t = 5
     head = ClassifierHead(np.zeros((l_t, 3)), known_count=2)
     f = make_rng(8).standard_normal((4, 3))
-    loss, _ = cls_loss(classifier_responses(f, head), [0, 1, 0, 1])
+    loss = cls_core(classifier_responses(f, head), np.array([0, 1, 0, 1]))
     assert loss == pytest.approx(np.log(l_t))
 
 
 def test_cls_loss_label_out_of_range():
-    # responses over 2 classes: a label names one of their columns
+    # responses over 2 classes: a label names one of their columns. The cls
+    # core checks nothing; a run checks its labels once, at its entry
     for label in (2, -1):
         with pytest.raises(IndexError):
-            cls_loss(np.full((1, 2), 0.5), [label])
+            check_labels([label], 2)
 
 
 def test_cls_loss_gradients():
@@ -257,7 +261,7 @@ def test_cls_loss_gradients():
         n = int(rng.integers(1, 8))
         f = rng.standard_normal((n, head.weights.shape[1]))
         labels = rng.integers(0, head.known_count, n)
-        term = lambda p: cls_loss(p, labels)
+        term = lambda p: on_copy(cls_core, p, labels)
         _, d_f, d_w = through_head(term, f, head)
         if min(float(np.min(np.abs(d_f))), float(np.min(np.abs(d_w)))) < 1e-5:
             # near-zero coordinates drown in finite-difference roundoff
