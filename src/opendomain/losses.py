@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassifierHead:
     """Full classifier weights, one row per class; rows 0..known_count-1
     are the known-class classifiers. No bias term: rows live in the same

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Encoder:
     """Linear map raw -> features: raw @ weight + bias."""
 
@@ -36,7 +36,7 @@ class Encoder:
     bias: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelState:
     encoder: Encoder
     head: ClassifierHead

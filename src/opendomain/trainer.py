@@ -79,8 +79,8 @@ class ExperimentConfig:
     def __post_init__(self):
         known, total = self.synth.known_classes, self.synth.total_classes
         if self.loss.w is None:
-            # loss.w defaults to the proportion of unknown classes
-            w = (total - known) / total if known < total else 0.5
+            # loss.w defaults to the proportion of unknown classes, in (0, 1) however large
+            w = min(max((total - known) / total, 5e-324), 1 - 2**-53) if known < total else 0.5
             object.__setattr__(self, "loss", replace(self.loss, w=w))
         try:
             check_types(self, _section)
@@ -227,12 +227,12 @@ def _target_order(rng, n_target: int, needed: int) -> np.ndarray:
     return np.concatenate(chunks)[:needed]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Prepared:
     """All the joint loop reads: the model after pretraining and GCN init,
     the datasets, the propagated class rows (None without a graph), the
     initial partners and the RNG streams. No enable_* flag is read before
-    this point, so every variant of a seed can start from a deep copy."""
+    this point, so every variant of a seed trains from the one record."""
 
     state: ModelState
     source: synth.LabeledDataset
@@ -335,7 +335,7 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
         # symmetric label space: no propagation target, head starts at the
         # pretrained classifier
         theta = np.zeros((word_vectors.shape[1], cfg.feature_dim))
-        head = ClassifierHead(weights=w_src.copy(), known_count=l_s)
+        head = ClassifierHead(weights=w_src, known_count=l_s)
     partner = _partner(enc, source, target, cfg.folds, rng_match)
     return Prepared(state=ModelState(encoder=enc, head=head, theta=theta),
                     source=source, target=target, z_class=z_class, partner=partner,
@@ -436,26 +436,25 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
     """The joint loop over the cls, SGMD, balance and graph terms, with
     rematching every ``cfg.rematch_interval`` epochs.
 
-    Trains ``prepared`` in place (its model and RNG streams); deep-copy it
-    first to train several variants from one prefix. The trained arrays
-    (the encoder, the head and, with the graph term, theta) are rebound to
-    views of one flat buffer, which each step updates in one pass. Returns
-    (ModelState, history), the history one record per epoch: the loss term
-    means, the fraction of matched pairs passing the similarity gate and
-    the accuracy triple. A target without eval labels (label -1) records
-    its accuracies as None.
+    Trains a copy and leaves ``prepared`` as it found it: the trained
+    arrays (the encoder, the head and, with the graph term, theta) are
+    copied into one new flat buffer, which each step updates in one pass,
+    and the RNG streams are copies too. Returns (ModelState, history),
+    the state sharing no array with ``prepared`` and the history one
+    record per epoch: the loss term means, the fraction of matched pairs
+    passing the similarity gate and the accuracy triple. A target without
+    eval labels (label -1) records its accuracies as None.
     """
-    state, source, target = prepared.state, prepared.source, prepared.target
-    enc, head = state.encoder, state.head
-    check_labels(source.labels, head.known_count)
-    rng_joint, partner = prepared.rng_joint, prepared.partner
+    source, target, init = prepared.source, prepared.target, prepared.state
+    known, partner = init.head.known_count, prepared.partner
+    check_labels(source.labels, known)
+    rng_joint, rng_match = copy.deepcopy((prepared.rng_joint, prepared.rng_match))
     labeled = not (target.eval_labels < 0).any()
 
-    trained = [enc.weight, enc.bias, head.weights] + ([state.theta] if cfg.enable_gcn else [])
-    flat, views = flat_views(trained)
-    enc.weight, enc.bias, head.weights = views[:3]
-    if cfg.enable_gcn:
-        state.theta = views[3]
+    trained = [init.encoder.weight, init.encoder.bias, init.head.weights, init.theta]
+    flat, views = flat_views(trained[:4 if cfg.enable_gcn else 3])
+    state = ModelState(Encoder(*views[:2]), ClassifierHead(views[2], known),
+                       views[3] if cfg.enable_gcn else init.theta.copy())
     opt = MomentumSgd(flat, cfg.learning_rate, cfg.momentum)
     grad = np.empty_like(flat)
 
@@ -466,7 +465,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
 
     for epoch in range(cfg.epochs):
         if cfg.rematch_interval > 0 and epoch > 0 and epoch % cfg.rematch_interval == 0:
-            partner = _partner(enc, source, target, cfg.folds, prepared.rng_match)
+            partner = _partner(state.encoder, source, target, cfg.folds, rng_match)
         order_src = rng_joint.permutation(n_src)
         order_tgt = _target_order(rng_joint, target.n, n_src)
         # the epoch's rows in batch order, so that every batch is a slice;
@@ -500,8 +499,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
                   "gated_fraction": gated / considered if considered else 0.0}
         if labeled:
             preds = predict(state, target.features)
-            record.update(accuracy_triple(preds, target.eval_labels,
-                                          head.known_count).as_dict())
+            record.update(accuracy_triple(preds, target.eval_labels, known).as_dict())
         else:
             record.update(known=None, unknown=None, all=None, n_known=None, n_unknown=None)
         history.append(record)
@@ -528,12 +526,14 @@ def run_ablation(base: ExperimentConfig, seeds, data=None):
     space: the five ``ABLATION_VARIANTS`` with unknown classes, else
     ``DA_VARIANTS``, whose unknown column reads 0 (no unknown instances).
 
-    Each seed's prefix is prepared once and every variant trains from a
-    deep copy of it. With ``data`` the dataset is held fixed and only the
-    training seed varies; otherwise each seed regenerates the benchmark.
+    Each seed's prefix is prepared once and every variant trains from it.
+    With ``data`` the dataset is held fixed and only the training seed
+    varies; otherwise each seed regenerates the benchmark.
     """
     if not len(seeds):
         raise ConfigError("run_ablation needs at least one seed")
+    if data is not None and (data[1].eval_labels < 0).any():
+        raise ValueError("run_ablation needs a target with eval labels, not label -1")
     open_set = base.synth.known_classes < base.synth.total_classes
     variants = ABLATION_VARIANTS if open_set else DA_VARIANTS
     runs = {name: [] for name in variants}
@@ -543,7 +543,7 @@ def run_ablation(base: ExperimentConfig, seeds, data=None):
             cfg = replace(cfg, synth=replace(base.synth, seed=int(seed)))
         prepared = prepare(cfg, synth.generate(cfg.synth) if data is None else data)
         for name, tokens in variants.items():
-            _, history = train_joint(copy.deepcopy(prepared), apply_flags(cfg, tokens))
+            _, history = train_joint(prepared, apply_flags(cfg, tokens))
             runs[name].append({k: history[-1][k] for k in ("known", "unknown", "all")})
     results = {}
     for variant, variant_runs in runs.items():

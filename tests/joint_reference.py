@@ -282,17 +282,11 @@ def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule
     features = np.asarray(features, float)
     labels = np.asarray(labels, dtype=int)
     n, m_in = features.shape
-    enc = Encoder(
-        weight=rng.uniform(-1.0, 1.0, (m_in, feature_dim)) / np.sqrt(m_in),
-        bias=np.zeros(feature_dim),
-    )
-    head = ClassifierHead(
-        weights=rng.uniform(-1.0, 1.0, (num_classes, feature_dim))
-        / np.sqrt(feature_dim),
-        known_count=num_classes,
-    )
-    flat, (enc.weight, enc.bias, head.weights) = flat_views(
-        [enc.weight, enc.bias, head.weights])
+    weight = rng.uniform(-1.0, 1.0, (m_in, feature_dim)) / np.sqrt(m_in)
+    weights = rng.uniform(-1.0, 1.0, (num_classes, feature_dim)) / np.sqrt(feature_dim)
+    flat, (weight, bias, weights) = flat_views([weight, np.zeros(feature_dim), weights])
+    enc = Encoder(weight=weight, bias=bias)
+    head = ClassifierHead(weights=weights, known_count=num_classes)
     opt = MomentumSgd(flat, schedule.learning_rate, schedule.momentum)
     grad = np.empty_like(flat)
     history = []

@@ -1,5 +1,7 @@
 """Round-trip properties of the text formats: what a writer emits, its
 reader gives back exactly, float64 bit patterns included."""
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,8 @@ from opendomain.synth import (
     load_dataset,
     save_dataset,
 )
-from opendomain.trainer import ExperimentConfig, config_to_text, parse_config
+from opendomain.trainer import (
+    ConfigError, ExperimentConfig, config_to_text, experiment_hash, parse_config)
 from pairs_file import load_pairs
 
 # tmp_path is shared by the examples of one test; each example overwrites
@@ -130,37 +133,113 @@ def test_graph_round_trip_on_random_trees(tmp_path, graph):
     assert load_graph(path) == graph
 
 
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NEGATIVE = st.floats(max_value=-5e-324, allow_infinity=False)
+_NOT_POSITIVE = st.floats(max_value=0.0, allow_infinity=False)
+_ONE_OR_MORE = st.floats(min_value=1.0, allow_infinity=False)
+
+
+def _ints(low):
+    return st.integers(low, 2**64), st.integers(-2**64, low - 1)
+
+
+# each kind of range: (its values, values out of it)
+_RANGES = {
+    "int >= 0": _ints(0),
+    "int >= 1": _ints(1),
+    "int >= 2": _ints(2),
+    "finite": (finite, _NONFINITE),
+    ">= 0": (non_negative, _NEGATIVE | _NONFINITE),
+    "> 0": (positive, _NOT_POSITIVE | _NONFINITE),
+    "[0, 1)": (st.floats(0.0, 1.0, exclude_max=True), _NEGATIVE | _ONE_OR_MORE | _NONFINITE),
+    "(0, 1)": (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+               _NOT_POSITIVE | _ONE_OR_MORE | _NONFINITE),
+}
+# every config key but the flags and synth.total_classes, which are drawn
+# against other keys; loss.w may also be left out
+_KEY_RANGES = {
+    **dict.fromkeys(["synth.known_classes", "synth.input_dim", "synth.word_dim",
+                     "synth.source_per_class", "synth.target_per_class",
+                     "pretrain.epochs", "pretrain.batch_size", "gcn.steps",
+                     "train.feature_dim", "train.epochs", "train.batch_size",
+                     "train.folds"], "int >= 1"),
+    **dict.fromkeys(["synth.seed", "train.rematch_interval", "train.seed"], "int >= 0"),
+    "synth.branching": "int >= 2",
+    **dict.fromkeys(["synth.rotation_angle", "loss.tau"], "finite"),
+    **dict.fromkeys(["synth.step", "synth.noise", "synth.word_noise",
+                     "synth.translation_scale", "loss.lambda_d", "loss.lambda_b",
+                     "loss.lambda_g", "gcn.slope"], ">= 0"),
+    **dict.fromkeys(["loss.epsilon", "pretrain.learning_rate", "gcn.learning_rate",
+                     "gcn.init_scale", "train.learning_rate"], "> 0"),
+    **dict.fromkeys(["pretrain.momentum", "gcn.momentum", "train.momentum"], "[0, 1)"),
+    "loss.w": "(0, 1)",
+}
+
+
 @st.composite
 def _configs(draw):
-    """Valid values for a few keys of every config section."""
-    known = draw(st.integers(1, 10))
-    cfg = ExperimentConfig()
-    balance = draw(st.sampled_from(["lb", "vanilla", "none"]))
-    return replace(
-        cfg,
-        synth=replace(cfg.synth, known_classes=known,
-                      total_classes=known + draw(st.integers(1, 5)),
-                      noise=draw(non_negative), seed=draw(st.integers(0, 2**32 - 1))),
-        loss=replace(cfg.loss, tau=draw(finite), epsilon=draw(positive),
-                     w=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))),
-        pretrain=replace(cfg.pretrain, epochs=draw(st.integers(1, 100)),
-                         learning_rate=draw(positive),
-                         momentum=draw(st.floats(0.0, 1.0, exclude_max=True))),
-        gcn=replace(cfg.gcn, steps=draw(st.integers(1, 10**4)), slope=draw(non_negative)),
-        feature_dim=draw(st.integers(1, 64)),
-        folds=draw(st.integers(1, 9)),
-        rematch_interval=draw(st.integers(0, 10)),
-        seed=draw(st.integers(0, 2**32 - 1)),
-        enable_lb=balance == "lb",
-        vanilla_balance=balance == "vanilla",
-        enable_sgmd=draw(st.booleans()),
-    )
+    """(config, whether loss.w was left out): every key drawn from its valid
+    range, total_classes >= known_classes, and flags that the class counts
+    allow."""
+    keys = {key: draw(_RANGES[kind][0]) for key, kind in _KEY_RANGES.items()}
+    w_left_out = draw(st.booleans())
+    if w_left_out:
+        keys["loss.w"] = None
+    known = keys["synth.known_classes"]
+    keys["synth.total_classes"] = known + draw(st.integers(0, 2**64))
+    open_set = keys["synth.total_classes"] > known
+    balance = draw(st.sampled_from(["lb", "vanilla", "none"])) if open_set else "none"
+    keys.update({"flags.enable_lb": balance == "lb", "flags.vanilla_balance": balance == "vanilla",
+                 "flags.enable_gcn": open_set and draw(st.booleans()),
+                 "flags.enable_sgmd": draw(st.booleans())})
+    sections = {}
+    for key, value in keys.items():
+        section, _, name = key.partition(".")
+        sections.setdefault(section, {})[name] = value
+    top = {**sections.pop("train"), **sections.pop("flags")}
+    base = ExperimentConfig()
+    parts = {name: type(getattr(base, name))(**values) for name, values in sections.items()}
+    return ExperimentConfig(**parts, **top), w_left_out
 
 
-@PROPERTY
+def _with_line(text: str, key: str, value) -> str:
+    """Config text with the line of ``key`` set to ``value``, or dropped
+    when ``value`` is None."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} = ")]
+    return "\n".join(lines + ([f"{key} = {value}"] if value is not None else [])) + "\n"
+
+
+CONFIG_PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@CONFIG_PROPERTY
 @given(_configs())
-def test_config_round_trip(cfg):
-    assert parse_config(config_to_text(cfg)) == cfg
+def test_config_round_trip(drawn):
+    cfg, w_left_out = drawn
+    text = config_to_text(cfg)
+    assert parse_config(text) == cfg
+    assert experiment_hash(parse_config(text)) == experiment_hash(cfg)
+    if w_left_out:
+        # the text without its loss.w line derives the same default
+        assert parse_config(_with_line(text, "loss.w", None)) == cfg
+
+
+@CONFIG_PROPERTY
+@given(_configs(), st.sampled_from([*_KEY_RANGES, "synth.total_classes"]), st.data())
+def test_config_refuses_a_key_out_of_range(drawn, key, data):
+    """One key out of its range is refused as config text (ConfigError) and
+    from Python (ValueError), each time naming ``section.key``."""
+    cfg, _ = drawn
+    section, _, name = key.partition(".")
+    if key == "synth.total_classes":
+        value = data.draw(st.integers(-2**64, cfg.synth.known_classes - 1))
+    else:
+        value = data.draw(_RANGES[_KEY_RANGES[key]][1])
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(_with_line(config_to_text(cfg), key, value))
+    part = cfg if section == "train" else getattr(cfg, section)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        replace(part, **{name: value})
 
 
 # ------------------------------------------------------------ exact bytes

@@ -80,6 +80,14 @@ def test_default_w_is_the_same_in_python_and_in_a_config_file():
         assert parse_config(text).loss.w == built.loss.w == w
 
 
+@pytest.mark.parametrize("known, total", [(1, 2**64), (2**1100 - 1, 2**1100)])
+def test_default_w_of_huge_class_counts_stays_in_its_range(known, total):
+    # (total - known) / total rounds to 1 past 2**53 classes and to 0 past 2**1074
+    cfg = ExperimentConfig(synth=synth.SynthConfig(known_classes=known, total_classes=total))
+    assert 0 < cfg.loss.w < 1
+    assert parse_config(config_to_text(cfg)) == cfg
+
+
 def test_parse_sections_and_comments():
     text = MINIMAL + """
 # a comment line
@@ -681,9 +689,10 @@ def test_train_joint_replays_joint_terms_and_momentum():
     cfg = _small_cfg(synth=sizes, epochs=2, rematch_interval=1)
     prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
     assert (prepared.partner < 0).any() and (prepared.partner >= 0).any()
-    replay = copy.deepcopy(prepared)
     trained, _ = trainer.train_joint(prepared, cfg)
 
+    # train_joint left prepared as it found it, so the replay starts from it
+    replay = prepared
     state, source, target = replay.state, replay.source, replay.target
     params = {"encoder.weight": state.encoder.weight,
               "encoder.bias": state.encoder.bias,
@@ -711,6 +720,45 @@ def test_train_joint_replays_joint_terms_and_momentum():
     assert np.array_equal(trained.encoder.bias, state.encoder.bias)
     assert np.array_equal(trained.head.weights, state.head.weights)
     assert np.array_equal(trained.theta, state.theta)
+
+
+def _trained(state) -> list:
+    return [state.encoder.weight, state.encoder.bias, state.head.weights, state.theta]
+
+
+def _arrays(prepared) -> dict:
+    """Every array of ``prepared``, by name."""
+    names = ("encoder.weight", "encoder.bias", "head.weights", "gcn.theta")
+    return {**dict(zip(names, _trained(prepared.state))),
+            "source.features": prepared.source.features,
+            "source.labels": prepared.source.labels,
+            "target.features": prepared.target.features,
+            "target.eval_labels": prepared.target.eval_labels,
+            "z_class": prepared.z_class, "partner": prepared.partner}
+
+
+@pytest.mark.parametrize("flags", [("lb", "sgmd", "gcn"), ("lb", "sgmd")],
+                         ids=["graph term", "no graph term"])
+def test_train_joint_leaves_prepared_as_it_found_it(flags):
+    # rematched every epoch, so both RNG streams are drawn from; with the
+    # graph term theta trains in the flat buffer, without it theta is copied
+    sizes = replace(_small_cfg().synth, source_per_class=15, target_per_class=6)
+    cfg = apply_flags(_small_cfg(synth=sizes, epochs=2, rematch_interval=1), flags)
+    prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
+    before = copy.deepcopy(prepared)
+    (first, history), (second, again) = (trainer.train_joint(prepared, cfg) for _ in range(2))
+
+    assert history == again
+    assert first.head.known_count == second.head.known_count
+    for a, b in zip(_trained(first), _trained(second)):
+        assert np.array_equal(a, b)
+    for name, array in _arrays(prepared).items():
+        assert np.array_equal(array, _arrays(before)[name]), name
+        for state in (first, second):
+            assert not any(np.shares_memory(array, t) for t in _trained(state)), name
+    for stream in ("rng_joint", "rng_match"):
+        assert (getattr(prepared, stream).bit_generator.state
+                == getattr(before, stream).bit_generator.state), stream
 
 
 @pytest.mark.parametrize("known, total", [(3, 5), (8, 12)])
@@ -819,8 +867,8 @@ def test_run_ablation_structure():
 
 
 def test_run_ablation_single_seed_matches_pipeline():
-    # rematching draws from the prepared rng_match, so each variant must
-    # start from its own copy of it
+    # rematching draws from the prepared rng_match, so each variant's
+    # train_joint must draw from its own copy of it
     cfg = _small_cfg(epochs=2, rematch_interval=1)
     results = run_ablation(cfg, seeds=[cfg.seed])
     for variant, tokens in ABLATION_VARIANTS.items():
@@ -848,6 +896,22 @@ def test_run_ablation_prepares_once_per_seed(monkeypatch):
 def test_run_ablation_rejects_no_seeds():
     with pytest.raises(ConfigError):
         run_ablation(_small_cfg(epochs=1), seeds=[])
+
+
+def test_run_ablation_refuses_a_target_without_eval_labels(monkeypatch):
+    # there is nothing to score the variants against: refused before the
+    # first prefix is prepared, not after every variant trained
+    cfg = _small_cfg(epochs=1)
+    source, target, graph, words = synth.generate(cfg.synth)
+    unlabeled = replace(target, eval_labels=np.full(target.n, -1))
+
+    def refused(*args):
+        raise AssertionError("prepared a prefix")
+
+    monkeypatch.setattr(trainer, "prepare", refused)
+    with pytest.raises(ValueError, match="eval labels") as exc:
+        run_ablation(cfg, seeds=[0], data=(source, unlabeled, graph, words))
+    assert "\n" not in str(exc.value)
 
 
 def test_prepare_trains_gcn_init_under_the_configured_slope(monkeypatch):
