@@ -173,7 +173,10 @@ def cmd_match(args) -> int:
     rows, path = min((fs.shape[0], args.source), (ft.shape[0], args.target))
     if args.folds > rows:
         raise ValueError(f"--folds {args.folds} exceeds the {rows} rows of {path}")
-    src, tgt, costs, total = match_domains(fs, ft, args.folds, make_rng(args.seed))
+    try:  # finite entries can still give L1 costs past float64
+        src, tgt, costs, total = match_domains(fs, ft, args.folds, make_rng(args.seed))
+    except ValueError as exc:
+        raise ValueError(f"matching {args.source} against {args.target}: {exc}") from None
     save_pairs(args.out, MatchedPairs(pairs=tuple(zip(src.tolist(), tgt.tolist())),
                                       total_cost=total, costs=tuple(costs.tolist())))
     return 0

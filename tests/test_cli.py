@@ -327,6 +327,28 @@ def test_match_command(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("fs_column, ft_column", [
+    ((1e308, 0.0), (-1e308, 0.0)), ((1e308, 1e308), (0.0, 0.0)),
+], ids=["difference", "sum"])
+def test_match_overflowing_costs_exit_one(tmp_path, capsys, fs_column, ft_column):
+    """Finite entries whose L1 cost overflows float64, in one column's
+    difference or in the sum over columns: exit 1 with one stderr line that
+    names both files, and no overflow warning (which pytest makes an error)."""
+    src, tgt, out = tmp_path / "fs.mat", tmp_path / "ft.mat", tmp_path / "pairs.txt"
+    for path, rows, column in ((src, 3, fs_column), (tgt, 4, ft_column)):
+        features = np.zeros((rows, 16))
+        features[:, 5:7] = column
+        save_matrix(path, features)
+    capsys.readouterr()
+    assert main(["match", "--source", str(src), "--target", str(tgt), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert captured.err.startswith("error: ")
+    assert str(src) in captured.err and str(tgt) in captured.err
+    assert not out.exists()
+
+
 def test_eval_corrupted_manifest_exits_one(tmp_path, config_path, capsys):
     data = tmp_path / "data"
     run = tmp_path / "run"

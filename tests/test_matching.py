@@ -57,14 +57,21 @@ def test_pairwise_l1_matches_double_loop():
                 np.sum(np.abs(fs[i] - ft[j])))
 
 
+# the widths cover each way numpy's sum adds d terms: one by one under 8,
+# eight running sums up to 128, halves split at a multiple of 8 above
+_L1_WIDTHS = (1, 7, 8, 9, 15, 16, 17, 128, 129, 200)
+
+
 @pytest.mark.parametrize("n, d", [
     (0, 5), (1, 5), (_L1_BLOCK - 1, 5), (_L1_BLOCK, 5), (_L1_BLOCK + 1, 5),
     (2 * _L1_BLOCK + 3, 1),
-], ids=["0 rows", "1 row", "block-1", "block", "block+1", "d=1"])
+] + [(2 * _L1_BLOCK + 1, d) for d in _L1_WIDTHS],
+    ids=["0 rows", "1 row", "block-1", "block", "block+1", "d=1"]
+    + [f"width {d}" for d in _L1_WIDTHS])
 def test_pairwise_l1_blocks_equal_one_broadcast(n, d):
     rng = make_rng(n)
     fs = rng.standard_normal((n, d))
-    ft = rng.standard_normal((23, d))
+    ft = rng.standard_normal((23, d + 2))[:, 1:-1]  # a column slice: not contiguous
     assert np.array_equal(pairwise_l1(fs, ft),
                           np.abs(fs[:, None, :] - ft[None, :, :]).sum(axis=2))
 
@@ -79,8 +86,16 @@ def test_pairwise_l1_temporary_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 1.9 MB output plus a few MB, not the 31 MB n x m x d temporary
-    assert peak < out.nbytes + 4 * 2**20
+    # the 1.9 MB output, one d x _L1_BLOCK x m block (0.3 MB), a copy of ft
+    # (77 kB) and numpy's ufunc buffers (about 120 kB), not the 31 MB
+    # n x m x d temporary
+    assert peak < out.nbytes + 8 * 16 * 600 * (_L1_BLOCK + 1) + 256 * 2**10
+
+
+def test_pairwise_l1_overflow_is_inf_without_warning():
+    fs = np.array([[1e308, 0.0], [1e308, 1e308]])
+    ft = np.array([[-1e308, 0.0], [0.0, 0.0]])
+    assert np.array_equal(pairwise_l1(fs, ft), [[np.inf, 1e308], [np.inf, np.inf]])
 
 
 def test_pairwise_l1_dimension_mismatch():
@@ -326,24 +341,31 @@ def test_solver_keeps_the_reference_tie_rule(costs):
 
 
 # sha256 of the pairs file; the matching's ties, order and summation order
-# all show in these bytes
+# all show in these bytes. Width 16 is the one train encodes to and the
+# match benchmark uses; at 129 the L1 sum splits into halves
 _GOLDEN_PAIRS = {
-    (1, False): "12480e6407190f4ec613625337ec6e80b05745f7982a08380c53a3b544430c51",
-    (3, False): "fa4560a34529b75c50cd59773449cac8fb691fc313f295074870ba5d3b82649e",
-    (1, True): "4fb9bdee4681a4c5247d84de7a64cb283ab3f94cecc3f872bc7f2a4cc7392d4f",
-    (3, True): "0ff4dace59d755551ca04c4e852c25f2befc3bc783a06ce682714807bdeff612",
+    (1, False, 6): "12480e6407190f4ec613625337ec6e80b05745f7982a08380c53a3b544430c51",
+    (3, False, 6): "fa4560a34529b75c50cd59773449cac8fb691fc313f295074870ba5d3b82649e",
+    (1, True, 6): "4fb9bdee4681a4c5247d84de7a64cb283ab3f94cecc3f872bc7f2a4cc7392d4f",
+    (3, True, 6): "0ff4dace59d755551ca04c4e852c25f2befc3bc783a06ce682714807bdeff612",
+    (1, False, 16): "fb28ed97006dca4ea0200f38d4743847b056f6a5bc4f657441ce3f53fe3088a8",
+    (3, True, 16): "4b9fdbc6d92d0c2f21db92ad95ae788586aa24f588cd9a7bac107dd64c8f3aae",
+    (1, True, 129): "46595a92689981c176039e05228dfaca597014616cbd1089c46d6c1a11e6881c",
+    (3, False, 129): "e6ebb6d0cbe08b0f380f04ddd889b59ec988535247db2c37267a8db31642448e",
 }
 
 
-@pytest.mark.parametrize("k, swap", sorted(_GOLDEN_PAIRS))
-def test_match_pairs_file_golden(tmp_path, k, swap):
+@pytest.mark.parametrize("k, swap, width", sorted(_GOLDEN_PAIRS), ids=[
+    f"{k}-{swap}" + ("" if width == 6 else f"-width {width}")
+    for k, swap, width in sorted(_GOLDEN_PAIRS)])
+def test_match_pairs_file_golden(tmp_path, k, swap, width):
     rng = make_rng(11)
-    fs = rng.standard_normal((40, 6))
-    ft = rng.standard_normal((55, 6))
+    fs = rng.standard_normal((40, width))
+    ft = rng.standard_normal((55, width))
     if swap:  # more sources than targets
         fs, ft = ft, fs
     path = tmp_path / "pairs.txt"
     src, tgt, costs, total = match_domains(fs, ft, k, make_rng(2))
     save_pairs(path, MatchedPairs(pairs=_pairs(src, tgt), total_cost=total,
                                   costs=tuple(costs.tolist())))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_PAIRS[k, swap]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_PAIRS[k, swap, width]
