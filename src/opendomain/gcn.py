@@ -9,7 +9,7 @@ function here takes Z instead of P, X and the row list. All gradients are
 computed by hand and verified by finite differences in the test suite.
 
 GCN init fits Theta so the known output rows reproduce the pretrained
-weights W. Each gradient step adds Z_k^T(.) to Theta (Z_k: the known class
+weights W, and returns Theta with the output rows of every class. Each gradient step adds Z_k^T(.) to Theta (Z_k: the known class
 rows), so the fit's limit lies in Theta0 + rowspace(Z_k); where it is unique
 there and the loop would reach it, :func:`train_gcn_init` solves it in
 closed form instead of iterating.
@@ -24,9 +24,7 @@ from .numkit import DimensionError, MomentumSgd, check_fields, check_types, leak
 
 __all__ = [
     "GcnSchedule",
-    "gcn_forward",
     "propagate",
-    "init_loss",
     "gcn_reg_core",
     "train_gcn_init",
 ]
@@ -48,14 +46,6 @@ class GcnSchedule:
         check_fields(self, "gcn", "slope", lambda v: v >= 0, ">= 0")
 
 
-def gcn_forward(z, theta, slope: float) -> np.ndarray:
-    """O = leaky_relu(Z Theta), the output rows of the propagated rows Z."""
-    z = np.asarray(z, float)
-    if z.shape[1] != theta.shape[0]:
-        raise DimensionError(f"gcn_forward: shapes {z.shape}, {theta.shape}")
-    return leaky_relu(z @ theta, slope)
-
-
 def propagate(p, x, rows) -> np.ndarray:
     """(P X)[rows]: the word vectors propagated over the graph, for the
     node rows a loss reads. Fixed while Theta trains."""
@@ -68,22 +58,6 @@ def propagate(p, x, rows) -> np.ndarray:
         if not 0 <= r < p.shape[0]:
             raise IndexError(f"node row {r} out of range for {p.shape[0]} nodes")
     return (p @ x)[rows]
-
-
-def init_loss(z, theta, slope: float, w):
-    """The graph tie of the known class rows ``z`` against the pretrained
-    classifier weights W: returns (loss, gradient wrt theta)."""
-    w = np.asarray(w, float)
-    if z.shape[0] != w.shape[0]:
-        raise DimensionError(f"expected {w.shape[0]} node rows, got {z.shape[0]}")
-    if z.shape[1] != theta.shape[0]:
-        raise DimensionError(f"propagated rows {z.shape} do not fit theta {theta.shape}")
-    if theta.shape[1] != w.shape[1]:
-        raise DimensionError("GCN output dim must equal classifier weight dim")
-    if slope < 0:
-        raise ValueError("leaky_relu slope must be >= 0")
-    d_theta = np.empty(theta.shape)
-    return gcn_reg_core(z, theta, slope, w, d_theta)[0], d_theta
 
 
 def gcn_reg_core(z, theta, slope: float, w_hat, d_theta):
@@ -122,15 +96,14 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     converges slope^2 times slower), the fit is solved in closed form, as
     the limit of gradient descent from theta0:
     ``theta = theta0 + Z_k^T (Z_k Z_k^T)^-1 (leaky_relu^-1(W) - Z_k theta0)``
-    with ``leaky_relu^-1(W) = where(W > 0, W, W / slope)``, and ``history``
-    is [initial loss, final loss]. Otherwise (an ill-conditioned Z_k, whose
-    exact solve would blow up the unknown rows; slope 0; a rank-deficient
-    Z_k: more known rows than word dims, zero word vectors) it runs
-    ``schedule.steps`` momentum steps and ``history`` is the per-step loss.
+    with ``leaky_relu^-1(W) = where(W > 0, W, W / slope)``. Otherwise (an
+    ill-conditioned Z_k, whose exact solve would blow up the unknown rows;
+    slope 0; a rank-deficient Z_k: more known rows than word dims, zero
+    word vectors) it runs ``schedule.steps`` momentum steps.
 
-    Returns (theta, embeddings, history) where ``embeddings`` are the
-    class rows of O (known rows approximate W, unknown rows are the
-    propagated classifier weights).
+    Returns (theta, embeddings) where ``embeddings`` are the class rows of
+    O = leaky_relu(Z_class theta) (known rows approximate W, unknown rows
+    are the propagated classifier weights).
     """
     z_class = np.asarray(z_class, float)
     w = np.asarray(w, float)
@@ -143,21 +116,19 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     eig = np.linalg.eigvalsh(gram)
     limit = slope ** 2 * schedule.learning_rate * schedule.steps / (1 - schedule.momentum)
     if eig[0] > 0 and eig[-1] <= limit * eig[0]:
-        history = [init_loss(z_known, theta, slope, w)[0]]
         target = np.where(w > 0, w, w / slope)
         theta += z_known.T @ np.linalg.solve(gram, target - z_known @ theta)
-        history.append(init_loss(z_known, theta, slope, w)[0])
-        return theta, gcn_forward(z_class, theta, slope), history
-    # learning_rate is relative to the curvature of the quadratic bound
-    # Z_k^T Z_k / M (activation slope <= 1), so the schedule is stable
-    # regardless of the scale of the word vectors
-    curvature = float(np.linalg.eigvalsh(z_known.T @ z_known)[-1]) / w.shape[1]
-    step = schedule.learning_rate / max(curvature, 1e-12)
-    opt = MomentumSgd(theta, step, schedule.momentum)
-    d_theta = np.empty(theta.shape)
-    history = []
-    for _ in range(schedule.steps):
-        # the core: the shapes are built or checked above, the slope by GcnSchedule
-        history.append(gcn_reg_core(z_known, theta, slope, w, d_theta)[0])
-        opt.step(d_theta)
-    return theta, gcn_forward(z_class, theta, slope), history
+    else:
+        # learning_rate is relative to the curvature of the quadratic bound
+        # Z_k^T Z_k / M (activation slope <= 1), so the schedule is stable
+        # regardless of the scale of the word vectors
+        curvature = float(np.linalg.eigvalsh(z_known.T @ z_known)[-1]) / w.shape[1]
+        step = schedule.learning_rate / max(curvature, 1e-12)
+        opt = MomentumSgd(theta, step, schedule.momentum)
+        d_theta = np.empty(theta.shape)
+        for _ in range(schedule.steps):
+            # the core writes d_theta: the shapes are built or checked above,
+            # the slope by GcnSchedule
+            gcn_reg_core(z_known, theta, slope, w, d_theta)
+            opt.step(d_theta)
+    return theta, leaky_relu(z_class @ theta, slope)

@@ -253,18 +253,36 @@ def _partner(enc, source, target, folds: int, rng) -> np.ndarray:
     return partner
 
 
-def _check_class_counts(cfg: ExperimentConfig, graph, word_vectors) -> None:
-    """Reject a config whose class counts are not the data's: the graph's,
-    or without a graph (known == total), the word-vector rows. A source
-    label past the known classes is refused by ``pretrain_source``."""
-    if graph is not None:
-        known, total = graph.known_class_count, graph.total_class_count
-    else:
-        known, total = cfg.synth.known_classes, word_vectors.shape[0]
-    for key, data in (("known_classes", known), ("total_classes", total)):
-        if getattr(cfg.synth, key) != data:
+def _check_data(cfg: ExperimentConfig, data) -> None:
+    """Refuse, before pretraining, data that does not fit the config or
+    itself: class counts (the graph's, or the word-vector rows without a
+    graph), feature widths, word vectors against graph nodes, target eval
+    labels (each a class, or all -1 for none) and the fold count."""
+    source, target, graph, word_vectors = data
+    known, total = cfg.synth.known_classes, cfg.synth.total_classes
+    rows, dims = word_vectors.shape
+    if graph is None and known != total:
+        raise ConfigError("a taxonomy graph is required when "
+                          "synth.known_classes < synth.total_classes")
+    nodes = rows if graph is None else graph.num_nodes
+    counts = (known, rows) if graph is None else (graph.known_class_count, graph.total_class_count)
+    for key, count in zip(("known_classes", "total_classes"), counts):
+        if getattr(cfg.synth, key) != count:
             raise ConfigError(f"synth.{key} = {getattr(cfg.synth, key)} does not "
-                              f"match the data's {data}")
+                              f"match the data's {count}")
+    if target.features.shape[1] != source.features.shape[1]:
+        raise ValueError(f"the target has {target.features.shape[1]} feature columns, "
+                         f"the source {source.features.shape[1]}")
+    if not dims or rows != nodes:
+        raise ValueError(f"the word vectors are {rows} x {dims}, not {nodes} rows "
+                         "(one per node) of at least one column")
+    labels = target.eval_labels
+    if (labels != -1).any() and not ((labels >= 0) & (labels < total)).all():
+        raise ValueError(f"the target eval labels run from {labels.min()} to {labels.max()}, "
+                         f"not over the {total} classes or all -1 (unlabeled)")
+    if cfg.folds > min(source.n, target.n):
+        raise ConfigError(f"train.folds = {cfg.folds} exceeds the rows of the source "
+                          f"({source.n}) or the target ({target.n}) data")
 
 
 def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Generator):
@@ -312,15 +330,8 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
 
     ``data`` is a (source, target, graph, word_vectors) tuple.
     """
+    _check_data(cfg, data)
     source, target, graph, word_vectors = data
-    l_s = cfg.synth.known_classes
-    if graph is None and l_s != cfg.synth.total_classes:
-        raise ConfigError("a taxonomy graph is required when "
-                          "synth.known_classes < synth.total_classes")
-    _check_class_counts(cfg, graph, word_vectors)
-    if cfg.folds > min(source.n, target.n):
-        raise ConfigError(f"train.folds = {cfg.folds} exceeds the rows of the source "
-                          f"({source.n}) or the target ({target.n}) data")
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     rng_pre, rng_gcn, rng_match, rng_joint = (make_rng(s) for s in streams)
 
@@ -329,13 +340,12 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     if graph is not None:
         z_class = propagate(normalized_adjacency(graph), word_vectors,
                             graph.class_to_node)
-        theta, embeddings, _ = train_gcn_init(z_class, w_src, cfg.gcn, rng_gcn)
-        head = ClassifierHead(weights=embeddings, known_count=l_s)
+        theta, weights = train_gcn_init(z_class, w_src, cfg.gcn, rng_gcn)
     else:
         # symmetric label space: no propagation target, head starts at the
         # pretrained classifier
-        theta = np.zeros((word_vectors.shape[1], cfg.feature_dim))
-        head = ClassifierHead(weights=w_src, known_count=l_s)
+        theta, weights = np.zeros((word_vectors.shape[1], cfg.feature_dim)), w_src
+    head = ClassifierHead(weights=weights, known_count=cfg.synth.known_classes)
     partner = _partner(enc, source, target, cfg.folds, rng_match)
     return Prepared(state=ModelState(encoder=enc, head=head, theta=theta),
                     source=source, target=target, z_class=z_class, partner=partner,

@@ -14,7 +14,6 @@ from opendomain.cli import main
 from opendomain.gcn import (
     GcnSchedule,
     gcn_reg_core,
-    init_loss,
     propagate,
     train_gcn_init,
 )
@@ -150,7 +149,8 @@ def test_criterion_2_gradient_suite():
             continue
         w = rng.standard_normal((3, 3))
         z_known = propagate(p, x, [0, 1, 2])
-        _, d_theta = init_loss(z_known, theta, 0.2, w)
+        d_theta = np.empty(theta.shape)  # the fit: the tie against W
+        gcn_reg_core(z_known, theta, 0.2, w, d_theta)
         w_hat = rng.standard_normal((4, 3))
         z_class = propagate(p, x, [0, 1, 2, 4])
         rd_theta = np.empty(theta.shape)
@@ -158,7 +158,7 @@ def test_criterion_2_gradient_suite():
         rd_w = -d_o
         if not _usable(d_theta, rd_theta, rd_w):
             continue
-        _check(lambda t: init_loss(z_known, t, 0.2, w)[0],
+        _check(lambda t: gcn_reg_core(z_known, t, 0.2, w, np.empty(t.shape))[0],
                theta, d_theta)
         _check(lambda t: gcn_reg_core(z_class, t, 0.2, w_hat, np.empty(t.shape))[0],
                theta, rd_theta)
@@ -268,7 +268,7 @@ def test_criterion_5_gcn_initialization_fidelity():
     rng_pre = make_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0])
     _, w_src, _ = pretrain_source(source.features, source.labels, cfg, rng_pre)
     z_class = propagate(normalized_adjacency(graph), words, graph.class_to_node)
-    _, emb, _ = train_gcn_init(z_class, w_src, GcnSchedule(), make_rng(0))
+    _, emb = train_gcn_init(z_class, w_src, GcnSchedule(), make_rng(0))
     mse = float(np.mean((emb[: cfg.synth.known_classes] - w_src) ** 2))
     assert mse <= 1e-3
     assert time.perf_counter() - start < 10.0

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from opendomain import gcn
 from opendomain.gcn import (
     GcnSchedule,
-    gcn_forward,
     gcn_reg_core,
-    init_loss,
     init_theta,
     propagate,
     train_gcn_init,
@@ -17,57 +16,16 @@ from opendomain.numkit import DimensionError, leaky_relu, make_rng
 from gradcheck import grad_check
 
 
-def test_forward_single_node_identity():
-    x = np.array([[0.5, 2.0]])
-    assert np.array_equal(gcn_forward(np.array([[1.0]]) @ x, np.eye(2), 0.2), x)
-
-
-def test_forward_constant_rows():
-    rng = make_rng(0)
-    x_row = rng.standard_normal(3)
-    x = np.tile(x_row, (4, 1))
-    p = rng.random((4, 4))
-    p /= p.sum(axis=1, keepdims=True)
-    theta = rng.standard_normal((3, 2))
-    out = gcn_forward(p @ x, theta, 0.2)
-    expected = leaky_relu(x_row @ theta, 0.2)
-    assert np.allclose(out, expected, atol=1e-12)
-
-
-def test_forward_path_fixture():
-    g = KnowledgeGraph(node_names=("a", "b", "c"), edges=((0, 1), (1, 2)),
-                       class_to_node=(0, 1, 2), known_class_count=1)
-    p = normalized_adjacency(g)
-    x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    theta = np.array([[1.0], [-1.0]])
-    pre_activation = p @ x @ theta
-    expected = np.where(pre_activation > 0, pre_activation, 0.2 * pre_activation)
-    assert np.allclose(gcn_forward(p @ x, theta, 0.2), expected, atol=1e-15)
-
-
-def test_forward_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        gcn_forward(np.zeros((4, 3)), np.eye(2), 0.2)
-
-
-def test_forward_linear_in_x_with_unit_slope():
-    rng = make_rng(1)
-    p = rng.random((5, 5))
-    p /= p.sum(axis=1, keepdims=True)
-    theta = rng.standard_normal((3, 2))
-    x1 = rng.standard_normal((5, 3))
-    x2 = rng.standard_normal((5, 3))
-    combined = gcn_forward(p @ (2.0 * x1 - 0.5 * x2), theta, 1.0)
-    parts = 2.0 * gcn_forward(p @ x1, theta, 1.0) - 0.5 * gcn_forward(p @ x2, theta, 1.0)
-    assert np.max(np.abs(combined - parts)) < 1e-9
-
+# GCN init's loss is the graph tie of the known rows against the
+# pretrained classifier weights: gcn_reg_core with w_hat = W
 
 def test_init_loss_zero_at_fit():
     rng = make_rng(2)
     p = np.eye(3)
     x = np.abs(rng.standard_normal((3, 2))) + 0.1
     w = x[:2]  # positive, so sigma is identity on these rows
-    loss, d_theta = init_loss(propagate(p, x, [0, 1]), np.eye(2), 0.2, w)
+    d_theta = np.empty((2, 2))
+    loss, _ = gcn_reg_core(propagate(p, x, [0, 1]), np.eye(2), 0.2, w, d_theta)
     assert loss == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(d_theta, 0.0, atol=1e-15)
 
@@ -76,7 +34,8 @@ def test_init_loss_scalar_case():
     # one known node, one output dim: O=2, W=1 -> (2-1)^2 / 2 = 0.5
     p = np.array([[1.0]])
     x = np.array([[2.0]])
-    loss, _ = init_loss(propagate(p, x, [0]), np.array([[1.0]]), 0.2, np.array([[1.0]]))
+    loss, _ = gcn_reg_core(propagate(p, x, [0]), np.array([[1.0]]), 0.2, np.array([[1.0]]),
+                           np.empty((1, 1)))
     assert loss == pytest.approx(0.5)
 
 
@@ -113,12 +72,13 @@ def test_init_loss_gradient_many_instances():
         w = rng.standard_normal((ls, f))
         rows = list(rng.permutation(n)[:ls])
         z = propagate(p, x, rows)
-        _, d_theta = init_loss(z, theta, 0.2, w)
+        d_theta = np.empty(theta.shape)
+        gcn_reg_core(z, theta, 0.2, w, d_theta)
         if float(np.min(np.abs(d_theta))) < 1e-5:
             # near-zero coordinates drown in finite-difference roundoff
             continue
         err = grad_check(
-            lambda t: init_loss(z, t, 0.2, w)[0],
+            lambda t: gcn_reg_core(z, t, 0.2, w, np.empty(t.shape))[0],
             theta, d_theta, eps=1e-6)
         assert err <= 1e-5
         checked += 1
@@ -144,7 +104,7 @@ def test_reg_loss_whatgrad_closed_form():
     theta = rng.standard_normal((3, 2))
     w_hat = rng.standard_normal((3, 2))
     rows = [0, 2, 3]
-    o = gcn_forward(p @ x, theta, 0.2)
+    o = leaky_relu(p @ x @ theta, 0.2)
     _, d_o = gcn_reg_core(propagate(p, x, rows), theta, 0.2, w_hat, np.empty(theta.shape))
     m = w_hat.shape[1]
     assert np.allclose(-d_o, (w_hat - o[rows]) / m, atol=1e-12)
@@ -222,6 +182,23 @@ def _reference_gcn_init(g, x, w, schedule, rng):
     return theta, embeddings, history
 
 
+def _loop_steps(monkeypatch):
+    """The calls GCN init makes to its core: one per loop step, none in
+    the closed form."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return gcn_reg_core(*args)
+
+    monkeypatch.setattr(gcn, "gcn_reg_core", counted)
+    return calls
+
+
+def _fit_loss(z_known, theta, slope, w):
+    return gcn_reg_core(z_known, theta, slope, w, np.empty(theta.shape))[0]
+
+
 def _z_class(g, x):
     return propagate(normalized_adjacency(g), x, g.class_to_node)
 
@@ -245,13 +222,10 @@ def test_train_init_bit_identical_to_full_forward(graph):
     w = make_rng(13).standard_normal((g.known_class_count, 16))
     narrow = x[:, : g.known_class_count - 1]
     for words, schedule in ((x, GcnSchedule(slope=0.0)), (narrow, GcnSchedule())):
-        theta, emb, history = _reference_gcn_init(g, words, w, schedule, make_rng(14))
-        theta_new, emb_new, history_new = train_gcn_init(_z_class(g, words), w, schedule,
-                                                         make_rng(14))
-        assert len(history_new) == schedule.steps
+        theta, emb, _ = _reference_gcn_init(g, words, w, schedule, make_rng(14))
+        theta_new, emb_new = train_gcn_init(_z_class(g, words), w, schedule, make_rng(14))
         assert np.array_equal(theta_new, theta)
         assert np.array_equal(emb_new, emb)
-        assert np.array_equal(np.array(history_new), np.array(history))
 
 
 def test_train_init_trains_under_the_schedule_slope():
@@ -260,48 +234,53 @@ def test_train_init_trains_under_the_schedule_slope():
     w = make_rng(13).standard_normal((g.known_class_count, 4))
     schedule = GcnSchedule(steps=300, slope=0.05)
     theta, emb, _ = _reference_gcn_init(g, x, w, schedule, make_rng(14))
-    theta_new, emb_new, _ = train_gcn_init(_z_class(g, x), w, schedule, make_rng(14))
+    theta_new, emb_new = train_gcn_init(_z_class(g, x), w, schedule, make_rng(14))
     assert np.array_equal(theta_new, theta)
     assert np.array_equal(emb_new, emb)
-    default, _, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=300), make_rng(14))
+    default, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=300), make_rng(14))
     assert not np.array_equal(default, theta)
 
 
 @pytest.mark.parametrize("graph", ["toy", "synth"])
 def test_closed_form_is_the_converged_loop(graph):
     g, x = _graph_and_words(graph)
-    w = make_rng(13).standard_normal((g.known_class_count, 16))
+    k = g.known_class_count
+    w = make_rng(13).standard_normal((k, 16))
     schedule = GcnSchedule()
     theta, emb, history = _reference_gcn_init(g, x, w, schedule, make_rng(14))
     assert history[-1] < 1e-25  # the 8000 reference steps have converged
-    theta_new, emb_new, history_new = train_gcn_init(_z_class(g, x), w, schedule,
-                                                     make_rng(14))
+    z = _z_class(g, x)
+    theta_new, emb_new = train_gcn_init(z, w, schedule, make_rng(14))
     # two routes to one fixed point: entries are O(10) and cond(Z_k Z_k^T)
     # is below 100 on both graphs, so rounding alone allows about 2e-13
     assert np.allclose(theta_new, theta, rtol=0, atol=1e-12)
     assert np.allclose(emb_new, emb, rtol=0, atol=1e-12)
-    assert history_new[0] == history[0]
+    # from one theta0: the core's loss there is the reference's first
+    theta0 = init_theta(x.shape[1], 16, make_rng(14))
+    assert _fit_loss(z[:k], theta0, schedule.slope, w) == history[0]
 
 
 @pytest.mark.parametrize("graph", ["toy", "synth"])
 @pytest.mark.parametrize("slope", [0.05, 0.2, 1.0])
-def test_closed_form_fits_known_rows_to_rounding(graph, slope):
+def test_closed_form_fits_known_rows_to_rounding(monkeypatch, graph, slope):
     g, x = _graph_and_words(graph)
     k = g.known_class_count
     w = make_rng(13).standard_normal((k, 16))
     z = _z_class(g, x)
-    theta, emb, history = train_gcn_init(z, w, GcnSchedule(slope=slope), make_rng(14))
+    steps = _loop_steps(monkeypatch)
+    theta, emb = train_gcn_init(z, w, GcnSchedule(slope=slope), make_rng(14))
+    assert not steps  # the closed form
     assert np.max(np.abs(emb[:k] - w)) <= 1e-12
-    assert len(history) == 2 and history[1] < history[0]
-    assert history[1] <= 1e-25
+    theta0 = init_theta(x.shape[1], 16, make_rng(14))
+    fit = _fit_loss(z[:k], theta, slope, w)
+    assert fit <= 1e-25 and fit < _fit_loss(z[:k], theta0, slope, w)
     # theta moved from theta0 only within the row space of Z_k, so the
     # unknown rows keep theta0's component outside it
-    theta0 = init_theta(x.shape[1], 16, make_rng(14))
     step = theta - theta0
     assert np.allclose(step, np.linalg.pinv(z[:k]) @ (z[:k] @ step), rtol=0, atol=1e-12)
 
 
-def test_ill_conditioned_known_rows_run_the_loop():
+def test_ill_conditioned_known_rows_run_the_loop(monkeypatch):
     # Z_k has full row rank, but cond(Z_k Z_k^T) is 4e6, past the
     # 0.2^2 * 0.5 * 500 / 0.03 = 333 that 500 loop steps resolve; the exact
     # solve would put rows of about 1e4 on the unknown classes
@@ -310,8 +289,9 @@ def test_ill_conditioned_known_rows_run_the_loop():
     z_class = np.vstack([z_known, rng.standard_normal((2, 4))])
     w = rng.standard_normal((3, 5))
     schedule = GcnSchedule(steps=500)
-    _, emb, history = train_gcn_init(z_class, w, schedule, make_rng(16))
-    assert len(history) == schedule.steps
+    steps = _loop_steps(monkeypatch)
+    _, emb = train_gcn_init(z_class, w, schedule, make_rng(16))
+    assert len(steps) == schedule.steps
     assert np.abs(emb[3:]).max() < 10 * np.abs(w).max()
 
 
@@ -347,19 +327,6 @@ def test_propagate_selects_rows():
         propagate(p, x[:4], [0])
 
 
-def test_losses_reject_mismatched_shapes():
-    z = np.ones((3, 2))
-    theta = np.ones((2, 4))
-    with pytest.raises(DimensionError):
-        init_loss(z, theta, 0.2, np.ones((2, 4)))  # 3 rows vs 2 targets
-    with pytest.raises(DimensionError):
-        init_loss(z, theta, 0.2, np.ones((3, 5)))  # output dim 4 vs 5
-    with pytest.raises(DimensionError):
-        init_loss(np.ones((3, 7)), theta, 0.2, np.ones((3, 4)))
-    with pytest.raises(ValueError, match="slope"):  # nor a negative slope
-        init_loss(z, theta, -0.1, np.ones((3, 4)))
-
-
 @pytest.mark.parametrize("slope", [0.2, 0.0])  # the closed form, then the loop
 def test_train_init_rejects_fewer_class_rows_than_classifiers(slope):
     z_class = make_rng(5).standard_normal((2, 3))
@@ -372,22 +339,26 @@ def test_train_init_fits_known_rows():
     g = _toy_graph()
     x = rng.standard_normal((6, 8))
     w = rng.standard_normal((3, 4))
-    _, emb, history = train_gcn_init(_z_class(g, x), w, GcnSchedule(), make_rng(0))
+    z = _z_class(g, x)
+    theta, emb = train_gcn_init(z, w, GcnSchedule(), make_rng(0))
     assert emb.shape == (4, 4)
     mse = float(np.mean((emb[:3] - w) ** 2))
     assert mse <= 1e-3
-    assert history[-1] < history[0]
+    theta0 = init_theta(8, 4, make_rng(0))
+    assert _fit_loss(z[:3], theta, 0.2, w) < _fit_loss(z[:3], theta0, 0.2, w)
 
 
-def test_train_init_zero_word_vectors():
+def test_train_init_zero_word_vectors(monkeypatch):
     g = _toy_graph()
     x = np.zeros((6, 8))
     w = make_rng(8).standard_normal((3, 4))
-    _, emb, history = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=50), make_rng(0))
-    assert len(history) == 50  # Z_k has rank 0: the loop runs
+    z = _z_class(g, x)
+    steps = _loop_steps(monkeypatch)
+    theta, emb = train_gcn_init(z, w, GcnSchedule(steps=50), make_rng(0))
+    assert len(steps) == 50  # Z_k has rank 0: the loop runs
     assert np.allclose(emb, 0.0)
     stuck = 0.5 * float(np.sum(w * w)) / w.shape[1]
-    assert history[-1] == pytest.approx(stuck)
+    assert _fit_loss(z[:3], theta, 0.2, w) == pytest.approx(stuck)
 
 
 def test_train_init_deterministic():
@@ -395,8 +366,8 @@ def test_train_init_deterministic():
     g = _toy_graph()
     x = rng.standard_normal((6, 8))
     w = rng.standard_normal((3, 4))
-    t1, _, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=200), make_rng(11))
-    t2, _, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=200), make_rng(11))
+    t1, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=200), make_rng(11))
+    t2, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=200), make_rng(11))
     assert np.array_equal(t1, t2)
 
 
@@ -408,7 +379,7 @@ def test_disconnected_zero_row_embedding_is_zero():
     x = rng.standard_normal((3, 4))
     x[2] = 0.0
     w = rng.standard_normal((2, 3))
-    _, emb, _ = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=500), make_rng(0))
+    _, emb = train_gcn_init(_z_class(g, x), w, GcnSchedule(steps=500), make_rng(0))
     assert np.allclose(emb[2], 0.0, atol=1e-15)
 
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from opendomain import gcn, synth
-from opendomain.gcn import GcnSchedule, gcn_forward, propagate
+from opendomain.gcn import GcnSchedule, propagate
 from opendomain.losses import ClassifierHead, LossWeights, cls_core
 from opendomain.matching import partition_folds
 from opendomain.model import Encoder, ModelState, PretrainSchedule, encode
-from opendomain.numkit import make_rng, softmax_rows
+from opendomain.numkit import leaky_relu, make_rng, softmax_rows
 from opendomain import trainer
 from opendomain.trainer import (
     ABLATION_VARIANTS,
@@ -447,6 +447,39 @@ def test_prepare_refuses_more_folds_than_rows_before_pretraining(monkeypatch):
         trainer.prepare(cfg, data)
     with pytest.raises(AssertionError, match="pretraining ran"):
         trainer.prepare(replace(cfg, folds=30), data)
+
+
+def _relabel(target, row, label):
+    labels = target.eval_labels.copy()
+    labels[row] = label
+    return replace(target, eval_labels=labels)
+
+
+@pytest.mark.parametrize("edit, refusal", [
+    (lambda s, t, g, w: (s, replace(t, features=t.features[:, :-1]), g, w),
+     "the target has 5 feature columns, the source 6"),
+    (lambda s, t, g, w: (s, t, g, w[:, :0]), "the word vectors are 8 x 0, not 8 rows"),
+    (lambda s, t, g, w: (s, t, g, w[:-1]), "the word vectors are 7 x 12, not 8 rows"),
+    (lambda s, t, g, w: (s, _relabel(t, 7, 99), g, w),
+     "the target eval labels run from 0 to 99, not over the 5 classes"),
+    (lambda s, t, g, w: (s, _relabel(t, 7, -1), g, w),
+     "the target eval labels run from -1 to 4, not over the 5 classes"),
+], ids=["narrow-target", "no-word-dims", "word-row-short", "label-past-classes",
+        "one-unlabeled-row"])
+def test_prepare_refuses_data_that_does_not_fit_before_pretraining(monkeypatch, edit,
+                                                                   refusal):
+    # the CLI refuses each of these at load; from Python they used to fail
+    # inside a later stage, or train and report wrong accuracies
+    cfg = _small_cfg()
+    data = edit(*synth.generate(cfg.synth))
+
+    def pretrain(*args):
+        raise AssertionError("pretraining ran")
+
+    monkeypatch.setattr(trainer, "pretrain_source", pretrain)
+    with pytest.raises(ValueError, match=re.escape(refusal)) as exc:
+        trainer.prepare(cfg, data)
+    assert "\n" not in str(exc.value)
 
 
 def test_prepare_takes_a_symmetric_source_missing_its_top_class():
@@ -930,7 +963,7 @@ def test_prepare_trains_gcn_init_under_the_configured_slope(monkeypatch):
     prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
     assert seen == {0.05}
     assert np.array_equal(prepared.state.head.weights,
-                          gcn_forward(prepared.z_class, prepared.state.theta, 0.05))
+                          leaky_relu(prepared.z_class @ prepared.state.theta, 0.05))
 
 
 def test_unlabeled_target_records_absent_accuracies():
