@@ -23,6 +23,7 @@ from .numkit import load_matrix, make_rng, save_matrix, size, write_json
 from .trainer import (
     NonFiniteLossError,
     apply_flags,
+    check_data,
     experiment_hash,
     format_ablation_table,
     parse_config,
@@ -48,8 +49,8 @@ def _read_config(path):
 
 def _load_dataset(directory, name, classes):
     """Load a data file, rejecting one that declares other than ``classes``
-    classes, has no rows or no feature columns, or is unlabeled as the
-    source (labeled as the target)."""
+    classes, has no rows, or is unlabeled as the source (labeled as the
+    target)."""
     path = os.path.join(directory, _DATA_FILES[name])
     dataset, declared = synth.load_dataset(path)
     if isinstance(dataset, synth.LabeledDataset) != (name == "source"):
@@ -59,41 +60,24 @@ def _load_dataset(directory, name, classes):
         raise ValueError(f"{path}: declares {declared} classes, expected {classes}")
     if not dataset.n:
         raise ValueError(f"{path}: no rows")
-    if not dataset.features.shape[1]:
-        raise ValueError(f"{path}: no feature columns")
     return dataset
 
 
-def _same(what, path_a, a, path_b, b) -> None:
-    """Refuse two files that disagree on a size they must share."""
-    if a != b:
-        raise ValueError(f"{path_a} and {path_b} disagree on the {what}: {a} != {b}")
-
-
 def _load_data_dir(directory, cfg):
+    """The data tuple of ``directory``, refused by :func:`check_data` with
+    its file paths where it does not fit ``cfg`` or itself."""
     path = {name: os.path.join(directory, file) for name, file in _DATA_FILES.items()}
     source = _load_dataset(directory, "source", cfg.synth.known_classes)
     target = _load_dataset(directory, "target", cfg.synth.total_classes)
-    _same("input dim", path["target"], target.features.shape[1],
-          path["source"], source.features.shape[1])
     word_vectors = load_matrix(path["wordvec"])
-    if not word_vectors.shape[1]:
-        raise ValueError(f"{path['wordvec']}: no columns")
-    if cfg.synth.known_classes == cfg.synth.total_classes:
-        # nothing to propagate to, so a graph.txt is never read
-        _same("class count", path["wordvec"], word_vectors.shape[0],
-              path["target"], cfg.synth.total_classes)
-        return source, target, None, word_vectors
-    if not os.path.exists(path["graph"]):
-        raise ValueError(f"{path['graph']} not found: unknown classes need a taxonomy graph")
-    graph = load_graph(path["graph"])
-    _same("known class count", path["graph"], graph.known_class_count,
-          path["source"], cfg.synth.known_classes)
-    _same("class count", path["graph"], graph.total_class_count,
-          path["target"], cfg.synth.total_classes)
-    _same("node count", path["wordvec"], word_vectors.shape[0],
-          path["graph"], graph.num_nodes)
-    return source, target, graph, word_vectors
+    graph = None  # with known == total nothing is propagated, so no graph.txt is read
+    if cfg.synth.known_classes != cfg.synth.total_classes:
+        if not os.path.exists(path["graph"]):
+            raise ValueError(f"{path['graph']} not found: unknown classes need a taxonomy graph")
+        graph = load_graph(path["graph"])
+    data = source, target, graph, word_vectors
+    check_data(cfg, data, names=tuple(path.values()))
+    return data
 
 
 def _require_eval_labels(target, directory) -> None:
@@ -169,11 +153,7 @@ def cmd_ablate(args) -> int:
 def cmd_match(args) -> int:
     fs = load_matrix(args.source)
     ft = load_matrix(args.target)
-    _same("column count", args.source, fs.shape[1], args.target, ft.shape[1])
-    rows, path = min((fs.shape[0], args.source), (ft.shape[0], args.target))
-    if args.folds > rows:
-        raise ValueError(f"--folds {args.folds} exceeds the {rows} rows of {path}")
-    try:  # finite entries can still give L1 costs past float64
+    try:  # other widths, more folds than rows, or L1 costs past float64
         src, tgt, costs, total = match_domains(fs, ft, args.folds, make_rng(args.seed))
     except ValueError as exc:
         raise ValueError(f"matching {args.source} against {args.target}: {exc}") from None
@@ -185,9 +165,10 @@ def cmd_match(args) -> int:
 def cmd_eval(args) -> int:
     state, manifest = load_checkpoint(args.checkpoint)
     target = _load_dataset(args.data, "target", state.head.num_classes)
-    _same("input dim", os.path.join(args.data, _DATA_FILES["target"]),
-          target.features.shape[1], os.path.join(args.checkpoint, "manifest.json"),
-          manifest["input_dim"])
+    if target.features.shape[1] != manifest["input_dim"]:
+        raise ValueError(f"{os.path.join(args.data, _DATA_FILES['target'])} and "
+                         f"{os.path.join(args.checkpoint, 'manifest.json')} disagree on the "
+                         f"input dim: {target.features.shape[1]} != {manifest['input_dim']}")
     _require_eval_labels(target, args.data)
     preds = predict(state, target.features)
     triple = accuracy_triple(preds, target.eval_labels, state.head.known_count)

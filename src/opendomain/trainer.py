@@ -28,7 +28,8 @@ from .losses import (
     check_labels, cls_core, sgmd_core, total_loss)
 from .matching import match_domains
 from .model import Encoder, ModelState, PretrainSchedule, encode
-from .numkit import MomentumSgd, check_fields, check_types, flat_views, make_rng, softmax_rows
+from .numkit import (
+    MomentumSgd, as_matrix, check_fields, check_types, flat_views, make_rng, softmax_rows)
 
 __all__ = [
     "ConfigError",
@@ -38,6 +39,7 @@ __all__ = [
     "config_to_text",
     "apply_flags",
     "pretrain_source",
+    "check_data",
     "Prepared",
     "prepare",
     "joint_terms",
@@ -121,6 +123,9 @@ ABLATION_VARIANTS = {
 
 # known == total: no class lacks source labels, so only cls and SGMD apply
 DA_VARIANTS = {"source_only": (), "sgmd": ("sgmd",)}
+
+# the config text lines of the keys that prepare reads, by their start
+_PREFIX = ("synth.", "pretrain.", "gcn.", "train.feature_dim ", "train.folds ", "train.seed ")
 
 
 def apply_flags(cfg: ExperimentConfig, tokens) -> ExperimentConfig:
@@ -231,8 +236,8 @@ def _target_order(rng, n_target: int, needed: int) -> np.ndarray:
 class Prepared:
     """All the joint loop reads: the model after pretraining and GCN init,
     the datasets, the propagated class rows (None without a graph), the
-    initial partners and the RNG streams. No enable_* flag is read before
-    this point, so every variant of a seed trains from the one record."""
+    initial partners, the RNG streams and the config, whose synth, pretrain,
+    gcn, feature_dim, folds and seed keys pin it for every variant of a seed."""
 
     state: ModelState
     source: synth.LabeledDataset
@@ -241,6 +246,7 @@ class Prepared:
     partner: np.ndarray
     rng_match: np.random.Generator
     rng_joint: np.random.Generator
+    config: ExperimentConfig
 
 
 def _partner(enc, source, target, folds: int, rng) -> np.ndarray:
@@ -253,36 +259,41 @@ def _partner(enc, source, target, folds: int, rng) -> np.ndarray:
     return partner
 
 
-def _check_data(cfg: ExperimentConfig, data) -> None:
-    """Refuse, before pretraining, data that does not fit the config or
-    itself: class counts (the graph's, or the word-vector rows without a
-    graph), feature widths, word vectors against graph nodes, target eval
-    labels (each a class, or all -1 for none) and the fold count."""
-    source, target, graph, word_vectors = data
-    known, total = cfg.synth.known_classes, cfg.synth.total_classes
-    rows, dims = word_vectors.shape
-    if graph is None and known != total:
-        raise ConfigError("a taxonomy graph is required when "
-                          "synth.known_classes < synth.total_classes")
-    nodes = rows if graph is None else graph.num_nodes
-    counts = (known, rows) if graph is None else (graph.known_class_count, graph.total_class_count)
-    for key, count in zip(("known_classes", "total_classes"), counts):
+def check_data(cfg: ExperimentConfig, data,
+               names=("the source", "the target", "the graph", "the word vectors")) -> None:
+    """Refuse data that does not fit the config or itself, naming the parts
+    of ``data`` (source, target, graph, word vectors) by ``names``: class
+    counts, non-finite entries, feature widths, word vectors against graph
+    nodes, target eval labels (each a class, or all -1) and the fold count."""
+    (source, target, graph, word_vectors), (s, t, g, w) = data, names
+    total = cfg.synth.total_classes
+    if graph is None and cfg.synth.known_classes != total:
+        raise ConfigError(f"{g} is required when synth.known_classes < synth.total_classes")
+    counts = ([(w, "rows", len(word_vectors), "total_classes", t)] if graph is None else
+              [(g, "known classes", graph.known_class_count, "known_classes", s),
+               (g, "classes", graph.total_class_count, "total_classes", t)])
+    for part, what, count, key, owner in counts:
         if getattr(cfg.synth, key) != count:
-            raise ConfigError(f"synth.{key} = {getattr(cfg.synth, key)} does not "
-                              f"match the data's {count}")
-    if target.features.shape[1] != source.features.shape[1]:
-        raise ValueError(f"the target has {target.features.shape[1]} feature columns, "
-                         f"the source {source.features.shape[1]}")
+            raise ConfigError(f"{part}: {count} {what}, not the synth.{key} = "
+                              f"{getattr(cfg.synth, key)} of {owner}")
+    for part, values in zip((s, t, w), (source.features, target.features, word_vectors)):
+        as_matrix(values, part)
+    width, other = source.features.shape[1], target.features.shape[1]
+    if not width or other != width:
+        raise ValueError(f"{t} has {other} feature columns and {s} {width}, "
+                         "not the same number of at least one")
+    rows, dims = word_vectors.shape
+    nodes, per = (rows, "class") if graph is None else (graph.num_nodes, f"node of {g}")
     if not dims or rows != nodes:
-        raise ValueError(f"the word vectors are {rows} x {dims}, not {nodes} rows "
-                         "(one per node) of at least one column")
+        raise ValueError(f"{w}: {rows} x {dims}, not {nodes} rows (one per {per}) "
+                         "of at least one column")
     labels = target.eval_labels
     if (labels != -1).any() and not ((labels >= 0) & (labels < total)).all():
-        raise ValueError(f"the target eval labels run from {labels.min()} to {labels.max()}, "
+        raise ValueError(f"{t} eval labels run from {labels.min()} to {labels.max()}, "
                          f"not over the {total} classes or all -1 (unlabeled)")
     if cfg.folds > min(source.n, target.n):
-        raise ConfigError(f"train.folds = {cfg.folds} exceeds the rows of the source "
-                          f"({source.n}) or the target ({target.n}) data")
+        raise ConfigError(f"train.folds = {cfg.folds} exceeds the rows of {s} ({source.n}) "
+                          f"or {t} ({target.n})")
 
 
 def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Generator):
@@ -326,11 +337,10 @@ def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Gene
 
 def prepare(cfg: ExperimentConfig, data) -> Prepared:
     """Source pretraining, GCN propagation of the classifiers to the
-    unknown classes, and the initial fold-wise matching.
-
-    ``data`` is a (source, target, graph, word_vectors) tuple.
-    """
-    _check_data(cfg, data)
+    unknown classes, and the initial fold-wise matching of ``data``, a
+    (source, target, graph, word_vectors) tuple that :func:`check_data`
+    refuses first, with the part names, if it does not fit ``cfg``."""
+    check_data(cfg, data)
     source, target, graph, word_vectors = data
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     rng_pre, rng_gcn, rng_match, rng_joint = (make_rng(s) for s in streams)
@@ -349,7 +359,7 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     partner = _partner(enc, source, target, cfg.folds, rng_match)
     return Prepared(state=ModelState(encoder=enc, head=head, theta=theta),
                     source=source, target=target, z_class=z_class, partner=partner,
-                    rng_match=rng_match, rng_joint=rng_joint)
+                    rng_match=rng_match, rng_joint=rng_joint, config=cfg)
 
 
 def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
@@ -375,7 +385,7 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     encoder.weight, encoder.bias, head.weights and, with the graph term,
     gcn.theta end to end; ``grads`` holds those views. What holds for a
     whole run is not checked here: the labels' range (each loop
-    checks it), ``w`` (:class:`LossWeights`) and the shapes (``prepare``).
+    checks it), ``w`` (:class:`LossWeights`) and the shapes (:func:`check_data`).
 
     Returns (values, total, grads, gate): term -> value, the weighted total,
     parameter -> gradient of the total, and the SGMD gate (empty if SGMD
@@ -444,7 +454,8 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
 
 def train_joint(prepared: Prepared, cfg: ExperimentConfig):
     """The joint loop over the cls, SGMD, balance and graph terms, with
-    rematching every ``cfg.rematch_interval`` epochs.
+    rematching every ``cfg.rematch_interval`` epochs; a ``cfg`` that differs
+    from ``prepared.config`` in a prefix key raises ConfigError naming it.
 
     Trains a copy and leaves ``prepared`` as it found it: the trained
     arrays (the encoder, the head and, with the graph term, theta) are
@@ -455,6 +466,9 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
     passing the similarity gate and the accuracy triple. A target without
     eval labels (label -1) records its accuracies as None.
     """
+    for now, was in zip(*(config_to_text(c).splitlines() for c in (cfg, prepared.config))):
+        if now != was and now.startswith(_PREFIX):
+            raise ConfigError(f"{now}, but the prefix was prepared under {was}")
     source, target, init = prepared.source, prepared.target, prepared.state
     known, partner = init.head.known_count, prepared.partner
     check_labels(source.labels, known)
@@ -517,12 +531,10 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
 
 
 def run_pipeline(cfg: ExperimentConfig, data=None):
-    """Execute the staged pipeline and the joint loop.
-
-    ``data`` is an optional (source, target, graph, word_vectors) tuple;
-    when omitted the synthetic benchmark from cfg.synth is generated.
-    Returns (ModelState, history) as :func:`train_joint` does.
-    """
+    """:func:`train_joint` of :func:`prepare` on ``data``, a (source,
+    target, graph, word_vectors) tuple or, when omitted, the synthetic
+    benchmark of ``cfg.synth``; both are checked by :func:`check_data`.
+    Returns (ModelState, history) as :func:`train_joint` does."""
     if data is None:
         data = synth.generate(cfg.synth)
     return train_joint(prepare(cfg, data), cfg)

@@ -674,29 +674,35 @@ _EXIT_CASES = [
     ("train", "source.ds labeled field of 7",
      _replace("data/source.ds", "labeled 1", "labeled 7"), 1, "source.ds: line 1"),
     ("train", "target.ds a column narrower than source.ds", _narrow("data/target.ds"), 1,
-     ("target.ds and /", "source.ds disagree on the input dim: 5 != 6")),
+     ("target.ds has 5 feature columns and /",
+      "source.ds 6, not the same number of at least one")),
     ("train", "wordvec.mat a row short of the graph", _drop_last_row("data/wordvec.mat"), 1,
-     ("wordvec.mat and /", "graph.txt disagree on the node count: 7 != 8")),
+     ("wordvec.mat: 7 x 12, not 8 rows (one per node of /",
+      "graph.txt) of at least one column")),
     ("train", "graph.txt known count below source.ds",
      _replace("data/graph.txt", "known 3", "known 2"), 1,
-     ("graph.txt and /", "source.ds disagree on the known class count: 2 != 3")),
+     ("graph.txt: 2 known classes, not the synth.known_classes = 3 of /", "source.ds")),
     ("train", "graph.txt class count above target.ds",
      _replace("data/graph.txt", "classes 5\n", "classes 6\nclass 5 5\n"), 1,
-     ("graph.txt and /", "target.ds disagree on the class count: 6 != 5")),
+     ("graph.txt: 6 classes, not the synth.total_classes = 5 of /", "target.ds")),
     ("train", "known == total, wordvec.mat a row short",
      _symmetric(_drop_last_row("data/wordvec.mat")), 1,
-     ("wordvec.mat and /", "target.ds disagree on the class count: 2 != 3")),
+     ("wordvec.mat: 2 rows, not the synth.total_classes = 3 of /", "target.ds")),
     ("train", "wordvec.mat with no columns", _no_columns("data/wordvec.mat"), 1,
-     "wordvec.mat: no columns"),
+     ("wordvec.mat: 8 x 0, not 8 rows (one per node of /",
+      "graph.txt) of at least one column")),
     ("train", "known == total, wordvec.mat with no columns",
-     _symmetric(_no_columns("data/wordvec.mat")), 1, "wordvec.mat: no columns"),
+     _symmetric(_no_columns("data/wordvec.mat")), 1,
+     "wordvec.mat: 3 x 0, not 3 rows (one per class) of at least one column"),
     ("train", "source.ds and target.ds with no feature columns",
-     _no_features("data/source.ds", "data/target.ds"), 1, "source.ds: no feature columns"),
+     _no_features("data/source.ds", "data/target.ds"), 1,
+     ("target.ds has 0 feature columns and /",
+      "source.ds 0, not the same number of at least one")),
     ("train", "missing graph.txt with unknown classes", _remove("data/graph.txt"), 1,
      "graph.txt not found"),
     ("train", "train.folds past the source rows",
      _replace("exp.cfg", "train.folds = 2", "train.folds = 500"), 1,
-     "train.folds = 500 exceeds the rows of the source (30) or the target (50) data"),
+     ("train.folds = 500 exceeds the rows of /", "source.ds (30) or /", "target.ds (50)")),
     ("ablate", "missing wordvec.mat", _remove("data/wordvec.mat"), 3, "wordvec.mat"),
     ("ablate", "inf in source.ds",
      _edit_row("data/source.ds", _last("inf")), 1, "source.ds"),
@@ -710,7 +716,8 @@ _EXIT_CASES = [
     ("ablate", "target.ds class count",
      _replace("data/target.ds", "classes 5", "classes 20"), 1, "target.ds"),
     ("ablate", "target.ds a column narrower than source.ds", _narrow("data/target.ds"), 1,
-     ("target.ds and /", "source.ds disagree on the input dim: 5 != 6")),
+     ("target.ds has 5 feature columns and /",
+      "source.ds 6, not the same number of at least one")),
     ("match", "missing source matrix", _remove("fs.mat"), 3, "fs.mat"),
     ("match", "malformed matrix header", _replace("ft.mat", "8 3\n", "8 3 1\n"), 1, "ft.mat"),
     ("match", "short matrix row", _edit_row("fs.mat", _short), 1, "fs.mat"),
@@ -725,10 +732,10 @@ _EXIT_CASES = [
      "ft.mat: 'utf-8' codec can't decode byte 0xff"),
     ("match", "zero --folds", "--folds 0", 1, "--folds"),
     ("match", "--folds past the source rows", "--folds 7", 1,
-     ("--folds 7 exceeds the 6 rows of /", "fs.mat")),
+     ("matching /", "fs.mat against /", "ft.mat: fold count 7 out of range for sizes 6, 8")),
     ("match", "negative --seed", "--seed -1", 1, "--seed"),
     ("match", "matrices of different widths", _drop_column("ft.mat"), 1,
-     ("fs.mat and /", "ft.mat disagree on the column count: 3 != 2")),
+     ("matching /", "fs.mat against /", "ft.mat: pairwise_l1: shapes (6, 3), (8, 2)")),
     ("eval", "missing manifest",
      _remove("run/checkpoint/manifest.json"), 3, "manifest.json"),
     ("eval", "non-object manifest",
@@ -771,7 +778,7 @@ _EXIT_CASES = [
     ("eval", "target.ds with no rows", _no_rows("data/target.ds"), 1,
      "target.ds: no rows"),
     ("eval", "target.ds with no feature columns", _no_features("data/target.ds"), 1,
-     "target.ds: no feature columns"),
+     ("target.ds and /", "manifest.json disagree on the input dim: 0 != 6")),
     ("eval", "missing target.ds", _remove("data/target.ds"), 3, "target.ds"),
     ("eval", "target.ds a column narrower than the checkpoint", _narrow("data/target.ds"),
      1, ("target.ds and /", "manifest.json disagree on the input dim: 5 != 6")),

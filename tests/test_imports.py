@@ -2,8 +2,10 @@
 its ``__all__``: an import kept only so that something outside the package
 can patch it is dead code in the module that holds it. Likewise every
 top-level function and class is called or named by package code: one that
-only the tests reach is a second entry point the package does not need."""
+only the tests reach is a second entry point the package does not need.
+And every name in a module's ``__all__`` is an attribute of that module."""
 import ast
+import importlib
 from pathlib import Path
 
 import opendomain
@@ -51,3 +53,16 @@ def test_every_definition_is_used():
             used |= names
     unused = sorted(defined - used)
     assert not unused, f"no package code references {unused}"
+
+
+def test_every_export_names_an_attribute():
+    # an __all__ entry that its module does not define breaks `import *` and
+    # outlives a rename unseen
+    missing = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "opendomain" if path.stem == "__init__" else f"opendomain.{path.stem}"
+        module = importlib.import_module(name)
+        names = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if names:
+            missing[path.name] = names
+    assert missing == {}

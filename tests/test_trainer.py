@@ -419,8 +419,9 @@ def test_rematch_interval_runs_and_is_deterministic():
 def test_prepare_rejects_class_counts_other_than_the_data():
     cfg = _small_cfg()
     data = synth.generate(cfg.synth)
-    for counts, refusal in (((2, 5), "synth.known_classes = 2 does not match the data's 3"),
-                            ((3, 6), "synth.total_classes = 6 does not match the data's 5")):
+    for counts, refusal in (
+            ((2, 5), "the graph: 3 known classes, not the synth.known_classes = 2 of the source"),
+            ((3, 6), "the graph: 5 classes, not the synth.total_classes = 6 of the target")):
         other = replace(cfg.synth, known_classes=counts[0], total_classes=counts[1])
         with pytest.raises(ConfigError, match=re.escape(refusal)):
             trainer.prepare(replace(cfg, synth=other), data)
@@ -430,8 +431,8 @@ def test_prepare_rejects_class_counts_other_than_the_data():
     sym_data = synth.generate(sym)
     trainer.prepare(sym_cfg, sym_data)
     wider = replace(sym, known_classes=4, total_classes=4)
-    with pytest.raises(ConfigError,
-                       match="synth.total_classes = 4 does not match the data's 3"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "the word vectors: 3 rows, not the synth.total_classes = 4 of the target")):
         trainer.prepare(replace(sym_cfg, synth=wider), sym_data)
 
 
@@ -455,21 +456,37 @@ def _relabel(target, row, label):
     return replace(target, eval_labels=labels)
 
 
+def _poison(m, value):
+    m = m.copy()
+    m[0, -1] = value
+    return m
+
+
 @pytest.mark.parametrize("edit, refusal", [
     (lambda s, t, g, w: (s, replace(t, features=t.features[:, :-1]), g, w),
-     "the target has 5 feature columns, the source 6"),
-    (lambda s, t, g, w: (s, t, g, w[:, :0]), "the word vectors are 8 x 0, not 8 rows"),
-    (lambda s, t, g, w: (s, t, g, w[:-1]), "the word vectors are 7 x 12, not 8 rows"),
+     "the target has 5 feature columns and the source 6, not the same number of at least one"),
+    (lambda s, t, g, w: (replace(s, features=s.features[:, :0]),
+                         replace(t, features=t.features[:, :0]), g, w),
+     "the target has 0 feature columns and the source 0, not the same number of at least one"),
+    (lambda s, t, g, w: (s, t, g, w[:, :0]),
+     "the word vectors: 8 x 0, not 8 rows (one per node of the graph) of at least one column"),
+    (lambda s, t, g, w: (s, t, g, w[:-1]),
+     "the word vectors: 7 x 12, not 8 rows (one per node of the graph) of at least one column"),
+    (lambda s, t, g, w: (s, t, g, _poison(w, np.inf)),
+     "the word vectors: contains non-finite entries"),
+    (lambda s, t, g, w: (s, replace(t, features=_poison(t.features, np.nan)), g, w),
+     "the target: contains non-finite entries"),
     (lambda s, t, g, w: (s, _relabel(t, 7, 99), g, w),
      "the target eval labels run from 0 to 99, not over the 5 classes"),
     (lambda s, t, g, w: (s, _relabel(t, 7, -1), g, w),
      "the target eval labels run from -1 to 4, not over the 5 classes"),
-], ids=["narrow-target", "no-word-dims", "word-row-short", "label-past-classes",
-        "one-unlabeled-row"])
+], ids=["narrow-target", "no-feature-columns", "no-word-dims", "word-row-short",
+        "inf-word-vector", "nan-target-feature", "label-past-classes", "one-unlabeled-row"])
 def test_prepare_refuses_data_that_does_not_fit_before_pretraining(monkeypatch, edit,
                                                                    refusal):
     # the CLI refuses each of these at load; from Python they used to fail
-    # inside a later stage, or train and report wrong accuracies
+    # inside a later stage, or train and report wrong accuracies (no feature
+    # columns trained to chance)
     cfg = _small_cfg()
     data = edit(*synth.generate(cfg.synth))
 
@@ -712,6 +729,34 @@ def test_train_joint_refuses_a_source_label_past_the_known_classes():
     prepared.source.labels[0] = prepared.state.head.known_count
     with pytest.raises(IndexError):
         trainer.train_joint(prepared, _small_cfg())
+
+
+@pytest.mark.parametrize("key, change", [
+    ("synth.seed", lambda c: replace(c, synth=replace(c.synth, seed=1))),
+    ("pretrain.epochs", lambda c: replace(c, pretrain=replace(c.pretrain, epochs=2))),
+    ("gcn.slope", lambda c: replace(c, gcn=replace(c.gcn, slope=0.5))),
+    ("train.feature_dim", lambda c: replace(c, feature_dim=8)),
+    ("train.folds", lambda c: replace(c, folds=3)),
+    ("train.seed", lambda c: replace(c, seed=1)),
+    (None, lambda c: apply_flags(c, ("lb",))),
+    (None, lambda c: replace(c, loss=replace(c.loss, lambda_d=0.25))),
+    (None, lambda c: replace(c, epochs=1)),
+    (None, lambda c: replace(c, rematch_interval=1)),
+], ids=["synth", "pretrain", "gcn", "feature_dim", "folds", "seed", "flag", "loss.lambda_d",
+        "train.epochs", "train.rematch_interval"])
+def test_train_joint_trains_only_under_the_prefix_it_was_prepared_under(key, change):
+    # a prefix key changed after prepare used to train the prepared model
+    # without a word: a 5-wide one under train.feature_dim = 8, or a graph
+    # tie at another slope than the GCN init fit
+    cfg = _small_cfg(epochs=2)
+    prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
+    if key is None:
+        _, history = trainer.train_joint(prepared, change(cfg))
+        assert history
+        return
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} = .*, but the prefix was "
+                                          rf"prepared under {re.escape(key)} = [^,]*$"):
+        trainer.train_joint(prepared, change(cfg))
 
 
 def test_train_joint_replays_joint_terms_and_momentum():
