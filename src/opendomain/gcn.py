@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, MomentumSgd, check_fields, check_types, leaky_relu
+from .numkit import DimensionError, MomentumSgd, check_keys, key, leaky_relu
 
 __all__ = [
     "GcnSchedule",
@@ -32,18 +32,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GcnSchedule:
-    learning_rate: float = 0.5
-    momentum: float = 0.97
-    steps: int = 8000
-    init_scale: float = 1.0
-    slope: float = 0.2  # leaky-ReLU slope, in GCN init and in the graph tie
+    learning_rate: float = key(0.5, "> 0")
+    momentum: float = key(0.97, "in [0, 1)")
+    steps: int = key(8000, ">= 1")
+    init_scale: float = key(1.0, "> 0")
+    slope: float = key(0.2, ">= 0")  # leaky-ReLU slope, in GCN init and in the graph tie
 
     def __post_init__(self):
-        check_types(self, "gcn")
-        check_fields(self, "gcn", "learning_rate init_scale", lambda v: v > 0, "> 0")
-        check_fields(self, "gcn", "momentum", lambda v: 0 <= v < 1, "in [0, 1)")
-        check_fields(self, "gcn", "steps", lambda v: v >= 1, ">= 1")
-        check_fields(self, "gcn", "slope", lambda v: v >= 0, ">= 0")
+        check_keys(self, "gcn")
 
 
 def propagate(p, x, rows) -> np.ndarray:

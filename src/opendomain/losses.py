@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import check_fields, check_types
+from .numkit import check_keys, key
 
 __all__ = [
     "ClassifierHead",
@@ -67,20 +67,15 @@ class LossWeights:
     stands for the default that :class:`ExperimentConfig` derives from its
     class counts."""
 
-    lambda_d: float = 0.5
-    lambda_b: float = 0.04
-    lambda_g: float = 0.5
-    tau: float = 0.3
-    w: float | None = None
-    epsilon: float = 0.05
+    lambda_d: float = key(0.5, ">= 0")
+    lambda_b: float = key(0.04, ">= 0")
+    lambda_g: float = key(0.5, ">= 0")
+    tau: float = key(0.3, "finite")
+    w: float | None = key(None, "in (0, 1)", kind=float)
+    epsilon: float = key(0.05, "> 0")
 
     def __post_init__(self):
-        check_types(self, "loss", optional=("w",))
-        check_fields(self, "loss", "lambda_d lambda_b lambda_g", lambda v: v >= 0, ">= 0")
-        if self.w is not None:
-            check_fields(self, "loss", "w", lambda v: 0 < v < 1, "in (0, 1)")
-        check_fields(self, "loss", "tau", lambda v: True, "finite")
-        check_fields(self, "loss", "epsilon", lambda v: v > 0, "> 0")
+        check_keys(self, "loss")
 
 
 class NonFiniteLossError(RuntimeError):

@@ -51,10 +51,7 @@ class MatchedPairs:
 def pairwise_l1(fs, ft) -> np.ndarray:
     """The n x m array costs[i, j] = sum_d |fs[i, d] - ft[j, d]|, computed
     _L1_BLOCK rows at a time into the one output array."""
-    fs = np.asarray(fs, float)
-    ft = np.asarray(ft, float)
-    if fs.ndim != 2 or ft.ndim != 2 or fs.shape[1] != ft.shape[1]:
-        raise DimensionError(f"pairwise_l1: shapes {fs.shape}, {ft.shape}")
+    fs, ft = _same_width(fs, ft)
     out = np.empty((len(fs), len(ft)))
     ft_t = np.ascontiguousarray(ft.T)[:, None, :]
     diff = np.empty((fs.shape[1], _L1_BLOCK, len(ft)))  # (d, rows, m)
@@ -64,6 +61,15 @@ def pairwise_l1(fs, ft) -> np.ndarray:
             np.abs(np.subtract(fs[a:a + _L1_BLOCK].T[:, :, None], ft_t, out=block), out=block)
             _pairwise_sum(block, out[a:a + _L1_BLOCK])
     return out
+
+
+def _same_width(fs, ft):
+    """``fs`` and ``ft`` as float arrays, refused unless both are 2-D with
+    as many columns."""
+    fs, ft = np.asarray(fs, float), np.asarray(ft, float)
+    if fs.ndim != 2 or ft.ndim != 2 or fs.shape[1] != ft.shape[1]:
+        raise DimensionError(f"pairwise_l1: shapes {fs.shape}, {ft.shape}")
+    return fs, ft
 
 
 def _pairwise_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -180,8 +186,7 @@ def match_domains(fs, ft, k: int, rng: np.random.Generator):
     and return the union of the per-fold matchings as (src, tgt, costs,
     total_cost): index and cost arrays sorted by source, and the sum of
     the per-fold totals."""
-    fs = np.asarray(fs, float)
-    ft = np.asarray(ft, float)
+    fs, ft = _same_width(fs, ft)  # before the folds, so a refusal names the whole arrays
     source_folds, target_folds = partition_folds(fs.shape[0], ft.shape[0], k, rng)
     src, tgt, costs = [], [], []
     total = 0.0

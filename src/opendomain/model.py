@@ -16,7 +16,7 @@ import numpy as np
 
 from .losses import ClassifierHead
 from .numkit import (
-    DimensionError, check_fields, check_types, load_matrix, save_matrix, text_file, write_json)
+    DimensionError, check_keys, key, load_matrix, save_matrix, text_file, write_json)
 
 __all__ = [
     "Encoder",
@@ -45,16 +45,13 @@ class ModelState:
 
 @dataclass(frozen=True)
 class PretrainSchedule:
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    epochs: int = 12
-    batch_size: int = 32
+    learning_rate: float = key(0.05, "> 0")
+    momentum: float = key(0.9, "in [0, 1)")
+    epochs: int = key(12, ">= 1")
+    batch_size: int = key(32, ">= 1")
 
     def __post_init__(self):
-        check_types(self, "pretrain")
-        check_fields(self, "pretrain", "learning_rate", lambda v: v > 0, "> 0")
-        check_fields(self, "pretrain", "momentum", lambda v: 0 <= v < 1, "in [0, 1)")
-        check_fields(self, "pretrain", "epochs batch_size", lambda v: v >= 1, ">= 1")
+        check_keys(self, "pretrain")
 
 
 def encode(raw, enc: Encoder) -> np.ndarray:

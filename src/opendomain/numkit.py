@@ -1,5 +1,5 @@
 """Numeric substrate: checked dense kernels, stable softmax, seeded RNG,
-momentum SGD, the checkers of config fields, the reader of the headed
+momentum SGD, config keys and their checker, the reader of the headed
 text tables, matrix text serialization and the JSON file form.
 
 Everything runs on 64-bit numpy arrays. The conventions fixed here
@@ -13,7 +13,7 @@ import math
 import numbers
 from array import array
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import MISSING, field, fields
 
 import numpy as np
 
@@ -25,8 +25,8 @@ __all__ = [
     "make_rng",
     "flat_views",
     "MomentumSgd",
-    "check_types",
-    "check_fields",
+    "key",
+    "check_keys",
     "save_matrix",
     "load_matrix",
     "text_file",
@@ -110,41 +110,49 @@ class MomentumSgd:
 # a config key's kind is the type of its default: the values it takes, its name
 _KINDS = {bool: ((bool, np.bool_), "a bool"), int: (numbers.Integral, "an int"),
           float: (numbers.Real, "a float")}
+# each range a key may declare: its text in an error, and its test
+_RULES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0,
+          "in [0, 1)": lambda v: 0 <= v < 1, "in (0, 1)": lambda v: 0 < v < 1,
+          "finite": lambda v: True, ">= 2 (>= total_classes builds a star)": lambda v: v >= 2}
 
 
-def check_types(obj, section, optional=()) -> None:
-    """Refuse each bool, int or float field of the dataclass ``obj`` whose
-    value is not of its default's kind (a bool is no number, a float no
-    int) with the ValueError ``<section>.<name> must be <a kind>, got
-    <value>``; store an accepted value as the kind itself, so an int given
-    to a float key writes the text of a float. ``section`` is the section
-    name or a function from a field name to it. The fields named in
-    ``optional`` are float keys whose default None they may keep."""
+def key(default, rule: str, kind=None):
+    """A config key's field: its default, its kind (``default``'s type, or
+    ``kind`` for a default None) and the ``_RULES`` range it must meet."""
+    return field(default=default, metadata={"rule": rule, "kind": kind or type(default)})
+
+
+def check_keys(obj, section) -> None:
+    """Check each field of the dataclass ``obj``: a section of its own (a
+    field with a default factory) must be of that class, and a bool, int or
+    float key of its kind (a bool is no number, a float no int), stored as
+    the kind itself, so an int given to a float key writes a float's text;
+    a ``key`` must be finite and meet its rule. Each refusal is a ValueError
+    naming ``<section>.<name>``; ``section`` is the section name or a
+    function from a field name to it."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        kind = float if f.name in optional else type(f.default)
-        if kind not in _KINDS or (value is None and f.name in optional):
+        if f.default_factory is not MISSING:
+            if not isinstance(value, f.default_factory):
+                raise ValueError(f"{f.name} must be a {f.default_factory.__name__}, "
+                                 f"got {value!r}")
             continue
-        types, noun = _KINDS[kind]
-        if isinstance(value, types) and (kind is bool or not isinstance(value, bool)):
-            try:
-                object.__setattr__(obj, f.name, kind(value))
-                continue
-            except OverflowError:  # an int past the float64 range
-                pass
+        if value is None and f.default is None:  # loss.w, derived later
+            continue
+        kind = f.metadata.get("kind", type(f.default))
         where = section(f.name) if callable(section) else section
-        raise ValueError(f"{where}.{f.name} must be {noun}, got {value!r}")
-
-
-def check_fields(obj, section: str, names: str, ok, rule: str) -> None:
-    """Refuse each field of ``obj`` named in the space-separated ``names``
-    whose value is not finite or fails ``ok``, with the ValueError
-    ``<section>.<name> must be <rule>, got <value>``."""
-    for name in names.split():
-        value = getattr(obj, name)
+        types, noun = _KINDS[kind]
+        try:
+            if not isinstance(value, types) or (kind is not bool and isinstance(value, bool)):
+                raise TypeError
+            value = kind(value)
+        except (TypeError, OverflowError):  # overflow: an int past the float64 range
+            raise ValueError(f"{where}.{f.name} must be {noun}, got {value!r}") from None
+        object.__setattr__(obj, f.name, value)
+        rule = f.metadata.get("rule")
         # an int is finite however large; math.isfinite overflows on a huge one
-        if not ((isinstance(value, int) or math.isfinite(value)) and ok(value)):
-            raise ValueError(f"{section}.{name} must be {rule}, got {value}")
+        if rule and not ((kind is int or math.isfinite(value)) and _RULES[rule](value)):
+            raise ValueError(f"{where}.{f.name} must be {rule}, got {value}")
 
 
 def save_matrix(path, m) -> None:

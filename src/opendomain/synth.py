@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import KnowledgeGraph
-from .numkit import (as_matrix, check_fields, check_types, make_rng, parse_tokens, read_rows,
-                     size, text_file)
+from .numkit import (as_matrix, check_keys, key, make_rng, parse_tokens, read_rows, size,
+                     text_file)
 
 __all__ = [
     "SynthConfig",
@@ -62,32 +62,25 @@ class UnlabeledDataset:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    known_classes: int = 8
-    total_classes: int = 12
-    input_dim: int = 16
-    word_dim: int = 32
-    source_per_class: int = 50
-    target_per_class: int = 50
-    branching: int = 3
-    step: float = 0.65
-    noise: float = 0.5
-    word_noise: float = 0.3
-    rotation_angle: float = 0.25
-    translation_scale: float = 3.5
-    seed: int = 0
+    known_classes: int = key(8, ">= 1")
+    total_classes: int = key(12, ">= 1")
+    input_dim: int = key(16, ">= 1")
+    word_dim: int = key(32, ">= 1")
+    source_per_class: int = key(50, ">= 1")
+    target_per_class: int = key(50, ">= 1")
+    branching: int = key(3, ">= 2 (>= total_classes builds a star)")
+    step: float = key(0.65, ">= 0")
+    noise: float = key(0.5, ">= 0")
+    word_noise: float = key(0.3, ">= 0")
+    rotation_angle: float = key(0.25, "finite")
+    translation_scale: float = key(3.5, ">= 0")
+    seed: int = key(0, ">= 0")
 
     def __post_init__(self):
-        check_types(self, "synth")
-        check_fields(self, "synth", "known_classes input_dim word_dim source_per_class "
-                     "target_per_class", lambda v: v >= 1, ">= 1")
+        check_keys(self, "synth")
         if self.known_classes > self.total_classes:
             raise ValueError(f"synth.known_classes must be <= synth.total_classes, got "
                              f"{self.known_classes} > {self.total_classes}")
-        check_fields(self, "synth", "branching", lambda v: v >= 2,
-                     ">= 2 (>= total_classes builds a star)")
-        check_fields(self, "synth", "step noise word_noise translation_scale seed",
-                     lambda v: v >= 0, ">= 0")
-        check_fields(self, "synth", "rotation_angle", lambda v: True, "finite")
 
 
 def _build_tree(cfg: SynthConfig, rng):

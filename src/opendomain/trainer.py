@@ -29,7 +29,7 @@ from .losses import (
 from .matching import match_domains
 from .model import Encoder, ModelState, PretrainSchedule, encode
 from .numkit import (
-    MomentumSgd, as_matrix, check_fields, check_types, flat_views, make_rng, softmax_rows)
+    MomentumSgd, as_matrix, check_keys, flat_views, key, make_rng, softmax_rows)
 
 __all__ = [
     "ConfigError",
@@ -65,34 +65,29 @@ class ExperimentConfig:
     loss: LossWeights = field(default_factory=LossWeights)
     pretrain: PretrainSchedule = field(default_factory=PretrainSchedule)
     gcn: GcnSchedule = field(default_factory=GcnSchedule)
-    feature_dim: int = 16
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    epochs: int = 40
-    batch_size: int = 32
-    folds: int = 5
-    rematch_interval: int = 0
-    seed: int = 0
+    feature_dim: int = key(16, ">= 1")
+    learning_rate: float = key(0.05, "> 0")
+    momentum: float = key(0.9, "in [0, 1)")
+    epochs: int = key(40, ">= 1")
+    batch_size: int = key(32, ">= 1")
+    folds: int = key(5, ">= 1")
+    rematch_interval: int = key(0, ">= 0")
+    seed: int = key(0, ">= 0")
     enable_lb: bool = True
     enable_sgmd: bool = True
     enable_gcn: bool = True
     vanilla_balance: bool = False
 
     def __post_init__(self):
+        try:
+            check_keys(self, _section)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         known, total = self.synth.known_classes, self.synth.total_classes
         if self.loss.w is None:
             # loss.w defaults to the proportion of unknown classes, in (0, 1) however large
             w = min(max((total - known) / total, 5e-324), 1 - 2**-53) if known < total else 0.5
             object.__setattr__(self, "loss", replace(self.loss, w=w))
-        try:
-            check_types(self, _section)
-            check_fields(self, "train", "feature_dim epochs batch_size folds",
-                         lambda v: v >= 1, ">= 1")
-            check_fields(self, "train", "learning_rate", lambda v: v > 0, "> 0")
-            check_fields(self, "train", "momentum", lambda v: 0 <= v < 1, "in [0, 1)")
-            check_fields(self, "train", "rematch_interval seed", lambda v: v >= 0, ">= 0")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.enable_lb and self.vanilla_balance:
             raise ConfigError("flags.enable_lb and flags.vanilla_balance are "
                               "mutually exclusive")
@@ -162,7 +157,7 @@ def _parse_value(raw: str, kind, key: str):
             if low in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        # a non-finite float is refused by its section's field checks
+        # a non-finite float is refused by its section's check_keys
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc

@@ -596,7 +596,8 @@ def _first(value):
 
 
 # (subcommand, case, edit of the copy, extra flags or the whole argument
-# list, exit code, text the one stderr line must contain, or a tuple of them)
+# list (or a tuple of an edit and flags), exit code, text the one stderr
+# line must contain, or a tuple of them)
 _EXIT_CASES = [
     ("synth", "missing config", _remove("exp.cfg"), 3, "exp.cfg"),
     ("synth", "malformed config line",
@@ -632,6 +633,30 @@ _EXIT_CASES = [
      _replace("data/graph.txt", "edge 6 7", "edge 6 70"), 1, "graph.txt: edge (6, 70)"),
     ("train", "graph self-loop out of range",
      _append("data/graph.txt", "edge 99 99\n"), 1, "graph.txt: line 22"),
+    ("train", "unknown graph record",
+     _append("data/graph.txt", "vertex 1 2\n"), 1, "graph.txt: line 22: unknown record 'vertex'"),
+    ("train", "duplicate graph node",
+     _replace("data/graph.txt", "node 1 ", "node 0 "), 1, "graph.txt: line 3: duplicate node 0"),
+    ("train", "duplicate graph class mapping",
+     _replace("data/graph.txt", "class 1 1\n", "class 0 1\n"), 1,
+     "graph.txt: line 11: duplicate class mapping for 0"),
+    ("train", "graph without its header",
+     _replace("data/graph.txt", "nodes 8 known 3 classes 5\n", ""), 1,
+     "graph.txt: missing header line"),
+    ("train", "graph node indices short of the header",
+     _replace("data/graph.txt", "node 7 group_02\n", ""), 1,
+     "graph.txt: node indices must cover 0..7"),
+    ("train", "graph class indices short of the header",
+     _replace("data/graph.txt", "class 4 4\n", ""), 1,
+     "graph.txt: class indices must cover 0..4"),
+    ("train", "graph with no nodes",
+     lambda root: (root / "data/graph.txt").write_text("nodes 0 known 0 classes 0\n"), 1,
+     "graph.txt: graph must have at least one node"),
+    ("train", "duplicate graph edge",
+     _append("data/graph.txt", "edge 6 0\n"), 1, "graph.txt: duplicate edge (0, 6)"),
+    ("train", "graph class mapped past the nodes",
+     _replace("data/graph.txt", "class 4 4\n", "class 4 40\n"), 1,
+     "graph.txt: class 4 mapped to out-of-range node 40"),
     ("train", "source.ds with no rows", _no_rows("data/source.ds"), 1,
      "source.ds: no rows"),
     ("train", "target.ds with no rows", _no_rows("data/target.ds"), 1,
@@ -671,6 +696,8 @@ _EXIT_CASES = [
      "source.ds: the source data must be labeled"),
     ("train", "labeled target.ds", _swap_role("data/target.ds", 1, "0"), 1,
      "target.ds: the target data must be unlabeled"),
+    ("train", "target.ds row without its '?'", _edit_row("data/target.ds", _first("0")), 1,
+     "target.ds: line 2: an unlabeled row does not start with '?'"),
     ("train", "source.ds labeled field of 7",
      _replace("data/source.ds", "labeled 1", "labeled 7"), 1, "source.ds: line 1"),
     ("train", "target.ds a column narrower than source.ds", _narrow("data/target.ds"), 1,
@@ -736,6 +763,9 @@ _EXIT_CASES = [
     ("match", "negative --seed", "--seed -1", 1, "--seed"),
     ("match", "matrices of different widths", _drop_column("ft.mat"), 1,
      ("matching /", "fs.mat against /", "ft.mat: pairwise_l1: shapes (6, 3), (8, 2)")),
+    # the shapes are the matrices', not those of a fold
+    ("match", "matrices of different widths, two folds", (_drop_column("ft.mat"), "--folds 2"),
+     1, ("matching /", "fs.mat against /", "ft.mat: pairwise_l1: shapes (6, 3), (8, 2)")),
     ("eval", "missing manifest",
      _remove("run/checkpoint/manifest.json"), 3, "manifest.json"),
     ("eval", "non-object manifest",
@@ -794,12 +824,13 @@ def test_bad_input_exit_code_table(tmp_path, trained, capsys, command, case, edi
     root = tmp_path / "w"
     shutil.copytree(trained, root)
     argv = [token.format(r=root) for token in _COMMANDS[command].split()]
-    if isinstance(edit, list):
-        argv = [token.format(r=root) for token in edit]
-    elif isinstance(edit, str):
-        argv += edit.split()
-    else:
-        edit(root)
+    for step in edit if isinstance(edit, tuple) else (edit,):
+        if isinstance(step, list):
+            argv = [token.format(r=root) for token in step]
+        elif isinstance(step, str):
+            argv += step.split()
+        else:
+            step(root)
     capsys.readouterr()
     assert main(argv) == code
     captured = capsys.readouterr()

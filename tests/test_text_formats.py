@@ -1,5 +1,7 @@
 """Round-trip properties of the text formats: what a writer emits, its
-reader gives back exactly, float64 bit patterns included."""
+reader gives back exactly, float64 bit patterns included; and which lines
+of the config text a prepared prefix pins."""
+import functools
 import math
 import re
 from dataclasses import replace
@@ -9,8 +11,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from opendomain import synth, trainer
+from opendomain.gcn import GcnSchedule
 from opendomain.graph import KnowledgeGraph, load_graph, save_graph
 from opendomain.matching import MatchedPairs, save_pairs
+from opendomain.model import PretrainSchedule
 from opendomain.numkit import load_matrix, save_matrix
 from opendomain.synth import (
     LabeledDataset,
@@ -240,6 +245,66 @@ def test_config_refuses_a_key_out_of_range(drawn, key, data):
     part = cfg if section == "train" else getattr(cfg, section)
     with pytest.raises(ValueError, match=re.escape(key)):
         replace(part, **{name: value})
+
+
+# the keys whose lines a Prepared is keyed by: what prepare reads
+_PREFIX_KEYS = {key for key in _KEY_RANGES if key.startswith(("synth.", "pretrain.", "gcn."))}
+_PREFIX_KEYS |= {"synth.total_classes", "train.feature_dim", "train.folds", "train.seed"}
+# values of the other keys that keep two joint epochs of the tiny config
+# short and finite
+_JOINT_VALUES = {
+    "train.epochs": st.integers(1, 2), "train.batch_size": st.integers(1, 64),
+    "train.learning_rate": st.floats(1e-4, 0.05), "train.momentum": st.floats(0.0, 0.9),
+    "train.rematch_interval": st.integers(0, 3),
+    **dict.fromkeys(["loss.lambda_d", "loss.lambda_b", "loss.lambda_g"], st.floats(0.0, 1.0)),
+    "loss.tau": st.floats(-2.0, 2.0), "loss.w": st.floats(0.01, 0.99),
+    "loss.epsilon": st.floats(1e-3, 1.0),
+    # lb is off in the tiny config, so each flag may flip on its own
+    **dict.fromkeys(["flags.enable_lb", "flags.enable_sgmd", "flags.enable_gcn",
+                     "flags.vanilla_balance"], st.booleans()),
+}
+
+
+@functools.cache
+def _tiny_prepared():
+    cfg = ExperimentConfig(
+        synth=synth.SynthConfig(known_classes=3, total_classes=5, input_dim=6, word_dim=12,
+                                source_per_class=10, target_per_class=10),
+        pretrain=PretrainSchedule(epochs=1), gcn=GcnSchedule(steps=50), feature_dim=5,
+        epochs=2, batch_size=8, folds=2, enable_lb=False)
+    return trainer.prepare(cfg, synth.generate(cfg.synth))
+
+
+def _other_value(key, current):
+    """A strategy for a valid value of ``key`` other than ``current``."""
+    if key == "synth.known_classes":  # below the 5 classes, so lb and gcn stay allowed
+        values = st.integers(1, 4)
+    elif key == "synth.total_classes":
+        values = st.integers(4, 2**64)
+    elif key in _JOINT_VALUES:
+        values = _JOINT_VALUES[key]
+    else:
+        values = _RANGES[_KEY_RANGES[key]][0]
+    return values.filter(lambda v: v != current)
+
+
+@CONFIG_PROPERTY
+@given(st.sampled_from(sorted(_PREFIX_KEYS | set(_JOINT_VALUES))), st.data())
+def test_train_joint_refuses_exactly_a_changed_prefix_key(key, data):
+    """One key of the config text set to another valid value: train_joint
+    refuses it naming the key when prepare read it, and trains otherwise."""
+    prepared = _tiny_prepared()
+    section, _, name = key.partition(".")
+    part = prepared.config if section in ("train", "flags") else getattr(prepared.config,
+                                                                        section)
+    value = data.draw(_other_value(key, getattr(part, name)))
+    cfg = parse_config(_with_line(config_to_text(prepared.config), key, value))
+    if key in _PREFIX_KEYS:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} = "):
+            trainer.train_joint(prepared, cfg)
+    else:
+        _, history = trainer.train_joint(prepared, cfg)
+        assert len(history) == cfg.epochs
 
 
 # ------------------------------------------------------------ exact bytes

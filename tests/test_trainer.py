@@ -1,12 +1,12 @@
 import copy
 import math
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
-from opendomain import gcn, synth
+from opendomain import gcn, numkit, synth
 from opendomain.gcn import GcnSchedule, propagate
 from opendomain.losses import ClassifierHead, LossWeights, cls_core
 from opendomain.matching import partition_folds
@@ -133,6 +133,7 @@ flags.enable_sgmd = false
     MINIMAL + "synth.noise = nan\n",
     MINIMAL + "synth.rotation_angle = nan\n",
     MINIMAL + "gcn.slope = nan\n",
+    MINIMAL + "flags.enable_lb = maybe\n",  # not a bool token
 ])
 def test_parse_rejects_bad_configs(text):
     with pytest.raises(ConfigError):
@@ -285,6 +286,30 @@ def test_python_config_refuses_other_types(key, value):
     with pytest.raises(error, match=re.escape(key)) as exc:
         kind(**{name: value})
     assert type(exc.value) is error
+
+
+@pytest.mark.parametrize("section, value", [
+    ("gcn", {"steps": 3}), ("loss", {"tau": 1.0}), ("synth", None),
+    ("pretrain", GcnSchedule()),
+])
+def test_a_section_of_another_type_is_refused(section, value):
+    # a dict used to be written into the config text, and None or a dict
+    # read for loss.w ended in an AttributeError
+    with pytest.raises(ConfigError, match=rf"^{section} must be a \w+, got "):
+        ExperimentConfig(**{section: value})
+
+
+@pytest.mark.parametrize("section", [synth.SynthConfig, LossWeights, PretrainSchedule,
+                                     GcnSchedule, ExperimentConfig])
+def test_every_number_key_declares_its_range(section):
+    """Each int and float key is a ``key(default, rule)`` field of its own
+    kind, so its range is checked by ``check_keys`` and written nowhere
+    else."""
+    numbers = [f for f in fields(section) if f.type.split(" |")[0] in ("int", "float")]
+    assert numbers
+    for f in numbers:
+        assert f.metadata.get("rule") in numkit._RULES, f.name
+        assert f.metadata["kind"].__name__ == f.type.split(" |")[0], f.name
 
 
 def test_float_keys_store_an_int_as_a_float():
@@ -480,8 +505,11 @@ def _poison(m, value):
      "the target eval labels run from 0 to 99, not over the 5 classes"),
     (lambda s, t, g, w: (s, _relabel(t, 7, -1), g, w),
      "the target eval labels run from -1 to 4, not over the 5 classes"),
+    (lambda s, t, g, w: (s, t, None, w),
+     "the graph is required when synth.known_classes < synth.total_classes"),
 ], ids=["narrow-target", "no-feature-columns", "no-word-dims", "word-row-short",
-        "inf-word-vector", "nan-target-feature", "label-past-classes", "one-unlabeled-row"])
+        "inf-word-vector", "nan-target-feature", "label-past-classes", "one-unlabeled-row",
+        "no-graph"])
 def test_prepare_refuses_data_that_does_not_fit_before_pretraining(monkeypatch, edit,
                                                                    refusal):
     # the CLI refuses each of these at load; from Python they used to fail
