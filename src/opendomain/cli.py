@@ -164,14 +164,14 @@ def cmd_match(args) -> int:
 
 def cmd_eval(args) -> int:
     state, manifest = load_checkpoint(args.checkpoint)
-    target = _load_dataset(args.data, "target", state.head.num_classes)
+    target = _load_dataset(args.data, "target", len(state.head))
     if target.features.shape[1] != manifest["input_dim"]:
         raise ValueError(f"{os.path.join(args.data, _DATA_FILES['target'])} and "
                          f"{os.path.join(args.checkpoint, 'manifest.json')} disagree on the "
                          f"input dim: {target.features.shape[1]} != {manifest['input_dim']}")
     _require_eval_labels(target, args.data)
     preds = predict(state, target.features)
-    triple = accuracy_triple(preds, target.eval_labels, state.head.known_count)
+    triple = accuracy_triple(preds, target.eval_labels, state.known_count)
     sys.stdout.write(json.dumps(triple.as_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -32,7 +32,7 @@ class AccuracyTriple:
 
 def predict(state: ModelState, features) -> np.ndarray:
     """Argmax of the logits per instance; ties break to the lowest index."""
-    return np.argmax(encode(features, state.encoder) @ state.head.weights.T, axis=1)
+    return np.argmax(encode(features, state) @ state.head.T, axis=1)
 
 
 def accuracy_triple(preds, labels, known_count: int) -> AccuracyTriple:

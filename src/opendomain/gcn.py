@@ -9,10 +9,11 @@ function here takes Z instead of P, X and the row list. All gradients are
 computed by hand and verified by finite differences in the test suite.
 
 GCN init fits Theta so the known output rows reproduce the pretrained
-weights W, and returns Theta with the output rows of every class. Each gradient step adds Z_k^T(.) to Theta (Z_k: the known class
-rows), so the fit's limit lies in Theta0 + rowspace(Z_k); where it is unique
-there and the loop would reach it, :func:`train_gcn_init` solves it in
-closed form instead of iterating.
+weights W, and returns Theta with the output rows of every class. Each
+gradient step adds Z_k^T(.) to Theta (Z_k: the known class rows), so the
+fit's limit lies in Theta0 + rowspace(Z_k); where it is unique there and the
+loop would reach it, :func:`train_gcn_init` solves it in closed form instead
+of iterating.
 """
 from __future__ import annotations
 

@@ -30,7 +30,6 @@ import numpy as np
 from .numkit import check_keys, key
 
 __all__ = [
-    "ClassifierHead",
     "LossWeights",
     "NonFiniteLossError",
     "check_finite",
@@ -41,24 +40,6 @@ __all__ = [
     "limited_balance_terms",
     "total_loss",
 ]
-
-
-@dataclass(frozen=True)
-class ClassifierHead:
-    """Full classifier weights, one row per class; rows 0..known_count-1
-    are the known-class classifiers. No bias term: rows live in the same
-    space as graph-convolution outputs."""
-
-    weights: np.ndarray
-    known_count: int
-
-    def __post_init__(self):
-        if not 0 < self.known_count <= self.weights.shape[0]:
-            raise ValueError("known_count out of range")
-
-    @property
-    def num_classes(self) -> int:
-        return self.weights.shape[0]
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,16 @@ batches in the same step go through the identical encoder.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import ClassifierHead
 from .numkit import (
     DimensionError, check_keys, key, load_matrix, save_matrix, text_file, write_json)
 
 __all__ = [
-    "Encoder",
     "ModelState",
     "PretrainSchedule",
     "encode",
@@ -29,18 +28,27 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Encoder:
-    """Linear map raw -> features: raw @ weight + bias."""
+class ModelState:
+    """The parameters trained jointly, in the order of the flat training
+    buffer and of the checkpoint files: the linear encoder raw -> raw @
+    weight + bias, the classifier head (one row per class, no bias: the rows
+    live in the space of the graph-convolution outputs) whose first
+    ``known_count`` rows are the known classes, and the GCN weights theta
+    (word_dim x feature_dim), None only during pretraining."""
 
     weight: np.ndarray
     bias: np.ndarray
+    head: np.ndarray
+    known_count: int
+    theta: np.ndarray | None
 
-
-@dataclass(frozen=True)
-class ModelState:
-    encoder: Encoder
-    head: ClassifierHead
-    theta: np.ndarray  # GCN weights, word_dim x feature_dim
+    def __post_init__(self):
+        known, rows = self.known_count, len(self.head)
+        # bool is an int subclass; neither True nor 1.5 is a class count
+        if (not isinstance(known, numbers.Integral) or isinstance(known, bool)
+                or not 0 < known <= rows):
+            raise ValueError(f"known_count must be an integer in 1..{rows}, got {known!r}")
+        object.__setattr__(self, "known_count", int(known))
 
 
 @dataclass(frozen=True)
@@ -54,13 +62,14 @@ class PretrainSchedule:
         check_keys(self, "pretrain")
 
 
-def encode(raw, enc: Encoder) -> np.ndarray:
+def encode(raw, state: ModelState) -> np.ndarray:
+    """The features of ``raw`` under the state's encoder."""
     raw = np.asarray(raw, float)
-    if raw.shape[1] != enc.weight.shape[0]:
+    if raw.shape[1] != state.weight.shape[0]:
         raise DimensionError(
-            f"encode: input dim {raw.shape[1]} != weight rows {enc.weight.shape[0]}"
+            f"encode: input dim {raw.shape[1]} != weight rows {state.weight.shape[0]}"
         )
-    return raw @ enc.weight + enc.bias
+    return raw @ state.weight + state.bias
 
 
 # each file of a checkpoint with the manifest keys of its row and column
@@ -76,16 +85,17 @@ _CHECKPOINT_SHAPES = {
 def save_checkpoint(directory, state: ModelState, config_hash: str = "") -> None:
     """Write the parameter matrices as text files plus a manifest with the
     dimensions and the originating config hash."""
+    if state.theta is None:  # checked before any file is written
+        raise ValueError("save_checkpoint: a pretraining state has no theta to save")
     os.makedirs(directory, exist_ok=True)
-    matrices = (state.encoder.weight, state.encoder.bias.reshape(1, -1),
-                state.head.weights, state.theta)
+    matrices = (state.weight, state.bias.reshape(1, -1), state.head, state.theta)
     for name, m in zip(_CHECKPOINT_SHAPES, matrices):
         save_matrix(os.path.join(directory, name), m)
     write_json(os.path.join(directory, "manifest.json"), {
-        "input_dim": state.encoder.weight.shape[0],
-        "feature_dim": state.encoder.weight.shape[1],
-        "total_classes": state.head.num_classes,
-        "known_classes": state.head.known_count,
+        "input_dim": state.weight.shape[0],
+        "feature_dim": state.weight.shape[1],
+        "total_classes": state.head.shape[0],
+        "known_classes": state.known_count,
         "word_dim": state.theta.shape[0],
         "config_hash": config_hash,
     })
@@ -109,15 +119,10 @@ def load_checkpoint(directory):
             if declared != value:
                 raise ValueError(f"{path}: checkpoint manifest mismatch for {key}: "
                                  f"{declared} != {value}")
-    enc_w, enc_b, head_w, theta = matrices
+    weight, bias, head, theta = matrices
     known = manifest.get("known_classes")
-    # bool is an int subclass; neither true nor 7.9 is a class count
-    if type(known) is not int or not 0 < known <= head_w.shape[0]:
+    try:
+        return ModelState(weight, bias.ravel(), head, known, theta), manifest
+    except ValueError:
         raise ValueError("checkpoint manifest has no known_classes in "
-                         f"1..{head_w.shape[0]}: {known!r}")
-    state = ModelState(
-        encoder=Encoder(weight=enc_w, bias=enc_b.ravel()),
-        head=ClassifierHead(weights=head_w, known_count=known),
-        theta=theta,
-    )
-    return state, manifest
+                         f"1..{len(head)}: {known!r}") from None

@@ -24,10 +24,10 @@ from .evaluate import accuracy_triple, predict
 from .gcn import GcnSchedule, gcn_reg_core, propagate, train_gcn_init
 from .graph import normalized_adjacency
 from .losses import (
-    ClassifierHead, LossWeights, NonFiniteLossError, balance_core, check_finite,
-    check_labels, cls_core, sgmd_core, total_loss)
+    LossWeights, NonFiniteLossError, balance_core, check_finite, check_labels, cls_core,
+    sgmd_core, total_loss)
 from .matching import match_domains
-from .model import Encoder, ModelState, PretrainSchedule, encode
+from .model import ModelState, PretrainSchedule, encode
 from .numkit import (
     MomentumSgd, as_matrix, check_keys, flat_views, key, make_rng, softmax_rows)
 
@@ -244,11 +244,11 @@ class Prepared:
     config: ExperimentConfig
 
 
-def _partner(enc, source, target, folds: int, rng) -> np.ndarray:
+def _partner(state, source, target, folds: int, rng) -> np.ndarray:
     """Fold-wise matching of the encoded domains as partner[s], the target
     matched to source s, or -1."""
-    src, tgt, _, _ = match_domains(encode(source.features, enc),
-                                   encode(target.features, enc), folds, rng)
+    src, tgt, _, _ = match_domains(encode(source.features, state),
+                                   encode(target.features, state), folds, rng)
     partner = np.full(source.n, -1)
     partner[src] = tgt
     return partner
@@ -299,8 +299,8 @@ def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Gene
 
     Raises IndexError for a label outside the known classes and
     NonFiniteLossError ("pretrain") for a step whose loss or gradient is
-    not finite. Returns (encoder, classifier weight matrix, per-epoch mean
-    loss).
+    not finite. Returns (state, per-epoch mean loss): the state's head holds
+    the known classes, and its theta is None until :func:`prepare`.
     """
     schedule, known, m = cfg.pretrain, cfg.synth.known_classes, cfg.feature_dim
     features = np.asarray(features, float)
@@ -309,7 +309,7 @@ def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Gene
     weight = rng.uniform(-1.0, 1.0, (m_in, m)) / np.sqrt(m_in)
     head = rng.uniform(-1.0, 1.0, (known, m)) / np.sqrt(m)
     flat, (weight, bias, head) = flat_views([weight, np.zeros(m), head])
-    state = ModelState(Encoder(weight, bias), ClassifierHead(head, known), theta=None)
+    state = ModelState(weight, bias, head, known, theta=None)
     opt = MomentumSgd(flat, schedule.learning_rate, schedule.momentum)
     grad = np.empty_like(flat)
     cls_only, empty = apply_flags(cfg, ()), features[:0]
@@ -327,7 +327,7 @@ def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Gene
             opt.step(grad)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
-    return state.encoder, head, history
+    return state, history
 
 
 def prepare(cfg: ExperimentConfig, data) -> Prepared:
@@ -340,20 +340,19 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     rng_pre, rng_gcn, rng_match, rng_joint = (make_rng(s) for s in streams)
 
-    enc, w_src, _ = pretrain_source(source.features, source.labels, cfg, rng_pre)
+    pre, _ = pretrain_source(source.features, source.labels, cfg, rng_pre)
     z_class = None
     if graph is not None:
         z_class = propagate(normalized_adjacency(graph), word_vectors,
                             graph.class_to_node)
-        theta, weights = train_gcn_init(z_class, w_src, cfg.gcn, rng_gcn)
+        theta, head = train_gcn_init(z_class, pre.head, cfg.gcn, rng_gcn)
     else:
         # symmetric label space: no propagation target, head starts at the
         # pretrained classifier
-        theta, weights = np.zeros((word_vectors.shape[1], cfg.feature_dim)), w_src
-    head = ClassifierHead(weights=weights, known_count=cfg.synth.known_classes)
-    partner = _partner(enc, source, target, cfg.folds, rng_match)
-    return Prepared(state=ModelState(encoder=enc, head=head, theta=theta),
-                    source=source, target=target, z_class=z_class, partner=partner,
+        theta, head = np.zeros((word_vectors.shape[1], cfg.feature_dim)), pre.head
+    state = replace(pre, head=head, theta=theta)
+    partner = _partner(state, source, target, cfg.folds, rng_match)
+    return Prepared(state=state, source=source, target=target, z_class=z_class, partner=partner,
                     rng_match=rng_match, rng_joint=rng_joint, config=cfg)
 
 
@@ -377,31 +376,31 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
 
     Each parameter's gradient of the total is written straight into its
     view of ``out``, a flat float64 buffer (a new one when None) holding
-    encoder.weight, encoder.bias, head.weights and, with the graph term,
-    gcn.theta end to end; ``grads`` holds those views. What holds for a
-    whole run is not checked here: the labels' range (each loop
-    checks it), ``w`` (:class:`LossWeights`) and the shapes (:func:`check_data`).
+    the state's weight, bias, head and, with the graph term, theta end to
+    end; ``grads`` holds those views under their checkpoint file names
+    (encoder.weight, encoder.bias, head.weights, gcn.theta). What holds for
+    a whole run is not checked here: the labels' range (each loop checks
+    it), ``w`` (:class:`LossWeights`) and the shapes (:func:`check_data`).
 
     Returns (values, total, grads, gate): term -> value, the weighted total,
     parameter -> gradient of the total, and the SGMD gate (empty if SGMD
     did not run). Raises NonFiniteLossError naming the first non-finite term
     (value or gradient), or "total" if only their sum or mapping back is not.
     """
-    enc, head = state.encoder, state.head
     lw = cfg.loss
-    known, w_head = head.known_count, head.weights
+    known, w_head = state.known_count, state.head
     balance = cfg.enable_lb or cfg.vanilla_balance
     n_s = len(raw_s)
     n_l = n_s + (len(raw_t) if balance else 0)  # rows with a logit gradient
     n_m = len(raw_ms) if cfg.enable_sgmd else 0  # matched pairs, after them
     raw = np.concatenate([raw_s] + ([raw_t] if balance else [])
                          + ([raw_ms, raw_mt] if n_m else []))
-    f = raw @ enc.weight + enc.bias
+    f = raw @ state.weight + state.bias
     # the responses; rows :n_l become their terms' logit gradients
     probs = f @ w_head.T
     probs[:n_s, known:] = -np.inf
     softmax_rows(probs, out=probs)
-    params = [enc.weight, enc.bias, w_head] + ([state.theta] if cfg.enable_gcn else [])
+    params = [state.weight, state.bias, w_head] + ([state.theta] if cfg.enable_gcn else [])
     out, views = flat_views(params, out)  # with out None, a new buffer, overwritten below
     grads = dict(zip(("encoder.weight", "encoder.bias", "head.weights", "gcn.theta"), views))
     d_f = np.empty((n_l + 2 * n_m, f.shape[1]))  # the feature gradients
@@ -465,15 +464,14 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
         if now != was and now.startswith(_PREFIX):
             raise ConfigError(f"{now}, but the prefix was prepared under {was}")
     source, target, init = prepared.source, prepared.target, prepared.state
-    known, partner = init.head.known_count, prepared.partner
+    known, partner = init.known_count, prepared.partner
     check_labels(source.labels, known)
     rng_joint, rng_match = copy.deepcopy((prepared.rng_joint, prepared.rng_match))
     labeled = not (target.eval_labels < 0).any()
 
-    trained = [init.encoder.weight, init.encoder.bias, init.head.weights, init.theta]
+    trained = [init.weight, init.bias, init.head, init.theta]
     flat, views = flat_views(trained[:4 if cfg.enable_gcn else 3])
-    state = ModelState(Encoder(*views[:2]), ClassifierHead(views[2], known),
-                       views[3] if cfg.enable_gcn else init.theta.copy())
+    state = ModelState(*views[:3], known, views[3] if cfg.enable_gcn else init.theta.copy())
     opt = MomentumSgd(flat, cfg.learning_rate, cfg.momentum)
     grad = np.empty_like(flat)
 
@@ -484,7 +482,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
 
     for epoch in range(cfg.epochs):
         if cfg.rematch_interval > 0 and epoch > 0 and epoch % cfg.rematch_interval == 0:
-            partner = _partner(state.encoder, source, target, cfg.folds, rng_match)
+            partner = _partner(state, source, target, cfg.folds, rng_match)
         order_src = rng_joint.permutation(n_src)
         order_tgt = _target_order(rng_joint, target.n, n_src)
         # the epoch's rows in batch order, so that every batch is a slice;

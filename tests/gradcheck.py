@@ -34,8 +34,8 @@ def grad_check(f, x, analytic, eps: float = 1e-6) -> float:
 
 
 def through_head(term, f, head):
-    """(loss, grad wrt ``f``, grad wrt ``head.weights``) of a softmax term
-    that takes the head's responses to the features ``f`` and returns
-    (loss, grad wrt the logits ``f @ head.weights.T``)."""
+    """(loss, grad wrt ``f``, grad wrt ``head``) of a softmax term that
+    takes the responses of the head, one row per class, to the features
+    ``f`` and returns (loss, grad wrt the logits ``f @ head.T``)."""
     loss, d_logits = term(classifier_responses(f, head))
-    return loss, d_logits @ head.weights, d_logits.T @ f
+    return loss, d_logits @ head, d_logits.T @ f

@@ -23,8 +23,8 @@ import numpy as np
 
 from opendomain.gcn import gcn_reg_core
 from opendomain.losses import (
-    ClassifierHead, NonFiniteLossError, balance_core, cls_core, sgmd_core, total_loss)
-from opendomain.model import Encoder, encode
+    NonFiniteLossError, balance_core, cls_core, sgmd_core, total_loss)
+from opendomain.model import ModelState, encode
 from opendomain.numkit import MomentumSgd, flat_views, softmax_rows
 
 
@@ -45,7 +45,8 @@ def encode_backward(raw, d_out):
 
 
 def classifier_responses(f, head):
-    return softmax_rows(np.asarray(f, float) @ head.weights.T)
+    """Softmax responses of the features ``f`` to the head, one row per class."""
+    return softmax_rows(np.asarray(f, float) @ head.T)
 
 
 def softmax_backward(probs, d_probs):
@@ -54,7 +55,7 @@ def softmax_backward(probs, d_probs):
 
 
 def _feature_and_weight_grads(f, head, d_logits):
-    return d_logits @ head.weights, d_logits.T @ f
+    return d_logits @ head, d_logits.T @ f
 
 
 def cross_entropy(f, head, labels, eps=1e-12):
@@ -87,71 +88,69 @@ def _unknown_mass(probs, known_count):
     return probs[:, known_count:].sum(axis=1)
 
 
-def _balance_grads(f, head, probs, d_mass):
+def _balance_grads(f, head, known, probs, d_mass):
     d_probs = np.zeros_like(probs)
-    d_probs[:, head.known_count:] = d_mass[:, None]
+    d_probs[:, known:] = d_mass[:, None]
     d_logits = softmax_backward(probs, d_probs)
     return _feature_and_weight_grads(f, head, d_logits)
 
 
-def vanilla_balance(f, head, eps=1e-12):
+def vanilla_balance(f, head, known, eps=1e-12):
     probs = classifier_responses(f, head)
-    mass = _unknown_mass(probs, head.known_count)
+    mass = _unknown_mass(probs, known)
     clamped = np.maximum(mass, eps)
     n = len(mass)
     loss = float(-np.mean(np.log(clamped)))
     d_mass = np.where(mass > eps, -1.0 / (n * clamped), 0.0)
-    d_f, d_w = _balance_grads(f, head, probs, d_mass)
+    d_f, d_w = _balance_grads(f, head, known, probs, d_mass)
     return loss, d_f, d_w
 
 
-def limited_balance(f, head, w, eps=1e-12):
+def limited_balance(f, head, known, w, eps=1e-12):
     probs = classifier_responses(f, head)
-    mass = _unknown_mass(probs, head.known_count)
+    mass = _unknown_mass(probs, known)
     clamped = np.maximum(mass, eps)
     values, derivs = clamped + w * w / clamped, 1.0 - w * w / (clamped * clamped)
     n = len(mass)
     loss = float(np.mean(values))
     d_mass = np.where(mass > eps, derivs / n, 0.0)
-    d_f, d_w = _balance_grads(f, head, probs, d_mass)
+    d_f, d_w = _balance_grads(f, head, known, probs, d_mass)
     return loss, d_f, d_w
 
 
-def _restricted_cls(f_src, head, labels):
-    known = ClassifierHead(weights=head.weights[: head.known_count],
-                           known_count=head.known_count)
-    loss, d_f, d_w_known = cross_entropy(f_src, known, labels)
-    d_w = np.zeros_like(head.weights)
-    d_w[: head.known_count] = d_w_known
+def _restricted_cls(f_src, head, known, labels):
+    loss, d_f, d_w_known = cross_entropy(f_src, head[:known], labels)
+    d_w = np.zeros_like(head)
+    d_w[:known] = d_w_known
     return loss, d_f, d_w
 
 
 def reference_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt):
     """(components, gate): term -> (value, {parameter: gradient})."""
-    enc, head = state.encoder, state.head
+    head, known = state.head, state.known_count
     lw = cfg.loss
     components = {}
 
-    f_s = encode(raw_s, enc)
-    val, d_f, d_w = _restricted_cls(f_s, head, labels)
+    f_s = encode(raw_s, state)
+    val, d_f, d_w = _restricted_cls(f_s, head, known, labels)
     d_ew, d_eb = encode_backward(raw_s, d_f)
     components["cls"] = (val, {"encoder.weight": d_ew, "encoder.bias": d_eb,
                                "head.weights": d_w})
 
     if cfg.enable_lb or cfg.vanilla_balance:
-        f_t = encode(raw_t, enc)
+        f_t = encode(raw_t, state)
         if cfg.vanilla_balance:
-            val, d_f, d_w = vanilla_balance(f_t, head, lw.epsilon)
+            val, d_f, d_w = vanilla_balance(f_t, head, known, lw.epsilon)
         else:
-            val, d_f, d_w = limited_balance(f_t, head, lw.w, lw.epsilon)
+            val, d_f, d_w = limited_balance(f_t, head, known, lw.w, lw.epsilon)
         d_ew, d_eb = encode_backward(raw_t, d_f)
         components["balance"] = (val, {"encoder.weight": d_ew, "encoder.bias": d_eb,
                                        "head.weights": d_w})
 
     gate = np.zeros(0, dtype=bool)
     if cfg.enable_sgmd and len(raw_ms):
-        f_ms = encode(raw_ms, enc)
-        f_mt = encode(raw_mt, enc)
+        f_ms = encode(raw_ms, state)
+        f_mt = encode(raw_mt, state)
         p_ms = classifier_responses(f_ms, head)
         p_mt = classifier_responses(f_mt, head)
         val, d_fs, d_ft, gate = matched_discrepancy(f_ms, f_mt, p_ms, p_mt, lw.tau)
@@ -163,7 +162,7 @@ def reference_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt):
 
     if cfg.enable_gcn:
         d_theta = np.empty(state.theta.shape)
-        val, d_o = gcn_reg_core(z_class, state.theta, cfg.gcn.slope, head.weights, d_theta)
+        val, d_o = gcn_reg_core(z_class, state.theta, cfg.gcn.slope, head, d_theta)
         components["gcn"] = (val, {"gcn.theta": d_theta, "head.weights": -d_o})
     return components, gate
 
@@ -214,20 +213,19 @@ def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_m
     """(values, total, grads, gate) as the checked stacked step gave them;
     the gradient of the total also goes into ``out``."""
     softmax_rows = checked_softmax_rows
-    enc, head = state.encoder, state.head
+    head, known = state.head, state.known_count
     lw = cfg.loss
-    known = head.known_count
     balance = cfg.enable_lb or cfg.vanilla_balance
     sgmd = cfg.enable_sgmd and len(raw_ms) > 0
     blocks = [raw_s] + ([raw_t] if balance else []) + ([raw_ms, raw_mt] if sgmd else [])
     raw = np.concatenate(blocks)
-    f = encode(raw, enc)
+    f = encode(raw, state)
     n_s = len(raw_s)
     n_t = len(raw_t) if balance else 0
     n_m = len(raw_ms) if sgmd else 0
     n_l = n_s + n_t  # rows with a logit gradient; the matched rows follow
 
-    logits = f @ head.weights.T
+    logits = f @ head.T
     logits[:n_s, known:] = -np.inf
     probs = softmax_rows(logits)
     # each term's outputs: value and its gradient(s)
@@ -244,17 +242,16 @@ def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_m
         outputs["sgmd"] = (value, d_fs, -d_fs)
     if cfg.enable_gcn:
         d_theta = np.empty(state.theta.shape)
-        value, d_o = gcn_reg_core(z_class, state.theta, cfg.gcn.slope, head.weights,
-                                  d_theta)
+        value, d_o = gcn_reg_core(z_class, state.theta, cfg.gcn.slope, head, d_theta)
         outputs["gcn"] = (value, d_theta, -d_o)
 
     values = {name: result[0] for name, result in outputs.items()}
     total, weight = total_loss(values, lw)
-    d_logits = np.zeros((n_l, head.num_classes))
+    d_logits = np.zeros((n_l, len(head)))
     d_logits[:n_s, :known] = outputs["cls"][1]
     if balance:
         np.multiply(outputs["balance"][1], weight["balance"], out=d_logits[n_s:])
-    d_f = d_logits @ head.weights
+    d_f = d_logits @ head
     if gate.any():
         d_fs = weight["sgmd"] * outputs["sgmd"][1]
         d_f = np.concatenate([d_f, d_fs, -d_fs])
@@ -276,8 +273,8 @@ def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_m
 
 
 def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule, rng):
-    """(encoder, classifier weights, per-epoch mean loss) as the pretraining
-    loop on the checked cross-entropy gave them."""
+    """(state, per-epoch mean loss) as the pretraining loop on the checked
+    cross-entropy gave them."""
     softmax_rows = checked_softmax_rows
     features = np.asarray(features, float)
     labels = np.asarray(labels, dtype=int)
@@ -285,8 +282,7 @@ def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule
     weight = rng.uniform(-1.0, 1.0, (m_in, feature_dim)) / np.sqrt(m_in)
     weights = rng.uniform(-1.0, 1.0, (num_classes, feature_dim)) / np.sqrt(feature_dim)
     flat, (weight, bias, weights) = flat_views([weight, np.zeros(feature_dim), weights])
-    enc = Encoder(weight=weight, bias=bias)
-    head = ClassifierHead(weights=weights, known_count=num_classes)
+    state = ModelState(weight, bias, weights, num_classes, None)
     opt = MomentumSgd(flat, schedule.learning_rate, schedule.momentum)
     grad = np.empty_like(flat)
     history = []
@@ -295,11 +291,11 @@ def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule
         epoch_losses = []
         for start in range(0, n, schedule.batch_size):
             idx = order[start:start + schedule.batch_size]
-            f = encode(features[idx], enc)
-            loss, d_logits = on_copy(cls_core, softmax_rows(f @ head.weights.T), labels[idx])
-            d_weight, d_bias = encode_backward(features[idx], d_logits @ head.weights)
+            f = encode(features[idx], state)
+            loss, d_logits = on_copy(cls_core, softmax_rows(f @ weights.T), labels[idx])
+            d_weight, d_bias = encode_backward(features[idx], d_logits @ weights)
             np.concatenate((d_weight, d_bias, d_logits.T @ f), axis=None, out=grad)
             opt.step(grad)
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
-    return enc, head.weights, history
+    return state, history

@@ -19,7 +19,6 @@ from opendomain.gcn import (
 )
 from opendomain.graph import KnowledgeGraph, normalized_adjacency
 from opendomain.losses import (
-    ClassifierHead,
     LossWeights,
     balance_core,
     cls_core,
@@ -27,7 +26,7 @@ from opendomain.losses import (
     sgmd_core,
 )
 from opendomain.matching import hungarian
-from opendomain.model import Encoder, ModelState, encode
+from opendomain.model import ModelState, encode
 from opendomain.numkit import make_rng, softmax_rows
 from opendomain.synth import SynthConfig, generate
 from opendomain.trainer import (
@@ -92,7 +91,7 @@ def test_criterion_2_gradient_suite():
 
     checked = 0  # source cross-entropy
     while checked < 100:
-        head = ClassifierHead(rng.standard_normal((4, 3)), 3)
+        head = rng.standard_normal((4, 3))
         f = rng.standard_normal((5, 3))
         labels = rng.integers(0, 3, 5)
         term = lambda p: on_copy(cls_core, p, labels)
@@ -100,8 +99,7 @@ def test_criterion_2_gradient_suite():
         if not _usable(d_f, d_w):
             continue
         _check(lambda a: through_head(term, a, head)[0], f, d_f)
-        _check(lambda a: through_head(term, f, ClassifierHead(a, 3))[0],
-               head.weights, d_w)
+        _check(lambda a: through_head(term, f, a)[0], head, d_w)
         checked += 1
 
     checked = 0  # matched-pair discrepancy
@@ -121,7 +119,7 @@ def test_criterion_2_gradient_suite():
 
     checked = 0  # balance constraints, vanilla and limited
     while checked < 100:
-        head = ClassifierHead(rng.standard_normal((5, 3)), 3)
+        head = rng.standard_normal((5, 3))
         f = rng.standard_normal((4, 3))
         w = float(rng.uniform(0.1, 0.9))
         vanilla = lambda p: on_copy(balance_core, p, 3, None, 1e-12)
@@ -131,11 +129,9 @@ def test_criterion_2_gradient_suite():
         if not _usable(vd_f, vd_w, ld_f, ld_w):
             continue
         _check(lambda a: through_head(vanilla, a, head)[0], f, vd_f)
-        _check(lambda a: through_head(vanilla, f, ClassifierHead(a, 3))[0],
-               head.weights, vd_w)
+        _check(lambda a: through_head(vanilla, f, a)[0], head, vd_w)
         _check(lambda a: through_head(limited, a, head)[0], f, ld_f)
-        _check(lambda a: through_head(limited, f, ClassifierHead(a, 3))[0],
-               head.weights, ld_w)
+        _check(lambda a: through_head(limited, f, a)[0], head, ld_w)
         checked += 1
 
     checked = 0  # graph-convolution fit and regularizer
@@ -169,15 +165,16 @@ def test_criterion_2_gradient_suite():
     checked = 0  # encoder backward
     while checked < 100:
         raw = rng.standard_normal((4, 3))
-        enc = Encoder(rng.standard_normal((3, 2)), rng.standard_normal(2))
+        enc = ModelState(rng.standard_normal((3, 2)), rng.standard_normal(2),
+                         np.zeros((1, 2)), 1, None)
         target = rng.standard_normal((4, 2))
         d_out = encode(raw, enc) - target
         d_w, d_b = encode_backward(raw, d_out)
         if not _usable(d_w, d_b):
             continue
         obj = lambda e: 0.5 * float(np.sum((encode(raw, e) - target) ** 2))
-        _check(lambda a: obj(Encoder(a, enc.bias)), enc.weight, d_w)
-        _check(lambda a: obj(Encoder(enc.weight, a.ravel())),
+        _check(lambda a: obj(replace(enc, weight=a)), enc.weight, d_w)
+        _check(lambda a: obj(replace(enc, bias=a.ravel())),
                enc.bias.reshape(1, -1), d_b.reshape(1, -1))
         checked += 1
 
@@ -195,8 +192,7 @@ def test_criterion_2_gradient_suite():
         z_class = propagate(p, words, [0, 1, 2, 4])
 
         def objective(enc_w, enc_b, head_w, theta):
-            state = ModelState(Encoder(enc_w, enc_b.ravel()),
-                               ClassifierHead(head_w, 2), theta)
+            state = ModelState(enc_w, enc_b.ravel(), head_w, 2, theta)
             _, total, grads, _ = joint_terms(state, z_class, cfg, raw_s, labels,
                                              raw_t, raw_s, raw_mt)
             return total, grads
@@ -266,7 +262,8 @@ def test_criterion_5_gcn_initialization_fidelity():
     cfg = ExperimentConfig()
     source, _, graph, words = generate(cfg.synth)
     rng_pre = make_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0])
-    _, w_src, _ = pretrain_source(source.features, source.labels, cfg, rng_pre)
+    pre, _ = pretrain_source(source.features, source.labels, cfg, rng_pre)
+    w_src = pre.head
     z_class = propagate(normalized_adjacency(graph), words, graph.class_to_node)
     _, emb = train_gcn_init(z_class, w_src, GcnSchedule(), make_rng(0))
     mse = float(np.mean((emb[: cfg.synth.known_classes] - w_src) ** 2))
@@ -318,12 +315,9 @@ def test_criterion_8_closed_gate_reduces_to_no_sgmd():
     cfg = ExperimentConfig(loss=LossWeights(tau=1.0), epochs=10)
     with_sgmd_state, with_hist = run_pipeline(cfg)
     without_state, without_hist = run_pipeline(replace(cfg, enable_sgmd=False))
-    assert np.array_equal(with_sgmd_state.encoder.weight,
-                          without_state.encoder.weight)
-    assert np.array_equal(with_sgmd_state.encoder.bias,
-                          without_state.encoder.bias)
-    assert np.array_equal(with_sgmd_state.head.weights,
-                          without_state.head.weights)
+    assert np.array_equal(with_sgmd_state.weight, without_state.weight)
+    assert np.array_equal(with_sgmd_state.bias, without_state.bias)
+    assert np.array_equal(with_sgmd_state.head, without_state.head)
     assert np.array_equal(with_sgmd_state.theta, without_state.theta)
     for a, b in zip(with_hist, without_hist):
         assert a["loss_sgmd"] == 0.0

@@ -1,20 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from opendomain.evaluate import AccuracyTriple, accuracy_triple, predict
-from opendomain.losses import ClassifierHead
-from opendomain.model import Encoder, ModelState
+from opendomain.model import ModelState
 from opendomain.numkit import make_rng
 
 
 def _state(head_weights, known_count):
     head_weights = np.asarray(head_weights, float)
     dim = head_weights.shape[1]
-    return ModelState(
-        encoder=Encoder(weight=np.eye(dim), bias=np.zeros(dim)),
-        head=ClassifierHead(weights=head_weights, known_count=known_count),
-        theta=np.eye(dim),
-    )
+    return ModelState(weight=np.eye(dim), bias=np.zeros(dim), head=head_weights,
+                      known_count=known_count, theta=np.eye(dim))
 
 
 def test_predict_zero_head_ties_to_class_zero():
@@ -43,10 +41,7 @@ def test_predict_separable_prototypes():
 
 def test_predict_uses_encoder():
     state = _state(np.array([[1.0, 0.0], [0.0, 1.0]]), 1)
-    swapped = ModelState(
-        encoder=Encoder(weight=np.array([[0.0, 1.0], [1.0, 0.0]]),
-                        bias=np.zeros(2)),
-        head=state.head, theta=state.theta)
+    swapped = replace(state, weight=np.array([[0.0, 1.0], [1.0, 0.0]]))
     feats = np.array([[3.0, 0.0]])
     assert predict(state, feats)[0] == 0
     assert predict(swapped, feats)[0] == 1

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from opendomain.losses import (
-    ClassifierHead,
     LossWeights,
     balance_core,
     check_labels,
@@ -18,10 +17,11 @@ from joint_reference import classifier_responses, on_copy, softmax_backward
 
 
 def _random_head(rng, l_t=None, l_s=None, m=None):
+    """(head, known): an l_t x m head whose first l_s rows are known."""
     l_t = l_t or int(rng.integers(2, 7))
     l_s = l_s or int(rng.integers(1, l_t))
     m = m or int(rng.integers(1, 6))
-    return ClassifierHead(weights=rng.standard_normal((l_t, m)), known_count=l_s)
+    return rng.standard_normal((l_t, m)), l_s
 
 
 def test_loss_weights_validation():
@@ -42,21 +42,19 @@ def test_loss_weights_validation():
 
 
 def test_responses_zero_weights_uniform():
-    head = ClassifierHead(weights=np.zeros((4, 3)), known_count=2)
-    probs = classifier_responses(make_rng(0).standard_normal((5, 3)), head)
+    probs = classifier_responses(make_rng(0).standard_normal((5, 3)), np.zeros((4, 3)))
     assert np.allclose(probs, 0.25)
 
 
 def test_responses_rows_sum_to_one():
     rng = make_rng(1)
-    head = _random_head(rng)
-    probs = classifier_responses(rng.standard_normal((6, head.weights.shape[1])), head)
+    head, _ = _random_head(rng)
+    probs = classifier_responses(rng.standard_normal((6, head.shape[1])), head)
     assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_responses_closed_form():
-    head = ClassifierHead(weights=np.array([[0.0], [np.log(3.0)]]), known_count=1)
-    probs = classifier_responses(np.array([[1.0]]), head)
+    probs = classifier_responses(np.array([[1.0]]), np.array([[0.0], [np.log(3.0)]]))
     assert np.allclose(probs, [[0.25, 0.75]], atol=1e-12)
 
 
@@ -193,11 +191,10 @@ def test_limited_balance_convexity():
 def test_limited_balance_loss_at_least_2w():
     rng = make_rng(6)
     for _ in range(50):
-        head = _random_head(rng)
-        f = rng.standard_normal((5, head.weights.shape[1]))
+        head, known = _random_head(rng)
+        f = rng.standard_normal((5, head.shape[1]))
         w = float(rng.uniform(0.05, 0.95))
-        loss = balance_core(classifier_responses(f, head), head.known_count, w,
-                            eps=1e-12)
+        loss = balance_core(classifier_responses(f, head), known, w, eps=1e-12)
         assert loss >= 2 * w - 1e-12
 
 
@@ -205,23 +202,19 @@ def test_balance_gradients():
     rng = make_rng(7)
     checked = 0
     while checked < 100:
-        head = _random_head(rng)
+        head, known = _random_head(rng)
         n = int(rng.integers(1, 8))
-        f = rng.standard_normal((n, head.weights.shape[1]))
+        f = rng.standard_normal((n, head.shape[1]))
         w = float(rng.uniform(0.1, 0.9))
-        limited = lambda p: on_copy(balance_core, p, head.known_count, w, 1e-12)
-        vanilla = lambda p: on_copy(balance_core, p, head.known_count, None, 1e-12)
+        limited = lambda p: on_copy(balance_core, p, known, w, 1e-12)
+        vanilla = lambda p: on_copy(balance_core, p, known, None, 1e-12)
         loss, d_f, d_w = through_head(limited, f, head)
         vloss, vd_f, vd_w = through_head(vanilla, f, head)
         grads = [
             (lambda a: through_head(limited, a, head)[0], f, d_f),
-            (lambda a: through_head(
-                limited, f, ClassifierHead(a, head.known_count))[0],
-             head.weights, d_w),
+            (lambda a: through_head(limited, f, a)[0], head, d_w),
             (lambda a: through_head(vanilla, a, head)[0], f, vd_f),
-            (lambda a: through_head(
-                vanilla, f, ClassifierHead(a, head.known_count))[0],
-             head.weights, vd_w),
+            (lambda a: through_head(vanilla, f, a)[0], head, vd_w),
         ]
         if min(float(np.min(np.abs(g))) for _, _, g in grads) < 1e-5:
             continue
@@ -232,16 +225,14 @@ def test_balance_gradients():
 
 def test_cls_loss_perfect_predictions():
     f = np.array([[30.0, 0.0], [0.0, 30.0]])
-    head = ClassifierHead(np.eye(2), known_count=2)
-    loss = cls_core(classifier_responses(f, head), np.array([0, 1]))
+    loss = cls_core(classifier_responses(f, np.eye(2)), np.array([0, 1]))
     assert loss == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cls_loss_uniform_predictions():
     l_t = 5
-    head = ClassifierHead(np.zeros((l_t, 3)), known_count=2)
     f = make_rng(8).standard_normal((4, 3))
-    loss = cls_core(classifier_responses(f, head), np.array([0, 1, 0, 1]))
+    loss = cls_core(classifier_responses(f, np.zeros((l_t, 3))), np.array([0, 1, 0, 1]))
     assert loss == pytest.approx(np.log(l_t))
 
 
@@ -257,10 +248,10 @@ def test_cls_loss_gradients():
     rng = make_rng(9)
     checked = 0
     while checked < 100:
-        head = _random_head(rng)
+        head, known = _random_head(rng)
         n = int(rng.integers(1, 8))
-        f = rng.standard_normal((n, head.weights.shape[1]))
-        labels = rng.integers(0, head.known_count, n)
+        f = rng.standard_normal((n, head.shape[1]))
+        labels = rng.integers(0, known, n)
         term = lambda p: on_copy(cls_core, p, labels)
         _, d_f, d_w = through_head(term, f, head)
         if min(float(np.min(np.abs(d_f))), float(np.min(np.abs(d_w)))) < 1e-5:
@@ -269,9 +260,7 @@ def test_cls_loss_gradients():
         err = grad_check(lambda a: through_head(term, a, head)[0], f, d_f,
                          eps=1e-6)
         assert err <= 1e-5
-        err = grad_check(
-            lambda a: through_head(term, f, ClassifierHead(a, head.known_count))[0],
-            head.weights, d_w, eps=1e-6)
+        err = grad_check(lambda a: through_head(term, f, a)[0], head, d_w, eps=1e-6)
         assert err <= 1e-5
         checked += 1
 

@@ -1,9 +1,10 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from opendomain.losses import ClassifierHead
 from opendomain.model import (
-    Encoder,
     ModelState,
     PretrainSchedule,
     encode,
@@ -18,28 +19,32 @@ from gradcheck import grad_check
 from joint_reference import encode_backward
 
 
+def _encoder(weight, bias):
+    """A state whose encoder is ``raw @ weight + bias``, with one class row."""
+    return ModelState(weight, bias, np.zeros((1, weight.shape[1])), 1, None)
+
+
 def test_encode_identity_zero_bias():
-    enc = Encoder(weight=np.eye(3), bias=np.zeros(3))
+    enc = _encoder(np.eye(3), np.zeros(3))
     raw = make_rng(0).standard_normal((4, 3))
     assert np.array_equal(encode(raw, enc), raw)
 
 
 def test_encode_hand_example():
-    enc = Encoder(weight=np.array([[2.0], [0.0]]), bias=np.array([1.0]))
+    enc = _encoder(np.array([[2.0], [0.0]]), np.array([1.0]))
     out = encode(np.array([[3.0, 5.0]]), enc)
     assert np.array_equal(out, [[7.0]])
 
 
 def test_encode_dimension_mismatch():
-    enc = Encoder(weight=np.zeros((3, 2)), bias=np.zeros(2))
+    enc = _encoder(np.zeros((3, 2)), np.zeros(2))
     with pytest.raises(DimensionError):
         encode(np.zeros((1, 4)), enc)
 
 
 def test_encode_affine():
     rng = make_rng(1)
-    enc = Encoder(weight=rng.standard_normal((4, 3)),
-                  bias=rng.standard_normal(3))
+    enc = _encoder(rng.standard_normal((4, 3)), rng.standard_normal(3))
     a = rng.standard_normal((5, 4))
     b = rng.standard_normal((5, 4))
     # affine: f(a) - f(b) is linear in a - b
@@ -52,13 +57,12 @@ def test_encode_backward_gradients():
     rng = make_rng(2)
     for _ in range(20):
         raw = rng.standard_normal((4, 3))
-        enc = Encoder(weight=rng.standard_normal((3, 2)),
-                      bias=rng.standard_normal(2))
+        enc = _encoder(rng.standard_normal((3, 2)), rng.standard_normal(2))
         target = rng.standard_normal((4, 2))
 
         def loss_of(weight=None, bias=None):
-            e = Encoder(weight if weight is not None else enc.weight,
-                        bias.ravel() if bias is not None else enc.bias)
+            e = _encoder(weight if weight is not None else enc.weight,
+                         bias.ravel() if bias is not None else enc.bias)
             return 0.5 * float(np.sum((encode(raw, e) - target) ** 2))
 
         d_out = encode(raw, enc) - target
@@ -88,8 +92,8 @@ def _pretrain_cfg(classes, feature_dim, schedule=PretrainSchedule()):
 def test_pretrain_separable_accuracy():
     rng = make_rng(3)
     feats, labels = _separable_problem(rng)
-    enc, w, history = pretrain_source(feats, labels, _pretrain_cfg(3, 5), make_rng(0))
-    logits = encode(feats, enc) @ w.T
+    state, history = pretrain_source(feats, labels, _pretrain_cfg(3, 5), make_rng(0))
+    logits = encode(feats, state) @ state.head.T
     acc = float(np.mean(np.argmax(logits, axis=1) == labels))
     assert acc >= 0.99
     assert history[-1] < history[0]
@@ -99,12 +103,24 @@ def test_pretrain_deterministic():
     rng = make_rng(4)
     feats, labels = _separable_problem(rng)
     cfg = _pretrain_cfg(3, 5)
-    enc1, w1, h1 = pretrain_source(feats, labels, cfg, make_rng(7))
-    enc2, w2, h2 = pretrain_source(feats, labels, cfg, make_rng(7))
-    assert np.array_equal(enc1.weight, enc2.weight)
-    assert np.array_equal(enc1.bias, enc2.bias)
-    assert np.array_equal(w1, w2)
+    s1, h1 = pretrain_source(feats, labels, cfg, make_rng(7))
+    s2, h2 = pretrain_source(feats, labels, cfg, make_rng(7))
+    assert np.array_equal(s1.weight, s2.weight)
+    assert np.array_equal(s1.bias, s2.bias)
+    assert np.array_equal(s1.head, s2.head)
     assert h1 == h2
+
+
+def test_pretrain_returns_a_known_class_state():
+    rng = make_rng(4)
+    feats, labels = _separable_problem(rng)
+    cfg = _pretrain_cfg(3, 5, PretrainSchedule(epochs=1))
+    state, _ = pretrain_source(feats, labels, cfg, make_rng(7))
+    assert isinstance(state, ModelState)
+    assert state.weight.shape == (6, 5) and state.bias.shape == (5,)
+    assert state.head.shape == (cfg.synth.known_classes, 5)
+    assert state.known_count == cfg.synth.known_classes
+    assert state.theta is None
 
 
 def test_pretrain_label_out_of_range():
@@ -113,14 +129,10 @@ def test_pretrain_label_out_of_range():
                         _pretrain_cfg(3, 4, PretrainSchedule(epochs=1)), make_rng(0))
 
 
-def _random_state(rng):
-    return ModelState(
-        encoder=Encoder(weight=rng.standard_normal((5, 4)),
-                        bias=rng.standard_normal(4)),
-        head=ClassifierHead(weights=rng.standard_normal((6, 4)),
-                            known_count=4),
-        theta=rng.standard_normal((8, 4)),
-    )
+def _random_state(rng, known_count=4):
+    return ModelState(weight=rng.standard_normal((5, 4)), bias=rng.standard_normal(4),
+                      head=rng.standard_normal((6, 4)), known_count=known_count,
+                      theta=rng.standard_normal((8, 4)))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -142,13 +154,37 @@ def test_checkpoint_roundtrip(tmp_path):
     state = _random_state(make_rng(5))
     save_checkpoint(tmp_path / "ckpt", state, config_hash="abc123")
     loaded, manifest = load_checkpoint(tmp_path / "ckpt")
-    assert np.array_equal(loaded.encoder.weight, state.encoder.weight)
-    assert np.array_equal(loaded.encoder.bias, state.encoder.bias)
-    assert np.array_equal(loaded.head.weights, state.head.weights)
+    assert np.array_equal(loaded.weight, state.weight)
+    assert np.array_equal(loaded.bias, state.bias)
+    assert np.array_equal(loaded.head, state.head)
     assert np.array_equal(loaded.theta, state.theta)
-    assert loaded.head.known_count == 4
+    assert loaded.known_count == 4
     assert manifest == {"input_dim": 5, "feature_dim": 4, "total_classes": 6,
                         "known_classes": 4, "word_dim": 8, "config_hash": "abc123"}
+
+
+@pytest.mark.parametrize("known", [1.5, True, 0, 7])
+def test_a_class_count_out_of_range_or_no_integer_is_refused(known):
+    # every state that builds must save a checkpoint that loads, and the
+    # manifest's known_classes is a count: no float, no bool
+    with pytest.raises(ValueError, match=re.escape(
+            f"known_count must be an integer in 1..6, got {known!r}")):
+        _random_state(make_rng(7), known)
+
+
+def test_a_numpy_class_count_is_stored_as_an_int(tmp_path):
+    # the manifest is JSON, which takes no np.int64
+    state = _random_state(make_rng(7), np.int64(2))
+    assert type(state.known_count) is int
+    save_checkpoint(tmp_path / "ckpt", state)
+    assert load_checkpoint(tmp_path / "ckpt")[0].known_count == 2
+
+
+def test_a_pretraining_state_is_not_saved(tmp_path):
+    state = _random_state(make_rng(8))
+    with pytest.raises(ValueError, match="a pretraining state has no theta to save"):
+        save_checkpoint(tmp_path / "ckpt", replace(state, theta=None))
+    assert not (tmp_path / "ckpt").exists()
 
 
 def test_checkpoint_manifest_mismatch(tmp_path):

@@ -8,9 +8,9 @@ import pytest
 
 from opendomain import gcn, numkit, synth
 from opendomain.gcn import GcnSchedule, propagate
-from opendomain.losses import ClassifierHead, LossWeights, cls_core
+from opendomain.losses import LossWeights, cls_core
 from opendomain.matching import partition_folds
-from opendomain.model import Encoder, ModelState, PretrainSchedule, encode
+from opendomain.model import ModelState, PretrainSchedule, encode
 from opendomain.numkit import leaky_relu, make_rng, softmax_rows
 from opendomain import trainer
 from opendomain.trainer import (
@@ -363,8 +363,8 @@ def test_pipeline_deterministic():
     cfg = _small_cfg()
     s1, h1 = run_pipeline(cfg)
     s2, h2 = run_pipeline(cfg)
-    assert np.array_equal(s1.encoder.weight, s2.encoder.weight)
-    assert np.array_equal(s1.head.weights, s2.head.weights)
+    assert np.array_equal(s1.weight, s2.weight)
+    assert np.array_equal(s1.head, s2.head)
     assert np.array_equal(s1.theta, s2.theta)
     assert h1 == h2
 
@@ -406,14 +406,13 @@ def test_unknown_rows_move_only_under_balance_or_graph():
     base = dict(enable_lb=False, enable_sgmd=False, enable_gcn=False)
     short, _ = run_pipeline(_small_cfg(epochs=1, **base))
     long, _ = run_pipeline(_small_cfg(epochs=3, **base))
-    assert np.array_equal(short.head.weights[ls:], long.head.weights[ls:])
-    assert not np.array_equal(short.head.weights[:ls], long.head.weights[:ls])
+    assert np.array_equal(short.head[ls:], long.head[ls:])
+    assert not np.array_equal(short.head[:ls], long.head[:ls])
     short_b, _ = run_pipeline(_small_cfg(epochs=1, enable_sgmd=False,
                                          enable_gcn=False))
     long_b, _ = run_pipeline(_small_cfg(epochs=3, enable_sgmd=False,
                                         enable_gcn=False))
-    assert not np.array_equal(short_b.head.weights[ls:],
-                              long_b.head.weights[ls:])
+    assert not np.array_equal(short_b.head[ls:], long_b.head[ls:])
 
 
 def test_training_never_reads_eval_labels():
@@ -427,8 +426,8 @@ def test_training_never_reads_eval_labels():
     )
     s1, h1 = run_pipeline(cfg, data=data)
     s2, h2 = run_pipeline(cfg, data=(source, corrupted, graph, words))
-    assert np.array_equal(s1.head.weights, s2.head.weights)
-    assert np.array_equal(s1.encoder.weight, s2.encoder.weight)
+    assert np.array_equal(s1.head, s2.head)
+    assert np.array_equal(s1.weight, s2.weight)
     assert np.array_equal(s1.theta, s2.theta)
     # only the reported accuracies may differ
     assert h1[-1]["loss_total"] == h2[-1]["loss_total"]
@@ -594,8 +593,7 @@ def test_end_to_end_objective_gradient():
         lambda_d=0.7, lambda_b=0.3, lambda_g=0.9, tau=0.0, w=0.4, epsilon=1e-12))
 
     def objective(enc_w, enc_b, head_w, theta):
-        state = ModelState(Encoder(enc_w, enc_b.ravel()),
-                           ClassifierHead(head_w, ls), theta)
+        state = ModelState(enc_w, enc_b.ravel(), head_w, ls, theta)
         values, total, grads, _ = joint_terms(state, z_class, cfg, raw_s, labels,
                                               raw_t, raw_s, raw_mt)
         assert set(values) == {"cls", "balance", "sgmd", "gcn"}
@@ -654,8 +652,8 @@ def test_stacked_step_matches_the_per_term_reference(variant):
         for matched in (0, 3, n):
             for _ in range(3):
                 state = ModelState(
-                    Encoder(rng.standard_normal((m_in, m)), rng.standard_normal(m)),
-                    ClassifierHead(rng.standard_normal((total, m)), known),
+                    rng.standard_normal((m_in, m)), rng.standard_normal(m),
+                    rng.standard_normal((total, m)), known,
                     rng.standard_normal((words, m)))
                 raw_s = rng.standard_normal((n, m_in))
                 labels = rng.integers(0, known, n)
@@ -711,13 +709,12 @@ def test_lean_step_gives_the_bits_of_the_checked_step(flags, case):
     gates = []
     for _ in range(4):
         state = ModelState(
-            Encoder(rng.standard_normal((m_in, m)), rng.standard_normal(m)),
-            ClassifierHead(rng.standard_normal((total, m)), known),
-            rng.standard_normal((words, m)))
+            rng.standard_normal((m_in, m)), rng.standard_normal(m),
+            rng.standard_normal((total, m)), known, rng.standard_normal((words, m)))
         raw_s = rng.standard_normal((n, m_in))
         batch = (raw_s, rng.integers(0, known, n), rng.standard_normal((n, m_in)),
                  raw_s[:matched], rng.standard_normal((matched, m_in)))
-        params = [state.encoder.weight, state.encoder.bias, state.head.weights, state.theta]
+        params = [state.weight, state.bias, state.head, state.theta]
         size = sum(p.size for p in params[:4 if cfg.enable_gcn else 3])
         out, ref_out = np.full(size, np.nan), np.full(size, np.nan)
         values, total_value, grads, gate = joint_terms(state, z_class, cfg, *batch, out=out)
@@ -743,18 +740,36 @@ def test_pretraining_gives_the_bits_of_the_checked_loop():
     source = synth.generate(cfg.synth)[0]
     args = (source.features, source.labels, cfg.synth.known_classes, cfg.feature_dim,
             cfg.pretrain)
-    enc, head, history = trainer.pretrain_source(source.features, source.labels, cfg,
-                                                 make_rng(3))
-    ref_enc, ref_head, ref_history = checked_pretrain_source(*args, make_rng(3))
+    state, history = trainer.pretrain_source(source.features, source.labels, cfg,
+                                             make_rng(3))
+    ref_state, ref_history = checked_pretrain_source(*args, make_rng(3))
     assert history == ref_history
-    assert np.array_equal(enc.weight, ref_enc.weight)
-    assert np.array_equal(enc.bias, ref_enc.bias)
-    assert np.array_equal(head, ref_head)
+    assert np.array_equal(state.weight, ref_state.weight)
+    assert np.array_equal(state.bias, ref_state.bias)
+    assert np.array_equal(state.head, ref_state.head)
+
+
+@pytest.mark.parametrize("known, total", [(3, 5), (3, 3)], ids=["graph", "known == total"])
+def test_prepare_keeps_the_pretrained_encoder(known, total):
+    # prepare keeps the pretrained encoder and known count, and puts in the
+    # head of every class and theta
+    sizes = replace(_small_cfg().synth, known_classes=known, total_classes=total)
+    cfg = _small_cfg(synth=sizes, enable_lb=known < total, enable_gcn=known < total)
+    data = synth.generate(cfg.synth)
+    state = trainer.prepare(cfg, data).state
+    rng_pre = make_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0])
+    pre, _ = trainer.pretrain_source(data[0].features, data[0].labels, cfg, rng_pre)
+    assert np.array_equal(state.weight, pre.weight)
+    assert np.array_equal(state.bias, pre.bias)
+    assert state.known_count == known and state.head.shape == (total, cfg.feature_dim)
+    assert state.theta.shape == (cfg.synth.word_dim, cfg.feature_dim)
+    if data[2] is None:  # no graph: the head starts at the pretrained classifier
+        assert np.array_equal(state.head, pre.head)
 
 
 def test_train_joint_refuses_a_source_label_past_the_known_classes():
     prepared = trainer.prepare(_small_cfg(), synth.generate(_small_cfg().synth))
-    prepared.source.labels[0] = prepared.state.head.known_count
+    prepared.source.labels[0] = prepared.state.known_count
     with pytest.raises(IndexError):
         trainer.train_joint(prepared, _small_cfg())
 
@@ -800,15 +815,13 @@ def test_train_joint_replays_joint_terms_and_momentum():
     # train_joint left prepared as it found it, so the replay starts from it
     replay = prepared
     state, source, target = replay.state, replay.source, replay.target
-    params = {"encoder.weight": state.encoder.weight,
-              "encoder.bias": state.encoder.bias,
-              "head.weights": state.head.weights, "gcn.theta": state.theta}
+    params = {"encoder.weight": state.weight, "encoder.bias": state.bias,
+              "head.weights": state.head, "gcn.theta": state.theta}
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     partner = replay.partner
     for epoch in range(cfg.epochs):
         if epoch > 0:
-            partner = trainer._partner(state.encoder, source, target, cfg.folds,
-                                       replay.rng_match)
+            partner = trainer._partner(state, source, target, cfg.folds, replay.rng_match)
         order_src = replay.rng_joint.permutation(source.n)
         order_tgt = trainer._target_order(replay.rng_joint, target.n, source.n)
         for start in range(0, source.n, cfg.batch_size):
@@ -822,14 +835,14 @@ def test_train_joint_replays_joint_terms_and_momentum():
             for name, p in params.items():
                 velocity[name] = cfg.momentum * velocity[name] + grads[name]
                 p -= cfg.learning_rate * velocity[name]
-    assert np.array_equal(trained.encoder.weight, state.encoder.weight)
-    assert np.array_equal(trained.encoder.bias, state.encoder.bias)
-    assert np.array_equal(trained.head.weights, state.head.weights)
+    assert np.array_equal(trained.weight, state.weight)
+    assert np.array_equal(trained.bias, state.bias)
+    assert np.array_equal(trained.head, state.head)
     assert np.array_equal(trained.theta, state.theta)
 
 
 def _trained(state) -> list:
-    return [state.encoder.weight, state.encoder.bias, state.head.weights, state.theta]
+    return [state.weight, state.bias, state.head, state.theta]
 
 
 def _arrays(prepared) -> dict:
@@ -855,7 +868,7 @@ def test_train_joint_leaves_prepared_as_it_found_it(flags):
     (first, history), (second, again) = (trainer.train_joint(prepared, cfg) for _ in range(2))
 
     assert history == again
-    assert first.head.known_count == second.head.known_count
+    assert first.known_count == second.known_count
     for a, b in zip(_trained(first), _trained(second)):
         assert np.array_equal(a, b)
     for name, array in _arrays(prepared).items():
@@ -883,10 +896,9 @@ def test_cls_rows_ignore_the_unknown_logits(known, total):
     labels = rng.integers(0, known, n)
     head = rng.standard_normal((total, m))
     head[known:] = 0.0
-    f = encode(raw_s, Encoder(weight, bias))
+    state = ModelState(weight, bias, head, known, np.zeros((4, m)))
+    f = encode(raw_s, state)
     head[known:, 0] = float(np.max(f @ head[:known].T)) + 50.0
-    state = ModelState(Encoder(weight, bias), ClassifierHead(head, known),
-                       np.zeros((4, m)))
     cfg = apply_flags(ExperimentConfig(), ())
     raw_none = np.zeros((0, m_in))
     with np.errstate(all="raise"):  # no NaN, overflow or underflow on the way
@@ -951,12 +963,12 @@ def test_non_finite_gradient_names_its_term(monkeypatch, term, attr, grad_arg):
 def test_an_overflow_on_the_way_back_names_the_total():
     # cls is finite, but its feature gradient d_logits @ head overflows: the
     # step must not hand back an infinite gradient without naming it
-    enc = Encoder(np.full((2, 2), 1e-3), np.zeros(2))
-    head = ClassifierHead(np.array([[1.5e308, 0.0], [-1.5e308, 0.0]]), 2)
+    state = ModelState(np.full((2, 2), 1e-3), np.zeros(2),
+                       np.array([[1.5e308, 0.0], [-1.5e308, 0.0]]), 2, None)
     raw = np.array([[1e-300, 0.0]])
     cfg = apply_flags(ExperimentConfig(), ())
     with pytest.raises(NonFiniteLossError) as exc, np.errstate(all="ignore"):
-        joint_terms(ModelState(enc, head, None), None, cfg, raw, np.array([1]),
+        joint_terms(state, None, cfg, raw, np.array([1]),
                     raw[:0], raw[:0], raw[:0])
     assert exc.value.component == "total" and math.isnan(exc.value.value)
 
@@ -1035,7 +1047,7 @@ def test_prepare_trains_gcn_init_under_the_configured_slope(monkeypatch):
                        "pretrain.epochs = 2\n")
     prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
     assert seen == {0.05}
-    assert np.array_equal(prepared.state.head.weights,
+    assert np.array_equal(prepared.state.head,
                           leaky_relu(prepared.z_class @ prepared.state.theta, 0.05))
 
 
