@@ -14,8 +14,9 @@ their own rows and return the gradient wrt those rows' logits, and SGMD
 takes the matched features and responses and returns the gradient wrt the
 features. The caller maps the rows back once: with ``F`` the features, ``W``
 the head and ``G`` the weighted logit gradients, the features get ``G W``
-plus the weighted SGMD rows and the head gets ``G^T F``. ``total_loss``
-weights the values and hands back each term's weight for that mapping.
+plus the weighted SGMD rows and the head gets ``G^T F``. The weights are
+:class:`LossWeights`' ``lambda_d`` (SGMD), ``lambda_b`` (balance) and
+``lambda_g`` (the graph tie); cls has weight 1.
 Each term is one function, a core that checks nothing and writes its
 gradient into an array its caller passes; what holds for a whole run (the
 label range, ``w``, the shapes) is checked once at the run's entry.
@@ -38,7 +39,6 @@ __all__ = [
     "sgmd_core",
     "balance_core",
     "limited_balance_terms",
-    "total_loss",
 ]
 
 
@@ -144,23 +144,3 @@ def limited_balance_terms(mass, w: float):
     mass = np.asarray(mass, float)
     return mass + w * w / mass, 1.0 - w * w / (mass * mass)
 
-
-def total_loss(values: dict, lw: LossWeights):
-    """Weighted sum of the term values, and the weight of each term given.
-
-    ``values`` maps a term name ("cls", "sgmd", "balance", "gcn") to its
-    value. Missing terms contribute nothing; "cls" has implicit weight 1.
-    Returns (total value, {term: weight}); the weights scale each term's
-    gradient before the step maps the gradients back.
-    """
-    weights = {
-        "cls": 1.0,
-        "sgmd": lw.lambda_d,
-        "balance": lw.lambda_b,
-        "gcn": lw.lambda_g,
-    }
-    total = 0.0
-    for name, weight in weights.items():
-        if name in values:
-            total += weight * values[name]
-    return total, {name: weights[name] for name in values}

@@ -25,7 +25,7 @@ from .gcn import GcnSchedule, gcn_reg_core, propagate, train_gcn_init
 from .graph import normalized_adjacency
 from .losses import (
     LossWeights, NonFiniteLossError, balance_core, check_finite, check_labels, cls_core,
-    sgmd_core, total_loss)
+    sgmd_core)
 from .matching import match_domains
 from .model import ModelState, PretrainSchedule, encode
 from .numkit import (
@@ -370,9 +370,9 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     are -inf, so one softmax, in place, gives cls its responses over the
     known classes and balance and SGMD theirs over all classes. The cores
     turn the cls and balance rows into logit gradients and write SGMD's
-    feature gradients below them; weighted by ``total_loss``, all are
-    mapped back once, through the head and then the encoder. Matched rows
-    join only when some pair passes the gate.
+    feature gradients below them; each weighted by its :class:`LossWeights`
+    field, all are mapped back once, through the head and then the encoder.
+    Matched rows join only when some pair passes the gate.
 
     Each parameter's gradient of the total is written straight into its
     view of ``out``, a flat float64 buffer (a new one when None) holding
@@ -419,12 +419,17 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     if cfg.enable_gcn:
         values["gcn"], d_o = gcn_reg_core(z_class, state.theta, cfg.gcn.slope, w_head,
                                           grads["gcn.theta"])
-    total, weight = total_loss(values, lw)
+    # summed as cls, sgmd, balance, gcn: that order fixes the total's bits
+    total = 0.0
+    for name, weight in (("cls", 1.0), ("sgmd", lw.lambda_d), ("balance", lw.lambda_b),
+                         ("gcn", lw.lambda_g)):
+        if name in values:
+            total += weight * values[name]
     if balance:
-        probs[n_s:n_l] *= weight["balance"]
+        probs[n_s:n_l] *= lw.lambda_b
     used = n_l  # the rows of d_f that the backward reads
     if gate.any():
-        d_ms *= weight["sgmd"]
+        d_ms *= lw.lambda_d
         np.negative(d_ms, out=d_f[n_l + n_m:])
         used += 2 * n_m
     np.matmul(probs[:n_l], w_head, out=d_f[:n_l])
@@ -432,8 +437,8 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     d_f[:used].sum(axis=0, out=grads["encoder.bias"])
     np.matmul(probs[:n_l].T, f[:n_l], out=grads["head.weights"])
     if cfg.enable_gcn:
-        grads["head.weights"] -= weight["gcn"] * d_o
-        grads["gcn.theta"] *= weight["gcn"]
+        grads["head.weights"] -= lw.lambda_g * d_o
+        grads["gcn.theta"] *= lw.lambda_g
     # a non-finite term leaves the total or the gradients non-finite, so the scan
     # that names it runs only then; else the sum or the mapping back overflowed
     if not (math.isfinite(total) and np.isfinite(out).all()):
@@ -516,7 +521,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
                   "gated_fraction": gated / considered if considered else 0.0}
         if labeled:
             preds = predict(state, target.features)
-            record.update(accuracy_triple(preds, target.eval_labels, known).as_dict())
+            record.update(accuracy_triple(preds, target.eval_labels, known))
         else:
             record.update(known=None, unknown=None, all=None, n_known=None, n_unknown=None)
         history.append(record)

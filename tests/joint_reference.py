@@ -23,7 +23,7 @@ import numpy as np
 
 from opendomain.gcn import gcn_reg_core
 from opendomain.losses import (
-    NonFiniteLossError, balance_core, cls_core, sgmd_core, total_loss)
+    NonFiniteLossError, balance_core, cls_core, sgmd_core)
 from opendomain.model import ModelState, encode
 from opendomain.numkit import MomentumSgd, flat_views, softmax_rows
 
@@ -167,17 +167,17 @@ def reference_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt):
     return components, gate
 
 
+def _loss_weights(lw):
+    """Each term's weight in the total objective, in the order the total
+    sums them; cls has weight 1."""
+    return {"cls": 1.0, "sgmd": lw.lambda_d, "balance": lw.lambda_b, "gcn": lw.lambda_g}
+
+
 def reference_total(components, lw):
     """(total value, merged grads dict) of ``reference_terms``' output."""
-    weights = {
-        "cls": 1.0,
-        "sgmd": lw.lambda_d,
-        "balance": lw.lambda_b,
-        "gcn": lw.lambda_g,
-    }
     total = 0.0
     merged = {}
-    for name, weight in weights.items():
+    for name, weight in _loss_weights(lw).items():
         entry = components.get(name)
         if entry is None:
             continue
@@ -246,7 +246,11 @@ def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_m
         outputs["gcn"] = (value, d_theta, -d_o)
 
     values = {name: result[0] for name, result in outputs.items()}
-    total, weight = total_loss(values, lw)
+    weight = _loss_weights(lw)
+    total = 0.0
+    for name in weight:
+        if name in values:
+            total += weight[name] * values[name]
     d_logits = np.zeros((n_l, len(head)))
     d_logits[:n_s, :known] = outputs["cls"][1]
     if balance:

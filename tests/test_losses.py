@@ -8,7 +8,6 @@ from opendomain.losses import (
     cls_core,
     limited_balance_terms,
     sgmd_core,
-    total_loss,
 )
 from opendomain.numkit import make_rng, softmax_rows
 
@@ -278,29 +277,3 @@ def test_softmax_backward_matches_finite_difference():
     analytic = softmax_backward(probs, target)
     assert grad_check(f, logits, analytic, eps=1e-6) <= 1e-5
 
-
-def test_total_loss_cls_only():
-    lw = LossWeights(lambda_d=0.0, lambda_b=0.0, lambda_g=0.0)
-    total, weights = total_loss({"cls": 1.5}, lw)
-    assert total == 1.5
-    assert weights == {"cls": 1.0}
-
-
-def test_total_loss_linearity():
-    lw = LossWeights(lambda_d=2.0, lambda_b=3.0, lambda_g=4.0)
-    values = {name: 1.0 for name in ("cls", "sgmd", "balance", "gcn")}
-    total, _ = total_loss(values, lw)
-    assert total == pytest.approx(10.0)
-
-
-def test_total_loss_merged_gradient():
-    rng = make_rng(11)
-    lw = LossWeights(lambda_d=0.7, lambda_b=1.3, lambda_g=0.2)
-    g1 = rng.standard_normal((2, 2))
-    g2 = rng.standard_normal((2, 2))
-    total, weights = total_loss({"cls": 1.0, "balance": 2.0}, lw)
-    # only the terms given get a weight, which scales their gradients
-    assert total == pytest.approx(3.6)
-    assert weights == {"cls": 1.0, "balance": 1.3}
-    merged = weights["cls"] * g1 + weights["balance"] * g2
-    assert np.allclose(merged, g1 + 1.3 * g2)
