@@ -172,7 +172,7 @@ def cmd_eval(args) -> int:
     _require_eval_labels(target, args.data)
     preds = predict(state, target.features)
     triple = accuracy_triple(preds, target.eval_labels, state.known_count)
-    sys.stdout.write(json.dumps(triple, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(triple.as_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -521,7 +521,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
                   "gated_fraction": gated / considered if considered else 0.0}
         if labeled:
             preds = predict(state, target.features)
-            record.update(accuracy_triple(preds, target.eval_labels, known))
+            record.update(accuracy_triple(preds, target.eval_labels, known).as_dict())
         else:
             record.update(known=None, unknown=None, all=None, n_known=None, n_unknown=None)
         history.append(record)

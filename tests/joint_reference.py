@@ -167,23 +167,25 @@ def reference_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt):
     return components, gate
 
 
-def _loss_weights(lw):
-    """Each term's weight in the total objective, in the order the total
-    sums them; cls has weight 1."""
-    return {"cls": 1.0, "sgmd": lw.lambda_d, "balance": lw.lambda_b, "gcn": lw.lambda_g}
+def weighted_total(values, lw):
+    """(total value, {term: weight}) of the term values given; the total
+    sums them as cls (weight 1), sgmd, balance, gcn, and the weights come
+    in that order."""
+    weights = {"cls": 1.0, "sgmd": lw.lambda_d, "balance": lw.lambda_b, "gcn": lw.lambda_g}
+    total = 0.0
+    for name, weight in weights.items():
+        if name in values:
+            total += weight * values[name]
+    return total, {name: weight for name, weight in weights.items() if name in values}
 
 
 def reference_total(components, lw):
     """(total value, merged grads dict) of ``reference_terms``' output."""
-    total = 0.0
+    total, weights = weighted_total(
+        {name: value for name, (value, _) in components.items()}, lw)
     merged = {}
-    for name, weight in _loss_weights(lw).items():
-        entry = components.get(name)
-        if entry is None:
-            continue
-        value, grads = entry
-        total += weight * value
-        for key, grad in grads.items():
+    for name, weight in weights.items():
+        for key, grad in components[name][1].items():
             if key in merged:
                 merged[key] = merged[key] + weight * grad
             else:
@@ -246,11 +248,7 @@ def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_m
         outputs["gcn"] = (value, d_theta, -d_o)
 
     values = {name: result[0] for name, result in outputs.items()}
-    weight = _loss_weights(lw)
-    total = 0.0
-    for name in weight:
-        if name in values:
-            total += weight[name] * values[name]
+    total, weight = weighted_total(values, lw)
     d_logits = np.zeros((n_l, len(head)))
     d_logits[:n_s, :known] = outputs["cls"][1]
     if balance:

@@ -1,11 +1,10 @@
-from dataclasses import replace
-
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from opendomain.evaluate import accuracy_triple, predict
+from opendomain.evaluate import AccuracyTriple, accuracy_triple, predict
 from opendomain.model import ModelState
 from opendomain.numkit import make_rng
 
@@ -51,23 +50,30 @@ def test_predict_uses_encoder():
 
 def test_triple_all_correct():
     t = accuracy_triple([0, 1, 2, 3], [0, 1, 2, 3], known_count=2)
-    assert t == {"known": 1.0, "unknown": 1.0, "all": 1.0, "n_known": 2, "n_unknown": 2}
+    assert t == AccuracyTriple(1.0, 1.0, 1.0, 2, 2)
 
 
 def test_triple_known_only_correct():
     t = accuracy_triple([0, 1, 0, 1], [0, 1, 2, 3], known_count=2)
-    assert t == {"known": 1.0, "unknown": 0.0, "all": 0.5, "n_known": 2, "n_unknown": 2}
+    assert t.known == 1.0
+    assert t.unknown == 0.0
+    assert t.all == 0.5
+    assert (t.n_known, t.n_unknown) == (2, 2)
 
 
 def test_triple_unknown_needs_exact_class():
     # predicting a different unknown class is still wrong
-    assert accuracy_triple([3], [2], known_count=2)["unknown"] == 0.0
-    assert accuracy_triple([2], [2], known_count=2)["unknown"] == 1.0
+    t = accuracy_triple([3], [2], known_count=2)
+    assert t.unknown == 0.0
+    t = accuracy_triple([2], [2], known_count=2)
+    assert t.unknown == 1.0
 
 
 def test_triple_empty_groups():
     t = accuracy_triple([0, 0], [0, 1], known_count=3)
-    assert t == {"known": 0.5, "unknown": 0.0, "all": 0.5, "n_known": 2, "n_unknown": 0}
+    assert t.n_unknown == 0
+    assert t.unknown == 0.0
+    assert t.all == t.known == 0.5
 
 
 def test_triple_weighted_identity():
@@ -78,9 +84,9 @@ def test_triple_weighted_identity():
         labels = rng.integers(0, known_count + 3, n)
         preds = rng.integers(0, known_count + 3, n)
         t = accuracy_triple(preds, labels, known_count)
-        weighted = (t["known"] * t["n_known"] + t["unknown"] * t["n_unknown"]) / n
-        assert t["all"] == pytest.approx(weighted, abs=1e-12)
-        assert t["all"] == pytest.approx(float(np.mean(preds == labels)), abs=1e-12)
+        weighted = (t.known * t.n_known + t.unknown * t.n_unknown) / n
+        assert t.all == pytest.approx(weighted, abs=1e-12)
+        assert t.all == pytest.approx(float(np.mean(preds == labels)), abs=1e-12)
 
 
 def test_triple_permutation_invariance():
@@ -99,14 +105,16 @@ def test_triple_length_mismatch():
 
 def test_as_dict_keys():
     t = accuracy_triple([0], [0], known_count=1)
-    assert t == {"known": 1.0, "unknown": 0.0, "all": 1.0, "n_known": 1, "n_unknown": 0}
+    assert t.as_dict() == {"known": 1.0, "unknown": 0.0, "all": 1.0,
+                           "n_known": 1, "n_unknown": 0}
 
 
 def test_triple_json_text():
     # the text ``eval`` prints for a hand-made input; every value is a Python
-    # int or float, which the json module writes as it wrote the record's fields
+    # int or float, which the json module writes as the record's fields
     t = accuracy_triple([0, 1, 3, 2, 2, 0, 4], [0, 2, 3, 2, 4, 1, 4], known_count=2)
-    assert [type(v) for v in t.values()] == [float, float, float, int, int]
-    assert json.dumps(t, indent=2, sort_keys=True) == (
+    record = t.as_dict()
+    assert [type(v) for v in record.values()] == [float, float, float, int, int]
+    assert json.dumps(record, indent=2, sort_keys=True) == (
         '{\n  "all": 0.5714285714285714,\n  "known": 0.5,\n  "n_known": 2,\n'
         '  "n_unknown": 5,\n  "unknown": 0.6\n}')

@@ -24,12 +24,12 @@ def _dataclasses() -> dict:
 def test_every_dataclass_is_frozen():
     records = _dataclasses()
     assert sorted(records) == [
-        "opendomain.gcn.GcnSchedule", "opendomain.graph.KnowledgeGraph",
-        "opendomain.losses.LossWeights", "opendomain.matching.MatchedPairs",
-        "opendomain.model.ModelState", "opendomain.model.PretrainSchedule",
-        "opendomain.synth.LabeledDataset", "opendomain.synth.SynthConfig",
-        "opendomain.synth.UnlabeledDataset", "opendomain.trainer.ExperimentConfig",
-        "opendomain.trainer.Prepared"]
+        "opendomain.evaluate.AccuracyTriple", "opendomain.gcn.GcnSchedule",
+        "opendomain.graph.KnowledgeGraph", "opendomain.losses.LossWeights",
+        "opendomain.matching.MatchedPairs", "opendomain.model.ModelState",
+        "opendomain.model.PretrainSchedule", "opendomain.synth.LabeledDataset",
+        "opendomain.synth.SynthConfig", "opendomain.synth.UnlabeledDataset",
+        "opendomain.trainer.ExperimentConfig", "opendomain.trainer.Prepared"]
     thawed = sorted(name for name, cls in records.items()
                     if not cls.__dataclass_params__.frozen)
     assert not thawed, f"not frozen: {thawed}"
