@@ -121,11 +121,11 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
         # regardless of the scale of the word vectors
         curvature = float(np.linalg.eigvalsh(z_known.T @ z_known)[-1]) / w.shape[1]
         step = schedule.learning_rate / max(curvature, 1e-12)
-        opt = MomentumSgd(theta, step, schedule.momentum)
-        d_theta = np.empty(theta.shape)
+        opt = MomentumSgd([theta], step, schedule.momentum)
+        (theta,), (d_theta,) = opt.params, opt.grads
         for _ in range(schedule.steps):
             # the core writes d_theta: the shapes are built or checked above,
             # the slope by GcnSchedule
             gcn_reg_core(z_known, theta, slope, w, d_theta)
-            opt.step(d_theta)
+            opt.step()
     return theta, leaky_relu(z_class @ theta, slope)

@@ -86,13 +86,16 @@ def check_labels(labels, classes: int) -> np.ndarray:
     return labels
 
 
-def cls_core(d, labels, eps: float = 1e-12) -> float:
+_CLS_FLOOR = 1e-12  # the least true-class response the log reads, so the loss is finite
+
+
+def cls_core(d, labels) -> float:
     """Mean cross-entropy of the true class under the responses ``d``, the
     softmax over exactly the classes that ``labels`` index: returns the loss
     and overwrites ``d`` with its gradient wrt their logits."""
     n = len(labels)
     rows = np.arange(n)
-    loss = float(-(np.log(np.maximum(d[rows, labels], eps)).sum() / n))
+    loss = float(-(np.log(np.maximum(d[rows, labels], _CLS_FLOOR)).sum() / n))
     d[rows, labels] -= 1.0
     d /= n
     return loss
@@ -112,7 +115,7 @@ def sgmd_core(fs, ft, ps, pt, tau: float, out):
     return loss, gate
 
 
-def balance_core(d, known_count: int, w: float | None, eps: float = 1e-12) -> float:
+def balance_core(d, known_count: int, w: float | None, eps: float) -> float:
     """Mean of R + w^2/R over the rows of the responses ``d``, R a row's
     unknown-class mass clamped below at eps; with ``w`` None the vanilla
     mean of -log R, unbounded as the mass shrinks (up to -log eps): pushing

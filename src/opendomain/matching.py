@@ -163,7 +163,8 @@ def hungarian(cost):
     cost = np.asarray(cost, float)
     if cost.ndim != 2:
         raise DimensionError("costs must be 2-D")
-    if not np.all(np.isfinite(cost)) or np.any(cost < 0):
+    # two reductions, no n x m temporary: a NaN fails the min's test
+    if not (cost.min(initial=np.inf) >= 0 and cost.max(initial=0.0) < np.inf):
         raise ValueError("costs must be finite and non-negative")
     if cost.shape[0] <= cost.shape[1]:
         return np.arange(cost.shape[0]), _solve(cost)

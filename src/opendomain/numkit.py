@@ -23,7 +23,6 @@ __all__ = [
     "softmax_rows",
     "leaky_relu",
     "make_rng",
-    "flat_views",
     "MomentumSgd",
     "key",
     "check_keys",
@@ -75,36 +74,31 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def flat_views(arrays, flat=None):
-    """Copies of ``arrays`` laid end to end in one new float64 buffer (or,
-    uncopied, the slices of ``flat`` in that layout): returns (buffer,
-    views), each view shaped like its array. An update of the buffer is
-    then one pass over every array."""
-    if flat is None:
-        flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-    views, start = [], 0
-    for a in arrays:
-        views.append(flat[start:start + a.size].reshape(a.shape))
-        start += a.size
-    return flat, views
-
-
 class MomentumSgd:
-    """Heavy-ball SGD on one float64 array, updated in place with a
-    gradient of its shape: ``v = momentum * v + g`` then ``p -= lr * v``.
-    Several parameters train as one array through ``flat_views``."""
+    """Heavy-ball SGD on copies of ``arrays`` laid end to end in one float64
+    buffer. ``params`` are views of that buffer shaped like the arrays, and
+    ``grads`` views of a gradient buffer in the same layout, which the
+    caller fills before each ``step``: ``v = momentum * v + g`` then
+    ``p -= lr * v``, one pass over each whole buffer."""
 
-    def __init__(self, params: np.ndarray, lr: float, momentum: float):
-        self.params = params
+    def __init__(self, arrays, lr: float, momentum: float):
         self.lr = lr
         self.momentum = momentum
-        self.velocity = np.zeros_like(params)
+        self._buffer = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        self._grad_buffer = np.zeros_like(self._buffer)
+        self.velocity = np.zeros_like(self._buffer)
+        self.params, self.grads, start = [], [], 0
+        for a in arrays:
+            shape, stop = np.shape(a), start + np.size(a)
+            self.params.append(self._buffer[start:stop].reshape(shape))
+            self.grads.append(self._grad_buffer[start:stop].reshape(shape))
+            start = stop
 
-    def step(self, grad: np.ndarray) -> None:
+    def step(self) -> None:
         v = self.velocity
         v *= self.momentum
-        v += grad
-        self.params -= self.lr * v
+        v += self._grad_buffer
+        self._buffer -= self.lr * v
 
 
 # a config key's kind is the type of its default: the values it takes, its name

@@ -28,8 +28,7 @@ from .losses import (
     sgmd_core)
 from .matching import match_domains
 from .model import ModelState, PretrainSchedule, encode
-from .numkit import (
-    MomentumSgd, as_matrix, check_keys, flat_views, key, make_rng, softmax_rows)
+from .numkit import MomentumSgd, as_matrix, check_keys, key, make_rng, softmax_rows
 
 __all__ = [
     "ConfigError",
@@ -308,10 +307,8 @@ def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Gene
     n, m_in = features.shape
     weight = rng.uniform(-1.0, 1.0, (m_in, m)) / np.sqrt(m_in)
     head = rng.uniform(-1.0, 1.0, (known, m)) / np.sqrt(m)
-    flat, (weight, bias, head) = flat_views([weight, np.zeros(m), head])
-    state = ModelState(weight, bias, head, known, theta=None)
-    opt = MomentumSgd(flat, schedule.learning_rate, schedule.momentum)
-    grad = np.empty_like(flat)
+    opt = MomentumSgd([weight, np.zeros(m), head], schedule.learning_rate, schedule.momentum)
+    state = ModelState(*opt.params, known, theta=None)
     cls_only, empty = apply_flags(cfg, ()), features[:0]
     history = []
     for _ in range(schedule.epochs):
@@ -320,11 +317,11 @@ def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Gene
         for start in range(0, n, schedule.batch_size):
             idx = order[start:start + schedule.batch_size]
             try:
-                _, loss, _, _ = joint_terms(state, None, cls_only, features[idx], labels[idx],
-                                            empty, empty, empty, out=grad)
+                _, loss, _ = joint_terms(state, None, cls_only, features[idx], labels[idx],
+                                         empty, empty, empty, opt.grads)
             except NonFiniteLossError as exc:
                 raise NonFiniteLossError("pretrain", exc.value) from None
-            opt.step(grad)
+            opt.step()
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return state, history
@@ -357,7 +354,7 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
 
 
 def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
-                raw_s, labels, raw_t, raw_ms, raw_mt, out=None):
+                raw_s, labels, raw_t, raw_ms, raw_mt, grads):
     """One training step over the terms switched on by ``cfg``: cls on the
     source batch, balance on the target batch, SGMD on the matched rows and
     the graph tie on the propagated class rows ``z_class``. It is the only
@@ -375,17 +372,16 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     Matched rows join only when some pair passes the gate.
 
     Each parameter's gradient of the total is written straight into its
-    view of ``out``, a flat float64 buffer (a new one when None) holding
-    the state's weight, bias, head and, with the graph term, theta end to
-    end; ``grads`` holds those views under their checkpoint file names
-    (encoder.weight, encoder.bias, head.weights, gcn.theta). What holds for
-    a whole run is not checked here: the labels' range (each loop checks
-    it), ``w`` (:class:`LossWeights`) and the shapes (:func:`check_data`).
+    array of ``grads``, float64 arrays shaped like the state's weight, bias,
+    head and, with the graph term, theta, in that order: in both loops the
+    :class:`MomentumSgd` views ``opt.grads``. What holds for a whole run is
+    not checked here: the labels' range (each loop checks it), ``w``
+    (:class:`LossWeights`) and the shapes (:func:`check_data`).
 
-    Returns (values, total, grads, gate): term -> value, the weighted total,
-    parameter -> gradient of the total, and the SGMD gate (empty if SGMD
-    did not run). Raises NonFiniteLossError naming the first non-finite term
-    (value or gradient), or "total" if only their sum or mapping back is not.
+    Returns (values, total, gate): term -> value, the weighted total and the
+    SGMD gate (empty if SGMD did not run). Raises NonFiniteLossError naming
+    the first non-finite term (value or gradient), or "total" if only their
+    sum or mapping back is not.
     """
     lw = cfg.loss
     known, w_head = state.known_count, state.head
@@ -400,9 +396,6 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     probs = f @ w_head.T
     probs[:n_s, known:] = -np.inf
     softmax_rows(probs, out=probs)
-    params = [state.weight, state.bias, w_head] + ([state.theta] if cfg.enable_gcn else [])
-    out, views = flat_views(params, out)  # with out None, a new buffer, overwritten below
-    grads = dict(zip(("encoder.weight", "encoder.bias", "head.weights", "gcn.theta"), views))
     d_f = np.empty((n_l + 2 * n_m, f.shape[1]))  # the feature gradients
     d_ms = d_f[n_l:n_l + n_m]
     # the source rows' unknown-class responses are 0, and stay 0 under cls
@@ -417,8 +410,8 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
                                          probs[n_l:n_l + n_m], probs[n_l + n_m:],
                                          lw.tau, d_ms)
     if cfg.enable_gcn:
-        values["gcn"], d_o = gcn_reg_core(z_class, state.theta, cfg.gcn.slope, w_head,
-                                          grads["gcn.theta"])
+        d_theta = grads[3]
+        values["gcn"], d_o = gcn_reg_core(z_class, state.theta, cfg.gcn.slope, w_head, d_theta)
     # summed as cls, sgmd, balance, gcn: that order fixes the total's bits
     total = 0.0
     for name, weight in (("cls", 1.0), ("sgmd", lw.lambda_d), ("balance", lw.lambda_b),
@@ -433,22 +426,22 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
         np.negative(d_ms, out=d_f[n_l + n_m:])
         used += 2 * n_m
     np.matmul(probs[:n_l], w_head, out=d_f[:n_l])
-    np.matmul(raw[:used].T, d_f[:used], out=grads["encoder.weight"])
-    d_f[:used].sum(axis=0, out=grads["encoder.bias"])
-    np.matmul(probs[:n_l].T, f[:n_l], out=grads["head.weights"])
+    np.matmul(raw[:used].T, d_f[:used], out=grads[0])
+    d_f[:used].sum(axis=0, out=grads[1])
+    np.matmul(probs[:n_l].T, f[:n_l], out=grads[2])
     if cfg.enable_gcn:
-        grads["head.weights"] -= lw.lambda_g * d_o
-        grads["gcn.theta"] *= lw.lambda_g
+        grads[2] -= lw.lambda_g * d_o
+        d_theta *= lw.lambda_g
     # a non-finite term leaves the total or the gradients non-finite, so the scan
     # that names it runs only then; else the sum or the mapping back overflowed
-    if not (math.isfinite(total) and np.isfinite(out).all()):
+    if not (math.isfinite(total) and all(np.isfinite(g).all() for g in grads)):
         term_grads = {"cls": (probs[:n_s],), "balance": (probs[n_s:n_l],), "sgmd": (d_ms,)}
         if cfg.enable_gcn:
-            term_grads["gcn"] = (grads["gcn.theta"], d_o)
+            term_grads["gcn"] = (d_theta, d_o)
         for name, value in values.items():
             check_finite(name, value, term_grads[name])
-        check_finite("total", total, (out,))
-    return values, total, grads, gate
+        check_finite("total", total, grads)
+    return values, total, gate
 
 
 def train_joint(prepared: Prepared, cfg: ExperimentConfig):
@@ -458,8 +451,8 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
 
     Trains a copy and leaves ``prepared`` as it found it: the trained
     arrays (the encoder, the head and, with the graph term, theta) are
-    copied into one new flat buffer, which each step updates in one pass,
-    and the RNG streams are copies too. Returns (ModelState, history),
+    copied into the one buffer of a :class:`MomentumSgd`, which each step
+    updates in one pass, and the RNG streams are copies too. Returns (ModelState, history),
     the state sharing no array with ``prepared`` and the history one
     record per epoch: the loss term means, the fraction of matched pairs
     passing the similarity gate and the accuracy triple. A target without
@@ -474,11 +467,10 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
     rng_joint, rng_match = copy.deepcopy((prepared.rng_joint, prepared.rng_match))
     labeled = not (target.eval_labels < 0).any()
 
-    trained = [init.weight, init.bias, init.head, init.theta]
-    flat, views = flat_views(trained[:4 if cfg.enable_gcn else 3])
-    state = ModelState(*views[:3], known, views[3] if cfg.enable_gcn else init.theta.copy())
-    opt = MomentumSgd(flat, cfg.learning_rate, cfg.momentum)
-    grad = np.empty_like(flat)
+    trained = [init.weight, init.bias, init.head] + ([init.theta] if cfg.enable_gcn else [])
+    opt = MomentumSgd(trained, cfg.learning_rate, cfg.momentum)
+    theta = opt.params[3] if cfg.enable_gcn else init.theta.copy()
+    state = ModelState(*opt.params[:3], known, theta)
 
     n_src, batch = source.n, cfg.batch_size
     starts = range(0, n_src, batch)
@@ -504,15 +496,15 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
         for b, start in enumerate(starts):
             rows = slice(start, start + batch)
             matched = slice(cuts[b], cuts[b + 1])
-            values, total, _, gate = joint_terms(
+            values, total, gate = joint_terms(
                 state, prepared.z_class, cfg, xs[rows], ys[rows], xt[rows],
-                xms[matched], xmt[matched], out=grad)
+                xms[matched], xmt[matched], opt.grads)
             considered += gate.size
             gated += int(gate.sum())
             for name, val in values.items():
                 sums[name] += val
             sums["total"] += total
-            opt.step(grad)
+            opt.step()
         # freed before the evaluation and the next gather, whose arrays
         # would otherwise stack on them at the run's memory peak
         del xs, ys, xt, xms, xmt

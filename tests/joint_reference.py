@@ -25,7 +25,7 @@ from opendomain.gcn import gcn_reg_core
 from opendomain.losses import (
     NonFiniteLossError, balance_core, cls_core, sgmd_core)
 from opendomain.model import ModelState, encode
-from opendomain.numkit import MomentumSgd, flat_views, softmax_rows
+from opendomain.numkit import MomentumSgd, softmax_rows
 
 
 def on_copy(core, d, *args):
@@ -210,10 +210,17 @@ def _check_finite(name, value, grads):
             raise NonFiniteLossError(name, float("nan"))
 
 
-def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt,
-                        out=None):
-    """(values, total, grads, gate) as the checked stacked step gave them;
-    the gradient of the total also goes into ``out``."""
+def gradient_arrays(state, cfg):
+    """NaN-filled arrays for the gradients a step writes under ``cfg``: the
+    encoder weight, bias, head and, with the graph term, theta of ``state``."""
+    trained = [state.weight, state.bias, state.head] + ([state.theta] if cfg.enable_gcn else [])
+    return [np.full(np.shape(p), np.nan) for p in trained]
+
+
+def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt, grads):
+    """(values, total, gate) as the checked stacked step gave them; the
+    gradient of the total goes into ``grads``, the arrays of the encoder
+    weight, bias, head and, with the graph term, theta."""
     softmax_rows = checked_softmax_rows
     head, known = state.head, state.known_count
     lw = cfg.loss
@@ -258,20 +265,20 @@ def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_m
         d_fs = weight["sgmd"] * outputs["sgmd"][1]
         d_f = np.concatenate([d_f, d_fs, -d_fs])
     d_ew, d_eb = encode_backward(raw[:len(d_f)], d_f)
-    grads = {"encoder.weight": d_ew, "encoder.bias": d_eb,
-             "head.weights": d_logits.T @ f[:n_l]}
+    computed = [d_ew, d_eb, d_logits.T @ f[:n_l]]
     if cfg.enable_gcn:
         _, d_theta, d_w_hat = outputs["gcn"]
-        grads["head.weights"] += weight["gcn"] * d_w_hat
-        grads["gcn.theta"] = weight["gcn"] * d_theta
-    out = np.concatenate(list(grads.values()), axis=None, out=out)
+        computed[2] += weight["gcn"] * d_w_hat
+        computed.append(weight["gcn"] * d_theta)
+    for grad, value in zip(grads, computed, strict=True):
+        grad[...] = value
 
     # a non-finite term leaves the total or the gradients non-finite, so the
     # per-term scan, which names the term, runs only when they are
-    if not (math.isfinite(total) and np.isfinite(out).all()):
+    if not (math.isfinite(total) and all(np.isfinite(g).all() for g in grads)):
         for name, result in outputs.items():
             _check_finite(name, result[0], result[1:])
-    return values, total, grads, gate
+    return values, total, gate
 
 
 def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule, rng):
@@ -283,10 +290,10 @@ def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule
     n, m_in = features.shape
     weight = rng.uniform(-1.0, 1.0, (m_in, feature_dim)) / np.sqrt(m_in)
     weights = rng.uniform(-1.0, 1.0, (num_classes, feature_dim)) / np.sqrt(feature_dim)
-    flat, (weight, bias, weights) = flat_views([weight, np.zeros(feature_dim), weights])
+    opt = MomentumSgd([weight, np.zeros(feature_dim), weights], schedule.learning_rate,
+                      schedule.momentum)
+    (weight, bias, weights), grads = opt.params, opt.grads
     state = ModelState(weight, bias, weights, num_classes, None)
-    opt = MomentumSgd(flat, schedule.learning_rate, schedule.momentum)
-    grad = np.empty_like(flat)
     history = []
     for _ in range(schedule.epochs):
         order = rng.permutation(n)
@@ -296,8 +303,9 @@ def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule
             f = encode(features[idx], state)
             loss, d_logits = on_copy(cls_core, softmax_rows(f @ weights.T), labels[idx])
             d_weight, d_bias = encode_backward(features[idx], d_logits @ weights)
-            np.concatenate((d_weight, d_bias, d_logits.T @ f), axis=None, out=grad)
-            opt.step(grad)
+            for grad, value in zip(grads, (d_weight, d_bias, d_logits.T @ f)):
+                grad[...] = value
+            opt.step()
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
     return state, history

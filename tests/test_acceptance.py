@@ -38,7 +38,7 @@ from opendomain.trainer import (
 )
 
 from gradcheck import grad_check, through_head
-from joint_reference import encode_backward, on_copy
+from joint_reference import encode_backward, gradient_arrays, on_copy
 
 
 # ----------------------------------------------------- 1: matcher optimality
@@ -193,8 +193,9 @@ def test_criterion_2_gradient_suite():
 
         def objective(enc_w, enc_b, head_w, theta):
             state = ModelState(enc_w, enc_b.ravel(), head_w, 2, theta)
-            _, total, grads, _ = joint_terms(state, z_class, cfg, raw_s, labels,
-                                             raw_t, raw_s, raw_mt)
+            grads = gradient_arrays(state, cfg)
+            _, total, _ = joint_terms(state, z_class, cfg, raw_s, labels,
+                                      raw_t, raw_s, raw_mt, grads)
             return total, grads
 
         enc_w = rng.standard_normal((3, 3))
@@ -204,16 +205,13 @@ def test_criterion_2_gradient_suite():
         if float(np.min(np.abs(p @ words @ theta))) < 1e-4:
             continue
         _, grads = objective(enc_w, enc_b, head_w, theta)
-        if not _usable(*grads.values()):
+        if not _usable(*grads):
             continue
-        _check(lambda v: objective(v, enc_b, head_w, theta)[0], enc_w,
-               grads["encoder.weight"])
-        _check(lambda v: objective(enc_w, v, head_w, theta)[0], enc_b,
-               grads["encoder.bias"].reshape(1, -1))
-        _check(lambda v: objective(enc_w, enc_b, v, theta)[0], head_w,
-               grads["head.weights"])
-        _check(lambda v: objective(enc_w, enc_b, head_w, v)[0], theta,
-               grads["gcn.theta"])
+        d_enc_w, d_enc_b, d_head_w, d_theta = grads
+        _check(lambda v: objective(v, enc_b, head_w, theta)[0], enc_w, d_enc_w)
+        _check(lambda v: objective(enc_w, v, head_w, theta)[0], enc_b, d_enc_b.reshape(1, -1))
+        _check(lambda v: objective(enc_w, enc_b, v, theta)[0], head_w, d_head_w)
+        _check(lambda v: objective(enc_w, enc_b, head_w, v)[0], theta, d_theta)
         checked += 1
 
     assert time.perf_counter() - start < 30.0

@@ -136,13 +136,13 @@ def _mass_head_features(mass, l_t=4, l_s=2):
 def test_vanilla_balance_values():
     # unknown mass 0.25 -> loss = -log 0.25 = ln 4
     f = _mass_head_features(0.25)
-    loss = balance_core(softmax_rows(f), 2, None)
+    loss = balance_core(softmax_rows(f), 2, None, 1e-12)
     assert loss == pytest.approx(np.log(4.0), abs=1e-9)
 
 
 def test_vanilla_balance_full_mass_zero_loss():
     f = np.array([[-50.0, -50.0, 10.0, 10.0]])
-    loss = balance_core(softmax_rows(f), 2, None)
+    loss = balance_core(softmax_rows(f), 2, None, 1e-12)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 

@@ -161,6 +161,21 @@ def test_hungarian_row_shift_invariance():
     assert shifted_total == pytest.approx(original_on_shifted, abs=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+def test_hungarian_refuses_non_finite_or_negative_costs(bad):
+    costs = np.ones((3, 4))
+    costs[1, 2] = bad
+    with pytest.raises(ValueError, match="^costs must be finite and non-negative$"):
+        hungarian(costs)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_hungarian_of_no_rows_or_columns_is_empty(shape):
+    rows, cols = hungarian(np.empty(shape))
+    assert rows.shape == cols.shape == (0,)
+    assert rows.dtype.kind == cols.dtype.kind == "i"
+
+
 def test_partition_single_fold():
     source_folds, target_folds = partition_folds(4, 6, 1, make_rng(0))
     assert sorted(source_folds[0]) == [0, 1, 2, 3]

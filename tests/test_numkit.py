@@ -6,7 +6,6 @@ import pytest
 
 from opendomain.numkit import (
     MomentumSgd,
-    flat_views,
     leaky_relu,
     load_matrix,
     make_rng,
@@ -75,10 +74,12 @@ def test_grad_check_detects_wrong_gradient():
 
 
 def test_momentum_sgd_hand_example():
-    flat, (w, b) = flat_views([np.array([1.0, 2.0]), np.array([5.0])])
-    opt = MomentumSgd(flat, lr=0.5, momentum=0.9)
-    opt.step(np.array([1.0, -1.0, 0.0]))
-    opt.step(np.array([1.0, -1.0, 0.0]))
+    opt = MomentumSgd([np.array([1.0, 2.0]), np.array([5.0])], lr=0.5, momentum=0.9)
+    (w, b), (g_w, g_b) = opt.params, opt.grads
+    g_w[...] = [1.0, -1.0]
+    g_b[...] = 0.0
+    opt.step()
+    opt.step()
     # velocities g then 1.9 g: w moves by 0.5 * 2.9 g, in place
     assert np.allclose(w, [-0.45, 3.45])
     # a zero gradient: value and velocity untouched
@@ -86,13 +87,20 @@ def test_momentum_sgd_hand_example():
     assert opt.velocity[2] == 0.0
 
 
-def test_flat_views_copy_into_one_buffer():
+def test_momentum_sgd_lays_params_and_grads_end_to_end():
     a, b = np.arange(6.0).reshape(2, 3), np.array([7.0])
-    flat, (va, vb) = flat_views([a, b])
-    assert flat.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
-    assert va.shape == (2, 3) and vb.shape == (1,)
-    flat += 1.0  # the views see the buffer, the inputs do not
-    assert va[1, 2] == 6.0 and vb[0] == 8.0 and a[1, 2] == 5.0
+    opt = MomentumSgd([a, b], lr=1.0, momentum=0.0)
+    (va, vb), (ga, gb) = opt.params, opt.grads
+    assert va.shape == ga.shape == (2, 3) and vb.shape == gb.shape == (1,)
+    # each set of views shares one buffer, in the order of the inputs
+    assert va.base is vb.base and ga.base is gb.base
+    assert va.base.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+    ga.base[:] = np.arange(1.0, 8.0)
+    assert ga[1, 2] == 6.0 and gb[0] == 7.0
+    opt.step()  # p -= g over the whole buffer: the views see it, the inputs do not
+    assert va.tolist() == [[-1.0, -1.0, -1.0], [-1.0, -1.0, -1.0]] and vb[0] == 0.0
+    assert a[1, 2] == 5.0 and b[0] == 7.0
+    assert not np.shares_memory(va.base, ga.base)
 
 
 def test_rng_stream_equality():

@@ -31,7 +31,10 @@ from opendomain.trainer import (
 
 from gradcheck import grad_check
 from joint_reference import (checked_joint_terms, checked_pretrain_source, encode_backward,
-                             reference_terms, reference_total)
+                             gradient_arrays, reference_terms, reference_total)
+
+# the checkpoint names of the arrays joint_terms writes gradients into, in order
+_GRAD_NAMES = ("encoder.weight", "encoder.bias", "head.weights", "gcn.theta")
 
 
 def _small_cfg(**overrides):
@@ -594,8 +597,9 @@ def test_end_to_end_objective_gradient():
 
     def objective(enc_w, enc_b, head_w, theta):
         state = ModelState(enc_w, enc_b.ravel(), head_w, ls, theta)
-        values, total, grads, _ = joint_terms(state, z_class, cfg, raw_s, labels,
-                                              raw_t, raw_s, raw_mt)
+        grads = gradient_arrays(state, cfg)
+        values, total, _ = joint_terms(state, z_class, cfg, raw_s, labels,
+                                       raw_t, raw_s, raw_mt, grads)
         assert set(values) == {"cls", "balance", "sgmd", "gcn"}
         return total, grads
 
@@ -604,16 +608,12 @@ def test_end_to_end_objective_gradient():
     head_w = rng.standard_normal((lt, m))
     theta = rng.standard_normal((c, m))
     assert float(np.min(np.abs(p_norm @ words @ theta))) > 1e-3
-    _, grads = objective(enc_w, enc_b, head_w, theta)
+    d_enc_w, d_enc_b, d_head_w, d_theta = objective(enc_w, enc_b, head_w, theta)[1]
     checks = [
-        (lambda v: objective(v, enc_b, head_w, theta)[0], enc_w,
-         grads["encoder.weight"]),
-        (lambda v: objective(enc_w, v, head_w, theta)[0], enc_b,
-         grads["encoder.bias"].reshape(1, -1)),
-        (lambda v: objective(enc_w, enc_b, v, theta)[0], head_w,
-         grads["head.weights"]),
-        (lambda v: objective(enc_w, enc_b, head_w, v)[0], theta,
-         grads["gcn.theta"]),
+        (lambda v: objective(v, enc_b, head_w, theta)[0], enc_w, d_enc_w),
+        (lambda v: objective(enc_w, v, head_w, theta)[0], enc_b, d_enc_b.reshape(1, -1)),
+        (lambda v: objective(enc_w, enc_b, v, theta)[0], head_w, d_head_w),
+        (lambda v: objective(enc_w, enc_b, head_w, v)[0], theta, d_theta),
     ]
     for fn, x, analytic in checks:
         assert grad_check(fn, x, analytic, eps=1e-6) <= 1e-4
@@ -663,8 +663,9 @@ def test_stacked_step_matches_the_per_term_reference(variant):
                 batch = (raw_s, labels, raw_t, raw_ms, raw_mt)
                 ref_terms, ref_gate = reference_terms(state, z_class, cfg, *batch)
                 ref_total, ref_grads = reference_total(ref_terms, lw)
-                values, total_value, grads, gate = joint_terms(
-                    copy.deepcopy(state), z_class, cfg, *batch)
+                grads = gradient_arrays(state, cfg)
+                values, total_value, gate = joint_terms(
+                    copy.deepcopy(state), z_class, cfg, *batch, grads)
 
                 assert np.array_equal(gate, ref_gate)
                 if cfg.enable_sgmd and matched:
@@ -677,8 +678,8 @@ def test_stacked_step_matches_the_per_term_reference(variant):
                 for name, value in values.items():
                     _close(value, ref_terms[name][0] if name in ref_terms else 0.0)
                 _close(total_value, ref_total)
-                assert set(grads) == set(ref_grads)
-                for key, grad in grads.items():
+                assert set(_GRAD_NAMES[:len(grads)]) == set(ref_grads)
+                for key, grad in zip(_GRAD_NAMES, grads):
                     _close(grad, ref_grads[key])
 
 
@@ -714,18 +715,14 @@ def test_lean_step_gives_the_bits_of_the_checked_step(flags, case):
         raw_s = rng.standard_normal((n, m_in))
         batch = (raw_s, rng.integers(0, known, n), rng.standard_normal((n, m_in)),
                  raw_s[:matched], rng.standard_normal((matched, m_in)))
-        params = [state.weight, state.bias, state.head, state.theta]
-        size = sum(p.size for p in params[:4 if cfg.enable_gcn else 3])
-        out, ref_out = np.full(size, np.nan), np.full(size, np.nan)
-        values, total_value, grads, gate = joint_terms(state, z_class, cfg, *batch, out=out)
-        ref_values, ref_total, ref_grads, ref_gate = checked_joint_terms(
-            copy.deepcopy(state), z_class, cfg, *batch, out=ref_out)
+        grads, ref_grads = gradient_arrays(state, cfg), gradient_arrays(state, cfg)
+        values, total_value, gate = joint_terms(state, z_class, cfg, *batch, grads)
+        ref_values, ref_total, ref_gate = checked_joint_terms(
+            copy.deepcopy(state), z_class, cfg, *batch, ref_grads)
 
         assert values == ref_values and total_value == ref_total
-        assert list(grads) == list(ref_grads)
-        for key, grad in grads.items():
-            assert np.array_equal(grad, ref_grads[key]), key
-        assert np.array_equal(out, ref_out)
+        for key, grad, ref_grad in zip(_GRAD_NAMES, grads, ref_grads):
+            assert np.array_equal(grad, ref_grad), key
         assert gate.dtype == ref_gate.dtype and np.array_equal(gate, ref_gate)
         gates.append(gate)
     seen = np.concatenate(gates)
@@ -815,9 +812,8 @@ def test_train_joint_replays_joint_terms_and_momentum():
     # train_joint left prepared as it found it, so the replay starts from it
     replay = prepared
     state, source, target = replay.state, replay.source, replay.target
-    params = {"encoder.weight": state.weight, "encoder.bias": state.bias,
-              "head.weights": state.head, "gcn.theta": state.theta}
-    velocity = {name: np.zeros_like(p) for name, p in params.items()}
+    params = [state.weight, state.bias, state.head, state.theta]
+    velocity = [np.zeros_like(p) for p in params]
     partner = replay.partner
     for epoch in range(cfg.epochs):
         if epoch > 0:
@@ -828,13 +824,14 @@ def test_train_joint_replays_joint_terms_and_momentum():
             src_idx = order_src[start:start + cfg.batch_size]
             tgt_idx = order_tgt[start:start + cfg.batch_size]
             s_ids = src_idx[partner[src_idx] >= 0]
-            _, _, grads, _ = joint_terms(
+            grads = gradient_arrays(state, cfg)
+            joint_terms(
                 state, replay.z_class, cfg, source.features[src_idx],
                 source.labels[src_idx], target.features[tgt_idx],
-                source.features[s_ids], target.features[partner[s_ids]])
-            for name, p in params.items():
-                velocity[name] = cfg.momentum * velocity[name] + grads[name]
-                p -= cfg.learning_rate * velocity[name]
+                source.features[s_ids], target.features[partner[s_ids]], grads)
+            for i, (p, grad) in enumerate(zip(params, grads, strict=True)):
+                velocity[i] = cfg.momentum * velocity[i] + grad
+                p -= cfg.learning_rate * velocity[i]
     assert np.array_equal(trained.weight, state.weight)
     assert np.array_equal(trained.bias, state.bias)
     assert np.array_equal(trained.head, state.head)
@@ -902,8 +899,9 @@ def test_cls_rows_ignore_the_unknown_logits(known, total):
     cfg = apply_flags(ExperimentConfig(), ())
     raw_none = np.zeros((0, m_in))
     with np.errstate(all="raise"):  # no NaN, overflow or underflow on the way
-        values, total_value, grads, _ = joint_terms(
-            state, None, cfg, raw_s, labels, raw_s, raw_none, raw_none)
+        grads = gradient_arrays(state, cfg)
+        values, total_value, _ = joint_terms(
+            state, None, cfg, raw_s, labels, raw_s, raw_none, raw_none, grads)
 
     d_logits = softmax_rows(f @ head[:known].T)
     value = cls_core(d_logits, labels)
@@ -912,9 +910,9 @@ def test_cls_rows_ignore_the_unknown_logits(known, total):
     d_weight, d_bias = encode_backward(raw_s, d_logits @ head[:known])
     assert values == {"cls": value} and total_value == value
     assert np.isfinite(value)
-    assert np.array_equal(grads["head.weights"], d_head)
-    assert np.array_equal(grads["encoder.weight"], d_weight)
-    assert np.array_equal(grads["encoder.bias"], d_bias)
+    assert np.array_equal(grads[2], d_head)
+    assert np.array_equal(grads[0], d_weight)
+    assert np.array_equal(grads[1], d_bias)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -969,7 +967,7 @@ def test_an_overflow_on_the_way_back_names_the_total():
     cfg = apply_flags(ExperimentConfig(), ())
     with pytest.raises(NonFiniteLossError) as exc, np.errstate(all="ignore"):
         joint_terms(state, None, cfg, raw, np.array([1]),
-                    raw[:0], raw[:0], raw[:0])
+                    raw[:0], raw[:0], raw[:0], gradient_arrays(state, cfg))
     assert exc.value.component == "total" and math.isnan(exc.value.value)
 
 
