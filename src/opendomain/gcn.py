@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, MomentumSgd, check_keys, key, leaky_relu
+from .numkit import DimensionError, MomentumSgd, check_keys, key
 
 __all__ = [
     "GcnSchedule",
@@ -57,22 +57,29 @@ def propagate(p, x, rows) -> np.ndarray:
     return (p @ x)[rows]
 
 
+def leaky_relu(h, slope: float):
+    """The leaky ReLU as (activation ``h * gain``, gain): the gain is 1 where
+    h > 0, else ``slope`` (also at 0), and the backward pass multiplies by it
+    too. The products have the bits of selecting ``h`` or ``slope * h``."""
+    gain = np.where(h > 0, 1.0, slope)
+    return h * gain, gain
+
+
 def gcn_reg_core(z, theta, slope: float, w_hat, d_theta):
     """Half mean-square of leaky_relu(Z Theta) against the classifier
     weights ``w_hat`` (sum of squares divided by 2M), ``z`` being the
     propagated rows of their classes: in the joint step ALL class rows
     against the live head, so gradients flow to both theta and the
-    classifier (unlike propagate-then-freeze schemes). Takes float64 arrays
-    of fitting shapes: returns (loss, d_o), minus the gradient wrt
-    ``w_hat``, and writes the one wrt theta into ``d_theta``."""
-    h = z @ theta
-    positive = h > 0
+    classifier (unlike propagate-then-freeze schemes); both passes take
+    :func:`leaky_relu`'s gain. Takes float64 arrays of fitting shapes: returns
+    (loss, d_o), minus the gradient wrt ``w_hat``, and writes the one wrt
+    theta into ``d_theta``."""
+    o, gain = leaky_relu(z @ theta, slope)
     m = w_hat.shape[1]
-    diff = np.where(positive, h, slope * h) - w_hat
+    diff = o - w_hat
     loss = 0.5 / m * float((diff * diff).sum())
     d_o = diff / m
-    # leaky-ReLU derivative: 1 where h > 0, the slope elsewhere (also at 0)
-    np.matmul(z.T, np.where(positive, d_o, slope * d_o), out=d_theta)
+    np.matmul(z.T, d_o * gain, out=d_theta)
     return loss, d_o
 
 
@@ -99,8 +106,8 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     word vectors) it runs ``schedule.steps`` momentum steps.
 
     Returns (theta, embeddings) where ``embeddings`` are the class rows of
-    O = leaky_relu(Z_class theta) (known rows approximate W, unknown rows
-    are the propagated classifier weights).
+    O = leaky_relu(Z_class theta), :func:`leaky_relu`'s activation (known
+    rows approximate W, unknown rows are the propagated classifier weights).
     """
     z_class = np.asarray(z_class, float)
     w = np.asarray(w, float)
@@ -128,4 +135,4 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
             # the slope by GcnSchedule
             gcn_reg_core(z_known, theta, slope, w, d_theta)
             opt.step()
-    return theta, leaky_relu(z_class @ theta, slope)
+    return theta, leaky_relu(z_class @ theta, slope)[0]

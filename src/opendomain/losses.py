@@ -23,7 +23,6 @@ label range, ``w``, the shapes) is checked once at the run's entry.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ from .numkit import check_keys, key
 __all__ = [
     "LossWeights",
     "NonFiniteLossError",
-    "check_finite",
     "check_labels",
     "cls_core",
     "sgmd_core",
@@ -45,8 +43,8 @@ __all__ = [
 @dataclass(frozen=True)
 class LossWeights:
     """Scalar weights and thresholds of the total objective. ``w`` None
-    stands for the default that :class:`ExperimentConfig` derives from its
-    class counts."""
+    stands for the default that ``trainer.loss_w`` derives from a config's
+    class counts where the step reads it."""
 
     lambda_d: float = key(0.5, ">= 0")
     lambda_b: float = key(0.04, ">= 0")
@@ -60,22 +58,12 @@ class LossWeights:
 
 
 class NonFiniteLossError(RuntimeError):
-    """A loss term went NaN/Inf; carries the offending component and value."""
+    """A loss term went NaN/Inf, as ``trainer.joint_terms`` finds: its component and value."""
 
     def __init__(self, component: str, value: float):
         super().__init__(f"non-finite loss in component '{component}' ({value})")
         self.component = component
         self.value = value
-
-
-def check_finite(name: str, value: float, grads) -> None:
-    """NonFiniteLossError naming ``name`` unless its value and each of its
-    gradients are finite."""
-    if not math.isfinite(value):
-        raise NonFiniteLossError(name, value)
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteLossError(name, float("nan"))
 
 
 def check_labels(labels, classes: int) -> np.ndarray:

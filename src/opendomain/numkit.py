@@ -4,7 +4,8 @@ text tables, matrix text serialization and the JSON file form.
 
 Everything runs on 64-bit numpy arrays. The conventions fixed here
 (softmax with max-subtraction, 17-significant-digit text round-trips) are
-relied on by the rest of the package for bit-reproducibility.
+relied on by the rest of the package for bit-reproducibility. The GCN's
+leaky ReLU lives with its one user, :mod:`opendomain.gcn`.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ __all__ = [
     "DimensionError",
     "as_matrix",
     "softmax_rows",
-    "leaky_relu",
     "make_rng",
     "MomentumSgd",
     "key",
@@ -59,13 +59,6 @@ def softmax_rows(m, out=None) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
-
-
-def leaky_relu(m, slope: float) -> np.ndarray:
-    if slope < 0:
-        raise ValueError("leaky_relu slope must be >= 0")
-    m = np.asarray(m, dtype=np.float64)
-    return np.where(m > 0, m, slope * m)
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -131,7 +124,7 @@ def check_keys(obj, section) -> None:
                 raise ValueError(f"{f.name} must be a {f.default_factory.__name__}, "
                                  f"got {value!r}")
             continue
-        if value is None and f.default is None:  # loss.w, derived later
+        if value is None and f.default is None:  # loss.w, derived where it is read
             continue
         kind = f.metadata.get("kind", type(f.default))
         where = section(f.name) if callable(section) else section

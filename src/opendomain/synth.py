@@ -208,7 +208,8 @@ def _unlabeled(tag: str) -> int:
 
 
 def load_dataset(path):
-    """Inverse of :func:`save_dataset`. Returns (dataset, num_classes)."""
+    """Inverse of :func:`save_dataset`: (dataset, num_classes). A bad header, token,
+    label, row count, non-finite entry or .eval length raises ValueError naming the file."""
     with text_file(path) as fh:
         header = fh.readline().split()
         if len(header) != 6 or header[2] != "labeled" or header[4] != "classes":

@@ -24,8 +24,7 @@ from .evaluate import accuracy_triple, predict
 from .gcn import GcnSchedule, gcn_reg_core, propagate, train_gcn_init
 from .graph import normalized_adjacency
 from .losses import (
-    LossWeights, NonFiniteLossError, balance_core, check_finite, check_labels, cls_core,
-    sgmd_core)
+    LossWeights, NonFiniteLossError, balance_core, check_labels, cls_core, sgmd_core)
 from .matching import match_domains
 from .model import ModelState, PretrainSchedule, encode
 from .numkit import MomentumSgd, as_matrix, check_keys, key, make_rng, softmax_rows
@@ -34,6 +33,7 @@ __all__ = [
     "ConfigError",
     "NonFiniteLossError",
     "ExperimentConfig",
+    "loss_w",
     "parse_config",
     "config_to_text",
     "apply_flags",
@@ -83,10 +83,6 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         known, total = self.synth.known_classes, self.synth.total_classes
-        if self.loss.w is None:
-            # loss.w defaults to the proportion of unknown classes, in (0, 1) however large
-            w = min(max((total - known) / total, 5e-324), 1 - 2**-53) if known < total else 0.5
-            object.__setattr__(self, "loss", replace(self.loss, w=w))
         if self.enable_lb and self.vanilla_balance:
             raise ConfigError("flags.enable_lb and flags.vanilla_balance are "
                               "mutually exclusive")
@@ -95,6 +91,18 @@ class ExperimentConfig:
         if known == total and on:
             raise ConfigError(f"{' and '.join(on)} need unknown classes; disable them "
                               "when synth.known_classes == synth.total_classes")
+        # a w equal to the derived one is the default: the text form writes it
+        if self.loss.w is not None and self.loss.w == loss_w(replace(self, loss=LossWeights())):
+            object.__setattr__(self, "loss", replace(self.loss, w=None))
+
+
+def loss_w(cfg: ExperimentConfig) -> float:
+    """``cfg.loss.w`` or, when that is None, the proportion of unknown classes,
+    in (0, 1) however large the counts (0.5 when there are none)."""
+    if cfg.loss.w is not None:
+        return cfg.loss.w
+    known, total = cfg.synth.known_classes, cfg.synth.total_classes
+    return min(max((total - known) / total, 5e-324), 1 - 2**-53) if known < total else 0.5
 
 
 # --flags token -> the config field it switches on
@@ -136,7 +144,7 @@ def apply_flags(cfg: ExperimentConfig, tokens) -> ExperimentConfig:
 
 def _sections(cfg: ExperimentConfig) -> dict:
     """The config text layout, section -> {key: value}, read off the
-    dataclass fields of ``cfg`` in their order."""
+    dataclass fields of ``cfg`` in their order, with ``loss.w`` resolved."""
     out = {}
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -144,6 +152,7 @@ def _sections(cfg: ExperimentConfig) -> dict:
             out[f.name] = {g.name: getattr(value, g.name) for g in fields(value)}
         else:
             out.setdefault(_section(f.name), {})[f.name] = value
+    out["loss"]["w"] = loss_w(cfg)
     return out
 
 
@@ -379,9 +388,9 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     (:class:`LossWeights`) and the shapes (:func:`check_data`).
 
     Returns (values, total, gate): term -> value, the weighted total and the
-    SGMD gate (empty if SGMD did not run). Raises NonFiniteLossError naming
-    the first non-finite term (value or gradient), or "total" if only their
-    sum or mapping back is not.
+    SGMD gate (empty if SGMD did not run). When the total or a gradient is not
+    finite, NonFiniteLossError(name, value) names the first term in ``values``
+    order, then "total", whose value (or, as nan, a gradient) is not.
     """
     lw = cfg.loss
     known, w_head = state.known_count, state.head
@@ -401,8 +410,8 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     # the source rows' unknown-class responses are 0, and stay 0 under cls
     values = {"cls": cls_core(probs[:n_s], labels)}
     if balance:
-        values["balance"] = balance_core(probs[n_s:n_l], known,
-                                         None if cfg.vanilla_balance else lw.w, lw.epsilon)
+        values["balance"] = balance_core(
+            probs[n_s:n_l], known, None if cfg.vanilla_balance else loss_w(cfg), lw.epsilon)
     gate = np.zeros(0, dtype=bool)
     if n_m:
         # the responses only gate the pairs; no gradient flows through them
@@ -435,12 +444,13 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     # a non-finite term leaves the total or the gradients non-finite, so the scan
     # that names it runs only then; else the sum or the mapping back overflowed
     if not (math.isfinite(total) and all(np.isfinite(g).all() for g in grads)):
-        term_grads = {"cls": (probs[:n_s],), "balance": (probs[n_s:n_l],), "sgmd": (d_ms,)}
-        if cfg.enable_gcn:
-            term_grads["gcn"] = (d_theta, d_o)
-        for name, value in values.items():
-            check_finite(name, value, term_grads[name])
-        check_finite("total", total, grads)
+        term_grads = {"cls": [probs[:n_s]], "balance": [probs[n_s:n_l]], "sgmd": [d_ms],
+                      "gcn": [d_theta, d_o] if cfg.enable_gcn else [], "total": grads}
+        for name, value in [*values.items(), ("total", total)]:
+            if not math.isfinite(value):
+                raise NonFiniteLossError(name, value)
+            if not all(np.isfinite(g).all() for g in term_grads[name]):
+                raise NonFiniteLossError(name, float("nan"))
     return values, total, gate
 
 

@@ -26,6 +26,7 @@ from opendomain.losses import (
     NonFiniteLossError, balance_core, cls_core, sgmd_core)
 from opendomain.model import ModelState, encode
 from opendomain.numkit import MomentumSgd, softmax_rows
+from opendomain.trainer import loss_w
 
 
 def on_copy(core, d, *args):
@@ -142,7 +143,7 @@ def reference_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt):
         if cfg.vanilla_balance:
             val, d_f, d_w = vanilla_balance(f_t, head, known, lw.epsilon)
         else:
-            val, d_f, d_w = limited_balance(f_t, head, known, lw.w, lw.epsilon)
+            val, d_f, d_w = limited_balance(f_t, head, known, loss_w(cfg), lw.epsilon)
         d_ew, d_eb = encode_backward(raw_t, d_f)
         components["balance"] = (val, {"encoder.weight": d_ew, "encoder.bias": d_eb,
                                        "head.weights": d_w})
@@ -241,7 +242,7 @@ def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_m
     outputs = {"cls": on_copy(cls_core, probs[:n_s, :known], labels)}
     if balance:
         outputs["balance"] = on_copy(balance_core, probs[n_s:n_l], known,
-                                     None if cfg.vanilla_balance else lw.w, lw.epsilon)
+                                     None if cfg.vanilla_balance else loss_w(cfg), lw.epsilon)
     gate = np.zeros(0, dtype=bool)
     if sgmd:
         # the responses only gate the pairs; no gradient flows through them

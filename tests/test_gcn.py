@@ -6,12 +6,13 @@ from opendomain.gcn import (
     GcnSchedule,
     gcn_reg_core,
     init_theta,
+    leaky_relu,
     propagate,
     train_gcn_init,
 )
 from opendomain.graph import KnowledgeGraph, normalized_adjacency
 from opendomain import synth
-from opendomain.numkit import DimensionError, leaky_relu, make_rng
+from opendomain.numkit import DimensionError, make_rng
 
 from gradcheck import grad_check
 
@@ -37,6 +38,31 @@ def test_init_loss_scalar_case():
     loss, _ = gcn_reg_core(propagate(p, x, [0]), np.array([[1.0]]), 0.2, np.array([[1.0]]),
                            np.empty((1, 1)))
     assert loss == pytest.approx(0.5)
+
+
+# the leaky rule's bits: 0, -0, the tiniest and the hugest magnitudes, +-inf
+_EDGES = [[0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf],
+          [2.5, -2.5, 0.2, -0.2, 1.0, -1.0, 1e-320, -1e-320]]
+
+
+@pytest.mark.parametrize("h, slope, expected", [
+    pytest.param([[-1.0, -5.0]], 0.0, [[0.0, 0.0]], id="zero-slope"),
+    pytest.param([[-2.0]], 0.2, [[-0.4]], id="definition"),
+    pytest.param(_EDGES, 0.0, None, id="edges-slope-0"),
+    pytest.param(_EDGES, 0.2, None, id="edges-slope-0.2"),
+])
+def test_leaky_relu_has_the_bits_of_the_two_branch_form(h, slope, expected):
+    # the activation h * gain selects h or slope * h, and the backward pass
+    # d * gain selects d or slope * d, bit for bit: the sign of a zero and
+    # the nan of 0 * inf included
+    h = np.array(h)
+    d = np.flip(h)  # an upstream gradient that pairs every value with others
+    with np.errstate(invalid="ignore"):
+        activation, gain = leaky_relu(h, slope)
+        assert activation.tobytes() == np.where(h > 0, h, slope * h).tobytes()
+        assert (d * gain).tobytes() == np.where(h > 0, d, slope * d).tobytes()
+    if expected is not None:
+        assert np.array_equal(activation, expected)
 
 
 def test_gradient_at_kink_uses_slope():
@@ -104,7 +130,8 @@ def test_reg_loss_whatgrad_closed_form():
     theta = rng.standard_normal((3, 2))
     w_hat = rng.standard_normal((3, 2))
     rows = [0, 2, 3]
-    o = leaky_relu(p @ x @ theta, 0.2)
+    h = p @ x @ theta
+    o = np.where(h > 0, h, 0.2 * h)
     _, d_o = gcn_reg_core(propagate(p, x, rows), theta, 0.2, w_hat, np.empty(theta.shape))
     m = w_hat.shape[1]
     assert np.allclose(-d_o, (w_hat - o[rows]) / m, atol=1e-12)
@@ -170,7 +197,7 @@ def _reference_gcn_init(g, x, w, schedule, rng):
     for _ in range(schedule.steps):
         z = p @ x
         h = z @ theta
-        o = leaky_relu(h, slope)
+        o = np.where(h > 0, h, slope * h)
         diff = o[known] - w
         history.append(0.5 / m * float(np.sum(diff * diff)))
         d_o = np.zeros_like(o)
@@ -178,7 +205,8 @@ def _reference_gcn_init(g, x, w, schedule, rng):
         d_theta = z.T @ (d_o * np.where(h > 0, 1.0, slope))
         v = schedule.momentum * v + d_theta
         theta -= step * v
-    embeddings = leaky_relu(p @ x @ theta, slope)[list(g.class_to_node)]
+    h = p @ x @ theta
+    embeddings = np.where(h > 0, h, slope * h)[list(g.class_to_node)]
     return theta, embeddings, history
 
 
@@ -304,7 +332,7 @@ def test_reg_loss_bit_identical_to_full_forward():
     w_hat = rng.standard_normal((len(rows), 16))
     z = p @ x
     h = z @ theta
-    diff = leaky_relu(h, 0.2)[rows] - w_hat
+    diff = np.where(h > 0, h, 0.2 * h)[rows] - w_hat
     d_o = np.zeros_like(h)
     d_o[rows] = diff / 16
     d_theta = np.empty(theta.shape)

@@ -6,7 +6,6 @@ import pytest
 
 from opendomain.numkit import (
     MomentumSgd,
-    leaky_relu,
     load_matrix,
     make_rng,
     read_rows,
@@ -42,15 +41,6 @@ def test_softmax_rows_sum_to_one():
     assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
     assert np.all(out > 0)
     assert np.all(out <= 1)
-
-
-def test_leaky_relu_zero_slope():
-    assert np.array_equal(leaky_relu(np.array([[-1.0, -5.0]]), 0.0),
-                          np.zeros((1, 2)))
-
-
-def test_leaky_relu_definition():
-    assert leaky_relu(np.array([[-2.0]]), 0.2)[0, 0] == pytest.approx(-0.4)
 
 
 # the finite-difference checker the other suites rely on (tests/gradcheck.py)

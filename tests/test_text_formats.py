@@ -230,6 +230,29 @@ def test_config_round_trip(drawn):
 
 
 @CONFIG_PROPERTY
+@given(_configs(), st.integers(1, 2**64), st.integers(0, 2**64))
+@example((ExperimentConfig(), True), 1, 2**64 - 1)
+@example((ExperimentConfig(), True), 2**1100 - 1, 1)
+def test_a_replaced_synth_section_is_a_config_built_in_one_call(drawn, known, unknown):
+    """``replace`` of the synth section gives the config, and the loss.w,
+    that parsing the text with the new class counts gives: a default w
+    (left out of the text) follows the counts, an explicit one stays."""
+    cfg, w_left_out = drawn
+    if not unknown and (cfg.enable_lb or cfg.vanilla_balance or cfg.enable_gcn):
+        unknown = 1  # those terms need unknown classes
+    replaced = replace(cfg, synth=replace(cfg.synth, known_classes=known,
+                                          total_classes=known + unknown))
+    text = config_to_text(cfg)
+    if w_left_out or cfg.loss.w is None:  # a w set to the derived one is the default too
+        text = _with_line(text, "loss.w", None)
+    text = _with_line(text, "synth.known_classes", known)
+    built = parse_config(_with_line(text, "synth.total_classes", known + unknown))
+    assert replaced == built
+    assert trainer.loss_w(replaced) == trainer.loss_w(built)
+    assert parse_config(config_to_text(replaced)) == replaced
+
+
+@CONFIG_PROPERTY
 @given(_configs(), st.sampled_from([*_KEY_RANGES, "synth.total_classes"]), st.data())
 def test_config_refuses_a_key_out_of_range(drawn, key, data):
     """One key out of its range is refused as config text (ConfigError) and

@@ -11,7 +11,7 @@ from opendomain.gcn import GcnSchedule, propagate
 from opendomain.losses import LossWeights, cls_core
 from opendomain.matching import partition_folds
 from opendomain.model import ModelState, PretrainSchedule, encode
-from opendomain.numkit import leaky_relu, make_rng, softmax_rows
+from opendomain.numkit import make_rng, softmax_rows
 from opendomain import trainer
 from opendomain.trainer import (
     ABLATION_VARIANTS,
@@ -24,6 +24,7 @@ from opendomain.trainer import (
     experiment_hash,
     format_ablation_table,
     joint_terms,
+    loss_w,
     parse_config,
     run_ablation,
     run_pipeline,
@@ -68,7 +69,7 @@ def test_parse_minimal_config():
 def test_parse_default_w_is_unknown_fraction():
     cfg = parse_config(MINIMAL + "synth.known_classes = 6\n"
                        "synth.total_classes = 10\n")
-    assert cfg.loss.w == pytest.approx(0.4)
+    assert loss_w(cfg) == pytest.approx(0.4)
     cfg = parse_config(MINIMAL + "loss.w = 0.25\n")
     assert cfg.loss.w == 0.25
 
@@ -80,14 +81,22 @@ def test_default_w_is_the_same_in_python_and_in_a_config_file():
             synth=synth.SynthConfig(known_classes=known, total_classes=total), **flags)
         text = config_to_text(built).replace(f"loss.w = {w}\n", "")
         assert text != config_to_text(built)
-        assert parse_config(text).loss.w == built.loss.w == w
+        assert loss_w(parse_config(text)) == loss_w(built) == w
+
+
+def test_default_w_follows_a_replaced_synth_section():
+    # w was once resolved at construction, so a replace kept the stale 1/3
+    section = synth.SynthConfig(total_classes=10)
+    replaced = replace(ExperimentConfig(), synth=section)
+    assert loss_w(replaced) == loss_w(ExperimentConfig(synth=section)) == 0.2
+    assert config_to_text(replaced) == config_to_text(ExperimentConfig(synth=section))
 
 
 @pytest.mark.parametrize("known, total", [(1, 2**64), (2**1100 - 1, 2**1100)])
 def test_default_w_of_huge_class_counts_stays_in_its_range(known, total):
     # (total - known) / total rounds to 1 past 2**53 classes and to 0 past 2**1074
     cfg = ExperimentConfig(synth=synth.SynthConfig(known_classes=known, total_classes=total))
-    assert 0 < cfg.loss.w < 1
+    assert 0 < loss_w(cfg) < 1
     assert parse_config(config_to_text(cfg)) == cfg
 
 
@@ -1045,8 +1054,8 @@ def test_prepare_trains_gcn_init_under_the_configured_slope(monkeypatch):
                        "pretrain.epochs = 2\n")
     prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
     assert seen == {0.05}
-    assert np.array_equal(prepared.state.head,
-                          leaky_relu(prepared.z_class @ prepared.state.theta, 0.05))
+    h = prepared.z_class @ prepared.state.theta
+    assert np.array_equal(prepared.state.head, np.where(h > 0, h, 0.05 * h))
 
 
 def test_unlabeled_target_records_absent_accuracies():
