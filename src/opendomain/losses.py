@@ -2,9 +2,10 @@
 
 Four terms: source cross-entropy, matched-pair discrepancy gated by the
 similarity of classifier responses, a balance constraint on the unknown-class
-probability mass of target instances (vanilla -log R and the limited form
-R + w^2/R), and the quadratic tie between graph-convolution outputs and the
-live classifier weights (in :mod:`opendomain.gcn`). Classifier responses are
+probability mass of target instances (the limited form R + w^2/R or, under
+the vanilla flag, -log R; :func:`balance_core` writes both), and the
+quadratic tie between graph-convolution outputs and the live classifier
+weights (in :mod:`opendomain.gcn`). Classifier responses are
 softmax probabilities throughout; the discrepancy gate is evaluated on the
 current responses and treated as a constant.
 
@@ -36,7 +37,6 @@ __all__ = [
     "cls_core",
     "sgmd_core",
     "balance_core",
-    "limited_balance_terms",
 ]
 
 
@@ -103,35 +103,25 @@ def sgmd_core(fs, ft, ps, pt, tau: float, out):
     return loss, gate
 
 
-def balance_core(d, known_count: int, w: float | None, eps: float) -> float:
+def balance_core(d, known_count: int, w: float, eps: float, vanilla: bool) -> float:
     """Mean of R + w^2/R over the rows of the responses ``d``, R a row's
-    unknown-class mass clamped below at eps; with ``w`` None the vanilla
-    mean of -log R, unbounded as the mass shrinks (up to -log eps): pushing
-    it down ever harder is exactly the runaway the limited form prevents.
-    Overwrites ``d`` with its logit gradient, in closed form p·(d − d_mass·R):
-    d = d_mass, the gradient wrt R, on the unknown classes and 0 on the
-    known ones."""
+    unknown-class mass clamped below at eps: least at R = w, with value 2w,
+    and growing toward both R -> 0 and R -> 1. With ``vanilla`` the mean of
+    -log R instead (``w`` unread), unbounded as the mass shrinks (up to
+    -log eps): pushing it down ever harder is exactly the runaway the
+    limited form prevents. Overwrites ``d`` with its logit gradient, in
+    closed form p·(d − d_mass·R): d = d_mass, the gradient wrt R (1 − w^2/R^2
+    or −1/R, per row), on the unknown classes and 0 on the known ones."""
     mass = d[:, known_count:].sum(axis=1)
     clamped = np.maximum(mass, eps)
     n = len(mass)
-    if w is None:
+    if vanilla:
         loss = float(-(np.log(clamped).sum() / n))
         d_mass = np.where(mass > eps, -1.0 / (n * clamped), 0.0)
     else:
-        values, derivs = limited_balance_terms(clamped, w)
-        loss = float(values.sum() / n)
-        d_mass = np.where(mass > eps, derivs / n, 0.0)
+        loss = float((clamped + w * w / clamped).sum() / n)
+        d_mass = np.where(mass > eps, (1.0 - w * w / (clamped * clamped)) / n, 0.0)
     inner = (d_mass * mass)[:, None]
     d[:, :known_count] *= -inner
     d[:, known_count:] *= d_mass[:, None] - inner
     return loss
-
-
-def limited_balance_terms(mass, w: float):
-    """Per-instance penalty R + w^2/R and its derivative 1 - w^2/R^2.
-
-    Minimized at R = w with value 2w; grows toward both R -> 0 and R -> 1.
-    """
-    mass = np.asarray(mass, float)
-    return mass + w * w / mass, 1.0 - w * w / (mass * mass)
-

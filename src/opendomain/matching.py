@@ -186,7 +186,8 @@ def match_domains(fs, ft, k: int, rng: np.random.Generator):
     """Partition both domains into k folds, match fold i against fold i,
     and return the union of the per-fold matchings as (src, tgt, costs,
     total_cost): index and cost arrays sorted by source, and the sum of
-    the per-fold totals."""
+    the per-fold totals. A ValueError refuses matrices of other widths, a
+    ``k`` above either's row count and a cost that overflows float64."""
     fs, ft = _same_width(fs, ft)  # before the folds, so a refusal names the whole arrays
     source_folds, target_folds = partition_folds(fs.shape[0], ft.shape[0], k, rng)
     src, tgt, costs = [], [], []

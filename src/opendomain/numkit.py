@@ -114,8 +114,9 @@ def check_keys(obj, section) -> None:
     field with a default factory) must be of that class, and a bool, int or
     float key of its kind (a bool is no number, a float no int), stored as
     the kind itself, so an int given to a float key writes a float's text;
-    a ``key`` must be finite and meet its rule. Each refusal is a ValueError
-    naming ``<section>.<name>``; ``section`` is the section name or a
+    a ``key`` must be finite and meet its rule. The first bad field in
+    declaration order is refused, a ValueError ``<section>.<name> must be
+    <rule or kind>, got <value>``; ``section`` is the section name or a
     function from a field name to it."""
     for f in fields(obj):
         value = getattr(obj, f.name)

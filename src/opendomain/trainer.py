@@ -58,7 +58,9 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The experiment: each dataclass field is a config section of its own
-    name, every other field a ``train.*`` key, or a ``flags.*`` key."""
+    name, every other field a ``train.*`` key, or a ``flags.*`` key. A
+    ConfigError refuses a bad key (:func:`numkit.check_keys`), then a rule
+    across keys, naming each key it involves."""
 
     synth: synth.SynthConfig = field(default_factory=synth.SynthConfig)
     loss: LossWeights = field(default_factory=LossWeights)
@@ -410,8 +412,8 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     # the source rows' unknown-class responses are 0, and stay 0 under cls
     values = {"cls": cls_core(probs[:n_s], labels)}
     if balance:
-        values["balance"] = balance_core(
-            probs[n_s:n_l], known, None if cfg.vanilla_balance else loss_w(cfg), lw.epsilon)
+        values["balance"] = balance_core(probs[n_s:n_l], known, loss_w(cfg), lw.epsilon,
+                                         cfg.vanilla_balance)
     gate = np.zeros(0, dtype=bool)
     if n_m:
         # the responses only gate the pairs; no gradient flows through them

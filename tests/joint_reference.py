@@ -29,11 +29,11 @@ from opendomain.numkit import MomentumSgd, softmax_rows
 from opendomain.trainer import loss_w
 
 
-def on_copy(core, d, *args):
-    """``core(d, *args)`` on a copy of ``d``, which a softmax term's core
-    overwrites with its logit gradient: returns (its result, the copy)."""
+def on_copy(core, d, *args, **kwargs):
+    """``core(d, *args, **kwargs)`` on a copy of ``d``, which a softmax term's
+    core overwrites with its logit gradient: returns (its result, the copy)."""
     d = d.copy()
-    return core(d, *args), d
+    return core(d, *args, **kwargs), d
 
 
 def encode_backward(raw, d_out):
@@ -241,8 +241,8 @@ def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_m
     # each term's outputs: value and its gradient(s)
     outputs = {"cls": on_copy(cls_core, probs[:n_s, :known], labels)}
     if balance:
-        outputs["balance"] = on_copy(balance_core, probs[n_s:n_l], known,
-                                     None if cfg.vanilla_balance else loss_w(cfg), lw.epsilon)
+        outputs["balance"] = on_copy(balance_core, probs[n_s:n_l], known, loss_w(cfg),
+                                     lw.epsilon, cfg.vanilla_balance)
     gate = np.zeros(0, dtype=bool)
     if sgmd:
         # the responses only gate the pairs; no gradient flows through them

@@ -22,7 +22,6 @@ from opendomain.losses import (
     LossWeights,
     balance_core,
     cls_core,
-    limited_balance_terms,
     sgmd_core,
 )
 from opendomain.matching import hungarian
@@ -122,8 +121,8 @@ def test_criterion_2_gradient_suite():
         head = rng.standard_normal((5, 3))
         f = rng.standard_normal((4, 3))
         w = float(rng.uniform(0.1, 0.9))
-        vanilla = lambda p: on_copy(balance_core, p, 3, None, 1e-12)
-        limited = lambda p: on_copy(balance_core, p, 3, w, 1e-12)
+        vanilla = lambda p: on_copy(balance_core, p, 3, w, 1e-12, vanilla=True)
+        limited = lambda p: on_copy(balance_core, p, 3, w, 1e-12, vanilla=False)
         _, vd_f, vd_w = through_head(vanilla, f, head)
         _, ld_f, ld_w = through_head(limited, f, head)
         if not _usable(vd_f, vd_w, ld_f, ld_w):
@@ -244,13 +243,17 @@ def test_criterion_3_row_normalization():
 # --------------------------------------------- 4: limited-balance minimum
 
 def test_criterion_4_limited_balance_minimum():
+    def limited(mass, w):
+        # one row of responses: a known class, and two unknown ones holding `mass`
+        return on_copy(balance_core, np.array([[1.0 - mass, mass / 2, mass / 2]]), 1, w,
+                       1e-12, vanilla=False)
+
     for w in (0.1, 1.0 / 3.0, 0.5, 0.8):
-        values, derivs = limited_balance_terms(np.array([w]), w)
-        assert abs(values[0] - 2 * w) < 1e-12
-        assert abs(derivs[0]) < 1e-12
-        for r in (w / 2, 2 * w):
-            off, _ = limited_balance_terms(np.array([r]), w)
-            assert off[0] > 2 * w
+        value, d_logits = limited(w, w)
+        assert abs(value - 2 * w) < 1e-12
+        assert np.max(np.abs(d_logits)) < 1e-12
+        for r in (w / 2, (1 + w) / 2):
+            assert limited(r, w)[0] > 2 * w
 
 
 # ------------------------------------------------ 5: propagation fidelity

@@ -6,10 +6,10 @@ from opendomain.losses import (
     balance_core,
     check_labels,
     cls_core,
-    limited_balance_terms,
     sgmd_core,
 )
 from opendomain.numkit import make_rng, softmax_rows
+from opendomain.trainer import ExperimentConfig, loss_w
 
 from gradcheck import grad_check, through_head
 from joint_reference import classifier_responses, on_copy, softmax_backward
@@ -136,13 +136,13 @@ def _mass_head_features(mass, l_t=4, l_s=2):
 def test_vanilla_balance_values():
     # unknown mass 0.25 -> loss = -log 0.25 = ln 4
     f = _mass_head_features(0.25)
-    loss = balance_core(softmax_rows(f), 2, None, 1e-12)
+    loss = balance_core(softmax_rows(f), 2, 0.5, 1e-12, vanilla=True)
     assert loss == pytest.approx(np.log(4.0), abs=1e-9)
 
 
 def test_vanilla_balance_full_mass_zero_loss():
     f = np.array([[-50.0, -50.0, 10.0, 10.0]])
-    loss = balance_core(softmax_rows(f), 2, None, 1e-12)
+    loss = balance_core(softmax_rows(f), 2, 0.5, 1e-12, vanilla=True)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -150,7 +150,7 @@ def test_vanilla_balance_clamp():
     # unknown mass numerically zero: clamped to -log(eps), finite
     f = np.array([[60.0, 60.0, -60.0, -60.0]])
     d_logits = softmax_rows(f)
-    loss = balance_core(d_logits, 2, None, eps=1e-12)
+    loss = balance_core(d_logits, 2, 0.5, eps=1e-12, vanilla=True)
     assert loss == pytest.approx(-np.log(1e-12))
     assert np.isfinite(loss)
     assert np.allclose(d_logits, 0.0)
@@ -162,29 +162,46 @@ def test_vanilla_balance_unbounded_growth():
     losses = []
     for scale in (1.0, 4.0, 8.0, 12.0):
         f = np.array([[scale, scale, -scale, -scale]])
-        loss = balance_core(softmax_rows(f), 2, None, eps=1e-12)
+        loss = balance_core(softmax_rows(f), 2, 0.5, eps=1e-12, vanilla=True)
         losses.append(loss)
     assert all(b > a for a, b in zip(losses, losses[1:]))
     assert losses[-1] <= -np.log(1e-12) + 1e-9
 
 
+def _limited(mass, w):
+    """(loss, logit gradient) of the limited balance on one row whose
+    unknown mass is ``mass``."""
+    return on_copy(balance_core, softmax_rows(_mass_head_features(mass)), 2, w, 1e-12,
+                   vanilla=False)
+
+
 def test_limited_balance_minimum():
     w = 1.0 / 3.0
-    values, derivs = limited_balance_terms(np.array([w]), w)
-    assert values[0] == pytest.approx(2 * w, abs=1e-12)
-    assert derivs[0] == pytest.approx(0.0, abs=1e-12)
+    value, d_logits = _limited(w, w)
+    assert value == pytest.approx(2 * w, abs=1e-12)
+    assert np.max(np.abs(d_logits)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_limited_balance_hand_value():
-    values, _ = limited_balance_terms(np.array([0.5]), 0.2)
-    assert values[0] == pytest.approx(0.58)
+    assert _limited(0.5, 0.2)[0] == pytest.approx(0.58)
 
 
 def test_limited_balance_convexity():
     w = 0.3
-    base = limited_balance_terms(np.array([w]), w)[0][0]
+    base = _limited(w, w)[0]
     for r in np.linspace(0.01, 1.0, 50):
-        assert limited_balance_terms(np.array([r]), w)[0][0] >= base - 1e-12
+        assert _limited(r, w)[0] >= base - 1e-12
+
+
+def test_balance_form_is_never_read_off_w():
+    # a w of None is a config's derived default, not the vanilla form: the
+    # core takes its form only from its required fifth argument
+    cfg = ExperimentConfig()
+    d = softmax_rows(_mass_head_features(1.0 / 3.0))
+    with pytest.raises(TypeError):
+        balance_core(d, 2, cfg.loss.w, 0.05)
+    w = loss_w(cfg)
+    assert balance_core(d, 2, w, 0.05, cfg.vanilla_balance) == pytest.approx(2 * w)
 
 
 def test_limited_balance_loss_at_least_2w():
@@ -193,7 +210,7 @@ def test_limited_balance_loss_at_least_2w():
         head, known = _random_head(rng)
         f = rng.standard_normal((5, head.shape[1]))
         w = float(rng.uniform(0.05, 0.95))
-        loss = balance_core(classifier_responses(f, head), known, w, eps=1e-12)
+        loss = balance_core(classifier_responses(f, head), known, w, eps=1e-12, vanilla=False)
         assert loss >= 2 * w - 1e-12
 
 
@@ -205,8 +222,8 @@ def test_balance_gradients():
         n = int(rng.integers(1, 8))
         f = rng.standard_normal((n, head.shape[1]))
         w = float(rng.uniform(0.1, 0.9))
-        limited = lambda p: on_copy(balance_core, p, known, w, 1e-12)
-        vanilla = lambda p: on_copy(balance_core, p, known, None, 1e-12)
+        limited = lambda p: on_copy(balance_core, p, known, w, 1e-12, vanilla=False)
+        vanilla = lambda p: on_copy(balance_core, p, known, w, 1e-12, vanilla=True)
         loss, d_f, d_w = through_head(limited, f, head)
         vloss, vd_f, vd_w = through_head(vanilla, f, head)
         grads = [

@@ -639,8 +639,14 @@ def _close(actual, expected):
 _ALL_VARIANTS = {**ABLATION_VARIANTS, **DA_VARIANTS}
 
 
-@pytest.mark.parametrize("variant", list(_ALL_VARIANTS))
-def test_stacked_step_matches_the_per_term_reference(variant):
+# every variant at w = 0.4, and lb at the w that loss_w derives from the
+# class counts, which LossWeights holds as None
+_STEP_CASES = [(variant, 0.4) for variant in _ALL_VARIANTS] + [("lb", None)]
+
+
+@pytest.mark.parametrize("variant, w", _STEP_CASES,
+                         ids=[*_ALL_VARIANTS, "lb at the default w"])
+def test_stacked_step_matches_the_per_term_reference(variant, w):
     # the one-pass step against the per-term step it replaced, on batches
     # with no, some and all rows matched, and gates closed, mixed and open
     open_set = variant in ABLATION_VARIANTS
@@ -655,8 +661,9 @@ def test_stacked_step_matches_the_per_term_reference(variant):
                             list(range(total)))
     for tau in (1.0, 0.1, 0.0):
         lw = LossWeights(lambda_d=0.7, lambda_b=0.3, lambda_g=0.9, tau=tau,
-                         w=0.4, epsilon=1e-12)
-        # the step reads only the flags and the loss weights of a config
+                         w=w, epsilon=1e-12)
+        # the step reads only the flags, the loss weights and (for w) the
+        # class counts of a config
         cfg = apply_flags(ExperimentConfig(loss=lw), _ALL_VARIANTS[variant])
         for matched in (0, 3, n):
             for _ in range(3):
