@@ -18,7 +18,8 @@ from dataclasses import replace
 import numpy as np
 
 from opendomain import synth
-from opendomain.trainer import ExperimentConfig, loss_w, prepare, train_joint
+from opendomain.config import ExperimentConfig, loss_w
+from opendomain.trainer import prepare, train_joint
 
 base = ExperimentConfig()
 w = loss_w(base)

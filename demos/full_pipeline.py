@@ -11,13 +11,9 @@ Run:  python3 demos/full_pipeline.py       (2-4 s on two Xeon cores)
 """
 from dataclasses import replace
 
+from opendomain.config import ExperimentConfig
 from opendomain.synth import SynthConfig
-from opendomain.trainer import (
-    ExperimentConfig,
-    format_ablation_table,
-    run_ablation,
-    run_pipeline,
-)
+from opendomain.trainer import format_ablation_table, run_ablation, run_pipeline
 
 cfg = ExperimentConfig()
 print(f"benchmark: {cfg.synth.known_classes} known / "

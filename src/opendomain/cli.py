@@ -15,21 +15,14 @@ import os
 import sys
 
 from . import synth
+from .config import apply_flags, experiment_hash, parse_config
 from .evaluate import accuracy_triple, predict
 from .graph import load_graph, save_graph
+from .losses import NonFiniteLossError
 from .matching import MatchedPairs, match_domains, save_pairs
 from .model import load_checkpoint, save_checkpoint
 from .numkit import load_matrix, make_rng, save_matrix, size, write_json
-from .trainer import (
-    NonFiniteLossError,
-    apply_flags,
-    check_data,
-    experiment_hash,
-    format_ablation_table,
-    parse_config,
-    run_ablation,
-    run_pipeline,
-)
+from .trainer import check_data, format_ablation_table, run_ablation, run_pipeline
 
 _DATA_FILES = {
     "source": "source.ds",

@@ -43,7 +43,7 @@ __all__ = [
 @dataclass(frozen=True)
 class LossWeights:
     """Scalar weights and thresholds of the total objective. ``w`` None
-    stands for the default that ``trainer.loss_w`` derives from a config's
+    stands for the default that ``config.loss_w`` derives from a config's
     class counts where the step reads it."""
 
     lambda_d: float = key(0.5, ">= 0")

@@ -13,30 +13,22 @@ evaluation goes through the separate evaluate module and feeds nothing back.
 from __future__ import annotations
 
 import copy
-import hashlib
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import synth
+from .config import ConfigError, ExperimentConfig, apply_flags, config_keys, loss_w
 from .evaluate import accuracy_triple, predict
-from .gcn import GcnSchedule, gcn_reg_core, propagate, train_gcn_init
+from .gcn import gcn_reg_core, propagate, train_gcn_init
 from .graph import normalized_adjacency
-from .losses import (
-    LossWeights, NonFiniteLossError, balance_core, check_labels, cls_core, sgmd_core)
+from .losses import NonFiniteLossError, balance_core, check_labels, cls_core, sgmd_core
 from .matching import match_domains
-from .model import ModelState, PretrainSchedule, encode
-from .numkit import MomentumSgd, as_matrix, check_keys, key, make_rng, softmax_rows
+from .model import ModelState, encode
+from .numkit import MomentumSgd, as_matrix, make_rng, softmax_rows
 
 __all__ = [
-    "ConfigError",
-    "NonFiniteLossError",
-    "ExperimentConfig",
-    "loss_w",
-    "parse_config",
-    "config_to_text",
-    "apply_flags",
     "pretrain_source",
     "check_data",
     "Prepared",
@@ -51,72 +43,6 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
-    """Bad experiment configuration (unknown key, missing key, bad value)."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """The experiment: each dataclass field is a config section of its own
-    name, every other field a ``train.*`` key, or a ``flags.*`` key. A
-    ConfigError refuses a bad key (:func:`numkit.check_keys`), then a rule
-    across keys, naming each key it involves."""
-
-    synth: synth.SynthConfig = field(default_factory=synth.SynthConfig)
-    loss: LossWeights = field(default_factory=LossWeights)
-    pretrain: PretrainSchedule = field(default_factory=PretrainSchedule)
-    gcn: GcnSchedule = field(default_factory=GcnSchedule)
-    feature_dim: int = key(16, ">= 1")
-    learning_rate: float = key(0.05, "> 0")
-    momentum: float = key(0.9, "in [0, 1)")
-    epochs: int = key(40, ">= 1")
-    batch_size: int = key(32, ">= 1")
-    folds: int = key(5, ">= 1")
-    rematch_interval: int = key(0, ">= 0")
-    seed: int = key(0, ">= 0")
-    enable_lb: bool = True
-    enable_sgmd: bool = True
-    enable_gcn: bool = True
-    vanilla_balance: bool = False
-
-    def __post_init__(self):
-        try:
-            check_keys(self, _section)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        known, total = self.synth.known_classes, self.synth.total_classes
-        if self.enable_lb and self.vanilla_balance:
-            raise ConfigError("flags.enable_lb and flags.vanilla_balance are "
-                              "mutually exclusive")
-        on = [f"flags.{name}" for name in ("enable_lb", "vanilla_balance", "enable_gcn")
-              if getattr(self, name)]
-        if known == total and on:
-            raise ConfigError(f"{' and '.join(on)} need unknown classes; disable them "
-                              "when synth.known_classes == synth.total_classes")
-        # a w equal to the derived one is the default: the text form writes it
-        if self.loss.w is not None and self.loss.w == loss_w(replace(self, loss=LossWeights())):
-            object.__setattr__(self, "loss", replace(self.loss, w=None))
-
-
-def loss_w(cfg: ExperimentConfig) -> float:
-    """``cfg.loss.w`` or, when that is None, the proportion of unknown classes,
-    in (0, 1) however large the counts (0.5 when there are none)."""
-    if cfg.loss.w is not None:
-        return cfg.loss.w
-    known, total = cfg.synth.known_classes, cfg.synth.total_classes
-    return min(max((total - known) / total, 5e-324), 1 - 2**-53) if known < total else 0.5
-
-
-# --flags token -> the config field it switches on
-_FLAG_FIELDS = {"lb": "enable_lb", "sgmd": "enable_sgmd", "gcn": "enable_gcn",
-                "vanilla": "vanilla_balance"}
-
-
-def _section(name: str) -> str:
-    """The config section of a field of ExperimentConfig that is no section
-    of its own."""
-    return "flags" if name in _FLAG_FIELDS.values() else "train"
-
 ABLATION_VARIANTS = {
     "baseline": (),
     "lb": ("lb",),
@@ -127,106 +53,6 @@ ABLATION_VARIANTS = {
 
 # known == total: no class lacks source labels, so only cls and SGMD apply
 DA_VARIANTS = {"source_only": (), "sgmd": ("sgmd",)}
-
-# the config text lines of the keys that prepare reads, by their start
-_PREFIX = ("synth.", "pretrain.", "gcn.", "train.feature_dim ", "train.folds ", "train.seed ")
-
-
-def apply_flags(cfg: ExperimentConfig, tokens) -> ExperimentConfig:
-    """``cfg`` with exactly the terms named by ``tokens`` (lb, sgmd, gcn,
-    vanilla) switched on and the others off."""
-    unknown = set(tokens) - set(_FLAG_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown flag tokens: {sorted(unknown)}")
-    return replace(cfg, **{name: token in tokens
-                           for token, name in _FLAG_FIELDS.items()})
-
-
-# ------------------------------------------------------------------ config IO
-
-def _sections(cfg: ExperimentConfig) -> dict:
-    """The config text layout, section -> {key: value}, read off the
-    dataclass fields of ``cfg`` in their order, with ``loss.w`` resolved."""
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if is_dataclass(value):
-            out[f.name] = {g.name: getattr(value, g.name) for g in fields(value)}
-        else:
-            out.setdefault(_section(f.name), {})[f.name] = value
-    out["loss"]["w"] = loss_w(cfg)
-    return out
-
-
-def _parse_value(raw: str, kind, key: str):
-    try:
-        if kind is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        # a non-finite float is refused by its section's check_keys
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse the flat `section.key = value` config format.
-
-    Unknown keys are errors. Every key is optional except ``train.seed``
-    and ``synth.seed``, which pin the experiment. ``loss.w`` defaults to
-    the proportion of unknown classes.
-    """
-    # a key's type is the type of its default value
-    base = ExperimentConfig()
-    defaults = _sections(base)
-    values: dict = {name: {} for name in defaults}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'section.key = value'")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if "." not in key:
-            raise ConfigError(f"line {lineno}: key {key!r} missing section")
-        section, _, name = key.partition(".")
-        if section not in defaults or name not in defaults[section]:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if name in values[section]:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        kind = type(defaults[section][name])
-        values[section][name] = _parse_value(val, kind, key)
-
-    for required in ("train.seed", "synth.seed"):
-        section, _, name = required.partition(".")
-        if name not in values[section]:
-            raise ConfigError(f"missing required key: {required}")
-
-    top = {**values.pop("train"), **values.pop("flags")}
-    try:
-        parts = {name: type(getattr(base, name))(**keys) for name, keys in values.items()}
-        return ExperimentConfig(**parts, **top)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def config_to_text(cfg: ExperimentConfig) -> str:
-    """Canonical flat text form; parse_config round-trips it."""
-    lines = [f"{section}.{name} = {value}"
-             for section, keys in _sections(cfg).items()
-             for name, value in sorted(keys.items())]
-    return "\n".join(lines) + "\n"
-
-
-def experiment_hash(cfg: ExperimentConfig) -> str:
-    """The first 16 hex digits of the SHA-256 of ``config_to_text(cfg)``."""
-    return hashlib.sha256(config_to_text(cfg).encode("utf-8")).hexdigest()[:16]
 
 
 # --------------------------------------------------------------- train loop
@@ -241,8 +67,8 @@ def _target_order(rng, n_target: int, needed: int) -> np.ndarray:
 class Prepared:
     """All the joint loop reads: the model after pretraining and GCN init,
     the datasets, the propagated class rows (None without a graph), the
-    initial partners, the RNG streams and the config, whose synth, pretrain,
-    gcn, feature_dim, folds and seed keys pin it for every variant of a seed."""
+    initial partners, the RNG streams and the config, whose prefix keys, as
+    declared on ExperimentConfig's fields, pin it for every variant of a seed."""
 
     state: ModelState
     source: synth.LabeledDataset
@@ -457,9 +283,9 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
 
 
 def train_joint(prepared: Prepared, cfg: ExperimentConfig):
-    """The joint loop over the cls, SGMD, balance and graph terms, with
-    rematching every ``cfg.rematch_interval`` epochs; a ``cfg`` that differs
-    from ``prepared.config`` in a prefix key raises ConfigError naming it.
+    """The joint loop over the cls, SGMD, balance and graph terms, with rematching
+    every ``cfg.rematch_interval`` epochs; a ``cfg`` that differs from ``prepared.config``
+    in a prefix key, as declared on ExperimentConfig's fields, raises ConfigError naming it.
 
     Trains a copy and leaves ``prepared`` as it found it: the trained
     arrays (the encoder, the head and, with the graph term, theta) are
@@ -470,9 +296,10 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
     passing the similarity gate and the accuracy triple. A target without
     eval labels (label -1) records its accuracies as None.
     """
-    for now, was in zip(*(config_to_text(c).splitlines() for c in (cfg, prepared.config))):
-        if now != was and now.startswith(_PREFIX):
-            raise ConfigError(f"{now}, but the prefix was prepared under {was}")
+    for (key, now, _, prefix), (_, was, _, _) in zip(config_keys(cfg),
+                                                     config_keys(prepared.config)):
+        if prefix and f"{now}" != f"{was}":  # as the text form writes them: -0.0 is not 0.0
+            raise ConfigError(f"{key} = {now}, but the prefix was prepared under {key} = {was}")
     source, target, init = prepared.source, prepared.target, prepared.state
     known, partner = init.known_count, prepared.partner
     check_labels(source.labels, known)

@@ -21,12 +21,12 @@ import math
 
 import numpy as np
 
+from opendomain.config import loss_w
 from opendomain.gcn import gcn_reg_core
 from opendomain.losses import (
     NonFiniteLossError, balance_core, cls_core, sgmd_core)
 from opendomain.model import ModelState, encode
 from opendomain.numkit import MomentumSgd, softmax_rows
-from opendomain.trainer import loss_w
 
 
 def on_copy(core, d, *args, **kwargs):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from opendomain.cli import main
+from opendomain.config import ExperimentConfig
 from opendomain.gcn import (
     GcnSchedule,
     gcn_reg_core,
@@ -29,7 +30,6 @@ from opendomain.model import ModelState, encode
 from opendomain.numkit import make_rng, softmax_rows
 from opendomain.synth import SynthConfig, generate
 from opendomain.trainer import (
-    ExperimentConfig,
     joint_terms,
     pretrain_source,
     run_ablation,

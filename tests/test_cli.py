@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from opendomain.cli import main
+from opendomain.config import apply_flags, parse_config
 from opendomain.numkit import load_matrix, make_rng, save_matrix
 from opendomain.synth import load_dataset, save_dataset
-from opendomain.trainer import DA_VARIANTS, apply_flags, parse_config, run_pipeline
+from opendomain.trainer import DA_VARIANTS, run_pipeline
 from pairs_file import load_pairs
 
 SMALL_CONFIG = """

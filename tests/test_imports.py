@@ -3,7 +3,9 @@ its ``__all__``: an import kept only so that something outside the package
 can patch it is dead code in the module that holds it. Likewise every
 top-level function and class is called or named by package code: one that
 only the tests reach is a second entry point the package does not need.
-And every name in a module's ``__all__`` is an attribute of that module."""
+And every name in a module's ``__all__`` is an attribute of that module,
+defined there: each exported name has one home, which is where the other
+modules import it from."""
 import ast
 import importlib
 from pathlib import Path
@@ -11,6 +13,21 @@ from pathlib import Path
 import opendomain
 
 PACKAGE = Path(opendomain.__file__).parent
+
+
+def _exports(tree) -> list:
+    """The names of the module's ``__all__``, or none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _trees() -> dict:
+    """Each package module's syntax tree, by module stem."""
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _unused_imports(tree):
@@ -21,10 +38,7 @@ def _unused_imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
-            used.update(ast.literal_eval(node.value))
+    used.update(_exports(tree))
     return sorted(imported - used)
 
 
@@ -66,3 +80,31 @@ def test_every_export_names_an_attribute():
         if names:
             missing[path.name] = names
     assert missing == {}
+
+
+def test_every_sibling_import_is_exported():
+    # a name taken from a sibling that does not export it reaches past the
+    # sibling's public face, or finds the name at a second home
+    trees = _trees()
+    unexported = {}
+    for stem, tree in trees.items():
+        names = [f"{node.module}.{a.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+                 for a in node.names if a.name not in _exports(trees[node.module])]
+        if names:
+            unexported[stem] = names
+    assert unexported == {}
+
+
+def test_every_export_is_defined_in_its_module():
+    # an __all__ entry imported from a sibling is a second home for the name
+    reexported = {}
+    for stem, tree in _trees().items():
+        defined = {stmt.name for stmt in tree.body
+                   if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {t.id for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    for t in stmt.targets if isinstance(t, ast.Name)}
+        names = [n for n in _exports(tree) if n not in defined]
+        if names:
+            reexported[stem] = names
+    assert reexported == {}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from opendomain.config import ExperimentConfig, loss_w
 from opendomain.losses import (
     LossWeights,
     balance_core,
@@ -9,7 +10,6 @@ from opendomain.losses import (
     sgmd_core,
 )
 from opendomain.numkit import make_rng, softmax_rows
-from opendomain.trainer import ExperimentConfig, loss_w
 
 from gradcheck import grad_check, through_head
 from joint_reference import classifier_responses, on_copy, softmax_backward

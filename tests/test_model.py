@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from opendomain.config import ExperimentConfig, experiment_hash
 from opendomain.model import (
     ModelState,
     PretrainSchedule,
@@ -13,7 +14,7 @@ from opendomain.model import (
 )
 from opendomain.numkit import DimensionError, make_rng
 from opendomain.synth import SynthConfig
-from opendomain.trainer import ExperimentConfig, experiment_hash, pretrain_source
+from opendomain.trainer import pretrain_source
 
 from gradcheck import grad_check
 from joint_reference import encode_backward

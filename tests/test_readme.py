@@ -1,12 +1,15 @@
 """README names only what the code has: each backticked config key is a key
-of the config text, and each ``opendomain <word>`` is a subcommand."""
+of the config text, each ``opendomain <word>`` is a subcommand, the module
+table has one row per package module, and the keys it says a prepared
+prefix reads are the keys declared ``prefix``."""
 import re
 from pathlib import Path
 
 import pytest
 
+import opendomain
 from opendomain.cli import build_parser
-from opendomain.trainer import ExperimentConfig, config_to_text
+from opendomain.config import ExperimentConfig, config_keys, config_to_text
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 # checkpoint file names that read like config keys
@@ -39,3 +42,21 @@ def test_every_named_subcommand_exists(word):
     with pytest.raises(SystemExit) as stop:
         build_parser().parse_args([word, "--help"])
     assert stop.value.code == 0
+
+
+def test_module_table_names_each_module():
+    rows = re.findall(r"^\| `opendomain\.(\w+)` \|", README, flags=re.M)
+    modules = {path.stem for path in Path(opendomain.__file__).parent.glob("*.py")}
+    assert sorted(rows) == sorted(modules - {"__init__"})
+
+
+def test_the_named_prefix_keys_are_the_declared_ones():
+    # the keys as ExperimentConfig's fields declare them, read by the one
+    # walk over those fields; a `section.*` in README stands for its section
+    keys = {key: prefix for key, _, _, prefix in config_keys(ExperimentConfig())}
+    sentence = re.search(r"in the keys the prefix reads \(([^)]*)\)", " ".join(README.split()))
+    named = set()
+    for span in re.findall(r"`([a-z_]+\.(?:[a-z_]+|\*))`", sentence.group(1)):
+        whole = span.endswith(".*")
+        named |= {key for key in keys if key.startswith(span[:-1])} if whole else {span}
+    assert named == {key for key, prefix in keys.items() if prefix}

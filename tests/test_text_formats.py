@@ -11,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from opendomain import synth, trainer
+from opendomain import config, synth, trainer
+from opendomain.config import (
+    ConfigError, ExperimentConfig, config_to_text, experiment_hash, parse_config)
 from opendomain.gcn import GcnSchedule
 from opendomain.graph import KnowledgeGraph, load_graph, save_graph
 from opendomain.matching import MatchedPairs, save_pairs
@@ -23,8 +25,6 @@ from opendomain.synth import (
     load_dataset,
     save_dataset,
 )
-from opendomain.trainer import (
-    ConfigError, ExperimentConfig, config_to_text, experiment_hash, parse_config)
 from pairs_file import load_pairs
 
 # tmp_path is shared by the examples of one test; each example overwrites
@@ -248,7 +248,7 @@ def test_a_replaced_synth_section_is_a_config_built_in_one_call(drawn, known, un
     text = _with_line(text, "synth.known_classes", known)
     built = parse_config(_with_line(text, "synth.total_classes", known + unknown))
     assert replaced == built
-    assert trainer.loss_w(replaced) == trainer.loss_w(built)
+    assert config.loss_w(replaced) == config.loss_w(built)
     assert parse_config(config_to_text(replaced)) == replaced
 
 

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from opendomain import gcn, numkit, synth
+from opendomain.config import (
+    ConfigError, ExperimentConfig, apply_flags, config_to_text, experiment_hash, loss_w,
+    parse_config)
 from opendomain.gcn import GcnSchedule, propagate
-from opendomain.losses import LossWeights, cls_core
+from opendomain.losses import LossWeights, NonFiniteLossError, cls_core
 from opendomain.matching import partition_folds
 from opendomain.model import ModelState, PretrainSchedule, encode
 from opendomain.numkit import make_rng, softmax_rows
@@ -16,16 +19,8 @@ from opendomain import trainer
 from opendomain.trainer import (
     ABLATION_VARIANTS,
     DA_VARIANTS,
-    ConfigError,
-    ExperimentConfig,
-    NonFiniteLossError,
-    apply_flags,
-    config_to_text,
-    experiment_hash,
     format_ablation_table,
     joint_terms,
-    loss_w,
-    parse_config,
     run_ablation,
     run_pipeline,
 )
