@@ -27,7 +27,7 @@ class AccuracyTriple:
     n_unknown: int
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 def predict(state: ModelState, features) -> np.ndarray:

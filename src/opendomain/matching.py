@@ -1,18 +1,20 @@
 """Cross-domain instance matching on plain index and cost arrays.
 
-`pairwise_l1` gives the n x m L1 cost array, 4 rows at a time through one
-d x 4 x m temporary (0.8 MB at m=1500, d=16), adding over d in numpy's
-order. `hungarian` solves the minimum-weight assignment exactly with
-shortest augmenting paths and lazy dual updates (Crouse 2016, after
-Jonker-Volgenant), in which ties resolve to the lowest column index; each
-augmenting path is recovered from a log of the search's scans. It
-returns ``(rows, cols)`` int arrays with rows ascending, as scipy's
-``linear_sum_assignment`` does, so ``cost[hungarian(cost)]`` is each pair's
-cost. `match_domains` splits each domain into k random folds, matches fold
-i against fold i, maps local indices to global ids through the folds' index
-arrays and returns ``(src, tgt, costs, total_cost)``, the arrays sorted by
-source. `MatchedPairs` is the record of a pairs file, which `save_pairs`
-writes.
+`pairwise_l1` gives the n x m L1 cost array a block of source rows at a
+time, adding over d in numpy's order. A block takes as many rows, up to 16,
+as keep its d x rows x m temporary within 0.8 MB: 4 rows at m=1500, d=16,
+and 16 on a 120-column fold. `hungarian` solves the minimum-weight
+assignment exactly with shortest augmenting paths and lazy dual updates
+(Crouse 2016, after Jonker-Volgenant), in which ties resolve to the lowest
+column index; each augmenting path is recovered from a log of the search's
+scans. A search whose first scan finds a free column assigns it at once,
+with no path to walk. It returns ``(rows, cols)`` int arrays with rows
+ascending, as scipy's ``linear_sum_assignment`` does, so
+``cost[hungarian(cost)]`` is each pair's cost. `match_domains` splits each
+domain into k random folds, matches fold i against fold i, maps local
+indices to global ids through the folds' index arrays and returns
+``(src, tgt, costs, total_cost)``, the arrays sorted by source.
+`MatchedPairs` is the record of a pairs file, which `save_pairs` writes.
 """
 from __future__ import annotations
 
@@ -31,7 +33,12 @@ __all__ = [
     "save_pairs",
 ]
 
-_L1_BLOCK = 4  # rows per block of pairwise_l1's temporary; 2 to 8 measured fastest
+# pairwise_l1's block: at most _L1_FLOATS floats of temporary, 4 rows of
+# 1500 columns at d=16, where 2 to 8 rows measured fastest, and at most
+# _L1_ROWS rows: 50 rows of a 120-column fold, in place of 16, raised
+# train's peak memory by 0.75 MB for little more speed
+_L1_FLOATS = 16 * 4 * 1500
+_L1_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -49,17 +56,21 @@ class MatchedPairs:
 
 
 def pairwise_l1(fs, ft) -> np.ndarray:
-    """The n x m array costs[i, j] = sum_d |fs[i, d] - ft[j, d]|, computed
-    _L1_BLOCK rows at a time into the one output array."""
+    """The n x m array costs[i, j] = sum_d |fs[i, d] - ft[j, d]|, computed a
+    block of rows at a time into the one output array: as many rows as fit
+    _L1_FLOATS floats of temporary, from 1 to _L1_ROWS. Each element is summed
+    in the same order whatever the block, so the rows per block move no bit."""
     fs, ft = _same_width(fs, ft)
-    out = np.empty((len(fs), len(ft)))
+    (n, d), m = fs.shape, len(ft)
+    out = np.empty((n, m))
+    rows = max(1, min(n, _L1_ROWS, _L1_FLOATS // max(1, d * m)))
     ft_t = np.ascontiguousarray(ft.T)[:, None, :]
-    diff = np.empty((fs.shape[1], _L1_BLOCK, len(ft)))  # (d, rows, m)
+    diff = np.empty((d, rows, m))
     with np.errstate(over="ignore"):  # a cost past float64 is inf, which hungarian rejects
-        for a in range(0, len(fs), _L1_BLOCK):
-            block = diff[:, :len(fs) - a]
-            np.abs(np.subtract(fs[a:a + _L1_BLOCK].T[:, :, None], ft_t, out=block), out=block)
-            _pairwise_sum(block, out[a:a + _L1_BLOCK])
+        for a in range(0, n, rows):
+            block = diff[:, :n - a]
+            np.abs(np.subtract(fs[a:a + rows].T[:, :, None], ft_t, out=block), out=block)
+            _pairwise_sum(block, out[a:a + rows])
     return out
 
 
@@ -103,6 +114,10 @@ def _solve(cost: np.ndarray):
     the augmenting path is walked back from the free column, the column
     visited after scan k taking the row of the first of scans 0..k to give
     it its least reduced cost, recomputed with the scan's float operations.
+    A search whose first scan finds a free column assigns it to the new row
+    directly: the walk would pick that row and subtract min_val - min_val = 0
+    from the column's potential. An infinite min_val, where that difference
+    is nan, still takes the walk.
 
     Returns col_for_row, an int array of length n_rows. The first tying scan
     is a column's predecessor and the dense argmin takes the lowest column,
@@ -140,6 +155,10 @@ def _solve(cost: np.ndarray):
             if i < 0:
                 break
         u[cur] += min_val
+        if len(seen) == 1 and min_val < inf:  # a single-scan search: no path to walk
+            row_for_col[j] = cur
+            col_for_row[cur] = j
+            continue
         for r, d in zip(scans[1:], dist):
             u[r] += min_val - d
         scans, offs, seen, dist = (np.array(a) for a in (scans, offs, seen, dist))

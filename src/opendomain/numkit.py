@@ -72,7 +72,9 @@ class MomentumSgd:
     buffer. ``params`` are views of that buffer shaped like the arrays, and
     ``grads`` views of a gradient buffer in the same layout, which the
     caller fills before each ``step``: ``v = momentum * v + g`` then
-    ``p -= lr * v``, one pass over each whole buffer."""
+    ``p -= lr * v``, one pass over each whole buffer, ``lr * v`` written
+    into a scratch buffer of the optimizer's own. ``grads_finite`` tests
+    every gradient in one scan of the gradient buffer."""
 
     def __init__(self, arrays, lr: float, momentum: float):
         self.lr = lr
@@ -80,6 +82,7 @@ class MomentumSgd:
         self._buffer = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
         self._grad_buffer = np.zeros_like(self._buffer)
         self.velocity = np.zeros_like(self._buffer)
+        self._scaled = np.empty_like(self._buffer)  # lr * v
         self.params, self.grads, start = [], [], 0
         for a in arrays:
             shape, stop = np.shape(a), start + np.size(a)
@@ -91,7 +94,10 @@ class MomentumSgd:
         v = self.velocity
         v *= self.momentum
         v += self._grad_buffer
-        self._buffer -= self.lr * v
+        self._buffer -= np.multiply(v, self.lr, out=self._scaled)
+
+    def grads_finite(self) -> bool:
+        return bool(np.isfinite(self._grad_buffer).all())
 
 
 # a config key's kind is the type of its default: the values it takes, its name
@@ -192,25 +198,60 @@ def size(token) -> int:
     return value
 
 
+# tokens converted per chunk of read_rows: as str objects they take about
+# nine times the memory of their floats, so a larger chunk raises the
+# peak memory of a run that reads its tables first
+_CHUNK_TOKENS = 1024
+
+
 def read_rows(fh, path, count: int, kinds) -> np.ndarray:
     """The ``count`` rows that follow a text table's header line as a
     (count, len(kinds)) float64 array; each row has exactly one token per
-    kind and is converted by ``parse_tokens`` as it is read. Raises
-    ValueError on a row of any other width, a token that does not convert,
-    or anything but blank lines after the last row."""
+    kind. Rows are split as they are read, and each chunk of about
+    _CHUNK_TOKENS tokens is converted a column at a time, in one call per
+    column: a ``float`` column by numpy, which calls ``float`` on each
+    token, any other through its kind into an ``array('d')``. Only when
+    that fails are the chunk's rows walked again with ``parse_tokens``, so
+    the first bad row is named as a row-by-row read names it. Raises
+    ValueError on a row of any other width (after a bad token above it), a
+    token that does not convert, or anything but blank lines after the last
+    row."""
     width = len(kinds)
-    # grown row by row: a header may declare more rows than the file holds
-    values = array("d")
+    # grown chunk by chunk: a header may declare more rows than the file holds
+    chunks, tokens, first = [], [], 0
     for i in range(count):
         parts = fh.readline().split()
         if len(parts) != width:
+            _convert(tokens, first, i, path, kinds)  # a bad token above is named first
             raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
                              f"expected {width}")
-        values.extend(parse_tokens(path, i + 2, kinds, parts))
+        tokens += parts
+        if len(tokens) >= _CHUNK_TOKENS:
+            chunks.append(_convert(tokens, first, i + 1, path, kinds))
+            tokens, first = [], i + 1
+    chunks.append(_convert(tokens, first, count, path, kinds))
     for line in fh:
         if line.strip():
             raise ValueError(f"{path}: data after the {count} declared rows")
-    return np.array(values, dtype=np.float64).reshape(count, width)
+    return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+
+
+def _convert(tokens, first: int, stop: int, path, kinds) -> np.ndarray:
+    """Rows ``first`` to ``stop - 1`` of a table, their ``tokens`` laid out
+    row after row, as a float64 array, converted as :func:`read_rows` says."""
+    width, rows = len(kinds), stop - first
+    values = np.empty((rows, width))
+    try:
+        for c, kind in enumerate(kinds):
+            column = tokens[c::width]
+            values[:, c] = (np.array(column, dtype=np.float64) if kind is float
+                            else array("d", map(kind, column)))
+    except (ValueError, OverflowError):
+        for i in range(rows):
+            row = tokens[i * width:(i + 1) * width]
+            array("d", parse_tokens(path, first + i + 2, kinds, row))
+        raise
+    return values
 
 
 def write_json(path, payload) -> None:

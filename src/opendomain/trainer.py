@@ -155,7 +155,7 @@ def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Gene
             idx = order[start:start + schedule.batch_size]
             try:
                 _, loss, _ = joint_terms(state, None, cls_only, features[idx], labels[idx],
-                                         empty, empty, empty, opt.grads)
+                                         empty, empty, empty, opt.grads, opt.grads_finite)
             except NonFiniteLossError as exc:
                 raise NonFiniteLossError("pretrain", exc.value) from None
             opt.step()
@@ -191,7 +191,7 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
 
 
 def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
-                raw_s, labels, raw_t, raw_ms, raw_mt, grads):
+                raw_s, labels, raw_t, raw_ms, raw_mt, grads, grads_finite=None):
     """One training step over the terms switched on by ``cfg``: cls on the
     source batch, balance on the target batch, SGMD on the matched rows and
     the graph tie on the propagated class rows ``z_class``. It is the only
@@ -214,6 +214,12 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     :class:`MomentumSgd` views ``opt.grads``. What holds for a whole run is
     not checked here: the labels' range (each loop checks it), ``w``
     (:class:`LossWeights`) and the shapes (:func:`check_data`).
+
+    Finiteness is tested once per step, after the backward pass: the total,
+    then the gradients, through ``grads_finite()`` when it is given (both
+    loops pass ``opt.grads_finite``, one scan of the optimizer's gradient
+    buffer), else one scan of each array of ``grads``. Only when that test
+    fails does the diagnosis scan each term's value and gradients.
 
     Returns (values, total, gate): term -> value, the weighted total and the
     SGMD gate (empty if SGMD did not run). When the total or a gradient is not
@@ -271,7 +277,8 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
         d_theta *= lw.lambda_g
     # a non-finite term leaves the total or the gradients non-finite, so the scan
     # that names it runs only then; else the sum or the mapping back overflowed
-    if not (math.isfinite(total) and all(np.isfinite(g).all() for g in grads)):
+    if not (math.isfinite(total) and (grads_finite() if grads_finite else
+                                      all(np.isfinite(g).all() for g in grads))):
         term_grads = {"cls": [probs[:n_s]], "balance": [probs[n_s:n_l]], "sgmd": [d_ms],
                       "gcn": [d_theta, d_o] if cfg.enable_gcn else [], "total": grads}
         for name, value in [*values.items(), ("total", total)]:
@@ -282,7 +289,7 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     return values, total, gate
 
 
-def train_joint(prepared: Prepared, cfg: ExperimentConfig):
+def train_joint(prepared: Prepared, cfg: ExperimentConfig, eval_every_epoch: bool = True):
     """The joint loop over the cls, SGMD, balance and graph terms, with rematching
     every ``cfg.rematch_interval`` epochs; a ``cfg`` that differs from ``prepared.config``
     in a prefix key, as declared on ExperimentConfig's fields, raises ConfigError naming it.
@@ -294,7 +301,8 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
     the state sharing no array with ``prepared`` and the history one
     record per epoch: the loss term means, the fraction of matched pairs
     passing the similarity gate and the accuracy triple. A target without
-    eval labels (label -1) records its accuracies as None.
+    eval labels (label -1) records its accuracies as None, and so does every
+    epoch but the last when ``eval_every_epoch`` is false.
     """
     for (key, now, _, prefix), (_, was, _, _) in zip(config_keys(cfg),
                                                      config_keys(prepared.config)):
@@ -337,7 +345,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
             matched = slice(cuts[b], cuts[b + 1])
             values, total, gate = joint_terms(
                 state, prepared.z_class, cfg, xs[rows], ys[rows], xt[rows],
-                xms[matched], xmt[matched], opt.grads)
+                xms[matched], xmt[matched], opt.grads, opt.grads_finite)
             considered += gate.size
             gated += int(gate.sum())
             for name, val in values.items():
@@ -350,7 +358,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig):
 
         record = {"epoch": epoch, **{f"loss_{name}": sums[name] / steps for name in sums},
                   "gated_fraction": gated / considered if considered else 0.0}
-        if labeled:
+        if labeled and (eval_every_epoch or epoch == cfg.epochs - 1):
             preds = predict(state, target.features)
             record.update(accuracy_triple(preds, target.eval_labels, known).as_dict())
         else:
@@ -394,7 +402,7 @@ def run_ablation(base: ExperimentConfig, seeds, data=None):
             cfg = replace(cfg, synth=replace(base.synth, seed=int(seed)))
         prepared = prepare(cfg, synth.generate(cfg.synth) if data is None else data)
         for name, tokens in variants.items():
-            _, history = train_joint(prepared, apply_flags(cfg, tokens))
+            _, history = train_joint(prepared, apply_flags(cfg, tokens), eval_every_epoch=False)
             runs[name].append({k: history[-1][k] for k in ("known", "unknown", "all")})
     results = {}
     for variant, variant_runs in runs.items():

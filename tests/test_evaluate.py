@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -107,6 +107,12 @@ def test_as_dict_keys():
     t = accuracy_triple([0], [0], known_count=1)
     assert t.as_dict() == {"known": 1.0, "unknown": 0.0, "all": 1.0,
                            "n_known": 1, "n_unknown": 0}
+
+
+def test_as_dict_is_the_fields_in_order():
+    triple = AccuracyTriple(known=0.5, unknown=0.25, all=0.375, n_known=4, n_unknown=4)
+    assert list(triple.as_dict().items()) == list(asdict(triple).items())
+    assert type(triple)(**triple.as_dict()) == triple
 
 
 def test_triple_json_text():

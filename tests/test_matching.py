@@ -9,8 +9,9 @@ from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
 from assignment_reference import reference_solve
+from opendomain import matching
 from opendomain.matching import (
-    _L1_BLOCK,
+    _L1_FLOATS,
     MatchedPairs,
     _solve,
     hungarian,
@@ -60,20 +61,34 @@ def test_pairwise_l1_matches_double_loop():
 # the widths cover each way numpy's sum adds d terms: one by one under 8,
 # eight running sums up to 128, halves split at a multiple of 8 above
 _L1_WIDTHS = (1, 7, 8, 9, 15, 16, 17, 128, 129, 200)
+_BLOCK = 4  # rows per block, set through the temporary's float budget
 
 
 @pytest.mark.parametrize("n, d", [
-    (0, 5), (1, 5), (_L1_BLOCK - 1, 5), (_L1_BLOCK, 5), (_L1_BLOCK + 1, 5),
-    (2 * _L1_BLOCK + 3, 1),
-] + [(2 * _L1_BLOCK + 1, d) for d in _L1_WIDTHS],
+    (0, 5), (1, 5), (_BLOCK - 1, 5), (_BLOCK, 5), (_BLOCK + 1, 5),
+    (2 * _BLOCK + 3, 1),
+] + [(2 * _BLOCK + 1, d) for d in _L1_WIDTHS],
     ids=["0 rows", "1 row", "block-1", "block", "block+1", "d=1"]
     + [f"width {d}" for d in _L1_WIDTHS])
-def test_pairwise_l1_blocks_equal_one_broadcast(n, d):
+def test_pairwise_l1_blocks_equal_one_broadcast(monkeypatch, n, d):
+    monkeypatch.setattr(matching, "_L1_FLOATS", _BLOCK * d * 23)
     rng = make_rng(n)
     fs = rng.standard_normal((n, d))
     ft = rng.standard_normal((23, d + 2))[:, 1:-1]  # a column slice: not contiguous
     assert np.array_equal(pairwise_l1(fs, ft),
                           np.abs(fs[:, None, :] - ft[None, :, :]).sum(axis=2))
+
+
+@pytest.mark.parametrize("d", [6, 16, 129])
+def test_pairwise_l1_bits_do_not_depend_on_the_rows_per_block(monkeypatch, d):
+    rng = make_rng(d)
+    fs, ft = rng.standard_normal((13, d)), rng.standard_normal((11, d))
+    monkeypatch.setattr(matching, "_L1_FLOATS", 13 * d * 11)
+    outs = []
+    for rows in range(1, 14):
+        monkeypatch.setattr(matching, "_L1_ROWS", rows)
+        outs.append(pairwise_l1(fs, ft).tobytes())
+    assert len(set(outs)) == 1
 
 
 def test_pairwise_l1_temporary_stays_small():
@@ -86,10 +101,24 @@ def test_pairwise_l1_temporary_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the 1.9 MB output, one d x _L1_BLOCK x m block (0.3 MB), a copy of ft
-    # (77 kB) and numpy's ufunc buffers (about 120 kB), not the 31 MB
-    # n x m x d temporary
-    assert peak < out.nbytes + 8 * 16 * 600 * (_L1_BLOCK + 1) + 256 * 2**10
+    # the 1.9 MB output, one block of at most _L1_FLOATS floats (10 rows,
+    # 0.77 MB), a copy of ft (77 kB) and numpy's ufunc buffers (about 120 kB),
+    # not the 31 MB n x m x d temporary
+    assert peak < out.nbytes + 8 * _L1_FLOATS + 8 * 16 * 600 + 256 * 2**10
+
+
+def test_pairwise_l1_block_rows_are_capped():
+    # a fold of train's shape: 16 rows a block (246 kB), not the 50 that
+    # would fit _L1_FLOATS and raise a run's peak memory
+    rng = make_rng(10)
+    fs, ft = rng.standard_normal((80, 16)), rng.standard_normal((120, 16))
+    tracemalloc.start()
+    try:
+        out = pairwise_l1(fs, ft)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 8 * 16 * (matching._L1_ROWS + 1) * 120 + 256 * 2**10
 
 
 def test_pairwise_l1_overflow_is_inf_without_warning():
@@ -353,6 +382,32 @@ def test_solver_keeps_the_reference_tie_rule(costs):
     if costs.shape[0] > costs.shape[1]:
         costs = np.ascontiguousarray(costs.T)
     assert np.array_equal(_solve(costs), reference_solve(costs))
+
+
+def _distinct_least_columns(rng, n, m):
+    """Costs whose rows each have their least entry in a column of their own."""
+    cost = rng.uniform(1.0, 2.0, (n, m))
+    cost[np.arange(n), rng.permutation(m)[:n]] = rng.uniform(0.0, 0.5, n)
+    return cost
+
+
+@pytest.mark.parametrize("case", ["distinct least columns", "one least column"])
+def test_solver_matches_the_reference_with_one_scan_and_with_many(case):
+    # distinct least columns: every search is single-scan and assigns its
+    # column at once; one least column: every search after the first augments
+    rng = make_rng(5)
+    for n, m in [(1, 1), (6, 6), (30, 45), (40, 40)]:
+        if case == "distinct least columns":
+            cost = _distinct_least_columns(rng, n, m)
+        else:
+            cost = rng.uniform(1.0, 2.0, (n, m))
+            cost[:, rng.integers(m)] = rng.uniform(0.0, 0.5, n)
+        assert np.array_equal(_solve(cost), reference_solve(cost)), (case, n, m)
+
+
+def test_single_scan_searches_assign_each_row_its_least_column():
+    cost = _distinct_least_columns(make_rng(6), 30, 45)
+    assert np.array_equal(_solve(cost), cost.argmin(axis=1))
 
 
 # sha256 of the pairs file; the matching's ties, order and summation order

@@ -1,18 +1,22 @@
 import io
 import re
+from array import array
 
 import numpy as np
 import pytest
 
+from opendomain import numkit
 from opendomain.numkit import (
     MomentumSgd,
     load_matrix,
     make_rng,
+    parse_tokens,
     read_rows,
     save_matrix,
     size,
     softmax_rows,
 )
+from opendomain.synth import _unlabeled
 
 from gradcheck import grad_check
 
@@ -93,6 +97,30 @@ def test_momentum_sgd_lays_params_and_grads_end_to_end():
     assert not np.shares_memory(va.base, ga.base)
 
 
+def test_momentum_sgd_tests_every_gradient_in_one_call():
+    opt = MomentumSgd([np.zeros((2, 3)), np.zeros(4)], lr=0.1, momentum=0.5)
+    assert opt.grads_finite()
+    for g, bad in [(opt.grads[0], np.inf), (opt.grads[1], np.nan)]:
+        g[-1, ...] = bad
+        assert not opt.grads_finite()
+        g[...] = 0.0
+    assert opt.grads_finite()
+
+
+def test_momentum_sgd_step_gives_the_bits_of_its_formula():
+    rng = make_rng(4)
+    start = rng.standard_normal(7)
+    opt = MomentumSgd([start[:3], start[3:]], lr=0.37, momentum=0.9)
+    p, v = start.copy(), np.zeros(7)
+    for _ in range(5):
+        g = rng.standard_normal(7)
+        opt.grads[0][...], opt.grads[1][...] = g[:3], g[3:]
+        opt.step()
+        v = 0.9 * v + g
+        p = p - 0.37 * v
+    assert np.concatenate(opt.params).tobytes() == p.tobytes()
+
+
 def test_rng_stream_equality():
     a = make_rng(12345).standard_normal(10_000)
     b = make_rng(12345).standard_normal(10_000)
@@ -136,6 +164,97 @@ def test_read_rows_names_the_earliest_bad_line_across_chunks():
             (good[:2] + ["-1 2"], (size, float), "line 4: -1 is not a count")]:
         with pytest.raises(ValueError, match=re.escape(f"t.txt: {where}")):
             read_rows(io.StringIO("\n".join(lines) + "\n"), "t.txt", len(lines), kinds)
+
+
+def _read_row_by_row(fh, path, count, kinds):
+    """The reader before its columns were converted in bulk: each row read,
+    width-checked and converted by parse_tokens in turn. The oracle."""
+    width = len(kinds)
+    values = array("d")
+    for i in range(count):
+        parts = fh.readline().split()
+        if len(parts) != width:
+            raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
+                             f"expected {width}")
+        values.extend(parse_tokens(path, i + 2, kinds, parts))
+    for line in fh:
+        if line.strip():
+            raise ValueError(f"{path}: data after the {count} declared rows")
+    return np.array(values, dtype=np.float64).reshape(count, width)
+
+
+def _label(token):
+    value = int(token)
+    if not 0 <= value < 4:
+        raise ValueError(f"label {value} out of range for 4 classes")
+    return value
+
+
+# tokens at the edges of what Python's float parses (underscores, non-ASCII
+# digits, hex, nan payloads, overflow), and integers that do not fit or parse
+_ODD_FLOATS = ["1_0", "\uff11", "0x10", "nan(1)", "1e", "nan", "-inf", "1e999", "-0", "abc"]
+_ODD_INTS = ["7", "-1", "1.5", "?", "\u0663", "1_0", "1" + "0" * 400]
+_KIND_SETS = [(float,), (float,) * 3, (), (size, size, float), (_label, float, float),
+              (_unlabeled, float), (int, float)]
+
+
+def _seeded_table(seed):
+    """(text after the header, declared count, kinds): a random table whose
+    tokens, widths, length and tail are sometimes wrong."""
+    rng = make_rng(seed)
+    kinds = _KIND_SETS[seed % len(_KIND_SETS)]
+    rows = int(rng.integers(0, 9))
+    odd = rng.random() < 0.5  # about half of the tables are valid
+    lines = []
+    for _ in range(rows):
+        tokens = []
+        for kind in kinds:
+            if kind is float:
+                token = f"{rng.standard_normal() * 10.0 ** rng.integers(-3, 4):.17g}"
+                pool = _ODD_FLOATS
+            else:
+                token = "?" if kind is _unlabeled else str(rng.integers(0, 4))
+                pool = _ODD_INTS
+            if odd and rng.random() < 0.1:
+                token = pool[rng.integers(len(pool))]
+            tokens.append(token)
+        if odd and rng.random() < 0.05:
+            tokens = tokens[:-1] if rng.random() < 0.5 else tokens + ["0"]
+        lines.append(" ".join(tokens))
+    count = rows
+    tail = rng.integers(4) if odd else 0
+    if tail == 1:  # a short file, or one whose header declares 10**12 rows
+        # (not without columns: an empty line past the end reads as a row)
+        count = rows + 1 if rng.random() < 0.5 or not kinds else 10**12
+    elif tail == 2:
+        lines.append("1 2")
+    elif tail == 3:
+        lines += ["", "  "]
+    return "\n".join(lines) + "\n" * bool(lines), count, kinds
+
+
+def _outcome(reader, text, count, kinds):
+    try:
+        values = reader(io.StringIO(text), "t.txt", count, kinds)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return values.shape, values.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, numkit._CHUNK_TOKENS])
+def test_read_rows_gives_the_row_by_row_readers_array_or_error(monkeypatch, chunk):
+    # each chunk's columns are converted in one call each, and its rows
+    # walked again only on failure: the array's bits and the first error's
+    # text are the ones a row-by-row read gives, whatever the chunk
+    monkeypatch.setattr(numkit, "_CHUNK_TOKENS", chunk)
+    outcomes = []
+    for seed in range(400):
+        text, count, kinds = _seeded_table(seed)
+        got = _outcome(read_rows, text, count, kinds)
+        assert got == _outcome(_read_row_by_row, text, count, kinds), (seed, text, count)
+        outcomes.append(got[0])
+    errors = [o for o in outcomes if isinstance(o, str)]
+    assert 100 < len(errors) < 300 and "OverflowError" in errors
 
 
 @pytest.mark.parametrize("header, error", [

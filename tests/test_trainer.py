@@ -1006,6 +1006,23 @@ def test_run_ablation_single_seed_matches_pipeline():
         assert results[variant]["all_std"] == 0.0
 
 
+def test_final_only_evaluation_gives_the_full_history_final_record():
+    # run_ablation reads the last epoch's triple alone, so it scores only that
+    # epoch; the training and every loss record are those of a scored run
+    cfg = _small_cfg(epochs=3)
+    prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
+    full_state, full = trainer.train_joint(prepared, cfg)
+    final_state, final_only = trainer.train_joint(prepared, cfg, eval_every_epoch=False)
+    assert len(final_only) == len(full) == cfg.epochs
+    assert final_only[-1] == full[-1] and full[-1]["all"] is not None
+    triple = ("known", "unknown", "all", "n_known", "n_unknown")
+    for record, scored in zip(final_only[:-1], full[:-1]):
+        assert all(record[key] is None for key in triple)
+        assert record == {**scored, **dict.fromkeys(triple)}
+    for f in fields(full_state):
+        assert np.array_equal(getattr(full_state, f.name), getattr(final_state, f.name))
+
+
 def test_run_ablation_prepares_once_per_seed(monkeypatch):
     calls = {"pretrain_source": 0, "train_gcn_init": 0}
     for name in calls:
