@@ -213,18 +213,21 @@ def read_rows(fh, path, count: int, kinds) -> np.ndarray:
     token, any other through its kind into an ``array('d')``. Only when
     that fails are the chunk's rows walked again with ``parse_tokens``, so
     the first bad row is named as a row-by-row read names it. Raises
-    ValueError on a row of any other width (after a bad token above it), a
+    ValueError on a row of any other width or the end of the file before
+    the ``count``-th row, whatever the width (after a bad token above it), a
     token that does not convert, or anything but blank lines after the last
-    row."""
+    row. A row of a table with no columns is a blank line."""
     width = len(kinds)
     # grown chunk by chunk: a header may declare more rows than the file holds
     chunks, tokens, first = [], [], 0
     for i in range(count):
-        parts = fh.readline().split()
-        if len(parts) != width:
+        line = fh.readline()
+        parts = line.split()
+        if len(parts) != width or not line:
             _convert(tokens, first, i, path, kinds)  # a bad token above is named first
-            raise ValueError(f"{path}: line {i + 2} has {len(parts)} fields, "
-                             f"expected {width}")
+            raise ValueError(f"{path}: line {i + 2} " + (
+                f"has {len(parts)} fields, expected {width}" if line
+                else f"is missing: the header declares {count} rows"))
         tokens += parts
         if len(tokens) >= _CHUNK_TOKENS:
             chunks.append(_convert(tokens, first, i + 1, path, kinds))

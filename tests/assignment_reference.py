@@ -1,7 +1,12 @@
 """The assignment solver the package shipped before its lazy-dual rewrite,
-kept as the tests' reference for the tie rule: on whole-number and on
-continuous random costs the package's solver must return the same column
-for every row."""
+kept as the tests' oracle wherever the optimum is unique: there the
+package's solver must return the same column for every row, as it does on
+continuous random costs. The package's solver runs two passes of augmenting
+row reduction before its searches, which take the lowest-index column of
+least reduced cost, or on an exact tie with a held one the lowest-index
+second column. So where two optimal matchings have the same float total,
+as on small whole-number costs, the two solvers can return different ones,
+both optimal."""
 import numpy as np
 
 

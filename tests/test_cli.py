@@ -751,6 +751,9 @@ _EXIT_CASES = [
     ("match", "short matrix row", _edit_row("fs.mat", _short), 1, "fs.mat"),
     ("match", "header declaring 10**12 rows",
      _replace("ft.mat", "8 3\n", f"{10**12} 3\n"), 1, "ft.mat: line 10"),
+    ("match", "header declaring 10**12 rows of no columns",
+     lambda root: (root / "ft.mat").write_text(f"{10**12} 0\n"), 1,
+     "ft.mat: line 2 is missing: the header declares 1000000000000 rows"),
     ("match", "trailing matrix rows", _append("ft.mat", "0 0 0\n"), 1, "ft.mat"),
     ("match", "-inf in matrix", _edit_row("fs.mat", _last("-inf")), 1, "fs.mat"),
     ("match", "non-numeric matrix entry",

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -335,16 +336,17 @@ def _cost_arrays(draw):
 
 @st.composite
 def _seeded_cost_arrays(draw):
-    """Floats in [0, 100) or the integers 0..3 that force ties, filled by
-    numpy from a drawn seed. hypothesis would draw a 120 x 150 array element
-    by element in a third of a second, and its arrays repeat one float
-    value, on whose rounding-level ties the two solvers can differ (both
-    optimal, which test_hungarian_equals_scipy_optimum checks)."""
+    """(costs, integers): floats in [0, 100), or the integers 0..3 that
+    force exact ties between optimal matchings, filled by numpy from a
+    drawn seed. hypothesis would draw a 120 x 150 array element by element
+    in a third of a second, and its arrays repeat one float value, on whose
+    rounding-level ties the two solvers can differ (both optimal, which
+    test_hungarian_equals_scipy_optimum checks)."""
     shape = (draw(st.integers(1, 120)), draw(st.integers(1, 150)))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
-        return rng.random(shape) * 100.0
-    return rng.integers(0, 4, shape).astype(float)
+        return rng.random(shape) * 100.0, False
+    return rng.integers(0, 4, shape).astype(float), True
 
 
 @settings(max_examples=10, deadline=None)
@@ -376,12 +378,53 @@ def _clustered_cost():
 
 @settings(max_examples=60, deadline=None)
 @given(_seeded_cost_arrays())
-@example(_TIED_SCANS)
-@example(_clustered_cost())
-def test_solver_keeps_the_reference_tie_rule(costs):
+@example((_TIED_SCANS, False))
+@example((_clustered_cost(), False))
+def test_solver_keeps_the_reference_tie_rule(case):
+    costs, integers = case
     if costs.shape[0] > costs.shape[1]:
         costs = np.ascontiguousarray(costs.T)
-    assert np.array_equal(_solve(costs), reference_solve(costs))
+    cols = _solve(costs)
+    if not integers:  # continuous costs and the examples: the reference's columns
+        assert np.array_equal(cols, reference_solve(costs))
+        return
+    # exact ties between optimal matchings: the row reduction may pick
+    # another one than the reference, so check the total and that the
+    # columns repeat
+    rows, optimal = linear_sum_assignment(costs)
+    assert costs[np.arange(len(cols)), cols].sum() == costs[rows, optimal].sum()
+    assert len(set(cols.tolist())) == len(cols)
+    assert np.array_equal(_solve(costs), cols)
+
+
+def test_row_reduction_breaks_an_exact_tie_away_from_a_held_column():
+    # the smallest whole-number costs on which the reference's matching
+    # differs: row 0 takes column 0, the lowest of its three tied columns;
+    # row 1's least columns 0 and 2 tie and column 0 is held, so row 1 takes
+    # column 2. The reference returns the other optimum, of the same total 0
+    costs = np.array([[0.0, 0.0, 0.0],
+                      [0.0, 1.0, 0.0]])
+    assert _solve(costs).tolist() == [0, 2]
+    assert reference_solve(costs).tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["as given", "transposed"])
+def test_hungarian_is_optimal_on_clustered_costs(transposed):
+    # L1 costs between synth features at a quarter of the match benchmark's
+    # item (248 x 372), where most rows are assigned by the row reduction.
+    # This data has exact L1 ties, so the totals are compared, not columns
+    source, target, _, _ = generate(SynthConfig(source_per_class=31, target_per_class=31))
+    costs = pairwise_l1(source.features, target.features)
+    assert costs.shape == (248, 372)
+    if transposed:
+        costs = costs.T
+    rows, cols = hungarian(costs)
+    assert len(rows) == len(set(rows.tolist())) == len(set(cols.tolist())) == 248
+    optimal = linear_sum_assignment(costs)
+    assert math.fsum(costs[rows, cols]) == pytest.approx(math.fsum(costs[optimal]),
+                                                         rel=1e-12)
+    again = hungarian(costs)
+    assert np.array_equal(again[0], rows) and np.array_equal(again[1], cols)
 
 
 def _distinct_least_columns(rng, n, m):
