@@ -2,13 +2,12 @@
 
 Two point clouds stand in for source and target features. The assignment
 solver pairs them at minimum total L1 cost; splitting each domain into k
-random folds and solving k smaller problems trades a little cost for a lot
-of speed (the solver is cubic in the number of instances).
+random folds solves k smaller problems, each pairing points only within its
+fold. The demo prints, for 1, 2, 5 and 10 folds, the total cost and the
+share of pairs that link points of the same class.
 
 Run:  python3 demos/matching_folds.py
 """
-import time
-
 import numpy as np
 
 from opendomain.matching import hungarian, match_domains
@@ -36,12 +35,10 @@ ft = np.concatenate([centers[c] + rng.standard_normal((n_per, dim)) + 0.5
 labels = np.repeat(np.arange(classes), n_per)
 
 for folds in (1, 2, 5, 10):
-    t0 = time.perf_counter()
     src, tgt, _, total = match_domains(fs, ft, folds, make_rng(1))
-    dt = time.perf_counter() - t0
     same = np.mean(labels[src] == labels[tgt])
-    print(f"folds={folds:>2}: cost {total:9.1f}  "
-          f"same-class pairs {same:5.1%}  {dt * 1e3:6.1f} ms")
+    print(f"folds={folds:>2}: cost {total:9.1f}  same-class pairs {same:5.1%}")
 
-print("\nmore folds = slightly worse cost, much faster, and the pairs stay")
-print("overwhelmingly same-class, which is all the discrepancy term needs.")
+print("\nmore folds = a higher total cost and fewer same-class pairs: a point")
+print("pairs only within its fold, whose two sides may hold its class in")
+print("different numbers.")

@@ -146,7 +146,7 @@ def cmd_ablate(args) -> int:
 def cmd_match(args) -> int:
     fs = load_matrix(args.source)
     ft = load_matrix(args.target)
-    try:  # other widths, more folds than rows, or L1 costs past float64
+    try:  # other widths, more folds than rows, or L1 costs or their total past float64
         src, tgt, costs, total = match_domains(fs, ft, args.folds, make_rng(args.seed))
     except ValueError as exc:
         raise ValueError(f"matching {args.source} against {args.target}: {exc}") from None

@@ -7,11 +7,10 @@ and 16 on a 120-column fold. `hungarian` solves the minimum-weight
 assignment exactly: two passes of augmenting row reduction (Jonker-Volgenant
 1987) assign most rows, and shortest augmenting paths with lazy dual updates
 (Crouse 2016) assign the rest; each augmenting path is recovered from a log
-of the search's scans. A search whose first scan finds a free column assigns
-it at once, with no path to walk. Ties go to the lowest column index the
-rule of each phase allows, so the matching is pinned across runs; where the
-optimum is unique it is the one the tests' reference solver finds. It
-returns ``(rows, cols)`` int arrays with rows ascending, as scipy's
+of the search's scans. Ties go to the lowest column index the rule of each
+phase allows, so the matching is pinned across runs; where the optimum is
+unique it is the one the tests' reference solver finds. It returns
+``(rows, cols)`` int arrays with rows ascending, as scipy's
 ``linear_sum_assignment`` does, so ``cost[hungarian(cost)]`` is each pair's
 cost. `match_domains` splits each domain into k random folds, matches fold
 i against fold i, maps local indices to global ids through the folds' index
@@ -154,17 +153,13 @@ def _solve(cost: np.ndarray):
     c - v. The rows left free get lazy-dual searches (Crouse 2016), in row
     order: one Dijkstra search per free row over full-length column arrays,
     and the potentials updated once per row from the distances at which the
-    search visited each column. A search reads
-    the column potentials from a per-row copy in which a visited column is
-    -inf, so its reduced cost is +inf and never lowers ``shortest``. A scan
+    search visited each column. A search reads the column potentials from a
+    per-row copy in which a visited column is -inf, so its reduced cost is
+    +inf and never lowers ``shortest``. A scan
     records no predecessors, only its row and offset ``min_val - u[row]``;
     the augmenting path is walked back from the free column, the column
     visited after scan k taking the row of the first of scans 0..k to give
     it its least reduced cost, recomputed with the scan's float operations.
-    A search whose first scan finds a free column assigns it to the new row
-    directly: the walk would pick that row and subtract min_val - min_val = 0
-    from the column's potential. An infinite min_val, where that difference
-    is nan, still takes the walk.
 
     Returns col_for_row, an int array of length n_rows. The tie rule pins
     the returned matching across runs: the reduction takes the lowest-index
@@ -213,10 +208,6 @@ def _solve(cost: np.ndarray):
             if i < 0:
                 break
         u[cur] += min_val
-        if len(seen) == 1 and min_val < inf:  # a single-scan search: no path to walk
-            row_for_col[j] = cur
-            col_for_row[cur] = j
-            continue
         for r, d in zip(scans[1:], dist):
             u[r] += min_val - d
         scans, offs, seen, dist = (np.array(a) for a in (scans, offs, seen, dist))
@@ -241,8 +232,15 @@ def hungarian(cost):
     if cost.ndim != 2:
         raise DimensionError("costs must be 2-D")
     # two reductions, no n x m temporary: a NaN fails the min's test
-    if not (cost.min(initial=np.inf) >= 0 and cost.max(initial=0.0) < np.inf):
+    top = cost.max(initial=0.0)
+    if not (cost.min(initial=np.inf) >= 0 and top < np.inf):
         raise ValueError("costs must be finite and non-negative")
+    # For the largest cost C, _solve keeps u and v within 3C of 0 and every
+    # sum within 4C, finite while C <= 2**1019. Larger costs are solved scaled
+    # down to that bound by a power of two, exact on costs from 2**-1017 up
+    # and on their sums, so every comparison and tie falls as on the costs given
+    if top > 2.0 ** 1019:
+        cost = np.ldexp(cost, 1019 - np.frexp(top)[1])
     if cost.shape[0] <= cost.shape[1]:
         return np.arange(cost.shape[0]), _solve(cost)
     rows = _solve(np.ascontiguousarray(cost.T))
@@ -264,7 +262,7 @@ def match_domains(fs, ft, k: int, rng: np.random.Generator):
     and return the union of the per-fold matchings as (src, tgt, costs,
     total_cost): index and cost arrays sorted by source, and the sum of
     the per-fold totals. A ValueError refuses matrices of other widths, a
-    ``k`` above either's row count and a cost that overflows float64."""
+    ``k`` above either's row count, and a cost or a total past float64."""
     fs, ft = _same_width(fs, ft)  # before the folds, so a refusal names the whole arrays
     source_folds, target_folds = partition_folds(fs.shape[0], ft.shape[0], k, rng)
     src, tgt, costs = [], [], []
@@ -275,8 +273,10 @@ def match_domains(fs, ft, k: int, rng: np.random.Generator):
         src.append(s_fold[rows])
         tgt.append(t_fold[cols])
         costs.append(cost[rows, cols])
-        # float64 scalars, summed in row order (3.12+ compensates plain floats)
-        total += float(sum(costs[-1]))
+        with np.errstate(over="ignore"):  # a total past float64 is inf, refused below
+            total += float(sum(costs[-1]))  # np.float64s in row order: 3.12+ compensates floats
+    if total == np.inf:
+        raise ValueError("the total matched cost overflows float64")
     src, tgt, costs = (np.concatenate(a) for a in (src, tgt, costs))
     order = np.argsort(src)
     return src[order], tgt[order], costs[order], total

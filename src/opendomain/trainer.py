@@ -155,7 +155,7 @@ def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Gene
             idx = order[start:start + schedule.batch_size]
             try:
                 _, loss, _ = joint_terms(state, None, cls_only, features[idx], labels[idx],
-                                         empty, empty, empty, opt.grads, opt.grads_finite)
+                                         empty, empty, empty, opt)
             except NonFiniteLossError as exc:
                 raise NonFiniteLossError("pretrain", exc.value) from None
             opt.step()
@@ -191,7 +191,7 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
 
 
 def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
-                raw_s, labels, raw_t, raw_ms, raw_mt, grads, grads_finite=None):
+                raw_s, labels, raw_t, raw_ms, raw_mt, opt: MomentumSgd):
     """One training step over the terms switched on by ``cfg``: cls on the
     source batch, balance on the target batch, SGMD on the matched rows and
     the graph tie on the propagated class rows ``z_class``. It is the only
@@ -209,24 +209,23 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     Matched rows join only when some pair passes the gate.
 
     Each parameter's gradient of the total is written straight into its
-    array of ``grads``, float64 arrays shaped like the state's weight, bias,
-    head and, with the graph term, theta, in that order: in both loops the
-    :class:`MomentumSgd` views ``opt.grads``. What holds for a whole run is
+    array of ``opt.grads``, the :class:`MomentumSgd` views shaped like the
+    state's weight, bias, head and, with the graph term, theta, in that
+    order, which ``opt.step()`` then applies. What holds for a whole run is
     not checked here: the labels' range (each loop checks it), ``w``
     (:class:`LossWeights`) and the shapes (:func:`check_data`).
 
     Finiteness is tested once per step, after the backward pass: the total,
-    then the gradients, through ``grads_finite()`` when it is given (both
-    loops pass ``opt.grads_finite``, one scan of the optimizer's gradient
-    buffer), else one scan of each array of ``grads``. Only when that test
-    fails does the diagnosis scan each term's value and gradients.
+    then the gradients, in ``opt.grads_finite()``'s one scan of the
+    gradient buffer. Only when that test fails does the diagnosis scan each
+    term's value and gradients.
 
     Returns (values, total, gate): term -> value, the weighted total and the
     SGMD gate (empty if SGMD did not run). When the total or a gradient is not
     finite, NonFiniteLossError(name, value) names the first term in ``values``
     order, then "total", whose value (or, as nan, a gradient) is not.
     """
-    lw = cfg.loss
+    lw, grads = cfg.loss, opt.grads
     known, w_head = state.known_count, state.head
     balance = cfg.enable_lb or cfg.vanilla_balance
     n_s = len(raw_s)
@@ -277,8 +276,7 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
         d_theta *= lw.lambda_g
     # a non-finite term leaves the total or the gradients non-finite, so the scan
     # that names it runs only then; else the sum or the mapping back overflowed
-    if not (math.isfinite(total) and (grads_finite() if grads_finite else
-                                      all(np.isfinite(g).all() for g in grads))):
+    if not (math.isfinite(total) and opt.grads_finite()):
         term_grads = {"cls": [probs[:n_s]], "balance": [probs[n_s:n_l]], "sgmd": [d_ms],
                       "gcn": [d_theta, d_o] if cfg.enable_gcn else [], "total": grads}
         for name, value in [*values.items(), ("total", total)]:
@@ -345,7 +343,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, eval_every_epoch: boo
             matched = slice(cuts[b], cuts[b + 1])
             values, total, gate = joint_terms(
                 state, prepared.z_class, cfg, xs[rows], ys[rows], xt[rows],
-                xms[matched], xmt[matched], opt.grads, opt.grads_finite)
+                xms[matched], xmt[matched], opt)
             considered += gate.size
             gated += int(gate.sum())
             for name, val in values.items():

@@ -212,10 +212,15 @@ def _check_finite(name, value, grads):
 
 
 def gradient_arrays(state, cfg):
-    """NaN-filled arrays for the gradients a step writes under ``cfg``: the
-    encoder weight, bias, head and, with the graph term, theta of ``state``."""
+    """A :class:`MomentumSgd` on copies of the arrays a step trains under
+    ``cfg``, the encoder weight, bias, head and, with the graph term, theta
+    of ``state``, whose ``grads`` are NaN: a gradient the step leaves
+    unwritten fails its finiteness test and every comparison."""
     trained = [state.weight, state.bias, state.head] + ([state.theta] if cfg.enable_gcn else [])
-    return [np.full(np.shape(p), np.nan) for p in trained]
+    opt = MomentumSgd(trained, cfg.learning_rate, cfg.momentum)
+    for grad in opt.grads:
+        grad.fill(np.nan)
+    return opt
 
 
 def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_mt, grads):

@@ -192,10 +192,10 @@ def test_criterion_2_gradient_suite():
 
         def objective(enc_w, enc_b, head_w, theta):
             state = ModelState(enc_w, enc_b.ravel(), head_w, 2, theta)
-            grads = gradient_arrays(state, cfg)
+            opt = gradient_arrays(state, cfg)
             _, total, _ = joint_terms(state, z_class, cfg, raw_s, labels,
-                                      raw_t, raw_s, raw_mt, grads)
-            return total, grads
+                                      raw_t, raw_s, raw_mt, opt)
+            return total, opt.grads
 
         enc_w = rng.standard_normal((3, 3))
         enc_b = rng.standard_normal((1, 3))

@@ -536,6 +536,15 @@ def _no_columns(name):
     return lambda root: save_matrix(root / name, load_matrix(root / name)[:, :0])
 
 
+def _opposite_extremes(value):
+    """Rewrite fs.mat and ft.mat as rows of ``value`` and ``-value``: finite
+    entries, each pair of rows costing 2 * |value| per column."""
+    def edit(root):
+        for name, sign in (("fs.mat", 1.0), ("ft.mat", -1.0)):
+            save_matrix(root / name, np.full(load_matrix(root / name).shape, sign * value))
+    return edit
+
+
 def _no_features(*names):
     """Rewrite datasets as their rows with no feature columns."""
     def edit(root):
@@ -765,6 +774,9 @@ _EXIT_CASES = [
     ("match", "--folds past the source rows", "--folds 7", 1,
      ("matching /", "fs.mat against /", "ft.mat: fold count 7 out of range for sizes 6, 8")),
     ("match", "negative --seed", "--seed -1", 1, "--seed"),
+    # each pair costs about 1.6e308 over its 3 columns, finite; the total of 6 is not
+    ("match", "total matched cost past float64", _opposite_extremes(8e307 / 3), 1,
+     ("matching /", "fs.mat against /", "ft.mat: the total matched cost overflows float64")),
     ("match", "matrices of different widths", _drop_column("ft.mat"), 1,
      ("matching /", "fs.mat against /", "ft.mat: pairwise_l1: shapes (6, 3), (8, 2)")),
     # the shapes are the matrices', not those of a fold

@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,6 +191,32 @@ def test_hungarian_row_shift_invariance():
     # the original matching stays optimal for the shifted matrix
     original_on_shifted = sum(shifted[i, j] for i, j in zip(rows, cols))
     assert shifted_total == pytest.approx(original_on_shifted, abs=1e-9)
+
+
+def _exact_least_total(costs):
+    """The least total of an assignment of the smaller side, each total
+    summed exactly."""
+    exact = [[Fraction(c) for c in row] for row in costs.tolist()]
+    if len(exact) > len(exact[0]):
+        exact = [list(col) for col in zip(*exact)]
+    return min(sum(row[j] for row, j in zip(exact, cols))
+               for cols in itertools.permutations(range(len(exact[0])), len(exact)))
+
+
+def test_hungarian_is_exactly_optimal_on_costs_near_the_float64_limit():
+    # costs up to float64's largest, which it holds once: the solver's sums
+    # must neither overflow nor warn, and its matching must have the least
+    # total in exact arithmetic (scipy's solver missed it by 0.14% on one
+    # such array, so it is no oracle here)
+    rng = make_rng(7)
+    for _ in range(200):
+        costs = rng.random((rng.integers(1, 6), rng.integers(1, 8))) * np.finfo(float).max
+        costs.flat[rng.integers(costs.size)] = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows, cols = hungarian(costs)
+        assert len(rows) == min(costs.shape)
+        assert sum(map(Fraction, costs[rows, cols].tolist())) == _exact_least_total(costs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])

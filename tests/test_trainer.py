@@ -601,11 +601,11 @@ def test_end_to_end_objective_gradient():
 
     def objective(enc_w, enc_b, head_w, theta):
         state = ModelState(enc_w, enc_b.ravel(), head_w, ls, theta)
-        grads = gradient_arrays(state, cfg)
+        opt = gradient_arrays(state, cfg)
         values, total, _ = joint_terms(state, z_class, cfg, raw_s, labels,
-                                       raw_t, raw_s, raw_mt, grads)
+                                       raw_t, raw_s, raw_mt, opt)
         assert set(values) == {"cls", "balance", "sgmd", "gcn"}
-        return total, grads
+        return total, opt.grads
 
     enc_w = rng.standard_normal((m_in, m))
     enc_b = rng.standard_normal((1, m))
@@ -674,9 +674,9 @@ def test_stacked_step_matches_the_per_term_reference(variant, w):
                 batch = (raw_s, labels, raw_t, raw_ms, raw_mt)
                 ref_terms, ref_gate = reference_terms(state, z_class, cfg, *batch)
                 ref_total, ref_grads = reference_total(ref_terms, lw)
-                grads = gradient_arrays(state, cfg)
+                opt = gradient_arrays(state, cfg)
                 values, total_value, gate = joint_terms(
-                    copy.deepcopy(state), z_class, cfg, *batch, grads)
+                    copy.deepcopy(state), z_class, cfg, *batch, opt)
 
                 assert np.array_equal(gate, ref_gate)
                 if cfg.enable_sgmd and matched:
@@ -689,8 +689,8 @@ def test_stacked_step_matches_the_per_term_reference(variant, w):
                 for name, value in values.items():
                     _close(value, ref_terms[name][0] if name in ref_terms else 0.0)
                 _close(total_value, ref_total)
-                assert set(_GRAD_NAMES[:len(grads)]) == set(ref_grads)
-                for key, grad in zip(_GRAD_NAMES, grads):
+                assert set(_GRAD_NAMES[:len(opt.grads)]) == set(ref_grads)
+                for key, grad in zip(_GRAD_NAMES, opt.grads):
                     _close(grad, ref_grads[key])
 
 
@@ -726,13 +726,13 @@ def test_lean_step_gives_the_bits_of_the_checked_step(flags, case):
         raw_s = rng.standard_normal((n, m_in))
         batch = (raw_s, rng.integers(0, known, n), rng.standard_normal((n, m_in)),
                  raw_s[:matched], rng.standard_normal((matched, m_in)))
-        grads, ref_grads = gradient_arrays(state, cfg), gradient_arrays(state, cfg)
-        values, total_value, gate = joint_terms(state, z_class, cfg, *batch, grads)
+        opt, ref = gradient_arrays(state, cfg), gradient_arrays(state, cfg)
+        values, total_value, gate = joint_terms(state, z_class, cfg, *batch, opt)
         ref_values, ref_total, ref_gate = checked_joint_terms(
-            copy.deepcopy(state), z_class, cfg, *batch, ref_grads)
+            copy.deepcopy(state), z_class, cfg, *batch, ref.grads)
 
         assert values == ref_values and total_value == ref_total
-        for key, grad, ref_grad in zip(_GRAD_NAMES, grads, ref_grads):
+        for key, grad, ref_grad in zip(_GRAD_NAMES, opt.grads, ref.grads):
             assert np.array_equal(grad, ref_grad), key
         assert gate.dtype == ref_gate.dtype and np.array_equal(gate, ref_gate)
         gates.append(gate)
@@ -835,12 +835,12 @@ def test_train_joint_replays_joint_terms_and_momentum():
             src_idx = order_src[start:start + cfg.batch_size]
             tgt_idx = order_tgt[start:start + cfg.batch_size]
             s_ids = src_idx[partner[src_idx] >= 0]
-            grads = gradient_arrays(state, cfg)
+            opt = gradient_arrays(state, cfg)
             joint_terms(
                 state, replay.z_class, cfg, source.features[src_idx],
                 source.labels[src_idx], target.features[tgt_idx],
-                source.features[s_ids], target.features[partner[s_ids]], grads)
-            for i, (p, grad) in enumerate(zip(params, grads, strict=True)):
+                source.features[s_ids], target.features[partner[s_ids]], opt)
+            for i, (p, grad) in enumerate(zip(params, opt.grads, strict=True)):
                 velocity[i] = cfg.momentum * velocity[i] + grad
                 p -= cfg.learning_rate * velocity[i]
     assert np.array_equal(trained.weight, state.weight)
@@ -910,9 +910,10 @@ def test_cls_rows_ignore_the_unknown_logits(known, total):
     cfg = apply_flags(ExperimentConfig(), ())
     raw_none = np.zeros((0, m_in))
     with np.errstate(all="raise"):  # no NaN, overflow or underflow on the way
-        grads = gradient_arrays(state, cfg)
+        opt = gradient_arrays(state, cfg)
         values, total_value, _ = joint_terms(
-            state, None, cfg, raw_s, labels, raw_s, raw_none, raw_none, grads)
+            state, None, cfg, raw_s, labels, raw_s, raw_none, raw_none, opt)
+        grads = opt.grads
 
     d_logits = softmax_rows(f @ head[:known].T)
     value = cls_core(d_logits, labels)
