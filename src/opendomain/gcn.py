@@ -17,10 +17,12 @@ of iterating.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import NonFiniteLossError
 from .numkit import DimensionError, MomentumSgd, check_keys, key
 
 __all__ = [
@@ -103,7 +105,9 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     with ``leaky_relu^-1(W) = where(W > 0, W, W / slope)``. Otherwise (an
     ill-conditioned Z_k, whose exact solve would blow up the unknown rows;
     slope 0; a rank-deficient Z_k: more known rows than word dims, zero
-    word vectors) it runs ``schedule.steps`` momentum steps.
+    word vectors) it runs ``schedule.steps`` momentum steps, and raises
+    NonFiniteLossError for ``'gcn init'`` at the first step whose loss is
+    not finite.
 
     Returns (theta, embeddings) where ``embeddings`` are the class rows of
     O = leaky_relu(Z_class theta), :func:`leaky_relu`'s activation (known
@@ -130,9 +134,13 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
         step = schedule.learning_rate / max(curvature, 1e-12)
         opt = MomentumSgd([theta], step, schedule.momentum)
         (theta,), (d_theta,) = opt.params, opt.grads
-        for _ in range(schedule.steps):
-            # the core writes d_theta: the shapes are built or checked above,
-            # the slope by GcnSchedule
-            gcn_reg_core(z_known, theta, slope, w, d_theta)
-            opt.step()
+        # an overflow shows as the first loss that is not finite, refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(schedule.steps):
+                # the core writes d_theta: the shapes are built or checked
+                # above, the slope by GcnSchedule
+                loss = gcn_reg_core(z_known, theta, slope, w, d_theta)[0]
+                if not math.isfinite(loss):
+                    raise NonFiniteLossError("gcn init", loss)
+                opt.step()
     return theta, leaky_relu(z_class @ theta, slope)[0]

@@ -58,7 +58,8 @@ class LossWeights:
 
 
 class NonFiniteLossError(RuntimeError):
-    """A loss term went NaN/Inf, as ``trainer.joint_terms`` finds: its component and value."""
+    """A loss went NaN/Inf: its component (a term that ``trainer.joint_terms``
+    finds, ``'pretrain'`` or ``'gcn init'``) and value."""
 
     def __init__(self, component: str, value: float):
         super().__init__(f"non-finite loss in component '{component}' ({value})")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError
+from .numkit import DimensionError, as_matrix
 
 __all__ = [
     "MatchedPairs",
@@ -261,15 +261,21 @@ def match_domains(fs, ft, k: int, rng: np.random.Generator):
     """Partition both domains into k folds, match fold i against fold i,
     and return the union of the per-fold matchings as (src, tgt, costs,
     total_cost): index and cost arrays sorted by source, and the sum of
-    the per-fold totals. A ValueError refuses matrices of other widths, a
-    ``k`` above either's row count, and a cost or a total past float64."""
+    the per-fold totals. A ValueError refuses matrices of other widths,
+    features that are not all finite, a ``k`` above either's row count,
+    and finite features whose L1 cost or total overflows float64."""
     fs, ft = _same_width(fs, ft)  # before the folds, so a refusal names the whole arrays
+    as_matrix(fs, "the source features")  # refuses NaN and inf entries
+    as_matrix(ft, "the target features")
     source_folds, target_folds = partition_folds(fs.shape[0], ft.shape[0], k, rng)
     src, tgt, costs = [], [], []
     total = 0.0
     for s_fold, t_fold in zip(source_folds, target_folds):
         cost = pairwise_l1(fs[s_fold], ft[t_fold])
-        rows, cols = hungarian(cost)
+        try:
+            rows, cols = hungarian(cost)
+        except ValueError:  # of finite features, only an L1 cost of inf
+            raise ValueError("an L1 cost overflows float64") from None
         src.append(s_fold[rows])
         tgt.append(t_fold[cols])
         costs.append(cost[rows, cols])

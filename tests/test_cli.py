@@ -334,7 +334,8 @@ def test_match_command(tmp_path):
 def test_match_overflowing_costs_exit_one(tmp_path, capsys, fs_column, ft_column):
     """Finite entries whose L1 cost overflows float64, in one column's
     difference or in the sum over columns: exit 1 with one stderr line that
-    names both files, and no overflow warning (which pytest makes an error)."""
+    names both files and the overflow, and no overflow warning (which pytest
+    makes an error)."""
     src, tgt, out = tmp_path / "fs.mat", tmp_path / "ft.mat", tmp_path / "pairs.txt"
     for path, rows, column in ((src, 3, fs_column), (tgt, 4, ft_column)):
         features = np.zeros((rows, 16))
@@ -345,8 +346,7 @@ def test_match_overflowing_costs_exit_one(tmp_path, capsys, fs_column, ft_column
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1, captured.err
-    assert captured.err.startswith("error: ")
-    assert str(src) in captured.err and str(tgt) in captured.err
+    assert captured.err == f"error: matching {src} against {tgt}: an L1 cost overflows float64\n"
     assert not out.exists()
 
 
@@ -689,6 +689,10 @@ _EXIT_CASES = [
     ("train", "source.ds class count",
      _replace("data/source.ds", "classes 3", "classes 12"), 1, "source.ds"),
     ("train", "bad flag token", "--flags lb,bogus", 1, "bogus"),
+    # slope 0 takes GCN init's loop, whose first loss squares past float64
+    ("train", "GCN init overflowing its loop",
+     _append("exp.cfg", "gcn.slope = 0\ngcn.init_scale = 1e200\n"), 2,
+     "numeric failure: non-finite loss in component 'gcn init' (inf)"),
     ("train", "empty --flags",
      ["train", "--config", "{r}/exp.cfg", "--data", "{r}/data", "--out", "{r}/out",
       "--flags", ""], 1, "unknown flag tokens: ['']"),
@@ -836,7 +840,8 @@ _EXIT_CASES = [
 def test_bad_input_exit_code_table(tmp_path, trained, capsys, command, case, edit, code,
                                    needle):
     """Every subcommand answers each class of bad input with its documented
-    exit code (1 usage/config/data, 3 i/o), one stderr line and no output."""
+    exit code (1 usage/config/data, 2 numeric failure, 3 i/o), one stderr
+    line and no output."""
     root = tmp_path / "w"
     shutil.copytree(trained, root)
     argv = [token.format(r=root) for token in _COMMANDS[command].split()]
@@ -853,7 +858,7 @@ def test_bad_input_exit_code_table(tmp_path, trained, capsys, command, case, edi
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1, captured.err
     assert "Traceback" not in captured.err
-    assert captured.err.startswith("error: " if code == 1 else "i/o error: ")
+    assert captured.err.startswith({1: "error: ", 2: "numeric failure: ", 3: "i/o error: "}[code])
     for text in needle if isinstance(needle, tuple) else (needle,):
         assert text in captured.err
     assert not (root / "out").exists()

@@ -11,6 +11,7 @@ from opendomain.gcn import (
     train_gcn_init,
 )
 from opendomain.graph import KnowledgeGraph, normalized_adjacency
+from opendomain.losses import NonFiniteLossError
 from opendomain import synth
 from opendomain.numkit import DimensionError, make_rng
 
@@ -387,6 +388,20 @@ def test_train_init_zero_word_vectors(monkeypatch):
     assert np.allclose(emb, 0.0)
     stuck = 0.5 * float(np.sum(w * w)) / w.shape[1]
     assert _fit_loss(z[:3], theta, 0.2, w) == pytest.approx(stuck)
+
+
+def test_train_init_loop_refuses_its_first_non_finite_loss(monkeypatch):
+    # slope 0 takes the loop; a theta0 of scale 1e200 squares past float64
+    # in the first step's loss, which is refused before the step is taken
+    # and without an overflow warning (which pytest makes an error)
+    g = _toy_graph()
+    x = make_rng(7).standard_normal((6, 8))
+    w = make_rng(8).standard_normal((3, 4))
+    steps = _loop_steps(monkeypatch)
+    schedule = GcnSchedule(slope=0.0, init_scale=1e200)
+    with pytest.raises(NonFiniteLossError, match=r"^non-finite loss in component 'gcn init'"):
+        train_gcn_init(_z_class(g, x), w, schedule, make_rng(0))
+    assert len(steps) == 1
 
 
 def test_train_init_deterministic():

@@ -278,6 +278,23 @@ def test_match_single_fold_equals_global_hungarian():
     assert sorted(_pairs(src, tgt)) == sorted(_pairs(rows, cols))
 
 
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_match_refuses_features_that_are_not_finite(side):
+    # named as features: hungarian would call the L1 cost of a NaN not finite
+    rng = make_rng(4)
+    features = {"source": rng.standard_normal((6, 3)), "target": rng.standard_normal((8, 3))}
+    features[side][2, 1] = np.nan
+    with pytest.raises(ValueError, match=f"^the {side} features: contains non-finite entries$"):
+        match_domains(features["source"], features["target"], 2, make_rng(0))
+
+
+def test_match_names_an_l1_cost_past_float64():
+    fs = np.array([[1e308, 0.0], [0.0, 0.0]])
+    ft = np.array([[-1e308, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="^an L1 cost overflows float64$"):
+        match_domains(fs, ft, 1, make_rng(0))
+
+
 def test_fold_union_cost_at_least_global():
     rng = make_rng(5)
     for trial in range(10):
@@ -455,30 +472,79 @@ def test_hungarian_is_optimal_on_clustered_costs(transposed):
     assert np.array_equal(again[0], rows) and np.array_equal(again[1], cols)
 
 
-def _distinct_least_columns(rng, n, m):
-    """Costs whose rows each have their least entry in a column of their own."""
-    cost = rng.uniform(1.0, 2.0, (n, m))
-    cost[np.arange(n), rng.permutation(m)[:n]] = rng.uniform(0.0, 0.5, n)
+def _displaced_in_the_second_pass(rng, blocks, m):
+    """Costs that leave rows free after the row reduction, each with a free
+    column of least reduced cost, so that its search ends after one scan.
+
+    Each block is 3 rows on 3 columns of their own, (a, b, c) on (X, Y, Z)
+    with costs a = (0, 1, 5), b = (0, 3, 5), c = (5, 0, 1), times a scale of
+    the block's; every other entry is in [20, 30). The first pass gives X to
+    a, then to b, which displaces a, and Y to c, so v = (-3, -1, 0) in
+    scale units. The second pass gives Y to a, at v[Y] = -2, which displaces
+    c and leaves it free, with least reduced cost c - v = (8, 2, 1) at the
+    free column Z."""
+    cost = rng.uniform(20.0, 30.0, (3 * blocks, m))
+    columns = rng.permutation(m)[:3 * blocks].reshape(blocks, 3)
+    for b, cols in enumerate(columns):
+        cost[np.ix_(range(3 * b, 3 * b + 3), cols)] = rng.uniform(0.5, 2.0) * np.array(
+            [[0.0, 1.0, 5.0], [0.0, 3.0, 5.0], [5.0, 0.0, 1.0]])
     return cost
 
 
-@pytest.mark.parametrize("case", ["distinct least columns", "one least column"])
-def test_solver_matches_the_reference_with_one_scan_and_with_many(case):
-    # distinct least columns: every search is single-scan and assigns its
-    # column at once; one least column: every search after the first augments
+def _solve_spying_on_the_reduction(monkeypatch, cost):
+    """``_solve(cost)`` and, as the row reduction left them, the free rows,
+    ``v`` and the columns held."""
+    seen, reduce_rows = {}, matching._reduce_rows
+
+    def spy(rows, v, row_for_col, col_for_row):
+        free = reduce_rows(rows, v, row_for_col, col_for_row)
+        seen.update(free=free, v=v.copy(), held={j for j, i in enumerate(row_for_col) if i >= 0})
+        return free
+
+    monkeypatch.setattr(matching, "_reduce_rows", spy)
+    return _solve(cost), seen
+
+
+def _assert_single_scan_searches(cost, col_for_row, seen):
+    """Some rows are left free by the reduction, and each one's first scan
+    finds its least reduced cost at a column that no row holds, which ends
+    its search there. A one-scan search leaves v as it is, so each first
+    scan reads the v the reduction left."""
+    assert seen["free"]
+    held = set(seen["held"])
+    for i in seen["free"]:
+        j = int((cost[i] - seen["v"]).argmin())
+        assert j not in held and col_for_row[i] == j, (i, j)
+        held.add(j)
+
+
+@pytest.mark.parametrize("case", ["one scan each", "one least column"])
+def test_solver_matches_the_reference_with_one_scan_and_with_many(monkeypatch, case):
+    # one scan each: each row that the reduction leaves free is assigned in
+    # its first scan; one least column: every search after the first augments
     rng = make_rng(5)
+    if case == "one scan each":
+        for blocks, m in [(2, 6), (10, 45), (14, 42)]:
+            cost = _displaced_in_the_second_pass(rng, blocks, m)
+            col_for_row, seen = _solve_spying_on_the_reduction(monkeypatch, cost)
+            _assert_single_scan_searches(cost, col_for_row, seen)
+            assert np.array_equal(col_for_row, reference_solve(cost)), (blocks, m)
+        return
     for n, m in [(1, 1), (6, 6), (30, 45), (40, 40)]:
-        if case == "distinct least columns":
-            cost = _distinct_least_columns(rng, n, m)
-        else:
-            cost = rng.uniform(1.0, 2.0, (n, m))
-            cost[:, rng.integers(m)] = rng.uniform(0.0, 0.5, n)
+        cost = rng.uniform(1.0, 2.0, (n, m))
+        cost[:, rng.integers(m)] = rng.uniform(0.0, 0.5, n)
         assert np.array_equal(_solve(cost), reference_solve(cost)), (case, n, m)
 
 
-def test_single_scan_searches_assign_each_row_its_least_column():
-    cost = _distinct_least_columns(make_rng(6), 30, 45)
-    assert np.array_equal(_solve(cost), cost.argmin(axis=1))
+def test_single_scan_searches_assign_each_row_its_least_column(monkeypatch):
+    # one block of _displaced_in_the_second_pass: row 2, displaced in the
+    # second pass, takes its least reduced cost's column 2 in one scan
+    cost = np.array([[0.0, 1.0, 5.0], [0.0, 3.0, 5.0], [5.0, 0.0, 1.0]])
+    col_for_row, seen = _solve_spying_on_the_reduction(monkeypatch, cost)
+    assert seen["free"] == [2] and seen["held"] == {0, 1}
+    assert np.array_equal(seen["v"], [-3.0, -2.0, 0.0])
+    _assert_single_scan_searches(cost, col_for_row, seen)
+    assert np.array_equal(col_for_row, [1, 0, 2])
 
 
 # sha256 of the pairs file; the matching's ties, order and summation order
