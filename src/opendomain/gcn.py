@@ -105,9 +105,9 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     with ``leaky_relu^-1(W) = where(W > 0, W, W / slope)``. Otherwise (an
     ill-conditioned Z_k, whose exact solve would blow up the unknown rows;
     slope 0; a rank-deficient Z_k: more known rows than word dims, zero
-    word vectors) it runs ``schedule.steps`` momentum steps, and raises
+    word vectors) it runs ``schedule.steps`` momentum steps. It raises
     NonFiniteLossError for ``'gcn init'`` at the first step whose loss is
-    not finite.
+    not finite and, either way, when its result's known-row residual is not.
 
     Returns (theta, embeddings) where ``embeddings`` are the class rows of
     O = leaky_relu(Z_class theta), :func:`leaky_relu`'s activation (known
@@ -123,19 +123,19 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     gram = z_known @ z_known.T
     eig = np.linalg.eigvalsh(gram)
     limit = slope ** 2 * schedule.learning_rate * schedule.steps / (1 - schedule.momentum)
-    if eig[0] > 0 and eig[-1] <= limit * eig[0]:
-        target = np.where(w > 0, w, w / slope)
-        theta += z_known.T @ np.linalg.solve(gram, target - z_known @ theta)
-    else:
-        # learning_rate is relative to the curvature of the quadratic bound
-        # Z_k^T Z_k / M (activation slope <= 1), so the schedule is stable
-        # regardless of the scale of the word vectors
-        curvature = float(np.linalg.eigvalsh(z_known.T @ z_known)[-1]) / w.shape[1]
-        step = schedule.learning_rate / max(curvature, 1e-12)
-        opt = MomentumSgd([theta], step, schedule.momentum)
-        (theta,), (d_theta,) = opt.params, opt.grads
-        # an overflow shows as the first loss that is not finite, refused
-        with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow shows as a step's loss or the result's residual not being finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        if eig[0] > 0 and eig[-1] <= limit * eig[0]:
+            target = np.where(w > 0, w, w / slope)
+            theta += z_known.T @ np.linalg.solve(gram, target - z_known @ theta)
+        else:
+            # learning_rate is relative to the curvature of the quadratic bound
+            # Z_k^T Z_k / M (activation slope <= 1), so the schedule is stable
+            # regardless of the scale of the word vectors
+            curvature = float(np.linalg.eigvalsh(z_known.T @ z_known)[-1]) / w.shape[1]
+            step = schedule.learning_rate / max(curvature, 1e-12)
+            opt = MomentumSgd([theta], step, schedule.momentum)
+            (theta,), (d_theta,) = opt.params, opt.grads
             for _ in range(schedule.steps):
                 # the core writes d_theta: the shapes are built or checked
                 # above, the slope by GcnSchedule
@@ -143,4 +143,8 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
                 if not math.isfinite(loss):
                     raise NonFiniteLossError("gcn init", loss)
                 opt.step()
-    return theta, leaky_relu(z_class @ theta, slope)[0]
+        embeddings = leaky_relu(z_class @ theta, slope)[0]
+        residual = float(np.square(embeddings[: len(w)] - w).sum())
+    if not math.isfinite(residual):
+        raise NonFiniteLossError("gcn init", residual)
+    return theta, embeddings

@@ -1,8 +1,8 @@
 """End-to-end training: source pretrain, graph-propagated classifier init,
 cross-domain matching, then the joint loop that mixes the four loss terms,
-plus the variant runner. Both training loops take the one step
-:func:`joint_terms`; pretraining runs it with cls alone on a head of the
-known classes.
+plus the variant runner. One epoch loop serves both stages, taking the
+one step :func:`joint_terms` per batch; pretraining runs it with cls alone,
+on no target or matched rows and a head of the known classes.
 
 Source cross-entropy is computed over the known-class rows only, so the
 unknown-class classifiers move exclusively under the balance constraint and
@@ -146,21 +146,17 @@ def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Gene
     head = rng.uniform(-1.0, 1.0, (known, m)) / np.sqrt(m)
     opt = MomentumSgd([weight, np.zeros(m), head], schedule.learning_rate, schedule.momentum)
     state = ModelState(*opt.params, known, theta=None)
-    cls_only, empty = apply_flags(cfg, ()), features[:0]
+    cls_only, empty, batch = apply_flags(cfg, ()), features[:0], schedule.batch_size
+    cuts = [0] * (len(range(0, n, batch)) + 1)  # no batch holds matched rows
     history = []
     for _ in range(schedule.epochs):
         order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, schedule.batch_size):
-            idx = order[start:start + schedule.batch_size]
-            try:
-                _, loss, _ = joint_terms(state, None, cls_only, features[idx], labels[idx],
-                                         empty, empty, empty, opt)
-            except NonFiniteLossError as exc:
-                raise NonFiniteLossError("pretrain", exc.value) from None
-            opt.step()
-            epoch_losses.append(loss)
-        history.append(float(np.mean(epoch_losses)))
+        try:
+            steps = _epoch(state, None, cls_only, opt, batch, features[order], labels[order],
+                           empty, empty, empty, cuts)
+        except NonFiniteLossError as exc:
+            raise NonFiniteLossError("pretrain", exc.value) from None
+        history.append(float(np.mean([total for _, total, _ in steps])))
     return state, history
 
 
@@ -195,8 +191,8 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     """One training step over the terms switched on by ``cfg``: cls on the
     source batch, balance on the target batch, SGMD on the matched rows and
     the graph tie on the propagated class rows ``z_class``. It is the only
-    training step: :func:`train_joint` takes it, and :func:`pretrain_source`
-    takes it with every term but cls switched off.
+    training step, which one epoch loop takes for both stages: the joint loop,
+    and pretraining with every term but cls switched off.
 
     The rows of every term are stacked (source batch, target batch, matched
     sources, matched targets), encoded once and scored by one logits
@@ -287,6 +283,20 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     return values, total, gate
 
 
+def _epoch(state, z_class, cfg, opt, batch, xs, ys, xt, xms, xmt, cuts) -> list:
+    """:func:`joint_terms` and ``opt.step()`` on each batch of an epoch's rows in
+    batch order: batch b takes ``batch`` rows from ``b * batch`` of the sources
+    ``xs`` (labels ``ys``) and targets ``xt``, and rows ``cuts[b]:cuts[b + 1]``
+    of the matched ``xms`` and ``xmt``. Returns each step's (values, total, gate)."""
+    steps = []
+    for b, start in enumerate(range(0, len(xs), batch)):
+        rows, matched = slice(start, start + batch), slice(cuts[b], cuts[b + 1])
+        steps.append(joint_terms(state, z_class, cfg, xs[rows], ys[rows], xt[rows],
+                                 xms[matched], xmt[matched], opt))
+        opt.step()
+    return steps
+
+
 def train_joint(prepared: Prepared, cfg: ExperimentConfig, eval_every_epoch: bool = True):
     """The joint loop over the cls, SGMD, balance and graph terms, with rematching
     every ``cfg.rematch_interval`` epochs; a ``cfg`` that differs from ``prepared.config``
@@ -318,8 +328,6 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, eval_every_epoch: boo
     state = ModelState(*opt.params[:3], known, theta)
 
     n_src, batch = source.n, cfg.batch_size
-    starts = range(0, n_src, batch)
-    steps = len(starts)
     history = []
 
     for epoch in range(cfg.epochs):
@@ -327,35 +335,23 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, eval_every_epoch: boo
             partner = _partner(state, source, target, cfg.folds, rng_match)
         order_src = rng_joint.permutation(n_src)
         order_tgt = _target_order(rng_joint, target.n, n_src)
-        # the epoch's rows in batch order, so that every batch is a slice;
-        # the matched sources and their targets keep that order, and
-        # cuts[b]:cuts[b + 1] are the ones of batch b
+        # the epoch's rows in batch order, as _epoch takes them, matched rows too
         xs, ys = source.features[order_src], source.labels[order_src]
         xt = target.features[order_tgt]
         at = np.flatnonzero(partner[order_src] >= 0)
         xms, xmt = xs[at], target.features[partner[order_src[at]]]
         cuts = np.searchsorted(at, range(0, n_src + batch, batch)).tolist()
-        sums = {"cls": 0.0, "sgmd": 0.0, "balance": 0.0, "gcn": 0.0, "total": 0.0}
-        gated = 0
-        considered = 0
-        for b, start in enumerate(starts):
-            rows = slice(start, start + batch)
-            matched = slice(cuts[b], cuts[b + 1])
-            values, total, gate = joint_terms(
-                state, prepared.z_class, cfg, xs[rows], ys[rows], xt[rows],
-                xms[matched], xmt[matched], opt)
-            considered += gate.size
-            gated += int(gate.sum())
-            for name, val in values.items():
-                sums[name] += val
-            sums["total"] += total
-            opt.step()
+        steps = _epoch(state, prepared.z_class, cfg, opt, batch, xs, ys, xt, xms, xmt, cuts)
         # freed before the evaluation and the next gather, whose arrays
         # would otherwise stack on them at the run's memory peak
         del xs, ys, xt, xms, xmt
-
-        record = {"epoch": epoch, **{f"loss_{name}": sums[name] / steps for name in sums},
-                  "gated_fraction": gated / considered if considered else 0.0}
+        sums = {"cls": 0.0, "sgmd": 0.0, "balance": 0.0, "gcn": 0.0, "total": 0.0}
+        for values, total, _ in steps:  # in step order, which fixes the sums' bits
+            for name, val in [*values.items(), ("total", total)]:
+                sums[name] += val
+        gates = np.concatenate([gate for _, _, gate in steps])
+        record = {"epoch": epoch, **{f"loss_{name}": sums[name] / len(steps) for name in sums},
+                  "gated_fraction": int(gates.sum()) / gates.size if gates.size else 0.0}
         if labeled and (eval_every_epoch or epoch == cfg.epochs - 1):
             preds = predict(state, target.features)
             record.update(accuracy_triple(preds, target.eval_labels, known).as_dict())

@@ -693,6 +693,18 @@ _EXIT_CASES = [
     ("train", "GCN init overflowing its loop",
      _append("exp.cfg", "gcn.slope = 0\ngcn.init_scale = 1e200\n"), 2,
      "numeric failure: non-finite loss in component 'gcn init' (inf)"),
+    # one loop step, whose loss is finite; its update leaves theta near
+    # 1e298, whose residual squares past float64
+    ("train", "GCN init overflowing its last update",
+     (_replace("exp.cfg", "gcn.steps = 300", "gcn.steps = 1"),
+      _append("exp.cfg", "gcn.slope = 0\ngcn.learning_rate = 1e300\n")), 2,
+     "numeric failure: non-finite loss in component 'gcn init' (inf)"),
+    # the default 8000 steps take the closed form, whose theta0 of scale
+    # 1e200 leaves the known rows' residual past float64
+    ("train", "GCN init's closed form from a theta0 of scale 1e200",
+     (_replace("exp.cfg", "gcn.steps = 300\n", ""),
+      _append("exp.cfg", "gcn.init_scale = 1e200\n")),
+     2, "numeric failure: non-finite loss in component 'gcn init' (inf)"),
     ("train", "empty --flags",
      ["train", "--config", "{r}/exp.cfg", "--data", "{r}/data", "--out", "{r}/out",
       "--flags", ""], 1, "unknown flag tokens: ['']"),

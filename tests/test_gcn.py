@@ -404,6 +404,25 @@ def test_train_init_loop_refuses_its_first_non_finite_loss(monkeypatch):
     assert len(steps) == 1
 
 
+@pytest.mark.parametrize("schedule, loop_steps", [
+    (GcnSchedule(slope=0.0, steps=1, learning_rate=1e300), 1),
+    (GcnSchedule(init_scale=1e200), 0),
+], ids=["the loop's last update", "the closed form"])
+def test_train_init_refuses_a_result_whose_residual_is_not_finite(monkeypatch, schedule,
+                                                                  loop_steps):
+    # each result is finite, but its known rows lie so far from W that the
+    # squared residual overflows; the loop's one loss was tested before its
+    # update, and the closed form tests none
+    g = _toy_graph()
+    x = make_rng(7).standard_normal((6, 8))
+    w = make_rng(8).standard_normal((3, 4))
+    steps = _loop_steps(monkeypatch)
+    with pytest.raises(NonFiniteLossError,
+                       match=r"^non-finite loss in component 'gcn init' \(inf\)$"):
+        train_gcn_init(_z_class(g, x), w, schedule, make_rng(0))
+    assert len(steps) == loop_steps
+
+
 def test_train_init_deterministic():
     rng = make_rng(9)
     g = _toy_graph()

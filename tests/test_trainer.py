@@ -743,8 +743,11 @@ def test_lean_step_gives_the_bits_of_the_checked_step(flags, case):
         assert seen.size and not seen.any()
 
 
-def test_pretraining_gives_the_bits_of_the_checked_loop():
-    cfg = _small_cfg(pretrain=PretrainSchedule(epochs=1, batch_size=7))
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_pretraining_gives_the_bits_of_the_checked_loop(epochs):
+    # 30 rows in batches of 7 end on a partial batch; a second epoch pins
+    # the order of the permutations drawn from the stream
+    cfg = _small_cfg(pretrain=PretrainSchedule(epochs=epochs, batch_size=7))
     source = synth.generate(cfg.synth)[0]
     args = (source.features, source.labels, cfg.synth.known_classes, cfg.feature_dim,
             cfg.pretrain)
@@ -818,7 +821,7 @@ def test_train_joint_replays_joint_terms_and_momentum():
     cfg = _small_cfg(synth=sizes, epochs=2, rematch_interval=1)
     prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
     assert (prepared.partner < 0).any() and (prepared.partner >= 0).any()
-    trained, _ = trainer.train_joint(prepared, cfg)
+    trained, history = trainer.train_joint(prepared, cfg)
 
     # train_joint left prepared as it found it, so the replay starts from it
     replay = prepared
@@ -831,18 +834,30 @@ def test_train_joint_replays_joint_terms_and_momentum():
             partner = trainer._partner(state, source, target, cfg.folds, replay.rng_match)
         order_src = replay.rng_joint.permutation(source.n)
         order_tgt = trainer._target_order(replay.rng_joint, target.n, source.n)
+        # each term's values, summed in step order, and the gate's counts
+        sums = {"cls": 0.0, "sgmd": 0.0, "balance": 0.0, "gcn": 0.0, "total": 0.0}
+        steps = gated = considered = 0
         for start in range(0, source.n, cfg.batch_size):
             src_idx = order_src[start:start + cfg.batch_size]
             tgt_idx = order_tgt[start:start + cfg.batch_size]
             s_ids = src_idx[partner[src_idx] >= 0]
             opt = gradient_arrays(state, cfg)
-            joint_terms(
+            values, total, gate = joint_terms(
                 state, replay.z_class, cfg, source.features[src_idx],
                 source.labels[src_idx], target.features[tgt_idx],
                 source.features[s_ids], target.features[partner[s_ids]], opt)
+            for name, value in [*values.items(), ("total", total)]:
+                sums[name] += value
+            steps += 1
+            gated += int(gate.sum())
+            considered += len(gate)
             for i, (p, grad) in enumerate(zip(params, opt.grads, strict=True)):
                 velocity[i] = cfg.momentum * velocity[i] + grad
                 p -= cfg.learning_rate * velocity[i]
+        for name, value in sums.items():
+            assert history[epoch][f"loss_{name}"] == value / steps, (epoch, name)
+        assert considered and 0 < gated < considered
+        assert history[epoch]["gated_fraction"] == gated / considered, epoch
     assert np.array_equal(trained.weight, state.weight)
     assert np.array_equal(trained.bias, state.bias)
     assert np.array_equal(trained.head, state.head)
