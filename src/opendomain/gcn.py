@@ -106,8 +106,9 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     ill-conditioned Z_k, whose exact solve would blow up the unknown rows;
     slope 0; a rank-deficient Z_k: more known rows than word dims, zero
     word vectors) it runs ``schedule.steps`` momentum steps. It raises
-    NonFiniteLossError for ``'gcn init'`` at the first step whose loss is
-    not finite and, either way, when its result's known-row residual is not.
+    NonFiniteLossError for ``'gcn init'`` at the first step whose loss is not
+    finite and, either way, when the RMS by which its known rows miss W is
+    nan or past 100 times W's own RMS: a failed fit.
 
     Returns (theta, embeddings) where ``embeddings`` are the class rows of
     O = leaky_relu(Z_class theta), :func:`leaky_relu`'s activation (known
@@ -145,6 +146,6 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
                 opt.step()
         embeddings = leaky_relu(z_class @ theta, slope)[0]
         residual = float(np.square(embeddings[: len(w)] - w).sum())
-    if not math.isfinite(residual):
+    if not residual <= 1e4 * float(np.square(w).sum()):
         raise NonFiniteLossError("gcn init", residual)
     return theta, embeddings

@@ -58,11 +58,12 @@ class LossWeights:
 
 
 class NonFiniteLossError(RuntimeError):
-    """A loss went NaN/Inf: its component (a term that ``trainer.joint_terms``
-    finds, ``'pretrain'`` or ``'gcn init'``) and value."""
+    """A loss went NaN/Inf or past its bound: its component (a term that
+    ``trainer.joint_terms`` finds, ``'pretrain'`` or ``'gcn init'``) and value."""
 
     def __init__(self, component: str, value: float):
-        super().__init__(f"non-finite loss in component '{component}' ({value})")
+        what = "loss past its bound" if np.isfinite(value) else "non-finite loss"
+        super().__init__(f"{what} in component '{component}' ({value})")
         self.component = component
         self.value = value
 

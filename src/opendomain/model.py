@@ -34,13 +34,13 @@ class ModelState:
     weight + bias, the classifier head (one row per class, no bias: the rows
     live in the space of the graph-convolution outputs) whose first
     ``known_count`` rows are the known classes, and the GCN weights theta
-    (word_dim x feature_dim), None only during pretraining."""
+    (word_dim x feature_dim)."""
 
     weight: np.ndarray
     bias: np.ndarray
     head: np.ndarray
     known_count: int
-    theta: np.ndarray | None
+    theta: np.ndarray
 
     def __post_init__(self):
         known, rows = self.known_count, len(self.head)
@@ -48,6 +48,8 @@ class ModelState:
         if (not isinstance(known, numbers.Integral) or isinstance(known, bool)
                 or not 0 < known <= rows):
             raise ValueError(f"known_count must be an integer in 1..{rows}, got {known!r}")
+        if self.theta is None:
+            raise ValueError("theta must be an array, got None")
         object.__setattr__(self, "known_count", int(known))
 
 
@@ -85,8 +87,6 @@ _CHECKPOINT_SHAPES = {
 def save_checkpoint(directory, state: ModelState, config_hash: str = "") -> None:
     """Write the parameter matrices as text files plus a manifest with the
     dimensions and the originating config hash."""
-    if state.theta is None:  # checked before any file is written
-        raise ValueError("save_checkpoint: a pretraining state has no theta to save")
     os.makedirs(directory, exist_ok=True)
     matrices = (state.weight, state.bias.reshape(1, -1), state.head, state.theta)
     for name, m in zip(_CHECKPOINT_SHAPES, matrices):

@@ -1,8 +1,9 @@
 """End-to-end training: source pretrain, graph-propagated classifier init,
 cross-domain matching, then the joint loop that mixes the four loss terms,
 plus the variant runner. One epoch loop serves both stages, taking the
-one step :func:`joint_terms` per batch; pretraining runs it with cls alone,
-on no target or matched rows and a head of the known classes.
+one step :func:`joint_terms` per batch on the parameters of the stage's
+:class:`MomentumSgd`; pretraining runs it with cls alone, on no target or
+matched rows and a head of the known classes.
 
 Source cross-entropy is computed over the known-class rows only, so the
 unknown-class classifiers move exclusively under the balance constraint and
@@ -130,13 +131,13 @@ def check_data(cfg: ExperimentConfig, data,
 def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Generator):
     """Fit the encoder and a known-class-only classifier on labeled source
     data: ``cfg.pretrain`` mini-batch momentum-SGD epochs of the joint step
-    with cls alone, on a model of ``cfg.feature_dim`` features whose head
-    holds the ``cfg.synth.known_classes`` known classes.
+    with cls alone, on an encoder of ``cfg.feature_dim`` features and a head
+    of the ``cfg.synth.known_classes`` known classes.
 
     Raises IndexError for a label outside the known classes and
     NonFiniteLossError ("pretrain") for a step whose loss or gradient is
-    not finite. Returns (state, per-epoch mean loss): the state's head holds
-    the known classes, and its theta is None until :func:`prepare`.
+    not finite. Returns ([weight, bias, head], per-epoch mean loss): the
+    pretrained encoder weight and bias and the known-class head.
     """
     schedule, known, m = cfg.pretrain, cfg.synth.known_classes, cfg.feature_dim
     features = np.asarray(features, float)
@@ -145,19 +146,18 @@ def pretrain_source(features, labels, cfg: ExperimentConfig, rng: np.random.Gene
     weight = rng.uniform(-1.0, 1.0, (m_in, m)) / np.sqrt(m_in)
     head = rng.uniform(-1.0, 1.0, (known, m)) / np.sqrt(m)
     opt = MomentumSgd([weight, np.zeros(m), head], schedule.learning_rate, schedule.momentum)
-    state = ModelState(*opt.params, known, theta=None)
     cls_only, empty, batch = apply_flags(cfg, ()), features[:0], schedule.batch_size
     cuts = [0] * (len(range(0, n, batch)) + 1)  # no batch holds matched rows
     history = []
     for _ in range(schedule.epochs):
         order = rng.permutation(n)
         try:
-            steps = _epoch(state, None, cls_only, opt, batch, features[order], labels[order],
+            steps = _epoch(opt, known, None, cls_only, batch, features[order], labels[order],
                            empty, empty, empty, cuts)
         except NonFiniteLossError as exc:
             raise NonFiniteLossError("pretrain", exc.value) from None
         history.append(float(np.mean([total for _, total, _ in steps])))
-    return state, history
+    return opt.params, history
 
 
 def prepare(cfg: ExperimentConfig, data) -> Prepared:
@@ -170,24 +170,20 @@ def prepare(cfg: ExperimentConfig, data) -> Prepared:
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     rng_pre, rng_gcn, rng_match, rng_joint = (make_rng(s) for s in streams)
 
-    pre, _ = pretrain_source(source.features, source.labels, cfg, rng_pre)
-    z_class = None
+    (weight, bias, head), _ = pretrain_source(source.features, source.labels, cfg, rng_pre)
+    # without a graph (a symmetric label space) the head stays the pretrained one
+    z_class, theta = None, np.zeros((word_vectors.shape[1], cfg.feature_dim))
     if graph is not None:
-        z_class = propagate(normalized_adjacency(graph), word_vectors,
-                            graph.class_to_node)
-        theta, head = train_gcn_init(z_class, pre.head, cfg.gcn, rng_gcn)
-    else:
-        # symmetric label space: no propagation target, head starts at the
-        # pretrained classifier
-        theta, head = np.zeros((word_vectors.shape[1], cfg.feature_dim)), pre.head
-    state = replace(pre, head=head, theta=theta)
+        z_class = propagate(normalized_adjacency(graph), word_vectors, graph.class_to_node)
+        theta, head = train_gcn_init(z_class, head, cfg.gcn, rng_gcn)
+    state = ModelState(weight, bias, head, cfg.synth.known_classes, theta)
     partner = _partner(state, source, target, cfg.folds, rng_match)
     return Prepared(state=state, source=source, target=target, z_class=z_class, partner=partner,
                     rng_match=rng_match, rng_joint=rng_joint, config=cfg)
 
 
-def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
-                raw_s, labels, raw_t, raw_ms, raw_mt, opt: MomentumSgd):
+def joint_terms(opt: MomentumSgd, known: int, z_class, cfg: ExperimentConfig,
+                raw_s, labels, raw_t, raw_ms, raw_mt):
     """One training step over the terms switched on by ``cfg``: cls on the
     source batch, balance on the target batch, SGMD on the matched rows and
     the graph tie on the propagated class rows ``z_class``. It is the only
@@ -204,11 +200,11 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     field, all are mapped back once, through the head and then the encoder.
     Matched rows join only when some pair passes the gate.
 
-    Each parameter's gradient of the total is written straight into its
-    array of ``opt.grads``, the :class:`MomentumSgd` views shaped like the
-    state's weight, bias, head and, with the graph term, theta, in that
-    order, which ``opt.step()`` then applies. What holds for a whole run is
-    not checked here: the labels' range (each loop checks it), ``w``
+    It reads the parameters from ``opt.params`` and writes their gradients
+    of the total into ``opt.grads``, which ``opt.step()`` then applies: the
+    encoder weight and bias, the head, whose first ``known`` rows are the
+    known classes, and, with the graph term, theta. Not checked here is what
+    holds for a whole run: the labels' range (each loop checks it), ``w``
     (:class:`LossWeights`) and the shapes (:func:`check_data`).
 
     Finiteness is tested once per step, after the backward pass: the total,
@@ -222,14 +218,14 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     order, then "total", whose value (or, as nan, a gradient) is not.
     """
     lw, grads = cfg.loss, opt.grads
-    known, w_head = state.known_count, state.head
+    w_enc, b_enc, w_head = opt.params[:3]
     balance = cfg.enable_lb or cfg.vanilla_balance
     n_s = len(raw_s)
     n_l = n_s + (len(raw_t) if balance else 0)  # rows with a logit gradient
     n_m = len(raw_ms) if cfg.enable_sgmd else 0  # matched pairs, after them
     raw = np.concatenate([raw_s] + ([raw_t] if balance else [])
                          + ([raw_ms, raw_mt] if n_m else []))
-    f = raw @ state.weight + state.bias
+    f = raw @ w_enc + b_enc
     # the responses; rows :n_l become their terms' logit gradients
     probs = f @ w_head.T
     probs[:n_s, known:] = -np.inf
@@ -248,8 +244,8 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
                                          probs[n_l:n_l + n_m], probs[n_l + n_m:],
                                          lw.tau, d_ms)
     if cfg.enable_gcn:
-        d_theta = grads[3]
-        values["gcn"], d_o = gcn_reg_core(z_class, state.theta, cfg.gcn.slope, w_head, d_theta)
+        theta, d_theta = opt.params[3], grads[3]
+        values["gcn"], d_o = gcn_reg_core(z_class, theta, cfg.gcn.slope, w_head, d_theta)
     # summed as cls, sgmd, balance, gcn: that order fixes the total's bits
     total = 0.0
     for name, weight in (("cls", 1.0), ("sgmd", lw.lambda_d), ("balance", lw.lambda_b),
@@ -283,7 +279,7 @@ def joint_terms(state: ModelState, z_class, cfg: ExperimentConfig,
     return values, total, gate
 
 
-def _epoch(state, z_class, cfg, opt, batch, xs, ys, xt, xms, xmt, cuts) -> list:
+def _epoch(opt, known, z_class, cfg, batch, xs, ys, xt, xms, xmt, cuts) -> list:
     """:func:`joint_terms` and ``opt.step()`` on each batch of an epoch's rows in
     batch order: batch b takes ``batch`` rows from ``b * batch`` of the sources
     ``xs`` (labels ``ys``) and targets ``xt``, and rows ``cuts[b]:cuts[b + 1]``
@@ -291,8 +287,8 @@ def _epoch(state, z_class, cfg, opt, batch, xs, ys, xt, xms, xmt, cuts) -> list:
     steps = []
     for b, start in enumerate(range(0, len(xs), batch)):
         rows, matched = slice(start, start + batch), slice(cuts[b], cuts[b + 1])
-        steps.append(joint_terms(state, z_class, cfg, xs[rows], ys[rows], xt[rows],
-                                 xms[matched], xmt[matched], opt))
+        steps.append(joint_terms(opt, known, z_class, cfg, xs[rows], ys[rows], xt[rows],
+                                 xms[matched], xmt[matched]))
         opt.step()
     return steps
 
@@ -341,7 +337,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, eval_every_epoch: boo
         at = np.flatnonzero(partner[order_src] >= 0)
         xms, xmt = xs[at], target.features[partner[order_src[at]]]
         cuts = np.searchsorted(at, range(0, n_src + batch, batch)).tolist()
-        steps = _epoch(state, prepared.z_class, cfg, opt, batch, xs, ys, xt, xms, xmt, cuts)
+        steps = _epoch(opt, known, prepared.z_class, cfg, batch, xs, ys, xt, xms, xmt, cuts)
         # freed before the evaluation and the next gather, whose arrays
         # would otherwise stack on them at the run's memory peak
         del xs, ys, xt, xms, xmt

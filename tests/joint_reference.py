@@ -25,7 +25,7 @@ from opendomain.config import loss_w
 from opendomain.gcn import gcn_reg_core
 from opendomain.losses import (
     NonFiniteLossError, balance_core, cls_core, sgmd_core)
-from opendomain.model import ModelState, encode
+from opendomain.model import encode
 from opendomain.numkit import MomentumSgd, softmax_rows
 
 
@@ -288,8 +288,8 @@ def checked_joint_terms(state, z_class, cfg, raw_s, labels, raw_t, raw_ms, raw_m
 
 
 def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule, rng):
-    """(state, per-epoch mean loss) as the pretraining loop on the checked
-    cross-entropy gave them."""
+    """([weight, bias, head], per-epoch mean loss) as the pretraining loop on
+    the checked cross-entropy gave them."""
     softmax_rows = checked_softmax_rows
     features = np.asarray(features, float)
     labels = np.asarray(labels, dtype=int)
@@ -299,14 +299,13 @@ def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule
     opt = MomentumSgd([weight, np.zeros(feature_dim), weights], schedule.learning_rate,
                       schedule.momentum)
     (weight, bias, weights), grads = opt.params, opt.grads
-    state = ModelState(weight, bias, weights, num_classes, None)
     history = []
     for _ in range(schedule.epochs):
         order = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, schedule.batch_size):
             idx = order[start:start + schedule.batch_size]
-            f = encode(features[idx], state)
+            f = features[idx] @ weight + bias
             loss, d_logits = on_copy(cls_core, softmax_rows(f @ weights.T), labels[idx])
             d_weight, d_bias = encode_backward(features[idx], d_logits @ weights)
             for grad, value in zip(grads, (d_weight, d_bias, d_logits.T @ f)):
@@ -314,4 +313,4 @@ def checked_pretrain_source(features, labels, num_classes, feature_dim, schedule
             opt.step()
             epoch_losses.append(loss)
         history.append(float(np.mean(epoch_losses)))
-    return state, history
+    return opt.params, history

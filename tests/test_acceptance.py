@@ -165,7 +165,7 @@ def test_criterion_2_gradient_suite():
     while checked < 100:
         raw = rng.standard_normal((4, 3))
         enc = ModelState(rng.standard_normal((3, 2)), rng.standard_normal(2),
-                         np.zeros((1, 2)), 1, None)
+                         np.zeros((1, 2)), 1, np.zeros((1, 2)))
         target = rng.standard_normal((4, 2))
         d_out = encode(raw, enc) - target
         d_w, d_b = encode_backward(raw, d_out)
@@ -193,8 +193,8 @@ def test_criterion_2_gradient_suite():
         def objective(enc_w, enc_b, head_w, theta):
             state = ModelState(enc_w, enc_b.ravel(), head_w, 2, theta)
             opt = gradient_arrays(state, cfg)
-            _, total, _ = joint_terms(state, z_class, cfg, raw_s, labels,
-                                      raw_t, raw_s, raw_mt, opt)
+            _, total, _ = joint_terms(opt, 2, z_class, cfg, raw_s, labels,
+                                      raw_t, raw_s, raw_mt)
             return total, opt.grads
 
         enc_w = rng.standard_normal((3, 3))
@@ -263,8 +263,7 @@ def test_criterion_5_gcn_initialization_fidelity():
     cfg = ExperimentConfig()
     source, _, graph, words = generate(cfg.synth)
     rng_pre = make_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0])
-    pre, _ = pretrain_source(source.features, source.labels, cfg, rng_pre)
-    w_src = pre.head
+    (_, _, w_src), _ = pretrain_source(source.features, source.labels, cfg, rng_pre)
     z_class = propagate(normalized_adjacency(graph), words, graph.class_to_node)
     _, emb = train_gcn_init(z_class, w_src, GcnSchedule(), make_rng(0))
     mse = float(np.mean((emb[: cfg.synth.known_classes] - w_src) ** 2))

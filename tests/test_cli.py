@@ -109,7 +109,9 @@ def test_train_and_eval_agree(tmp_path, config_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--checkpoint", str(run / "checkpoint"),
                  "--data", str(data)]) == 0
-    scored = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.startswith('{\n  "all": ') and out.endswith("\n}\n")  # sorted, indent 2
+    scored = json.loads(out)
     for key in ("known", "unknown", "all", "n_known", "n_unknown"):
         assert scored[key] == metrics[key]
 
@@ -326,6 +328,13 @@ def test_match_command(tmp_path):
     assert main(["match", "--source", str(src), "--target", str(tgt),
                  "--folds", "2", "--seed", "1", "--out", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+    # the default is one fold, one assignment over all rows, whose pairs
+    # here differ from those of two folds
+    out1, default = tmp_path / "pairs1.txt", tmp_path / "default.txt"
+    for folds, path in ((["--folds", "1"], out1), ([], default)):
+        assert main(["match", "--source", str(src), "--target", str(tgt), *folds,
+                     "--seed", "1", "--out", str(path)]) == 0
+    assert default.read_bytes() == out1.read_bytes() != out.read_bytes()
 
 
 @pytest.mark.parametrize("fs_column, ft_column", [
@@ -705,6 +714,13 @@ _EXIT_CASES = [
      (_replace("exp.cfg", "gcn.steps = 300\n", ""),
       _append("exp.cfg", "gcn.init_scale = 1e200\n")),
      2, "numeric failure: non-finite loss in component 'gcn init' (inf)"),
+    # at 1e100 the known rows' residual is finite, rounding at that scale,
+    # and the run trained on to exit 0; a fit that misses W by more than 100
+    # times W's RMS is refused
+    ("train", "GCN init's closed form from a theta0 of scale 1e100",
+     (_replace("exp.cfg", "gcn.steps = 300\n", ""),
+      _append("exp.cfg", "gcn.init_scale = 1e100\n")),
+     2, "numeric failure: loss past its bound in component 'gcn init' ("),
     ("train", "empty --flags",
      ["train", "--config", "{r}/exp.cfg", "--data", "{r}/data", "--out", "{r}/out",
       "--flags", ""], 1, "unknown flag tokens: ['']"),
@@ -881,4 +897,7 @@ def test_help_exits_zero(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
-    assert "usage: opendomain" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "usage: opendomain" in out
+    if argv == ["--help"]:  # described by the first line of the module docstring
+        assert "\n\nBatch command-line entry point.\n\n" in out

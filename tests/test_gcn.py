@@ -423,6 +423,30 @@ def test_train_init_refuses_a_result_whose_residual_is_not_finite(monkeypatch, s
     assert len(steps) == loop_steps
 
 
+@pytest.mark.parametrize("schedule, low, high", [
+    (GcnSchedule(slope=0.0, steps=1, init_scale=500.0), 4e3, 5e3),
+    (GcnSchedule(slope=0.0, steps=1, init_scale=1000.0), 1.7e4, 1.9e4),
+    (GcnSchedule(init_scale=1e100), 1e160, 1e180),
+], ids=["the loop, inside", "the loop, past", "the closed form, past"])
+def test_train_init_refuses_a_fit_past_100_times_the_rms_of_w(schedule, low, high):
+    # the known rows' squared residual against W lies between low and high
+    # times sum(W^2), finite in each case; past 1e4 (an RMS error 100 times
+    # W's own) the fit failed. One loop step at slope 0 leaves theta0's
+    # scale in the rows; the closed form's residual is rounding at 1e100
+    g = _toy_graph()
+    x = make_rng(7).standard_normal((6, 8))
+    w = make_rng(8).standard_normal((3, 4))
+    norm = float(np.square(w).sum())
+    if high <= 1e4:
+        _, emb = train_gcn_init(_z_class(g, x), w, schedule, make_rng(0))
+        assert low < float(np.square(emb[:3] - w).sum()) / norm < high
+        return
+    with pytest.raises(NonFiniteLossError,
+                       match=r"^loss past its bound in component 'gcn init' \(") as exc:
+        train_gcn_init(_z_class(g, x), w, schedule, make_rng(0))
+    assert low < exc.value.value / norm < high
+
+
 def test_train_init_deterministic():
     rng = make_rng(9)
     g = _toy_graph()

@@ -258,6 +258,9 @@ def test_cls_loss_label_out_of_range():
     for label in (2, -1):
         with pytest.raises(IndexError):
             check_labels([label], 2)
+    # one class: label 0 is its only column, and no labels need none
+    assert check_labels([0, 0], 1).tolist() == [0, 0]
+    assert check_labels([], 1).tolist() == []
 
 
 def test_cls_loss_gradients():

@@ -21,8 +21,10 @@ from joint_reference import encode_backward
 
 
 def _encoder(weight, bias):
-    """A state whose encoder is ``raw @ weight + bias``, with one class row."""
-    return ModelState(weight, bias, np.zeros((1, weight.shape[1])), 1, None)
+    """A state whose encoder is ``raw @ weight + bias``, with one class row
+    and one word dim."""
+    row = np.zeros((1, weight.shape[1]))
+    return ModelState(weight, bias, row, 1, row)
 
 
 def test_encode_identity_zero_bias():
@@ -93,8 +95,9 @@ def _pretrain_cfg(classes, feature_dim, schedule=PretrainSchedule()):
 def test_pretrain_separable_accuracy():
     rng = make_rng(3)
     feats, labels = _separable_problem(rng)
-    state, history = pretrain_source(feats, labels, _pretrain_cfg(3, 5), make_rng(0))
-    logits = encode(feats, state) @ state.head.T
+    (weight, bias, head), history = pretrain_source(feats, labels, _pretrain_cfg(3, 5),
+                                                    make_rng(0))
+    logits = (feats @ weight + bias) @ head.T
     acc = float(np.mean(np.argmax(logits, axis=1) == labels))
     assert acc >= 0.99
     assert history[-1] < history[0]
@@ -104,24 +107,22 @@ def test_pretrain_deterministic():
     rng = make_rng(4)
     feats, labels = _separable_problem(rng)
     cfg = _pretrain_cfg(3, 5)
-    s1, h1 = pretrain_source(feats, labels, cfg, make_rng(7))
-    s2, h2 = pretrain_source(feats, labels, cfg, make_rng(7))
-    assert np.array_equal(s1.weight, s2.weight)
-    assert np.array_equal(s1.bias, s2.bias)
-    assert np.array_equal(s1.head, s2.head)
+    p1, h1 = pretrain_source(feats, labels, cfg, make_rng(7))
+    p2, h2 = pretrain_source(feats, labels, cfg, make_rng(7))
+    for a, b in zip(p1, p2, strict=True):  # the encoder weight, bias and head
+        assert np.array_equal(a, b)
     assert h1 == h2
 
 
 def test_pretrain_returns_a_known_class_state():
+    # the encoder weight and bias, and a head of the known classes alone
     rng = make_rng(4)
     feats, labels = _separable_problem(rng)
     cfg = _pretrain_cfg(3, 5, PretrainSchedule(epochs=1))
-    state, _ = pretrain_source(feats, labels, cfg, make_rng(7))
-    assert isinstance(state, ModelState)
-    assert state.weight.shape == (6, 5) and state.bias.shape == (5,)
-    assert state.head.shape == (cfg.synth.known_classes, 5)
-    assert state.known_count == cfg.synth.known_classes
-    assert state.theta is None
+    params, _ = pretrain_source(feats, labels, cfg, make_rng(7))
+    assert [type(p) for p in params] == [np.ndarray] * 3
+    assert [p.shape for p in params] == [(6, 5), (5,), (cfg.synth.known_classes, 5)]
+    assert all(np.isfinite(p).all() for p in params)
 
 
 def test_pretrain_label_out_of_range():
@@ -181,11 +182,13 @@ def test_a_numpy_class_count_is_stored_as_an_int(tmp_path):
     assert load_checkpoint(tmp_path / "ckpt")[0].known_count == 2
 
 
-def test_a_pretraining_state_is_not_saved(tmp_path):
+def test_a_state_without_theta_is_refused():
+    # theta is always an array, so every state that builds has one to save
     state = _random_state(make_rng(8))
-    with pytest.raises(ValueError, match="a pretraining state has no theta to save"):
-        save_checkpoint(tmp_path / "ckpt", replace(state, theta=None))
-    assert not (tmp_path / "ckpt").exists()
+    with pytest.raises(ValueError, match="theta must be an array, got None"):
+        replace(state, theta=None)
+    with pytest.raises(ValueError, match="theta must be an array, got None"):
+        ModelState(state.weight, state.bias, state.head, 4, None)
 
 
 def test_checkpoint_manifest_mismatch(tmp_path):

@@ -602,8 +602,8 @@ def test_end_to_end_objective_gradient():
     def objective(enc_w, enc_b, head_w, theta):
         state = ModelState(enc_w, enc_b.ravel(), head_w, ls, theta)
         opt = gradient_arrays(state, cfg)
-        values, total, _ = joint_terms(state, z_class, cfg, raw_s, labels,
-                                       raw_t, raw_s, raw_mt, opt)
+        values, total, _ = joint_terms(opt, ls, z_class, cfg, raw_s, labels,
+                                       raw_t, raw_s, raw_mt)
         assert set(values) == {"cls", "balance", "sgmd", "gcn"}
         return total, opt.grads
 
@@ -675,8 +675,7 @@ def test_stacked_step_matches_the_per_term_reference(variant, w):
                 ref_terms, ref_gate = reference_terms(state, z_class, cfg, *batch)
                 ref_total, ref_grads = reference_total(ref_terms, lw)
                 opt = gradient_arrays(state, cfg)
-                values, total_value, gate = joint_terms(
-                    copy.deepcopy(state), z_class, cfg, *batch, opt)
+                values, total_value, gate = joint_terms(opt, known, z_class, cfg, *batch)
 
                 assert np.array_equal(gate, ref_gate)
                 if cfg.enable_sgmd and matched:
@@ -727,7 +726,7 @@ def test_lean_step_gives_the_bits_of_the_checked_step(flags, case):
         batch = (raw_s, rng.integers(0, known, n), rng.standard_normal((n, m_in)),
                  raw_s[:matched], rng.standard_normal((matched, m_in)))
         opt, ref = gradient_arrays(state, cfg), gradient_arrays(state, cfg)
-        values, total_value, gate = joint_terms(state, z_class, cfg, *batch, opt)
+        values, total_value, gate = joint_terms(opt, known, z_class, cfg, *batch)
         ref_values, ref_total, ref_gate = checked_joint_terms(
             copy.deepcopy(state), z_class, cfg, *batch, ref.grads)
 
@@ -751,13 +750,13 @@ def test_pretraining_gives_the_bits_of_the_checked_loop(epochs):
     source = synth.generate(cfg.synth)[0]
     args = (source.features, source.labels, cfg.synth.known_classes, cfg.feature_dim,
             cfg.pretrain)
-    state, history = trainer.pretrain_source(source.features, source.labels, cfg,
-                                             make_rng(3))
-    ref_state, ref_history = checked_pretrain_source(*args, make_rng(3))
+    params, history = trainer.pretrain_source(source.features, source.labels, cfg,
+                                              make_rng(3))
+    ref_params, ref_history = checked_pretrain_source(*args, make_rng(3))
     assert history == ref_history
-    assert np.array_equal(state.weight, ref_state.weight)
-    assert np.array_equal(state.bias, ref_state.bias)
-    assert np.array_equal(state.head, ref_state.head)
+    # the encoder weight, bias and head
+    for param, ref_param in zip(params, ref_params, strict=True):
+        assert np.array_equal(param, ref_param)
 
 
 @pytest.mark.parametrize("known, total", [(3, 5), (3, 3)], ids=["graph", "known == total"])
@@ -769,13 +768,14 @@ def test_prepare_keeps_the_pretrained_encoder(known, total):
     data = synth.generate(cfg.synth)
     state = trainer.prepare(cfg, data).state
     rng_pre = make_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0])
-    pre, _ = trainer.pretrain_source(data[0].features, data[0].labels, cfg, rng_pre)
-    assert np.array_equal(state.weight, pre.weight)
-    assert np.array_equal(state.bias, pre.bias)
+    (weight, bias, head), _ = trainer.pretrain_source(data[0].features, data[0].labels, cfg,
+                                                      rng_pre)
+    assert np.array_equal(state.weight, weight)
+    assert np.array_equal(state.bias, bias)
     assert state.known_count == known and state.head.shape == (total, cfg.feature_dim)
     assert state.theta.shape == (cfg.synth.word_dim, cfg.feature_dim)
     if data[2] is None:  # no graph: the head starts at the pretrained classifier
-        assert np.array_equal(state.head, pre.head)
+        assert np.array_equal(state.head, head)
 
 
 def test_train_joint_refuses_a_source_label_past_the_known_classes():
@@ -843,9 +843,9 @@ def test_train_joint_replays_joint_terms_and_momentum():
             s_ids = src_idx[partner[src_idx] >= 0]
             opt = gradient_arrays(state, cfg)
             values, total, gate = joint_terms(
-                state, replay.z_class, cfg, source.features[src_idx],
+                opt, state.known_count, replay.z_class, cfg, source.features[src_idx],
                 source.labels[src_idx], target.features[tgt_idx],
-                source.features[s_ids], target.features[partner[s_ids]], opt)
+                source.features[s_ids], target.features[partner[s_ids]])
             for name, value in [*values.items(), ("total", total)]:
                 sums[name] += value
             steps += 1
@@ -927,7 +927,7 @@ def test_cls_rows_ignore_the_unknown_logits(known, total):
     with np.errstate(all="raise"):  # no NaN, overflow or underflow on the way
         opt = gradient_arrays(state, cfg)
         values, total_value, _ = joint_terms(
-            state, None, cfg, raw_s, labels, raw_s, raw_none, raw_none, opt)
+            opt, known, None, cfg, raw_s, labels, raw_s, raw_none, raw_none)
         grads = opt.grads
 
     d_logits = softmax_rows(f @ head[:known].T)
@@ -989,12 +989,12 @@ def test_an_overflow_on_the_way_back_names_the_total():
     # cls is finite, but its feature gradient d_logits @ head overflows: the
     # step must not hand back an infinite gradient without naming it
     state = ModelState(np.full((2, 2), 1e-3), np.zeros(2),
-                       np.array([[1.5e308, 0.0], [-1.5e308, 0.0]]), 2, None)
+                       np.array([[1.5e308, 0.0], [-1.5e308, 0.0]]), 2, np.zeros((1, 2)))
     raw = np.array([[1e-300, 0.0]])
     cfg = apply_flags(ExperimentConfig(), ())
     with pytest.raises(NonFiniteLossError) as exc, np.errstate(all="ignore"):
-        joint_terms(state, None, cfg, raw, np.array([1]),
-                    raw[:0], raw[:0], raw[:0], gradient_arrays(state, cfg))
+        joint_terms(gradient_arrays(state, cfg), 2, None, cfg, raw, np.array([1]),
+                    raw[:0], raw[:0], raw[:0])
     assert exc.value.component == "total" and math.isnan(exc.value.value)
 
 

@@ -19,7 +19,9 @@ It writes them under DIR, every file of which, inputs included, goes into
 DIR/manifest.json. ``compare`` lists the files that differ between two
 manifests, or that only one has, and exits 1 if there is any. To check a
 change against its parent, write both on the same machine, the parent's
-package given by ``--src``::
+package given by ``--src``, the directory that holds
+``opendomain/__init__.py`` (``write`` refuses one that does not, which would
+run an installed ``opendomain`` instead)::
 
     git archive <parent> | tar -x -C /tmp/parent
     python3 tools/identity.py write /tmp/id-parent --src /tmp/parent/src
@@ -108,6 +110,8 @@ def _run(work: Path, argv: list, src: Path) -> None:
 def write(work: Path, src: Path) -> dict:
     """Runs every case in ``work``, which must be empty or absent, and
     returns and writes its manifest."""
+    if not (src / "opendomain" / "__init__.py").is_file():
+        sys.exit(f"--src {src} does not hold the opendomain package (opendomain/__init__.py)")
     work.mkdir(parents=True, exist_ok=True)
     if any(work.iterdir()):
         sys.exit(f"{work} is not empty")
