@@ -8,13 +8,11 @@ limited form R + w^2/R has a finite minimum at R = w and pushes back from
 both sides.
 
 This script first tabulates the two penalties, then trains the benchmark
-under no balance / vanilla / limited, all three from one prepared prefix
+under no balance / vanilla / limited, all three from one prepared start
 (pretraining, GCN init and the first matching), and compares outcomes.
 
 Run:  python3 demos/balance_behavior.py
 """
-from dataclasses import replace
-
 import numpy as np
 
 from opendomain import synth
@@ -30,20 +28,15 @@ for r in (0.02, 0.1, w, 0.6, 0.9):
 print("-log R keeps rewarding larger R forever; the limited form turns")
 print("around past R = w.\n")
 
-variants = {
-    "no balance": dict(enable_lb=False, enable_sgmd=False, enable_gcn=False),
-    "vanilla -log R": dict(enable_lb=False, enable_sgmd=False,
-                           enable_gcn=False, vanilla_balance=True),
-    "limited R + w^2/R": dict(enable_lb=True, enable_sgmd=False,
-                              enable_gcn=False),
-}
+# each variant's flag tokens: the terms it switches on, every other one off
+variants = {"no balance": (), "vanilla -log R": ("vanilla",), "limited R + w^2/R": ("lb",)}
 
-# the flags are no prefix keys: every variant trains from the one prefix
+# prepare reads no flag: every variant trains from the one prepared start
 prepared = prepare(base, synth.generate(base.synth))
 final = {}
 print(f"{'variant':<18} {'known':>7} {'unknown':>8} {'all':>7}")
-for name, flags in variants.items():
-    _, history = train_joint(prepared, replace(base, **flags))
+for name, tokens in variants.items():
+    _, history = train_joint(prepared, tokens)
     final[name] = history[-1]
     print(f"{name:<18} {final[name]['known']:7.3f} {final[name]['unknown']:8.3f} "
           f"{final[name]['all']:7.3f}")

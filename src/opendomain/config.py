@@ -1,7 +1,7 @@
 """The experiment config, its flat ``section.key = value`` text form and
 that form's hash. Each key's facts are declared once, on its field, and
-:func:`config_keys` is the one walk over them that the text form, the
-parser and the refusal of :func:`trainer.train_joint` read."""
+:func:`config_keys` is the one walk over them that the text form and the
+parser read."""
 from __future__ import annotations
 
 import hashlib
@@ -9,12 +9,11 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .gcn import GcnSchedule
 from .losses import LossWeights
-from .model import PretrainSchedule
 from .numkit import check_keys, key
 from .synth import SynthConfig
 
-__all__ = ["ConfigError", "ExperimentConfig", "loss_w", "apply_flags", "config_keys",
-           "parse_config", "config_to_text", "experiment_hash"]
+__all__ = ["ConfigError", "PretrainSchedule", "ExperimentConfig", "loss_w", "apply_flags",
+           "config_keys", "parse_config", "config_to_text", "experiment_hash"]
 
 
 class ConfigError(ValueError):
@@ -22,25 +21,35 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class PretrainSchedule:
+    learning_rate: float = key(0.05, "> 0")
+    momentum: float = key(0.9, "in [0, 1)")
+    epochs: int = key(12, ">= 1")
+    batch_size: int = key(32, ">= 1")
+
+    def __post_init__(self):
+        check_keys(self, "pretrain")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """The experiment: each dataclass field is a config section of its own
     name, every other field a ``train.*`` key, or a ``flags.*`` key. A
     ConfigError refuses a bad key (:func:`numkit.check_keys`), then a rule
-    across keys, naming each key it involves. A prepared prefix reads each key
-    declared ``prefix``, on its own field or on its section's."""
+    across keys, naming each key it involves."""
 
-    synth: SynthConfig = field(default_factory=SynthConfig, metadata={"prefix": True})
+    synth: SynthConfig = field(default_factory=SynthConfig)
     loss: LossWeights = field(default_factory=LossWeights)
-    pretrain: PretrainSchedule = field(default_factory=PretrainSchedule, metadata={"prefix": True})
-    gcn: GcnSchedule = field(default_factory=GcnSchedule, metadata={"prefix": True})
-    feature_dim: int = key(16, ">= 1", prefix=True)
+    pretrain: PretrainSchedule = field(default_factory=PretrainSchedule)
+    gcn: GcnSchedule = field(default_factory=GcnSchedule)
+    feature_dim: int = key(16, ">= 1")
     learning_rate: float = key(0.05, "> 0")
     momentum: float = key(0.9, "in [0, 1)")
     epochs: int = key(40, ">= 1")
     batch_size: int = key(32, ">= 1")
-    folds: int = key(5, ">= 1", prefix=True)
+    folds: int = key(5, ">= 1")
     rematch_interval: int = key(0, ">= 0")
-    seed: int = key(0, ">= 0", prefix=True)
+    seed: int = key(0, ">= 0")
     enable_lb: bool = True
     enable_sgmd: bool = True
     enable_gcn: bool = True
@@ -96,23 +105,21 @@ def apply_flags(cfg: ExperimentConfig, tokens) -> ExperimentConfig:
 
 
 def config_keys(cfg: ExperimentConfig):
-    """Each key of ``cfg`` as (``section.name``, value, kind, prefix) in the
-    order of the text form: the sections in field order, then ``train`` and
-    ``flags``, each sorted by name. The kind and prefix are its field's
-    declarations (or its section's prefix); ``loss.w`` is resolved."""
-    sections = {}  # section -> [(field, value, whether a prefix reads the section whole)]
+    """Each key of ``cfg`` as (``section.name``, value, kind) in the order of
+    the text form: the sections in field order, then ``train`` and ``flags``,
+    each sorted by name. The kind is its field's declaration; ``loss.w`` is
+    resolved."""
+    sections = {}  # section -> [(field, value)]
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if is_dataclass(value):
-            sections[f.name] = [(g, getattr(value, g.name), f.metadata.get("prefix", False))
-                                for g in fields(value)]
+            sections[f.name] = [(g, getattr(value, g.name)) for g in fields(value)]
         else:
-            sections.setdefault(_section(f.name), []).append((f, value, False))
+            sections.setdefault(_section(f.name), []).append((f, value))
     for section, keys in sections.items():
-        for f, value, whole in sorted(keys, key=lambda k: k[0].name):
+        for f, value in sorted(keys, key=lambda k: k[0].name):
             yield (f"{section}.{f.name}", loss_w(cfg) if value is None else value,
-                   f.metadata.get("kind", type(f.default)),
-                   whole or f.metadata.get("prefix", False))
+                   f.metadata.get("kind", type(f.default)))
 
 
 def _parse_value(raw: str, kind, key: str):
@@ -138,7 +145,7 @@ def parse_config(text: str) -> ExperimentConfig:
     the proportion of unknown classes.
     """
     base = ExperimentConfig()
-    kinds = {key: kind for key, _, kind, _ in config_keys(base)}
+    kinds = {key: kind for key, _, kind in config_keys(base)}
     values: dict = {}  # section -> {name: value}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -171,7 +178,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
 def config_to_text(cfg: ExperimentConfig) -> str:
     """Canonical flat text form; parse_config round-trips it."""
-    return "".join(f"{key} = {value}\n" for key, value, _, _ in config_keys(cfg))
+    return "".join(f"{key} = {value}\n" for key, value, _ in config_keys(cfg))
 
 
 def experiment_hash(cfg: ExperimentConfig) -> str:

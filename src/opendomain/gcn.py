@@ -108,7 +108,9 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     word vectors) it runs ``schedule.steps`` momentum steps. It raises
     NonFiniteLossError for ``'gcn init'`` at the first step whose loss is not
     finite and, either way, when the RMS by which its known rows miss W is
-    nan or past 100 times W's own RMS: a failed fit.
+    nan or past 100 times W's own RMS, a failed fit, and then, valued at the
+    ratio, when the largest entry of its unknown rows is past 100 times W's
+    largest: classifiers far beyond any the known classes have.
 
     Returns (theta, embeddings) where ``embeddings`` are the class rows of
     O = leaky_relu(Z_class theta), :func:`leaky_relu`'s activation (known
@@ -124,8 +126,9 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     gram = z_known @ z_known.T
     eig = np.linalg.eigvalsh(gram)
     limit = slope ** 2 * schedule.learning_rate * schedule.steps / (1 - schedule.momentum)
-    # an overflow shows as a step's loss or the result's residual not being finite
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow shows as a step's loss, the result's residual or its reach
+    # not being finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if eig[0] > 0 and eig[-1] <= limit * eig[0]:
             target = np.where(w > 0, w, w / slope)
             theta += z_known.T @ np.linalg.solve(gram, target - z_known @ theta)
@@ -146,6 +149,9 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
                 opt.step()
         embeddings = leaky_relu(z_class @ theta, slope)[0]
         residual = float(np.square(embeddings[: len(w)] - w).sum())
+        reach = float(np.abs(embeddings[len(w):]).max(initial=0.0) / np.abs(w).max())
     if not residual <= 1e4 * float(np.square(w).sum()):
         raise NonFiniteLossError("gcn init", residual)
+    if not reach <= 100:
+        raise NonFiniteLossError("gcn init", reach)
     return theta, embeddings

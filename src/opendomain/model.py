@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import (
-    DimensionError, check_keys, key, load_matrix, save_matrix, text_file, write_json)
+from .numkit import DimensionError, load_matrix, save_matrix, text_file, write_json
 
 __all__ = [
     "ModelState",
-    "PretrainSchedule",
     "encode",
     "save_checkpoint",
     "load_checkpoint",
@@ -51,17 +49,6 @@ class ModelState:
         if self.theta is None:
             raise ValueError("theta must be an array, got None")
         object.__setattr__(self, "known_count", int(known))
-
-
-@dataclass(frozen=True)
-class PretrainSchedule:
-    learning_rate: float = key(0.05, "> 0")
-    momentum: float = key(0.9, "in [0, 1)")
-    epochs: int = key(12, ">= 1")
-    batch_size: int = key(32, ">= 1")
-
-    def __post_init__(self):
-        check_keys(self, "pretrain")
 
 
 def encode(raw, state: ModelState) -> np.ndarray:

@@ -109,11 +109,10 @@ _RULES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, "> 0": lambda v: v
           "finite": lambda v: True, ">= 2 (>= total_classes builds a star)": lambda v: v >= 2}
 
 
-def key(default, rule: str, kind=None, prefix=False):
+def key(default, rule: str, kind=None):
     """A config key's field: its default, its kind (``default``'s type, or ``kind``
-    for a default None), its ``_RULES`` range and whether a prefix reads it."""
-    return field(default=default,
-                 metadata={"rule": rule, "kind": kind or type(default), "prefix": prefix})
+    for a default None) and its ``_RULES`` range."""
+    return field(default=default, metadata={"rule": rule, "kind": kind or type(default)})
 
 
 def check_keys(obj, section) -> None:
@@ -121,10 +120,10 @@ def check_keys(obj, section) -> None:
     field with a default factory) must be of that class, and a bool, int or
     float key of its kind (a bool is no number, a float no int), stored as
     the kind itself, so an int given to a float key writes a float's text;
-    a ``key`` must be finite and meet its rule (its ``prefix`` is not
-    checked). The first bad field in declaration order is refused, a
-    ValueError ``<section>.<name> must be <rule or kind>, got <value>``;
-    ``section`` is the section name or a function from a field name to it."""
+    a ``key`` must be finite and meet its rule. The first bad field in
+    declaration order is refused, a ValueError ``<section>.<name> must be
+    <rule or kind>, got <value>``; ``section`` is the section name or a
+    function from a field name to it."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.default_factory is not MISSING:

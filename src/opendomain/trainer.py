@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import synth
-from .config import ConfigError, ExperimentConfig, apply_flags, config_keys, loss_w
+from .config import ConfigError, ExperimentConfig, apply_flags, loss_w
 from .evaluate import accuracy_triple, predict
 from .gcn import gcn_reg_core, propagate, train_gcn_init
 from .graph import normalized_adjacency
@@ -68,8 +68,7 @@ def _target_order(rng, n_target: int, needed: int) -> np.ndarray:
 class Prepared:
     """All the joint loop reads: the model after pretraining and GCN init,
     the datasets, the propagated class rows (None without a graph), the
-    initial partners, the RNG streams and the config, whose prefix keys, as
-    declared on ExperimentConfig's fields, pin it for every variant of a seed."""
+    initial partners, the RNG streams and the config it was prepared under."""
 
     state: ModelState
     source: synth.LabeledDataset
@@ -293,10 +292,11 @@ def _epoch(opt, known, z_class, cfg, batch, xs, ys, xt, xms, xmt, cuts) -> list:
     return steps
 
 
-def train_joint(prepared: Prepared, cfg: ExperimentConfig, eval_every_epoch: bool = True):
+def train_joint(prepared: Prepared, tokens=None, eval_every_epoch: bool = True):
     """The joint loop over the cls, SGMD, balance and graph terms, with rematching
-    every ``cfg.rematch_interval`` epochs; a ``cfg`` that differs from ``prepared.config``
-    in a prefix key, as declared on ExperimentConfig's fields, raises ConfigError naming it.
+    every ``train.rematch_interval`` epochs, under ``prepared.config`` or, given
+    flag ``tokens``, under ``apply_flags(prepared.config, tokens)``: the flags
+    are the one part of a config that :func:`prepare` does not read.
 
     Trains a copy and leaves ``prepared`` as it found it: the trained
     arrays (the encoder, the head and, with the graph term, theta) are
@@ -308,10 +308,7 @@ def train_joint(prepared: Prepared, cfg: ExperimentConfig, eval_every_epoch: boo
     eval labels (label -1) records its accuracies as None, and so does every
     epoch but the last when ``eval_every_epoch`` is false.
     """
-    for (key, now, _, prefix), (_, was, _, _) in zip(config_keys(cfg),
-                                                     config_keys(prepared.config)):
-        if prefix and f"{now}" != f"{was}":  # as the text form writes them: -0.0 is not 0.0
-            raise ConfigError(f"{key} = {now}, but the prefix was prepared under {key} = {was}")
+    cfg = prepared.config if tokens is None else apply_flags(prepared.config, tokens)
     source, target, init = prepared.source, prepared.target, prepared.state
     known, partner = init.known_count, prepared.partner
     check_labels(source.labels, known)
@@ -364,7 +361,7 @@ def run_pipeline(cfg: ExperimentConfig, data=None):
     Returns (ModelState, history) as :func:`train_joint` does."""
     if data is None:
         data = synth.generate(cfg.synth)
-    return train_joint(prepare(cfg, data), cfg)
+    return train_joint(prepare(cfg, data))
 
 
 # ----------------------------------------------------------------- runners
@@ -375,9 +372,9 @@ def run_ablation(base: ExperimentConfig, seeds, data=None):
     space: the five ``ABLATION_VARIANTS`` with unknown classes, else
     ``DA_VARIANTS``, whose unknown column reads 0 (no unknown instances).
 
-    Each seed's prefix is prepared once and every variant trains from it.
-    With ``data`` the dataset is held fixed and only the training seed
-    varies; otherwise each seed regenerates the benchmark.
+    Each seed is prepared once, and every variant trains from it under its
+    flag tokens. With ``data`` the dataset is held fixed and only the
+    training seed varies; otherwise each seed regenerates the benchmark.
     """
     if not len(seeds):
         raise ConfigError("run_ablation needs at least one seed")
@@ -392,7 +389,7 @@ def run_ablation(base: ExperimentConfig, seeds, data=None):
             cfg = replace(cfg, synth=replace(base.synth, seed=int(seed)))
         prepared = prepare(cfg, synth.generate(cfg.synth) if data is None else data)
         for name, tokens in variants.items():
-            _, history = train_joint(prepared, apply_flags(cfg, tokens), eval_every_epoch=False)
+            _, history = train_joint(prepared, tokens, eval_every_epoch=False)
             runs[name].append({k: history[-1][k] for k in ("known", "unknown", "all")})
     results = {}
     for variant, variant_runs in runs.items():

@@ -721,6 +721,20 @@ _EXIT_CASES = [
      (_replace("exp.cfg", "gcn.steps = 300\n", ""),
       _append("exp.cfg", "gcn.init_scale = 1e100\n")),
      2, "numeric failure: loss past its bound in component 'gcn init' ("),
+    # the known rows fit W to rounding, but the unknown rows keep theta0's
+    # part outside the row space of Z_k: 7.2e7 times max|W|, and the run
+    # trained on to exit 0
+    ("train", "GCN init's closed form from a theta0 of scale 1e8",
+     (_replace("exp.cfg", "gcn.steps = 300\n", ""),
+      _append("exp.cfg", "gcn.init_scale = 1e8\n")),
+     2, "numeric failure: loss past its bound in component 'gcn init' (71858546."),
+    # slope 0 from a theta0 of scale 1e4: the loop leaves every known output
+    # at 0 (a residual of exactly sum(W^2), inside its rule) and the unknown
+    # rows at 2.2e3 times max|W|; the run trained on to exit 0
+    ("train", "GCN init's slope-0 loop from a theta0 of scale 1e4",
+     (_replace("exp.cfg", "train.seed = 0", "train.seed = 4"),
+      _append("exp.cfg", "gcn.slope = 0\ngcn.init_scale = 1e4\n")),
+     2, "numeric failure: loss past its bound in component 'gcn init' (2190."),
     ("train", "empty --flags",
      ["train", "--config", "{r}/exp.cfg", "--data", "{r}/data", "--out", "{r}/out",
       "--flags", ""], 1, "unknown flag tokens: ['']"),

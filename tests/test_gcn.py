@@ -447,6 +447,30 @@ def test_train_init_refuses_a_fit_past_100_times_the_rms_of_w(schedule, low, hig
     assert low < exc.value.value / norm < high
 
 
+@pytest.mark.parametrize("schedule, low, high", [
+    (GcnSchedule(init_scale=1000.0), 30, 50),
+    (GcnSchedule(slope=0.0, init_scale=10.0), 30, 40),
+    (GcnSchedule(init_scale=1e8), 3e6, 4e6),
+    (GcnSchedule(slope=0.0, init_scale=100.0), 200, 220),
+], ids=["the closed form, inside", "the loop, inside", "the closed form, past",
+        "the loop, past"])
+def test_train_init_refuses_unknown_rows_past_100_times_max_w(schedule, low, high):
+    # the largest unknown-row entry lies between low and high times max|W|;
+    # the known rows fit within their own rule in each case, but past 100
+    # the unknown rows keep theta0's scale, far from any known classifier
+    g = _toy_graph()
+    x = make_rng(7).standard_normal((6, 8))
+    w = make_rng(8).standard_normal((3, 4))
+    if high <= 100:
+        _, emb = train_gcn_init(_z_class(g, x), w, schedule, make_rng(0))
+        assert low < np.abs(emb[3:]).max() / np.abs(w).max() < high
+        return
+    with pytest.raises(NonFiniteLossError,
+                       match=r"^loss past its bound in component 'gcn init' \(") as exc:
+        train_gcn_init(_z_class(g, x), w, schedule, make_rng(0))
+    assert low < exc.value.value < high
+
+
 def test_train_init_deterministic():
     rng = make_rng(9)
     g = _toy_graph()

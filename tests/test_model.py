@@ -4,10 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opendomain.config import ExperimentConfig, experiment_hash
+from opendomain.config import ExperimentConfig, PretrainSchedule, experiment_hash
 from opendomain.model import (
     ModelState,
-    PretrainSchedule,
     encode,
     load_checkpoint,
     save_checkpoint,

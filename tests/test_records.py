@@ -1,6 +1,6 @@
 """Every dataclass the package defines is frozen: no code can rebind a
 field of a record it was handed, so a record that several runs read (a
-config, a prepared prefix, a model state) is the same record for each."""
+config, a prepared start, a model state) is the same record for each."""
 import dataclasses
 import importlib
 import inspect
@@ -24,13 +24,12 @@ def _dataclasses() -> dict:
 def test_every_dataclass_is_frozen():
     records = _dataclasses()
     assert sorted(records) == [
-        "opendomain.config.ExperimentConfig",
+        "opendomain.config.ExperimentConfig", "opendomain.config.PretrainSchedule",
         "opendomain.evaluate.AccuracyTriple", "opendomain.gcn.GcnSchedule",
         "opendomain.graph.KnowledgeGraph", "opendomain.losses.LossWeights",
         "opendomain.matching.MatchedPairs", "opendomain.model.ModelState",
-        "opendomain.model.PretrainSchedule", "opendomain.synth.LabeledDataset",
-        "opendomain.synth.SynthConfig", "opendomain.synth.UnlabeledDataset",
-        "opendomain.trainer.Prepared"]
+        "opendomain.synth.LabeledDataset", "opendomain.synth.SynthConfig",
+        "opendomain.synth.UnlabeledDataset", "opendomain.trainer.Prepared"]
     thawed = sorted(name for name, cls in records.items()
                     if not cls.__dataclass_params__.frozen)
     assert not thawed, f"not frozen: {thawed}"

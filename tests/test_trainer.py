@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import re
 from dataclasses import FrozenInstanceError, fields, replace
@@ -8,12 +9,12 @@ import pytest
 
 from opendomain import gcn, numkit, synth
 from opendomain.config import (
-    ConfigError, ExperimentConfig, apply_flags, config_to_text, experiment_hash, loss_w,
-    parse_config)
+    ConfigError, ExperimentConfig, PretrainSchedule, apply_flags, config_to_text,
+    experiment_hash, loss_w, parse_config)
 from opendomain.gcn import GcnSchedule, propagate
 from opendomain.losses import LossWeights, NonFiniteLossError, cls_core
 from opendomain.matching import partition_folds
-from opendomain.model import ModelState, PretrainSchedule, encode
+from opendomain.model import ModelState, encode
 from opendomain.numkit import make_rng, softmax_rows
 from opendomain import trainer
 from opendomain.trainer import (
@@ -782,35 +783,7 @@ def test_train_joint_refuses_a_source_label_past_the_known_classes():
     prepared = trainer.prepare(_small_cfg(), synth.generate(_small_cfg().synth))
     prepared.source.labels[0] = prepared.state.known_count
     with pytest.raises(IndexError):
-        trainer.train_joint(prepared, _small_cfg())
-
-
-@pytest.mark.parametrize("key, change", [
-    ("synth.seed", lambda c: replace(c, synth=replace(c.synth, seed=1))),
-    ("pretrain.epochs", lambda c: replace(c, pretrain=replace(c.pretrain, epochs=2))),
-    ("gcn.slope", lambda c: replace(c, gcn=replace(c.gcn, slope=0.5))),
-    ("train.feature_dim", lambda c: replace(c, feature_dim=8)),
-    ("train.folds", lambda c: replace(c, folds=3)),
-    ("train.seed", lambda c: replace(c, seed=1)),
-    (None, lambda c: apply_flags(c, ("lb",))),
-    (None, lambda c: replace(c, loss=replace(c.loss, lambda_d=0.25))),
-    (None, lambda c: replace(c, epochs=1)),
-    (None, lambda c: replace(c, rematch_interval=1)),
-], ids=["synth", "pretrain", "gcn", "feature_dim", "folds", "seed", "flag", "loss.lambda_d",
-        "train.epochs", "train.rematch_interval"])
-def test_train_joint_trains_only_under_the_prefix_it_was_prepared_under(key, change):
-    # a prefix key changed after prepare used to train the prepared model
-    # without a word: a 5-wide one under train.feature_dim = 8, or a graph
-    # tie at another slope than the GCN init fit
-    cfg = _small_cfg(epochs=2)
-    prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
-    if key is None:
-        _, history = trainer.train_joint(prepared, change(cfg))
-        assert history
-        return
-    with pytest.raises(ConfigError, match=rf"^{re.escape(key)} = .*, but the prefix was "
-                                          rf"prepared under {re.escape(key)} = [^,]*$"):
-        trainer.train_joint(prepared, change(cfg))
+        trainer.train_joint(prepared)
 
 
 def test_train_joint_replays_joint_terms_and_momentum():
@@ -821,7 +794,7 @@ def test_train_joint_replays_joint_terms_and_momentum():
     cfg = _small_cfg(synth=sizes, epochs=2, rematch_interval=1)
     prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
     assert (prepared.partner < 0).any() and (prepared.partner >= 0).any()
-    trained, history = trainer.train_joint(prepared, cfg)
+    trained, history = trainer.train_joint(prepared)
 
     # train_joint left prepared as it found it, so the replay starts from it
     replay = prepared
@@ -888,7 +861,7 @@ def test_train_joint_leaves_prepared_as_it_found_it(flags):
     cfg = apply_flags(_small_cfg(synth=sizes, epochs=2, rematch_interval=1), flags)
     prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
     before = copy.deepcopy(prepared)
-    (first, history), (second, again) = (trainer.train_joint(prepared, cfg) for _ in range(2))
+    (first, history), (second, again) = (trainer.train_joint(prepared) for _ in range(2))
 
     assert history == again
     assert first.known_count == second.known_count
@@ -980,7 +953,7 @@ def test_non_finite_gradient_names_its_term(monkeypatch, term, attr, grad_arg):
         else:
             prepared = trainer.prepare(cfg, data)
             monkeypatch.setattr(trainer, attr, poisoned)
-            trainer.train_joint(prepared, cfg)
+            trainer.train_joint(prepared)
     assert exc.value.component == term
     assert math.isnan(exc.value.value)  # the value was finite, a gradient not
 
@@ -1027,8 +1000,8 @@ def test_final_only_evaluation_gives_the_full_history_final_record():
     # epoch; the training and every loss record are those of a scored run
     cfg = _small_cfg(epochs=3)
     prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
-    full_state, full = trainer.train_joint(prepared, cfg)
-    final_state, final_only = trainer.train_joint(prepared, cfg, eval_every_epoch=False)
+    full_state, full = trainer.train_joint(prepared)
+    final_state, final_only = trainer.train_joint(prepared, eval_every_epoch=False)
     assert len(final_only) == len(full) == cfg.epochs
     assert final_only[-1] == full[-1] and full[-1]["all"] is not None
     triple = ("known", "unknown", "all", "n_known", "n_unknown")
@@ -1125,6 +1098,45 @@ def _sym_cfg(**synth_overrides):
 def _da(cfg):
     return {name: entry["runs"][0]["all"]
             for name, entry in run_ablation(cfg, seeds=[cfg.seed]).items()}
+
+
+def _flag_cfgs():
+    """A tiny config of each label space and the flag token sets it takes:
+    every subset of lb, sgmd, gcn and vanilla but lb with vanilla, and on
+    known == total no term but sgmd."""
+    tokens = ("lb", "sgmd", "gcn", "vanilla")
+    subsets = [s for n in range(len(tokens) + 1) for s in itertools.combinations(tokens, n)]
+    open_set = [s for s in subsets if not {"lb", "vanilla"} <= set(s)]
+    assert len(open_set) == 12
+    return [(_small_cfg(epochs=2, rematch_interval=1), open_set),
+            (replace(_sym_cfg(), epochs=2, rematch_interval=1), [(), ("sgmd",)])]
+
+
+@pytest.mark.parametrize("cfg, token_sets", _flag_cfgs(), ids=["open set", "known == total"])
+def test_prepare_reads_no_flag(cfg, token_sets):
+    # train_joint takes flag tokens alone, not a config, because nothing
+    # prepare does reads a flag: one prepared start trains each flag set to
+    # the bits of a whole pipeline run under those flags
+    data = synth.generate(cfg.synth)
+    prepared = trainer.prepare(cfg, data)
+    for tokens in token_sets:
+        state, history = trainer.train_joint(prepared, tokens)
+        expected_state, expected = run_pipeline(apply_flags(cfg, tokens), data)
+        assert history == expected, tokens
+        for f in fields(state):
+            assert np.array_equal(getattr(state, f.name), getattr(expected_state, f.name)), \
+                (tokens, f.name)
+
+
+@pytest.mark.parametrize("cfg, tokens, refusal", [
+    (_small_cfg(), ("lb", "vanilla"), "mutually exclusive"),
+    (_small_cfg(), ("sgmd", "balance"), "unknown flag tokens: ['balance']"),
+    (_sym_cfg(), ("lb",), "flags.enable_lb need unknown classes"),
+], ids=["lb with vanilla", "an unknown token", "lb with no unknown class"])
+def test_train_joint_refuses_the_flag_sets_a_config_refuses(cfg, tokens, refusal):
+    prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
+    with pytest.raises(ConfigError, match=re.escape(refusal)):
+        trainer.train_joint(prepared, tokens)
 
 
 def test_da_mode_returns_both_accuracies():
