@@ -74,8 +74,7 @@ def _load_data_dir(directory, cfg):
 
 
 def _require_eval_labels(target, directory) -> None:
-    # load_dataset marks a target without its .eval sidecar with label -1
-    if (target.eval_labels < 0).any():
+    if target.eval_labels is None:
         path = os.path.join(directory, _DATA_FILES["target"])
         raise ValueError(f"{path}.eval not found: no labels to score against")
 

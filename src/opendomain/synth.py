@@ -45,14 +45,14 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class UnlabeledDataset:
-    """Target-domain features; eval_labels are held out for scoring only
-    and must never be read by training code."""
+    """Target-domain features; eval_labels (None without labels: saved with no sidecar)
+    are held out for scoring only and must never be read by training code."""
 
     features: np.ndarray
-    eval_labels: np.ndarray
+    eval_labels: np.ndarray | None
 
     def __post_init__(self):
-        if self.features.shape[0] != len(self.eval_labels):
+        if self.eval_labels is not None and self.features.shape[0] != len(self.eval_labels):
             raise ValueError("feature/label counts differ")
 
     @property
@@ -188,8 +188,8 @@ def generate(cfg: SynthConfig):
 
 def save_dataset(path, dataset, num_classes: int) -> None:
     """Header `n M_in labeled <0|1> classes <count>`, one instance per
-    line. Unlabeled rows start with `?`; their eval labels go to a
-    sidecar file `<path>.eval`."""
+    line. Unlabeled rows start with `?`; their eval labels go to a sidecar
+    file `<path>.eval`, written only when eval_labels is not None."""
     labeled = isinstance(dataset, LabeledDataset)
     n, m_in = dataset.features.shape
     # labels go through float64 exactly: the loader keeps them below 2**53
@@ -197,7 +197,7 @@ def save_dataset(path, dataset, num_classes: int) -> None:
     np.savetxt(path, rows, fmt=("%d " if labeled else "? ") + " ".join(["%.17g"] * m_in),
                header=f"{n} {m_in} labeled {int(labeled)} classes {num_classes}",
                comments="", encoding="utf-8")
-    if not labeled:
+    if not labeled and dataset.eval_labels is not None:
         np.savetxt(str(path) + ".eval", dataset.eval_labels, fmt="%d", encoding="utf-8")
 
 
@@ -208,8 +208,9 @@ def _unlabeled(tag: str) -> int:
 
 
 def load_dataset(path):
-    """Inverse of :func:`save_dataset`: (dataset, num_classes). A bad header, token,
-    label, row count, non-finite entry or .eval length raises ValueError naming the file."""
+    """Inverse of :func:`save_dataset`: (dataset, num_classes), eval_labels=None without
+    a .eval sidecar. A bad header, token, label, row count, non-finite entry or .eval
+    length raises ValueError naming the file."""
     with text_file(path) as fh:
         header = fh.readline().split()
         if len(header) != 6 or header[2] != "labeled" or header[4] != "classes":
@@ -229,14 +230,16 @@ def load_dataset(path):
     feats = as_matrix(np.ascontiguousarray(rows[:, 1:]), name=str(path))
     if labeled:
         return LabeledDataset(features=feats, labels=rows[:, 0].astype(int)), num_classes
-    eval_path = str(path) + ".eval"
+    eval_path, eval_labels = str(path) + ".eval", None
     if os.path.exists(eval_path):
         with text_file(eval_path) as fh:
-            eval_labels = np.array(
-                [parse_tokens(eval_path, lineno, (label,), [line.strip()])[0]
-                 for lineno, line in enumerate(fh, start=1) if line.strip()], dtype=int)
+            lines = [(i, line.strip()) for i, line in enumerate(fh, start=1) if line.strip()]
+        try:
+            eval_labels = np.array([label(token) for _, token in lines], dtype=int)
+        except ValueError:  # walked again, as read_rows does, to name the first bad line
+            for lineno, token in lines:
+                parse_tokens(eval_path, lineno, (label,), [token])
+            raise
         if len(eval_labels) != n:
             raise ValueError(f"{eval_path}: expected {n} labels")
-    else:
-        eval_labels = np.full(n, -1, dtype=int)
     return UnlabeledDataset(features=feats, eval_labels=eval_labels), num_classes

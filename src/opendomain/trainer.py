@@ -95,7 +95,7 @@ def check_data(cfg: ExperimentConfig, data,
     """Refuse data that does not fit the config or itself, naming the parts
     of ``data`` (source, target, graph, word vectors) by ``names``: class
     counts, non-finite entries, feature widths, word vectors against graph
-    nodes, target eval labels (each a class, or all -1) and the fold count."""
+    nodes, target eval labels (each a class, or None: no .eval sidecar) and the fold count."""
     (source, target, graph, word_vectors), (s, t, g, w) = data, names
     total = cfg.synth.total_classes
     if graph is None and cfg.synth.known_classes != total:
@@ -119,9 +119,9 @@ def check_data(cfg: ExperimentConfig, data,
         raise ValueError(f"{w}: {rows} x {dims}, not {nodes} rows (one per {per}) "
                          "of at least one column")
     labels = target.eval_labels
-    if (labels != -1).any() and not ((labels >= 0) & (labels < total)).all():
+    if labels is not None and not ((labels >= 0) & (labels < total)).all():
         raise ValueError(f"{t} eval labels run from {labels.min()} to {labels.max()}, "
-                         f"not over the {total} classes or all -1 (unlabeled)")
+                         f"not over the {total} classes")
     if cfg.folds > min(source.n, target.n):
         raise ConfigError(f"train.folds = {cfg.folds} exceeds the rows of {s} ({source.n}) "
                           f"or {t} ({target.n})")
@@ -304,16 +304,14 @@ def train_joint(prepared: Prepared, tokens=None, eval_every_epoch: bool = True):
     updates in one pass, and the RNG streams are copies too. Returns (ModelState, history),
     the state sharing no array with ``prepared`` and the history one
     record per epoch: the loss term means, the fraction of matched pairs
-    passing the similarity gate and the accuracy triple. A target without
-    eval labels (label -1) records its accuracies as None, and so does every
-    epoch but the last when ``eval_every_epoch`` is false.
+    passing the similarity gate and the accuracy triple, None where the
+    target's eval_labels are None or, unless ``eval_every_epoch``, before the last epoch.
     """
     cfg = prepared.config if tokens is None else apply_flags(prepared.config, tokens)
     source, target, init = prepared.source, prepared.target, prepared.state
     known, partner = init.known_count, prepared.partner
     check_labels(source.labels, known)
     rng_joint, rng_match = copy.deepcopy((prepared.rng_joint, prepared.rng_match))
-    labeled = not (target.eval_labels < 0).any()
 
     trained = [init.weight, init.bias, init.head] + ([init.theta] if cfg.enable_gcn else [])
     opt = MomentumSgd(trained, cfg.learning_rate, cfg.momentum)
@@ -345,7 +343,7 @@ def train_joint(prepared: Prepared, tokens=None, eval_every_epoch: bool = True):
         gates = np.concatenate([gate for _, _, gate in steps])
         record = {"epoch": epoch, **{f"loss_{name}": sums[name] / len(steps) for name in sums},
                   "gated_fraction": int(gates.sum()) / gates.size if gates.size else 0.0}
-        if labeled and (eval_every_epoch or epoch == cfg.epochs - 1):
+        if target.eval_labels is not None and (eval_every_epoch or epoch == cfg.epochs - 1):
             preds = predict(state, target.features)
             record.update(accuracy_triple(preds, target.eval_labels, known).as_dict())
         else:
@@ -378,8 +376,8 @@ def run_ablation(base: ExperimentConfig, seeds, data=None):
     """
     if not len(seeds):
         raise ConfigError("run_ablation needs at least one seed")
-    if data is not None and (data[1].eval_labels < 0).any():
-        raise ValueError("run_ablation needs a target with eval labels, not label -1")
+    if data is not None and data[1].eval_labels is None:
+        raise ValueError("run_ablation needs a target with eval labels")
     open_set = base.synth.known_classes < base.synth.total_classes
     variants = ABLATION_VARIANTS if open_set else DA_VARIANTS
     runs = {name: [] for name in variants}

@@ -203,7 +203,18 @@ def test_unlabeled_load_without_sidecar(tmp_path):
     save_dataset(path, target, 12)
     (tmp_path / "target.ds.eval").unlink()
     loaded, _ = load_dataset(path)
-    assert np.all(loaded.eval_labels == -1)
+    assert loaded.eval_labels is None
+
+
+def test_unlabeled_target_without_sidecar_saves_and_loads_back(tmp_path):
+    path = tmp_path / "t.ds"
+    path.write_text("3 2 labeled 0 classes 4\n? 0 1\n? 2 3\n? 4 5\n")
+    loaded, _ = load_dataset(path)
+    save_dataset(path, loaded, 4)
+    again, _ = load_dataset(path)
+    assert not (tmp_path / "t.ds.eval").exists()
+    assert again.eval_labels is None
+    assert np.array_equal(again.features, np.arange(6.0).reshape(3, 2))
 
 
 def test_load_rejects_malformed(tmp_path):

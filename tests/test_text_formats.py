@@ -86,6 +86,19 @@ def test_unlabeled_dataset_round_trip_with_sidecar(tmp_path, drawn):
     assert np.array_equal(loaded.eval_labels, dataset.eval_labels)
 
 
+@PROPERTY
+@given(_labeled())
+def test_unlabeled_dataset_round_trip_without_sidecar(tmp_path, drawn):
+    labeled, classes = drawn
+    path = tmp_path / "target.ds"
+    save_dataset(path, UnlabeledDataset(features=labeled.features, eval_labels=None), classes)
+    assert not (tmp_path / "target.ds.eval").exists()
+    loaded, loaded_classes = load_dataset(path)
+    assert isinstance(loaded, UnlabeledDataset) and loaded_classes == classes
+    assert _same_bits(loaded.features, labeled.features)
+    assert loaded.eval_labels is None
+
+
 @st.composite
 def _pairs(draw):
     n = draw(st.integers(0, 8))

@@ -512,11 +512,14 @@ def _poison(m, value):
      "the target eval labels run from 0 to 99, not over the 5 classes"),
     (lambda s, t, g, w: (s, _relabel(t, 7, -1), g, w),
      "the target eval labels run from -1 to 4, not over the 5 classes"),
+    # a target without labels holds None; an array of -1s is out of range
+    (lambda s, t, g, w: (s, replace(t, eval_labels=np.full(t.n, -1)), g, w),
+     "the target eval labels run from -1 to -1, not over the 5 classes"),
     (lambda s, t, g, w: (s, t, None, w),
      "the graph is required when synth.known_classes < synth.total_classes"),
 ], ids=["narrow-target", "no-feature-columns", "no-word-dims", "word-row-short",
         "inf-word-vector", "nan-target-feature", "label-past-classes", "one-unlabeled-row",
-        "no-graph"])
+        "all-unlabeled-rows", "no-graph"])
 def test_prepare_refuses_data_that_does_not_fit_before_pretraining(monkeypatch, edit,
                                                                    refusal):
     # the CLI refuses each of these at load; from Python they used to fail
@@ -1036,7 +1039,7 @@ def test_run_ablation_refuses_a_target_without_eval_labels(monkeypatch):
     # first prefix is prepared, not after every variant trained
     cfg = _small_cfg(epochs=1)
     source, target, graph, words = synth.generate(cfg.synth)
-    unlabeled = replace(target, eval_labels=np.full(target.n, -1))
+    unlabeled = replace(target, eval_labels=None)
 
     def refused(*args):
         raise AssertionError("prepared a prefix")
@@ -1069,7 +1072,7 @@ def test_prepare_trains_gcn_init_under_the_configured_slope(monkeypatch):
 def test_unlabeled_target_records_absent_accuracies():
     cfg = _small_cfg(epochs=2)
     source, target, graph, words = synth.generate(cfg.synth)
-    unlabeled = replace(target, eval_labels=np.full(target.n, -1))
+    unlabeled = replace(target, eval_labels=None)
     _, history = run_pipeline(cfg, data=(source, unlabeled, graph, words))
     for record in history:
         for key in ("known", "unknown", "all", "n_known", "n_unknown"):

@@ -11,6 +11,9 @@ output depends on where it was written. The cases:
 - every ``train`` run of ``tests/test_cli_smoke.py``, with ``eval``, its
   ``ablate`` of the symmetric config, and its ``match`` of the word vectors
   on themselves and against their first 10 rows;
+- ``train`` on a copy of the smoke ``data`` directory without
+  ``target.ds.eval``, whose ``history.json`` and ``metrics.json`` hold null
+  accuracies;
 - ``ablate --seeds 2`` on the default config, with and without ``--data``;
 - ``match --folds 1``, ``--folds 3`` and the swapped case (more sources
   than targets) on seeded 1000 x 1500 standard normal rows of 16 columns.
@@ -32,6 +35,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +82,10 @@ def _steps(work: Path) -> list:
                   *(["--flags", flags] if flags else []), "--out", f"smoke-run-{name}"],
                  ["eval", "--checkpoint", f"smoke-run-{name}/checkpoint",
                   "--data", f"smoke-{data}"]]
+    runs.append(lambda: shutil.copytree(work / "smoke-data", work / "smoke-unlabeled",
+                                        ignore=shutil.ignore_patterns("target.ds.eval")))
+    runs.append(["train", "--config", "smoke-exp.cfg", "--data", "smoke-unlabeled",
+                 "--out", "smoke-run-unlabeled"])
     runs.append(["ablate", "--config", "smoke-sym.cfg", "--data", "smoke-sym", "--seeds", "2",
                  "--out", "smoke-ablate-sym"])
     runs += [["match", "--source", words, "--target", target, "--folds", "2", "--out", out]
