@@ -233,13 +233,9 @@ def load_dataset(path):
     eval_path, eval_labels = str(path) + ".eval", None
     if os.path.exists(eval_path):
         with text_file(eval_path) as fh:
-            lines = [(i, line.strip()) for i, line in enumerate(fh, start=1) if line.strip()]
-        try:
-            eval_labels = np.array([label(token) for _, token in lines], dtype=int)
-        except ValueError:  # walked again, as read_rows does, to name the first bad line
-            for lineno, token in lines:
-                parse_tokens(eval_path, lineno, (label,), [token])
-            raise
+            eval_labels = np.array(
+                [parse_tokens(eval_path, lineno, (label,), [line.strip()])[0]
+                 for lineno, line in enumerate(fh, start=1) if line.strip()], dtype=int)
         if len(eval_labels) != n:
             raise ValueError(f"{eval_path}: expected {n} labels")
     return UnlabeledDataset(features=feats, eval_labels=eval_labels), num_classes

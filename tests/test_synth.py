@@ -204,17 +204,11 @@ def test_unlabeled_load_without_sidecar(tmp_path):
     (tmp_path / "target.ds.eval").unlink()
     loaded, _ = load_dataset(path)
     assert loaded.eval_labels is None
-
-
-def test_unlabeled_target_without_sidecar_saves_and_loads_back(tmp_path):
-    path = tmp_path / "t.ds"
-    path.write_text("3 2 labeled 0 classes 4\n? 0 1\n? 2 3\n? 4 5\n")
-    loaded, _ = load_dataset(path)
-    save_dataset(path, loaded, 4)
+    save_dataset(path, loaded, 12)
+    assert not (tmp_path / "target.ds.eval").exists()
     again, _ = load_dataset(path)
-    assert not (tmp_path / "t.ds.eval").exists()
     assert again.eval_labels is None
-    assert np.array_equal(again.features, np.arange(6.0).reshape(3, 2))
+    assert np.array_equal(again.features, target.features)
 
 
 def test_load_rejects_malformed(tmp_path):
