@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import size, text_file
+from .numkit import size, text_file, write_rows
 
 __all__ = [
     "GraphError",
@@ -147,17 +147,11 @@ def load_graph(path) -> "KnowledgeGraph":
 
 
 def save_graph(path, g: KnowledgeGraph) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"nodes {g.num_nodes} known {g.known_class_count} "
-            f"classes {g.total_class_count}\n"
-        )
-        for i, name in enumerate(g.node_names):
-            fh.write(f"node {i} {name}\n")
-        for c, node in enumerate(g.class_to_node):
-            fh.write(f"class {c} {node}\n")
-        for i, j in g.edges:
-            fh.write(f"edge {i} {j}\n")
+    write_rows(path, f"nodes {g.num_nodes} known {g.known_class_count} "
+               f"classes {g.total_class_count}", "%s %s %s", 0,
+               [*(("node", *r) for r in enumerate(g.node_names)),
+                *(("class", *r) for r in enumerate(g.class_to_node)),
+                *(("edge", *e) for e in g.edges)])
 
 
 def adjacency(g: KnowledgeGraph) -> np.ndarray:

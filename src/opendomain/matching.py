@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, as_matrix
+from .numkit import DimensionError, as_matrix, write_rows
 
 __all__ = [
     "MatchedPairs",
@@ -292,7 +292,5 @@ def save_pairs(path, mp: MatchedPairs) -> None:
     """`pairs <count> total <cost>` header then one `s t cost` line per
     pair; unknown per-pair costs are written as nan."""
     costs = mp.costs if mp.costs is not None else (float("nan"),) * len(mp.pairs)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"pairs {len(mp.pairs)} total {mp.total_cost:.17g}\n")
-        for (s, t), c in zip(mp.pairs, costs):
-            fh.write(f"{s} {t} {c:.17g}\n")
+    write_rows(path, f"pairs {len(mp.pairs)} total {mp.total_cost:.17g}", "%s %s ", 1,
+               ((s, t, c) for (s, t), c in zip(mp.pairs, costs)))

@@ -28,6 +28,7 @@ __all__ = [
     "check_keys",
     "save_matrix",
     "load_matrix",
+    "write_rows",
     "text_file",
     "read_rows",
     "parse_tokens",
@@ -150,11 +151,18 @@ def check_keys(obj, section) -> None:
 
 
 def save_matrix(path, m) -> None:
-    """Write the text form: a `rows cols` header then one row per line,
-    17 significant digits (lossless for float64)."""
+    """Write the text form: a `rows cols` header then one row per line."""
     m = as_matrix(m)
-    np.savetxt(path, m, fmt="%.17g", header=f"{m.shape[0]} {m.shape[1]}", comments="",
-               encoding="utf-8")
+    write_rows(path, f"{m.shape[0]} {m.shape[1]}", "", m.shape[1], m.tolist())
+
+
+def write_rows(path, header: str, lead: str, floats: int, rows) -> None:
+    """The write half of :func:`read_rows`: the ``header`` line, then a line per row, its
+    leading values by the %-format ``lead``, then its last ``floats`` as lossless %.17g."""
+    fmt = lead + " ".join(["%.17g"] * floats) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(fmt % tuple(row) for row in rows)
 
 
 @contextmanager

@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import KnowledgeGraph
 from .numkit import (as_matrix, check_keys, key, make_rng, parse_tokens, read_rows, size,
-                     text_file)
+                     text_file, write_rows)
 
 __all__ = [
     "SynthConfig",
@@ -194,11 +194,11 @@ def save_dataset(path, dataset, num_classes: int) -> None:
     n, m_in = dataset.features.shape
     # labels go through float64 exactly: the loader keeps them below 2**53
     rows = np.column_stack([dataset.labels, dataset.features]) if labeled else dataset.features
-    np.savetxt(path, rows, fmt=("%d " if labeled else "? ") + " ".join(["%.17g"] * m_in),
-               header=f"{n} {m_in} labeled {int(labeled)} classes {num_classes}",
-               comments="", encoding="utf-8")
+    write_rows(path, f"{n} {m_in} labeled {int(labeled)} classes {num_classes}",
+               "%d " if labeled else "? ", m_in, rows.tolist())
     if not labeled and dataset.eval_labels is not None:
-        np.savetxt(str(path) + ".eval", dataset.eval_labels, fmt="%d", encoding="utf-8")
+        with open(str(path) + ".eval", "w", encoding="utf-8") as fh:
+            fh.writelines("%d\n" % value for value in dataset.eval_labels)
 
 
 def _unlabeled(tag: str) -> int:
