@@ -20,6 +20,7 @@ writes.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,7 +291,12 @@ def match_domains(fs, ft, k: int, rng: np.random.Generator):
 
 def save_pairs(path, mp: MatchedPairs) -> None:
     """`pairs <count> total <cost>` header then one `s t cost` line per
-    pair; unknown per-pair costs are written as nan."""
+    pair; unknown per-pair costs are written as nan. Pairs that are not a
+    matching raise ValueError naming a repeated index, before the file opens."""
+    for side, indices in zip(("source", "target"), zip(*mp.pairs)):
+        index, times = Counter(indices).most_common(1)[0]
+        if times > 1:
+            raise ValueError(f"{path}: {side} index {index} appears in {times} pairs")
     costs = mp.costs if mp.costs is not None else (float("nan"),) * len(mp.pairs)
     write_rows(path, f"pairs {len(mp.pairs)} total {mp.total_cost:.17g}", "%s %s ", 1,
                ((s, t, c) for (s, t), c in zip(mp.pairs, costs)))

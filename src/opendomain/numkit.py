@@ -1,6 +1,12 @@
 """Numeric substrate: checked dense kernels, stable softmax, seeded RNG,
-momentum SGD, config keys and their checker, the reader of the headed
-text tables, matrix text serialization and the JSON file form.
+momentum SGD, config keys and their checker, the writer and the reader of
+the headed text tables, matrix text serialization and the JSON file form.
+
+Every headed text table is written by :func:`write_rows` and read by
+:func:`read_rows`. Each writer refuses, before it opens its file, what its
+reader would: non-finite entries (``save_matrix``, ``save_dataset``), a
+label out of range (``save_dataset``), a repeated index (``save_pairs``),
+and a value strict JSON cannot hold, NaN included (:func:`write_json`).
 
 Everything runs on 64-bit numpy arrays. The conventions fixed here
 (softmax with max-subtraction, 17-significant-digit text round-trips) are
@@ -265,6 +271,12 @@ def _convert(tokens, first: int, stop: int, path, kinds) -> np.ndarray:
 
 
 def write_json(path, payload) -> None:
-    """Write ``payload`` as indented, key-sorted JSON plus a newline."""
+    """Write ``payload`` as indented, key-sorted JSON plus a newline. A value
+    JSON cannot hold, a NaN or infinity included, raises ValueError naming the
+    file before it opens."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -189,16 +190,32 @@ def generate(cfg: SynthConfig):
 def save_dataset(path, dataset, num_classes: int) -> None:
     """Header `n M_in labeled <0|1> classes <count>`, one instance per
     line. Unlabeled rows start with `?`; their eval labels go to a sidecar
-    file `<path>.eval`, written only when eval_labels is not None."""
+    file `<path>.eval`, written only when eval_labels is not None. Before any
+    file opens, a non-finite feature, or a label or eval label that
+    :func:`load_dataset` refuses, raises ValueError naming its file."""
     labeled = isinstance(dataset, LabeledDataset)
-    n, m_in = dataset.features.shape
+    feats = as_matrix(dataset.features, name=str(path))
+    labels, where = (dataset.labels, path) if labeled else (dataset.eval_labels, f"{path}.eval")
+    try:
+        for value in () if labels is None else labels:
+            _label(value, num_classes)
+    except (ValueError, OverflowError) as exc:  # overflow: an infinite float label
+        raise ValueError(f"{where}: {exc}") from None
+    n, m_in = feats.shape
     # labels go through float64 exactly: the loader keeps them below 2**53
-    rows = np.column_stack([dataset.labels, dataset.features]) if labeled else dataset.features
+    rows = np.column_stack([dataset.labels, feats]) if labeled else feats
     write_rows(path, f"{n} {m_in} labeled {int(labeled)} classes {num_classes}",
                "%d " if labeled else "? ", m_in, rows.tolist())
-    if not labeled and dataset.eval_labels is not None:
-        with open(str(path) + ".eval", "w", encoding="utf-8") as fh:
-            fh.writelines("%d\n" % value for value in dataset.eval_labels)
+    if not labeled and labels is not None:
+        with open(where, "w", encoding="utf-8") as fh:
+            fh.writelines("%d\n" % value for value in labels)
+
+
+def _label(token, num_classes: int) -> int:
+    value = int(token)
+    if not 0 <= value < num_classes:
+        raise ValueError(f"label {value} out of range for {num_classes} classes")
+    return value
 
 
 def _unlabeled(tag: str) -> int:
@@ -219,13 +236,7 @@ def load_dataset(path):
             path, 1, (size, size, int, size), header[:2] + header[3::2])
         if labeled not in (0, 1):
             raise ValueError(f"{path}: line 1: labeled must be 0 or 1, got {labeled}")
-
-        def label(token: str) -> int:
-            value = int(token)
-            if not 0 <= value < num_classes:
-                raise ValueError(f"label {value} out of range for {num_classes} classes")
-            return value
-
+        label = partial(_label, num_classes=num_classes)
         rows = read_rows(fh, path, n, (label if labeled else _unlabeled,) + (float,) * m_in)
     feats = as_matrix(np.ascontiguousarray(rows[:, 1:]), name=str(path))
     if labeled:

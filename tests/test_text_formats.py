@@ -1,8 +1,12 @@
 """Round-trip properties of the text formats: what a writer emits, its
-reader gives back exactly, float64 bit patterns included."""
+reader gives back exactly, float64 bit patterns included, and what its
+reader would refuse, the writer refuses without leaving a file."""
+import json
 import math
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from opendomain.config import (
     ConfigError, ExperimentConfig, config_to_text, experiment_hash, parse_config)
 from opendomain.graph import KnowledgeGraph, load_graph, save_graph
 from opendomain.matching import MatchedPairs, save_pairs
-from opendomain.numkit import load_matrix, save_matrix
+from opendomain.numkit import load_matrix, save_matrix, write_json
 from opendomain.synth import (
     LabeledDataset,
     UnlabeledDataset,
@@ -32,6 +36,7 @@ PROPERTY = settings(max_examples=60, deadline=None,
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, allow_infinity=False)
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 EDGE_VALUES = np.array([[-0.0, 5e-324, -2.2250738585072014e-308],
                         [1.7976931348623157e308, -1.7976931348623157e308, 0.1]])
 
@@ -61,16 +66,27 @@ def _labeled(draw):
     return LabeledDataset(features=draw(_features(n, width)), labels=labels), classes
 
 
+def _labels(dataset):
+    return dataset.labels if isinstance(dataset, LabeledDataset) else dataset.eval_labels
+
+
+def _assert_dataset_read_back(path, dataset, classes):
+    loaded, loaded_classes = load_dataset(path)
+    assert type(loaded) is type(dataset) and loaded_classes == classes
+    assert _same_bits(loaded.features, dataset.features)
+    if _labels(dataset) is None:
+        assert _labels(loaded) is None
+    else:
+        assert np.array_equal(_labels(loaded), _labels(dataset))
+
+
 @PROPERTY
 @given(_labeled())
 def test_labeled_dataset_round_trip(tmp_path, drawn):
     dataset, classes = drawn
     path = tmp_path / "source.ds"
     save_dataset(path, dataset, classes)
-    loaded, loaded_classes = load_dataset(path)
-    assert isinstance(loaded, LabeledDataset) and loaded_classes == classes
-    assert _same_bits(loaded.features, dataset.features)
-    assert np.array_equal(loaded.labels, dataset.labels)
+    _assert_dataset_read_back(path, dataset, classes)
 
 
 @PROPERTY
@@ -80,23 +96,18 @@ def test_unlabeled_dataset_round_trip_with_sidecar(tmp_path, drawn):
     dataset = UnlabeledDataset(features=labeled.features, eval_labels=labeled.labels)
     path = tmp_path / "target.ds"
     save_dataset(path, dataset, classes)
-    loaded, loaded_classes = load_dataset(path)
-    assert isinstance(loaded, UnlabeledDataset) and loaded_classes == classes
-    assert _same_bits(loaded.features, dataset.features)
-    assert np.array_equal(loaded.eval_labels, dataset.eval_labels)
+    _assert_dataset_read_back(path, dataset, classes)
 
 
 @PROPERTY
 @given(_labeled())
 def test_unlabeled_dataset_round_trip_without_sidecar(tmp_path, drawn):
     labeled, classes = drawn
+    dataset = UnlabeledDataset(features=labeled.features, eval_labels=None)
     path = tmp_path / "target.ds"
-    save_dataset(path, UnlabeledDataset(features=labeled.features, eval_labels=None), classes)
+    save_dataset(path, dataset, classes)
     assert not (tmp_path / "target.ds.eval").exists()
-    loaded, loaded_classes = load_dataset(path)
-    assert isinstance(loaded, UnlabeledDataset) and loaded_classes == classes
-    assert _same_bits(loaded.features, labeled.features)
-    assert loaded.eval_labels is None
+    _assert_dataset_read_back(path, dataset, classes)
 
 
 @st.composite
@@ -114,6 +125,10 @@ def _pairs(draw):
 def test_pairs_round_trip(tmp_path, mp):
     path = tmp_path / "pairs.txt"
     save_pairs(path, mp)
+    _assert_pairs_read_back(path, mp)
+
+
+def _assert_pairs_read_back(path, mp):
     loaded = load_pairs(path)
     assert loaded.pairs == mp.pairs
     assert _same_bits(loaded.total_cost, mp.total_cost)
@@ -147,7 +162,129 @@ def test_graph_round_trip_on_random_trees(tmp_path, graph):
     assert load_graph(path) == graph
 
 
-_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# ---------------------------------------------- what the readers refuse
+# The values drawn below include some that the readers refuse. A writer
+# refuses those before it opens a file, with one ValueError line that
+# names the file; whatever it writes, its reader gives back exactly.
+
+def _fresh(tmp_path, name) -> Path:
+    """A path in a directory of its own: tmp_path is shared by the examples."""
+    return Path(tempfile.mkdtemp(dir=tmp_path)) / name
+
+
+def _refused(where):
+    return pytest.raises(ValueError, match=rf"\A{re.escape(str(where))}: [^\n]*\Z")
+
+
+@st.composite
+def _datasets(draw):
+    """(dataset, classes): labeled, or unlabeled with eval labels or none;
+    one feature may be non-finite and one (eval) label out of range."""
+    labeled, classes = draw(_labeled())
+    features, labels = labeled.features.copy(), labeled.labels.copy()
+    if features.size and draw(st.booleans()):
+        features.flat[draw(st.integers(0, features.size - 1))] = draw(_NONFINITE)
+    if len(labels) and draw(st.booleans()):
+        labels[draw(st.integers(0, len(labels) - 1))] = draw(
+            st.integers(-2**63, -1) | st.integers(classes, 2**63 - 1))
+    kind = draw(st.sampled_from(["labeled", "with sidecar", "without sidecar"]))
+    if kind == "labeled":
+        return LabeledDataset(features=features, labels=labels), classes
+    return UnlabeledDataset(features=features,
+                            eval_labels=labels if kind == "with sidecar" else None), classes
+
+
+@PROPERTY
+@given(_datasets())
+@example((LabeledDataset(features=np.zeros((3, 2)), labels=np.array([0, 7, 1])), 4))
+@example((UnlabeledDataset(features=np.zeros((3, 2)), eval_labels=np.full(3, -1)), 4))
+def test_dataset_writer_refuses_what_its_loader_refuses(tmp_path, drawn):
+    dataset, classes = drawn
+    path = _fresh(tmp_path, "d.ds")
+    labels = _labels(dataset)
+    bad_features = not np.isfinite(dataset.features).all()
+    if bad_features or (labels is not None and ((labels < 0) | (labels >= classes)).any()):
+        labeled = isinstance(dataset, LabeledDataset)
+        with _refused(path if bad_features or labeled else f"{path}.eval"):
+            save_dataset(path, dataset, classes)
+        assert not any(path.parent.iterdir())  # neither the table nor a sidecar
+    else:
+        save_dataset(path, dataset, classes)
+        _assert_dataset_read_back(path, dataset, classes)
+
+
+@st.composite
+def _any_pairs(draw):
+    """Pairs whose source or target indices may repeat, with costs and a
+    total that may be non-finite."""
+    n, any_float = draw(st.integers(0, 6)), finite | _NONFINITE
+    pairs = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                          min_size=n, max_size=n))
+    costs = draw(st.none() | st.lists(any_float, min_size=n, max_size=n).map(tuple))
+    return MatchedPairs(pairs=tuple(pairs), total_cost=draw(any_float), costs=costs)
+
+
+@PROPERTY
+@given(_any_pairs())
+@example(MatchedPairs(pairs=((0, 1), (0, 2)), total_cost=1.0, costs=(0.5, 0.5)))
+def test_pairs_writer_writes_only_a_matching(tmp_path, mp):
+    path = _fresh(tmp_path, "pairs.txt")
+    if any(len(set(side)) < len(side) for side in zip(*mp.pairs)):
+        with _refused(path):
+            save_pairs(path, mp)
+        assert not path.exists()
+    else:
+        save_pairs(path, mp)
+        _assert_pairs_read_back(path, mp)
+
+
+def _strict_json(value) -> bool:
+    """Whether ``value`` holds only what strict JSON can: finite numbers,
+    strings, booleans, None, lists and dicts with string keys."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, (list, dict)):
+        return all(map(_strict_json, value.values() if isinstance(value, dict) else value))
+    return value is None or isinstance(value, (bool, int, str))
+
+
+def _same_json(a, b) -> bool:
+    """Equal values of the same types, floats bit for bit."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return _same_bits(a, b)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_json(a[k], b[k]) for k in a)
+    return a == b
+
+
+# every kind of JSON value, and NaN and the infinities, which strict JSON cannot hold
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**64, 2**64) | st.floats() | st.text(max_size=4)
+    | _NONFINITE,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+@PROPERTY
+@given(_JSON)
+@example({"x": math.nan})
+@example({"x": object()})
+def test_json_writer_refuses_what_strict_json_cannot_hold(tmp_path, payload):
+    path = _fresh(tmp_path, "out.json")
+    if _strict_json(payload):
+        write_json(path, payload)
+        assert _same_json(json.loads(path.read_text(encoding="utf-8")), payload)
+    else:
+        with _refused(path):
+            write_json(path, payload)
+        assert not path.exists()
+
+
 _NEGATIVE = st.floats(max_value=-5e-324, allow_infinity=False)
 _NOT_POSITIVE = st.floats(max_value=0.0, allow_infinity=False)
 _ONE_OR_MORE = st.floats(min_value=1.0, allow_infinity=False)
