@@ -13,8 +13,7 @@ Run:  python3 demos/full_pipeline.py       (about 2 s on two Xeon cores)
 """
 from dataclasses import replace
 
-from opendomain.config import ExperimentConfig
-from opendomain.synth import SynthConfig
+from opendomain.config import ExperimentConfig, SynthConfig
 from opendomain.trainer import format_ablation_table, run_ablation, run_pipeline
 
 cfg = ExperimentConfig()

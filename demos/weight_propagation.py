@@ -11,7 +11,8 @@ Run:  python3 demos/weight_propagation.py
 """
 import numpy as np
 
-from opendomain.gcn import GcnSchedule, propagate, train_gcn_init
+from opendomain.config import GcnSchedule
+from opendomain.gcn import propagate, train_gcn_init
 from opendomain.graph import KnowledgeGraph, normalized_adjacency
 from opendomain.numkit import make_rng
 

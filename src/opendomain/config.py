@@ -1,23 +1,112 @@
-"""The experiment config, its flat ``section.key = value`` text form and
-that form's hash. Each key's facts are declared once, on its field, and
-:func:`config_keys` is the one walk over them that the text form and the
-parser read."""
+"""The whole experiment config: its sections and their keys, each declared
+once by :func:`key` on its field and refused by :func:`check_keys` with a
+:class:`ConfigError` when bad, and the flat ``section.key = value`` text
+form, which :func:`config_keys` walks, with that form's hash."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+import math
+import numbers
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
-from .gcn import GcnSchedule
-from .losses import LossWeights
-from .numkit import check_keys, key
-from .synth import SynthConfig
+import numpy as np
 
-__all__ = ["ConfigError", "PretrainSchedule", "ExperimentConfig", "loss_w", "apply_flags",
-           "config_keys", "parse_config", "config_to_text", "experiment_hash"]
+__all__ = ["ConfigError", "SynthConfig", "LossWeights", "PretrainSchedule", "GcnSchedule",
+           "ExperimentConfig", "loss_w", "apply_flags", "parse_config", "config_to_text",
+           "experiment_hash"]
 
 
 class ConfigError(ValueError):
     """Bad experiment configuration (unknown key, missing key, bad value)."""
+
+
+# a config key's kind is the type of its default: the values it takes, its name
+_KINDS = {bool: ((bool, np.bool_), "a bool"), int: (numbers.Integral, "an int"),
+          float: (numbers.Real, "a float")}
+# each range a key may declare: its text in an error, and its test
+_RULES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0,
+          "in [0, 1)": lambda v: 0 <= v < 1, "in (0, 1)": lambda v: 0 < v < 1,
+          "finite": lambda v: True, ">= 2 (>= total_classes builds a star)": lambda v: v >= 2}
+
+
+def key(default, rule: str, kind=None):
+    """A config key's field: its default, its kind (``default``'s type, or ``kind``
+    for a default None) and its ``_RULES`` range."""
+    return field(default=default, metadata={"rule": rule, "kind": kind or type(default)})
+
+
+def check_keys(obj, section) -> None:
+    """Check each field of the dataclass ``obj``: a section of its own (a
+    field with a default factory) must be of that class, and a bool, int or
+    float key of its kind (a bool is no number, a float no int), stored as
+    the kind itself, so an int given to a float key writes a float's text;
+    a ``key`` must be finite and meet its rule. The first bad field in
+    declaration order is refused, a ConfigError ``<section>.<name> must be
+    <rule or kind>, got <value>``; ``section`` is the section name or a
+    function from a field name to it."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.default_factory is not MISSING:
+            if not isinstance(value, f.default_factory):
+                raise ConfigError(f"{f.name} must be a {f.default_factory.__name__}, "
+                                  f"got {value!r}")
+            continue
+        if value is None and f.default is None:  # loss.w, derived where it is read
+            continue
+        kind = f.metadata.get("kind", type(f.default))
+        where = section(f.name) if callable(section) else section
+        types, noun = _KINDS[kind]
+        try:
+            if not isinstance(value, types) or (kind is not bool and isinstance(value, bool)):
+                raise TypeError
+            value = kind(value)
+        except (TypeError, OverflowError):  # overflow: an int past the float64 range
+            raise ConfigError(f"{where}.{f.name} must be {noun}, got {value!r}") from None
+        object.__setattr__(obj, f.name, value)
+        rule = f.metadata.get("rule")
+        # an int is finite however large; math.isfinite overflows on a huge one
+        if rule and not ((kind is int or math.isfinite(value)) and _RULES[rule](value)):
+            raise ConfigError(f"{where}.{f.name} must be {rule}, got {value}")
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    known_classes: int = key(8, ">= 1")
+    total_classes: int = key(12, ">= 1")
+    input_dim: int = key(16, ">= 1")
+    word_dim: int = key(32, ">= 1")
+    source_per_class: int = key(50, ">= 1")
+    target_per_class: int = key(50, ">= 1")
+    branching: int = key(3, ">= 2 (>= total_classes builds a star)")
+    step: float = key(0.65, ">= 0")
+    noise: float = key(0.5, ">= 0")
+    word_noise: float = key(0.3, ">= 0")
+    rotation_angle: float = key(0.25, "finite")
+    translation_scale: float = key(3.5, ">= 0")
+    seed: int = key(0, ">= 0")
+
+    def __post_init__(self):
+        check_keys(self, "synth")
+        if self.known_classes > self.total_classes:
+            raise ConfigError(f"synth.known_classes must be <= synth.total_classes, got "
+                              f"{self.known_classes} > {self.total_classes}")
+
+
+@dataclass(frozen=True)
+class LossWeights:
+    """Scalar weights and thresholds of the total objective. ``w`` None
+    stands for the default that :func:`loss_w` derives from a config's
+    class counts where the step reads it."""
+
+    lambda_d: float = key(0.5, ">= 0")
+    lambda_b: float = key(0.04, ">= 0")
+    lambda_g: float = key(0.5, ">= 0")
+    tau: float = key(0.3, "finite")
+    w: float | None = key(None, "in (0, 1)", kind=float)
+    epsilon: float = key(0.05, "> 0")
+
+    def __post_init__(self):
+        check_keys(self, "loss")
 
 
 @dataclass(frozen=True)
@@ -32,10 +121,22 @@ class PretrainSchedule:
 
 
 @dataclass(frozen=True)
+class GcnSchedule:
+    learning_rate: float = key(0.5, "> 0")
+    momentum: float = key(0.97, "in [0, 1)")
+    steps: int = key(8000, ">= 1")
+    init_scale: float = key(1.0, "> 0")
+    slope: float = key(0.2, ">= 0")  # leaky-ReLU slope, in GCN init and in the graph tie
+
+    def __post_init__(self):
+        check_keys(self, "gcn")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """The experiment: each dataclass field is a config section of its own
     name, every other field a ``train.*`` key, or a ``flags.*`` key. A
-    ConfigError refuses a bad key (:func:`numkit.check_keys`), then a rule
+    ConfigError refuses a bad key (:func:`check_keys`), then a rule
     across keys, naming each key it involves."""
 
     synth: SynthConfig = field(default_factory=SynthConfig)
@@ -56,10 +157,7 @@ class ExperimentConfig:
     vanilla_balance: bool = False
 
     def __post_init__(self):
-        try:
-            check_keys(self, _section)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check_keys(self, _section)
         known, total = self.synth.known_classes, self.synth.total_classes
         if self.enable_lb and self.vanilla_balance:
             raise ConfigError("flags.enable_lb and flags.vanilla_balance are "
@@ -169,11 +267,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing required key: {required}")
 
     top = {**values.pop("train"), **values.pop("flags", {})}
-    try:
-        parts = {name: type(getattr(base, name))(**keys) for name, keys in values.items()}
-        return ExperimentConfig(**parts, **top)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    parts = {name: type(getattr(base, name))(**keys) for name, keys in values.items()}
+    return ExperimentConfig(**parts, **top)
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:

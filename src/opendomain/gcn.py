@@ -18,31 +18,18 @@ of iterating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import GcnSchedule
 from .losses import NonFiniteLossError
-from .numkit import DimensionError, MomentumSgd, check_keys, key
+from .numkit import DimensionError, MomentumSgd
 
 __all__ = [
-    "GcnSchedule",
     "propagate",
     "gcn_reg_core",
     "train_gcn_init",
 ]
-
-
-@dataclass(frozen=True)
-class GcnSchedule:
-    learning_rate: float = key(0.5, "> 0")
-    momentum: float = key(0.97, "in [0, 1)")
-    steps: int = key(8000, ">= 1")
-    init_scale: float = key(1.0, "> 0")
-    slope: float = key(0.2, ">= 0")  # leaky-ReLU slope, in GCN init and in the graph tie
-
-    def __post_init__(self):
-        check_keys(self, "gcn")
 
 
 def propagate(p, x, rows) -> np.ndarray:

@@ -16,7 +16,7 @@ takes the matched features and responses and returns the gradient wrt the
 features. The caller maps the rows back once: with ``F`` the features, ``W``
 the head and ``G`` the weighted logit gradients, the features get ``G W``
 plus the weighted SGMD rows and the head gets ``G^T F``. The weights are
-:class:`LossWeights`' ``lambda_d`` (SGMD), ``lambda_b`` (balance) and
+:class:`config.LossWeights`' ``lambda_d`` (SGMD), ``lambda_b`` (balance) and
 ``lambda_g`` (the graph tie); cls has weight 1.
 Each term is one function, a core that checks nothing and writes its
 gradient into an array its caller passes; what holds for a whole run (the
@@ -24,37 +24,15 @@ label range, ``w``, the shapes) is checked once at the run's entry.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .numkit import check_keys, key
-
 __all__ = [
-    "LossWeights",
     "NonFiniteLossError",
     "check_labels",
     "cls_core",
     "sgmd_core",
     "balance_core",
 ]
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Scalar weights and thresholds of the total objective. ``w`` None
-    stands for the default that ``config.loss_w`` derives from a config's
-    class counts where the step reads it."""
-
-    lambda_d: float = key(0.5, ">= 0")
-    lambda_b: float = key(0.04, ">= 0")
-    lambda_g: float = key(0.5, ">= 0")
-    tau: float = key(0.3, "finite")
-    w: float | None = key(None, "in (0, 1)", kind=float)
-    epsilon: float = key(0.05, "> 0")
-
-    def __post_init__(self):
-        check_keys(self, "loss")
 
 
 class NonFiniteLossError(RuntimeError):

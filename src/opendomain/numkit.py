@@ -1,6 +1,6 @@
-"""Numeric substrate: checked dense kernels, stable softmax, seeded RNG,
-momentum SGD, config keys and their checker, the writer and the reader of
-the headed text tables, matrix text serialization and the JSON file form.
+"""Numerics and text I/O: checked dense matrices, stable softmax, seeded
+RNG, momentum SGD, the writer and the reader of the headed text tables,
+matrix text serialization and the JSON file form.
 
 Every headed text table is written by :func:`write_rows` and read by
 :func:`read_rows`. Each writer refuses, before it opens its file, what its
@@ -16,11 +16,8 @@ leaky ReLU lives with its one user, :mod:`opendomain.gcn`.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from array import array
 from contextlib import contextmanager
-from dataclasses import MISSING, field, fields
 
 import numpy as np
 
@@ -30,8 +27,6 @@ __all__ = [
     "softmax_rows",
     "make_rng",
     "MomentumSgd",
-    "key",
-    "check_keys",
     "save_matrix",
     "load_matrix",
     "write_rows",
@@ -105,55 +100,6 @@ class MomentumSgd:
 
     def grads_finite(self) -> bool:
         return bool(np.isfinite(self._grad_buffer).all())
-
-
-# a config key's kind is the type of its default: the values it takes, its name
-_KINDS = {bool: ((bool, np.bool_), "a bool"), int: (numbers.Integral, "an int"),
-          float: (numbers.Real, "a float")}
-# each range a key may declare: its text in an error, and its test
-_RULES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, "> 0": lambda v: v > 0,
-          "in [0, 1)": lambda v: 0 <= v < 1, "in (0, 1)": lambda v: 0 < v < 1,
-          "finite": lambda v: True, ">= 2 (>= total_classes builds a star)": lambda v: v >= 2}
-
-
-def key(default, rule: str, kind=None):
-    """A config key's field: its default, its kind (``default``'s type, or ``kind``
-    for a default None) and its ``_RULES`` range."""
-    return field(default=default, metadata={"rule": rule, "kind": kind or type(default)})
-
-
-def check_keys(obj, section) -> None:
-    """Check each field of the dataclass ``obj``: a section of its own (a
-    field with a default factory) must be of that class, and a bool, int or
-    float key of its kind (a bool is no number, a float no int), stored as
-    the kind itself, so an int given to a float key writes a float's text;
-    a ``key`` must be finite and meet its rule. The first bad field in
-    declaration order is refused, a ValueError ``<section>.<name> must be
-    <rule or kind>, got <value>``; ``section`` is the section name or a
-    function from a field name to it."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.default_factory is not MISSING:
-            if not isinstance(value, f.default_factory):
-                raise ValueError(f"{f.name} must be a {f.default_factory.__name__}, "
-                                 f"got {value!r}")
-            continue
-        if value is None and f.default is None:  # loss.w, derived where it is read
-            continue
-        kind = f.metadata.get("kind", type(f.default))
-        where = section(f.name) if callable(section) else section
-        types, noun = _KINDS[kind]
-        try:
-            if not isinstance(value, types) or (kind is not bool and isinstance(value, bool)):
-                raise TypeError
-            value = kind(value)
-        except (TypeError, OverflowError):  # overflow: an int past the float64 range
-            raise ValueError(f"{where}.{f.name} must be {noun}, got {value!r}") from None
-        object.__setattr__(obj, f.name, value)
-        rule = f.metadata.get("rule")
-        # an int is finite however large; math.isfinite overflows on a huge one
-        if rule and not ((kind is int or math.isfinite(value)) and _RULES[rule](value)):
-            raise ValueError(f"{where}.{f.name} must be {rule}, got {value}")
 
 
 def save_matrix(path, m) -> None:

@@ -16,12 +16,11 @@ from functools import partial
 
 import numpy as np
 
+from .config import SynthConfig
 from .graph import KnowledgeGraph
-from .numkit import (as_matrix, check_keys, key, make_rng, parse_tokens, read_rows, size,
-                     text_file, write_rows)
+from .numkit import as_matrix, make_rng, parse_tokens, read_rows, size, text_file, write_rows
 
 __all__ = [
-    "SynthConfig",
     "LabeledDataset",
     "UnlabeledDataset",
     "generate",
@@ -59,29 +58,6 @@ class UnlabeledDataset:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    known_classes: int = key(8, ">= 1")
-    total_classes: int = key(12, ">= 1")
-    input_dim: int = key(16, ">= 1")
-    word_dim: int = key(32, ">= 1")
-    source_per_class: int = key(50, ">= 1")
-    target_per_class: int = key(50, ">= 1")
-    branching: int = key(3, ">= 2 (>= total_classes builds a star)")
-    step: float = key(0.65, ">= 0")
-    noise: float = key(0.5, ">= 0")
-    word_noise: float = key(0.3, ">= 0")
-    rotation_angle: float = key(0.25, "finite")
-    translation_scale: float = key(3.5, ">= 0")
-    seed: int = key(0, ">= 0")
-
-    def __post_init__(self):
-        check_keys(self, "synth")
-        if self.known_classes > self.total_classes:
-            raise ValueError(f"synth.known_classes must be <= synth.total_classes, got "
-                             f"{self.known_classes} > {self.total_classes}")
 
 
 def _build_tree(cfg: SynthConfig, rng):

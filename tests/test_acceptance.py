@@ -11,16 +11,14 @@ import numpy as np
 import pytest
 
 from opendomain.cli import main
-from opendomain.config import ExperimentConfig
+from opendomain.config import ExperimentConfig, GcnSchedule, LossWeights, SynthConfig
 from opendomain.gcn import (
-    GcnSchedule,
     gcn_reg_core,
     propagate,
     train_gcn_init,
 )
 from opendomain.graph import KnowledgeGraph, normalized_adjacency
 from opendomain.losses import (
-    LossWeights,
     balance_core,
     cls_core,
     sgmd_core,
@@ -28,7 +26,7 @@ from opendomain.losses import (
 from opendomain.matching import hungarian
 from opendomain.model import ModelState, encode
 from opendomain.numkit import make_rng, softmax_rows
-from opendomain.synth import SynthConfig, generate
+from opendomain.synth import generate
 from opendomain.trainer import (
     joint_terms,
     pretrain_source,

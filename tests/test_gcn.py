@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from opendomain import gcn
+from opendomain.config import GcnSchedule
 from opendomain.gcn import (
-    GcnSchedule,
     gcn_reg_core,
     init_theta,
     leaky_relu,

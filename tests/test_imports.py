@@ -5,12 +5,17 @@ top-level function and class is called or named by package code: one that
 only the tests reach is a second entry point the package does not need.
 And every name in a module's ``__all__`` is an attribute of that module,
 defined there: each exported name has one home, which is where the other
-modules import it from."""
+modules import it from. The config is one such home: every config section
+is defined in ``config``, which imports no stage module."""
 import ast
+import dataclasses
 import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import opendomain
+from opendomain import config, synth
 
 PACKAGE = Path(opendomain.__file__).parent
 
@@ -108,3 +113,25 @@ def test_every_export_is_defined_in_its_module():
         if names:
             reexported[stem] = names
     assert reexported == {}
+
+
+def test_config_imports_no_stage_module():
+    # a stage module imports its section from config, never the reverse
+    siblings = set()
+    for node in ast.walk(_trees()["config"]):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            siblings.update([node.module] if node.module else [a.name for a in node.names])
+    assert siblings <= {"numkit"}
+    # bench/workloads.py builds its synth section as synth.SynthConfig
+    assert synth.SynthConfig is config.SynthConfig
+
+
+def test_every_keyed_dataclass_is_defined_in_config():
+    # a dataclass whose fields declare a rule is a config section
+    homes = set()
+    for info in pkgutil.iter_modules(opendomain.__path__):
+        module = importlib.import_module(f"opendomain.{info.name}")
+        homes.update(obj.__module__ for obj in vars(module).values()
+                     if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                     and any("rule" in f.metadata for f in dataclasses.fields(obj)))
+    assert homes == {"opendomain.config"}

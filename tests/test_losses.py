@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from opendomain.config import ExperimentConfig, loss_w
+from opendomain.config import ExperimentConfig, LossWeights, loss_w
 from opendomain.losses import (
-    LossWeights,
     balance_core,
     check_labels,
     cls_core,

@@ -24,7 +24,8 @@ from opendomain.matching import (
     save_pairs,
 )
 from opendomain.numkit import DimensionError, make_rng
-from opendomain.synth import SynthConfig, generate
+from opendomain.config import SynthConfig
+from opendomain.synth import generate
 from pairs_file import load_pairs
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from opendomain.config import ExperimentConfig, PretrainSchedule, experiment_hash
+from opendomain.config import ExperimentConfig, PretrainSchedule, SynthConfig, experiment_hash
 from opendomain.model import (
     ModelState,
     encode,
@@ -12,7 +12,6 @@ from opendomain.model import (
     save_checkpoint,
 )
 from opendomain.numkit import DimensionError, make_rng
-from opendomain.synth import SynthConfig
 from opendomain.trainer import pretrain_source
 
 from gradcheck import grad_check

@@ -24,11 +24,11 @@ def _dataclasses() -> dict:
 def test_every_dataclass_is_frozen():
     records = _dataclasses()
     assert sorted(records) == [
-        "opendomain.config.ExperimentConfig", "opendomain.config.PretrainSchedule",
-        "opendomain.evaluate.AccuracyTriple", "opendomain.gcn.GcnSchedule",
-        "opendomain.graph.KnowledgeGraph", "opendomain.losses.LossWeights",
-        "opendomain.matching.MatchedPairs", "opendomain.model.ModelState",
-        "opendomain.synth.LabeledDataset", "opendomain.synth.SynthConfig",
+        "opendomain.config.ExperimentConfig", "opendomain.config.GcnSchedule",
+        "opendomain.config.LossWeights", "opendomain.config.PretrainSchedule",
+        "opendomain.config.SynthConfig", "opendomain.evaluate.AccuracyTriple",
+        "opendomain.graph.KnowledgeGraph", "opendomain.matching.MatchedPairs",
+        "opendomain.model.ModelState", "opendomain.synth.LabeledDataset",
         "opendomain.synth.UnlabeledDataset", "opendomain.trainer.Prepared"]
     thawed = sorted(name for name, cls in records.items()
                     if not cls.__dataclass_params__.frozen)

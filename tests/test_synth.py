@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from opendomain.config import SynthConfig
 from opendomain.graph import normalized_adjacency
 from opendomain.synth import (
     LabeledDataset,
-    SynthConfig,
     UnlabeledDataset,
     generate,
     load_dataset,

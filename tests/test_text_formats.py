@@ -401,8 +401,8 @@ def test_a_replaced_synth_section_is_a_config_built_in_one_call(drawn, known, un
 @CONFIG_PROPERTY
 @given(_configs(), st.sampled_from([*_KEY_RANGES, "synth.total_classes"]), st.data())
 def test_config_refuses_a_key_out_of_range(drawn, key, data):
-    """One key out of its range is refused as config text (ConfigError) and
-    from Python (ValueError), each time naming ``section.key``."""
+    """One key out of its range is refused as config text and from Python,
+    each time with a ConfigError naming ``section.key``."""
     cfg, _ = drawn
     section, _, name = key.partition(".")
     if key == "synth.total_classes":
@@ -412,7 +412,7 @@ def test_config_refuses_a_key_out_of_range(drawn, key, data):
     with pytest.raises(ConfigError, match=re.escape(key)):
         parse_config(_with_line(config_to_text(cfg), key, value))
     part = cfg if section == "train" else getattr(cfg, section)
-    with pytest.raises(ValueError, match=re.escape(key)):
+    with pytest.raises(ConfigError, match=re.escape(key)):
         replace(part, **{name: value})
 
 

@@ -7,12 +7,12 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from opendomain import gcn, numkit, synth
+from opendomain import config, gcn, synth
 from opendomain.config import (
-    ConfigError, ExperimentConfig, PretrainSchedule, apply_flags, config_to_text,
-    experiment_hash, loss_w, parse_config)
-from opendomain.gcn import GcnSchedule, propagate
-from opendomain.losses import LossWeights, NonFiniteLossError, cls_core
+    ConfigError, ExperimentConfig, GcnSchedule, LossWeights, PretrainSchedule, apply_flags,
+    config_to_text, experiment_hash, loss_w, parse_config)
+from opendomain.gcn import propagate
+from opendomain.losses import NonFiniteLossError, cls_core
 from opendomain.matching import partition_folds
 from opendomain.model import ModelState, encode
 from opendomain.numkit import make_rng, softmax_rows
@@ -285,15 +285,14 @@ _WRONG_TYPE = [
                          ids=[f"{k}: {type(v).__name__}" for k, v in _WRONG_TYPE])
 def test_python_config_refuses_other_types(key, value):
     """An int key takes no float or bool, a float key no bool, a flag
-    nothing but a bool: ExperimentConfig refuses with ConfigError and a
-    section with ValueError, each naming ``section.key``."""
+    nothing but a bool: ExperimentConfig and each section refuse with
+    ConfigError, naming ``section.key``."""
     section, _, name = key.partition(".")
     kind = (ExperimentConfig if section in ("train", "flags")
             else type(getattr(ExperimentConfig(), section)))
-    error = ConfigError if kind is ExperimentConfig else ValueError
-    with pytest.raises(error, match=re.escape(key)) as exc:
+    with pytest.raises(ConfigError, match=re.escape(key)) as exc:
         kind(**{name: value})
-    assert type(exc.value) is error
+    assert type(exc.value) is ConfigError
 
 
 @pytest.mark.parametrize("section, value", [
@@ -316,7 +315,7 @@ def test_every_number_key_declares_its_range(section):
     numbers = [f for f in fields(section) if f.type.split(" |")[0] in ("int", "float")]
     assert numbers
     for f in numbers:
-        assert f.metadata.get("rule") in numkit._RULES, f.name
+        assert f.metadata.get("rule") in config._RULES, f.name
         assert f.metadata["kind"].__name__ == f.type.split(" |")[0], f.name
 
 
