@@ -147,6 +147,18 @@ def load_graph(path) -> "KnowledgeGraph":
 
 
 def save_graph(path, g: KnowledgeGraph) -> None:
+    """The text form :func:`load_graph` reads. Before the file opens, a node name
+    that is not a non-empty, UTF-8 encodable str free of whitespace, or an index
+    or count that is not an integer (:func:`numkit.size`), raises GraphError naming it."""
+    try:
+        for name in g.node_names:
+            if not isinstance(name, str) or name.split() != [name]:
+                raise ValueError(f"node name {name!r} is not a non-empty str free of whitespace")
+            name.encode("utf-8")  # a lone surrogate would stop the write halfway
+        for value in (g.known_class_count, *g.class_to_node, *(i for e in g.edges for i in e)):
+            size(value)
+    except ValueError as exc:
+        raise GraphError(f"{path}: {exc}") from None
     write_rows(path, f"nodes {g.num_nodes} known {g.known_class_count} "
                f"classes {g.total_class_count}", "%s %s %s", 0,
                [*(("node", *r) for r in enumerate(g.node_names)),

@@ -150,7 +150,10 @@ def parse_tokens(path, lineno: int, kinds, tokens) -> list:
 
 def size(token) -> int:
     """A count or an index in a text table: an integer in [0, 2**53), where
-    the float64 rows of ``read_rows`` hold every integer exactly."""
+    the float64 rows of ``read_rows`` hold every integer exactly. ``token`` is
+    its text or, in a writer, an integer; a bool or a float is none."""
+    if isinstance(token, bool) or not isinstance(token, str) and not hasattr(token, "__index__"):
+        raise ValueError(f"{token!r} is not an integer")
     value = int(token)
     if not 0 <= value < 2**53:
         raise ValueError(f"{value} is not a count or index in [0, 2**53)")

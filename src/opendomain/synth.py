@@ -167,13 +167,20 @@ def save_dataset(path, dataset, num_classes: int) -> None:
     """Header `n M_in labeled <0|1> classes <count>`, one instance per
     line. Unlabeled rows start with `?`; their eval labels go to a sidecar
     file `<path>.eval`, written only when eval_labels is not None. Before any
-    file opens, a non-finite feature, or a label or eval label that
-    :func:`load_dataset` refuses, raises ValueError naming its file."""
+    file opens, a non-finite feature, a count that is not an integer in
+    [0, 2**53), or a label or eval label that :func:`load_dataset` refuses, a
+    fraction included, raises ValueError naming its file."""
     labeled = isinstance(dataset, LabeledDataset)
     feats = as_matrix(dataset.features, name=str(path))
+    try:
+        size(num_classes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     labels, where = (dataset.labels, path) if labeled else (dataset.eval_labels, f"{path}.eval")
     try:
         for value in () if labels is None else labels:
+            if int(value) != value:  # %d would write it truncated
+                raise ValueError(f"label {value} is not a whole number")
             _label(value, num_classes)
     except (ValueError, OverflowError) as exc:  # overflow: an infinite float label
         raise ValueError(f"{where}: {exc}") from None

@@ -162,6 +162,59 @@ def test_graph_round_trip_on_random_trees(tmp_path, graph):
     assert load_graph(path) == graph
 
 
+@st.composite
+def _any_trees(draw):
+    """(graph, whether its writer refuses it): a random tree, one node name
+    of which may be any text or an int, and one index or count of which may
+    be held as a numpy int, a float or (where it is 0 or 1) a bool. Only a
+    non-empty str free of whitespace is a name, and only an int an index."""
+    graph = draw(_trees())
+    names = list(graph.node_names)
+    if draw(st.booleans()):
+        names[draw(st.integers(0, len(names) - 1))] = draw(st.text(max_size=4) | st.integers())
+    values = [graph.known_class_count, *graph.class_to_node, *(i for e in graph.edges for i in e)]
+    at = draw(st.integers(0, len(values) - 1))
+    kind = draw(st.sampled_from([np.int64, float, bool]))
+    if kind is not bool or values[at] <= 1:
+        values[at] = kind(values[at])
+    refused = any(not isinstance(name, str) or not name or any(map(str.isspace, name))
+                  for name in names) or type(values[at]) in (float, bool)
+    total = graph.total_class_count
+    ends = iter(values[1 + total:])
+    return KnowledgeGraph(node_names=tuple(names), edges=tuple(zip(ends, ends)),
+                          class_to_node=tuple(values[1:1 + total]),
+                          known_class_count=values[0]), refused
+
+
+def _pair(**fields):
+    """A two-node graph with one edge and two classes, one known, and
+    ``fields`` in place of its own."""
+    return KnowledgeGraph(**{"node_names": ("a", "b"), "edges": ((0, 1),),
+                             "class_to_node": (0, 1), "known_class_count": 1, **fields})
+
+
+@PROPERTY
+@given(_any_trees())
+@example((_pair(node_names=("a", "b c")), True))
+@example((_pair(node_names=("a", "")), True))
+@example((_pair(edges=((0.0, 1.0),)), True))
+@example((_pair(class_to_node=(0.0, 1)), True))
+@example((_pair(known_class_count=True), True))
+@example((_pair(node_names=(1, 2)), True))
+@example((_pair(node_names=("a", "b\ud800")), True))
+@example((_pair(known_class_count=np.int64(1)), False))
+def test_graph_writer_refuses_what_its_loader_refuses(tmp_path, drawn):
+    graph, refused = drawn
+    path = _fresh(tmp_path, "graph.txt")
+    if refused:
+        with _refused(path):
+            save_graph(path, graph)
+        assert not path.exists()
+    else:
+        save_graph(path, graph)
+        assert load_graph(path) == graph
+
+
 # ---------------------------------------------- what the readers refuse
 # The values drawn below include some that the readers refuse. A writer
 # refuses those before it opens a file, with one ValueError line that
@@ -179,14 +232,21 @@ def _refused(where):
 @st.composite
 def _datasets(draw):
     """(dataset, classes): labeled, or unlabeled with eval labels or none;
-    one feature may be non-finite and one (eval) label out of range."""
+    one feature may be non-finite, one (eval) label out of range or not a
+    whole number, and the class count outside [0, 2**53)."""
     labeled, classes = draw(_labeled())
     features, labels = labeled.features.copy(), labeled.labels.copy()
     if features.size and draw(st.booleans()):
         features.flat[draw(st.integers(0, features.size - 1))] = draw(_NONFINITE)
     if len(labels) and draw(st.booleans()):
-        labels[draw(st.integers(0, len(labels) - 1))] = draw(
-            st.integers(-2**63, -1) | st.integers(classes, 2**63 - 1))
+        at = draw(st.integers(0, len(labels) - 1))
+        if draw(st.booleans()):
+            labels = labels.astype(np.float64)  # a whole float is written as its int
+            labels[at] += draw(st.sampled_from([0.0, 0.5, -0.25, 1e-9]))
+        else:
+            labels[at] = draw(st.integers(-2**63, -1) | st.integers(classes, 2**63 - 1))
+    if draw(st.booleans()):
+        classes = draw(st.integers(-2**64, -1) | st.integers(2**53, 2**64))
     kind = draw(st.sampled_from(["labeled", "with sidecar", "without sidecar"]))
     if kind == "labeled":
         return LabeledDataset(features=features, labels=labels), classes
@@ -198,14 +258,19 @@ def _datasets(draw):
 @given(_datasets())
 @example((LabeledDataset(features=np.zeros((3, 2)), labels=np.array([0, 7, 1])), 4))
 @example((UnlabeledDataset(features=np.zeros((3, 2)), eval_labels=np.full(3, -1)), 4))
+@example((LabeledDataset(features=np.zeros((2, 1)), labels=np.array([3.5, 1.9])), 4))
+@example((UnlabeledDataset(features=np.zeros((2, 2)), eval_labels=None), -1))
+@example((UnlabeledDataset(features=np.zeros((2, 2)), eval_labels=None), 2**53))
+@example((LabeledDataset(features=np.zeros((1, 1)), labels=np.array([7.0])), 8))
 def test_dataset_writer_refuses_what_its_loader_refuses(tmp_path, drawn):
     dataset, classes = drawn
     path = _fresh(tmp_path, "d.ds")
     labels = _labels(dataset)
-    bad_features = not np.isfinite(dataset.features).all()
-    if bad_features or (labels is not None and ((labels < 0) | (labels >= classes)).any()):
+    bad_table = not np.isfinite(dataset.features).all() or not 0 <= classes < 2**53
+    if bad_table or (labels is not None
+                     and ((labels < 0) | (labels >= classes) | (labels % 1 != 0)).any()):
         labeled = isinstance(dataset, LabeledDataset)
-        with _refused(path if bad_features or labeled else f"{path}.eval"):
+        with _refused(path if bad_table or labeled else f"{path}.eval"):
             save_dataset(path, dataset, classes)
         assert not any(path.parent.iterdir())  # neither the table nor a sidecar
     else:
