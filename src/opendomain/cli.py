@@ -3,9 +3,9 @@
 Subcommands: ``synth`` (write a benchmark to disk), ``train`` (run the full
 pipeline on a data directory), ``ablate`` (variant comparison), ``match``
 (standalone cross-domain matching) and ``eval`` (score a checkpoint).
-Hyperparameters live in a config file; flags carry only paths, seeds and
-variant selection. Exit statuses: 0 success, 1 usage/config error,
-2 numeric failure, 3 I/O error.
+Hyperparameters and the ``flags.*`` keys that select a run's terms live in
+a config file; options carry only paths, seeds and counts. Exit statuses:
+0 success, 1 usage/config error, 2 numeric failure, 3 I/O error.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import synth
-from .config import apply_flags, experiment_hash, parse_config
+from .config import experiment_hash, parse_config
 from .evaluate import accuracy_triple, predict
 from .graph import load_graph, save_graph
 from .losses import NonFiniteLossError
@@ -106,9 +106,6 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _read_config(args.config)
-    if args.flags is not None:
-        tokens = [] if args.flags == "none" else args.flags.split(",")
-        cfg = apply_flags(cfg, tokens)
     data = _load_data_dir(args.data, cfg)
     state, history = run_pipeline(cfg, data=data)
     os.makedirs(args.out, exist_ok=True)
@@ -198,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--flags", default=None,
-                   help="comma list of lb,sgmd,gcn,vanilla or 'none'")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("ablate", help="run the variant comparison")

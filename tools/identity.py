@@ -77,9 +77,9 @@ def _steps(work: Path) -> list:
     words = "smoke-data/wordvec.mat"
     # more sources than targets: the word vectors against their first 10 rows
     runs.append(lambda: _head_rows(work / words, work / "smoke-few.mat", 10))
-    for name, (cfg, flags, data) in sorted(_TRAIN_RUNS.items()):
+    for name, (cfg, data) in sorted(_TRAIN_RUNS.items()):
         runs += [["train", "--config", f"smoke-{cfg}.cfg", "--data", f"smoke-{data}",
-                  *(["--flags", flags] if flags else []), "--out", f"smoke-run-{name}"],
+                  "--out", f"smoke-run-{name}"],
                  ["eval", "--checkpoint", f"smoke-run-{name}/checkpoint",
                   "--data", f"smoke-{data}"]]
     runs.append(lambda: shutil.copytree(work / "smoke-data", work / "smoke-unlabeled",
