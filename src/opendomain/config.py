@@ -181,7 +181,7 @@ def loss_w(cfg: ExperimentConfig) -> float:
     return min(max((total - known) / total, 5e-324), 1 - 2**-53) if known < total else 0.5
 
 
-# --flags token -> the config field it switches on
+# apply_flags token -> the config field it switches on
 _FLAG_FIELDS = {"lb": "enable_lb", "sgmd": "enable_sgmd", "gcn": "enable_gcn",
                 "vanilla": "vanilla_balance"}
 

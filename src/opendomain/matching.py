@@ -20,12 +20,13 @@ writes.
 """
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import DimensionError, as_matrix, write_rows
+from .numkit import DimensionError, as_matrix, size, write_rows
 
 __all__ = [
     "MatchedPairs",
@@ -291,12 +292,21 @@ def match_domains(fs, ft, k: int, rng: np.random.Generator):
 
 def save_pairs(path, mp: MatchedPairs) -> None:
     """`pairs <count> total <cost>` header then one `s t cost` line per
-    pair; unknown per-pair costs are written as nan. Pairs that are not a
-    matching raise ValueError naming a repeated index, before the file opens."""
-    for side, indices in zip(("source", "target"), zip(*mp.pairs)):
-        index, times = Counter(indices).most_common(1)[0]
-        if times > 1:
-            raise ValueError(f"{path}: {side} index {index} appears in {times} pairs")
+    pair; unknown per-pair costs are written as nan. Before the file opens,
+    an index that is not an integer in [0, 2**53) (:func:`numkit.size`), a
+    repeated index, or a cost or total that is not a real number raises
+    ValueError naming the file."""
     costs = mp.costs if mp.costs is not None else (float("nan"),) * len(mp.pairs)
-    write_rows(path, f"pairs {len(mp.pairs)} total {mp.total_cost:.17g}", "%s %s ", 1,
-               ((s, t, c) for (s, t), c in zip(mp.pairs, costs)))
+    try:
+        pairs = [(size(s), size(t)) for s, t in mp.pairs]
+        for side, indices in zip(("source", "target"), zip(*pairs)):
+            index, times = Counter(indices).most_common(1)[0]
+            if times > 1:
+                raise ValueError(f"{side} index {index} appears in {times} pairs")
+        for cost in (mp.total_cost, *costs):
+            if isinstance(cost, bool) or not isinstance(cost, numbers.Real):
+                raise ValueError(f"cost {cost!r} is not a real number")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    write_rows(path, f"pairs {len(pairs)} total {mp.total_cost:.17g}", "%s %s ", 1,
+               ((s, t, c) for (s, t), c in zip(pairs, costs)))

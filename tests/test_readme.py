@@ -1,6 +1,7 @@
 """README names only what the code has: each backticked config key is a key
-of the config text, each ``opendomain <word>`` is a subcommand and the module
-table has one row per package module."""
+of the config text, each ``opendomain <word>`` is a subcommand, each option
+is one the parser has, and the module table has one row per package module."""
+import argparse
 import re
 from pathlib import Path
 
@@ -48,3 +49,28 @@ def test_module_table_names_each_module():
     modules = {path.stem for path in Path(opendomain.__file__).parent.glob("*.py")}
     assert sorted(rows) == sorted(modules - {"__init__"})
 
+
+def _options() -> dict:
+    """Each subcommand's option strings, ``--help`` included."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: {option for a in p._actions for option in a.option_strings}
+            for name, p in sub.choices.items()}
+
+
+def test_every_named_option_exists():
+    """Each backticked span or fenced line that starts ``opendomain
+    <subcommand>`` names only options of that subcommand, and each
+    backticked span that starts with ``--`` names an option of some
+    subcommand."""
+    options = _options()
+    fenced = [line for block in re.findall(r"```.*?```", README, flags=re.S)
+              for line in block.splitlines()]
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", README, flags=re.S))
+    commands = [text.split("#")[0].split() for text in fenced + spans
+                if text.startswith("opendomain ")]
+    dashed = [span.split()[0] for span in spans if span.startswith("--")]
+    assert commands and dashed  # the patterns still find options in the README
+    unknown = [(words[1], word) for words in commands for word in words[2:]
+               if word.startswith("--") and word.split("=")[0] not in options.get(words[1], ())]
+    unknown += [word for word in dashed if word.split("=")[0] not in set().union(*options.values())]
+    assert unknown == []

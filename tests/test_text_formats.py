@@ -278,23 +278,52 @@ def test_dataset_writer_refuses_what_its_loader_refuses(tmp_path, drawn):
         _assert_dataset_read_back(path, dataset, classes)
 
 
+# what a pairs file cannot hold: an index that is not an int in
+# [0, 2**53), and a cost that is not a real number
+_NON_INDICES = st.sampled_from([0.5, 1.0, -1, 2**53, True, np.float64(2.0)])
+_NON_COSTS = st.sampled_from(["x", "1.5", True, None, 1j])
+
+
 @st.composite
 def _any_pairs(draw):
     """Pairs whose source or target indices may repeat, with costs and a
-    total that may be non-finite."""
+    total that may be non-finite; one index may be held as a numpy int or
+    be no index, and the total or one cost may be no real number."""
     n, any_float = draw(st.integers(0, 6)), finite | _NONFINITE
-    pairs = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
-                          min_size=n, max_size=n))
-    costs = draw(st.none() | st.lists(any_float, min_size=n, max_size=n).map(tuple))
-    return MatchedPairs(pairs=tuple(pairs), total_cost=draw(any_float), costs=costs)
+    indices = draw(st.lists(st.integers(0, 8), min_size=2 * n, max_size=2 * n))
+    if n and draw(st.booleans()):
+        indices[draw(st.integers(0, 2 * n - 1))] = draw(
+            st.integers(0, 8).map(np.int64) | _NON_INDICES)
+    costs = draw(st.none() | st.lists(any_float, min_size=n, max_size=n))
+    values = [draw(any_float), *(costs or ())]  # the total, then the costs
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = draw(_NON_COSTS)
+    ends = iter(indices)
+    return MatchedPairs(pairs=tuple(zip(ends, ends)), total_cost=values[0],
+                        costs=None if costs is None else tuple(values[1:]))
+
+
+def _is_index(value) -> bool:
+    return isinstance(value, (int, np.integer)) and type(value) is not bool and 0 <= value < 2**53
+
+
+def _is_cost(value) -> bool:
+    return isinstance(value, (int, float)) and type(value) is not bool
 
 
 @PROPERTY
 @given(_any_pairs())
 @example(MatchedPairs(pairs=((0, 1), (0, 2)), total_cost=1.0, costs=(0.5, 0.5)))
+@example(MatchedPairs(pairs=((0.5, 1),), total_cost=1.0, costs=(1.0,)))
+@example(MatchedPairs(pairs=((-1, 1),), total_cost=1.0, costs=(1.0,)))
+@example(MatchedPairs(pairs=((True, 1),), total_cost=1.0, costs=(1.0,)))
+@example(MatchedPairs(pairs=((0, 1),), total_cost=1.0, costs=("x",)))
 def test_pairs_writer_writes_only_a_matching(tmp_path, mp):
     path = _fresh(tmp_path, "pairs.txt")
-    if any(len(set(side)) < len(side) for side in zip(*mp.pairs)):
+    indices = [index for pair in mp.pairs for index in pair]
+    costs = (mp.total_cost, *(mp.costs or ()))
+    if (not all(map(_is_index, indices)) or not all(map(_is_cost, costs))
+            or any(len(set(side)) < len(side) for side in zip(*mp.pairs))):
         with _refused(path):
             save_pairs(path, mp)
         assert not path.exists()
