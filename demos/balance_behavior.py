@@ -13,10 +13,12 @@ under no balance / vanilla / limited, all three from one prepared start
 
 Run:  python3 demos/balance_behavior.py
 """
+from dataclasses import replace
+
 import numpy as np
 
 from opendomain import synth
-from opendomain.config import ExperimentConfig, loss_w
+from opendomain.config import ExperimentConfig, apply_flags, loss_w
 from opendomain.trainer import prepare, train_joint
 
 base = ExperimentConfig()
@@ -28,15 +30,17 @@ for r in (0.02, 0.1, w, 0.6, 0.9):
 print("-log R keeps rewarding larger R forever; the limited form turns")
 print("around past R = w.\n")
 
-# each variant's flag tokens: the terms it switches on, every other one off
-variants = {"no balance": (), "vanilla -log R": ("vanilla",), "limited R + w^2/R": ("lb",)}
+# each variant's flags.* keys: the terms it switches on, every other one off
+variants = {"no balance": (), "vanilla -log R": ("vanilla_balance",),
+            "limited R + w^2/R": ("enable_lb",)}
 
-# prepare reads no flag: every variant trains from the one prepared start
+# prepare reads no flag: every variant trains from the one prepared start,
+# under its own config
 prepared = prepare(base, synth.generate(base.synth))
 final = {}
 print(f"{'variant':<18} {'known':>7} {'unknown':>8} {'all':>7}")
-for name, tokens in variants.items():
-    _, history = train_joint(prepared, tokens)
+for name, on in variants.items():
+    _, history = train_joint(replace(prepared, config=apply_flags(base, on)))
     final[name] = history[-1]
     print(f"{name:<18} {final[name]['known']:7.3f} {final[name]['unknown']:8.3f} "
           f"{final[name]['all']:7.3f}")

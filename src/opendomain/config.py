@@ -181,25 +181,23 @@ def loss_w(cfg: ExperimentConfig) -> float:
     return min(max((total - known) / total, 5e-324), 1 - 2**-53) if known < total else 0.5
 
 
-# apply_flags token -> the config field it switches on
-_FLAG_FIELDS = {"lb": "enable_lb", "sgmd": "enable_sgmd", "gcn": "enable_gcn",
-                "vanilla": "vanilla_balance"}
+# the fields of ExperimentConfig that are flags.* keys
+_FLAGS = ("enable_lb", "enable_sgmd", "enable_gcn", "vanilla_balance")
 
 
 def _section(name: str) -> str:
     """The config section of a field of ExperimentConfig that is no section
     of its own."""
-    return "flags" if name in _FLAG_FIELDS.values() else "train"
+    return "flags" if name in _FLAGS else "train"
 
 
-def apply_flags(cfg: ExperimentConfig, tokens) -> ExperimentConfig:
-    """``cfg`` with exactly the terms named by ``tokens`` (lb, sgmd, gcn,
-    vanilla) switched on and the others off."""
-    unknown = set(tokens) - set(_FLAG_FIELDS)
+def apply_flags(cfg: ExperimentConfig, on) -> ExperimentConfig:
+    """``cfg`` with the ``flags.*`` keys named in ``on`` (enable_lb, enable_sgmd,
+    enable_gcn, vanilla_balance) true and the others false."""
+    unknown = set(on) - set(_FLAGS)
     if unknown:
-        raise ConfigError(f"unknown flag tokens: {sorted(unknown)}")
-    return replace(cfg, **{name: token in tokens
-                           for token, name in _FLAG_FIELDS.items()})
+        raise ConfigError(f"not flags.* keys: {sorted(unknown)}")
+    return replace(cfg, **{name: name in on for name in _FLAGS})
 
 
 def config_keys(cfg: ExperimentConfig):

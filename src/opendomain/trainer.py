@@ -44,16 +44,17 @@ __all__ = [
 ]
 
 
+# each variant's label -> the flags.* keys it switches on (apply_flags)
 ABLATION_VARIANTS = {
     "baseline": (),
-    "lb": ("lb",),
-    "lb+sgmd": ("lb", "sgmd"),
-    "lb+sgmd+gcn": ("lb", "sgmd", "gcn"),
-    "vanilla-balance": ("vanilla",),
+    "lb": ("enable_lb",),
+    "lb+sgmd": ("enable_lb", "enable_sgmd"),
+    "lb+sgmd+gcn": ("enable_lb", "enable_sgmd", "enable_gcn"),
+    "vanilla-balance": ("vanilla_balance",),
 }
 
 # known == total: no class lacks source labels, so only cls and SGMD apply
-DA_VARIANTS = {"source_only": (), "sgmd": ("sgmd",)}
+DA_VARIANTS = {"source_only": (), "sgmd": ("enable_sgmd",)}
 
 
 # --------------------------------------------------------------- train loop
@@ -68,7 +69,8 @@ def _target_order(rng, n_target: int, needed: int) -> np.ndarray:
 class Prepared:
     """All the joint loop reads: the model after pretraining and GCN init,
     the datasets, the propagated class rows (None without a graph), the
-    initial partners, the RNG streams and the config it was prepared under."""
+    initial partners, the RNG streams and the config the loop trains under,
+    whose ``flags.*`` keys may differ from the prepared one's: prepare reads none."""
 
     state: ModelState
     source: synth.LabeledDataset
@@ -292,11 +294,9 @@ def _epoch(opt, known, z_class, cfg, batch, xs, ys, xt, xms, xmt, cuts) -> list:
     return steps
 
 
-def train_joint(prepared: Prepared, tokens=None, eval_every_epoch: bool = True):
+def train_joint(prepared: Prepared, *, eval_every_epoch: bool = True):
     """The joint loop over the cls, SGMD, balance and graph terms, with rematching
-    every ``train.rematch_interval`` epochs, under ``prepared.config`` or, given
-    flag ``tokens``, under ``apply_flags(prepared.config, tokens)``: the flags
-    are the one part of a config that :func:`prepare` does not read.
+    every ``train.rematch_interval`` epochs, under ``prepared.config`` alone.
 
     Trains a copy and leaves ``prepared`` as it found it: the trained
     arrays (the encoder, the head and, with the graph term, theta) are
@@ -307,8 +307,7 @@ def train_joint(prepared: Prepared, tokens=None, eval_every_epoch: bool = True):
     passing the similarity gate and the accuracy triple, None where the
     target's eval_labels are None or, unless ``eval_every_epoch``, before the last epoch.
     """
-    cfg = prepared.config if tokens is None else apply_flags(prepared.config, tokens)
-    source, target, init = prepared.source, prepared.target, prepared.state
+    cfg, source, target, init = prepared.config, prepared.source, prepared.target, prepared.state
     known, partner = init.known_count, prepared.partner
     check_labels(source.labels, known)
     rng_joint, rng_match = copy.deepcopy((prepared.rng_joint, prepared.rng_match))
@@ -370,9 +369,10 @@ def run_ablation(base: ExperimentConfig, seeds, data=None):
     space: the five ``ABLATION_VARIANTS`` with unknown classes, else
     ``DA_VARIANTS``, whose unknown column reads 0 (no unknown instances).
 
-    Each seed is prepared once, and every variant trains from it under its
-    flag tokens. With ``data`` the dataset is held fixed and only the
-    training seed varies; otherwise each seed regenerates the benchmark.
+    Each seed is prepared once, and every variant trains from it under the
+    seed's config with the variant's ``flags.*`` keys (:func:`apply_flags`).
+    With ``data`` the dataset is held fixed and only the training seed
+    varies; otherwise each seed regenerates the benchmark.
     """
     if not len(seeds):
         raise ConfigError("run_ablation needs at least one seed")
@@ -386,8 +386,9 @@ def run_ablation(base: ExperimentConfig, seeds, data=None):
         if data is None:
             cfg = replace(cfg, synth=replace(base.synth, seed=int(seed)))
         prepared = prepare(cfg, synth.generate(cfg.synth) if data is None else data)
-        for name, tokens in variants.items():
-            _, history = train_joint(prepared, tokens, eval_every_epoch=False)
+        for name, on in variants.items():
+            _, history = train_joint(replace(prepared, config=apply_flags(cfg, on)),
+                                     eval_every_epoch=False)
             runs[name].append({k: history[-1][k] for k in ("known", "unknown", "all")})
     results = {}
     for variant, variant_runs in runs.items():

@@ -294,8 +294,8 @@ def test_ablate_on_a_symmetric_config_compares_source_only_with_sgmd(tmp_path, c
     assert len(table.splitlines()) == 3
     assert capsys.readouterr().out == table
     cfg = parse_config(SYM_CONFIG)
-    for name, tokens in DA_VARIANTS.items():
-        final = run_pipeline(apply_flags(cfg, tokens))[1][-1]
+    for name, on in DA_VARIANTS.items():
+        final = run_pipeline(apply_flags(cfg, on))[1][-1]
         assert variants[name]["runs"] == [
             {k: final[k] for k in ("known", "unknown", "all")}], name
 

@@ -343,11 +343,29 @@ def test_schedules_are_frozen(section):
 
 
 def test_apply_flags():
-    cfg = apply_flags(_small_cfg(), ("sgmd", "vanilla"))
+    cfg = apply_flags(_small_cfg(), ("enable_sgmd", "vanilla_balance"))
     assert (cfg.enable_lb, cfg.enable_sgmd, cfg.enable_gcn,
             cfg.vanilla_balance) == (False, True, False, True)
-    with pytest.raises(ConfigError, match=r"unknown flag tokens: \['bogus'\]"):
-        apply_flags(cfg, ("lb", "bogus"))
+    with pytest.raises(ConfigError, match=r"not flags\.\* keys: \['bogus'\]"):
+        apply_flags(cfg, ("enable_lb", "bogus"))
+
+
+def test_the_flags_are_one_set():
+    # apply_flags takes the names of the flags.* keys of the config text and
+    # nothing else, and every variant of the runners names only those
+    text = config_to_text(ExperimentConfig())
+    names = {line[len("flags."):].split(" = ")[0] for line in text.splitlines()
+             if line.startswith("flags.")}
+    assert names == {"enable_lb", "enable_sgmd", "enable_gcn", "vanilla_balance"}
+    cfg = _small_cfg()
+    for name in names:
+        on = apply_flags(cfg, (name,))
+        assert {n for n in names if getattr(on, n)} == {name}
+    for other in ("lb", "sgmd", "gcn", "vanilla", "flags.enable_lb", "epochs", "balance", ""):
+        with pytest.raises(ConfigError, match=re.escape(repr(other))):
+            apply_flags(cfg, ("enable_sgmd", other))
+    for label, on in {**ABLATION_VARIANTS, **DA_VARIANTS}.items():
+        assert set(on) <= names, label
 
 
 def test_experiment_hash_tracks_config():
@@ -698,9 +716,9 @@ def test_stacked_step_matches_the_per_term_reference(variant, w):
 
 # flag sets of the bit-identity test; each runs on batches with some matched
 # rows under a mixed gate, with no matched rows, and under a closed gate
-_LEAN_FLAGS = {"none": (), "lb": ("lb",), "sgmd": ("sgmd",), "gcn": ("gcn",),
-               "lb+sgmd+gcn": ("lb", "sgmd", "gcn"), "vanilla": ("vanilla",),
-               "sgmd+vanilla": ("sgmd", "vanilla")}
+_LEAN_FLAGS = {"none": (), "lb": ("enable_lb",), "sgmd": ("enable_sgmd",),
+               "gcn": ("enable_gcn",), "lb+sgmd+gcn": ("enable_lb", "enable_sgmd", "enable_gcn"),
+               "vanilla": ("vanilla_balance",), "sgmd+vanilla": ("enable_sgmd", "vanilla_balance")}
 _LEAN_CASES = ([(flags, case) for flags in _LEAN_FLAGS
                 for case in ("mixed gate", "no matched rows", "closed gate")]
                + [(flags, "known == total") for flags in ("none", "sgmd")])
@@ -854,7 +872,8 @@ def _arrays(prepared) -> dict:
             "z_class": prepared.z_class, "partner": prepared.partner}
 
 
-@pytest.mark.parametrize("flags", [("lb", "sgmd", "gcn"), ("lb", "sgmd")],
+@pytest.mark.parametrize("flags", [("enable_lb", "enable_sgmd", "enable_gcn"),
+                                   ("enable_lb", "enable_sgmd")],
                          ids=["graph term", "no graph term"])
 def test_train_joint_leaves_prepared_as_it_found_it(flags):
     # rematched every epoch, so both RNG streams are drawn from; with the
@@ -989,8 +1008,8 @@ def test_run_ablation_single_seed_matches_pipeline():
     # train_joint must draw from its own copy of it
     cfg = _small_cfg(epochs=2, rematch_interval=1)
     results = run_ablation(cfg, seeds=[cfg.seed])
-    for variant, tokens in ABLATION_VARIANTS.items():
-        _, history = run_pipeline(apply_flags(cfg, tokens))
+    for variant, on in ABLATION_VARIANTS.items():
+        _, history = run_pipeline(apply_flags(cfg, on))
         final = history[-1]
         assert results[variant]["runs"] == [
             {k: final[k] for k in ("known", "unknown", "all")}], variant
@@ -1103,42 +1122,44 @@ def _da(cfg):
 
 
 def _flag_cfgs():
-    """A tiny config of each label space and the flag token sets it takes:
-    every subset of lb, sgmd, gcn and vanilla but lb with vanilla, and on
-    known == total no term but sgmd."""
-    tokens = ("lb", "sgmd", "gcn", "vanilla")
-    subsets = [s for n in range(len(tokens) + 1) for s in itertools.combinations(tokens, n)]
-    open_set = [s for s in subsets if not {"lb", "vanilla"} <= set(s)]
+    """A tiny config of each label space and the flag sets it takes: every
+    subset of the four flags.* keys but enable_lb with vanilla_balance, and
+    on known == total no term but SGMD."""
+    flags = ("enable_lb", "enable_sgmd", "enable_gcn", "vanilla_balance")
+    subsets = [s for n in range(len(flags) + 1) for s in itertools.combinations(flags, n)]
+    open_set = [s for s in subsets if not {"enable_lb", "vanilla_balance"} <= set(s)]
     assert len(open_set) == 12
     return [(_small_cfg(epochs=2, rematch_interval=1), open_set),
-            (replace(_sym_cfg(), epochs=2, rematch_interval=1), [(), ("sgmd",)])]
+            (replace(_sym_cfg(), epochs=2, rematch_interval=1), [(), ("enable_sgmd",)])]
 
 
-@pytest.mark.parametrize("cfg, token_sets", _flag_cfgs(), ids=["open set", "known == total"])
-def test_prepare_reads_no_flag(cfg, token_sets):
-    # train_joint takes flag tokens alone, not a config, because nothing
-    # prepare does reads a flag: one prepared start trains each flag set to
-    # the bits of a whole pipeline run under those flags
+@pytest.mark.parametrize("cfg, flag_sets", _flag_cfgs(), ids=["open set", "known == total"])
+def test_prepare_reads_no_flag(cfg, flag_sets):
+    # nothing prepare does reads a flag: one prepared start, given each flag
+    # set's config, trains to the bits of a whole pipeline run under it
     data = synth.generate(cfg.synth)
     prepared = trainer.prepare(cfg, data)
-    for tokens in token_sets:
-        state, history = trainer.train_joint(prepared, tokens)
-        expected_state, expected = run_pipeline(apply_flags(cfg, tokens), data)
-        assert history == expected, tokens
+    for on in flag_sets:
+        variant = apply_flags(cfg, on)
+        state, history = trainer.train_joint(replace(prepared, config=variant))
+        expected_state, expected = run_pipeline(variant, data)
+        assert history == expected, on
         for f in fields(state):
             assert np.array_equal(getattr(state, f.name), getattr(expected_state, f.name)), \
-                (tokens, f.name)
+                (on, f.name)
 
 
-@pytest.mark.parametrize("cfg, tokens, refusal", [
-    (_small_cfg(), ("lb", "vanilla"), "mutually exclusive"),
-    (_small_cfg(), ("sgmd", "balance"), "unknown flag tokens: ['balance']"),
-    (_sym_cfg(), ("lb",), "flags.enable_lb need unknown classes"),
+@pytest.mark.parametrize("cfg, on, refusal", [
+    (_small_cfg(), ("enable_lb", "vanilla_balance"), "mutually exclusive"),
+    (_small_cfg(), ("enable_sgmd", "balance"), "not flags.* keys: ['balance']"),
+    (_sym_cfg(), ("enable_lb",), "flags.enable_lb need unknown classes"),
 ], ids=["lb with vanilla", "an unknown token", "lb with no unknown class"])
-def test_train_joint_refuses_the_flag_sets_a_config_refuses(cfg, tokens, refusal):
+def test_train_joint_refuses_the_flag_sets_a_config_refuses(cfg, on, refusal):
+    # a variant's start is the prepared one under the variant's config, so
+    # a flag set that no config takes never reaches the loop
     prepared = trainer.prepare(cfg, synth.generate(cfg.synth))
     with pytest.raises(ConfigError, match=re.escape(refusal)):
-        trainer.train_joint(prepared, tokens)
+        trainer.train_joint(replace(prepared, config=apply_flags(cfg, on)))
 
 
 def test_da_mode_returns_both_accuracies():
@@ -1150,8 +1171,8 @@ def test_da_mode_returns_both_accuracies():
 
 def test_da_mode_equals_two_pipeline_runs():
     cfg = replace(_sym_cfg(), rematch_interval=1)
-    expected = {name: run_pipeline(apply_flags(cfg, tokens))[1][-1]["all"]
-                for name, tokens in (("source_only", ()), ("sgmd", ("sgmd",)))}
+    expected = {name: run_pipeline(apply_flags(cfg, on))[1][-1]["all"]
+                for name, on in (("source_only", ()), ("sgmd", ("enable_sgmd",)))}
     assert _da(cfg) == expected
 
 
