@@ -97,7 +97,9 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
     finite and, either way, when the RMS by which its known rows miss W is
     nan or past 100 times W's own RMS, a failed fit, and then, valued at the
     ratio, when the largest entry of its unknown rows is past 100 times W's
-    largest: classifiers far beyond any the known classes have.
+    largest: classifiers far beyond any the known classes have. Last, valued
+    at the residual over sum(W^2), it refuses a fit whose every output row is
+    0 while some row of ``z_class`` is not: every unit dead, at slope 0.
 
     Returns (theta, embeddings) where ``embeddings`` are the class rows of
     O = leaky_relu(Z_class theta), :func:`leaky_relu`'s activation (known
@@ -141,4 +143,6 @@ def train_gcn_init(z_class, w, schedule: GcnSchedule, rng: np.random.Generator):
         raise NonFiniteLossError("gcn init", residual)
     if not reach <= 100:
         raise NonFiniteLossError("gcn init", reach)
+    if not embeddings.any() and z_class.any():
+        raise NonFiniteLossError("gcn init", residual / float(np.square(w).sum()))
     return theta, embeddings

@@ -84,7 +84,11 @@ class Prepared:
 
 def _partner(state, source, target, folds: int, rng) -> np.ndarray:
     """Fold-wise matching of the encoded domains as partner[s], the target
-    matched to source s, or -1."""
+    matched to source s, or -1. The exact assignment on float64 costs turns a
+    last-bit change in the encoder into other partners wherever two matchings
+    tie within rounding, so a rematch (``train.rematch_interval``, README)
+    keeps byte identity across code versions only while the arithmetic is
+    unchanged; the ``partial`` case of ``tools/identity.py`` rematches."""
     src, tgt, _, _ = match_domains(encode(source.features, state),
                                    encode(target.features, state), folds, rng)
     partner = np.full(source.n, -1)

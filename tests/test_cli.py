@@ -732,6 +732,12 @@ _EXIT_CASES = [
      (_replace("exp.cfg", "train.seed = 0", "train.seed = 4"),
       _append("exp.cfg", "gcn.slope = 0\ngcn.init_scale = 1e4\n")),
      2, "numeric failure: loss past its bound in component 'gcn init' (2190."),
+    # the same config at train seed 0 leaves every output row at 0, a fit no
+    # better than theta = 0 inside both rules above; the run trained on to
+    # exit 0 with unknown accuracy 0
+    ("train", "GCN init's slope-0 loop leaving every unit dead",
+     _append("exp.cfg", "gcn.slope = 0\ngcn.init_scale = 1e4\n"),
+     2, "numeric failure: loss past its bound in component 'gcn init' (1.0)"),
     ("train", "source.ds not UTF-8", _garble("data/source.ds"), 1,
      "source.ds: 'utf-8' codec can't decode byte 0xff"),
     ("train", "target.ds not UTF-8", _garble("data/target.ds"), 1,

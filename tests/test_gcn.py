@@ -390,6 +390,25 @@ def test_train_init_zero_word_vectors(monkeypatch):
     assert _fit_loss(z[:3], theta, 0.2, w) == pytest.approx(stuck)
 
 
+@pytest.mark.parametrize("slope, seed", [(0.0, 0), (0.0, 3), (0.2, 0)],
+                         ids=["slope 0, a theta0 of both signs", "slope 0, a negative theta0",
+                              "slope 0.2"])
+def test_train_init_refuses_a_fit_whose_every_unit_is_dead(slope, seed):
+    # W is below 0 everywhere. No output reaches below 0 at slope 0, so the
+    # loop leaves every row at 0, no better than theta = 0: a residual of
+    # exactly sum(W^2) and unknown rows at 0, each inside its own rule. A
+    # positive slope reaches the negative targets, and its fit stands
+    z = np.array([[1.0], [2.0], [3.0]])
+    w = -np.array([[1.7, 1.3], [1.4, 0.4]])
+    if slope:
+        _, emb = train_gcn_init(z, w, GcnSchedule(slope=slope), make_rng(seed))
+        assert (emb < 0).all()
+        return
+    with pytest.raises(NonFiniteLossError,
+                       match=r"^loss past its bound in component 'gcn init' \(1\.0\)$"):
+        train_gcn_init(z, w, GcnSchedule(slope=slope), make_rng(seed))
+
+
 def test_train_init_loop_refuses_its_first_non_finite_loss(monkeypatch):
     # slope 0 takes the loop; a theta0 of scale 1e200 squares past float64
     # in the first step's loss, which is refused before the step is taken

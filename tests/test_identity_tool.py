@@ -1,6 +1,7 @@
 """``tools/identity.py``: ``compare`` lists each file whose hash differs or
 that only one manifest has, and exits 1 exactly when it lists one; ``write``
-refuses a ``--src`` that does not hold the package."""
+refuses a ``--src`` that does not hold the package, and records the stdout
+of each demo beside it."""
 import importlib.util
 import json
 from pathlib import Path
@@ -33,3 +34,19 @@ def test_write_refuses_a_src_without_the_package(tmp_path):
     with pytest.raises(SystemExit, match=r"^--src .*src does not hold the opendomain package"):
         identity.main(["write", str(tmp_path / "out"), "--src", str(tmp_path / "src")])
     assert not (tmp_path / "out").exists()  # refused before the first case
+
+
+def test_write_records_the_stdout_of_each_demo_beside_the_package(tmp_path, monkeypatch):
+    # the demos of the tree whose package runs, each on that package: a demo
+    # that prints other numbers moves its file, as a CLI output would
+    tree = tmp_path / "tree"
+    (tree / "src" / "opendomain").mkdir(parents=True)
+    (tree / "src" / "opendomain" / "__init__.py").write_text("answer = 42\n")
+    (tree / "demos").mkdir()
+    (tree / "demos" / "ask.py").write_text("import opendomain\nprint(opendomain.answer)\n")
+    (tree / "demos" / "nothing.py").write_text("")
+    monkeypatch.setattr(identity, "_steps", lambda work: [])  # no CLI case
+    assert identity.main(["write", str(tmp_path / "out"), "--src", str(tree / "src")]) == 0
+    assert (tmp_path / "out" / "demos" / "ask.out").read_text() == "42\n"
+    manifest = json.loads((tmp_path / "out" / identity.MANIFEST).read_text())
+    assert sorted(manifest) == ["demos/ask.out", "demos/nothing.out"]

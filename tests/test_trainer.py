@@ -343,26 +343,19 @@ def test_schedules_are_frozen(section):
 
 
 def test_apply_flags():
-    cfg = apply_flags(_small_cfg(), ("enable_sgmd", "vanilla_balance"))
-    assert (cfg.enable_lb, cfg.enable_sgmd, cfg.enable_gcn,
-            cfg.vanilla_balance) == (False, True, False, True)
-    with pytest.raises(ConfigError, match=r"not flags\.\* keys: \['bogus'\]"):
-        apply_flags(cfg, ("enable_lb", "bogus"))
-
-
-def test_the_flags_are_one_set():
     # apply_flags takes the names of the flags.* keys of the config text and
     # nothing else, and every variant of the runners names only those
     text = config_to_text(ExperimentConfig())
     names = {line[len("flags."):].split(" = ")[0] for line in text.splitlines()
              if line.startswith("flags.")}
     assert names == {"enable_lb", "enable_sgmd", "enable_gcn", "vanilla_balance"}
-    cfg = _small_cfg()
+    cfg = apply_flags(_small_cfg(), ("enable_sgmd", "vanilla_balance"))
+    assert (cfg.enable_lb, cfg.enable_sgmd, cfg.enable_gcn,
+            cfg.vanilla_balance) == (False, True, False, True)
     for name in names:
-        on = apply_flags(cfg, (name,))
-        assert {n for n in names if getattr(on, n)} == {name}
-    for other in ("lb", "sgmd", "gcn", "vanilla", "flags.enable_lb", "epochs", "balance", ""):
-        with pytest.raises(ConfigError, match=re.escape(repr(other))):
+        assert {n for n in names if getattr(apply_flags(cfg, (name,)), n)} == {name}
+    for other in ("bogus", "lb", "sgmd", "gcn", "vanilla", "flags.enable_lb", "epochs", ""):
+        with pytest.raises(ConfigError, match=re.escape(f"not flags.* keys: [{other!r}]")):
             apply_flags(cfg, ("enable_sgmd", other))
     for label, on in {**ABLATION_VARIANTS, **DA_VARIANTS}.items():
         assert set(on) <= names, label

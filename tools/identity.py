@@ -16,7 +16,9 @@ output depends on where it was written. The cases:
   accuracies;
 - ``ablate --seeds 2`` on the default config, with and without ``--data``;
 - ``match --folds 1``, ``--folds 3`` and the swapped case (more sources
-  than targets) on seeded 1000 x 1500 standard normal rows of 16 columns.
+  than targets) on seeded 1000 x 1500 standard normal rows of 16 columns;
+- each ``demos/*.py`` beside the package's directory, whose stdout goes to
+  ``demos/<name>.out``, so a demo that prints other numbers shows too.
 
 It writes them under DIR, every file of which, inputs included, goes into
 DIR/manifest.json. ``compare`` lists the files that differ between two
@@ -52,9 +54,9 @@ def _head_rows(matrix: Path, out: Path, rows: int) -> None:
 
 
 def _steps(work: Path) -> list:
-    """The cases in the order they run in ``work``: each a CLI argument list,
-    or a callable that writes an input from an earlier case's output. An
-    ``eval``'s stdout goes to eval.json in its checkpoint's run directory.
+    """The CLI cases in the order they run in ``work``: each a CLI argument
+    list, or a callable that writes an input from an earlier case's output.
+    An ``eval``'s stdout goes to eval.json in its checkpoint's run directory.
     Writes the configs and the 1000 x 1500 inputs first."""
     sys.path.insert(0, str(ROOT / "tests"))
     from test_cli_smoke import _CONFIGS, _TRAIN_RUNS
@@ -104,15 +106,15 @@ def _steps(work: Path) -> list:
     return runs
 
 
-def _run(work: Path, argv: list, src: Path) -> None:
+def _run(work: Path, argv: list, src: Path) -> str:
+    """The stdout of ``python argv`` in ``work`` on the package in ``src``."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
            "PYTHONWARNINGS": "error"}
-    done = subprocess.run([sys.executable, "-m", "opendomain.cli", *argv], cwd=work, env=env,
-                          capture_output=True, text=True)
+    done = subprocess.run([sys.executable, *argv], cwd=work, env=env, capture_output=True,
+                          text=True)
     if done.returncode:
-        sys.exit(f"opendomain {' '.join(argv)} exited {done.returncode}: {done.stderr.strip()}")
-    if argv[0] == "eval":
-        (work / Path(argv[2]).parent / "eval.json").write_text(done.stdout)
+        sys.exit(f"{' '.join(argv)} exited {done.returncode}: {done.stderr.strip()}")
+    return done.stdout
 
 
 def write(work: Path, src: Path) -> dict:
@@ -126,8 +128,13 @@ def write(work: Path, src: Path) -> dict:
     for step in _steps(work):
         if callable(step):
             step()
-        else:
-            _run(work, step, src)
+            continue
+        out = _run(work, ["-m", "opendomain.cli", *step], src)
+        if step[0] == "eval":
+            (work / Path(step[2]).parent / "eval.json").write_text(out)
+    (work / "demos").mkdir()
+    for demo in sorted((src.parent / "demos").glob("*.py")):
+        (work / "demos" / f"{demo.stem}.out").write_text(_run(work, [str(demo)], src))
     manifest = {path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in sorted(work.rglob("*")) if path.is_file()}
     (work / MANIFEST).write_text(json.dumps(manifest, indent=1) + "\n")
